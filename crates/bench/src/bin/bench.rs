@@ -14,7 +14,7 @@ fn main() {
         "bench",
         "run any subset of the paper's figures (default: all) with caching",
     );
-    if let Err(e) = drive(&cli, None) {
+    if let Err(e) = drive(&cli) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

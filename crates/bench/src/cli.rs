@@ -24,7 +24,7 @@ pub struct BenchCli {
     pub no_cache: bool,
     /// Cache directory (`--cache-dir PATH`, default `target/bench-cache`).
     pub cache_dir: PathBuf,
-    /// Figure subset (`--figs fig3,fig7`); `None` = the binary's default.
+    /// Figure subset (`--figs fig3,fig7`); `None` = every figure.
     pub figs: Option<Vec<String>>,
     /// Run a declarative scenario spec file (`--scenario PATH`) through
     /// the cached runner instead of registry figures.
@@ -34,9 +34,10 @@ pub struct BenchCli {
     /// Omit wall-clock and cache fields from the JSON report so repeated
     /// runs are byte-identical (used by the determinism tests).
     pub stable_json: bool,
-    /// Simulation shard count per point (`--shards N`, default 1 =
-    /// sequential engine). N > 1 runs each point on the bounded-window
-    /// parallel driver; output stays byte-identical, only speed changes.
+    /// Simulation shard count per point (`--shards N`, default 1). Every
+    /// run goes through the bounded-window driver; N > 1 splits each point
+    /// over N communicating shards. Output stays byte-identical, only
+    /// speed changes.
     pub shards: u16,
 }
 
@@ -193,7 +194,7 @@ FLAGS:
     --cache-dir PATH     Result cache location
                          (default: target/bench-cache)
     --figs a,b           Run only these figures (registry names, e.g.
-                         fig3,fig7); binaries tied to one figure ignore it
+                         fig3,fig7); default: every figure
     --scenario PATH      Run a declarative scenario spec file (see
                          EXPERIMENTS.md for the format) through the cached
                          runner instead of registry figures
@@ -201,9 +202,9 @@ FLAGS:
     --stable-json        Omit wall-clock/cache fields from the JSON report
                          so repeated runs are byte-identical
     --shards N           Run each point on N simulation shards (bounded-
-                         window parallel driver; default 1 = sequential).
-                         Output is byte-identical for every N — only the
-                         perf telemetry and wall time change
+                         window driver; default 1 = one replica, nothing
+                         spawned). Output is byte-identical for every N —
+                         only the perf telemetry and wall time change
     -h, --help           This text
 
 The result cache keys each point by a content hash of its full serialized

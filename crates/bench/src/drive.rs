@@ -1,4 +1,4 @@
-//! The shared driver behind every bench binary: resolve the requested
+//! The driver behind the `bench` binary: resolve the requested
 //! figures from the registry, expand them into one job batch, run it
 //! through the cached parallel runner, reduce per figure, print the
 //! tables, and (with `--json`) write the schema-versioned
@@ -12,17 +12,11 @@ use crate::runner::{run_jobs, Job, JobOutcome, RunSummary, CACHE_SCHEMA_VERSION}
 use rlb_net::ScenarioSpec;
 use std::path::Path;
 
-/// Resolve the figure list: `--figs` wins, then the binary's default
-/// subset, then the whole registry. Unknown names are an error listing
-/// what exists.
-pub fn resolve_figures(
-    cli: &BenchCli,
-    default_figs: Option<&[&str]>,
-) -> Result<Vec<&'static dyn Figure>, String> {
-    let names: Vec<String> = match (&cli.figs, default_figs) {
-        (Some(figs), _) => figs.clone(),
-        (None, Some(defaults)) => defaults.iter().map(|s| s.to_string()).collect(),
-        (None, None) => registry().iter().map(|f| f.name().to_string()).collect(),
+/// Resolve the figure list: `--figs`, else the whole registry. Unknown
+/// names are an error listing what exists.
+pub fn resolve_figures(cli: &BenchCli) -> Result<Vec<&'static dyn Figure>, String> {
+    let Some(names) = &cli.figs else {
+        return Ok(registry().to_vec());
     };
     names
         .iter()
@@ -44,15 +38,12 @@ pub fn resolve_figures(
 /// Run the figures selected by `cli` end to end. Returns the per-figure
 /// reports (in run order) alongside the batch summary, after printing
 /// tables and writing the JSON report if requested.
-pub fn drive(
-    cli: &BenchCli,
-    default_figs: Option<&[&str]>,
-) -> Result<Vec<(&'static dyn Figure, FigureReport)>, String> {
+pub fn drive(cli: &BenchCli) -> Result<Vec<(&'static dyn Figure, FigureReport)>, String> {
     if let Some(path) = cli.scenario.clone() {
         drive_scenario(cli, &path)?;
         return Ok(Vec::new());
     }
-    let figures = resolve_figures(cli, default_figs)?;
+    let figures = resolve_figures(cli)?;
     let offsets = cli.seed_offsets();
 
     // One flat batch: the runner interleaves jobs from all figures across
@@ -348,17 +339,14 @@ mod tests {
     #[test]
     fn resolves_defaults_and_rejects_unknown() {
         let cli = BenchCli::default();
-        let all = resolve_figures(&cli, None).expect("all figures");
+        let all = resolve_figures(&cli).expect("all figures");
         assert_eq!(all.len(), registry().len());
-        let subset = resolve_figures(&cli, Some(&["fig6"])).expect("subset");
-        assert_eq!(subset.len(), 1);
-        assert_eq!(subset[0].name(), "fig6");
 
         let cli = BenchCli {
             figs: Some(vec!["fig3".into(), "nope".into()]),
             ..BenchCli::default()
         };
-        let err = match resolve_figures(&cli, None) {
+        let err = match resolve_figures(&cli) {
             Err(e) => e,
             Ok(_) => panic!("unknown figure must be rejected"),
         };
@@ -366,12 +354,12 @@ mod tests {
     }
 
     #[test]
-    fn figs_flag_overrides_binary_default() {
+    fn figs_flag_selects_a_subset() {
         let cli = BenchCli {
             figs: Some(vec!["fig9".into()]),
             ..BenchCli::default()
         };
-        let figs = resolve_figures(&cli, Some(&["fig3"])).expect("override");
+        let figs = resolve_figures(&cli).expect("subset");
         assert_eq!(figs.len(), 1);
         assert_eq!(figs[0].name(), "fig9");
     }

@@ -78,10 +78,11 @@ pub struct RunRow {
     /// allocated (backing-store footprint).
     pub arena_high_water: u64,
     pub arena_capacity: u64,
-    /// Sharded-driver telemetry (all zero except `shards`=1 when the run
-    /// was sequential): shard count, bounded-window rounds, cross-shard
-    /// wire messages, zero-dispatch (shard, round) pairs, and the sum of
-    /// per-shard dispatch throughputs over time spent dispatching.
+    /// Window-driver telemetry: shard count, synchronized bounded-window
+    /// rounds, cross-shard wire messages, zero-dispatch (shard, round)
+    /// pairs (all three zero on 1 shard, which has no peer to meet), and
+    /// the sum of per-shard dispatch throughputs over time spent
+    /// dispatching.
     pub shards: u64,
     pub window_advances: u64,
     pub cross_shard_messages: u64,

@@ -46,7 +46,7 @@ pub trait Figure: Sync {
     /// Expand into runnable jobs. `seeds` are *offsets* (0, 1, ..): each
     /// point replicates once per offset, with the figure's base seed
     /// shifted by it; `reduce` averages replicates per point. `shards` is
-    /// the parallel-driver shard count (1 = sequential engine) — it is
+    /// the window-driver shard count (1 = one replica, no peers) — it is
     /// part of each job's cache-key spec because it changes the perf
     /// telemetry, even though the simulation output is byte-identical.
     fn jobs(&self, scale: Scale, seeds: &[u64], shards: u16) -> Vec<Job>;
@@ -56,8 +56,8 @@ pub trait Figure: Sync {
 }
 
 /// Every figure, in paper order, then the extras the paper never ran
-/// (`fig_fail`). The single source of truth driving `all_figs`, the
-/// per-figure binaries, and `--figs` filtering.
+/// (`fig_fail`). The single source of truth driving bare `bench` (every
+/// figure) and `--figs` filtering.
 pub fn registry() -> &'static [&'static dyn Figure] {
     &[
         &fig3::Fig3,

@@ -305,6 +305,63 @@ mod proptests {
             prop_assert_eq!(seqq.now(), shq.now());
         }
 
+        /// Differential: `pop_before(limit)` refills the drain batch up to
+        /// the limit's tick instead of scanning for the minimum; it must
+        /// pop exactly what its definition — `peek_time() < limit`, then
+        /// `pop()` — pops, window after window, with messages landing at
+        /// or after each closed window's edge (including inside the tick
+        /// the cursor stopped in).
+        #[test]
+        fn pop_before_matches_peek_then_pop(
+            ops in proptest::collection::vec(
+                (0u8..4, 0u64..200_000_000_000, 1u16..60), 1..120)
+        ) {
+            let mut fast = ShardEventQueue::new(0);
+            let mut slow = ShardEventQueue::new(0);
+            let mut payload = 0u64;
+            let mut edge = SimTime::ZERO; // nothing may land before it
+            for (kind, delta, reps) in ops {
+                match kind {
+                    0 | 1 => {
+                        for r in 0..reps as u64 {
+                            // Same-time bursts (kind 0) or a spread (kind 1),
+                            // keyed like cross-shard messages.
+                            let at = SimTime(edge.as_ps() + delta + r * 777 * kind as u64);
+                            let key = shard_key(edge.as_ps(), (payload % 5) as u16, payload);
+                            fast.insert_message(at, key, payload);
+                            slow.insert_message(at, key, payload);
+                            payload += 1;
+                        }
+                    }
+                    _ => {
+                        let limit = SimTime(edge.as_ps() + delta / kind as u64);
+                        loop {
+                            let want = match slow.peek_time() {
+                                Some(t) if t < limit => slow.pop(),
+                                _ => None,
+                            };
+                            let got = fast.pop_before(limit);
+                            prop_assert_eq!(got, want);
+                            if got.is_none() {
+                                break;
+                            }
+                        }
+                        edge = limit;
+                    }
+                }
+                prop_assert_eq!(fast.len(), slow.len());
+                prop_assert_eq!(fast.peek_time(), slow.peek_time());
+                prop_assert_eq!(fast.now(), slow.now());
+            }
+            loop {
+                let (a, b) = (fast.pop(), slow.pop());
+                prop_assert_eq!(a, b);
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+
         /// Cross-shard merge keys order by (time at schedule, shard, seq)
         /// and never collide across shards.
         #[test]

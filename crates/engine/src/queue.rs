@@ -243,6 +243,21 @@ impl<E> ShardEventQueue<E> {
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, u128, E)> {
         let entry = self.wheel.pop()?;
+        Some(self.advance_to(entry))
+    }
+
+    /// Pop the next event only if it is strictly before `limit` — the
+    /// window-bounded dispatch step, O(1) amortized like [`pop`](Self::pop).
+    /// After a `None` the caller may insert at or after `limit` only (the
+    /// window protocol's lookahead guarantee; see `TimingWheel::pop_before`).
+    #[inline]
+    pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, u128, E)> {
+        let entry = self.wheel.pop_before(limit)?;
+        Some(self.advance_to(entry))
+    }
+
+    #[inline]
+    fn advance_to(&mut self, entry: Entry<E, u128>) -> (SimTime, u128, E) {
         #[cfg(any(debug_assertions, feature = "audit"))]
         assert!(
             entry.time >= self.now,
@@ -253,18 +268,7 @@ impl<E> ShardEventQueue<E> {
             entry.key
         );
         self.now = entry.time;
-        Some((entry.time, entry.key, entry.event))
-    }
-
-    /// Pop the next event only if it is strictly before `limit` — the
-    /// window-bounded dispatch step. O(1) in the common case (the drain
-    /// batch's back is the minimum).
-    #[inline]
-    pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, u128, E)> {
-        match self.wheel.peek_time() {
-            Some(t) if t < limit => self.pop(),
-            _ => None,
-        }
+        (entry.time, entry.key, entry.event)
     }
 
     /// See [`EventQueue::iter_events`].

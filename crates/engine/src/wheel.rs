@@ -224,11 +224,34 @@ impl<E, K: TieKey> TimingWheel<E, K> {
 
     /// Pop the earliest `(time, key)` entry.
     pub fn pop(&mut self) -> Option<Entry<E, K>> {
-        loop {
-            if let Some(entry) = self.batch.pop() {
-                self.len -= 1;
-                return Some(entry);
-            }
+        if self.batch.is_empty() && !self.refill(u64::MAX) {
+            return None;
+        }
+        self.len -= 1;
+        self.batch.pop()
+    }
+
+    /// Pop the earliest entry only if its time is strictly before `limit`.
+    /// O(1) amortized like [`pop`](Self::pop) — it refills the drain batch
+    /// instead of scanning for the minimum — and it never moves the cursor
+    /// past `limit`'s tick, so after a `None` the caller may still insert
+    /// anything at or after `limit` (but nothing earlier).
+    pub fn pop_before(&mut self, limit: SimTime) -> Option<Entry<E, K>> {
+        if self.batch.is_empty() && !self.refill(tick_of(limit)) {
+            return None;
+        }
+        if self.batch.last()?.time >= limit {
+            return None;
+        }
+        self.len -= 1;
+        self.batch.pop()
+    }
+
+    /// Advance the cursor to the earliest pending tick and install its
+    /// events as the drain batch, going no further than `max_tick`; `false`
+    /// if nothing is pending at or before it. Called with an empty batch.
+    fn refill(&mut self, max_tick: u64) -> bool {
+        while self.batch.is_empty() {
             let overflow_tick = self.overflow.peek().map(|e| tick_of(e.time));
             match self.next_occupied() {
                 Some((level, slot)) => {
@@ -236,9 +259,15 @@ impl<E, K: TieKey> TimingWheel<E, K> {
                     // The far-future heap may have crept inside the wheel's
                     // horizon as the cursor advanced; serve it first (or
                     // merged, below) when its tick is due sooner.
-                    if overflow_tick.is_some_and(|t| t < start) {
+                    if let Some(t) = overflow_tick.filter(|&t| t < start) {
+                        if t > max_tick {
+                            return false;
+                        }
                         self.drain_overflow_tick();
                         continue;
+                    }
+                    if start > max_tick {
+                        return false;
                     }
                     if level == 0 {
                         self.cursor = start;
@@ -265,13 +294,14 @@ impl<E, K: TieKey> TimingWheel<E, K> {
                     }
                 }
                 None => {
-                    if self.overflow.is_empty() {
-                        return None;
+                    if overflow_tick.is_none_or(|t| t > max_tick) {
+                        return false;
                     }
                     self.drain_overflow_tick();
                 }
             }
         }
+        true
     }
 
     /// Move every overflow entry sharing the earliest overflow tick into

@@ -48,14 +48,6 @@ impl Default for PathInfo {
     }
 }
 
-impl PathInfo {
-    /// A neutral default for tests: empty queue, 10 µs RTT, clean path.
-    #[deprecated(since = "0.1.0", note = "use `PathInfo::default()`")]
-    pub fn idle() -> PathInfo {
-        PathInfo::default()
-    }
-}
-
 /// Context for one forwarding decision.
 #[derive(Debug, Clone, Copy)]
 pub struct Ctx<'a> {
@@ -133,16 +125,5 @@ mod tests {
         let p = PathInfo::default();
         assert!(!p.paused && !p.warned);
         assert_eq!(p.queue_bytes, 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn idle_alias_matches_default() {
-        let a = PathInfo::idle();
-        let d = PathInfo::default();
-        assert_eq!(a.queue_bytes, d.queue_bytes);
-        assert_eq!((a.paused, a.warned), (d.paused, d.warned));
-        assert_eq!(a.rtt_ns.to_bits(), d.rtt_ns.to_bits());
-        assert_eq!(a.link_rate_bps.to_bits(), d.link_rate_bps.to_bits());
     }
 }

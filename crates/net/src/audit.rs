@@ -26,9 +26,16 @@
 //! means every metric downstream of it is untrustworthy, so dying loudly
 //! beats producing a subtly wrong figure.
 //!
-//! Checks run every [`crate::SimConfig::audit_every_events`] events and
-//! once at drain; the walk is O(state), so the default interval keeps the
-//! overhead negligible.
+//! There is one sweep, [`FabricAuditor::check`]: it asserts the invariants
+//! a single shard replica can judge alone and returns that replica's side
+//! of the ledger. Whoever holds *every* side asserts the balance
+//! ([`AuditReport::assert_conserved`]): a lone replica on its own cut, the
+//! window driver on the sum of all shards' cuts at each round barrier —
+//! a cross-shard flow injects on one shard and arrives on another.
+//!
+//! Sweeps run every [`crate::SimConfig::audit_every_events`] events of a
+//! replica, at every round barrier and once at drain; the walk is
+//! O(state), so the default interval keeps the overhead negligible.
 
 use crate::packet::Packet;
 use crate::switch::Switch;
@@ -60,7 +67,8 @@ struct PfcLedger {
     resumes: u64,
 }
 
-/// Everything the conservation sweep counted, kept for the panic report.
+/// Everything one sweep counted — one replica's side of the ledger, or
+/// the sum over shards — kept for the panic report.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct AuditReport {
     pub at_ps: u64,
@@ -79,6 +87,26 @@ impl AuditReport {
             + self.in_switch_buffers
             + self.in_flight_events
             + self.recirculating
+    }
+
+    /// Add another shard's cut taken at the same barrier.
+    pub fn absorb(&mut self, other: &AuditReport) {
+        self.at_ps = self.at_ps.max(other.at_ps);
+        self.injected += other.injected;
+        self.arrived += other.arrived;
+        self.dropped += other.dropped;
+        self.in_switch_buffers += other.in_switch_buffers;
+        self.in_flight_events += other.in_flight_events;
+        self.recirculating += other.recirculating;
+    }
+
+    /// The conservation balance. Only meaningful on a cut that covers the
+    /// whole fabric (1 shard, or every shard's cuts absorbed).
+    pub fn assert_conserved(&self) {
+        assert!(
+            self.accounted() == self.injected,
+            "audit violation [packet-conservation]:\n{self}"
+        );
     }
 }
 
@@ -141,12 +169,15 @@ impl FabricAuditor {
         );
     }
 
-    /// Full invariant sweep. `switches` yields every switch with its id;
-    /// `arena` is the packet arena the queued handles point into (any stale
-    /// handle panics right here, inside the sweep); `in_flight_events` /
-    /// `recirculating` are the packet counts the caller tallied from the
-    /// pending event set; `drain` additionally requires each PFC ledger to
-    /// match the live pause flags.
+    /// The invariant sweep over one replica. `switches` yields every switch
+    /// with its id; `arena` is the packet arena the queued handles point
+    /// into (any stale handle panics right here, inside the sweep);
+    /// `in_flight_events` / `recirculating` are the packet counts the
+    /// caller tallied from the pending event set; `drain` additionally
+    /// requires each PFC ledger to match the live pause flags. Asserts
+    /// buffer occupancy (and PFC pairing) and returns the replica's cut of
+    /// the conservation ledger for the caller to balance.
+    #[must_use = "the cut must be balanced: alone with 1 shard, summed otherwise"]
     pub fn check<'a>(
         &mut self,
         at_ps: u64,
@@ -155,7 +186,7 @@ impl FabricAuditor {
         in_flight_events: u64,
         recirculating: u64,
         drain: bool,
-    ) {
+    ) -> AuditReport {
         self.checks_run += 1;
         let mut report = AuditReport {
             at_ps,
@@ -166,8 +197,7 @@ impl FabricAuditor {
             recirculating,
             ..AuditReport::default()
         };
-        for ((is_spine, idx), sw) in switches {
-            let id: SwitchId = (is_spine, idx);
+        for (id, sw) in switches {
             self.check_buffers(id, sw, arena, at_ps);
             if drain {
                 self.check_pfc_drained(id, sw, at_ps);
@@ -176,37 +206,7 @@ impl FabricAuditor {
                 report.in_switch_buffers += ep.data_q.len() as u64;
             }
         }
-        assert!(
-            report.accounted() == report.injected,
-            "audit violation [packet-conservation]:\n{report}"
-        );
-    }
-
-    /// Shard-local slice of [`check`](Self::check): buffer-occupancy (and,
-    /// at drain, PFC pairing) invariants for the switches this shard owns,
-    /// returning the number of data packets buffered in them. A single
-    /// shard sees only its side of each flow, so the conservation balance
-    /// cannot be asserted here — the sharded driver sums the partials and
-    /// asserts it globally every window.
-    pub fn check_partial<'a>(
-        &mut self,
-        at_ps: u64,
-        switches: impl Iterator<Item = (SwitchId, &'a Switch)>,
-        arena: &PacketArena<Packet>,
-        drain: bool,
-    ) -> u64 {
-        self.checks_run += 1;
-        let mut in_switch_buffers = 0u64;
-        for (id, sw) in switches {
-            self.check_buffers(id, sw, arena, at_ps);
-            if drain {
-                self.check_pfc_drained(id, sw, at_ps);
-            }
-            for ep in &sw.egress {
-                in_switch_buffers += ep.data_q.len() as u64;
-            }
-        }
-        in_switch_buffers
+        report
     }
 
     fn check_buffers(&self, id: SwitchId, sw: &Switch, arena: &PacketArena<Packet>, at_ps: u64) {
@@ -287,7 +287,8 @@ mod tests {
         a.on_dropped();
         let sw = test_switch();
         // 5 = 3 arrived + 1 dropped + 1 in-flight.
-        a.check(1_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 1, 0, true);
+        a.check(1_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 1, 0, true)
+            .assert_conserved();
         assert_eq!(a.checks_run, 1);
     }
 
@@ -301,7 +302,23 @@ mod tests {
         let sw = test_switch();
         // Second packet is nowhere: not arrived, dropped, buffered or in
         // flight — the sweep must refuse to balance the books.
-        a.check(2_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, false);
+        a.check(2_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, false)
+            .assert_conserved();
+    }
+
+    #[test]
+    fn cross_shard_cuts_balance_only_when_summed() {
+        // The sender's shard injected a packet that arrived on the
+        // receiver's shard: neither side balances alone, the sum does.
+        let (mut tx, mut rx) = (FabricAuditor::default(), FabricAuditor::default());
+        tx.on_injected();
+        rx.on_arrived();
+        let sw = test_switch();
+        let mut sum = tx.check(8_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, true);
+        assert!(std::panic::catch_unwind(|| sum.assert_conserved()).is_err());
+        sum.absorb(&rx.check(9_000, [((false, 1), &sw)].into_iter(), &PacketArena::new(), 0, 0, true));
+        sum.assert_conserved();
+        assert_eq!(sum.at_ps, 9_000);
     }
 
     #[test]
@@ -326,7 +343,7 @@ mod tests {
         // PAUSE sent but the switch's live flag says unpaused: inconsistent.
         a.on_pause_sent((false, 0), 1);
         let sw = test_switch();
-        a.check(3_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, true);
+        let _ = a.check(3_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, true);
     }
 
     #[test]
@@ -335,7 +352,7 @@ mod tests {
         let mut a = FabricAuditor::default();
         let mut sw = test_switch();
         sw.shared_used = sw.config().buffer_bytes + 1;
-        a.check(4_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, false);
+        let _ = a.check(4_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, false);
     }
 
     #[test]
@@ -344,7 +361,7 @@ mod tests {
         let mut a = FabricAuditor::default();
         let mut sw = test_switch();
         sw.ingress_bytes[0] = 512; // shared_used still 0
-        a.check(5_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, false);
+        let _ = a.check(5_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, false);
     }
 
     #[test]
@@ -353,9 +370,11 @@ mod tests {
         a.on_pause_sent((false, 0), 1);
         let mut sw = test_switch();
         sw.paused_upstream[1] = true;
-        a.check(6_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, true);
+        a.check(6_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, true)
+            .assert_conserved();
         a.on_resume_sent((false, 0), 1);
         sw.paused_upstream[1] = false;
-        a.check(7_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, true);
+        a.check(7_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, true)
+            .assert_conserved();
     }
 }

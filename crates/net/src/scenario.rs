@@ -126,14 +126,15 @@ impl Scenario {
         self
     }
 
+    /// Run on 1 shard: `run_with_shards(1)`.
     pub fn run(self) -> crate::sim::RunResult {
-        crate::sim::Simulation::new(self.cfg, self.flows).run()
+        self.run_with_shards(1)
     }
 
     /// Run on `shards` parallel shards (bounded-window protocol; see
-    /// `crate::shard`). Byte-identical to [`run`](Self::run) for every
-    /// shard count — `shards <= 1`, monitoring, or packet tracing fall
-    /// back to the sequential engine.
+    /// `crate::shard`). Byte-identical for every shard count; monitoring,
+    /// packet tracing and a zero link delay run on 1 shard whatever is
+    /// asked for, and the count is clamped to `1 + n_leaves`.
     pub fn run_with_shards(self, shards: u16) -> crate::sim::RunResult {
         crate::shard::run_sharded(self.cfg, self.flows, shards)
     }

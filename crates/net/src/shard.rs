@@ -1,4 +1,5 @@
-//! Bounded-window parallel driver for sharded simulations.
+//! The bounded-window run driver — the only one: every run, at every shard
+//! count, goes through [`drive`].
 //!
 //! The topology is partitioned into shards — shard 0 owns every spine,
 //! each remaining shard owns a contiguous band of leaves plus their hosts
@@ -23,54 +24,40 @@
 //!    cut);
 //! 4. barrier; next round.
 //!
+//! 1 shard is the degenerate instance, not a separate engine: a lone
+//! replica has no peer to hear from, so its window is the whole horizon,
+//! the mailbox grid is empty, shard 0 runs on the caller's thread (nothing
+//! is spawned) and the run is two rounds — dispatch everything, then the
+//! terminal decision. `Simulation::run` is exactly that.
+//!
 //! Determinism is inherited, not synchronized-for: events are keyed by
 //! `(sched_ps, entity rank, per-entity counter)` — identical regardless of
 //! which shard executes the entity or how messages are routed — so each
-//! shard's dispatch order equals the restriction of the sequential order
-//! to its entities, and the merged result is byte-identical to
-//! `--shards 1`, which is byte-identical to the sequential engine by
-//! construction (it uses the same keys). Output-visible side effects that
-//! a shard applies to *shared* aggregates (fabric counters, per-flow
-//! recirculations) are journaled with their canonical key and folded at
-//! the round barrier; on the completion round the fold is trimmed to the
-//! globally-last completion key so counter totals match the sequential
-//! prefix exactly.
+//! shard's dispatch order equals the restriction of the 1-shard order to
+//! its entities, and the merged result is byte-identical for every shard
+//! count. Output-visible side effects that a shard applies to *shared*
+//! aggregates (fabric counters, per-flow recirculations) are journaled
+//! with their canonical key and folded at the round barrier; on the
+//! completion round the fold is trimmed to the globally-last completion
+//! key so counter totals match the 1-shard prefix exactly.
 //!
-//! `events_processed` is the one value that legitimately differs from a
-//! sequential run: global ticks are replicated per shard and the final
-//! window may dispatch events past the last completion, so the figure
-//! pipeline keeps it out of stable output.
+//! `events_processed` is the one value that legitimately differs between
+//! shard counts: global ticks are replicated per shard and the final
+//! window may dispatch events past the last completion on shards that
+//! cannot see it, so the figure pipeline keeps it out of stable output.
 
 use crate::config::SimConfig;
-use crate::monitor::FabricTimeSeries;
-use crate::sim::{PerfStats, RunResult, ShardParts, Simulation, WireMsg};
-use crate::trace::FlowTraces;
+use crate::sim::{
+    all_flows_done, PerfStats, RunResult, ShardParts, ShardStatus, Simulation, WireMsg,
+};
 use rlb_engine::SimTime;
 use rlb_metrics::{FabricCounters, LogHistogram};
 use rlb_workloads::FlowSpec;
 use std::sync::{Barrier, Mutex};
 
-/// Per-shard state published at each round barrier; every thread reads all
-/// of them to compute the (identical) window decision.
-#[derive(Debug, Default, Clone, Copy)]
-struct Status {
-    /// Earliest pending local event, `None` if the shard's queue drained.
-    next: Option<SimTime>,
-    /// Local clock (time of the last dispatched event).
-    now: SimTime,
-    /// Flows completed so far (completion is detected on the src shard).
-    completed: usize,
-    /// `(t_ps, key)` of this shard's canonically-last flow completion.
-    last_completion: Option<(u64, u128)>,
-    /// Cumulative `(injected, arrived, dropped, in_fabric)` audit cut.
-    #[cfg(feature = "audit")]
-    cut: (u64, u64, u64, u64),
-}
-
-/// What each worker thread hands back for the merge.
+/// What each worker hands back for the merge.
 #[derive(Debug, Clone, Copy)]
 struct ShardOutcome {
-    dispatched: u64,
     busy_secs: f64,
     cross_msgs: u64,
     stalls: u64,
@@ -86,17 +73,15 @@ enum Decision {
     Complete { k: (u64, u128) },
     /// Every shard's queue is empty; `end` is the last event time.
     Drained { end: SimTime },
-    /// The earliest pending event lies past the horizon; `end` is its
-    /// time, matching the sequential engine (which pops it, advancing the
-    /// clock, before breaking).
+    /// The earliest pending event lies past the horizon; the run ends at
+    /// that event's time.
     HardStop { end: SimTime },
 }
 
-/// Pure function of the published statuses — every thread evaluates it on
-/// the same snapshot and must reach the same decision.
-fn decide(st: &[Status], n_flows: usize, hard_stop: SimTime, w_ps: u64) -> Decision {
-    let completed: usize = st.iter().map(|s| s.completed).sum();
-    if n_flows > 0 && completed == n_flows {
+/// The stop policy — a pure function of the published statuses, which
+/// every thread evaluates on the same snapshot and so decides identically.
+fn decide(st: &[ShardStatus], n_flows: usize, hard_stop: SimTime, w_ps: u64) -> Decision {
+    if all_flows_done(st.iter().map(|s| s.completed).sum(), n_flows) {
         let k = st
             .iter()
             .filter_map(|s| s.last_completion)
@@ -111,7 +96,7 @@ fn decide(st: &[Status], n_flows: usize, hard_stop: SimTime, w_ps: u64) -> Decis
         Some(g) if g > hard_stop => Decision::HardStop { end: g },
         Some(g) => Decision::Advance {
             // +1 so `pop_before`'s strict bound still dispatches events at
-            // exactly `hard_stop`, like the sequential engine does.
+            // exactly `hard_stop`.
             end: SimTime(
                 g.as_ps()
                     .saturating_add(w_ps)
@@ -121,33 +106,48 @@ fn decide(st: &[Status], n_flows: usize, hard_stop: SimTime, w_ps: u64) -> Decis
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker(
-    sim: &mut Simulation,
-    me: usize,
+/// What the workers of one run share.
+struct Rounds {
     n_flows: usize,
     hard_stop: SimTime,
     w_ps: u64,
-    statuses: &[Mutex<Status>],
-    mailbox: &[Vec<Mutex<Vec<WireMsg>>>],
-    barrier: &Barrier,
-) -> ShardOutcome {
-    let publish = |sim: &mut Simulation| {
-        let mut st = statuses[me].lock().expect("status lock");
-        st.next = sim.next_event_time();
-        st.now = sim.local_now();
-        st.completed = sim.completed_flows();
-        st.last_completion = sim.last_completion();
+    statuses: Vec<Mutex<ShardStatus>>,
+    /// `mailbox[dst][src]`: cross-shard sends awaiting the barrier.
+    mailbox: Vec<Vec<Mutex<Vec<WireMsg>>>>,
+    barrier: Barrier,
+}
+
+impl Rounds {
+    fn publish(&self, me: usize, sim: &mut Simulation) {
+        *self.statuses[me].lock().expect("status lock") = sim.status();
+    }
+
+    /// Snapshot of every shard's status. A single shard only sees its side
+    /// of each flow, so packet conservation is asserted here, over the
+    /// summed cuts.
+    fn snapshot(&self) -> Vec<ShardStatus> {
+        let snap: Vec<ShardStatus> = self
+            .statuses
+            .iter()
+            .map(|m| *m.lock().expect("status lock"))
+            .collect();
         #[cfg(feature = "audit")]
         {
-            st.cut = sim.audit_partial(false);
+            let mut sum = crate::audit::AuditReport::default();
+            for s in &snap {
+                sum.absorb(&s.cut);
+            }
+            sum.assert_conserved();
         }
-    };
-    publish(sim);
-    barrier.wait();
+        snap
+    }
+}
+
+fn worker(sim: &mut Simulation, me: usize, r: &Rounds) -> ShardOutcome {
+    r.publish(me, sim);
+    r.barrier.wait();
 
     let mut out = ShardOutcome {
-        dispatched: 0,
         busy_secs: 0.0,
         cross_msgs: 0,
         stalls: 0,
@@ -155,41 +155,22 @@ fn worker(
         decision: Decision::Drained { end: SimTime(0) },
     };
     loop {
-        let decision = {
-            let snap: Vec<Status> =
-                statuses.iter().map(|m| *m.lock().expect("status lock")).collect();
-            // A single shard only sees its side of each flow, so packet
-            // conservation is asserted here, over the summed cuts, once
-            // per round.
-            #[cfg(feature = "audit")]
-            {
-                let injected: u64 = snap.iter().map(|s| s.cut.0).sum();
-                let accounted: u64 = snap.iter().map(|s| s.cut.1 + s.cut.2 + s.cut.3).sum();
-                assert_eq!(
-                    injected, accounted,
-                    "sharded audit violation [packet-conservation]: \
-                     {injected} injected vs {accounted} accounted"
-                );
-            }
-            decide(&snap, n_flows, hard_stop, w_ps)
-        };
+        let decision = decide(&r.snapshot(), r.n_flows, r.hard_stop, r.w_ps);
         // The journal now holds exactly the previous window's effects. On
-        // every non-terminal round (and on drain/hard-stop, whose
-        // dispatched sets equal the sequential engine's) they are all part
-        // of the sequential prefix; on completion, trim to the
-        // globally-last completion key.
+        // every non-terminal round (and on drain/hard-stop, which dispatch
+        // nothing past the end) they are all part of the 1-shard prefix;
+        // on completion, trim to the globally-last completion key.
         match decision {
             Decision::Advance { end } => {
                 sim.fold_journal(None);
                 let t0 = std::time::Instant::now(); // lint:allow(wall-clock)
                 let d = sim.dispatch_window(end);
                 out.busy_secs += t0.elapsed().as_secs_f64();
-                out.dispatched += d;
                 out.windows += 1;
                 if d == 0 {
                     out.stalls += 1;
                 }
-                for (dst, dst_boxes) in mailbox.iter().enumerate() {
+                for (dst, dst_boxes) in r.mailbox.iter().enumerate() {
                     if dst == me {
                         continue;
                     }
@@ -199,13 +180,13 @@ fn worker(
                         dst_boxes[me].lock().expect("mailbox lock").extend(msgs);
                     }
                 }
-                barrier.wait();
-                for src_box in &mailbox[me] {
+                r.barrier.wait();
+                for src_box in &r.mailbox[me] {
                     let msgs = std::mem::take(&mut *src_box.lock().expect("mailbox lock"));
                     sim.deliver(msgs);
                 }
-                publish(sim);
-                barrier.wait();
+                r.publish(me, sim);
+                r.barrier.wait();
             }
             Decision::Complete { k } => {
                 sim.fold_journal(Some(k));
@@ -224,85 +205,90 @@ fn worker(
     // plus one last global conservation balance over the final cuts.
     #[cfg(feature = "audit")]
     {
-        barrier.wait(); // everyone is past the terminal decision reads
-        statuses[me].lock().expect("status lock").cut = sim.audit_partial(true);
-        barrier.wait();
-        let (mut injected, mut accounted) = (0u64, 0u64);
-        for m in statuses {
-            let s = m.lock().expect("status lock");
-            injected += s.cut.0;
-            accounted += s.cut.1 + s.cut.2 + s.cut.3;
-        }
-        assert_eq!(
-            injected, accounted,
-            "sharded audit violation [packet-conservation] at drain: \
-             {injected} injected vs {accounted} accounted"
-        );
+        r.barrier.wait(); // everyone is past the terminal decision reads
+        r.statuses[me].lock().expect("status lock").cut = sim.audit_cut(true);
+        r.barrier.wait();
+        r.snapshot();
     }
     out
 }
 
-/// Run `specs` under `cfg` on `shards` shards and merge the results.
-///
-/// Falls back to the sequential engine when sharding cannot help or is not
-/// supported: `shards <= 1`, fabric monitoring (timeseries sampling reads
-/// global state mid-run), or per-flow packet traces. The shard count is
+/// Shards a run is partitioned into — derived, never configured beyond the
+/// caller's request: 1 when `shards <= 1`, when fabric monitoring or
+/// per-flow traces are on (both read or order global state mid-run), or
+/// when the link delay is zero (the protocol's lookahead); else `shards`
 /// clamped to `1 + n_leaves` (spine shard + one shard per leaf).
-pub(crate) fn run_sharded(cfg: SimConfig, specs: Vec<FlowSpec>, shards: u16) -> RunResult {
-    let n_shards = shards.min(1 + cfg.topo.n_leaves as u16);
-    if n_shards <= 1 || cfg.monitor.is_some() || !cfg.trace_flows.is_empty() {
-        return Simulation::new(cfg, specs).run();
+fn shard_count(cfg: &SimConfig, shards: u16) -> u16 {
+    if cfg.monitor.is_some() || !cfg.trace_flows.is_empty() || cfg.link_delay().as_ps() == 0 {
+        return 1;
     }
-    let n = n_shards as usize;
-    let n_flows = specs.len();
-    let hard_stop = cfg.hard_stop;
-    let w_ps = cfg.link_delay().as_ps();
-    assert!(w_ps > 0, "bounded-window sharding needs a nonzero link delay");
+    shards.clamp(1, 1 + cfg.topo.n_leaves as u16)
+}
 
-    let mut sims: Vec<Simulation> = (0..n_shards)
-        .map(|s| Simulation::new_shard(cfg.clone(), specs.clone(), s, n_shards))
+/// Run `specs` under `cfg` on (up to) `shards` shards.
+pub(crate) fn run_sharded(cfg: SimConfig, specs: Vec<FlowSpec>, shards: u16) -> RunResult {
+    let n = shard_count(&cfg, shards);
+    let mut sims: Vec<Simulation> = (1..n)
+        .map(|s| Simulation::new_shard(cfg.clone(), specs.clone(), s, n))
         .collect();
-    let statuses: Vec<Mutex<Status>> = (0..n).map(|_| Mutex::new(Status::default())).collect();
-    let mailbox: Vec<Vec<Mutex<Vec<WireMsg>>>> = (0..n)
-        .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect())
-        .collect();
-    let barrier = Barrier::new(n);
+    sims.insert(0, Simulation::new_shard(cfg, specs, 0, n));
+    drive(sims)
+}
 
+/// Run the replicas of one partitioned simulation (`sims[i]` built as
+/// shard `i` of `sims.len()`) to the end and merge their results.
+pub(crate) fn drive(mut sims: Vec<Simulation>) -> RunResult {
+    let n = sims.len();
+    let n_flows = sims[0].n_flows();
+    let rounds = Rounds {
+        n_flows,
+        hard_stop: sims[0].cfg().hard_stop,
+        // The lookahead: one link delay between shards; a lone shard has
+        // no peer to wait for, so its window is the whole horizon.
+        w_ps: if n > 1 {
+            sims[0].cfg().link_delay().as_ps()
+        } else {
+            u64::MAX
+        },
+        statuses: (0..n).map(|_| Mutex::new(ShardStatus::default())).collect(),
+        mailbox: (0..n)
+            .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect())
+            .collect(),
+        barrier: Barrier::new(n),
+    };
+
+    // Wall-clock is recorded for the perf telemetry only; nothing in the
+    // simulation reads it, so replays stay bit-exact.
     let wall_start = std::time::Instant::now(); // lint:allow(wall-clock)
     let outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
-        let (statuses, mailbox, barrier) = (&statuses, &mailbox, &barrier);
-        let handles: Vec<_> = sims
+        let rounds = &rounds;
+        let (first, rest) = sims.split_first_mut().expect("at least one shard");
+        let handles: Vec<_> = rest
             .iter_mut()
             .enumerate()
-            .map(|(me, sim)| {
-                scope.spawn(move || {
-                    worker(
-                        sim, me, n_flows, hard_stop, w_ps, statuses, mailbox, barrier,
-                    )
-                })
-            })
+            .map(|(i, sim)| scope.spawn(move || worker(sim, i + 1, rounds)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
+        // Shard 0 runs here, so a 1-shard run spawns nothing.
+        let mut outcomes = vec![worker(first, 0, rounds)];
+        outcomes.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard worker panicked")),
+        );
+        outcomes
     });
-    let wall = wall_start.elapsed();
+    let wall = wall_start.elapsed().as_secs_f64();
 
-    let (end_time, events_processed) = {
-        let total: u64 = outcomes.iter().map(|o| o.dispatched).sum();
-        let end = match outcomes[0].decision {
-            Decision::Complete { k } => SimTime(k.0),
-            Decision::Advance { .. } => unreachable!("terminal decision"),
-            Decision::Drained { end } | Decision::HardStop { end } => end,
-        };
-        (end, total)
+    let end_time = match outcomes[0].decision {
+        Decision::Complete { k } => SimTime(k.0),
+        Decision::Advance { .. } => unreachable!("terminal decision"),
+        Decision::Drained { end } | Decision::HardStop { end } => end,
     };
 
     let endpoints: Vec<(u16, u16)> = (0..n_flows)
         .map(|i| sims[0].flow_endpoint_shards(i))
         .collect();
-    let parts: Vec<ShardParts> = sims.into_iter().map(Simulation::into_parts).collect();
+    let mut parts: Vec<ShardParts> = sims.into_iter().map(Simulation::into_parts).collect();
 
     // Per-flow records: sender-side fields live on the src shard, OOO
     // reception on the dst shard, and recirculations accumulate on
@@ -328,14 +314,11 @@ pub(crate) fn run_sharded(cfg: SimConfig, specs: Vec<FlowSpec>, shards: u16) -> 
         }
     }
 
-    let eps = if wall.as_secs_f64() > 0.0 {
-        events_processed as f64 / wall.as_secs_f64()
-    } else {
-        0.0
-    };
+    let events_processed: u64 = parts.iter().map(|p| p.events).sum();
+    let per_sec = |events: u64, secs: f64| if secs > 0.0 { events as f64 / secs } else { 0.0 };
     let perf = PerfStats {
-        wall_ms: wall.as_secs_f64() * 1e3,
-        events_per_sec: eps,
+        wall_ms: wall * 1e3,
+        events_per_sec: per_sec(events_processed, wall),
         decisions: parts.iter().map(|p| p.perf_decisions).sum(),
         snapshot_reuses: parts.iter().map(|p| p.snap_reuses).sum(),
         snapshot_refreshes: parts.iter().map(|p| p.snap_refreshes).sum(),
@@ -345,32 +328,37 @@ pub(crate) fn run_sharded(cfg: SimConfig, specs: Vec<FlowSpec>, shards: u16) -> 
         arena_high_water: parts.iter().map(|p| p.arena_high_water).max().unwrap_or(0),
         arena_capacity: parts.iter().map(|p| p.arena_capacity).max().unwrap_or(0),
         shards: n as u64,
-        window_advances: outcomes[0].windows,
+        // Synchronization telemetry: a lone shard's whole-horizon window
+        // meets nobody at its barrier.
+        window_advances: if n > 1 { outcomes[0].windows } else { 0 },
         cross_shard_messages: outcomes.iter().map(|o| o.cross_msgs).sum(),
         barrier_stalls: outcomes.iter().map(|o| o.stalls).sum(),
         // Sum of per-shard dispatch throughputs over time actually spent
         // dispatching (barrier waits excluded) — the scaling headline.
         aggregate_events_per_sec: outcomes
             .iter()
-            .map(|o| {
-                if o.busy_secs > 0.0 {
-                    o.dispatched as f64 / o.busy_secs
-                } else {
-                    0.0
-                }
-            })
+            .zip(&parts)
+            .map(|(o, p)| per_sec(p.events, o.busy_secs))
             .sum(),
     };
 
+    // Groups are replicated on every shard; monitoring and tracing pin a
+    // run to one shard, so shard 0 holds whatever was observed.
+    let ShardParts {
+        groups,
+        timeseries,
+        traces,
+        ..
+    } = parts.swap_remove(0);
     RunResult {
         records,
         counters,
         ood_histogram,
         end_time,
         events_processed,
-        groups: parts[0].groups.clone(),
-        timeseries: FabricTimeSeries::default(),
-        traces: FlowTraces::default(),
+        groups,
+        timeseries,
+        traces,
         pfc_pauses_by_port,
         perf,
     }

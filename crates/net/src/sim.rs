@@ -7,7 +7,7 @@
 //! occupy shared buffer from ingress admission to egress completion.
 
 #[cfg(feature = "audit")]
-use crate::audit::FabricAuditor;
+use crate::audit::{AuditReport, FabricAuditor};
 use crate::config::SimConfig;
 use crate::fault::Fault;
 use crate::host::{FlowState, Host, Reliability};
@@ -84,10 +84,10 @@ pub(crate) enum Event {
 /// `RANK_CONSTRUCT` keys construction-time schedules (flow starts, the
 /// fault timeline, the initial DCQCN ticks) under a single global index,
 /// and sorts before every runtime rank so time-zero construction events
-/// dispatch in insertion order, exactly like the sequential engine always
-/// did. `RANK_GLOBAL` keys fabric-wide clocks (DCQCN tick re-arms, monitor
-/// ticks) that are replicated on every shard and therefore advance each
-/// replica's counter identically.
+/// dispatch in insertion order for every shard count. `RANK_GLOBAL` keys
+/// fabric-wide clocks (DCQCN tick re-arms, monitor ticks) that are
+/// replicated on every shard and therefore advance each replica's counter
+/// identically.
 pub(crate) const RANK_CONSTRUCT: u16 = 0;
 pub(crate) const RANK_GLOBAL: u16 = 1;
 
@@ -105,13 +105,14 @@ pub(crate) struct WireMsg {
 
 /// An output-visible side effect of one dispatched event.
 ///
-/// Sequential runs apply these immediately. Sharded runs journal them under
-/// the dispatching event's canonical key, because the *final* window of a
-/// run over-dispatches: shards keep executing until the barrier learns that
-/// some shard completed the last flow, so effects keyed after the global
-/// completion point `k_c` must be dropped to match the sequential engine's
-/// mid-queue `break`. Which window is final is only known at its barrier,
-/// so every window journals and folds (`Simulation::fold_journal`).
+/// 1-shard runs apply these immediately: `dispatch_window` stops at the
+/// event that completes the last flow. With peers a shard journals them
+/// under the dispatching event's canonical key, because the *final* window
+/// over-dispatches: shards that cannot see the last completion keep
+/// executing until the barrier reports it, so effects keyed after the
+/// global completion point `k_c` must be dropped to match the 1-shard
+/// run. Which window is final is only known at its barrier, so every
+/// window journals and folds (`Simulation::fold_journal`).
 ///
 /// Physical fabric state (queues, PFC flags, reliability windows) is *not*
 /// journaled — overshoot there is invisible because nothing after the fold
@@ -139,7 +140,7 @@ enum JEffect {
 /// determinism of the simulated results is unaffected by host speed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PerfStats {
-    /// Wall-clock time spent inside the `run()` event loop, milliseconds.
+    /// Wall-clock time spent inside the window driver, milliseconds.
     pub wall_ms: f64,
     /// Events dispatched per wall-clock second.
     pub events_per_sec: f64,
@@ -164,9 +165,11 @@ pub struct PerfStats {
     pub arena_high_water: u64,
     /// Arena slots ever allocated (its backing-store footprint).
     pub arena_capacity: u64,
-    /// Shards the run was partitioned into (1 = sequential engine).
+    /// Shards the run was partitioned into (1 = one replica owning the
+    /// whole fabric, dispatched on the caller's thread).
     pub shards: u64,
-    /// Bounded-window rounds the sharded driver advanced (0 = sequential).
+    /// Bounded-window rounds the shards synchronized on (0 with 1 shard:
+    /// its single window spans the whole horizon and has no peer to meet).
     pub window_advances: u64,
     /// Cross-shard wire messages exchanged over the run.
     pub cross_shard_messages: u64,
@@ -271,6 +274,8 @@ pub struct Simulation {
     counters: FabricCounters,
     ood_histogram: LogHistogram,
     completed: usize,
+    /// Events this replica has dispatched so far.
+    events: u64,
     /// Per-(leaf, dst_leaf) cached path snapshots with per-spine generation
     /// stamps (see `assemble_paths`), indexed `leaf * n_leaves + dst_leaf`.
     path_snaps: Vec<PathSnap>,
@@ -294,7 +299,7 @@ pub struct Simulation {
     warn_scratch: Vec<u16>,
     /// Scratch: hosts to kick after a rate-increase tick (dedup per host).
     host_kick_scratch: Vec<bool>,
-    /// This replica's shard id / total shard count (0 of 1 = sequential).
+    /// This replica's shard id / total shard count (0 of 1 = the whole fabric).
     shard_id: u16,
     n_shards: u16,
     /// Per-entity schedule counters backing the canonical tie key
@@ -319,11 +324,6 @@ pub struct Simulation {
     pfc_pauses_by_port: std::collections::BTreeMap<((bool, u32), u16), u64>,
     #[cfg(feature = "audit")]
     auditor: FabricAuditor,
-    /// Data/recirculating packets inside the single event popped past the
-    /// hard-stop horizon and never dispatched — still "in flight" as far as
-    /// the conservation ledger is concerned.
-    #[cfg(feature = "audit")]
-    audit_horizon_in_flight: (u64, u64),
 }
 
 /// One (leaf, dst_leaf) cached path snapshot plus the per-spine generation
@@ -554,7 +554,7 @@ impl Simulation {
         // unconditionally until the run ends (completion or hard stop). A
         // fixed phase keeps the tick event sequence identical across shard
         // counts — demand-armed ticks would re-phase after idle gaps, which
-        // is invisible sequentially but breaks the canonical-order contract
+        // is invisible on 1 shard but breaks the canonical-order contract
         // between replicas.
         if let Some(t0) = flows.iter().map(|f| f.spec.start).min() {
             let base = n_flows + cfg.faults.len() as u64;
@@ -572,7 +572,7 @@ impl Simulation {
         }
 
         let cfg_trace_flows = cfg.trace_flows.clone();
-        Simulation {
+        let mut sim = Simulation {
             topo,
             q,
             leaves,
@@ -584,6 +584,7 @@ impl Simulation {
             counters: FabricCounters::default(),
             ood_histogram: LogHistogram::new(),
             completed: 0,
+            events: 0,
             path_snaps: (0..(n_leaves as usize * n_leaves as usize))
                 .map(|_| PathSnap::empty(n_spines as usize))
                 .collect(),
@@ -611,10 +612,15 @@ impl Simulation {
             pfc_pauses_by_port: std::collections::BTreeMap::new(),
             #[cfg(feature = "audit")]
             auditor: FabricAuditor::default(),
-            #[cfg(feature = "audit")]
-            audit_horizon_in_flight: (0, 0),
             cfg,
+        };
+        // Monitoring pins the run to one shard (`shard::shard_count`), so
+        // the sampler's first tick is armed exactly once.
+        if let Some(m) = &sim.cfg.monitor {
+            let at = SimTime(m.interval.as_ps());
+            sim.sched(RANK_GLOBAL, at, Event::MonitorTick);
         }
+        sim
     }
 
     fn make_predictor(cfg: &SimConfig, rcfg: &rlb_core::RlbConfig, d_ps: u64) -> PfcPredictor {
@@ -790,83 +796,11 @@ impl Simulation {
     }
 
     /// Run to completion: stops when all flows finished, the event queue
-    /// drains, or the hard-stop horizon passes.
-    pub fn run(mut self) -> RunResult {
-        if let Some(m) = &self.cfg.monitor {
-            let at = SimTime(m.interval.as_ps());
-            self.sched(RANK_GLOBAL, at, Event::MonitorTick);
-        }
-        let hard_stop = self.cfg.hard_stop;
-        let mut events: u64 = 0;
-        // Wall-clock is recorded for the perf telemetry only; nothing in
-        // the simulation reads it, so replays stay bit-exact.
-        let wall_start = std::time::Instant::now(); // lint:allow(wall-clock)
-        while let Some((t, key, ev)) = self.q.pop() {
-            if t > hard_stop {
-                #[cfg(feature = "audit")]
-                {
-                    // This event is popped but never dispatched; its packets
-                    // must stay on the conservation ledger.
-                    let (f, r) = Self::audit_event_packets(&ev);
-                    self.audit_horizon_in_flight.0 += f;
-                    self.audit_horizon_in_flight.1 += r;
-                }
-                break;
-            }
-            self.cur_key = key;
-            events += 1;
-            self.dispatch(ev);
-            #[cfg(feature = "audit")]
-            if self.cfg.audit_every_events > 0 && events.is_multiple_of(self.cfg.audit_every_events)
-            {
-                self.audit_sweep(false);
-            }
-            if self.completed == self.flows.len() {
-                break;
-            }
-        }
-        #[cfg(feature = "audit")]
-        self.audit_sweep(true);
-        let wall = wall_start.elapsed();
-        self.finalize_counters();
-        let eps = if wall.as_secs_f64() > 0.0 {
-            events as f64 / wall.as_secs_f64()
-        } else {
-            0.0
-        };
-        let perf = PerfStats {
-            wall_ms: wall.as_secs_f64() * 1e3,
-            events_per_sec: eps,
-            decisions: self.perf_decisions,
-            snapshot_reuses: self.snap_reuses,
-            snapshot_refreshes: self.snap_refreshes,
-            snapshot_rebuilds: self.snap_rebuilds,
-            snapshot_dirty_queue_spines: self.snap_dirty_q_spines,
-            snapshot_dirty_sig_spines: self.snap_dirty_sig_spines,
-            arena_high_water: self.arena.high_water() as u64,
-            arena_capacity: self.arena.capacity() as u64,
-            shards: 1,
-            window_advances: 0,
-            cross_shard_messages: 0,
-            barrier_stalls: 0,
-            aggregate_events_per_sec: eps,
-        };
-        let end_time = self.now();
-        let groups: Vec<u64> = self.flows.iter().map(|f| f.spec.group).collect();
-        let records = self.build_records();
-        let counters = self.counters.clone();
-        RunResult {
-            records,
-            counters,
-            ood_histogram: self.ood_histogram,
-            end_time,
-            events_processed: events,
-            groups,
-            timeseries: self.timeseries,
-            traces: self.traces,
-            pfc_pauses_by_port: self.pfc_pauses_by_port,
-            perf,
-        }
+    /// drains, or the hard-stop horizon passes. A lone replica is the
+    /// 1-shard instance of the bounded-window driver (`crate::shard`): one
+    /// window spanning the whole horizon, dispatched on the caller's thread.
+    pub fn run(self) -> RunResult {
+        crate::shard::drive(vec![self])
     }
 
     fn build_records(&self) -> Vec<FlowRecord> {
@@ -888,65 +822,6 @@ impl Simulation {
                 recirculations: f.recirculations,
             })
             .collect()
-    }
-
-    /// Data packets carried by a pending event: `(in_flight, recirculating)`.
-    #[cfg(feature = "audit")]
-    fn audit_event_packets(ev: &Event) -> (u64, u64) {
-        match ev {
-            Event::LinkArrive { pkt, .. } if matches!(pkt.kind, PacketKind::Data) => (1, 0),
-            Event::Recirculate { .. } => (0, 1),
-            _ => (0, 0),
-        }
-    }
-
-    /// Conservation + occupancy (+ PFC pairing at drain) sweep over the
-    /// whole fabric. Runs between events, so every structure is quiescent.
-    #[cfg(feature = "audit")]
-    fn audit_sweep(&mut self, drain: bool) {
-        let (mut in_flight, mut recirc) = self.audit_horizon_in_flight;
-        for ev in self.q.iter_events() {
-            let (f, r) = Self::audit_event_packets(ev);
-            in_flight += f;
-            recirc += r;
-        }
-        // Handle conservation: every live arena slot is referenced by
-        // exactly one queue somewhere in the fabric, and vice versa. A
-        // mismatch means a handle leaked (slot never freed) or a queue
-        // holds a dangling handle.
-        let queued: usize = self
-            .leaves
-            .iter()
-            .chain(self.spines.iter())
-            .flat_map(|sw| sw.egress.iter())
-            .map(|ep| ep.data_q.len() + ep.ctrl_q.len())
-            .sum::<usize>()
-            + self.host_ctrl.iter().map(|q| q.len()).sum::<usize>();
-        assert_eq!(
-            queued,
-            self.arena.len(),
-            "packet arena out of balance: {} handles queued, {} slots live",
-            queued,
-            self.arena.len(),
-        );
-        let leaves = self
-            .leaves
-            .iter()
-            .enumerate()
-            .map(|(i, sw)| ((false, i as u32), sw));
-        let spines = self
-            .spines
-            .iter()
-            .enumerate()
-            .map(|(i, sw)| ((true, i as u32), sw));
-        self.auditor.check(
-            self.q.now().as_ps(),
-            leaves.chain(spines),
-            &self.arena,
-            in_flight,
-            recirc,
-            drain,
-        );
     }
 
     fn dispatch(&mut self, ev: Event) {
@@ -1798,7 +1673,8 @@ impl Simulation {
             }
         }
         // Fault events are replicated on every shard; exactly one replica
-        // (shard 0 — also the sequential engine) reports the application.
+        // (shard 0 — the one that exists at every shard count) reports the
+        // application.
         if self.shard_id == 0 {
             self.jot(JEffect::Fault);
         }
@@ -2041,7 +1917,7 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     /// Global alpha-update tick: one *replicated* event per shard services
-    /// every active flow this shard owns (all of them, sequentially), then
+    /// every active flow this shard owns (all of them, with 1 shard), then
     /// re-arms unconditionally — the fixed tick phase is part of the
     /// canonical-order contract between shard replicas (see `new_shard`).
     /// The run still terminates: completion and the hard stop end the
@@ -2114,21 +1990,40 @@ impl Simulation {
     }
 
     // ------------------------------------------------------------------
-    // Sharded-driver surface (see `crate::shard`)
+    // Window-driver surface (see `crate::shard`)
     // ------------------------------------------------------------------
 
-    /// Dispatch every pending event strictly before `end`; returns the
-    /// number dispatched. The bounded-window driver's inner loop: safe
-    /// because every cross-shard effect carries at least one link
-    /// propagation delay, so nothing produced elsewhere during this window
-    /// can land before `end`.
+    /// Dispatch every pending event strictly before `end`, stopping early
+    /// at the event that completes the last flow when this replica sees it
+    /// (always the case with 1 shard, so a lone replica never overshoots
+    /// and `jot` may apply effects directly); returns the number
+    /// dispatched. The bounded-window driver's inner loop — the only event
+    /// loop there is: safe because every cross-shard effect carries at
+    /// least one link propagation delay, so nothing produced elsewhere
+    /// during this window can land before `end`.
     pub(crate) fn dispatch_window(&mut self, end: SimTime) -> u64 {
+        let n_flows = self.flows.len();
         let mut dispatched = 0;
         while let Some((_t, key, ev)) = self.q.pop_before(end) {
             self.cur_key = key;
             dispatched += 1;
             self.dispatch(ev);
+            #[cfg(feature = "audit")]
+            if self.cfg.audit_every_events > 0
+                && (self.events + dispatched).is_multiple_of(self.cfg.audit_every_events)
+            {
+                let cut = self.audit_cut(false);
+                // A lone replica holds every packet, so its own books must
+                // balance; shards balance at the barrier (`shard::worker`).
+                if self.n_shards == 1 {
+                    cut.assert_conserved();
+                }
+            }
+            if all_flows_done(self.completed, n_flows) {
+                break;
+            }
         }
+        self.events += dispatched;
         dispatched
     }
 
@@ -2142,20 +2037,24 @@ impl Simulation {
         }
     }
 
-    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        self.q.peek_time()
+    /// What this replica publishes at a round barrier.
+    pub(crate) fn status(&mut self) -> ShardStatus {
+        ShardStatus {
+            next: self.q.peek_time(),
+            now: self.q.now(),
+            completed: self.completed,
+            last_completion: self.last_completion,
+            #[cfg(feature = "audit")]
+            cut: self.audit_cut(false),
+        }
     }
 
-    pub(crate) fn local_now(&self) -> SimTime {
-        self.q.now()
+    pub(crate) fn n_flows(&self) -> usize {
+        self.flows.len()
     }
 
-    pub(crate) fn completed_flows(&self) -> usize {
-        self.completed
-    }
-
-    pub(crate) fn last_completion(&self) -> Option<(u64, u128)> {
-        self.last_completion
+    pub(crate) fn cfg(&self) -> &SimConfig {
+        &self.cfg
     }
 
     /// `(src shard, dst shard)` owning flow `i`'s endpoints — the record
@@ -2168,20 +2067,19 @@ impl Simulation {
         )
     }
 
-    pub(crate) fn finalize_counters(&mut self) {
-        self.counters.paused_port_time_ps = self.paused_port_time.as_ps();
-    }
-
     /// Tear one shard replica down into the pieces the driver merges.
     pub(crate) fn into_parts(mut self) -> ShardParts {
-        self.finalize_counters();
+        self.counters.paused_port_time_ps = self.paused_port_time.as_ps();
         let records = self.build_records();
         ShardParts {
             records,
             counters: self.counters,
             ood_histogram: self.ood_histogram,
             groups: self.flows.iter().map(|f| f.spec.group).collect(),
+            timeseries: self.timeseries,
+            traces: self.traces,
             pfc_pauses_by_port: self.pfc_pauses_by_port,
+            events: self.events,
             perf_decisions: self.perf_decisions,
             snap_reuses: self.snap_reuses,
             snap_refreshes: self.snap_refreshes,
@@ -2193,22 +2091,28 @@ impl Simulation {
         }
     }
 
-    /// Shard-local slice of the audit sweep: arena/queue balance, buffer
-    /// occupancy (and PFC pairing when `drain`) for this shard's switches,
-    /// plus this shard's edge counters. Returns
-    /// `(injected, arrived, dropped, in_fabric)` where `in_fabric` counts
-    /// buffered + in-flight + recirculating data packets held here; the
-    /// driver sums partials across shards and asserts the global
-    /// conservation balance every window (a shard alone sees only its side
-    /// of each flow, so the per-shard books never balance).
+    /// The audit sweep over this replica, run between events so every
+    /// structure is quiescent: arena/queue handle balance, buffer occupancy
+    /// (and PFC pairing when `drain`) for its switches, and its itemised
+    /// side of the packet-conservation ledger. The caller owns the balance:
+    /// a lone replica asserts its own cut, shards sum theirs at the barrier
+    /// (a shard alone sees only its side of each flow).
     #[cfg(feature = "audit")]
-    pub(crate) fn audit_partial(&mut self, drain: bool) -> (u64, u64, u64, u64) {
-        let (mut in_flight, mut recirc) = self.audit_horizon_in_flight;
+    pub(crate) fn audit_cut(&mut self, drain: bool) -> AuditReport {
+        let (mut in_flight, mut recirc) = (0u64, 0u64);
         for ev in self.q.iter_events() {
-            let (f, r) = Self::audit_event_packets(ev);
-            in_flight += f;
-            recirc += r;
+            match ev {
+                Event::LinkArrive { pkt, .. } if matches!(pkt.kind, PacketKind::Data) => {
+                    in_flight += 1
+                }
+                Event::Recirculate { .. } => recirc += 1,
+                _ => {}
+            }
         }
+        // Handle conservation: every live arena slot is referenced by
+        // exactly one queue somewhere in the fabric, and vice versa. A
+        // mismatch means a handle leaked (slot never freed) or a queue
+        // holds a dangling handle.
         let queued: usize = self
             .leaves
             .iter()
@@ -2235,29 +2139,52 @@ impl Simulation {
             .iter()
             .enumerate()
             .map(|(i, sw)| ((true, i as u32), sw));
-        let buffered = self.auditor.check_partial(
+        self.auditor.check(
             self.q.now().as_ps(),
             leaves.chain(spines),
             &self.arena,
+            in_flight,
+            recirc,
             drain,
-        );
-        (
-            self.auditor.injected,
-            self.auditor.arrived,
-            self.auditor.dropped,
-            buffered + in_flight + recirc,
         )
     }
 }
 
-/// Everything the sharded driver needs from one consumed shard replica to
-/// assemble the merged [`RunResult`].
+/// The one completion rule, shared by a replica's dispatch loop (its own
+/// count) and the driver's round decision (the sum over shards): a run
+/// with no flows never "completes" — it drains or hits the hard stop.
+pub(crate) fn all_flows_done(completed: usize, n_flows: usize) -> bool {
+    n_flows > 0 && completed == n_flows
+}
+
+/// Per-shard state published at each round barrier; every thread reads all
+/// of them to compute the (identical) window decision.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct ShardStatus {
+    /// Earliest pending local event, `None` if the shard's queue drained.
+    pub next: Option<SimTime>,
+    /// Local clock (time of the last dispatched event).
+    pub now: SimTime,
+    /// Flows completed so far (completion is detected on the src shard).
+    pub completed: usize,
+    /// `(t_ps, key)` of this shard's canonically-last flow completion.
+    pub last_completion: Option<(u64, u128)>,
+    /// This shard's side of the conservation ledger.
+    #[cfg(feature = "audit")]
+    pub cut: AuditReport,
+}
+
+/// Everything the driver needs from one consumed shard replica to assemble
+/// the merged [`RunResult`].
 pub(crate) struct ShardParts {
     pub records: Vec<FlowRecord>,
     pub counters: FabricCounters,
     pub ood_histogram: LogHistogram,
     pub groups: Vec<u64>,
+    pub timeseries: FabricTimeSeries,
+    pub traces: FlowTraces,
     pub pfc_pauses_by_port: std::collections::BTreeMap<((bool, u32), u16), u64>,
+    pub events: u64,
     pub perf_decisions: u64,
     pub snap_reuses: u64,
     pub snap_refreshes: u64,

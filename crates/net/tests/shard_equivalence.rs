@@ -1,19 +1,24 @@
-//! Sharded-vs-sequential equivalence: `run_with_shards(n)` must be
-//! byte-identical to the sequential engine for every shard count — the
-//! non-negotiable contract of the bounded-window parallel driver.
+//! Shard-count equivalence: `run_with_shards(n)` must be byte-identical
+//! for every shard count — the non-negotiable contract of the
+//! bounded-window driver — and `run()` is its 1-shard instance.
 //!
-//! Events are keyed by `(sched_ps, entity rank, per-entity counter)` in
-//! both engines, so each shard's dispatch order is the restriction of the
-//! sequential order to the entities it owns and the merged observables
-//! agree exactly — not statistically, not approximately. The digest below
-//! covers every output the figure pipeline consumes *except*
-//! `events_processed`, which legitimately differs (global DCQCN ticks are
+//! Events are keyed by `(sched_ps, entity rank, per-entity counter)`, so
+//! each shard's dispatch order is the restriction of the 1-shard order to
+//! the entities it owns and the merged observables agree exactly — not
+//! statistically, not approximately. The digest below covers every output
+//! the figure pipeline consumes *except* `events_processed`, which
+//! legitimately differs between shard counts (global DCQCN ticks are
 //! replicated per shard and the final window may dispatch a few events
 //! past the last completion; stable figure output excludes it for the
 //! same reason).
 //!
-//! Under `--features audit` the sharded driver additionally asserts global
-//! packet conservation from the per-shard cuts at every window barrier, so
+//! The `GOLDEN_*` constants were recorded from the separate sequential
+//! event loop `Simulation::run` had before it became the 1-shard instance
+//! of the driver (commit 5cb3e1f): they pin that the one remaining loop
+//! reproduces the deleted one bit for bit, `events_processed` included.
+//!
+//! Under `--features audit` the driver additionally asserts global packet
+//! conservation from the per-shard cuts at every window barrier, so
 //! running this suite with the feature enabled exercises those checks too.
 
 use proptest::prelude::*;
@@ -21,7 +26,7 @@ use rlb_core::RlbConfig;
 use rlb_engine::{SimDuration, SimTime};
 use rlb_lb::Scheme;
 use rlb_net::scenario::{FailSweepConfig, MotivationConfig, Scenario};
-use rlb_net::{RunResult, SimConfig, TopoConfig};
+use rlb_net::{Fault, MonitorConfig, RunResult, SimConfig, TimedFault, TopoConfig};
 use rlb_workloads::FlowSpec;
 
 type PortKey = ((bool, u32), u16);
@@ -94,6 +99,38 @@ fn digest(res: &RunResult) -> Digest {
     }
 }
 
+/// FNV-1a over a value's `Debug` rendering (integers and `f64::to_bits`
+/// only, so the text is stable): the golden constants' fingerprint.
+fn fingerprint<T: std::fmt::Debug>(v: &T) -> u64 {
+    format!("{v:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// `(fingerprint(digest), events_processed)` of a 1-shard run.
+fn golden(res: &RunResult) -> (u64, u64) {
+    (fingerprint(&digest(res)), res.events_processed)
+}
+
+const GOLDEN_MOTIVATION: (u64, u64) = (873_330_274_369_411_462, 1_635_023);
+const GOLDEN_FAULTED: (u64, u64) = (166_253_126_751_074_707, 256_380);
+const GOLDEN_HARD_STOP: (u64, u64) = (836_646_810_031_338_329, 11_753);
+/// `(fingerprint(timeseries samples), fingerprint(flow 0's trace))`.
+const GOLDEN_MONITORED_TRACED: (u64, u64) =
+    (791_827_665_799_338_177, 14_562_405_892_184_352_000);
+
+fn small_fabric() -> SimConfig {
+    SimConfig {
+        topo: TopoConfig {
+            n_leaves: 3,
+            n_spines: 2,
+            hosts_per_leaf: 4,
+            ..TopoConfig::default()
+        },
+        ..SimConfig::default()
+    }
+}
+
 fn pfc_heavy_scenario(seed: u64) -> MotivationConfig {
     MotivationConfig {
         n_paths: 12,
@@ -121,22 +158,21 @@ fn motivation_scenario_matches_across_shard_counts() {
             Some(RlbConfig::default()),
         )
     };
-    let seq = digest(&mk().run());
-    assert!(seq.counters[0] > 0, "scenario must exercise PFC");
-    for shards in [2u16, 3, 5, 13] {
+    let one = mk().run();
+    assert_eq!(golden(&one), GOLDEN_MOTIVATION);
+    let one = digest(&one);
+    assert!(one.counters[0] > 0, "scenario must exercise PFC");
+    for shards in [1u16, 2, 3, 5, 13] {
         let sharded = digest(&mk().run_with_shards(shards));
-        assert_eq!(
-            seq, sharded,
-            "--shards {shards} diverged from the sequential engine"
-        );
+        assert_eq!(one, sharded, "--shards {shards} diverged from run()");
     }
 }
 
 /// Mid-run link faults are replicated into every shard's construction
 /// set and their transmit kicks are owner-filtered; the faulted run must
-/// still merge to the sequential bytes.
+/// still merge to the 1-shard bytes.
 #[test]
-fn faulted_runs_match_sequential() {
+fn faulted_runs_match_across_shard_counts() {
     let mk = || {
         let fc = FailSweepConfig {
             n_failures: 3,
@@ -150,15 +186,117 @@ fn faulted_runs_match_sequential() {
         };
         Scenario::fail_sweep(&fc, Scheme::LetFlow, Some(RlbConfig::default()))
     };
-    let seq = digest(&mk().run());
-    assert_eq!(seq.counters[12], 6, "3 downs + 3 recoveries must fire");
-    for shards in [2u16, 4] {
+    let one = mk().run();
+    assert_eq!(golden(&one), GOLDEN_FAULTED);
+    let one = digest(&one);
+    assert_eq!(one.counters[12], 6, "3 downs + 3 recoveries must fire");
+    for shards in [1u16, 2, 4] {
         assert_eq!(
-            seq,
+            one,
             digest(&mk().run_with_shards(shards)),
             "faulted --shards {shards} diverged"
         );
     }
+}
+
+/// A run the hard stop truncates mid-transfer: the clock ends on the first
+/// event past the horizon and nothing at or before it is lost, at every
+/// shard count.
+#[test]
+fn hard_stop_truncated_runs_match_across_shard_counts() {
+    let mk = || {
+        let cfg = SimConfig {
+            hard_stop: SimTime::from_us(60),
+            ..small_fabric()
+        };
+        let flows = [(0, 4), (5, 8), (9, 1)]
+            .map(|(src, dst)| FlowSpec::new(SimTime::ZERO, src, dst, 5_000_000));
+        Scenario::new(cfg, flows.to_vec())
+    };
+    let one = mk().run();
+    assert_eq!(golden(&one), GOLDEN_HARD_STOP);
+    assert!(one.records.iter().all(|r| r.finish_ps.is_none()), "must truncate");
+    assert_eq!(one.end_time.as_ps(), 60_001_600);
+    assert_eq!(one.counters.switch_packets, 2390);
+    let one = digest(&one);
+    for shards in [1u16, 2, 4] {
+        assert_eq!(
+            one,
+            digest(&mk().run_with_shards(shards)),
+            "truncated --shards {shards} diverged"
+        );
+    }
+}
+
+/// No flows, three timed faults: there is nothing to complete — `0 == 0`
+/// completed flows is not completion — so the run drains: every fault
+/// applies and the clock ends on the last one.
+#[test]
+fn zero_flow_fault_timeline_applies_every_fault() {
+    let mk = || {
+        let faults = [10, 20, 30].map(|us| TimedFault {
+            at: SimTime::from_us(us),
+            fault: Fault::LinkDown { leaf: 0, spine: 1 },
+        });
+        Scenario::new(small_fabric(), Vec::new()).with_faults(faults.to_vec())
+    };
+    let one = mk().run();
+    assert_eq!(one.counters.faults_applied, 3);
+    assert_eq!(one.end_time, SimTime::from_us(30));
+    for shards in [1u16, 2, 4] {
+        let res = mk().run_with_shards(shards);
+        assert_eq!(digest(&one), digest(&res), "--shards {shards} diverged");
+        assert_eq!(res.events_processed, 3 * res.perf.shards);
+    }
+}
+
+/// A zero link delay leaves the window protocol no lookahead, so the run
+/// stays on 1 shard whatever is asked for.
+#[test]
+fn zero_link_delay_runs_on_one_shard() {
+    let mk = || {
+        let mut cfg = small_fabric();
+        cfg.topo.link_delay_ps = 0;
+        let flows = vec![
+            FlowSpec::new(SimTime::ZERO, 0, 5, 300_000),
+            FlowSpec::new(SimTime::from_us(3), 9, 2, 200_000),
+        ];
+        Scenario::new(cfg, flows)
+    };
+    let one = mk().run();
+    assert!(one.records.iter().all(|r| r.finish_ps.is_some()));
+    let asked_for_four = mk().run_with_shards(4);
+    assert_eq!(asked_for_four.perf.shards, 1);
+    assert_eq!(digest(&one), digest(&asked_for_four));
+    assert_eq!(one.events_processed, asked_for_four.events_processed);
+}
+
+/// Monitoring and per-flow traces observe global state mid-run, so they
+/// pin the run to 1 shard; `run_with_shards(4)` must hand back the same
+/// time series and traces as `run()`, through the same merge.
+#[test]
+fn monitored_and_traced_runs_keep_their_observations() {
+    let mk = || {
+        let mut sc = Scenario::motivation(
+            &pfc_heavy_scenario(7),
+            Scheme::Hermes,
+            Some(RlbConfig::default()),
+        );
+        sc.cfg.monitor = Some(MonitorConfig {
+            interval: SimDuration::from_us(20),
+        });
+        sc.cfg.trace_flows = vec![0];
+        sc
+    };
+    let series = |r: &RunResult| fingerprint(&r.timeseries.samples);
+    let trace = |r: &RunResult| fingerprint(&r.traces.get(0));
+    let one = mk().run();
+    assert!(one.timeseries.len() > 10 && one.traces.get(0).is_some_and(|t| t.len() > 10));
+    assert_eq!((series(&one), trace(&one)), GOLDEN_MONITORED_TRACED);
+    let four = mk().run_with_shards(4);
+    assert_eq!(four.perf.shards, 1);
+    assert_eq!((series(&one), trace(&one)), (series(&four), trace(&four)));
+    assert_eq!(digest(&one), digest(&four));
 }
 
 fn any_scheme() -> impl Strategy<Value = Scheme> {
@@ -173,43 +311,37 @@ fn any_scheme() -> impl Strategy<Value = Scheme> {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 16, // each case is 1 sequential + 2 sharded full simulations
+        cases: 16, // each case is two full simulations
         .. ProptestConfig::default()
     })]
 
     /// Differential property: arbitrary small workloads across schemes,
     /// RLB on/off, seeds and shard counts produce identical digests.
     #[test]
-    fn sharded_equals_sequential(
+    fn every_shard_count_equals_run(
         scheme in any_scheme(),
         use_rlb in any::<bool>(),
         seed in 0u64..1000,
-        shards in 2u16..=4,
+        shards in 1u16..=4,
         flow_specs in proptest::collection::vec(
             (0u32..12, 0u32..12, 1u64..200_000, 0u64..500_000),
             1..12
         ),
     ) {
         let cfg = SimConfig {
-            topo: TopoConfig {
-                n_leaves: 3,
-                n_spines: 2,
-                hosts_per_leaf: 4,
-                ..TopoConfig::default()
-            },
             scheme,
             rlb: use_rlb.then(RlbConfig::default),
             seed,
             hard_stop: SimTime::from_ms(200),
-            ..SimConfig::default()
+            ..small_fabric()
         };
         let flows: Vec<FlowSpec> = flow_specs
             .into_iter()
             .filter(|(s, d, _, _)| s != d)
             .map(|(s, d, size, start_ps)| FlowSpec::new(SimTime(start_ps), s, d, size))
             .collect();
-        let seq = digest(&Scenario::new(cfg.clone(), flows.clone()).run());
+        let one = digest(&Scenario::new(cfg.clone(), flows.clone()).run());
         let par = digest(&Scenario::new(cfg, flows).run_with_shards(shards));
-        prop_assert_eq!(seq, par, "--shards {} diverged", shards);
+        prop_assert_eq!(one, par, "--shards {} diverged", shards);
     }
 }

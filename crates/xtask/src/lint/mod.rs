@@ -411,7 +411,7 @@ mod tests {
         assert_eq!(p("crates/engine/src/queue.rs"), FileClass::CoreLib);
         assert_eq!(p("crates/net/src/sim.rs"), FileClass::CoreLib);
         assert_eq!(p("crates/metrics/src/counters.rs"), FileClass::Sim);
-        assert_eq!(p("crates/bench/src/bin/all_figs.rs"), FileClass::Bench);
+        assert_eq!(p("crates/bench/src/bin/bench.rs"), FileClass::Bench);
         assert_eq!(p("crates/xtask/src/lint/mod.rs"), FileClass::Bench);
         assert_eq!(p("tests/cross_crate_props.rs"), FileClass::Test);
         assert_eq!(p("crates/net/tests/pfc.rs"), FileClass::Test);
