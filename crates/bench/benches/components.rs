@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the hot components: the event queue, the PFC
 //! predictor, Algorithm 1, the LB schemes' per-packet decisions, workload
-//! sampling and the metrics kernels.
+//! sampling, the host plane (NIC arbiter, DCQCN tick) and the metrics kernels.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rlb_core::{algorithm1, PfcPredictor, Prediction, RlbConfig};
@@ -375,6 +375,55 @@ fn bench_gbn(c: &mut Criterion) {
     });
 }
 
+/// The host plane at `mice_ecmp`'s shape: each NIC lists hundreds of flows
+/// for the whole scenario and a handful are live (started, unfinished).
+fn bench_host_plane(c: &mut Criterion) {
+    use rlb_net::host::{FlowState, Host};
+
+    // Flow `i` sends from host `i % n_hosts`; ids below `live` have started.
+    let build = |n_hosts: u32, n_flows: u32, live: u32| {
+        let mut hosts: Vec<Host> = (0..n_hosts).map(Host::new).collect();
+        let mut flows = Vec::new();
+        for i in 0..n_flows {
+            let spec = rlb_workloads::FlowSpec::new(SimTime::ZERO, i % n_hosts, n_hosts, 1 << 30);
+            let mut fs = FlowState::new(spec, 1_000, rlb_transport::DcqcnConfig::default());
+            hosts[(i % n_hosts) as usize].list(i);
+            if i < live {
+                fs.started = true;
+                hosts[(i % n_hosts) as usize].start(i);
+            }
+            flows.push(fs);
+        }
+        (hosts, flows)
+    };
+
+    let mut group = c.benchmark_group("net/host_plane");
+    group.bench_function("pick_500_listed_4_live", |b| {
+        // Flows 1..4 sit in their pacing gap, so every pick walks them
+        // before it reaches flow 0.
+        let (mut hosts, mut flows) = build(1, 500, 4);
+        for fs in &mut flows[1..4] {
+            fs.next_eligible_ps = u64::MAX;
+        }
+        b.iter(|| black_box(hosts[0].pick_eligible(&flows, black_box(0))))
+    });
+    group.bench_function("deadline_500_listed_4_live", |b| {
+        let (hosts, flows) = build(1, 500, 4);
+        b.iter(|| black_box(hosts[0].earliest_deadline(black_box(&flows))))
+    });
+    group.bench_function("dcqcn_tick_15k_flows_50_live", |b| {
+        // The body of `Simulation::on_alpha_tick` on the quick fabric.
+        let (hosts, mut flows) = build(32, 15_000, 50);
+        b.iter(|| {
+            for &f in hosts.iter().flat_map(|h| h.live()) {
+                flows[f as usize].dcqcn.on_alpha_timer();
+            }
+            black_box(flows[0].dcqcn.alpha())
+        })
+    });
+    group.finish();
+}
+
 /// Stand-in for the cold packet payload the switch queues used to carry
 /// inline: roughly `rlb_net::Packet`-sized, so the VecDeque baseline pays
 /// a realistic per-element copy cost.
@@ -506,7 +555,7 @@ criterion_group! {
     config = config();
     targets = bench_event_queue, bench_queue_head_to_head, bench_predictor,
               bench_algorithm1, bench_lb_selection, bench_decision_hot_path,
-              bench_workload_sampling, bench_gbn, bench_packet_plane,
-              bench_percentile
+              bench_workload_sampling, bench_gbn, bench_host_plane,
+              bench_packet_plane, bench_percentile
 }
 criterion_main!(benches);

@@ -297,8 +297,6 @@ pub struct Simulation {
     paused_port_time: SimDuration,
     /// Scratch: ingress ports that warned during one predictor tick.
     warn_scratch: Vec<u16>,
-    /// Scratch: hosts to kick after a rate-increase tick (dedup per host).
-    host_kick_scratch: Vec<bool>,
     /// This replica's shard id / total shard count (0 of 1 = the whole fabric).
     shard_id: u16,
     n_shards: u16,
@@ -522,7 +520,7 @@ impl Simulation {
                 cfg.transport.mode,
                 irn_window,
             );
-            hosts[spec.src_host as usize].tx_flows.push(i as u32);
+            hosts[spec.src_host as usize].list(i as u32);
             // Construction events carry `(0, RANK_CONSTRUCT, global index)`
             // keys: every shard derives the same key for the same entry, so
             // ownership gaps in the index sequence are harmless.
@@ -597,7 +595,6 @@ impl Simulation {
             snap_dirty_sig_spines: 0,
             paused_port_time: SimDuration(0),
             warn_scratch: Vec::new(),
-            host_kick_scratch: vec![false; n_hosts as usize],
             shard_id,
             n_shards: n_shards.max(1),
             ent_cnt: vec![0; n_ranks],
@@ -697,11 +694,6 @@ impl Simulation {
     #[inline]
     fn owns(&self, node: Node) -> bool {
         self.shard_of(node) == self.shard_id
-    }
-
-    #[inline]
-    fn owns_flow(&self, i: usize) -> bool {
-        self.owns(Node::Host(self.flows[i].spec.src_host))
     }
 
     /// Canonical rank of a host (see `RANK_CONSTRUCT` for the layout).
@@ -858,9 +850,10 @@ impl Simulation {
         }
         let paused_hosts = self.hosts.iter().filter(|h| h.paused).count() as u32;
         let active_flows = self
-            .flows
+            .hosts
             .iter()
-            .filter(|f| f.started && !f.is_complete())
+            .flat_map(|h| h.live())
+            .filter(|&&f| self.flows[f as usize].started)
             .count() as u32;
         self.timeseries.samples.push(FabricSample {
             t_ps: now.as_ps(),
@@ -888,6 +881,7 @@ impl Simulation {
             fs.next_eligible_ps = now.as_ps();
             fs.spec.src_host
         };
+        self.hosts[host as usize].start(f);
         // The global DCQCN ticks are construction-armed (see `new_shard`);
         // only the per-flow RTO probe starts here.
         let rto = SimDuration(self.cfg.transport.rto_ps);
@@ -1117,7 +1111,7 @@ impl Simulation {
                     if let Some(leaf) = self.leaves[src_leaf].leaf.as_mut() {
                         leaf.lb.on_flow_complete(flow_id);
                     }
-                    self.hosts[h as usize].gc_flows(&self.flows);
+                    self.hosts[h as usize].finish(pkt.flow);
                 } else if irn_has_retx {
                     // A NACK opened retransmission work (or the window
                     // reopened): kick the NIC.
@@ -1917,18 +1911,16 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     /// Global alpha-update tick: one *replicated* event per shard services
-    /// every active flow this shard owns (all of them, with 1 shard), then
-    /// re-arms unconditionally — the fixed tick phase is part of the
-    /// canonical-order contract between shard replicas (see `new_shard`).
-    /// The run still terminates: completion and the hard stop end the
-    /// event loop, not queue drain.
+    /// every live flow of every host — a replica's unowned hosts never see a
+    /// `FlowStart`, so their live prefixes are empty — then re-arms
+    /// unconditionally: the fixed tick phase is part of the canonical-order
+    /// contract between shard replicas (see `new_shard`). The run still
+    /// terminates: completion and the hard stop end the event loop, not
+    /// queue drain.
     fn on_alpha_tick(&mut self) {
-        for i in 0..self.flows.len() {
-            if !self.owns_flow(i) {
-                continue;
-            }
-            let fs = &mut self.flows[i];
-            if fs.started && !fs.is_complete() {
+        for &f in self.hosts.iter().flat_map(|h| h.live()) {
+            let fs = &mut self.flows[f as usize];
+            if fs.started {
                 fs.dcqcn.on_alpha_timer();
             }
         }
@@ -1937,28 +1929,24 @@ impl Simulation {
         self.sched(RANK_GLOBAL, at, Event::AlphaTick);
     }
 
-    /// Global rate-increase tick. Hosts are kicked at most once per tick
-    /// (ascending host id — deterministic), however many of their flows
-    /// just got a rate increase. Owned flows only; re-arms like
-    /// `on_alpha_tick`.
+    /// Global rate-increase tick over the same live prefixes; re-arms like
+    /// `on_alpha_tick`. A host is kicked at most once per tick (ascending
+    /// host id — deterministic), however many of its flows just got a rate
+    /// increase and could be eligible sooner.
     fn on_increase_tick(&mut self) {
-        self.host_kick_scratch.fill(false);
-        for i in 0..self.flows.len() {
-            if !self.owns_flow(i) {
-                continue;
-            }
-            let fs = &mut self.flows[i];
-            if fs.started && !fs.is_complete() {
-                fs.dcqcn.on_increase_timer();
-                // Rate may have increased — the flow could be eligible sooner.
-                self.host_kick_scratch[fs.spec.src_host as usize] = true;
-            }
-        }
         let dt = SimDuration(self.cfg.transport.dcqcn.increase_timer_ps);
         let at = self.now() + dt;
         self.sched(RANK_GLOBAL, at, Event::IncreaseTick);
-        for h in 0..self.host_kick_scratch.len() {
-            if self.host_kick_scratch[h] {
+        for h in 0..self.hosts.len() {
+            let mut kick = false;
+            for &f in self.hosts[h].live() {
+                let fs = &mut self.flows[f as usize];
+                if fs.started {
+                    fs.dcqcn.on_increase_timer();
+                    kick = true;
+                }
+            }
+            if kick {
                 self.host_try_send(h as u32);
             }
         }

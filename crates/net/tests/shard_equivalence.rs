@@ -16,6 +16,10 @@
 //! event loop `Simulation::run` had before it became the 1-shard instance
 //! of the driver (commit 5cb3e1f): they pin that the one remaining loop
 //! reproduces the deleted one bit for bit, `events_processed` included.
+//! `GOLDEN_MANY_MICE_*` were recorded at commit e85d097, the last one whose
+//! NIC arbiter scanned every listed flow: ~180 listed flows per host, where
+//! the other goldens have a few dozen and would not notice a reordered
+//! service list.
 //!
 //! Under `--features audit` the driver additionally asserts global packet
 //! conservation from the per-shard cuts at every window barrier, so
@@ -25,9 +29,9 @@ use proptest::prelude::*;
 use rlb_core::RlbConfig;
 use rlb_engine::{SimDuration, SimTime};
 use rlb_lb::Scheme;
-use rlb_net::scenario::{FailSweepConfig, MotivationConfig, Scenario};
+use rlb_net::scenario::{FailSweepConfig, MotivationConfig, Scenario, SteadyStateConfig};
 use rlb_net::{Fault, MonitorConfig, RunResult, SimConfig, TimedFault, TopoConfig};
-use rlb_workloads::FlowSpec;
+use rlb_workloads::{FlowSpec, Workload};
 
 type PortKey = ((bool, u32), u16);
 
@@ -115,6 +119,8 @@ fn golden(res: &RunResult) -> (u64, u64) {
 const GOLDEN_MOTIVATION: (u64, u64) = (873_330_274_369_411_462, 1_635_023);
 const GOLDEN_FAULTED: (u64, u64) = (166_253_126_751_074_707, 256_380);
 const GOLDEN_HARD_STOP: (u64, u64) = (836_646_810_031_338_329, 11_753);
+const GOLDEN_MANY_MICE_ECMP: (u64, u64) = (5_781_914_321_385_179_750, 1_874_764);
+const GOLDEN_MANY_MICE_DRILL_RLB: (u64, u64) = (7_472_641_191_255_261_341, 3_650_816);
 /// `(fingerprint(timeseries samples), fingerprint(flow 0's trace))`.
 const GOLDEN_MONITORED_TRACED: (u64, u64) =
     (791_827_665_799_338_177, 14_562_405_892_184_352_000);
@@ -225,6 +231,39 @@ fn hard_stop_truncated_runs_match_across_shard_counts() {
             digest(&mk().run_with_shards(shards)),
             "truncated --shards {shards} diverged"
         );
+    }
+}
+
+/// Thousands of mice: each NIC lists a couple of hundred flows of which a
+/// handful are live at a time, so the round-robin order across starts and
+/// completions decides these bytes.
+#[test]
+fn many_mice_match_the_full_scan_arbiter_across_shard_counts() {
+    let sc = SteadyStateConfig {
+        topo: small_fabric().topo,
+        workload: Workload::WebServer,
+        load: 0.5,
+        horizon: SimTime::from_ms(8),
+        seed: 5,
+    };
+    for (scheme, rlb, want) in [
+        (Scheme::Ecmp, None, GOLDEN_MANY_MICE_ECMP),
+        (Scheme::Drill, Some(RlbConfig::default()), GOLDEN_MANY_MICE_DRILL_RLB),
+    ] {
+        let mk = || Scenario::steady_state(&sc, scheme, rlb.clone());
+        // `run()` is the 1-shard run, so the golden is the shards-1 check.
+        let one = mk().run();
+        assert!(one.records.len() >= 2_000, "{} flows", one.records.len());
+        assert_eq!(golden(&one), want, "{scheme:?}");
+        assert!(one.records.iter().all(|r| r.finish_ps.is_some()));
+        let one = digest(&one);
+        for shards in [2u16, 4] {
+            assert_eq!(
+                one,
+                digest(&mk().run_with_shards(shards)),
+                "{scheme:?} --shards {shards} diverged"
+            );
+        }
     }
 }
 
