@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the hot components: the event queue, the PFC
 //! predictor, Algorithm 1, the LB schemes' per-packet decisions, workload
-//! sampling, the host plane (NIC arbiter, DCQCN tick) and the metrics kernels.
+//! sampling, the host plane (NIC arbiter, DCQCN tick), the shard driver's
+//! synchronization (window barrier, mailbox hand-off) and the metrics kernels.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rlb_core::{algorithm1, PfcPredictor, Prediction, RlbConfig};
@@ -424,6 +425,82 @@ fn bench_host_plane(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two things the window driver does between dispatches, per window:
+/// meet its peers twice, and hand each peer one mailbox of wire messages.
+fn bench_shard_sync(c: &mut Criterion) {
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+
+    // One window's worth of meetings — two — against a peer thread that
+    // does nothing else, so the time is the barrier's own. The peer reads
+    // `stop` only after a second meeting and the bench sets it only between
+    // a first and a second, so the peer can never leave a meeting early.
+    fn window_of_meetings(b: &mut criterion::Bencher, meet: &(dyn Fn() + Sync)) {
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| loop {
+                meet();
+                meet();
+                if stop.load(SeqCst) {
+                    break;
+                }
+            });
+            b.iter(|| {
+                meet();
+                meet();
+            });
+            meet();
+            stop.store(true, SeqCst);
+            meet();
+        });
+    }
+
+    // Sized like the crate-private `rlb_net::sim::WireMsg` (pinned there by
+    // `wire_msg_size_is_what_the_mailbox_bench_assumes`).
+    #[derive(Clone, Copy)]
+    struct Msg {
+        at: u64,
+        _key: u128,
+        _ev: [u64; 8],
+    }
+    assert_eq!(std::mem::size_of::<Msg>(), 96);
+    // Leaf↔spine frames per window and direction on `steady_websearch`.
+    const PER_WINDOW: u64 = 110;
+    let fill = |outbox: &mut Vec<Msg>| {
+        for i in 0..PER_WINDOW {
+            outbox.push(Msg { at: black_box(i), _key: i as u128, _ev: [i; 8] });
+        }
+    };
+
+    let mut group = c.benchmark_group("net/shard_sync");
+    group.bench_function("two_meetings_2_threads/window_barrier", |b| {
+        let barrier = rlb_net::WindowBarrier::new(2);
+        window_of_meetings(b, &|| barrier.wait());
+    });
+    group.bench_function("two_meetings_2_threads/std_barrier", |b| {
+        let barrier = std::sync::Barrier::new(2);
+        window_of_meetings(b, &|| {
+            barrier.wait();
+        });
+    });
+    group.bench_function("mailbox_110_msgs/swap_drain_in_place", |b| {
+        let (mut outbox, mut mailbox) = (Vec::new(), Vec::new());
+        b.iter(|| {
+            fill(&mut outbox);
+            std::mem::swap(&mut outbox, &mut mailbox);
+            black_box(mailbox.drain(..).map(|m| m.at).sum::<u64>())
+        })
+    });
+    group.bench_function("mailbox_110_msgs/take_extend_take", |b| {
+        let (mut outbox, mut mailbox) = (Vec::new(), Vec::new());
+        b.iter(|| {
+            fill(&mut outbox);
+            mailbox.extend(std::mem::take(&mut outbox));
+            black_box(std::mem::take(&mut mailbox).into_iter().map(|m| m.at).sum::<u64>())
+        })
+    });
+    group.finish();
+}
+
 /// Stand-in for the cold packet payload the switch queues used to carry
 /// inline: roughly `rlb_net::Packet`-sized, so the VecDeque baseline pays
 /// a realistic per-element copy cost.
@@ -556,6 +633,6 @@ criterion_group! {
     targets = bench_event_queue, bench_queue_head_to_head, bench_predictor,
               bench_algorithm1, bench_lb_selection, bench_decision_hot_path,
               bench_workload_sampling, bench_gbn, bench_host_plane,
-              bench_packet_plane, bench_percentile
+              bench_shard_sync, bench_packet_plane, bench_percentile
 }
 criterion_main!(benches);

@@ -16,7 +16,8 @@ pub struct BenchCli {
     /// Seed replicates per experiment point (`--seeds N`, default 1).
     /// Replicate `i` runs each point with the figure's base seed + `i`.
     pub seeds: u32,
-    /// Worker-thread cap (`--jobs N`); default: available parallelism.
+    /// Worker-thread cap (`--jobs N`); default: available parallelism,
+    /// divided by `--shards` when that is above 1.
     pub jobs: Option<usize>,
     /// Write a schema-versioned JSON report here (`--json PATH`).
     pub json: Option<PathBuf>,
@@ -65,10 +66,17 @@ impl BenchCli {
         (0..self.seeds as u64).collect()
     }
 
-    /// Runner options implied by the flags.
+    /// Runner options implied by the flags. Without `--jobs`, a sharded
+    /// batch runs `cores / shards` jobs at a time: each job keeps `shards`
+    /// threads busy, and the shard barrier spins on the assumption that its
+    /// peers hold a core each.
     pub fn runner_config(&self, progress: bool) -> runner::RunnerConfig {
+        let sharded_default = || {
+            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+            (cores / self.shards as usize).max(1)
+        };
         runner::RunnerConfig {
-            threads: self.jobs,
+            threads: self.jobs.or_else(|| (self.shards > 1).then(sharded_default)),
             cache_dir: if self.no_cache {
                 None
             } else {
@@ -186,8 +194,8 @@ FLAGS:
     --quick              Force Quick scale (the default)
     --seeds N            Seed replicates per experiment point; point
                          metrics are averaged over seeds (default: 1)
-    --jobs N             Cap the parallel worker threads
-                         (default: all available cores)
+    --jobs N             Cap the parallel worker threads (default: all
+                         available cores, divided by --shards)
     --json PATH          Write a schema-versioned JSON report
                          (e.g. BENCH_fig3_quick.json)
     --no-cache           Ignore and do not write the result cache
@@ -201,10 +209,15 @@ FLAGS:
     --cdf                Also dump FCT CDF series where available (fig6)
     --stable-json        Omit wall-clock/cache fields from the JSON report
                          so repeated runs are byte-identical
-    --shards N           Run each point on N simulation shards (bounded-
-                         window driver; default 1 = one replica, nothing
-                         spawned). Output is byte-identical for every N —
-                         only the perf telemetry and wall time change
+    --shards N           Run each point on N simulation shards: N columns
+                         of the fabric, each a leaf band with its hosts
+                         plus a spine band, on N threads (default 1 = one
+                         replica, nothing spawned; capped at the leaf
+                         count). Output is byte-identical for every N —
+                         only the perf telemetry and wall time change.
+                         Pays off for one long run with a core per shard
+                         (about 1.7x at N=2); with more shards than cores
+                         little or nothing is gained
     -h, --help           This text
 
 The result cache keys each point by a content hash of its full serialized
@@ -278,6 +291,22 @@ mod tests {
         assert_eq!(cli.shards, 4);
         // --no-cache wins over --cache-dir in the runner config.
         assert!(cli.runner_config(false).cache_dir.is_none());
+    }
+
+    #[test]
+    fn sharded_batches_default_to_cores_over_shards_jobs() {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let threads = |args: &[&str]| {
+            let cli = parse(args).expect("ok").expect("not help");
+            cli.runner_config(false).threads
+        };
+        assert_eq!(threads(&[]), None);
+        assert_eq!(threads(&["--shards", "1"]), None);
+        assert_eq!(threads(&["--shards", "2"]), Some((cores / 2).max(1)));
+        // More shards than any box has cores: one job at a time, never zero.
+        assert_eq!(threads(&["--shards", "60000"]), Some(1));
+        // An explicit `--jobs` is honoured as given.
+        assert_eq!(threads(&["--shards", "2", "--jobs", "7"]), Some(7));
     }
 
     #[test]

@@ -41,6 +41,13 @@ impl Default for TopoConfig {
     }
 }
 
+/// Most spines a fabric may have: spine indices must stay below
+/// [`crate::packet::NO_PATH`].
+const MAX_SPINES: u32 = crate::packet::NO_PATH as u32;
+/// Most hosts + leaves + spines a fabric may have: every entity needs a
+/// 16-bit rank after the two reserved ones.
+const MAX_ENTITIES: u64 = u16::MAX as u64 - 2;
+
 impl TopoConfig {
     /// The paper's evaluation fabric: 12 leaves × 12 spines, 24 hosts/leaf.
     pub fn paper_scale() -> TopoConfig {
@@ -94,6 +101,25 @@ impl TopoConfig {
         }
         if self.link_rate_bps == 0 || self.host_link_rate_bps == 0 {
             return Err("link rates must be positive".into());
+        }
+        // A packet names its spine in a `u8` whose top value is the
+        // `NO_PATH` sentinel.
+        if self.n_spines > MAX_SPINES {
+            return Err(format!(
+                "{} spines exceed the limit of {MAX_SPINES} (packets carry the spine in one byte)",
+                self.n_spines
+            ));
+        }
+        // Event tie keys give the entity rank 16 bits: 2 reserved ranks
+        // plus one per host, leaf and spine.
+        let entities = self.n_leaves as u64 * self.hosts_per_leaf as u64
+            + self.n_leaves as u64
+            + self.n_spines as u64;
+        if entities > MAX_ENTITIES {
+            return Err(format!(
+                "{entities} hosts + leaves + spines exceed the limit of {MAX_ENTITIES} \
+                 (event keys rank entities in 16 bits)"
+            ));
         }
         for &(l, s) in &self.degraded_links {
             if l >= self.n_leaves || s >= self.n_spines {
@@ -318,6 +344,37 @@ mod tests {
         let mut c = SimConfig::default();
         c.switch.pfc_hysteresis_bytes = c.switch.pfc_threshold_bytes;
         assert!(c.validate().is_err());
+    }
+
+    /// Spine 255 would alias `NO_PATH` in `Packet::path`, spine 256 wrap
+    /// to 0: a wrong route, silently.
+    #[test]
+    fn validation_rejects_spines_the_path_byte_cannot_name() {
+        let with_spines = |n_spines| TopoConfig {
+            n_spines,
+            ..TopoConfig::default()
+        };
+        with_spines(255).validate().expect("spine 254 is the last nameable one");
+        let e = with_spines(256).validate().expect_err("spine 255 is NO_PATH");
+        assert!(e.contains("limit of 255"), "{e}");
+    }
+
+    /// 2 + hosts + leaves + spines must fit the 16-bit rank of the event
+    /// key; past it `Simulation::new` used to die on an `assert!`.
+    #[test]
+    fn validation_rejects_fabrics_beyond_the_rank_space() {
+        let fabric = |n_leaves, hosts_per_leaf| TopoConfig {
+            n_leaves,
+            hosts_per_leaf,
+            n_spines: 1,
+            ..TopoConfig::default()
+        };
+        // 2 + 254·256 + 254 + 1 = 65 281 fits, one more leaf does not.
+        fabric(254, 256).validate().expect("inside the rank space");
+        let e = fabric(255, 256).validate().expect_err("65 536 entities");
+        assert!(e.contains("65536") && e.contains("limit of 65533"), "{e}");
+        // The product alone overflows `u32`: still a diagnostic.
+        assert!(fabric(1 << 20, 1 << 20).validate().is_err());
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub use scenario::{
     asymmetric_topo, fail_sweep, incast_scenario, motivation, steady_state, FailSweepConfig,
     IncastScenarioConfig, MotivationConfig, Scenario, SteadyStateConfig,
 };
+pub use shard::WindowBarrier;
 pub use spec::{ScenarioSpec, SpecError};
 pub use sim::{RunResult, Simulation};
 pub use trace::{FlowTraces, TraceEntry, TraceEvent};

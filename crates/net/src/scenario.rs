@@ -131,10 +131,12 @@ impl Scenario {
         self.run_with_shards(1)
     }
 
-    /// Run on `shards` parallel shards (bounded-window protocol; see
-    /// `crate::shard`). Byte-identical for every shard count; monitoring,
-    /// packet tracing and a zero link delay run on 1 shard whatever is
-    /// asked for, and the count is clamped to `1 + n_leaves`.
+    /// Run on `shards` parallel shards — columns of the fabric, each a band
+    /// of leaves with their hosts plus a band of spines, one thread apiece
+    /// (bounded-window protocol; see `crate::shard`). Byte-identical for
+    /// every shard count; monitoring, packet tracing and a zero link delay
+    /// run on 1 shard whatever is asked for, and the count is clamped to
+    /// `n_leaves`. Worth asking for when the box has a core per shard.
     pub fn run_with_shards(self, shards: u16) -> crate::sim::RunResult {
         crate::shard::run_sharded(self.cfg, self.flows, shards)
     }

@@ -1,16 +1,17 @@
 //! The bounded-window run driver — the only one: every run, at every shard
 //! count, goes through [`drive`].
 //!
-//! The topology is partitioned into shards — shard 0 owns every spine,
-//! each remaining shard owns a contiguous band of leaves plus their hosts
-//! (see `Simulation::shard_for`) — and each shard runs its own
-//! [`Simulation`] replica over the events of the entities it owns.
-//! Synchronization is a conservative bounded-window protocol: with every
-//! cross-shard interaction (leaf↔spine `LinkArrive`, `PauseFrame`)
-//! carrying at least one link propagation delay, a window of width
-//! `W = link_delay` starting at the global minimum pending time `g` can be
-//! dispatched by every shard independently — nothing produced inside
-//! `[g, g+W)` can affect another shard before `g+W`.
+//! The topology is partitioned into shards by *columns* — shard `i` owns
+//! leaf band `i` with its hosts and spine band `i` (see
+//! `Simulation::shard_for`), so every shard carries a like share of both
+//! switch tiers and the leaf↔spine wires inside a column never leave it —
+//! and each shard runs its own [`Simulation`] replica over the events of
+//! the entities it owns. Synchronization is a conservative bounded-window
+//! protocol: with every cross-shard interaction (leaf↔spine `LinkArrive`,
+//! `PauseFrame`) carrying at least one link propagation delay, a window of
+//! width `W = link_delay` starting at the global minimum pending time `g`
+//! can be dispatched by every shard independently — nothing produced
+//! inside `[g, g+W)` can affect another shard before `g+W`.
 //!
 //! One round per window:
 //!
@@ -18,17 +19,27 @@
 //!    same decision (continue / complete / drained / hard-stop) — no
 //!    coordinator thread, no communication beyond the statuses;
 //! 2. each shard dispatches its local events in `[g, min(g+W, stop))` and
-//!    publishes its cross-shard sends into per-(dst, src) mailboxes;
-//! 3. barrier; each shard drains its mailboxes into its event queue and
-//!    publishes a fresh status (next pending time, completions, audit
-//!    cut);
+//!    hands its cross-shard sends over by swapping each outbox with the
+//!    per-(dst, src) mailbox its receiver left drained — no allocation,
+//!    no copy;
+//! 3. barrier; each shard drains its mailboxes in place into its event
+//!    queue and publishes a fresh status (next pending time, completions,
+//!    audit cut);
 //! 4. barrier; next round.
+//!
+//! The barrier is [`WindowBarrier`]: windows are tens of microseconds of
+//! work, so a futex sleep and wake at each of the two meetings costs as
+//! much as the window itself. Waiters spin briefly — the peer is usually
+//! microseconds away — then poll with yields, and park only when it still
+//! is not there, or at once when the box has fewer cores than shards and
+//! spinning would only keep the peer off the CPU.
 //!
 //! 1 shard is the degenerate instance, not a separate engine: a lone
 //! replica has no peer to hear from, so its window is the whole horizon,
 //! the mailbox grid is empty, shard 0 runs on the caller's thread (nothing
-//! is spawned) and the run is two rounds — dispatch everything, then the
-//! terminal decision. `Simulation::run` is exactly that.
+//! is spawned), a lone arrival passes the barrier without waiting, and the
+//! run is two rounds — dispatch everything, then the terminal decision.
+//! `Simulation::run` is exactly that.
 //!
 //! Determinism is inherited, not synchronized-for: events are keyed by
 //! `(sched_ps, entity rank, per-entity counter)` — identical regardless of
@@ -53,7 +64,123 @@ use crate::sim::{
 use rlb_engine::SimTime;
 use rlb_metrics::{FabricCounters, LogHistogram};
 use rlb_workloads::FlowSpec;
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+use std::sync::{Condvar, Mutex};
+
+/// How long a waiter polls for the round to turn before it gives up the
+/// core. Windows are ~50 µs of dispatch per shard and balanced to within a
+/// few tens of percent, so the peer is nearly always inside this budget
+/// (roughly 100–500 µs of `spin_loop` hints, CPU dependent); a peer that is
+/// not — descheduled, or dispatching a lopsided window — costs a bounded
+/// burn, never a busy core for the whole wait.
+const SPIN_ITERS: u32 = 1 << 13;
+
+/// Polls with a `yield_now` between them that follow the spin budget,
+/// before the waiter sleeps. They are there for one case: the kernel has
+/// put both shards on the same core. A waiter that parks at once lets the
+/// peer run, is woken onto that same core, and the pair goes on taking
+/// turns there — each asleep whenever the other runs, so the load balancer
+/// never sees two runnable threads and leaves the second core idle (seen
+/// for up to 1.3 s after the workers spawn: a 1.3 s run took 2.4 s).
+/// Yielding also lets the peer run, but keeps the waiter runnable, and the
+/// balancer separates the two within a few ticks.
+const YIELDS: u32 = 256;
+
+/// The round barrier of the window driver: sense-reversing, spin then
+/// park.
+///
+/// `n` threads call [`wait`](Self::wait); the call returns in all of them
+/// once the last has arrived, and everything a thread wrote before its
+/// call is visible to every thread after it. The last arrival flips
+/// `sense`; the others watch for the flip, first polling it up to `spin`
+/// times, then [`YIELDS`] more times with a yield in between, then asleep
+/// on the condvar. The releaser touches the mutex and
+/// the condvar only when `parked` says somebody sleeps, so a round that
+/// nobody slept through is a handful of atomic operations and no system
+/// call.
+///
+/// All atomics are `SeqCst`. The sleep/wake handshake needs it — a waiter
+/// announces itself in `parked` and then re-reads `sense`, the releaser
+/// flips `sense` and then reads `parked`, and one of the two must see the
+/// other's write — and the rest pair as release/acquire on `sense`, which
+/// `SeqCst` includes; at two meetings per window nothing is gained by
+/// weakening them.
+pub struct WindowBarrier {
+    n: usize,
+    spin: u32,
+    /// Arrivals so far in the current round.
+    arrived: AtomicUsize,
+    /// Flipped by each round's last arrival.
+    sense: AtomicBool,
+    /// Waiters asleep (or committed to sleeping) on `turn`.
+    parked: AtomicUsize,
+    lock: Mutex<()>,
+    turn: Condvar,
+}
+
+impl WindowBarrier {
+    /// A barrier for `n` threads. Spins before parking only if the box has
+    /// a core for each of them: with fewer, the thread being waited for
+    /// needs the very core a spinner would hold.
+    pub fn new(n: usize) -> WindowBarrier {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        WindowBarrier::with_spin(n, if cores >= n { SPIN_ITERS } else { 0 })
+    }
+
+    fn with_spin(n: usize, spin: u32) -> WindowBarrier {
+        assert!(n >= 1, "a barrier needs at least one thread");
+        WindowBarrier {
+            n,
+            spin,
+            arrived: AtomicUsize::new(0),
+            sense: AtomicBool::new(false),
+            parked: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            turn: Condvar::new(),
+        }
+    }
+
+    /// Block until all `n` threads have called `wait` this round.
+    pub fn wait(&self) {
+        // Cannot flip under us: this round ends only after we arrive.
+        let sense = self.sense.load(SeqCst);
+        if self.arrived.fetch_add(1, SeqCst) + 1 == self.n {
+            // Reset before the flip: whoever sees the flip may arrive for
+            // the next round at once.
+            self.arrived.store(0, SeqCst);
+            self.sense.store(!sense, SeqCst);
+            if self.parked.load(SeqCst) > 0 {
+                // A sleeper holds the lock from announcing itself until
+                // the condvar releases it, so taking the lock orders this
+                // notify after it is really waiting.
+                drop(self.lock.lock().expect("barrier lock"));
+                self.turn.notify_all();
+            }
+            return;
+        }
+        for _ in 0..self.spin {
+            if self.sense.load(SeqCst) != sense {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        // No core to spare (`spin == 0`): nothing to wait out, sleep at once.
+        if self.spin > 0 {
+            for _ in 0..YIELDS {
+                if self.sense.load(SeqCst) != sense {
+                    return;
+                }
+                std::thread::yield_now();
+            }
+        }
+        let mut guard = self.lock.lock().expect("barrier lock");
+        self.parked.fetch_add(1, SeqCst);
+        while self.sense.load(SeqCst) == sense {
+            guard = self.turn.wait(guard).expect("barrier lock");
+        }
+        self.parked.fetch_sub(1, SeqCst);
+    }
+}
 
 /// What each worker hands back for the merge.
 #[derive(Debug, Clone, Copy)]
@@ -112,9 +239,12 @@ struct Rounds {
     hard_stop: SimTime,
     w_ps: u64,
     statuses: Vec<Mutex<ShardStatus>>,
-    /// `mailbox[dst][src]`: cross-shard sends awaiting the barrier.
+    /// `mailbox[dst][src]`: cross-shard sends awaiting the barrier. Each
+    /// is touched by one thread at a time — `src` between the status
+    /// barrier and the mailbox barrier, `dst` between the mailbox barrier
+    /// and the status barrier — so the locks are never contended.
     mailbox: Vec<Vec<Mutex<Vec<WireMsg>>>>,
-    barrier: Barrier,
+    barrier: WindowBarrier,
 }
 
 impl Rounds {
@@ -122,24 +252,20 @@ impl Rounds {
         *self.statuses[me].lock().expect("status lock") = sim.status();
     }
 
-    /// Snapshot of every shard's status. A single shard only sees its side
-    /// of each flow, so packet conservation is asserted here, over the
-    /// summed cuts.
-    fn snapshot(&self) -> Vec<ShardStatus> {
-        let snap: Vec<ShardStatus> = self
-            .statuses
-            .iter()
-            .map(|m| *m.lock().expect("status lock"))
-            .collect();
+    /// Snapshot of every shard's status into `snap` (the caller's buffer,
+    /// reused every round). A single shard only sees its side of each
+    /// flow, so packet conservation is asserted here, over the summed cuts.
+    fn snapshot(&self, snap: &mut Vec<ShardStatus>) {
+        snap.clear();
+        snap.extend(self.statuses.iter().map(|m| *m.lock().expect("status lock")));
         #[cfg(feature = "audit")]
         {
             let mut sum = crate::audit::AuditReport::default();
-            for s in &snap {
+            for s in snap.iter() {
                 sum.absorb(&s.cut);
             }
             sum.assert_conserved();
         }
-        snap
     }
 }
 
@@ -154,8 +280,10 @@ fn worker(sim: &mut Simulation, me: usize, r: &Rounds) -> ShardOutcome {
         windows: 0,
         decision: Decision::Drained { end: SimTime(0) },
     };
+    let mut snap = Vec::with_capacity(r.statuses.len());
     loop {
-        let decision = decide(&r.snapshot(), r.n_flows, r.hard_stop, r.w_ps);
+        r.snapshot(&mut snap);
+        let decision = decide(&snap, r.n_flows, r.hard_stop, r.w_ps);
         // The journal now holds exactly the previous window's effects. On
         // every non-terminal round (and on drain/hard-stop, which dispatch
         // nothing past the end) they are all part of the 1-shard prefix;
@@ -174,16 +302,12 @@ fn worker(sim: &mut Simulation, me: usize, r: &Rounds) -> ShardOutcome {
                     if dst == me {
                         continue;
                     }
-                    let msgs = sim.take_outbox(dst as u16);
-                    if !msgs.is_empty() {
-                        out.cross_msgs += msgs.len() as u64;
-                        dst_boxes[me].lock().expect("mailbox lock").extend(msgs);
-                    }
+                    let mut mailbox = dst_boxes[me].lock().expect("mailbox lock");
+                    out.cross_msgs += sim.swap_outbox(dst as u16, &mut mailbox) as u64;
                 }
                 r.barrier.wait();
                 for src_box in &r.mailbox[me] {
-                    let msgs = std::mem::take(&mut *src_box.lock().expect("mailbox lock"));
-                    sim.deliver(msgs);
+                    sim.deliver(&mut src_box.lock().expect("mailbox lock"));
                 }
                 r.publish(me, sim);
                 r.barrier.wait();
@@ -208,7 +332,7 @@ fn worker(sim: &mut Simulation, me: usize, r: &Rounds) -> ShardOutcome {
         r.barrier.wait(); // everyone is past the terminal decision reads
         r.statuses[me].lock().expect("status lock").cut = sim.audit_cut(true);
         r.barrier.wait();
-        r.snapshot();
+        r.snapshot(&mut snap);
     }
     out
 }
@@ -217,12 +341,14 @@ fn worker(sim: &mut Simulation, me: usize, r: &Rounds) -> ShardOutcome {
 /// caller's request: 1 when `shards <= 1`, when fabric monitoring or
 /// per-flow traces are on (both read or order global state mid-run), or
 /// when the link delay is zero (the protocol's lookahead); else `shards`
-/// clamped to `1 + n_leaves` (spine shard + one shard per leaf).
+/// clamped to `n_leaves` (a column needs a leaf: hosts, and so flows, live
+/// under leaves, and a spine-only shard would idle at every barrier).
 fn shard_count(cfg: &SimConfig, shards: u16) -> u16 {
     if cfg.monitor.is_some() || !cfg.trace_flows.is_empty() || cfg.link_delay().as_ps() == 0 {
         return 1;
     }
-    shards.clamp(1, 1 + cfg.topo.n_leaves as u16)
+    // At most `shards`, so it fits back into `u16` whatever the leaf count.
+    (shards as u32).clamp(1, cfg.topo.n_leaves.max(1)) as u16
 }
 
 /// Run `specs` under `cfg` on (up to) `shards` shards.
@@ -254,7 +380,7 @@ pub(crate) fn drive(mut sims: Vec<Simulation>) -> RunResult {
         mailbox: (0..n)
             .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect())
             .collect(),
-        barrier: Barrier::new(n),
+        barrier: WindowBarrier::new(n),
     };
 
     // Wall-clock is recorded for the perf telemetry only; nothing in the
@@ -334,7 +460,7 @@ pub(crate) fn drive(mut sims: Vec<Simulation>) -> RunResult {
         cross_shard_messages: outcomes.iter().map(|o| o.cross_msgs).sum(),
         barrier_stalls: outcomes.iter().map(|o| o.stalls).sum(),
         // Sum of per-shard dispatch throughputs over time actually spent
-        // dispatching (barrier waits excluded) — the scaling headline.
+        // dispatching (barrier waits excluded).
         aggregate_events_per_sec: outcomes
             .iter()
             .zip(&parts)
@@ -361,5 +487,76 @@ pub(crate) fn drive(mut sims: Vec<Simulation>) -> RunResult {
         traces,
         pfc_pauses_by_port,
         perf,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicU64;
+
+    /// `threads` threads meet `rounds` times, twice a round as the window
+    /// driver does: each bumps a shared counter, meets, and must then read
+    /// exactly `threads` bumps per round so far — fewer means somebody
+    /// passed before the last arrival, more means somebody was let into
+    /// the next round — then meets again before the next bump.
+    fn stress(threads: usize, rounds: u64, spin: u32) {
+        let barrier = WindowBarrier::with_spin(threads, spin);
+        let bumps = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    for round in 1..=rounds {
+                        bumps.fetch_add(1, SeqCst);
+                        barrier.wait();
+                        assert_eq!(bumps.load(SeqCst), round * threads as u64, "spin {spin}");
+                        barrier.wait();
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn barrier_holds_every_thread_until_the_last_arrives() {
+        // Park path forced: nobody polls, every early arrival sleeps and
+        // the last one must find and wake it.
+        stress(4, 10_000, 0);
+        // All three ways out racing: with this budget and four threads on
+        // a 2-core box about a quarter of the waits end in the spin, most in
+        // the yields and a few percent run out of both and park — sleepers
+        // announcing themselves while the releaser is flipping the sense,
+        // the handshake that must not lose a wake-up.
+        stress(4, 10_000, 4096);
+        // Spin path forced: nobody can park. Spinners never yield, so with
+        // more threads than cores each meeting would cost scheduler
+        // time slices; size this one to the box.
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        stress(cores.clamp(2, 4), 10_000, u32::MAX);
+    }
+
+    #[test]
+    fn a_lone_thread_never_waits() {
+        let barrier = WindowBarrier::new(1);
+        for _ in 0..3 {
+            barrier.wait();
+        }
+    }
+
+    #[test]
+    fn shard_count_is_clamped_to_the_leaves() {
+        let cfg = SimConfig::default();
+        assert_eq!(cfg.topo.n_leaves, 4);
+        assert_eq!(shard_count(&cfg, 0), 1);
+        assert_eq!(shard_count(&cfg, 1), 1);
+        assert_eq!(shard_count(&cfg, 4), 4);
+        assert_eq!(shard_count(&cfg, 13), 4);
+        let monitored = SimConfig {
+            monitor: Some(crate::monitor::MonitorConfig {
+                interval: rlb_engine::SimDuration::from_us(20),
+            }),
+            ..SimConfig::default()
+        };
+        assert_eq!(shard_count(&monitored, 13), 1);
     }
 }

@@ -5,10 +5,17 @@
 //! event with real latency — PFC PAUSE frames take a propagation delay to
 //! arrive, CNM warnings serialize onto reverse links hop-by-hop, packets
 //! occupy shared buffer from ingress admission to egress completion.
+//!
+//! A run split over N shards is N such replicas, each built whole and each
+//! dispatching only the entities of its column — a band of leaves with
+//! their hosts and a band of spines (`Simulation::shard_for`) — under the
+//! window driver of `crate::shard`; frames for another column leave
+//! through `sched_wire`'s outboxes. One shard is the same code with every
+//! entity in column 0.
 
 #[cfg(feature = "audit")]
 use crate::audit::{AuditReport, FabricAuditor};
-use crate::config::SimConfig;
+use crate::config::{SimConfig, TopoConfig};
 use crate::fault::Fault;
 use crate::host::{FlowState, Host, Reliability};
 use crate::monitor::{FabricSample, FabricTimeSeries};
@@ -178,10 +185,10 @@ pub struct PerfStats {
     /// event timeline, not of thread scheduling.
     pub barrier_stalls: u64,
     /// Sum over shards of per-shard dispatch throughput (events per second
-    /// of that shard's own busy time). On a single-core host this is the
-    /// honest aggregate-capacity figure: `events_per_sec` measures the
-    /// time-sliced wall clock, this measures what the shards would sustain
-    /// running truly in parallel.
+    /// of that shard's own busy time). Secondary to `events_per_sec`:
+    /// barrier waits and mailbox hand-offs are outside busy time, so this
+    /// is what the shards would sustain if synchronization were free and
+    /// each had a core — it cannot show whether sharding paid off.
     pub aggregate_events_per_sec: f64,
 }
 
@@ -300,6 +307,13 @@ pub struct Simulation {
     /// This replica's shard id / total shard count (0 of 1 = the whole fabric).
     shard_id: u16,
     n_shards: u16,
+    /// Ranks of leaf 0 and spine 0 (`rank_node` runs once per frame sent).
+    rank_leaf0: u16,
+    rank_spine0: u16,
+    /// Owning shard of every entity, indexed by rank — `shard_for` tabulated
+    /// once, so `sched_wire` pays one load per frame instead of the
+    /// host→leaf and band divisions.
+    shard_map: Vec<u16>,
     /// Per-entity schedule counters backing the canonical tie key
     /// (indexed by rank; see `RANK_CONSTRUCT`).
     ent_cnt: Vec<u64>,
@@ -500,9 +514,20 @@ impl Simulation {
 
         // Entity ranks: 2 reserved + one per host, leaf and spine. The tie
         // key gives ranks 16 bits (`shard_key`), which bounds the fabric at
-        // ~65k entities — far above the paper-scale 12×12×288 topology.
+        // ~65k entities — far above the paper-scale 12×12×288 topology;
+        // `TopoConfig::validate` (run above) rejects anything larger.
         let n_ranks = 2usize + n_hosts as usize + n_leaves as usize + n_spines as usize;
-        assert!(n_ranks <= u16::MAX as usize, "topology exceeds rank space");
+        // Rank order is hosts, leaves, spines (`rank_node`); the two
+        // reserved ranks own nothing.
+        let nodes = (0..n_hosts)
+            .map(Node::Host)
+            .chain((0..n_leaves).map(Node::Leaf))
+            .chain((0..n_spines).map(Node::Spine));
+        let shard_map: Vec<u16> = [0, 0]
+            .into_iter()
+            .chain(nodes.map(|node| Self::shard_for(&cfg.topo, n_shards, node)))
+            .collect();
+        debug_assert_eq!(shard_map.len(), n_ranks);
 
         let mut q = ShardEventQueue::new(shard_id);
         let mut flows = Vec::with_capacity(specs.len());
@@ -524,7 +549,7 @@ impl Simulation {
             // Construction events carry `(0, RANK_CONSTRUCT, global index)`
             // keys: every shard derives the same key for the same entry, so
             // ownership gaps in the index sequence are harmless.
-            if Self::shard_for(&topo, n_leaves, n_shards, Node::Host(spec.src_host)) == shard_id {
+            if shard_map[2 + spec.src_host as usize] == shard_id {
                 q.insert_message(
                     spec.start,
                     shard_key(0, RANK_CONSTRUCT, i as u64),
@@ -597,6 +622,9 @@ impl Simulation {
             warn_scratch: Vec::new(),
             shard_id,
             n_shards: n_shards.max(1),
+            rank_leaf0: 2 + n_hosts as u16,
+            rank_spine0: 2 + n_hosts as u16 + n_leaves as u16,
+            shard_map,
             ent_cnt: vec![0; n_ranks],
             cur_key: 0,
             last_completion: None,
@@ -668,27 +696,29 @@ impl Simulation {
     // Shard partition, canonical keys and the effect journal
     // ------------------------------------------------------------------
 
-    /// The ownership partition: shard 0 owns every spine; leaves (with
-    /// their hosts) spread evenly over shards `1..n`. Host↔leaf traffic is
-    /// therefore always shard-local — only leaf↔spine wires (data frames
-    /// and PFC) cross shards, and both carry at least one link propagation
-    /// delay, which is exactly the window the driver synchronizes on.
-    fn shard_for(topo: &Topology, n_leaves: u32, n_shards: u16, node: Node) -> u16 {
-        if n_shards <= 1 {
-            return 0;
-        }
-        let leaf_shards = (n_shards - 1) as u64;
-        let of_leaf = |l: u32| 1 + (l as u64 * leaf_shards / n_leaves as u64) as u16;
+    /// The ownership partition: `n_shards` *columns*. Shard `i` owns leaf
+    /// band `i` (leaf `l` → `l·n / n_leaves`) with its hosts, and spine
+    /// band `i` (spine `s` → `s·n / n_spines`). Host↔leaf traffic is
+    /// therefore always shard-local, a leaf↔spine wire is local whenever
+    /// both ends fall in the same column (`1/n` of them when `n` divides
+    /// both counts), and the wires that do cross — data frames and PFC —
+    /// carry at least one link propagation delay, which is exactly the
+    /// window the driver synchronizes on. Bands differ in size by at most
+    /// one; `shard::shard_count` keeps `n ≤ n_leaves`, so no shard is
+    /// empty (one may own no spine when `n > n_spines`).
+    fn shard_for(topo: &TopoConfig, n_shards: u16, node: Node) -> u16 {
+        let n = n_shards.max(1) as u64;
+        let band = |i: u32, of: u32| (i as u64 * n / of as u64) as u16;
         match node {
-            Node::Spine(_) => 0,
-            Node::Leaf(l) => of_leaf(l),
-            Node::Host(h) => of_leaf(topo.leaf_of_host(h)),
+            Node::Spine(s) => band(s, topo.n_spines),
+            Node::Leaf(l) => band(l, topo.n_leaves),
+            Node::Host(h) => band(h / topo.hosts_per_leaf, topo.n_leaves),
         }
     }
 
     #[inline]
     fn shard_of(&self, node: Node) -> u16 {
-        Self::shard_for(&self.topo, self.cfg.topo.n_leaves, self.n_shards, node)
+        self.shard_map[self.rank_node(node) as usize]
     }
 
     #[inline]
@@ -705,11 +735,10 @@ impl Simulation {
     /// Canonical rank of any fabric entity.
     #[inline]
     fn rank_node(&self, node: Node) -> u16 {
-        let n_hosts = self.topo.n_hosts() as u16;
         match node {
             Node::Host(h) => 2 + h as u16,
-            Node::Leaf(l) => 2 + n_hosts + l as u16,
-            Node::Spine(s) => 2 + n_hosts + self.cfg.topo.n_leaves as u16 + s as u16,
+            Node::Leaf(l) => self.rank_leaf0 + l as u16,
+            Node::Spine(s) => self.rank_spine0 + s as u16,
         }
     }
 
@@ -779,12 +808,15 @@ impl Simulation {
     /// completion point by construction, since completion happens in the
     /// final window.
     pub(crate) fn fold_journal(&mut self, limit: Option<(u64, u128)>) {
-        let journal = std::mem::take(&mut self.journal);
-        for (t, key, e) in journal {
+        // Taken out only so `apply_effect` can borrow `self`; put back
+        // drained, so the next window journals into the same storage.
+        let mut journal = std::mem::take(&mut self.journal);
+        for (t, key, e) in journal.drain(..) {
             if limit.is_none_or(|lim| (t, key) <= lim) {
                 self.apply_effect(e);
             }
         }
+        self.journal = journal;
     }
 
     /// Run to completion: stops when all flows finished, the event queue
@@ -2015,12 +2047,19 @@ impl Simulation {
         dispatched
     }
 
-    pub(crate) fn take_outbox(&mut self, dst: u16) -> Vec<WireMsg> {
-        std::mem::take(&mut self.outbox[dst as usize])
+    /// Hand this window's sends for shard `dst` over by exchanging the
+    /// outbox with `mailbox`, which the receiver left drained (empty,
+    /// capacity kept) — so the next window pushes into storage that is
+    /// already allocated and nothing is copied. Returns the number sent.
+    pub(crate) fn swap_outbox(&mut self, dst: u16, mailbox: &mut Vec<WireMsg>) -> usize {
+        debug_assert!(mailbox.is_empty(), "mailbox handed over before it was drained");
+        std::mem::swap(&mut self.outbox[dst as usize], mailbox);
+        mailbox.len()
     }
 
-    pub(crate) fn deliver(&mut self, msgs: Vec<WireMsg>) {
-        for m in msgs {
+    /// Drain `mailbox` into the event queue, in place.
+    pub(crate) fn deliver(&mut self, mailbox: &mut Vec<WireMsg>) {
+        for m in mailbox.drain(..) {
             self.q.insert_message(m.at, m.key, m.ev);
         }
     }
@@ -2200,6 +2239,85 @@ mod tests {
     #[should_panic]
     fn host_origin_is_rejected() {
         encode_node(Node::Host(0));
+    }
+
+    /// The column partition over every small fabric shape and every shard
+    /// count the driver can ask for (`shard_count` keeps `n ≤ n_leaves`).
+    #[test]
+    fn shard_for_cuts_the_fabric_into_balanced_columns() {
+        for (leaves, spines, hpl) in
+            (2..=13u32).flat_map(|l| (1..=13u32).flat_map(move |s| [(l, s, 1), (l, s, 3)]))
+        {
+            let topo = TopoConfig {
+                n_leaves: leaves,
+                n_spines: spines,
+                hosts_per_leaf: hpl,
+                ..TopoConfig::default()
+            };
+            for n in 1..=leaves as u16 {
+                let of = |node| Simulation::shard_for(&topo, n, node);
+                let (mut leaf_band, mut spine_band) =
+                    (vec![0u32; n as usize], vec![0u32; n as usize]);
+                for l in 0..leaves {
+                    // `of` is a function, so "exactly one owner" is the range.
+                    assert!(of(Node::Leaf(l)) < n);
+                    leaf_band[of(Node::Leaf(l)) as usize] += 1;
+                    for h in l * hpl..(l + 1) * hpl {
+                        assert_eq!(of(Node::Host(h)), of(Node::Leaf(l)), "host {h} left its leaf");
+                    }
+                }
+                for s in 0..spines {
+                    assert!(of(Node::Spine(s)) < n);
+                    spine_band[of(Node::Spine(s)) as usize] += 1;
+                }
+                let what = format!("{leaves}x{spines} on {n} shards");
+                assert!(leaf_band.iter().all(|&c| c >= 1), "{what}: a shard without a leaf");
+                for band in [&leaf_band, &spine_band] {
+                    let (lo, hi) = (band.iter().min().unwrap(), band.iter().max().unwrap());
+                    assert!(hi - lo <= 1, "{what}: bands {band:?}");
+                }
+                if leaves % n as u32 == 0 && spines % n as u32 == 0 {
+                    let local = (0..leaves)
+                        .flat_map(|l| (0..spines).map(move |s| (l, s)))
+                        .filter(|&(l, s)| of(Node::Leaf(l)) == of(Node::Spine(s)))
+                        .count() as u32;
+                    assert_eq!(local, leaves * spines / n as u32, "{what}: local links");
+                }
+            }
+        }
+    }
+
+    /// One shard owns everything, and the map the hot path reads is
+    /// `shard_for` tabulated by rank.
+    #[test]
+    fn shard_map_tabulates_shard_for_by_rank() {
+        let cfg = SimConfig {
+            topo: TopoConfig {
+                n_leaves: 5,
+                n_spines: 3,
+                hosts_per_leaf: 2,
+                ..TopoConfig::default()
+            },
+            ..SimConfig::default()
+        };
+        for n in [1u16, 2, 5] {
+            let sim = Simulation::new_shard(cfg.clone(), Vec::new(), n - 1, n);
+            let nodes = (0..10)
+                .map(Node::Host)
+                .chain((0..5).map(Node::Leaf))
+                .chain((0..3).map(Node::Spine));
+            for node in nodes {
+                assert_eq!(sim.shard_of(node), Simulation::shard_for(&cfg.topo, n, node));
+                assert!(n > 1 || sim.owns(node));
+            }
+        }
+    }
+
+    /// The `net/shard_sync` criterion group hands over a stand-in of this
+    /// size (the real type is crate-private); keep the two in step.
+    #[test]
+    fn wire_msg_size_is_what_the_mailbox_bench_assumes() {
+        assert_eq!(std::mem::size_of::<WireMsg>(), 96);
     }
 
     fn rec(start: u64, finish: Option<u64>) -> rlb_metrics::FlowRecord {

@@ -725,6 +725,9 @@ impl ScenarioSpec {
             link_delay_ps: self.topo.link_delay_ps,
             ..TopoConfig::default()
         };
+        // Before any workload is generated for it: an oversized fabric is a
+        // diagnostic here, not minutes of flow generation first.
+        topo.validate()?;
         let curve = LoadCurve::new(self.load_points.clone())?;
         let mut flows = Vec::new();
         // Incast overlay first: same substream label as `incast_scenario`,
@@ -1643,6 +1646,18 @@ permille = 1500
         )));
         let e = s.build().unwrap_err();
         assert!(e.contains("leaf 99 out of range"), "{e}");
+    }
+
+    #[test]
+    fn oversized_fabric_is_a_build_error() {
+        let mut s = ScenarioSpec::default();
+        s.topo.n_spines = 300;
+        let e = s.build().expect_err("spine 255 and up cannot be named");
+        assert!(e.contains("300 spines exceed the limit of 255"), "{e}");
+        let mut s = ScenarioSpec::default();
+        (s.topo.n_leaves, s.topo.hosts_per_leaf) = (70_000, 70_000);
+        let e = s.build().expect_err("beyond the rank space");
+        assert!(e.contains("exceed the limit of 65533"), "{e}");
     }
 
     const INCAST_EXAMPLE: &str = r#"

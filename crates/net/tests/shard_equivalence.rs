@@ -19,7 +19,8 @@
 //! `GOLDEN_MANY_MICE_*` were recorded at commit e85d097, the last one whose
 //! NIC arbiter scanned every listed flow: ~180 listed flows per host, where
 //! the other goldens have a few dozen and would not notice a reordered
-//! service list.
+//! service list. `LEAF_SPINE_FRAMES` was recorded at commit 865a6fb, the
+//! last one whose partition put every spine on shard 0.
 //!
 //! Under `--features audit` the driver additionally asserts global packet
 //! conservation from the per-shard cuts at every window barrier, so
@@ -121,6 +122,12 @@ const GOLDEN_FAULTED: (u64, u64) = (166_253_126_751_074_707, 256_380);
 const GOLDEN_HARD_STOP: (u64, u64) = (836_646_810_031_338_329, 11_753);
 const GOLDEN_MANY_MICE_ECMP: (u64, u64) = (5_781_914_321_385_179_750, 1_874_764);
 const GOLDEN_MANY_MICE_DRILL_RLB: (u64, u64) = (7_472_641_191_255_261_341, 3_650_816);
+/// Frames that travel a leaf↔spine wire in the run of
+/// `column_partition_keeps_part_of_the_core_shard_local`: its
+/// `perf.cross_shard_messages` at commit 865a6fb, the last one where shard 0
+/// owned every spine and so every such frame crossed (2, 3 and 5 shards
+/// agree on it).
+const LEAF_SPINE_FRAMES: u64 = 602_932;
 /// `(fingerprint(timeseries samples), fingerprint(flow 0's trace))`.
 const GOLDEN_MONITORED_TRACED: (u64, u64) =
     (791_827_665_799_338_177, 14_562_405_892_184_352_000);
@@ -264,6 +271,41 @@ fn many_mice_match_the_full_scan_arbiter_across_shard_counts() {
                 "{scheme:?} --shards {shards} diverged"
             );
         }
+    }
+}
+
+/// The quick fabric (4×4×8) under DRILL+RLB: with leaves and spines cut
+/// into the same columns, a leaf↔spine frame crosses shards only when its
+/// two ends sit in different columns — `1 − 1/N` of them under an even
+/// spray — where the retired "shard 0 = every spine" partition sent every
+/// one of them through a mailbox.
+#[test]
+fn column_partition_keeps_part_of_the_core_shard_local() {
+    let sc = SteadyStateConfig {
+        horizon: SimTime::from_ms(2),
+        seed: 3,
+        ..SteadyStateConfig::default()
+    };
+    assert_eq!(
+        (sc.topo.n_leaves, sc.topo.n_spines, sc.topo.hosts_per_leaf),
+        (4, 4, 8)
+    );
+    let mk = || Scenario::steady_state(&sc, Scheme::Drill, Some(RlbConfig::default()));
+    let one = mk().run();
+    assert_eq!(one.perf.cross_shard_messages, 0);
+    assert!(one.records.iter().all(|r| r.finish_ps.is_some()));
+    let one = digest(&one);
+    for (shards, crossing) in [(2u16, 0.5), (4, 0.75)] {
+        let res = mk().run_with_shards(shards);
+        assert_eq!(res.perf.shards, shards as u64);
+        assert_eq!(one, digest(&res), "--shards {shards} diverged");
+        let crossed = res.perf.cross_shard_messages;
+        assert!(
+            crossed < LEAF_SPINE_FRAMES,
+            "--shards {shards}: {crossed} of {LEAF_SPINE_FRAMES} leaf↔spine frames crossed"
+        );
+        let share = crossed as f64 / LEAF_SPINE_FRAMES as f64;
+        assert!((share - crossing).abs() < 0.05, "--shards {shards}: share {share}");
     }
 }
 
