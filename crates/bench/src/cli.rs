@@ -1,15 +1,13 @@
-//! The shared CLI for every bench binary.
-//!
-//! Replaces the old per-binary argv scans (`Scale::from_args`) with one
-//! parser so `--help`, `--paper-scale`, `--seeds`, `--jobs`, `--json`,
-//! `--no-cache`, `--cache-dir`, `--figs`, `--cdf`, and `--stable-json`
-//! mean the same thing everywhere.
+//! The CLI of the `bench` binary: one parser, so `--paper-scale`,
+//! `--seeds`, `--jobs`, `--json`, `--no-cache`, `--cache-dir`, `--shards`,
+//! `--cdf` and `--stable-json` mean the same thing for every table in the
+//! registry (`--figs`) and for spec files (`--scenario`).
 
 use crate::runner;
 use crate::Scale;
 use std::path::PathBuf;
 
-/// Parsed options common to all bench binaries.
+/// Parsed `bench` options.
 #[derive(Debug, Clone)]
 pub struct BenchCli {
     pub scale: Scale,
@@ -28,7 +26,8 @@ pub struct BenchCli {
     /// Figure subset (`--figs fig3,fig7`); `None` = every figure.
     pub figs: Option<Vec<String>>,
     /// Run a declarative scenario spec file (`--scenario PATH`) through
-    /// the cached runner instead of registry figures.
+    /// the cached runner instead of registry figures (never both: `parse`
+    /// rejects `--scenario` alongside `--figs`).
     pub scenario: Option<PathBuf>,
     /// Dump per-variant CDK/CDF series where a figure provides them.
     pub cdf: bool,
@@ -161,6 +160,13 @@ impl BenchCli {
                 }
             }
         }
+        if cli.scenario.is_some() && cli.figs.is_some() {
+            return Err(
+                "--scenario runs the spec file instead of registry figures and cannot be \
+                 combined with --figs; run them as two commands"
+                    .into(),
+            );
+        }
         Ok(Some(cli))
     }
 
@@ -178,8 +184,7 @@ impl BenchCli {
     }
 }
 
-/// Per-binary help text: a binary-specific about line over the shared
-/// flag reference.
+/// The help text: the about line over the flag reference.
 pub fn help_text(bin: &str, about: &str) -> String {
     format!(
         "\
@@ -201,11 +206,13 @@ FLAGS:
     --no-cache           Ignore and do not write the result cache
     --cache-dir PATH     Result cache location
                          (default: target/bench-cache)
-    --figs a,b           Run only these figures (registry names, e.g.
-                         fig3,fig7); default: every figure
+    --figs a,b           Run only these figures (registry names: fig3,
+                         fig4, fig6..fig10, fig_fail, sanity, ablations,
+                         irn_compare); default: every one of them
     --scenario PATH      Run a declarative scenario spec file (see
                          EXPERIMENTS.md for the format) through the cached
-                         runner instead of registry figures
+                         runner instead of registry figures; excludes
+                         --figs
     --cdf                Also dump FCT CDF series where available (fig6)
     --stable-json        Omit wall-clock/cache fields from the JSON report
                          so repeated runs are byte-identical
@@ -263,8 +270,6 @@ mod tests {
             "/tmp/c",
             "--figs",
             "fig3, fig7",
-            "--scenario",
-            "specs/outage.toml",
             "--cdf",
             "--stable-json",
             "--shards",
@@ -283,14 +288,19 @@ mod tests {
             cli.figs,
             Some(vec!["fig3".to_string(), "fig7".to_string()])
         );
-        assert_eq!(
-            cli.scenario.as_deref(),
-            Some(std::path::Path::new("specs/outage.toml"))
-        );
         assert!(cli.cdf && cli.stable_json);
         assert_eq!(cli.shards, 4);
         // --no-cache wins over --cache-dir in the runner config.
         assert!(cli.runner_config(false).cache_dir.is_none());
+
+        let cli = parse(&["--scenario", "specs/outage.toml", "--seeds", "2"])
+            .expect("ok")
+            .expect("not help");
+        assert_eq!(
+            cli.scenario.as_deref(),
+            Some(std::path::Path::new("specs/outage.toml"))
+        );
+        assert_eq!(cli.seeds, 2);
     }
 
     #[test]
@@ -320,6 +330,8 @@ mod tests {
         assert!(parse(&["--bogus"]).expect_err("unknown").contains("--bogus"));
         assert!(parse(&["--figs", ","]).expect_err("empty").contains("--figs"));
         assert!(parse(&["--shards", "0"]).expect_err("zero").contains("positive"));
+        let both = parse(&["--figs", "fig3", "--scenario", "s.toml"]).expect_err("exclusive");
+        assert!(both.contains("--scenario") && both.contains("--figs"), "{both}");
     }
 
     #[test]

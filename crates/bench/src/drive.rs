@@ -5,10 +5,12 @@
 //! `BENCH_<fig>_<scale>.json` report.
 
 use crate::cli::BenchCli;
-use crate::figures::common::run_metrics;
+use crate::figures::table::{self, f0, ms, pct, text, Col, Sweep};
 use crate::figures::{by_name, registry, Figure, FigureReport};
 use crate::json::Json;
 use crate::runner::{run_jobs, Job, JobOutcome, RunSummary, CACHE_SCHEMA_VERSION};
+use rlb_metrics::{Merge, Num};
+use rlb_net::sim::PerfStats;
 use rlb_net::ScenarioSpec;
 use std::path::Path;
 
@@ -39,8 +41,8 @@ pub fn resolve_figures(cli: &BenchCli) -> Result<Vec<&'static dyn Figure>, Strin
 /// reports (in run order) alongside the batch summary, after printing
 /// tables and writing the JSON report if requested.
 pub fn drive(cli: &BenchCli) -> Result<Vec<(&'static dyn Figure, FigureReport)>, String> {
-    if let Some(path) = cli.scenario.clone() {
-        drive_scenario(cli, &path)?;
+    if let Some(path) = &cli.scenario {
+        drive_scenario(cli, path)?;
         return Ok(Vec::new());
     }
     let figures = resolve_figures(cli)?;
@@ -71,6 +73,17 @@ pub fn drive(cli: &BenchCli) -> Result<Vec<(&'static dyn Figure, FigureReport)>,
         }
         reports.push((*fig, report));
     }
+    finish(cli, &reports, &summary)?;
+    Ok(reports)
+}
+
+/// How every run closes: the batch summary line and, with `--json`, the
+/// report.
+fn finish(
+    cli: &BenchCli,
+    reports: &[(&'static dyn Figure, FigureReport)],
+    summary: &RunSummary,
+) -> Result<(), String> {
     println!(
         "{} point(s): {} executed, {} cached, {:.1}s wall",
         summary.outcomes.len(),
@@ -78,18 +91,17 @@ pub fn drive(cli: &BenchCli) -> Result<Vec<(&'static dyn Figure, FigureReport)>,
         summary.cache_hits,
         summary.total_wall_ms / 1e3
     );
-
     if let Some(path) = &cli.json {
-        let report = build_report(cli, &reports, &summary);
+        let report = build_report(cli, reports, summary);
         std::fs::write(path, report.pretty())
             .map_err(|e| format!("cannot write report {}: {e}", path.display()))?;
         println!("wrote {}", path.display());
     }
-    Ok(reports)
+    Ok(())
 }
 
 /// Expand a parsed spec into runner jobs, one per seed offset. The job's
-/// cache identity is the canonical spec text (seed included), so editing
+/// cache identity is the parsed spec itself (seed included), so editing
 /// any field of the file — or bumping the seed — re-keys the point while
 /// untouched specs stay warm in the cache.
 pub fn scenario_jobs(
@@ -101,23 +113,30 @@ pub fn scenario_jobs(
     // before any job runs.
     spec.build()
         .map_err(|e| format!("scenario `{}`: {e}", spec.label()))?;
-    let mut jobs = Vec::new();
-    for &offset in offsets {
+    let sweep = Sweep {
+        fig: "scenario",
+        shards,
+    };
+    let job = |&offset: &u64| {
         let mut s = spec.clone();
         s.seed += offset;
-        jobs.push(Job {
-            fig: "scenario",
-            label: s.label(),
-            seed: s.seed,
-            spec: format!("shards={shards}|{}", s.to_spec_text()),
-            run: Box::new(move || {
-                let sc = s.build().expect("spec validated before job expansion");
-                run_metrics(s.label(), sc, shards, vec![("seed", Json::U64(s.seed))])
-            }),
-        });
-    }
-    Ok(jobs)
+        let (label, coords) = (s.label(), vec![("seed", Json::U64(s.seed))]);
+        sweep.point(label.clone(), label, coords, s.seed, s, |s| {
+            s.build().expect("spec validated before job expansion")
+        })
+    };
+    Ok(offsets.iter().map(job).collect())
 }
+
+const SCENARIO_COLS: [Col; 7] = [
+    Col::coord("variant", "scenario", text),
+    Col::coord("seed", "seed", text),
+    Col::mean("flows", "flows", &["all", "flows_total"], f0),
+    Col::mean("avg_fct_ms", "avg_fct_ms", &["all", "avg_fct_ms"], ms),
+    Col::mean("p99_fct_ms", "p99_fct_ms", &["all", "p99_fct_ms"], ms),
+    Col::mean("ooo_ratio", "ooo_ratio", &["all", "ooo_ratio"], pct),
+    Col::mean("faults_applied", "faults_applied", &["counters", "faults_applied"], f0),
+];
 
 /// `--scenario PATH`: parse + validate the spec file (span-quality errors
 /// verbatim from the parser), run it through the cached runner, print a
@@ -130,45 +149,16 @@ pub fn drive_scenario(cli: &BenchCli, path: &Path) -> Result<(), String> {
     let jobs = scenario_jobs(&spec, &cli.seed_offsets(), cli.shards)?;
     let summary = run_jobs(jobs, &cli.runner_config(true))?;
 
-    let mut t = rlb_metrics::Table::new(vec![
-        "scenario",
-        "seed",
-        "flows",
-        "avg_fct_ms",
-        "p99_fct_ms",
-        "ooo_packets",
-        "faults_applied",
-    ]);
-    let num = |o: &JobOutcome, p: &[&str]| {
-        o.metrics.path(p).and_then(Json::as_f64).unwrap_or(f64::NAN)
-    };
-    for o in &summary.outcomes {
-        t.row(vec![
-            o.label.clone(),
-            o.seed.to_string(),
-            format!("{:.0}", num(o, &["all", "flows_total"])),
-            rlb_metrics::ms(num(o, &["all", "avg_fct_ms"])),
-            rlb_metrics::ms(num(o, &["all", "p99_fct_ms"])),
-            rlb_metrics::pct(num(o, &["all", "ooo_ratio"])),
-            format!("{:.0}", num(o, &["counters", "faults_applied"])),
-        ]);
-    }
-    println!("scenario {} ({})\n{}", spec.label(), path.display(), t.render());
-    println!(
-        "{} point(s): {} executed, {} cached, {:.1}s wall",
-        summary.outcomes.len(),
-        summary.executed,
-        summary.cache_hits,
-        summary.total_wall_ms / 1e3
-    );
-
-    if let Some(out) = &cli.json {
-        let report = build_report(cli, &[], &summary);
-        std::fs::write(out, report.pretty())
-            .map_err(|e| format!("cannot write report {}: {e}", out.display()))?;
-        println!("wrote {}", out.display());
-    }
-    Ok(())
+    // One row per seed: replicates of a spec are runs to look at, not a
+    // point to average.
+    let rows: Vec<Json> = summary
+        .outcomes
+        .iter()
+        .flat_map(|o| table::rows([o], &SCENARIO_COLS))
+        .collect();
+    let t = table::render(&rows, &SCENARIO_COLS);
+    println!("scenario {} ({})\n{t}", spec.label(), path.display());
+    finish(cli, &[], &summary)
 }
 
 fn point_json(o: &JobOutcome, stable: bool) -> Json {
@@ -196,52 +186,31 @@ fn point_json(o: &JobOutcome, stable: bool) -> Json {
 }
 
 /// Aggregate the per-job `perf` blocks into the report-level summary:
-/// total events dispatched, total in-simulation wall time, and the batch
-/// events/sec rate. Cached jobs contribute the numbers recorded when they
+/// total events dispatched, total in-simulation wall time, the batch
+/// events/sec rate, and every `PerfStats` field folded over the jobs the
+/// way it declares — counts as `<name>_total`; peaks and rates, which do
+/// not add across independent runs, as the batch's `<name>_max` (the
+/// perf-smoke CI gate reads `aggregate_events_per_sec_max` as the fleet's
+/// peak throughput). Cached jobs contribute the numbers recorded when they
 /// originally executed, so the rate describes simulator speed rather than
 /// cache luck; jobs_executed / jobs_cached disambiguate.
 fn perf_aggregate(summary: &RunSummary) -> Json {
     let mut events_total: u64 = 0;
     let mut sim_wall_ms: f64 = 0.0;
-    let mut decisions: u64 = 0;
-    let mut reuses: u64 = 0;
-    let mut refreshes: u64 = 0;
-    let mut rebuilds: u64 = 0;
-    let mut dirty_q: u64 = 0;
-    let mut dirty_sig: u64 = 0;
-    let mut arena_high_water: u64 = 0;
-    let mut arena_capacity: u64 = 0;
-    let mut shards_max: u64 = 0;
-    let mut window_advances: u64 = 0;
-    let mut cross_msgs: u64 = 0;
-    let mut barrier_stalls: u64 = 0;
-    let mut aggregate_rate_max: f64 = 0.0;
-    let take = |p: &Json, k: &str| p.get(k).and_then(Json::as_u64).unwrap_or(0);
-    for o in &summary.outcomes {
-        if let Some(p) = o.metrics.get("perf") {
-            events_total += take(p, "events_processed");
-            sim_wall_ms += p.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0);
-            decisions += take(p, "decisions");
-            reuses += take(p, "snapshot_reuses");
-            refreshes += take(p, "snapshot_refreshes");
-            rebuilds += take(p, "snapshot_rebuilds");
-            dirty_q += take(p, "snapshot_dirty_queue_spines");
-            dirty_sig += take(p, "snapshot_dirty_sig_spines");
-            // Occupancy peaks don't sum across independent runs; report
-            // the worst job in the batch.
-            arena_high_water = arena_high_water.max(take(p, "arena_high_water"));
-            arena_capacity = arena_capacity.max(take(p, "arena_capacity"));
-            shards_max = shards_max.max(take(p, "shards"));
-            window_advances += take(p, "window_advances");
-            cross_msgs += take(p, "cross_shard_messages");
-            barrier_stalls += take(p, "barrier_stalls");
-            // A rate, not a count: report the best job in the batch (the
-            // perf-smoke CI gate reads this as the fleet's peak throughput).
-            aggregate_rate_max = aggregate_rate_max.max(
-                p.get("aggregate_events_per_sec")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0),
-            );
+    // One accumulator per declared field, starting at its typed zero.
+    let mut folded = PerfStats::default().fields();
+    for p in summary.outcomes.iter().filter_map(|o| o.metrics.get("perf")) {
+        events_total += p.get("events_processed").and_then(Json::as_u64).unwrap_or(0);
+        sim_wall_ms += p.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0);
+        for ((name, acc), (_, how)) in folded.iter_mut().zip(PerfStats::FIELDS) {
+            let v = p.get(name);
+            let v = match acc {
+                Num::U64(_) => v.and_then(Json::as_u64).map(Num::U64),
+                Num::F64(_) => v.and_then(Json::as_f64).map(Num::F64),
+            };
+            if let Some(v) = v {
+                acc.fold(v, *how);
+            }
         }
     }
     let rate = if sim_wall_ms > 0.0 {
@@ -249,26 +218,22 @@ fn perf_aggregate(summary: &RunSummary) -> Json {
     } else {
         0.0
     };
-    Json::obj([
+    let mut out = Json::obj([
         ("events_processed_total", Json::U64(events_total)),
         ("sim_wall_ms_total", Json::F64(sim_wall_ms)),
         ("events_per_sec", Json::F64(rate)),
-        ("decisions_total", Json::U64(decisions)),
-        ("snapshot_reuses_total", Json::U64(reuses)),
-        ("snapshot_refreshes_total", Json::U64(refreshes)),
-        ("snapshot_rebuilds_total", Json::U64(rebuilds)),
-        ("snapshot_dirty_queue_spines_total", Json::U64(dirty_q)),
-        ("snapshot_dirty_sig_spines_total", Json::U64(dirty_sig)),
-        ("arena_high_water_max", Json::U64(arena_high_water)),
-        ("arena_capacity_max", Json::U64(arena_capacity)),
-        ("shards_max", Json::U64(shards_max)),
-        ("window_advances_total", Json::U64(window_advances)),
-        ("cross_shard_messages_total", Json::U64(cross_msgs)),
-        ("barrier_stalls_total", Json::U64(barrier_stalls)),
-        ("aggregate_events_per_sec_max", Json::F64(aggregate_rate_max)),
-        ("jobs_executed", Json::U64(summary.executed as u64)),
-        ("jobs_cached", Json::U64(summary.cache_hits as u64)),
-    ])
+    ]);
+    for ((name, acc), (_, how)) in folded.into_iter().zip(PerfStats::FIELDS) {
+        let folded_as = match how {
+            Merge::Sum => "total",
+            Merge::Max => "max",
+            Merge::Keep => continue,
+        };
+        out.set(&format!("{name}_{folded_as}"), acc.into());
+    }
+    out.set("jobs_executed", Json::U64(summary.executed as u64));
+    out.set("jobs_cached", Json::U64(summary.cache_hits as u64));
+    out
 }
 
 /// The schema-versioned report object. With `--stable-json`, wall-clock

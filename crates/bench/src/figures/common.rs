@@ -4,10 +4,10 @@ use crate::json::Json;
 use crate::Scale;
 use rlb_core::RlbConfig;
 use rlb_lb::Scheme;
-use rlb_metrics::{FabricCounters, FctSummary, FlowRecord};
+use rlb_metrics::{FabricCounters, FctSummary, FlowRecord, Merge, Num};
 use rlb_net::scenario::{Scenario, BACKGROUND_GROUP};
+use rlb_net::sim::PerfStats;
 use rlb_net::RunResult;
-use rlb_workloads::Workload;
 
 /// A scheme variant under test.
 #[derive(Debug, Clone)]
@@ -44,53 +44,42 @@ impl Variant {
     }
 }
 
-/// One completed run, reduced to what the figures report.
-pub struct RunRow {
-    pub label: String,
-    /// Summary over all flows.
-    pub all: FctSummary,
-    /// Summary restricted to the measured background flows (motivation
-    /// scenarios tag them; empty scenarios fall back to `all`).
-    pub background: FctSummary,
-    pub counters: FabricCounters,
-    pub sim_seconds: f64,
-    /// Mean incast (group) completion time, ms; NaN without groups.
-    pub mean_group_completion_ms: f64,
-    /// FCT CDF over all completed flows, downsampled.
-    pub fct_cdf: Vec<(f64, f64)>,
-    /// Events dispatched by the engine during this run.
-    pub events_processed: u64,
-    /// Wall-clock cost of the run, ms (measurement only — never feeds back
-    /// into the simulation, and `--stable-json` strips it from reports).
-    pub wall_ms: f64,
-    /// Engine throughput, events per wall-clock second.
-    pub events_per_sec: f64,
-    /// Source-leaf LB decisions and how their path snapshots were served
-    /// (cache reuse / in-place refresh / full rebuild).
-    pub decisions: u64,
-    pub snapshot_reuses: u64,
-    pub snapshot_refreshes: u64,
-    pub snapshot_rebuilds: u64,
-    /// Dirty-spine split of the refresh work (queue-side / signal-side).
-    pub snapshot_dirty_queue_spines: u64,
-    pub snapshot_dirty_sig_spines: u64,
-    /// Packet-arena occupancy telemetry: peak live packets and slots ever
-    /// allocated (backing-store footprint).
-    pub arena_high_water: u64,
-    pub arena_capacity: u64,
-    /// Window-driver telemetry: shard count, synchronized bounded-window
-    /// rounds, cross-shard wire messages, zero-dispatch (shard, round)
-    /// pairs (all three zero on 1 shard, which has no peer to meet), and
-    /// the sum of per-shard dispatch throughputs over time spent
-    /// dispatching.
-    pub shards: u64,
-    pub window_advances: u64,
-    pub cross_shard_messages: u64,
-    pub barrier_stalls: u64,
-    pub aggregate_events_per_sec: f64,
+/// Per-scale knob helper.
+pub fn pick<T>(scale: Scale, quick: T, paper: T) -> T {
+    match scale {
+        Scale::Quick => quick,
+        Scale::Paper => paper,
+    }
 }
 
-pub fn reduce(label: String, res: RunResult) -> RunRow {
+/// Top-level members [`metrics_of`] writes after the job's own extras.
+const STANDARD_KEYS: [&str; 9] = [
+    "variant",
+    "all",
+    "background",
+    "counters",
+    "sim_seconds",
+    "pause_rate_per_sec",
+    "mean_group_completion_ms",
+    "fct_cdf",
+    "perf",
+];
+
+/// The one serialization of a result record: its declared fields, in
+/// declaration order.
+fn record_json(fields: impl IntoIterator<Item = (&'static str, Num)>) -> Json {
+    Json::obj(fields.into_iter().map(|(k, v)| (k, Json::from(v))))
+}
+
+/// The standard metrics object of one finished run: the job's `extras`
+/// first (sweep coordinates — scheme, x, load, ... — and anything the job
+/// measured on the side), then the full FCT summaries (all flows, and the
+/// measured background flows where the scenario tags them — else all
+/// again), fabric counters, the downsampled FCT CDF and the perf block.
+/// Reduce steps read from this; the JSON report embeds it verbatim, so the
+/// perf trajectory keeps every signal even where a figure's table only
+/// shows two columns.
+pub fn metrics_of(label: &str, res: &RunResult, extras: Vec<(&'static str, Json)>) -> Json {
     let bg: Vec<FlowRecord> = res
         .records
         .iter()
@@ -98,8 +87,9 @@ pub fn reduce(label: String, res: RunResult) -> RunRow {
         .filter(|(_, g)| **g == BACKGROUND_GROUP)
         .map(|(r, _)| r.clone())
         .collect();
+    let all = res.summary();
     let background = if bg.is_empty() {
-        FctSummary::from_records(&res.records)
+        all.clone()
     } else {
         FctSummary::from_records(&bg)
     };
@@ -109,178 +99,140 @@ pub fn reduce(label: String, res: RunResult) -> RunRow {
     } else {
         groups.iter().map(|(_, t)| t).sum::<f64>() / groups.len() as f64
     };
+    let sim_seconds = res.end_time.as_secs_f64();
+    let pause_rate = res.counters.pause_rate_per_sec((sim_seconds * 1e12) as u64);
     let cdf = rlb_metrics::downsample_cdf(&rlb_metrics::fct_cdf(&res.records), 25);
-    RunRow {
-        label,
-        all: res.summary(),
-        background,
-        counters: res.counters,
-        sim_seconds: res.end_time.as_secs_f64(),
-        mean_group_completion_ms: mean_group,
-        fct_cdf: cdf,
-        events_processed: res.events_processed,
-        wall_ms: res.perf.wall_ms,
-        events_per_sec: res.perf.events_per_sec,
-        decisions: res.perf.decisions,
-        snapshot_reuses: res.perf.snapshot_reuses,
-        snapshot_refreshes: res.perf.snapshot_refreshes,
-        snapshot_rebuilds: res.perf.snapshot_rebuilds,
-        snapshot_dirty_queue_spines: res.perf.snapshot_dirty_queue_spines,
-        snapshot_dirty_sig_spines: res.perf.snapshot_dirty_sig_spines,
-        arena_high_water: res.perf.arena_high_water,
-        arena_capacity: res.perf.arena_capacity,
-        shards: res.perf.shards,
-        window_advances: res.perf.window_advances,
-        cross_shard_messages: res.perf.cross_shard_messages,
-        barrier_stalls: res.perf.barrier_stalls,
-        aggregate_events_per_sec: res.perf.aggregate_events_per_sec,
-    }
+    let cdf = cdf.iter().map(|&(x, p)| Json::Arr(vec![Json::F64(x), Json::F64(p)]));
+    // Wall-clock telemetry: `drive::point_json` strips this whole block
+    // under `--stable-json` (events_processed alone is deterministic, but
+    // the block is removed as a unit to keep the stable schema minimal).
+    let perf = [("events_processed", Num::U64(res.events_processed))];
+    Json::obj(extras.into_iter().chain(STANDARD_KEYS.into_iter().zip([
+        Json::Str(label.to_string()),
+        record_json(all.fields()),
+        record_json(background.fields()),
+        record_json(res.counters.fields()),
+        Json::F64(sim_seconds),
+        Json::F64(pause_rate),
+        Json::F64(mean_group),
+        Json::Arr(cdf.collect()),
+        record_json(perf.into_iter().chain(res.perf.fields())),
+    ])))
 }
 
-pub fn run_variant(label: String, sc: Scenario) -> RunRow {
-    reduce(label, sc.run())
-}
-
-/// Per-scale knob helper.
-pub fn pick<T>(scale: Scale, quick: T, paper: T) -> T {
-    match scale {
-        Scale::Quick => quick,
-        Scale::Paper => paper,
-    }
-}
-
-/// Inverse of [`Workload::name`], for reduce steps reading metrics back.
-pub fn workload_by_name(name: &str) -> Workload {
-    Workload::ALL
-        .into_iter()
-        .find(|w| w.name() == name)
-        .unwrap_or_else(|| panic!("unknown workload `{name}` in metrics"))
-}
-
-fn summary_json(s: &FctSummary) -> Json {
-    Json::obj([
-        ("flows_total", Json::U64(s.flows_total as u64)),
-        ("flows_completed", Json::U64(s.flows_completed as u64)),
-        ("avg_fct_ms", Json::F64(s.avg_fct_ms)),
-        ("p50_fct_ms", Json::F64(s.p50_fct_ms)),
-        ("p95_fct_ms", Json::F64(s.p95_fct_ms)),
-        ("p99_fct_ms", Json::F64(s.p99_fct_ms)),
-        ("max_fct_ms", Json::F64(s.max_fct_ms)),
-        ("ooo_ratio", Json::F64(s.ooo_ratio)),
-        ("p99_ood", Json::F64(s.p99_ood)),
-        ("total_ooo_packets", Json::U64(s.total_ooo_packets)),
-        ("total_packets_sent", Json::U64(s.total_packets_sent)),
-        ("total_naks", Json::U64(s.total_naks)),
-        ("total_recirculations", Json::U64(s.total_recirculations)),
-    ])
-}
-
-fn counters_json(c: &FabricCounters) -> Json {
-    Json::obj([
-        ("pause_frames", Json::U64(c.pause_frames)),
-        ("resume_frames", Json::U64(c.resume_frames)),
-        ("paused_port_time_ps", Json::U64(c.paused_port_time_ps)),
-        ("cnm_generated", Json::U64(c.cnm_generated)),
-        ("cnm_relayed", Json::U64(c.cnm_relayed)),
-        ("recirculations", Json::U64(c.recirculations)),
-        ("reroutes", Json::U64(c.reroutes)),
-        ("forwards_unwarned", Json::U64(c.forwards_unwarned)),
-        (
-            "recirculation_budget_exhausted",
-            Json::U64(c.recirculation_budget_exhausted),
-        ),
-        ("buffer_drops", Json::U64(c.buffer_drops)),
-        ("switch_packets", Json::U64(c.switch_packets)),
-        ("ecn_marks", Json::U64(c.ecn_marks)),
-        ("faults_applied", Json::U64(c.faults_applied)),
-    ])
-}
-
-/// The standard metrics object every runner job produces: figure-specific
-/// `extras` first (sweep coordinates — scheme, x, load, ...), then the
-/// full FCT summaries (all flows and measured background flows), fabric
-/// counters, and the downsampled FCT CDF. Reduce steps read from this;
-/// the JSON report embeds it verbatim, so the perf trajectory keeps every
-/// signal even where a figure's table only shows two columns.
-///
-/// `shards` selects the parallel bounded-window driver (`--shards`); every
-/// shard count produces byte-identical simulation output, so only the
-/// perf block (stripped under `--stable-json`) reflects the choice.
+/// [`metrics_of`] the run of `sc`. `shards` selects the parallel
+/// bounded-window driver (`--shards`); every shard count produces
+/// byte-identical simulation output, so only the perf block (stripped
+/// under `--stable-json`) reflects the choice.
 pub fn run_metrics(
     label: String,
     sc: Scenario,
     shards: u16,
     extras: Vec<(&'static str, Json)>,
 ) -> Json {
-    let row = reduce(label, sc.run_with_shards(shards));
-    let mut m = Json::Obj(Vec::new());
-    for (k, v) in extras {
-        m.set(k, v);
+    metrics_of(&label, &sc.run_with_shards(shards), extras)
+}
+
+/// Whether `m` is laid out as [`metrics_of`] lays a job's metrics out
+/// today: the job's `coords` lead, the standard members close, and the
+/// record blocks hold exactly their declared fields, all numeric. Cache
+/// entries are outside input — one written by an older field list, or
+/// damaged on disk, must read as a miss, not reach a reduce step.
+pub fn metrics_complete(m: &Json, coords: &[(&'static str, Json)]) -> bool {
+    let block = |key: &str, lead: &[&str], fields: &[(&'static str, Merge)]| {
+        let declared = lead.iter().copied().chain(fields.iter().map(|f| f.0));
+        matches!(m.get(key), Some(Json::Obj(members))
+            if members.iter().map(|(k, _)| k.as_str()).eq(declared)
+                && members.iter().all(|(_, v)| v.as_f64().is_some()))
+    };
+    let lead: Vec<&str> = coords.iter().map(|c| c.0).collect();
+    m.keys().starts_with(&lead)
+        && m.keys().ends_with(&STANDARD_KEYS)
+        && block("all", &[], FctSummary::FIELDS)
+        && block("background", &[], FctSummary::FIELDS)
+        && block("counters", &[], FabricCounters::FIELDS)
+        && block("perf", &["events_processed"], PerfStats::FIELDS)
+}
+
+/// A finished run of one flow, made by hand: what the harness tests feed
+/// [`metrics_of`] where running a simulation would only cost time.
+#[cfg(test)]
+pub(crate) fn canned_result() -> RunResult {
+    RunResult {
+        records: vec![FlowRecord {
+            flow_id: 0,
+            src_host: 0,
+            dst_host: 9,
+            size_bytes: 10_000,
+            total_packets: 10,
+            start_ps: 0,
+            finish_ps: Some(2_000_000_000),
+            ooo_packets: 1,
+            max_ood: 3,
+            packets_sent: 11,
+            naks: 1,
+            recirculations: 0,
+        }],
+        counters: FabricCounters {
+            pause_frames: 4,
+            switch_packets: 33,
+            ..FabricCounters::default()
+        },
+        ood_histogram: Default::default(),
+        end_time: rlb_engine::SimTime::from_ms(2),
+        events_processed: 500,
+        groups: vec![BACKGROUND_GROUP],
+        timeseries: Default::default(),
+        traces: Default::default(),
+        pfc_pauses_by_port: Default::default(),
+        perf: PerfStats {
+            wall_ms: 1.5,
+            decisions: 10,
+            snapshot_reuses: 10,
+            arena_high_water: 7,
+            shards: 1,
+            ..PerfStats::default()
+        },
     }
-    m.set("variant", Json::Str(row.label.clone()));
-    m.set("all", summary_json(&row.all));
-    m.set("background", summary_json(&row.background));
-    m.set("counters", counters_json(&row.counters));
-    m.set("sim_seconds", Json::F64(row.sim_seconds));
-    m.set(
-        "pause_rate_per_sec",
-        Json::F64(
-            row.counters
-                .pause_rate_per_sec((row.sim_seconds * 1e12) as u64),
-        ),
-    );
-    m.set(
-        "mean_group_completion_ms",
-        Json::F64(row.mean_group_completion_ms),
-    );
-    m.set(
-        "fct_cdf",
-        Json::Arr(
-            row.fct_cdf
-                .iter()
-                .map(|&(x, p)| Json::Arr(vec![Json::F64(x), Json::F64(p)]))
-                .collect(),
-        ),
-    );
-    // Wall-clock telemetry: `drive::point_json` strips this whole block
-    // under `--stable-json` (events_processed alone is deterministic, but
-    // the block is removed as a unit to keep the stable schema minimal).
-    m.set(
-        "perf",
-        Json::obj([
-            ("events_processed", Json::U64(row.events_processed)),
-            ("wall_ms", Json::F64(row.wall_ms)),
-            ("events_per_sec", Json::F64(row.events_per_sec)),
-            ("decisions", Json::U64(row.decisions)),
-            ("snapshot_reuses", Json::U64(row.snapshot_reuses)),
-            ("snapshot_refreshes", Json::U64(row.snapshot_refreshes)),
-            ("snapshot_rebuilds", Json::U64(row.snapshot_rebuilds)),
-            (
-                "snapshot_dirty_queue_spines",
-                Json::U64(row.snapshot_dirty_queue_spines),
-            ),
-            (
-                "snapshot_dirty_sig_spines",
-                Json::U64(row.snapshot_dirty_sig_spines),
-            ),
-            ("arena_high_water", Json::U64(row.arena_high_water)),
-            ("arena_capacity", Json::U64(row.arena_capacity)),
-            ("shards", Json::U64(row.shards)),
-            ("window_advances", Json::U64(row.window_advances)),
-            ("cross_shard_messages", Json::U64(row.cross_shard_messages)),
-            ("barrier_stalls", Json::U64(row.barrier_stalls)),
-            (
-                "aggregate_events_per_sec",
-                Json::F64(row.aggregate_events_per_sec),
-            ),
-        ]),
-    );
-    m
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fresh_metrics_are_complete_and_damaged_ones_are_not() {
+        let coords = vec![("x", Json::U64(3))];
+        let m = metrics_of("DRILL", &canned_result(), coords.clone());
+        assert!(metrics_complete(&m, &coords));
+        // Parsed back from cache text: whole floats are `U64`, NaN `null`.
+        let warm = crate::json::parse(&m.pretty()).expect("round-trips");
+        assert!(metrics_complete(&warm, &coords));
+
+        assert!(!metrics_complete(&m, &[("y", Json::U64(3))]), "other coordinate");
+        let mut cut = m.clone();
+        cut.remove("fct_cdf");
+        assert!(!metrics_complete(&cut, &coords), "top-level member gone");
+        for (block, member) in [
+            ("all", "total_naks"),
+            ("background", "p99_ood"),
+            ("counters", "reroutes"),
+            ("perf", "decisions"),
+        ] {
+            let with = |b: Json| {
+                let mut m = m.clone();
+                m.set(block, b);
+                m
+            };
+            let mut b = m.get(block).expect("block").clone();
+            b.set(member, Json::Str("7".into()));
+            assert!(!metrics_complete(&with(b.clone()), &coords), "{block}: not a number");
+            b.remove(member);
+            assert!(!metrics_complete(&with(b.clone()), &coords), "{block}: member gone");
+            b.set(member, Json::U64(7));
+            assert!(!metrics_complete(&with(b), &coords), "{block}: out of order");
+        }
+    }
 
     #[test]
     fn variant_labels() {

@@ -5,27 +5,37 @@
 //! Run under DRILL+RLB (the scheme most sensitive to warning quality) on
 //! Web Server and Data Mining at 60 % load.
 
-use super::common::{pick, run_metrics, workload_by_name};
+use super::common::{pick, Variant};
+use super::dumbbell;
+use super::table::{self, ms, text, Col, Sweep};
 use super::{Figure, FigureReport};
 use crate::json::Json;
-use crate::runner::{by_label, mean_metric, Job, JobOutcome};
+use crate::runner::{Job, JobOutcome};
 use crate::Scale;
 use rlb_core::RlbConfig;
 use rlb_engine::{SimDuration, SimTime};
 use rlb_lb::Scheme;
-use rlb_metrics::Table;
-use rlb_net::scenario::{MotivationConfig, Scenario, SteadyStateConfig};
+use rlb_net::scenario::{Scenario, SteadyStateConfig};
 use rlb_net::TopoConfig;
 use rlb_workloads::Workload;
 
-pub struct Row {
-    pub workload: Workload,
-    /// The swept parameter rendered as a label ("30%" or "2.5us").
-    pub param: String,
-    pub avg_fct_ms: f64,
-    /// Filled by `normalize`.
-    pub normalized_afct: f64,
+/// One part's columns: `param` is the swept parameter as a label ("30%"
+/// or "2.5us") under the part's own head, `afct` where the part reads its
+/// AFCT, and `normalized_afct` is filled in by [`normalize`].
+const fn cols(param_head: &'static str, afct: table::Path) -> [Col; 5] {
+    [
+        Col::coord("part", "", text),
+        Col::coord("workload", "workload", text),
+        Col::coord("param", param_head, text),
+        Col::mean("avg_fct_ms", "afct_ms", afct, ms),
+        Col::step("normalized_afct", "normalized", |v| {
+            format!("{:.3}", table::num(v))
+        }),
+    ]
 }
+
+const ALL_AFCT: table::Path = &["all", "avg_fct_ms"];
+const COLS: [Col; 5] = cols("param", ALL_AFCT);
 
 pub const QTH_FRACTIONS: [f64; 7] = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8];
 pub const DT_US: [f64; 7] = [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0];
@@ -41,17 +51,15 @@ const PART_QTH: &str = "qth";
 const PART_DT: &str = "dt";
 const PART_QTH_MOTIVATION: &str = "qth_motivation";
 
-/// Normalize AFCT within each workload to that workload's minimum.
-pub fn normalize(rows: &mut [Row]) {
-    for workload in [WORKLOADS[0], WORKLOADS[1], Workload::WebSearch] {
-        let min = rows
-            .iter()
-            .filter(|r| r.workload == workload)
-            .map(|r| r.avg_fct_ms)
+/// Set each row's `normalized_afct` to its AFCT over the minimum AFCT of
+/// its workload's rows.
+pub fn normalize(rows: &mut [Json]) {
+    for i in 0..rows.len() {
+        let min = table::having(rows, "workload", rows[i].str_of("workload"))
+            .map(|r| r.num("avg_fct_ms"))
             .fold(f64::INFINITY, f64::min);
-        for r in rows.iter_mut().filter(|r| r.workload == workload) {
-            r.normalized_afct = r.avg_fct_ms / min;
-        }
+        let normalized = rows[i].num("avg_fct_ms") / min;
+        rows[i].set("normalized_afct", Json::F64(normalized));
     }
 }
 
@@ -65,14 +73,29 @@ fn inner_seeds(offsets: &[u64]) -> Vec<u64> {
     out
 }
 
+fn drill_rlb(rlb: RlbConfig) -> Variant {
+    Variant {
+        scheme: Scheme::Drill,
+        rlb: Some(rlb),
+    }
+}
+
+fn part_coords(part: &str, workload: Workload, param: &str) -> Vec<(&'static str, Json)> {
+    vec![
+        ("part", Json::Str(part.to_string())),
+        ("workload", Json::Str(workload.name().to_string())),
+        ("param", Json::Str(param.to_string())),
+    ]
+}
+
 fn steady_job(
+    sweep: &Sweep,
     scale: Scale,
     part: &'static str,
     workload: Workload,
     rlb: RlbConfig,
     param: String,
     seed: u64,
-    shards: u16,
 ) -> Job {
     let sc = SteadyStateConfig {
         topo: pick(scale, TopoConfig::default(), TopoConfig::paper_scale()),
@@ -81,72 +104,37 @@ fn steady_job(
         horizon: SimTime::from_ms(pick(scale, 16, 30)),
         seed,
     };
-    let label = format!("{part} {} {param}", workload.name());
-    let spec = format!("part={part}|scheme=Drill|rlb={rlb:?}|shards={shards}|{sc:?}");
-    Job {
-        fig: "fig10",
-        label,
+    sweep.point(
+        format!("{part} {} {param}", workload.name()),
+        format!("DRILL+RLB {param}"),
+        part_coords(part, workload, &param),
         seed,
-        spec,
-        run: Box::new(move || {
-            run_metrics(
-                format!("DRILL+RLB {param}"),
-                Scenario::steady_state(&sc, Scheme::Drill, Some(rlb.clone())),
-                shards,
-                vec![
-                    ("part", Json::Str(part.to_string())),
-                    ("workload", Json::Str(workload.name().to_string())),
-                    ("param", Json::Str(param.clone())),
-                ],
-            )
-        }),
-    }
+        (drill_rlb(rlb), sc),
+        |(v, sc)| Scenario::steady_state(sc, v.scheme, v.rlb.clone()),
+    )
 }
 
 /// Supplementary sweep: the same Qth fractions on the pause-heavy
 /// motivation scenario (DRILL+RLB, background AFCT). The paper's
 /// steady-state framing leaves the predictor nearly idle at Quick scale
 /// (see EXPERIMENTS.md), so this is where the threshold's effect shows.
-fn motivation_job(scale: Scale, q: f64, seed: u64, shards: u16) -> Job {
-    let mc = MotivationConfig {
-        n_paths: 40,
-        n_background: pick(scale, 24, 100),
-        background_load: pick(scale, 0.2, 0.3),
-        congested_flow_bytes: 30_000_000,
-        horizon: SimTime::from_ms(pick(scale, 3, 10)),
-        seed,
-        ..MotivationConfig::default()
-    };
+fn motivation_job(sweep: &Sweep, scale: Scale, q: f64, seed: u64) -> Job {
+    let mut mc = dumbbell::config(scale);
+    mc.seed = seed;
     let rlb = RlbConfig {
         qth_fraction: q,
         ..RlbConfig::default()
     };
     let param = format!("{:.0}%", q * 100.0);
-    let label = format!("{PART_QTH_MOTIVATION} {param}");
-    let spec =
-        format!("part={PART_QTH_MOTIVATION}|scheme=Drill|rlb={rlb:?}|shards={shards}|{mc:?}");
-    Job {
-        fig: "fig10",
-        label,
+    sweep.point(
+        format!("{PART_QTH_MOTIVATION} {param}"),
+        format!("DRILL+RLB qth {param}"),
+        // The motivation background is Web Search traffic.
+        part_coords(PART_QTH_MOTIVATION, Workload::WebSearch, &param),
         seed,
-        spec,
-        run: Box::new(move || {
-            run_metrics(
-                format!("DRILL+RLB qth {param}"),
-                Scenario::motivation(&mc, Scheme::Drill, Some(rlb.clone())),
-                shards,
-                vec![
-                    ("part", Json::Str(PART_QTH_MOTIVATION.to_string())),
-                    // The motivation background is Web Search traffic.
-                    (
-                        "workload",
-                        Json::Str(Workload::WebSearch.name().to_string()),
-                    ),
-                    ("param", Json::Str(param.clone())),
-                ],
-            )
-        }),
-    }
+        (drill_rlb(rlb), mc),
+        |(v, mc)| Scenario::motivation(mc, v.scheme, v.rlb.clone()),
+    )
 }
 
 pub struct Fig10;
@@ -160,7 +148,15 @@ impl Figure for Fig10 {
         "RLB sensitivity: Qth fraction and sampling interval dt (normalized AFCT)"
     }
 
+    fn cols(&self) -> &'static [Col] {
+        &COLS
+    }
+
     fn jobs(&self, scale: Scale, seeds: &[u64], shards: u16) -> Vec<Job> {
+        let sweep = Sweep {
+            fig: self.name(),
+            shards,
+        };
         let inner = inner_seeds(seeds);
         let mut jobs = Vec::new();
         for workload in WORKLOADS {
@@ -170,14 +166,9 @@ impl Figure for Fig10 {
                         qth_fraction: q,
                         ..RlbConfig::default()
                     };
+                    let param = format!("{:.0}%", q * 100.0);
                     jobs.push(steady_job(
-                        scale,
-                        PART_QTH,
-                        workload,
-                        rlb,
-                        format!("{:.0}%", q * 100.0),
-                        seed,
-                        shards,
+                        &sweep, scale, PART_QTH, workload, rlb, param, seed,
                     ));
                 }
             }
@@ -191,21 +182,16 @@ impl Figure for Fig10 {
                         warn_lifetime_ps: SimDuration::from_us_f64(dt_us * 10.0).as_ps(),
                         ..RlbConfig::default()
                     };
+                    let param = format!("{dt_us}us");
                     jobs.push(steady_job(
-                        scale,
-                        PART_DT,
-                        workload,
-                        rlb,
-                        format!("{dt_us}us"),
-                        seed,
-                        shards,
+                        &sweep, scale, PART_DT, workload, rlb, param, seed,
                     ));
                 }
             }
         }
         for &q in &QTH_FRACTIONS {
             for &seed in &inner {
-                jobs.push(motivation_job(scale, q, seed, shards));
+                jobs.push(motivation_job(&sweep, scale, q, seed));
             }
         }
         jobs
@@ -214,54 +200,31 @@ impl Figure for Fig10 {
     fn reduce(&self, outcomes: &[JobOutcome]) -> FigureReport {
         let mut sections = Vec::new();
         let mut all_rows = Vec::new();
-        for (part, title, param_name, metric) in [
+        for (part, title, cols) in [
             (
                 PART_QTH,
                 "Fig. 10(a) — normalized AFCT vs. Qth fraction (DRILL+RLB)",
-                "qth",
-                &["all", "avg_fct_ms"][..],
+                cols("qth", ALL_AFCT),
             ),
             (
                 PART_DT,
                 "Fig. 10(b) — normalized AFCT vs. sampling interval dt (DRILL+RLB)",
-                "dt",
-                &["all", "avg_fct_ms"][..],
+                cols("dt", ALL_AFCT),
             ),
             (
                 PART_QTH_MOTIVATION,
                 "Fig. 10(a') — Qth sweep on the motivation scenario (background AFCT)",
-                "qth",
-                &["background", "avg_fct_ms"][..],
+                cols("qth", &["background", "avg_fct_ms"]),
             ),
         ] {
-            let part_outs: Vec<JobOutcome> = outcomes
-                .iter()
-                .filter(|o| o.metrics.str_of("part") == part)
-                .cloned()
-                .collect();
-            if part_outs.is_empty() {
+            let of_part = outcomes.iter().filter(|o| o.metrics.str_of("part") == part);
+            let mut rows = table::rows(of_part, &cols);
+            if rows.is_empty() {
                 continue;
             }
-            let mut rows: Vec<Row> = by_label(&part_outs)
-                .into_iter()
-                .map(|(_, reps)| Row {
-                    workload: workload_by_name(reps[0].metrics.str_of("workload")),
-                    param: reps[0].metrics.str_of("param").to_string(),
-                    avg_fct_ms: mean_metric(&reps, metric),
-                    normalized_afct: f64::NAN,
-                })
-                .collect();
             normalize(&mut rows);
-            sections.push((title.to_string(), render(&rows, param_name)));
-            all_rows.extend(rows.iter().map(|r| {
-                Json::obj([
-                    ("part", Json::Str(part.to_string())),
-                    ("workload", Json::Str(r.workload.name().to_string())),
-                    ("param", Json::Str(r.param.clone())),
-                    ("avg_fct_ms", Json::F64(r.avg_fct_ms)),
-                    ("normalized_afct", Json::F64(r.normalized_afct)),
-                ])
-            }));
+            sections.push((title.to_string(), table::render(&rows, &cols)));
+            all_rows.append(&mut rows);
         }
         FigureReport {
             sections,
@@ -271,50 +234,29 @@ impl Figure for Fig10 {
     }
 }
 
-pub fn render(rows: &[Row], param_name: &str) -> String {
-    let mut t = Table::new(vec!["workload", param_name, "afct_ms", "normalized"]);
-    for r in rows {
-        t.row(vec![
-            r.workload.name().to_string(),
-            r.param.clone(),
-            rlb_metrics::ms(r.avg_fct_ms),
-            format!("{:.3}", r.normalized_afct),
-        ]);
-    }
-    t.render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn normalization_sets_min_to_one() {
+        let row = |workload: &str, afct: f64| {
+            Json::obj([
+                ("workload", Json::Str(workload.to_string())),
+                ("avg_fct_ms", Json::F64(afct)),
+            ])
+        };
         let mut rows = vec![
-            Row {
-                workload: Workload::WebServer,
-                param: "a".into(),
-                avg_fct_ms: 2.0,
-                normalized_afct: f64::NAN,
-            },
-            Row {
-                workload: Workload::WebServer,
-                param: "b".into(),
-                avg_fct_ms: 3.0,
-                normalized_afct: f64::NAN,
-            },
-            Row {
-                workload: Workload::DataMining,
-                param: "a".into(),
-                avg_fct_ms: 10.0,
-                normalized_afct: f64::NAN,
-            },
+            row("Web Server", 2.0),
+            row("Web Server", 3.0),
+            row("Data Mining", 10.0),
         ];
         normalize(&mut rows);
-        assert!((rows[0].normalized_afct - 1.0).abs() < 1e-12);
-        assert!((rows[1].normalized_afct - 1.5).abs() < 1e-12);
+        let normalized = |r: &Json| r.num("normalized_afct");
+        assert!((normalized(&rows[0]) - 1.0).abs() < 1e-12);
+        assert!((normalized(&rows[1]) - 1.5).abs() < 1e-12);
         assert!(
-            (rows[2].normalized_afct - 1.0).abs() < 1e-12,
+            (normalized(&rows[2]) - 1.0).abs() < 1e-12,
             "per-workload normalization"
         );
     }

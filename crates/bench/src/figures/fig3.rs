@@ -7,23 +7,38 @@
 //! *background* flows: (a) PFC pause rate, (b) 99th-percentile OOD,
 //! (c) average FCT, (d) 99th-percentile FCT.
 
-use super::common::{pick, run_metrics, Variant};
+use super::common::{pick, Variant};
+use super::table::{self, f0, ms, text, Col, Sweep};
 use super::{Figure, FigureReport};
 use crate::json::Json;
-use crate::runner::{by_label, mean_metric, Job, JobOutcome};
+use crate::runner::{Job, JobOutcome};
 use crate::Scale;
 use rlb_engine::SimTime;
-use rlb_metrics::{ms, Table};
 use rlb_net::scenario::{MotivationConfig, Scenario};
 
-pub struct Row {
-    pub scheme: String,
-    pub pfc: bool,
-    pub pause_rate_per_sec: f64,
-    pub p99_ood: f64,
-    pub avg_fct_ms: f64,
-    pub p99_fct_ms: f64,
-}
+const COLS: [Col; 6] = [
+    Col::coord("scheme", "scheme", text),
+    Col::coord("pfc", "pfc", text),
+    Col::mean(
+        "pause_rate_per_sec",
+        "pause_rate/s",
+        &["pause_rate_per_sec"],
+        f0,
+    ),
+    Col::mean("p99_ood", "p99_ood_pkts", &["background", "p99_ood"], f0),
+    Col::mean(
+        "avg_fct_ms",
+        "avg_fct_ms",
+        &["background", "avg_fct_ms"],
+        ms,
+    ),
+    Col::mean(
+        "p99_fct_ms",
+        "p99_fct_ms",
+        &["background", "p99_fct_ms"],
+        ms,
+    ),
+];
 
 pub fn config(scale: Scale) -> MotivationConfig {
     MotivationConfig {
@@ -52,7 +67,15 @@ impl Figure for Fig3 {
         "LB schemes with vs. without PFC (motivation dumbbell, background flows)"
     }
 
+    fn cols(&self) -> &'static [Col] {
+        &COLS
+    }
+
     fn jobs(&self, scale: Scale, seeds: &[u64], shards: u16) -> Vec<Job> {
+        let sweep = Sweep {
+            fig: self.name(),
+            shards,
+        };
         let mut jobs = Vec::new();
         for &scheme in &rlb_lb::Scheme::PAPER_SET {
             for pfc in [true, false] {
@@ -60,28 +83,21 @@ impl Figure for Fig3 {
                     let mut mc = config(scale);
                     mc.seed += offset;
                     let v = Variant::vanilla(scheme);
-                    let label = format!("{} pfc={}", v.label(), if pfc { "on" } else { "off" });
-                    let spec = format!("scheme={scheme:?}|rlb=None|pfc={pfc}|shards={shards}|{mc:?}");
-                    let seed = mc.seed;
-                    jobs.push(Job {
-                        fig: "fig3",
-                        label,
-                        seed,
-                        spec,
-                        run: Box::new(move || {
-                            let mut sc = Scenario::motivation(&mc, scheme, None);
+                    jobs.push(sweep.point(
+                        format!("{} pfc={}", v.label(), if pfc { "on" } else { "off" }),
+                        v.label(),
+                        vec![
+                            ("scheme", Json::Str(scheme.name().to_string())),
+                            ("pfc", Json::Bool(pfc)),
+                        ],
+                        mc.seed,
+                        (v, mc),
+                        move |(v, mc)| {
+                            let mut sc = Scenario::motivation(mc, v.scheme, None);
                             sc.cfg.switch.pfc_enabled = pfc;
-                            run_metrics(
-                                Variant::vanilla(scheme).label(),
-                                sc,
-                                shards,
-                                vec![
-                                    ("scheme", Json::Str(scheme.name().to_string())),
-                                    ("pfc", Json::Bool(pfc)),
-                                ],
-                            )
-                        }),
-                    });
+                            sc
+                        },
+                    ));
                 }
             }
         }
@@ -89,68 +105,10 @@ impl Figure for Fig3 {
     }
 
     fn reduce(&self, outcomes: &[JobOutcome]) -> FigureReport {
-        let rows: Vec<Row> = by_label(outcomes)
-            .into_iter()
-            .map(|(_, reps)| Row {
-                scheme: reps[0].metrics.str_of("scheme").to_string(),
-                pfc: reps[0]
-                    .metrics
-                    .get("pfc")
-                    .and_then(Json::as_bool)
-                    .expect("pfc flag in metrics"),
-                pause_rate_per_sec: mean_metric(&reps, &["pause_rate_per_sec"]),
-                p99_ood: mean_metric(&reps, &["background", "p99_ood"]),
-                avg_fct_ms: mean_metric(&reps, &["background", "avg_fct_ms"]),
-                p99_fct_ms: mean_metric(&reps, &["background", "p99_fct_ms"]),
-            })
-            .collect();
-        FigureReport {
-            sections: vec![(
-                "Fig. 3 — LB schemes with vs. without PFC (motivation dumbbell, background flows)"
-                    .to_string(),
-                render(&rows),
-            )],
-            rows: rows_json(&rows),
-            cdf_dumps: Vec::new(),
-        }
+        table::report(
+            "Fig. 3 — LB schemes with vs. without PFC (motivation dumbbell, background flows)",
+            outcomes,
+            &COLS,
+        )
     }
-}
-
-fn rows_json(rows: &[Row]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj([
-                    ("scheme", Json::Str(r.scheme.clone())),
-                    ("pfc", Json::Bool(r.pfc)),
-                    ("pause_rate_per_sec", Json::F64(r.pause_rate_per_sec)),
-                    ("p99_ood", Json::F64(r.p99_ood)),
-                    ("avg_fct_ms", Json::F64(r.avg_fct_ms)),
-                    ("p99_fct_ms", Json::F64(r.p99_fct_ms)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-pub fn render(rows: &[Row]) -> String {
-    let mut t = Table::new(vec![
-        "scheme",
-        "pfc",
-        "pause_rate/s",
-        "p99_ood_pkts",
-        "avg_fct_ms",
-        "p99_fct_ms",
-    ]);
-    for r in rows {
-        t.row(vec![
-            r.scheme.clone(),
-            if r.pfc { "on" } else { "off" }.to_string(),
-            format!("{:.0}", r.pause_rate_per_sec),
-            format!("{:.0}", r.p99_ood),
-            ms(r.avg_fct_ms),
-            ms(r.p99_fct_ms),
-        ]);
-    }
-    t.render()
 }

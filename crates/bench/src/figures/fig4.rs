@@ -5,21 +5,27 @@
 //! (5–30 of 40) and the burst count (1–6), reporting the out-of-order
 //! packet ratio of the background flows under each vanilla scheme.
 
-use super::common::{run_metrics, Variant};
+use super::common::Variant;
+use super::table::{self, pct, text, Col, Sweep};
 use super::{fig3, Figure, FigureReport};
 use crate::json::Json;
-use crate::runner::{by_label, mean_metric, Job, JobOutcome};
+use crate::runner::{Job, JobOutcome};
 use crate::Scale;
 use rlb_lb::Scheme;
-use rlb_metrics::{pct, Table};
 use rlb_net::scenario::Scenario;
 
-pub struct Row {
-    pub scheme: String,
-    /// Swept x value (affected paths or burst count).
-    pub x: u32,
-    pub ooo_ratio: f64,
-}
+/// `x` is the swept value: affected paths or burst count, by `part`.
+const COLS: [Col; 4] = [
+    Col::coord("part", "", text),
+    Col::coord("scheme", "scheme", text),
+    Col::coord("x", "x", text),
+    Col::mean(
+        "ooo_ratio",
+        "ooo_packets",
+        &["background", "ooo_ratio"],
+        pct,
+    ),
+];
 
 pub const AFFECTED_PATHS: [u32; 6] = [5, 10, 15, 20, 25, 30];
 pub const BURSTS: [u32; 6] = [1, 2, 3, 4, 5, 6];
@@ -38,7 +44,15 @@ impl Figure for Fig4 {
         "OOO packets vs. PFC-affected paths (a) and continuous bursts (b)"
     }
 
+    fn cols(&self) -> &'static [Col] {
+        &COLS
+    }
+
     fn jobs(&self, scale: Scale, seeds: &[u64], shards: u16) -> Vec<Job> {
+        let sweep = Sweep {
+            fig: self.name(),
+            shards,
+        };
         let mut jobs = Vec::new();
         for (part, xs) in [(PART_PATHS, AFFECTED_PATHS), (PART_BURSTS, BURSTS)] {
             for &scheme in &Scheme::PAPER_SET {
@@ -59,28 +73,19 @@ impl Figure for Fig4 {
                         } else {
                             mc.bursts = x;
                         }
-                        let label = format!("{part} {} x={x}", scheme.name());
-                        let spec =
-                            format!("part={part}|scheme={scheme:?}|rlb=None|shards={shards}|{mc:?}");
-                        let seed = mc.seed;
-                        jobs.push(Job {
-                            fig: "fig4",
-                            label,
-                            seed,
-                            spec,
-                            run: Box::new(move || {
-                                run_metrics(
-                                    Variant::vanilla(scheme).label(),
-                                    Scenario::motivation(&mc, scheme, None),
-                                    shards,
-                                    vec![
-                                        ("part", Json::Str(part.to_string())),
-                                        ("scheme", Json::Str(scheme.name().to_string())),
-                                        ("x", Json::U64(x as u64)),
-                                    ],
-                                )
-                            }),
-                        });
+                        let v = Variant::vanilla(scheme);
+                        jobs.push(sweep.point(
+                            format!("{part} {} x={x}", scheme.name()),
+                            v.label(),
+                            vec![
+                                ("part", Json::Str(part.to_string())),
+                                ("scheme", Json::Str(scheme.name().to_string())),
+                                ("x", Json::U64(x as u64)),
+                            ],
+                            mc.seed,
+                            (v, mc),
+                            |(v, mc)| Scenario::motivation(mc, v.scheme, None),
+                        ));
                     }
                 }
             }
@@ -89,9 +94,8 @@ impl Figure for Fig4 {
     }
 
     fn reduce(&self, outcomes: &[JobOutcome]) -> FigureReport {
-        let mut sections = Vec::new();
-        let mut all_rows = Vec::new();
-        for (part, title) in [
+        let rows = table::rows(outcomes, &COLS);
+        let parts = [
             (
                 PART_PATHS,
                 "Fig. 4(a) — out-of-order packets vs. number of affected paths",
@@ -100,42 +104,11 @@ impl Figure for Fig4 {
                 PART_BURSTS,
                 "Fig. 4(b) — out-of-order packets vs. number of continuous bursts",
             ),
-        ] {
-            let part_outs: Vec<JobOutcome> = outcomes
-                .iter()
-                .filter(|o| o.metrics.str_of("part") == part)
-                .cloned()
-                .collect();
-            let rows: Vec<Row> = by_label(&part_outs)
-                .into_iter()
-                .map(|(_, reps)| Row {
-                    scheme: reps[0].metrics.str_of("scheme").to_string(),
-                    x: reps[0].metrics.num("x") as u32,
-                    ooo_ratio: mean_metric(&reps, &["background", "ooo_ratio"]),
-                })
-                .collect();
-            sections.push((title.to_string(), render(&rows, part)));
-            all_rows.extend(rows.iter().map(|r| {
-                Json::obj([
-                    ("part", Json::Str(part.to_string())),
-                    ("scheme", Json::Str(r.scheme.clone())),
-                    ("x", Json::U64(r.x as u64)),
-                    ("ooo_ratio", Json::F64(r.ooo_ratio)),
-                ])
-            }));
-        }
+        ];
         FigureReport {
-            sections,
-            rows: Json::Arr(all_rows),
+            sections: table::part_sections(&rows, COLS, &parts),
+            rows: Json::Arr(rows),
             cdf_dumps: Vec::new(),
         }
     }
-}
-
-pub fn render(rows: &[Row], x_name: &str) -> String {
-    let mut t = Table::new(vec!["scheme", x_name, "ooo_packets"]);
-    for r in rows {
-        t.row(vec![r.scheme.clone(), r.x.to_string(), pct(r.ooo_ratio)]);
-    }
-    t.render()
 }

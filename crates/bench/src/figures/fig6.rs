@@ -2,25 +2,26 @@
 //! version, symmetric leaf–spine, Web Search at 60% core load.
 
 use super::common::{pick, Variant};
+use super::table::{self, ms, pct, text, Col, Sweep};
 use super::{Figure, FigureReport};
 use crate::json::Json;
-use crate::runner::{by_label, mean_metric, Job, JobOutcome};
+use crate::runner::{Job, JobOutcome};
 use crate::Scale;
 use rlb_engine::SimTime;
-use rlb_metrics::{ms, Table};
 use rlb_net::scenario::{Scenario, SteadyStateConfig};
 use rlb_net::TopoConfig;
 use rlb_workloads::Workload;
 
-pub struct Row {
-    pub label: String,
-    pub avg_fct_ms: f64,
-    pub p50_fct_ms: f64,
-    pub p99_fct_ms: f64,
-    pub ooo_ratio: f64,
-    pub pause_frames: u64,
-    pub cdf: Vec<(f64, f64)>,
-}
+const COLS: [Col; 7] = [
+    Col::coord("variant", "scheme", text),
+    Col::mean("avg_fct_ms", "avg_ms", &["all", "avg_fct_ms"], ms),
+    Col::mean("p50_fct_ms", "p50_ms", &["all", "p50_fct_ms"], ms),
+    Col::mean("p99_fct_ms", "p99_ms", &["all", "p99_fct_ms"], ms),
+    Col::mean("ooo_ratio", "ooo", &["all", "ooo_ratio"], pct),
+    Col::count("pause_frames", "pauses", &["counters", "pause_frames"]),
+    // JSON only: no head.
+    Col::coord("fct_cdf", "", text),
+];
 
 pub fn config(scale: Scale) -> SteadyStateConfig {
     SteadyStateConfig {
@@ -43,125 +44,55 @@ impl Figure for Fig6 {
         "FCT under the symmetric topology, Web Search @ 60% load (8 variants)"
     }
 
+    fn cols(&self) -> &'static [Col] {
+        &COLS
+    }
+
     fn jobs(&self, scale: Scale, seeds: &[u64], shards: u16) -> Vec<Job> {
+        let sweep = Sweep {
+            fig: self.name(),
+            shards,
+        };
         let mut jobs = Vec::new();
         for v in Variant::all_eight() {
             for &offset in seeds {
                 let mut sc = config(scale);
                 sc.seed += offset;
-                let label = v.label();
-                let spec =
-                    format!("scheme={:?}|rlb={:?}|shards={shards}|{sc:?}", v.scheme, v.rlb);
-                let seed = sc.seed;
-                let v = v.clone();
-                jobs.push(Job {
-                    fig: "fig6",
-                    label,
-                    seed,
-                    spec,
-                    run: Box::new(move || {
-                        super::common::run_metrics(
-                            v.label(),
-                            Scenario::steady_state(&sc, v.scheme, v.rlb.clone()),
-                            shards,
-                            Vec::new(),
-                        )
-                    }),
-                });
+                jobs.push(sweep.point(
+                    v.label(),
+                    v.label(),
+                    Vec::new(),
+                    sc.seed,
+                    (v.clone(), sc),
+                    |(v, sc)| Scenario::steady_state(sc, v.scheme, v.rlb.clone()),
+                ));
             }
         }
         jobs
     }
 
     fn reduce(&self, outcomes: &[JobOutcome]) -> FigureReport {
-        let rows: Vec<Row> = by_label(outcomes)
-            .into_iter()
-            .map(|(label, reps)| Row {
-                label: label.to_string(),
-                avg_fct_ms: mean_metric(&reps, &["all", "avg_fct_ms"]),
-                p50_fct_ms: mean_metric(&reps, &["all", "p50_fct_ms"]),
-                p99_fct_ms: mean_metric(&reps, &["all", "p99_fct_ms"]),
-                ooo_ratio: mean_metric(&reps, &["all", "ooo_ratio"]),
-                pause_frames: mean_metric(&reps, &["counters", "pause_frames"]).round() as u64,
-                // The CDF is a distribution, not a scalar: report the first
-                // replicate's curve rather than a point-wise mean.
-                cdf: reps[0]
-                    .metrics
-                    .get("fct_cdf")
-                    .and_then(Json::as_arr)
-                    .map(|pairs| {
-                        pairs
-                            .iter()
-                            .filter_map(|p| {
-                                let p = p.as_arr()?;
-                                Some((p.first()?.as_f64()?, p.get(1)?.as_f64()?))
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-            })
+        let title = "Fig. 6 — FCT under symmetric topology, Web Search @ 60% load";
+        let mut report = table::report(title, outcomes, &COLS);
+        report.cdf_dumps = report
+            .rows
+            .as_arr()
+            .unwrap_or(&[])
+            .iter()
+            .map(cdf_dump)
             .collect();
-        let cdf_dumps = rows.iter().map(render_cdf).collect();
-        FigureReport {
-            sections: vec![(
-                "Fig. 6 — FCT under symmetric topology, Web Search @ 60% load".to_string(),
-                render(&rows),
-            )],
-            rows: rows_json(&rows),
-            cdf_dumps,
-        }
+        report
     }
 }
 
-fn rows_json(rows: &[Row]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj([
-                    ("variant", Json::Str(r.label.clone())),
-                    ("avg_fct_ms", Json::F64(r.avg_fct_ms)),
-                    ("p50_fct_ms", Json::F64(r.p50_fct_ms)),
-                    ("p99_fct_ms", Json::F64(r.p99_fct_ms)),
-                    ("ooo_ratio", Json::F64(r.ooo_ratio)),
-                    ("pause_frames", Json::U64(r.pause_frames)),
-                    (
-                        "fct_cdf",
-                        Json::Arr(
-                            r.cdf
-                                .iter()
-                                .map(|&(x, p)| Json::Arr(vec![Json::F64(x), Json::F64(p)]))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect(),
-    )
-}
-
-pub fn render(rows: &[Row]) -> String {
-    let mut t = Table::new(vec![
-        "scheme", "avg_ms", "p50_ms", "p99_ms", "ooo", "pauses",
-    ]);
-    for r in rows {
-        t.row(vec![
-            r.label.clone(),
-            ms(r.avg_fct_ms),
-            ms(r.p50_fct_ms),
-            ms(r.p99_fct_ms),
-            rlb_metrics::pct(r.ooo_ratio),
-            r.pause_frames.to_string(),
-        ]);
-    }
-    t.render()
-}
-
-/// The CDF series for one variant, as "fct_ms cum_prob" lines (gnuplot
+/// The CDF series of one variant's row, as "fct_ms cum_prob" lines (gnuplot
 /// friendly), mirroring the curves in Fig. 6.
-pub fn render_cdf(row: &Row) -> String {
-    let mut out = format!("# {} FCT CDF\n", row.label);
-    for (x, p) in &row.cdf {
-        out.push_str(&format!("{x:.4} {p:.4}\n"));
+fn cdf_dump(row: &Json) -> String {
+    let mut out = format!("# {} FCT CDF\n", row.str_of("variant"));
+    for pair in row.get("fct_cdf").and_then(Json::as_arr).unwrap_or(&[]) {
+        if let Some([x, p]) = pair.as_arr() {
+            out.push_str(&format!("{:.4} {:.4}\n", table::num(x), table::num(p)));
+        }
     }
     out
 }

@@ -2,25 +2,25 @@
 //! (20% of leaf–spine links degraded 40→10 Gbps), DRILL and Hermes with
 //! and without RLB, across all four workloads.
 
-use super::common::{pick, run_metrics, workload_by_name, Variant};
+use super::common::{pick, Variant};
+use super::table::{self, ms, text, Col, Sweep};
 use super::{Figure, FigureReport};
 use crate::json::Json;
-use crate::runner::{by_label, mean_metric, Job, JobOutcome};
+use crate::runner::{Job, JobOutcome};
 use crate::Scale;
 use rlb_engine::SimTime;
 use rlb_lb::Scheme;
-use rlb_metrics::{ms, Table};
 use rlb_net::scenario::{asymmetric_topo, Scenario, SteadyStateConfig};
 use rlb_net::TopoConfig;
 use rlb_workloads::Workload;
 
-pub struct Row {
-    pub workload: Workload,
-    pub label: String,
-    pub load: f64,
-    pub avg_fct_ms: f64,
-    pub p99_fct_ms: f64,
-}
+const COLS: [Col; 5] = [
+    Col::coord("workload", "workload", text),
+    Col::coord("variant", "scheme", text),
+    Col::coord("load", "load", |v| format!("{:.1}", table::num(v))),
+    Col::mean("avg_fct_ms", "avg_fct_ms", &["all", "avg_fct_ms"], ms),
+    Col::mean("p99_fct_ms", "p99_fct_ms", &["all", "p99_fct_ms"], ms),
+];
 
 pub const LOADS: [f64; 6] = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7];
 
@@ -44,7 +44,15 @@ impl Figure for Fig7 {
         "AFCT vs. load, asymmetric topology (20% links at 10G), 4 workloads"
     }
 
+    fn cols(&self) -> &'static [Col] {
+        &COLS
+    }
+
     fn jobs(&self, scale: Scale, seeds: &[u64], shards: u16) -> Vec<Job> {
+        let sweep = Sweep {
+            fig: self.name(),
+            shards,
+        };
         let base = pick(scale, TopoConfig::default(), TopoConfig::paper_scale());
         let topo = asymmetric_topo(&base, 0.2, 42);
         let mut jobs = Vec::new();
@@ -59,31 +67,17 @@ impl Figure for Fig7 {
                             horizon: SimTime::from_ms(pick(scale, 8, 20)),
                             seed: 13 + offset,
                         };
-                        let label =
-                            format!("{} {} load={load:.1}", workload.name(), v.label());
-                        let spec = format!(
-                            "scheme={:?}|rlb={:?}|shards={shards}|{sc:?}",
-                            v.scheme, v.rlb
-                        );
-                        let seed = sc.seed;
-                        let v = v.clone();
-                        jobs.push(Job {
-                            fig: "fig7",
-                            label,
-                            seed,
-                            spec,
-                            run: Box::new(move || {
-                                run_metrics(
-                                    v.label(),
-                                    Scenario::steady_state(&sc, v.scheme, v.rlb.clone()),
-                                    shards,
-                                    vec![
-                                        ("workload", Json::Str(workload.name().to_string())),
-                                        ("load", Json::F64(load)),
-                                    ],
-                                )
-                            }),
-                        });
+                        jobs.push(sweep.point(
+                            format!("{} {} load={load:.1}", workload.name(), v.label()),
+                            v.label(),
+                            vec![
+                                ("workload", Json::Str(workload.name().to_string())),
+                                ("load", Json::F64(load)),
+                            ],
+                            sc.seed,
+                            (v.clone(), sc),
+                            |(v, sc)| Scenario::steady_state(sc, v.scheme, v.rlb.clone()),
+                        ));
                     }
                 }
             }
@@ -92,64 +86,21 @@ impl Figure for Fig7 {
     }
 
     fn reduce(&self, outcomes: &[JobOutcome]) -> FigureReport {
-        let rows: Vec<Row> = by_label(outcomes)
+        let rows = table::rows(outcomes, &COLS);
+        let sections = Workload::ALL
             .into_iter()
-            .map(|(_, reps)| Row {
-                workload: workload_by_name(reps[0].metrics.str_of("workload")),
-                label: reps[0].metrics.str_of("variant").to_string(),
-                load: reps[0].metrics.num("load"),
-                avg_fct_ms: mean_metric(&reps, &["all", "avg_fct_ms"]),
-                p99_fct_ms: mean_metric(&reps, &["all", "p99_fct_ms"]),
+            .filter(|w| table::having(&rows, "workload", w.name()).next().is_some())
+            .map(|w| {
+                (
+                    format!("Fig. 7 — AFCT vs. load, asymmetric topology ({})", w.name()),
+                    table::render(table::having(&rows, "workload", w.name()), &COLS),
+                )
             })
             .collect();
-        let mut sections = Vec::new();
-        for workload in Workload::ALL {
-            let wl_rows: Vec<&Row> = rows.iter().filter(|r| r.workload == workload).collect();
-            if wl_rows.is_empty() {
-                continue;
-            }
-            sections.push((
-                format!(
-                    "Fig. 7 — AFCT vs. load, asymmetric topology ({})",
-                    workload.name()
-                ),
-                render_refs(&wl_rows),
-            ));
-        }
         FigureReport {
             sections,
-            rows: Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("workload", Json::Str(r.workload.name().to_string())),
-                            ("variant", Json::Str(r.label.clone())),
-                            ("load", Json::F64(r.load)),
-                            ("avg_fct_ms", Json::F64(r.avg_fct_ms)),
-                            ("p99_fct_ms", Json::F64(r.p99_fct_ms)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            rows: Json::Arr(rows),
             cdf_dumps: Vec::new(),
         }
     }
-}
-
-fn render_refs(rows: &[&Row]) -> String {
-    let mut t = Table::new(vec!["workload", "scheme", "load", "avg_fct_ms", "p99_fct_ms"]);
-    for r in rows {
-        t.row(vec![
-            r.workload.name().to_string(),
-            r.label.clone(),
-            format!("{:.1}", r.load),
-            ms(r.avg_fct_ms),
-            ms(r.p99_fct_ms),
-        ]);
-    }
-    t.render()
-}
-
-pub fn render(rows: &[Row]) -> String {
-    render_refs(&rows.iter().collect::<Vec<_>>())
 }

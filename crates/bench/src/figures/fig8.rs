@@ -2,22 +2,29 @@
 //! varying the incast degree (10–25) and total response size (4–10 MB),
 //! for all eight scheme variants.
 
-use super::common::{pick, run_metrics, Variant};
+use super::common::{pick, Variant};
+use super::table::{self, ms, pct, text, Col, Sweep};
 use super::{Figure, FigureReport};
 use crate::json::Json;
-use crate::runner::{by_label, mean_metric, Job, JobOutcome};
+use crate::runner::{Job, JobOutcome};
 use crate::Scale;
 use rlb_engine::SimDuration;
-use rlb_metrics::{ms, pct, Table};
 use rlb_net::scenario::{IncastScenarioConfig, Scenario};
 use rlb_net::TopoConfig;
 
-pub struct Row {
-    pub label: String,
-    pub x: u64,
-    pub ooo_ratio: f64,
-    pub incast_completion_ms: f64,
-}
+/// `x` is the swept value: incast degree or response megabytes, by `part`.
+const COLS: [Col; 5] = [
+    Col::coord("part", "", text),
+    Col::coord("variant", "scheme", text),
+    Col::coord("x", "x", text),
+    Col::mean("ooo_ratio", "ooo_packets", &["all", "ooo_ratio"], pct),
+    Col::mean(
+        "incast_completion_ms",
+        "incast_completion_ms",
+        &["mean_group_completion_ms"],
+        ms,
+    ),
+];
 
 pub const DEGREES: [u32; 4] = [10, 15, 20, 25];
 pub const RESPONSE_MB: [u64; 4] = [4, 6, 8, 10];
@@ -54,7 +61,15 @@ impl Figure for Fig8 {
         "Incast OOO ratio and completion time vs. degree (a,c) and response size (b,d)"
     }
 
+    fn cols(&self) -> &'static [Col] {
+        &COLS
+    }
+
     fn jobs(&self, scale: Scale, seeds: &[u64], shards: u16) -> Vec<Job> {
+        let sweep = Sweep {
+            fig: self.name(),
+            shards,
+        };
         let mut jobs = Vec::new();
         for (part, xs) in [
             (PART_DEGREE, DEGREES.map(|d| d as u64)),
@@ -70,30 +85,14 @@ impl Figure for Fig8 {
                         } else {
                             ic.total_response_bytes = x * 1_000_000;
                         }
-                        let label = format!("{part} {} x={x}", v.label());
-                        let spec = format!(
-                            "part={part}|scheme={:?}|rlb={:?}|shards={shards}|{ic:?}",
-                            v.scheme, v.rlb
-                        );
-                        let seed = ic.seed;
-                        let v = v.clone();
-                        jobs.push(Job {
-                            fig: "fig8",
-                            label,
-                            seed,
-                            spec,
-                            run: Box::new(move || {
-                                run_metrics(
-                                    v.label(),
-                                    Scenario::incast(&ic, v.scheme, v.rlb.clone()),
-                                    shards,
-                                    vec![
-                                        ("part", Json::Str(part.to_string())),
-                                        ("x", Json::U64(x)),
-                                    ],
-                                )
-                            }),
-                        });
+                        jobs.push(sweep.point(
+                            format!("{part} {} x={x}", v.label()),
+                            v.label(),
+                            vec![("part", Json::Str(part.to_string())), ("x", Json::U64(x))],
+                            ic.seed,
+                            (v.clone(), ic),
+                            |(v, ic)| Scenario::incast(ic, v.scheme, v.rlb.clone()),
+                        ));
                     }
                 }
             }
@@ -102,9 +101,8 @@ impl Figure for Fig8 {
     }
 
     fn reduce(&self, outcomes: &[JobOutcome]) -> FigureReport {
-        let mut sections = Vec::new();
-        let mut all_rows = Vec::new();
-        for (part, title) in [
+        let rows = table::rows(outcomes, &COLS);
+        let parts = [
             (
                 PART_DEGREE,
                 "Fig. 8(a,c) — varying incast degree (total response 4MB)",
@@ -113,53 +111,15 @@ impl Figure for Fig8 {
                 PART_RESPONSE,
                 "Fig. 8(b,d) — varying total response size (degree 15)",
             ),
-        ] {
-            let part_outs: Vec<JobOutcome> = outcomes
-                .iter()
-                .filter(|o| o.metrics.str_of("part") == part)
-                .cloned()
-                .collect();
-            let rows: Vec<Row> = by_label(&part_outs)
-                .into_iter()
-                .map(|(_, reps)| Row {
-                    label: reps[0].metrics.str_of("variant").to_string(),
-                    x: reps[0]
-                        .metrics
-                        .get("x")
-                        .and_then(Json::as_u64)
-                        .expect("x in metrics"),
-                    ooo_ratio: mean_metric(&reps, &["all", "ooo_ratio"]),
-                    incast_completion_ms: mean_metric(&reps, &["mean_group_completion_ms"]),
-                })
-                .collect();
-            sections.push((title.to_string(), render(&rows, part)));
-            all_rows.extend(rows.iter().map(|r| {
-                Json::obj([
-                    ("part", Json::Str(part.to_string())),
-                    ("variant", Json::Str(r.label.clone())),
-                    ("x", Json::U64(r.x)),
-                    ("ooo_ratio", Json::F64(r.ooo_ratio)),
-                    ("incast_completion_ms", Json::F64(r.incast_completion_ms)),
-                ])
-            }));
-        }
+        ];
+        // The tables lead with the swept axis; the JSON rows keep the
+        // variant first.
+        let mut cols = COLS;
+        cols.swap(1, 2);
         FigureReport {
-            sections,
-            rows: Json::Arr(all_rows),
+            sections: table::part_sections(&rows, cols, &parts),
+            rows: Json::Arr(rows),
             cdf_dumps: Vec::new(),
         }
     }
-}
-
-pub fn render(rows: &[Row], x_name: &str) -> String {
-    let mut t = Table::new(vec![x_name, "scheme", "ooo_packets", "incast_completion_ms"]);
-    for r in rows {
-        t.row(vec![
-            r.x.to_string(),
-            r.label.clone(),
-            pct(r.ooo_ratio),
-            ms(r.incast_completion_ms),
-        ]);
-    }
-    t.render()
 }

@@ -2,26 +2,30 @@
 //! recirculation enabled vs. disabled ("RLB w/o Recir."), 99th-percentile
 //! FCT at 40/60/80 % load, Web Server and Data Mining workloads.
 
-use super::common::{pick, run_metrics, workload_by_name};
+use super::common::{pick, Variant};
+use super::table::{self, ms, text, Col, Sweep};
 use super::{Figure, FigureReport};
 use crate::json::Json;
-use crate::runner::{by_label, mean_metric, Job, JobOutcome};
+use crate::runner::{Job, JobOutcome};
 use crate::Scale;
 use rlb_core::RlbConfig;
 use rlb_engine::SimTime;
 use rlb_lb::Scheme;
-use rlb_metrics::{ms, Table};
 use rlb_net::scenario::{Scenario, SteadyStateConfig};
 use rlb_net::TopoConfig;
 use rlb_workloads::Workload;
 
-pub struct Row {
-    pub workload: Workload,
-    pub label: String,
-    pub load: f64,
-    pub p99_fct_ms: f64,
-    pub recirculations: u64,
-}
+const COLS: [Col; 5] = [
+    Col::coord("workload", "workload", text),
+    Col::coord("variant", "scheme", text),
+    Col::coord("load", "load", |v| format!("{:.0}%", table::num(v) * 100.0)),
+    Col::mean("p99_fct_ms", "p99_fct_ms", &["all", "p99_fct_ms"], ms),
+    Col::count(
+        "recirculations",
+        "recirculations",
+        &["counters", "recirculations"],
+    ),
+];
 
 pub const LOADS: [f64; 3] = [0.4, 0.6, 0.8];
 pub const WORKLOADS: [Workload; 2] = [Workload::WebServer, Workload::DataMining];
@@ -37,7 +41,15 @@ impl Figure for Fig9 {
         "Recirculation ablation: RLB vs. RLB w/o Recir., p99 FCT by load"
     }
 
+    fn cols(&self) -> &'static [Col] {
+        &COLS
+    }
+
     fn jobs(&self, scale: Scale, seeds: &[u64], shards: u16) -> Vec<Job> {
+        let sweep = Sweep {
+            fig: self.name(),
+            shards,
+        };
         let mut jobs = Vec::new();
         for workload in WORKLOADS {
             for scheme in [Scheme::Presto, Scheme::Hermes] {
@@ -48,7 +60,7 @@ impl Figure for Fig9 {
                                 enable_recirculation: recirc,
                                 ..RlbConfig::default()
                             };
-                            let variant_label = format!(
+                            let variant = format!(
                                 "{}+RLB{}",
                                 scheme.name(),
                                 if recirc { "" } else { " w/o Recir." }
@@ -60,33 +72,23 @@ impl Figure for Fig9 {
                                 horizon: SimTime::from_ms(pick(scale, 16, 30)),
                                 seed: 23 + offset,
                             };
-                            let label = format!(
-                                "{} {variant_label} load={load:.1}",
-                                workload.name()
-                            );
-                            let spec =
-                                format!("scheme={scheme:?}|rlb={rlb:?}|shards={shards}|{sc:?}");
-                            let seed = sc.seed;
-                            jobs.push(Job {
-                                fig: "fig9",
-                                label,
-                                seed,
-                                spec,
-                                run: Box::new(move || {
-                                    run_metrics(
-                                        variant_label.clone(),
-                                        Scenario::steady_state(&sc, scheme, Some(rlb.clone())),
-                                        shards,
-                                        vec![
-                                            (
-                                                "workload",
-                                                Json::Str(workload.name().to_string()),
-                                            ),
-                                            ("load", Json::F64(load)),
-                                        ],
-                                    )
-                                }),
-                            });
+                            jobs.push(sweep.point(
+                                format!("{} {variant} load={load:.1}", workload.name()),
+                                variant,
+                                vec![
+                                    ("workload", Json::Str(workload.name().to_string())),
+                                    ("load", Json::F64(load)),
+                                ],
+                                sc.seed,
+                                (
+                                    Variant {
+                                        scheme,
+                                        rlb: Some(rlb),
+                                    },
+                                    sc,
+                                ),
+                                |(v, sc)| Scenario::steady_state(sc, v.scheme, v.rlb.clone()),
+                            ));
                         }
                     }
                 }
@@ -96,50 +98,10 @@ impl Figure for Fig9 {
     }
 
     fn reduce(&self, outcomes: &[JobOutcome]) -> FigureReport {
-        let rows: Vec<Row> = by_label(outcomes)
-            .into_iter()
-            .map(|(_, reps)| Row {
-                workload: workload_by_name(reps[0].metrics.str_of("workload")),
-                label: reps[0].metrics.str_of("variant").to_string(),
-                load: reps[0].metrics.num("load"),
-                p99_fct_ms: mean_metric(&reps, &["all", "p99_fct_ms"]),
-                recirculations: mean_metric(&reps, &["counters", "recirculations"]).round()
-                    as u64,
-            })
-            .collect();
-        FigureReport {
-            sections: vec![(
-                "Fig. 9 — effectiveness of packet recirculation (99p FCT)".to_string(),
-                render(&rows),
-            )],
-            rows: Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("workload", Json::Str(r.workload.name().to_string())),
-                            ("variant", Json::Str(r.label.clone())),
-                            ("load", Json::F64(r.load)),
-                            ("p99_fct_ms", Json::F64(r.p99_fct_ms)),
-                            ("recirculations", Json::U64(r.recirculations)),
-                        ])
-                    })
-                    .collect(),
-            ),
-            cdf_dumps: Vec::new(),
-        }
+        table::report(
+            "Fig. 9 — effectiveness of packet recirculation (99p FCT)",
+            outcomes,
+            &COLS,
+        )
     }
-}
-
-pub fn render(rows: &[Row]) -> String {
-    let mut t = Table::new(vec!["workload", "scheme", "load", "p99_fct_ms", "recirculations"]);
-    for r in rows {
-        t.row(vec![
-            r.workload.name().to_string(),
-            r.label.clone(),
-            format!("{:.0}%", r.load * 100.0),
-            ms(r.p99_fct_ms),
-            r.recirculations.to_string(),
-        ]);
-    }
-    t.render()
 }

@@ -2,13 +2,16 @@
 //! numbered tables), unified behind the [`Figure`] trait.
 //!
 //! Each figure describes itself as a set of [`Job`]s — one per (variant,
-//! sweep point, seed) — and a `reduce` step that folds the jobs' metrics
-//! back into the figure's rows and rendered tables. The runner
-//! (`crate::runner`) executes any job set in parallel with caching; the
-//! binaries and `crate::drive` never hand-match on figure names — they go
-//! through [`registry`].
+//! sweep point, seed) — its columns, and a `reduce` step that folds the
+//! jobs' metrics back into the figure's rows and rendered tables. The
+//! generic halves of both — point → job, outcomes → rows → table — live
+//! in [`table`]; a figure module is its sweep loops, its config, a
+//! `&[Col]` and its section titles. The runner (`crate::runner`) executes
+//! any job set in parallel with caching; `crate::drive` never hand-matches
+//! on figure names — it goes through [`registry`].
 
 pub mod common;
+pub mod dumbbell;
 pub mod fig10;
 pub mod fig3;
 pub mod fig4;
@@ -17,6 +20,7 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod fig_fail;
+pub mod table;
 
 use crate::json::Json;
 use crate::runner::{Job, JobOutcome};
@@ -51,13 +55,18 @@ pub trait Figure: Sync {
     /// telemetry, even though the simulation output is byte-identical.
     fn jobs(&self, scale: Scale, seeds: &[u64], shards: u16) -> Vec<Job>;
 
+    /// The members of each JSON row, in order; the headed ones are the
+    /// printed table's columns (a figure with parts may retitle or reorder
+    /// them per section).
+    fn cols(&self) -> &'static [table::Col];
+
     /// Fold this figure's outcomes (all seeds) back into rows/tables.
     fn reduce(&self, outcomes: &[JobOutcome]) -> FigureReport;
 }
 
-/// Every figure, in paper order, then the extras the paper never ran
-/// (`fig_fail`). The single source of truth driving bare `bench` (every
-/// figure) and `--figs` filtering.
+/// Every figure, in paper order, then the tables the paper never ran:
+/// `fig_fail` and the three dumbbell tables. The single source of truth
+/// driving bare `bench` (every figure) and `--figs` filtering.
 pub fn registry() -> &'static [&'static dyn Figure] {
     &[
         &fig3::Fig3,
@@ -68,6 +77,9 @@ pub fn registry() -> &'static [&'static dyn Figure] {
         &fig9::Fig9,
         &fig10::Fig10,
         &fig_fail::FigFail,
+        &dumbbell::SANITY,
+        &dumbbell::ABLATIONS,
+        &dumbbell::IRN_COMPARE,
     ]
 }
 
@@ -91,7 +103,10 @@ mod tests {
         assert!(by_name("fig99").is_none());
         assert_eq!(
             names,
-            vec!["fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "fig_fail"]
+            vec![
+                "fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "fig_fail", "sanity",
+                "ablations", "irn_compare"
+            ]
         );
     }
 
@@ -115,6 +130,74 @@ mod tests {
             ids.sort();
             ids.dedup();
             assert_eq!(ids.len(), before, "{}: duplicate (label, seed)", fig.name());
+        }
+    }
+
+    /// What `run_jobs` would return for `fig` at two seeds, without
+    /// running anything: each job's coordinates at the head of a canned
+    /// run's metrics (a little different per seed, so means are means).
+    fn synthetic_outcomes(fig: &dyn Figure) -> Vec<JobOutcome> {
+        fig.jobs(Scale::Quick, &[0, 1], 1)
+            .into_iter()
+            .map(|j| {
+                let mut res = common::canned_result();
+                res.counters.pause_frames += j.seed;
+                res.records[0].finish_ps = Some(2_000_000_000 + j.seed * 1_000_000);
+                // The dumbbell tables measure this one after the run.
+                let extras = j.coords.iter().cloned().chain([("retx_pkts", Json::U64(j.seed))]);
+                JobOutcome {
+                    fig: j.fig,
+                    key_hex: j.key_hex(),
+                    metrics: common::metrics_of(&j.label, &res, extras.collect()),
+                    label: j.label,
+                    seed: j.seed,
+                    wall_ms: 0.0,
+                    cached: false,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_figure_reduces_to_its_declared_columns_cold_and_warm_alike() {
+        for fig in registry() {
+            let name = fig.name();
+            let cold = synthetic_outcomes(*fig);
+            let report = fig.reduce(&cold);
+
+            let labels = crate::runner::by_label(&cold).len();
+            let rows = report.rows.as_arr().expect("rows are an array");
+            assert_eq!(rows.len(), labels, "{name}: one row per point label");
+            let keys: Vec<&str> = fig.cols().iter().map(|c| c.key).collect();
+            for row in rows {
+                assert_eq!(row.keys(), keys, "{name}: row members are the declared columns");
+                assert!(keys.iter().all(|k| row.get(k) != Some(&Json::Null)), "{name}: {row:?}");
+            }
+
+            let headed = fig.cols().iter().filter(|c| !c.head.is_empty()).count();
+            assert!(!report.sections.is_empty(), "{name}: no table");
+            let mut printed = 0;
+            for (title, table) in &report.sections {
+                let mut lines = table.lines();
+                let heads = lines.next().expect("header line").split("  ");
+                assert_eq!(heads.filter(|h| !h.is_empty()).count(), headed, "{name}: {title}");
+                printed += lines.count() - 1; // the rule under the header
+            }
+            assert_eq!(printed, labels, "{name}: every row is printed in one section");
+
+            // Served from the cache, whole floats come back as `U64` and
+            // NaN as `null`; the report must not notice.
+            let warm: Vec<JobOutcome> = cold
+                .iter()
+                .map(|o| JobOutcome {
+                    metrics: crate::json::parse(&o.metrics.pretty()).expect("round-trips"),
+                    ..o.clone()
+                })
+                .collect();
+            let rewarmed = fig.reduce(&warm);
+            assert_eq!(rewarmed.rows.pretty(), report.rows.pretty(), "{name}: rows");
+            assert_eq!(rewarmed.sections, report.sections, "{name}: tables");
+            assert_eq!(rewarmed.cdf_dumps, report.cdf_dumps, "{name}: CDF dumps");
         }
     }
 

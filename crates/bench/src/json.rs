@@ -28,6 +28,15 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+impl From<rlb_metrics::Num> for Json {
+    fn from(n: rlb_metrics::Num) -> Json {
+        match n {
+            rlb_metrics::Num::U64(v) => Json::U64(v),
+            rlb_metrics::Num::F64(v) => Json::F64(v),
+        }
+    }
+}
+
 impl Json {
     /// Object from key/value pairs (insertion order preserved).
     pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
@@ -39,6 +48,14 @@ impl Json {
         match self {
             Json::Obj(m) => m.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
+        }
+    }
+
+    /// Member names of an object, in order (none for other variants).
+    pub fn keys(&self) -> Vec<&str> {
+        match self {
+            Json::Obj(m) => m.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => Vec::new(),
         }
     }
 
@@ -86,13 +103,6 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::U64(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }

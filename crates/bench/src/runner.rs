@@ -16,17 +16,18 @@
 //! `spec` is the canonical serialization (the `Debug` rendering — field
 //! names and values — of every config struct feeding the run: topology,
 //! scenario, scheme, RLB parameters). Any field change therefore produces
-//! a new key; renaming/adding config fields invalidates naturally.
-//! `CACHE_SCHEMA_VERSION` is bumped when the *metrics* layout changes, so
-//! stale entries are never misread. Each cache file stores the full spec
-//! and is verified on read — a 64-bit collision degrades to a cache miss,
-//! never to wrong data.
+//! a new key; renaming/adding config fields invalidates naturally. Each
+//! cache file stores the full spec and is verified on read — a 64-bit
+//! collision degrades to a cache miss, never to wrong data — and so is the
+//! layout of its metrics object: an entry written before a counter was
+//! added (or damaged on disk) is a miss too.
 //!
 //! Invalidation: delete the cache directory (`rm -rf target/bench-cache`)
 //! or run with `--no-cache`. Simulator code changes do NOT automatically
 //! invalidate entries (the key covers configuration, not binaries); wipe
 //! the directory after changing simulation logic.
 
+use crate::figures::common::metrics_complete;
 use crate::json::{self, Json};
 use crate::sweep;
 use std::io::Write as _;
@@ -34,19 +35,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Bumped whenever the job metrics layout or key derivation changes;
-/// reports embed it as `schema_version` and cache entries refuse to load
-/// across versions. v2: metrics gained the per-job `perf` block
-/// (events_processed / wall_ms / events_per_sec). v3: the perf block
-/// gained the decision / snapshot-cache counters (decisions,
-/// snapshot_reuses, snapshot_refreshes, snapshot_rebuilds). v4: the
-/// counters block gained faults_applied (fault-injection timelines).
-/// v5: the perf block gained the dirty-spine refresh split
-/// (snapshot_dirty_queue_spines, snapshot_dirty_sig_spines) and the
-/// packet-arena occupancy stats (arena_high_water, arena_capacity).
-/// v6: the perf block gained the sharded-driver counters (shards,
-/// window_advances, cross_shard_messages, barrier_stalls,
-/// aggregate_events_per_sec) and every job spec gained the shards field.
+/// Version of the cache-entry envelope and of the key derivation; reports
+/// embed it as `schema_version` and entries refuse to load across
+/// versions. The metrics layout needs no bump any more: `load_cached`
+/// checks each entry against the key set `metrics_of` writes today, so one
+/// stored under an older field list is a miss.
 pub const CACHE_SCHEMA_VERSION: u32 = 6;
 
 /// FNV-1a 64-bit — small, dependency-free, stable across platforms.
@@ -71,6 +64,10 @@ pub struct Job {
     /// Canonical serialized configuration (see module docs). Everything
     /// that influences the simulation result must be captured here.
     pub spec: String,
+    /// The sweep coordinates `run` puts at the head of its metrics object
+    /// (`figures::table::Sweep` also writes them into `spec`). A cache
+    /// entry whose metrics do not lead with them is a miss.
+    pub coords: Vec<(&'static str, Json)>,
     /// Executes the simulation and reduces it to a metrics object.
     pub run: Box<dyn Fn() -> Json + Send + Sync>,
 }
@@ -209,7 +206,8 @@ pub fn run_jobs(jobs: Vec<Job>, cfg: &RunnerConfig) -> Result<RunSummary, String
 }
 
 /// Read a cache entry; `None` on any mismatch (missing file, parse error,
-/// version or spec mismatch) — the caller then recomputes and overwrites.
+/// version or spec mismatch, metrics not laid out as `metrics_of` lays
+/// them out today) — the caller then recomputes and overwrites.
 fn load_cached(path: &Path, job: &Job) -> Option<Json> {
     let text = std::fs::read_to_string(path).ok()?;
     let entry = json::parse(&text).ok()?;
@@ -225,7 +223,10 @@ fn load_cached(path: &Path, job: &Job) -> Option<Json> {
     {
         return None;
     }
-    entry.get("metrics").cloned()
+    entry
+        .get("metrics")
+        .filter(|m| metrics_complete(m, &job.coords))
+        .cloned()
 }
 
 /// Write-through via a temp file + rename so concurrent writers of the
@@ -256,7 +257,9 @@ fn store_cached(path: &Path, job: &Job, metrics: &Json, wall_ms: f64) {
 
 /// Group outcomes by point label, preserving first-seen order — the
 /// standard reduce step for multi-seed sweeps.
-pub fn by_label(outcomes: &[JobOutcome]) -> Vec<(&str, Vec<&JobOutcome>)> {
+pub fn by_label<'a>(
+    outcomes: impl IntoIterator<Item = &'a JobOutcome>,
+) -> Vec<(&'a str, Vec<&'a JobOutcome>)> {
     let mut groups: Vec<(&str, Vec<&JobOutcome>)> = Vec::new();
     for o in outcomes {
         match groups.iter_mut().find(|(l, _)| *l == o.label) {
@@ -289,15 +292,31 @@ pub fn mean_metric(replicates: &[&JobOutcome], path: &[&str]) -> f64 {
 mod tests {
     use super::*;
 
+    use crate::figures::common::{canned_result, metrics_of};
+
     fn job(fig: &'static str, label: &str, seed: u64, spec: &str, value: u64) -> Job {
-        let spec = spec.to_string();
+        let coords = vec![("value", Json::U64(value))];
         Job {
             fig,
             label: label.to_string(),
             seed,
-            spec,
-            run: Box::new(move || Json::obj([("value", Json::U64(value))])),
+            spec: spec.to_string(),
+            coords: coords.clone(),
+            run: Box::new(move || metrics_of("toy", &canned_result(), coords.clone())),
         }
+    }
+
+    /// `j` without the member at `path`.
+    fn without(j: &Json, path: &[&str]) -> Json {
+        let Json::Obj(members) = j else {
+            panic!("`{}` is not in an object", path[0])
+        };
+        let keep = |(k, v): &(String, Json)| match path {
+            [last] => (k != last).then(|| (k.clone(), v.clone())),
+            [head, rest @ ..] if k == head => Some((k.clone(), without(v, rest))),
+            _ => Some((k.clone(), v.clone())),
+        };
+        Json::Obj(members.iter().filter_map(keep).collect())
     }
 
     #[test]
@@ -330,7 +349,9 @@ mod tests {
         let path = dir.join(format!("{}.json", j.key_hex()));
         let metrics = (j.run)();
         store_cached(&path, &j, &metrics, 12.5);
-        assert_eq!(load_cached(&path, &j), Some(metrics.clone()));
+        // As text: NaN is stored as `null` and no two NaNs are equal.
+        let loaded = load_cached(&path, &j).expect("hit");
+        assert_eq!(loaded.pretty(), metrics.pretty());
         // Same file, different spec → treated as a miss.
         let j2 = job("fig3", "DRILL", 1, "spec-b", 7);
         assert_eq!(load_cached(&path, &j2), None);
@@ -351,11 +372,47 @@ mod tests {
         assert_eq!((cold.executed, cold.cache_hits), (2, 0));
         let warm = run_jobs(mk(), &cfg).expect("warm run");
         assert_eq!((warm.executed, warm.cache_hits), (0, 2));
-        assert_eq!(warm.outcomes[0].metrics, cold.outcomes[0].metrics);
+        assert_eq!(warm.outcomes[0].metrics.pretty(), cold.outcomes[0].metrics.pretty());
         assert!(warm.outcomes.iter().all(|o| o.cached));
         // Outcomes stay in job order either way.
         assert_eq!(warm.outcomes[0].label, "a");
         assert_eq!(warm.outcomes[1].label, "b");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_entry_missing_a_declared_key_is_recomputed_and_overwritten() {
+        let dir = std::env::temp_dir().join(format!("rlb-bench-stale-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = RunnerConfig {
+            threads: Some(1),
+            cache_dir: Some(dir.clone()),
+            progress: false,
+        };
+        let mk = || vec![job("fig3", "a", 1, "s", 1)];
+        let path = dir.join(format!("{}.json", mk()[0].key_hex()));
+        assert_eq!(run_jobs(mk(), &cfg).expect("cold run").executed, 1);
+        let valid = std::fs::read_to_string(&path).expect("entry written");
+        for path_in_entry in [
+            &["metrics", "background", "p99_ood"][..],
+            &["metrics", "perf", "snapshot_rebuilds"],
+            &["metrics", "counters"],
+            &["metrics", "value"],
+        ] {
+            let entry = json::parse(&valid).expect("valid entry");
+            let damaged = without(&entry, path_in_entry).pretty();
+            assert_ne!(damaged, valid);
+            std::fs::write(&path, damaged).expect("rewrite entry");
+            let rerun = run_jobs(mk(), &cfg).expect("damaged entry must not fail the batch");
+            assert_eq!(rerun.executed, 1, "{path_in_entry:?}: served as a hit");
+            let restored = std::fs::read_to_string(&path).expect("entry rewritten");
+            assert_eq!(
+                json::parse(&restored).expect("entry").get("metrics").map(Json::pretty),
+                json::parse(&valid).expect("entry").get("metrics").map(Json::pretty),
+                "{path_in_entry:?}: not overwritten"
+            );
+        }
+        assert_eq!(run_jobs(mk(), &cfg).expect("warm run").executed, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,5 +1,6 @@
 //! Per-flow records and the flow-completion-time summaries the paper plots.
 
+use crate::record;
 use crate::stats::{mean, percentile};
 use serde::Serialize;
 
@@ -71,24 +72,27 @@ pub fn slowdown_summary(
     (mean(&s), percentile(&s, 0.99))
 }
 
-/// Aggregate FCT statistics over a set of completed flows.
-#[derive(Debug, Clone, Serialize)]
-pub struct FctSummary {
-    pub flows_total: usize,
-    pub flows_completed: usize,
-    pub avg_fct_ms: f64,
-    pub p50_fct_ms: f64,
-    pub p95_fct_ms: f64,
-    pub p99_fct_ms: f64,
-    pub max_fct_ms: f64,
-    /// Fraction of delivered-attempt packets that arrived out of order.
-    pub ooo_ratio: f64,
-    /// 99th-percentile of per-flow max out-of-order degree (packets).
-    pub p99_ood: f64,
-    pub total_ooo_packets: u64,
-    pub total_packets_sent: u64,
-    pub total_naks: u64,
-    pub total_recirculations: u64,
+record! {
+    /// Aggregate FCT statistics over a set of completed flows. Means and
+    /// percentiles of one flow set: two summaries do not combine.
+    #[derive(Debug, Clone, Serialize)]
+    pub struct FctSummary {
+        Keep flows_total: usize,
+        Keep flows_completed: usize,
+        Keep avg_fct_ms: f64,
+        Keep p50_fct_ms: f64,
+        Keep p95_fct_ms: f64,
+        Keep p99_fct_ms: f64,
+        Keep max_fct_ms: f64,
+        /// Fraction of delivered-attempt packets that arrived out of order.
+        Keep ooo_ratio: f64,
+        /// 99th-percentile of per-flow max out-of-order degree (packets).
+        Keep p99_ood: f64,
+        Keep total_ooo_packets: u64,
+        Keep total_packets_sent: u64,
+        Keep total_naks: u64,
+        Keep total_recirculations: u64,
+    }
 }
 
 impl FctSummary {

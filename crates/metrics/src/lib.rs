@@ -7,18 +7,22 @@
 //!   percentiles.
 //! * [`FabricCounters`] — PFC pause/resume activity, CNM warnings,
 //!   recirculation and reroute counts, buffer drops.
+//! * [`record!`] — the one field list behind each result record: the
+//!   struct, its `(name, value)` listing and its field-wise merge.
 //! * [`OnlineStats`], [`percentile`], [`LogHistogram`] — scalar statistics.
 //! * [`Table`] — aligned ASCII output for the `figN` experiment harnesses.
 
 pub mod counters;
 pub mod flows;
 pub mod histogram;
+pub mod record;
 pub mod stats;
 pub mod table;
 
 pub use counters::FabricCounters;
 pub use flows::{downsample_cdf, fct_cdf, slowdown_summary, FctSummary, FlowRecord};
 pub use histogram::LogHistogram;
+pub use record::{Merge, Num};
 pub use stats::{kahan_sum, mean, percentile, percentile_of_sorted, OnlineStats};
 pub use table::{ms, pct, Table};
 

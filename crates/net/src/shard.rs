@@ -430,10 +430,12 @@ pub(crate) fn drive(mut sims: Vec<Simulation>) -> RunResult {
     }
 
     let mut counters = FabricCounters::default();
+    let mut perf = PerfStats::default();
     let mut ood_histogram = LogHistogram::default();
     let mut pfc_pauses_by_port = std::collections::BTreeMap::new();
     for p in &parts {
-        counters.merge(&p.counters);
+        counters.absorb(&p.counters);
+        perf.absorb(&p.perf);
         ood_histogram.merge(&p.ood_histogram);
         for (&k, &v) in &p.pfc_pauses_by_port {
             *pfc_pauses_by_port.entry(k).or_insert(0) += v;
@@ -442,17 +444,10 @@ pub(crate) fn drive(mut sims: Vec<Simulation>) -> RunResult {
 
     let events_processed: u64 = parts.iter().map(|p| p.events).sum();
     let per_sec = |events: u64, secs: f64| if secs > 0.0 { events as f64 / secs } else { 0.0 };
+    // What no replica can count for itself.
     let perf = PerfStats {
         wall_ms: wall * 1e3,
         events_per_sec: per_sec(events_processed, wall),
-        decisions: parts.iter().map(|p| p.perf_decisions).sum(),
-        snapshot_reuses: parts.iter().map(|p| p.snap_reuses).sum(),
-        snapshot_refreshes: parts.iter().map(|p| p.snap_refreshes).sum(),
-        snapshot_rebuilds: parts.iter().map(|p| p.snap_rebuilds).sum(),
-        snapshot_dirty_queue_spines: parts.iter().map(|p| p.snap_dirty_q_spines).sum(),
-        snapshot_dirty_sig_spines: parts.iter().map(|p| p.snap_dirty_sig_spines).sum(),
-        arena_high_water: parts.iter().map(|p| p.arena_high_water).max().unwrap_or(0),
-        arena_capacity: parts.iter().map(|p| p.arena_capacity).max().unwrap_or(0),
         shards: n as u64,
         // Synchronization telemetry: a lone shard's whole-horizon window
         // meets nobody at its barrier.
@@ -466,6 +461,7 @@ pub(crate) fn drive(mut sims: Vec<Simulation>) -> RunResult {
             .zip(&parts)
             .map(|(o, p)| per_sec(p.events, o.busy_secs))
             .sum(),
+        ..perf
     };
 
     // Groups are replicated on every shard; monitoring and tracing pin a

@@ -29,7 +29,7 @@ use rlb_engine::{
     SimTime,
 };
 use rlb_lb::{Ctx, PathInfo};
-use rlb_metrics::{FabricCounters, FctSummary, FlowRecord, LogHistogram};
+use rlb_metrics::{record, FabricCounters, FctSummary, FlowRecord, LogHistogram};
 use rlb_workloads::FlowSpec;
 
 /// Simulation events.
@@ -141,55 +141,62 @@ enum JEffect {
     Fault,
 }
 
-/// Wall-clock performance telemetry for one run.
-///
-/// Measurement only: nothing in the simulation reads these values, so
-/// determinism of the simulated results is unaffected by host speed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PerfStats {
-    /// Wall-clock time spent inside the window driver, milliseconds.
-    pub wall_ms: f64,
-    /// Events dispatched per wall-clock second.
-    pub events_per_sec: f64,
-    /// Source-leaf load-balancing decisions taken (one per data packet
-    /// leaving a leaf via the fabric, including recirculation re-decides).
-    pub decisions: u64,
-    /// Decisions served from a byte-identical cached path snapshot.
-    pub snapshot_reuses: u64,
-    /// Decisions where only the dirty spines were rewritten in place;
-    /// everything else in the snapshot was reused.
-    pub snapshot_refreshes: u64,
-    /// Decisions that rebuilt the path snapshot from scratch (first touch
-    /// of a (leaf, dst_leaf) pair, or a fault-epoch change).
-    pub snapshot_rebuilds: u64,
-    /// Spines whose egress-queue generation was stale across all refresh
-    /// decisions (the queue-side dirty-bit split of the refresh work).
-    pub snapshot_dirty_queue_spines: u64,
-    /// Spines whose warning/RTT/ECN signal generations were stale across
-    /// all refresh decisions (the signal-side dirty-bit split).
-    pub snapshot_dirty_sig_spines: u64,
-    /// Peak number of packets simultaneously parked in the packet arena.
-    pub arena_high_water: u64,
-    /// Arena slots ever allocated (its backing-store footprint).
-    pub arena_capacity: u64,
-    /// Shards the run was partitioned into (1 = one replica owning the
-    /// whole fabric, dispatched on the caller's thread).
-    pub shards: u64,
-    /// Bounded-window rounds the shards synchronized on (0 with 1 shard:
-    /// its single window spans the whole horizon and has no peer to meet).
-    pub window_advances: u64,
-    /// Cross-shard wire messages exchanged over the run.
-    pub cross_shard_messages: u64,
-    /// (shard, window) pairs that dispatched zero events — windows where a
-    /// shard only waited at the barrier. Deterministic: a function of the
-    /// event timeline, not of thread scheduling.
-    pub barrier_stalls: u64,
-    /// Sum over shards of per-shard dispatch throughput (events per second
-    /// of that shard's own busy time). Secondary to `events_per_sec`:
-    /// barrier waits and mailbox hand-offs are outside busy time, so this
-    /// is what the shards would sustain if synchronization were free and
-    /// each had a core — it cannot show whether sharding paid off.
-    pub aggregate_events_per_sec: f64,
+record! {
+    /// Wall-clock performance telemetry for one run.
+    ///
+    /// Measurement only: nothing in the simulation reads these values, so
+    /// determinism of the simulated results is unaffected by host speed.
+    ///
+    /// The kind in front of each field says how two values combine: over
+    /// the shards of one run (`shard::drive` absorbs the replicas' counts,
+    /// then assigns what only the driver knows) and over the jobs of a
+    /// batch (the report's `<name>_total` / `<name>_max`).
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct PerfStats {
+        /// Wall-clock time spent inside the window driver, milliseconds.
+        Keep wall_ms: f64,
+        /// Events dispatched per wall-clock second.
+        Keep events_per_sec: f64,
+        /// Source-leaf load-balancing decisions taken (one per data packet
+        /// leaving a leaf via the fabric, including recirculation re-decides).
+        Sum decisions: u64,
+        /// Decisions served from a byte-identical cached path snapshot.
+        Sum snapshot_reuses: u64,
+        /// Decisions where only the dirty spines were rewritten in place;
+        /// everything else in the snapshot was reused.
+        Sum snapshot_refreshes: u64,
+        /// Decisions that rebuilt the path snapshot from scratch (first touch
+        /// of a (leaf, dst_leaf) pair, or a fault-epoch change).
+        Sum snapshot_rebuilds: u64,
+        /// Spines whose egress-queue generation was stale across all refresh
+        /// decisions (the queue-side dirty-bit split of the refresh work).
+        Sum snapshot_dirty_queue_spines: u64,
+        /// Spines whose warning/RTT/ECN signal generations were stale across
+        /// all refresh decisions (the signal-side dirty-bit split).
+        Sum snapshot_dirty_sig_spines: u64,
+        /// Peak number of packets simultaneously parked in the packet arena.
+        Max arena_high_water: u64,
+        /// Arena slots ever allocated (its backing-store footprint).
+        Max arena_capacity: u64,
+        /// Shards the run was partitioned into (1 = one replica owning the
+        /// whole fabric, dispatched on the caller's thread).
+        Max shards: u64,
+        /// Bounded-window rounds the shards synchronized on (0 with 1 shard:
+        /// its single window spans the whole horizon and has no peer to meet).
+        Sum window_advances: u64,
+        /// Cross-shard wire messages exchanged over the run.
+        Sum cross_shard_messages: u64,
+        /// (shard, window) pairs that dispatched zero events — windows where a
+        /// shard only waited at the barrier. Deterministic: a function of the
+        /// event timeline, not of thread scheduling.
+        Sum barrier_stalls: u64,
+        /// Sum over shards of per-shard dispatch throughput (events per second
+        /// of that shard's own busy time). Secondary to `events_per_sec`:
+        /// barrier waits and mailbox hand-offs are outside busy time, so this
+        /// is what the shards would sustain if synchronization were free and
+        /// each had a core — it cannot show whether sharding paid off.
+        Max aggregate_events_per_sec: f64,
+    }
 }
 
 /// Outcome of one run.
@@ -289,16 +296,9 @@ pub struct Simulation {
     /// Bumped by every fault application; snapshots built under an older
     /// epoch rebuild from scratch (faults may change link state/rate).
     fault_epoch: u64,
-    /// LB decisions taken at source leaves (perf telemetry).
-    perf_decisions: u64,
-    /// Snapshot-cache outcome counters (perf telemetry).
-    snap_reuses: u64,
-    snap_refreshes: u64,
-    snap_rebuilds: u64,
-    /// Dirty-spine counts accumulated over all refresh decisions
-    /// (queue-generation side / signal-generation side).
-    snap_dirty_q_spines: u64,
-    snap_dirty_sig_spines: u64,
+    /// This replica's decision and snapshot-cache counts; the arena peaks
+    /// join in `into_parts`, the driver owns the rest.
+    perf: PerfStats,
     /// Typed accumulator for PFC pause dwell time, folded into
     /// `counters.paused_port_time_ps` once at end of run.
     paused_port_time: SimDuration,
@@ -612,12 +612,7 @@ impl Simulation {
                 .map(|_| PathSnap::empty(n_spines as usize))
                 .collect(),
             fault_epoch: 0,
-            perf_decisions: 0,
-            snap_reuses: 0,
-            snap_refreshes: 0,
-            snap_rebuilds: 0,
-            snap_dirty_q_spines: 0,
-            snap_dirty_sig_spines: 0,
+            perf: PerfStats::default(),
             paused_port_time: SimDuration(0),
             warn_scratch: Vec::new(),
             shard_id,
@@ -1245,7 +1240,7 @@ impl Simulation {
                     self.topo.leaf_port_of_host(pkt.dst_host)
                 } else {
                     // --- the load-balancing decision point ---
-                    self.perf_decisions += 1;
+                    self.perf.decisions += 1;
                     let snap_idx = self.assemble_paths(l, dst_leaf);
                     let paths = std::mem::take(&mut self.path_snaps[snap_idx].paths);
                     // Path-restricted flows (Fig. 4a's experimental control)
@@ -1444,7 +1439,7 @@ impl Simulation {
             snap.valid_until_ps = valid_until;
             snap.fault_epoch = self.fault_epoch;
             snap.init = true;
-            self.snap_rebuilds += 1;
+            self.perf.snapshot_rebuilds += 1;
             return snap_idx;
         }
 
@@ -1488,7 +1483,7 @@ impl Simulation {
         }
         if !expired && q_dirty == 0 && sig_dirty == 0 {
             // Tier 1: byte-identical reuse (nothing was rewritten above).
-            self.snap_reuses += 1;
+            self.perf.snapshot_reuses += 1;
             return snap_idx;
         }
         if expired || sig_dirty > 0 {
@@ -1500,9 +1495,9 @@ impl Simulation {
             }
             snap.valid_until_ps = valid_until;
         }
-        self.snap_refreshes += 1;
-        self.snap_dirty_q_spines += q_dirty;
-        self.snap_dirty_sig_spines += sig_dirty;
+        self.perf.snapshot_refreshes += 1;
+        self.perf.snapshot_dirty_queue_spines += q_dirty;
+        self.perf.snapshot_dirty_sig_spines += sig_dirty;
         snap_idx
     }
 
@@ -2107,14 +2102,11 @@ impl Simulation {
             traces: self.traces,
             pfc_pauses_by_port: self.pfc_pauses_by_port,
             events: self.events,
-            perf_decisions: self.perf_decisions,
-            snap_reuses: self.snap_reuses,
-            snap_refreshes: self.snap_refreshes,
-            snap_rebuilds: self.snap_rebuilds,
-            snap_dirty_q_spines: self.snap_dirty_q_spines,
-            snap_dirty_sig_spines: self.snap_dirty_sig_spines,
-            arena_high_water: self.arena.high_water() as u64,
-            arena_capacity: self.arena.capacity() as u64,
+            perf: PerfStats {
+                arena_high_water: self.arena.high_water() as u64,
+                arena_capacity: self.arena.capacity() as u64,
+                ..self.perf
+            },
         }
     }
 
@@ -2212,14 +2204,7 @@ pub(crate) struct ShardParts {
     pub traces: FlowTraces,
     pub pfc_pauses_by_port: std::collections::BTreeMap<((bool, u32), u16), u64>,
     pub events: u64,
-    pub perf_decisions: u64,
-    pub snap_reuses: u64,
-    pub snap_refreshes: u64,
-    pub snap_rebuilds: u64,
-    pub snap_dirty_q_spines: u64,
-    pub snap_dirty_sig_spines: u64,
-    pub arena_high_water: u64,
-    pub arena_capacity: u64,
+    pub perf: PerfStats,
 }
 
 #[cfg(test)]

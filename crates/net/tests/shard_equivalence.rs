@@ -30,6 +30,7 @@ use proptest::prelude::*;
 use rlb_core::RlbConfig;
 use rlb_engine::{SimDuration, SimTime};
 use rlb_lb::Scheme;
+use rlb_metrics::Num;
 use rlb_net::scenario::{FailSweepConfig, MotivationConfig, Scenario, SteadyStateConfig};
 use rlb_net::{Fault, MonitorConfig, RunResult, SimConfig, TimedFault, TopoConfig};
 use rlb_workloads::{FlowSpec, Workload};
@@ -52,7 +53,6 @@ struct Digest {
 }
 
 fn digest(res: &RunResult) -> Digest {
-    let c = &res.counters;
     Digest {
         records: res
             .records
@@ -75,21 +75,17 @@ fn digest(res: &RunResult) -> Digest {
             })
             .collect(),
         groups: res.groups.clone(),
-        counters: vec![
-            c.pause_frames,
-            c.resume_frames,
-            c.paused_port_time_ps,
-            c.cnm_generated,
-            c.cnm_relayed,
-            c.recirculations,
-            c.reroutes,
-            c.forwards_unwarned,
-            c.recirculation_budget_exhausted,
-            c.buffer_drops,
-            c.switch_packets,
-            c.ecn_marks,
-            c.faults_applied,
-        ],
+        // Every declared counter, in declaration order: the goldens below
+        // pin that order along with the values.
+        counters: res
+            .counters
+            .fields()
+            .into_iter()
+            .map(|(name, v)| match v {
+                Num::U64(n) => n,
+                Num::F64(_) => panic!("fabric counter `{name}` is not a count"),
+            })
+            .collect(),
         pfc_pauses_by_port: res
             .pfc_pauses_by_port
             .iter()
