@@ -186,6 +186,10 @@ impl BenchCli {
 
 /// The help text: the about line over the flag reference.
 pub fn help_text(bin: &str, about: &str) -> String {
+    // Seven names fill a line of the flag reference's text column.
+    let figs: Vec<&str> = crate::figures::registry().iter().map(|f| f.name()).collect();
+    let figs: Vec<String> = figs.chunks(7).map(|line| line.join(", ")).collect();
+    let figs = figs.join(",\n                         ");
     format!(
         "\
 {bin} — {about}
@@ -206,9 +210,9 @@ FLAGS:
     --no-cache           Ignore and do not write the result cache
     --cache-dir PATH     Result cache location
                          (default: target/bench-cache)
-    --figs a,b           Run only these figures (registry names: fig3,
-                         fig4, fig6..fig10, fig_fail, sanity, ablations,
-                         irn_compare); default: every one of them
+    --figs a,b           Run only these figures; default: every one of
+                         them. Registry names:
+                         {figs}
     --scenario PATH      Run a declarative scenario spec file (see
                          EXPERIMENTS.md for the format) through the cached
                          runner instead of registry figures; excludes
@@ -353,6 +357,9 @@ mod tests {
             "--shards",
         ] {
             assert!(text.contains(flag), "help must document {flag}");
+        }
+        for fig in crate::figures::registry() {
+            assert!(text.contains(fig.name()), "help must list {}", fig.name());
         }
     }
 }

@@ -33,7 +33,7 @@ mod wheel;
 
 pub use arena::{PacketArena, PacketHandle};
 pub use queue::{shard_key, EventQueue, HeapEventQueue, ShardEventQueue};
-pub use rng::{shard_substream, substream, SimRng};
+pub use rng::{substream, SimRng};
 pub use table::FlowTable;
 pub use time::{bytes_in, tx_delay, SimDuration, SimTime};
 
@@ -248,19 +248,18 @@ mod proptests {
             prop_assert!(arena.is_empty());
         }
 
-        /// Differential: a single-shard `ShardEventQueue` driven through the
-        /// same schedule/pop interleaving as the sequential `EventQueue`
-        /// pops the identical sequence — the packed `(sched_ps, shard, seq)`
-        /// key collapses to plain insertion order when one shard produces
-        /// every event, which is what makes `--shards 1` byte-identical to
-        /// the sequential engine.
+        /// Differential: a `ShardEventQueue` driven through the same
+        /// schedule/pop interleaving as the sequential `EventQueue` pops the
+        /// identical sequence — the packed `(sched_ps, rank, seq)` key
+        /// collapses to plain insertion order when one entity produces every
+        /// event.
         #[test]
         fn shard_queue_matches_sequential_reference(
             ops in proptest::collection::vec(
                 (0u8..3, 0u64..200_000_000_000, 1u16..200), 1..120)
         ) {
             let mut seqq = EventQueue::new();
-            let mut shq = ShardEventQueue::new(3);
+            let mut shq = ShardEventQueue::new();
             let mut payload = 0u64;
             for (kind, delta, reps) in ops {
                 match kind {
@@ -268,7 +267,7 @@ mod proptests {
                         let at = SimTime(seqq.now().as_ps() + delta);
                         for _ in 0..reps {
                             seqq.schedule(at, payload);
-                            shq.schedule(at, payload);
+                            shq.insert_message(at, shard_key(shq.now().as_ps(), 0, payload), payload);
                             payload += 1;
                         }
                     }
@@ -276,7 +275,7 @@ mod proptests {
                         for r in 0..reps as u64 {
                             let at = SimTime(seqq.now().as_ps() + delta + r * 777);
                             seqq.schedule(at, payload);
-                            shq.schedule(at, payload);
+                            shq.insert_message(at, shard_key(shq.now().as_ps(), 0, payload), payload);
                             payload += 1;
                         }
                     }
@@ -316,8 +315,8 @@ mod proptests {
             ops in proptest::collection::vec(
                 (0u8..4, 0u64..200_000_000_000, 1u16..60), 1..120)
         ) {
-            let mut fast = ShardEventQueue::new(0);
-            let mut slow = ShardEventQueue::new(0);
+            let mut fast = ShardEventQueue::new();
+            let mut slow = ShardEventQueue::new();
             let mut payload = 0u64;
             let mut edge = SimTime::ZERO; // nothing may land before it
             for (kind, delta, reps) in ops {
@@ -362,8 +361,8 @@ mod proptests {
             }
         }
 
-        /// Cross-shard merge keys order by (time at schedule, shard, seq)
-        /// and never collide across shards.
+        /// Merge keys order by (time at schedule, rank, seq) and never
+        /// collide across ranks.
         #[test]
         fn shard_keys_are_canonical(
             a_ps in 0u64..u64::MAX / 2, b_ps in 0u64..u64::MAX / 2,

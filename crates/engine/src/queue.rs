@@ -124,48 +124,52 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// Canonical cross-shard merge key: `(sched_ps, src_shard, seq)` packed
-/// into a `u128` so one integer comparison decides the drain order.
+/// Canonical merge key: `(sched_ps, rank, seq)` packed into a `u128` so one
+/// integer comparison decides the drain order.
 ///
-/// * bits 127..64 — the picosecond timestamp at which the producing shard
-///   *scheduled* the event (its clock at the `schedule` call),
-/// * bits 63..48 — the producing shard id,
-/// * bits 47..0 — the producer's local insertion counter.
+/// * bits 127..64 — the picosecond timestamp at which the event was
+///   *scheduled* (the producer's clock at that moment),
+/// * bits 63..48 — the rank of the entity that scheduled it: a fixed
+///   property of the topology, never of the shard layout,
+/// * bits 47..0 — that entity's own running schedule counter.
 ///
-/// Within one shard, schedule calls happen in nondecreasing dispatch-time
-/// order, so `(sched_ps, seq)` sorts identically to the sequential engine's
-/// plain insertion counter; across shards the packed key gives every event
-/// a globally unique, replayable position independent of thread timing.
+/// One entity schedules in nondecreasing dispatch-time order, so
+/// `(sched_ps, seq)` sorts like the sequential engine's plain insertion
+/// counter; across entities the packed key gives every event a globally
+/// unique, replayable position independent of shard count and thread
+/// timing.
 #[inline]
-pub fn shard_key(sched_ps: u64, src_shard: u16, seq: u64) -> u128 {
+pub fn shard_key(sched_ps: u64, rank: u16, seq: u64) -> u128 {
     debug_assert!(seq < (1 << 48), "shard seq overflow");
-    ((sched_ps as u128) << 64) | ((src_shard as u128) << 48) | seq as u128
+    ((sched_ps as u128) << 64) | ((rank as u128) << 48) | seq as u128
 }
 
 /// A shard-local future-event list for the bounded-window parallel driver.
 ///
-/// Same storage engine as [`EventQueue`] but keyed by the canonical
-/// [`shard_key`] order, so events produced locally and events received as
-/// cross-shard messages interleave in one deterministic sequence that does
-/// not depend on which thread ran when. The owning driver (`rlb-net`'s
+/// Same storage engine as [`EventQueue`] but ordered by a key the caller
+/// computes ([`shard_key`]), so events produced locally and events received
+/// as cross-shard messages interleave in one deterministic sequence that
+/// does not depend on which thread ran when. The owning driver (`rlb-net`'s
 /// shard module) is responsible for only delivering messages whose
 /// timestamps are at or beyond the current window edge — the conservative
 /// lookahead guarantee that makes `insert_message` never schedule into the
 /// past.
 pub struct ShardEventQueue<E> {
     wheel: TimingWheel<E, u128>,
-    next_seq: u64,
-    shard: u16,
     now: SimTime,
     scheduled_total: u64,
 }
 
+impl<E> Default for ShardEventQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<E> ShardEventQueue<E> {
-    pub fn new(shard: u16) -> Self {
+    pub fn new() -> Self {
         ShardEventQueue {
             wheel: TimingWheel::new(),
-            next_seq: 0,
-            shard,
             now: SimTime::ZERO,
             scheduled_total: 0,
         }
@@ -177,56 +181,13 @@ impl<E> ShardEventQueue<E> {
         self.now
     }
 
-    /// Schedule a shard-local event; the merge key is derived from the
-    /// current clock, this queue's shard id and the next local seq.
+    /// Insert an event under the key its producer computed — a local
+    /// schedule and a delivered cross-shard message alike.
     ///
     /// # Panics
-    /// Panics if `at` is in the past.
-    #[inline]
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "event scheduled in the past: at={at}, now={now}",
-            at = at.as_ps(),
-            now = self.now.as_ps()
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled_total += 1;
-        let key = shard_key(self.now.as_ps(), self.shard, seq);
-        self.wheel.insert(at, key, event);
-    }
-
-    /// Schedule with an explicit `sched_ps` key component — used at
-    /// construction time to arm replicated events (tick grids) with the
-    /// *same* key on every shard, so they hold one canonical position in
-    /// each shard's stream.
-    #[inline]
-    pub fn schedule_at_key(&mut self, at: SimTime, sched_ps: u64, event: E) {
-        assert!(at >= self.now, "event scheduled in the past");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled_total += 1;
-        let key = shard_key(sched_ps, self.shard, seq);
-        self.wheel.insert(at, key, event);
-    }
-
-    /// Consume a local seq and build the merge key an *outbound* message
-    /// will carry. Mirrors `schedule`'s key derivation so a cross-shard
-    /// send occupies the same position in the canonical order it would
-    /// have held as a local schedule.
-    #[inline]
-    pub fn next_message_key(&mut self) -> u128 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        shard_key(self.now.as_ps(), self.shard, seq)
-    }
-
-    /// Deliver a cross-shard message under the producer's key.
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past — the window protocol's lookahead
-    /// guarantee (arrival ≥ window edge ≥ receiver clock) is violated.
+    /// Panics if `at` is in the past — for a message, the window protocol's
+    /// lookahead guarantee (arrival ≥ window edge ≥ receiver clock) is
+    /// violated.
     #[inline]
     pub fn insert_message(&mut self, at: SimTime, key: u128, event: E) {
         assert!(

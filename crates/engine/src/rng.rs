@@ -34,27 +34,6 @@ pub fn substream(root_seed: u64, label: &[u8], index: u64) -> SimRng {
     SimRng::seed_from_u64(h)
 }
 
-/// Derive a shard-scoped substream for the parallel driver.
-///
-/// The ownership-partition contract: every shard of a sharded run builds
-/// the *same* full simulation state, so per-entity streams derived via
-/// [`substream`] are automatically identical across shards. This function
-/// exists for state that is genuinely per-shard (none of the simulator's
-/// entities today, but the contract API the sharded driver is written
-/// against): `(seed, shard, label, index)` fully determines the stream,
-/// and distinct shards get decorrelated streams for the same label/index.
-pub fn shard_substream(root_seed: u64, shard: u16, label: &[u8], index: u64) -> SimRng {
-    // Fold the shard id through the same finalizer chain; the `!` prefix
-    // keeps (shard=0) distinct from the unsharded substream of the label.
-    let mut h = splitmix64(root_seed);
-    h = splitmix64(h ^ !(shard as u64));
-    for &b in label {
-        h = splitmix64(h ^ b as u64);
-    }
-    h = splitmix64(h ^ index);
-    SimRng::seed_from_u64(h)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,36 +56,5 @@ mod tests {
         assert_ne!(base, draw(&mut substream(42, b"workload", 1)));
         assert_ne!(base, draw(&mut substream(42, b"letflow", 0)));
         assert_ne!(base, draw(&mut substream(43, b"workload", 0)));
-    }
-
-    #[test]
-    fn shard_substreams_replay_exactly() {
-        // Same (seed, shard, label, index) → the same stream, run to run.
-        for shard in [0u16, 1, 7, 512] {
-            let a = draw(&mut shard_substream(42, shard, b"shard-local", 3));
-            let b = draw(&mut shard_substream(42, shard, b"shard-local", 3));
-            assert_eq!(a, b, "shard {shard} stream not reproducible");
-        }
-    }
-
-    #[test]
-    fn shard_substreams_are_disjoint_and_mixed() {
-        // Distinct shards must yield decorrelated streams for the same
-        // label/index, and none may collide with the unsharded substream.
-        let unsharded = draw(&mut substream(42, b"shard-local", 0));
-        let mut seen = vec![unsharded];
-        for shard in 0..32u16 {
-            let s = draw(&mut shard_substream(42, shard, b"shard-local", 0));
-            assert!(!seen.contains(&s), "shard {shard} stream collides");
-            seen.push(s);
-        }
-        // Well-mixed: the first draws across shards shouldn't share any
-        // value — 32 draws of 64-bit values collide with probability ~0
-        // unless the mixing is broken.
-        let firsts: Vec<u64> = seen.iter().map(|v| v[0]).collect();
-        let mut dedup = firsts.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), firsts.len());
     }
 }

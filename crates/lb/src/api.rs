@@ -94,18 +94,42 @@ pub enum Scheme {
     Conga,
 }
 
+/// One row per scheme, in declaration order: the variant, the name tables
+/// print, and the lowercase key spec files and CLI flags spell.
+const SCHEMES: [(Scheme, &str, &str); 6] = [
+    (Scheme::Ecmp, "ECMP", "ecmp"),
+    (Scheme::Presto, "Presto", "presto"),
+    (Scheme::LetFlow, "LetFlow", "letflow"),
+    (Scheme::Hermes, "Hermes", "hermes"),
+    (Scheme::Drill, "DRILL", "drill"),
+    (Scheme::Conga, "CONGA", "conga"),
+];
+
 impl Scheme {
     pub const PAPER_SET: [Scheme; 4] = [Scheme::Presto, Scheme::LetFlow, Scheme::Hermes, Scheme::Drill];
 
-    pub fn name(self) -> &'static str {
-        match self {
-            Scheme::Ecmp => "ECMP",
-            Scheme::Presto => "Presto",
-            Scheme::LetFlow => "LetFlow",
-            Scheme::Hermes => "Hermes",
-            Scheme::Drill => "DRILL",
-            Scheme::Conga => "CONGA",
+    /// Every scheme, in declaration order: `ALL[s as usize] == s`.
+    pub const ALL: [Scheme; 6] = {
+        let mut all = [Scheme::Ecmp; 6];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = SCHEMES[i].0;
+            i += 1;
         }
+        all
+    };
+
+    pub fn name(self) -> &'static str {
+        SCHEMES[self as usize].1
+    }
+
+    /// The name spec files and CLI flags use for this scheme.
+    pub fn key(self) -> &'static str {
+        SCHEMES[self as usize].2
+    }
+
+    pub fn from_key(key: &str) -> Option<Scheme> {
+        Scheme::ALL.into_iter().find(|s| s.key() == key)
     }
 }
 
@@ -118,6 +142,16 @@ mod tests {
         assert_eq!(Scheme::Presto.name(), "Presto");
         assert_eq!(Scheme::PAPER_SET.len(), 4);
         assert!(!Scheme::PAPER_SET.contains(&Scheme::Ecmp));
+    }
+
+    #[test]
+    fn scheme_table_is_in_declaration_order() {
+        for (i, s) in Scheme::ALL.into_iter().enumerate() {
+            assert_eq!(s as usize, i, "{s:?} sits at row {i}");
+            assert_eq!(Scheme::from_key(s.key()), Some(s));
+        }
+        assert_eq!(Scheme::Drill.key(), "drill");
+        assert_eq!(Scheme::from_key("DRILL"), None);
     }
 
     #[test]

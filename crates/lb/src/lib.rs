@@ -97,7 +97,7 @@ mod proptests {
                 pkt_bytes: 1000,
                 paths: &paths,
             };
-            for scheme in [Scheme::Ecmp, Scheme::Presto, Scheme::LetFlow, Scheme::Hermes, Scheme::Drill, Scheme::Conga] {
+            for scheme in Scheme::ALL {
                 let mut lb = build(scheme, 1000, substream(seed, b"lb", scheme as u64));
                 let p = lb.select(&ctx);
                 prop_assert!(p < n, "{} returned {p} of {n}", lb.name());

@@ -19,14 +19,14 @@
 //!   reader/writer with span-carrying parse errors.
 //!
 //! ```
-//! use rlb_net::scenario::{steady_state, SteadyStateConfig};
+//! use rlb_net::{Scenario, SteadyStateConfig};
 //! use rlb_lb::Scheme;
 //! use rlb_core::RlbConfig;
 //! use rlb_engine::SimTime;
 //!
 //! let mut sc = SteadyStateConfig::default();
 //! sc.horizon = SimTime::from_us(300); // keep the doctest fast
-//! let result = steady_state(&sc, Scheme::Drill, Some(RlbConfig::default())).run();
+//! let result = Scenario::steady_state(&sc, Scheme::Drill, Some(RlbConfig::default())).run();
 //! assert_eq!(result.counters.buffer_drops, 0); // lossless
 //! ```
 
@@ -55,8 +55,8 @@ pub use host::TransportMode;
 pub use monitor::{FabricSample, FabricTimeSeries, MonitorConfig};
 pub use packet::{Packet, PacketKind};
 pub use scenario::{
-    asymmetric_topo, fail_sweep, incast_scenario, motivation, steady_state, FailSweepConfig,
-    IncastScenarioConfig, MotivationConfig, Scenario, SteadyStateConfig,
+    asymmetric_topo, FailSweepConfig, IncastScenarioConfig, MotivationConfig, Scenario,
+    SteadyStateConfig,
 };
 pub use shard::WindowBarrier;
 pub use spec::{ScenarioSpec, SpecError};
@@ -231,7 +231,7 @@ mod smoke {
     #[test]
     fn deterministic_across_runs() {
         let mk = || {
-            let sc = scenario::steady_state(
+            let sc = Scenario::steady_state(
                 &SteadyStateConfig {
                     horizon: SimTime::from_us(500),
                     load: 0.5,

@@ -87,28 +87,198 @@ impl Scenario {
         Scenario { cfg, flows }
     }
 
-    /// The Fig. 2/3/4 motivation dumbbell (see [`motivation`]).
+    /// The Fig. 2/3/4 motivation dumbbell. Host layout:
+    /// leaf 0 hosts: background senders H1..Hn, then Hc, then the Hb burst
+    /// senders; leaf 1 hosts: background receivers R1..Rn, then Rc.
+    ///
+    /// Fig. 2 draws burst senders on the sending side as well as at S2; the
+    /// mechanism the paper describes — "these paths have the risk of being
+    /// paused by PFC due to bursty traffic" — requires the bursts to *cross
+    /// the spines*, so that S2's uplink ingress counters (holding burst and fc
+    /// packets stuck behind Rc's egress) hit the PFC threshold and pause the
+    /// spine-side paths the measured flows share. We therefore place Hb on the
+    /// sending leaf (see DESIGN.md, "Known deviations").
     pub fn motivation(mc: &MotivationConfig, scheme: Scheme, rlb: Option<RlbConfig>) -> Scenario {
-        motivation(mc, scheme, rlb)
+        let hosts_per_leaf = mc.n_background + 1 + mc.n_burst_senders.max(mc.n_burst_senders_dst);
+        let topo = TopoConfig {
+            n_leaves: 2,
+            n_spines: mc.n_paths,
+            hosts_per_leaf,
+            ..TopoConfig::default()
+        };
+        let mut cfg = SimConfig {
+            topo,
+            scheme,
+            rlb,
+            seed: mc.seed,
+            hard_stop: SimTime::ZERO + mc.horizon.as_duration().mul_u64(20),
+            ..SimConfig::default()
+        };
+        let mut flows = Vec::new();
+        let h = |leaf: u32, idx: u32| leaf * hosts_per_leaf + idx;
+
+        // Background: H_i on leaf 0 → R_i on leaf 1, Web Search arrivals.
+        let bg_pairs: Vec<(u32, u32)> = (0..mc.n_background).map(|i| (h(0, i), h(1, i))).collect();
+        let cdf = SizeCdf::web_search();
+        let mut rng = substream(mc.seed, b"motivation-bg", 0);
+        let core_bps = mc.n_paths as f64 * cfg.topo.link_rate_bps as f64;
+        let lambda = mc.background_load * core_bps / (8.0 * cdf.mean_bytes());
+        let mean_gap = 1e12 / lambda;
+        let mut t = 0u64;
+        loop {
+            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            t += ((-u.ln()) * mean_gap).round().max(1.0) as u64;
+            if t >= mc.horizon.as_ps() {
+                break;
+            }
+            let &(src, dst) = bg_pairs.choose(&mut rng).expect("pairs");
+            flows.push(
+                FlowSpec::new(SimTime(t), src, dst, cdf.sample(&mut rng))
+                    .with_group(BACKGROUND_GROUP),
+            );
+        }
+
+        // Victim receiver Rc and congested sender Hc.
+        let rc = h(1, mc.n_background);
+        let hc = h(0, mc.n_background);
+
+        // fc as `affected_paths` parallel subflows, all restricted to the first
+        // `affected_paths` spines — the paper's control knob: congested traffic
+        // may only choose (and therefore only pause) that many paths.
+        let limit = mc.affected_paths.max(1).min(mc.n_paths) as u8;
+        let sub = (mc.congested_flow_bytes / mc.affected_paths.max(1) as u64).max(1);
+        for _ in 0..mc.affected_paths {
+            flows.push(congested_flow(hc, rc, sub, SimTime::ZERO).with_path_limit(limit));
+        }
+
+        // Continuous bursts from the source-leaf Hb set across the core into
+        // Rc, restricted to the same affected paths.
+        let burst = BurstConfig {
+            senders: (0..mc.n_burst_senders)
+                .map(|i| h(0, mc.n_background + 1 + i))
+                .collect(),
+            dst_host: rc,
+            flows_per_burst: mc.flows_per_burst,
+            flow_bytes: 64_000,
+            bursts: mc.bursts,
+            start: SimTime::from_us(100),
+            burst_gap: SimDuration::from_us(400),
+        };
+        flows.extend(burst.generate().into_iter().map(|f| f.with_path_limit(limit)));
+
+        // Bursts from the destination-leaf Hb set (single hop into Rc): they
+        // keep the victim's egress queue and the S2 shared pool deep, so the
+        // core-crossing congested traffic stays stuck at S2's uplink ingress.
+        let local_burst = BurstConfig {
+            senders: (0..mc.n_burst_senders_dst)
+                .map(|i| h(1, mc.n_background + 1 + i))
+                .collect(),
+            dst_host: rc,
+            flows_per_burst: mc.flows_per_burst,
+            flow_bytes: 64_000,
+            bursts: mc.bursts,
+            start: SimTime::from_us(100),
+            burst_gap: SimDuration::from_us(400),
+        };
+        flows.extend(local_burst.generate());
+        flows.sort_by_key(|f| f.start);
+        cfg.seed = mc.seed;
+        Scenario { cfg, flows }
     }
 
-    /// §4.1/§4.2 steady-state Poisson traffic (see [`steady_state`]).
-    pub fn steady_state(
-        sc: &SteadyStateConfig,
-        scheme: Scheme,
-        rlb: Option<RlbConfig>,
-    ) -> Scenario {
-        steady_state(sc, scheme, rlb)
+    /// §4.1/§4.2 steady-state Poisson traffic between random inter-leaf host
+    /// pairs at a target core load.
+    pub fn steady_state(sc: &SteadyStateConfig, scheme: Scheme, rlb: Option<RlbConfig>) -> Scenario {
+        let cfg = SimConfig {
+            topo: sc.topo.clone(),
+            scheme,
+            rlb,
+            seed: sc.seed,
+            hard_stop: SimTime::ZERO + sc.horizon.as_duration().mul_u64(25),
+            ..SimConfig::default()
+        };
+        let traffic = inter_leaf_poisson(&sc.topo, sc.workload.cdf(), sc.load);
+        let mut rng = substream(sc.seed, b"steady-state", 0);
+        let flows = traffic.generate(sc.horizon, &mut rng);
+        Scenario { cfg, flows }
     }
 
-    /// §4.3 incast over optional background (see [`incast_scenario`]).
+    /// §4.3 incast over optional background traffic.
     pub fn incast(ic: &IncastScenarioConfig, scheme: Scheme, rlb: Option<RlbConfig>) -> Scenario {
-        incast_scenario(ic, scheme, rlb)
+        let cfg = SimConfig {
+            topo: ic.topo.clone(),
+            scheme,
+            rlb,
+            seed: ic.seed,
+            hard_stop: SimTime::ZERO
+                + ic.request_interval
+                    .mul_u64(ic.requests as u64 + 1)
+                    .mul_u64(30),
+            ..SimConfig::default()
+        };
+        let horizon = SimTime::ZERO + ic.request_interval.mul_u64(ic.requests as u64);
+        let mut rng = substream(ic.seed, b"incast", 0);
+        let mut flows = incast::generate(
+            &IncastConfig {
+                degree: ic.degree,
+                total_response_bytes: ic.total_response_bytes,
+                requests: ic.requests,
+                request_interval: ic.request_interval,
+                num_hosts: ic.topo.n_hosts(),
+                hosts_per_leaf: ic.topo.hosts_per_leaf,
+            },
+            &mut rng,
+        );
+        if ic.background_load > 0.0 {
+            let traffic =
+                inter_leaf_poisson(&ic.topo, SizeCdf::web_search(), ic.background_load);
+            flows.extend(traffic.generate(horizon, &mut rng));
+        }
+        flows.sort_by_key(|f| f.start);
+        Scenario { cfg, flows }
     }
 
-    /// Failure sweep the paper never ran (see [`fail_sweep`]).
+    /// Failure sweep the paper never ran (see [`FailSweepConfig`]).
     pub fn fail_sweep(fc: &FailSweepConfig, scheme: Scheme, rlb: Option<RlbConfig>) -> Scenario {
-        fail_sweep(fc, scheme, rlb)
+        let n_links = fc.topo.n_leaves * fc.topo.n_spines;
+        assert!(
+            fc.n_failures <= n_links,
+            "cannot fail {} of {} links",
+            fc.n_failures,
+            n_links
+        );
+        // Pick the victim links uniformly, deterministically per seed.
+        let mut all: Vec<(u32, u32)> = (0..fc.topo.n_leaves)
+            .flat_map(|l| (0..fc.topo.n_spines).map(move |s| (l, s)))
+            .collect();
+        let mut rng = substream(fc.seed, b"fail-sweep-links", 0);
+        all.shuffle(&mut rng);
+        let mut faults = Vec::with_capacity(fc.n_failures as usize * 2);
+        for (i, &(leaf, spine)) in all.iter().take(fc.n_failures as usize).enumerate() {
+            let down_at = fc.fail_at + fc.fail_stagger.mul_u64(i as u64);
+            faults.push(TimedFault::new(down_at, Fault::LinkDown { leaf, spine }));
+            if fc.fail_duration > SimDuration::ZERO {
+                faults.push(TimedFault::new(
+                    down_at + fc.fail_duration,
+                    Fault::LinkUp { leaf, spine },
+                ));
+            }
+        }
+        faults.sort_by_key(|tf| tf.at);
+
+        let cfg = SimConfig {
+            topo: fc.topo.clone(),
+            scheme,
+            rlb,
+            seed: fc.seed,
+            hard_stop: SimTime::ZERO + fc.horizon.as_duration().mul_u64(25),
+            faults,
+            ..SimConfig::default()
+        };
+        let traffic = inter_leaf_poisson(&fc.topo, fc.workload.cdf(), fc.load);
+        let mut rng = substream(fc.seed, b"fail-sweep-traffic", 0);
+        let flows = traffic.generate_modulated(fc.horizon, &fc.load_curve, &mut rng);
+        Scenario { cfg, flows }
     }
 
     /// Replace the fault timeline (validated when the simulation is built).
@@ -147,105 +317,6 @@ impl Scenario {
 /// bursty or congested traffic that *causes* the pausing.
 pub const BACKGROUND_GROUP: u64 = u64::MAX - 1;
 
-/// Host layout for the motivation dumbbell:
-/// leaf 0 hosts: background senders H1..Hn, then Hc, then the Hb burst
-/// senders; leaf 1 hosts: background receivers R1..Rn, then Rc.
-///
-/// Fig. 2 draws burst senders on the sending side as well as at S2; the
-/// mechanism the paper describes — "these paths have the risk of being
-/// paused by PFC due to bursty traffic" — requires the bursts to *cross
-/// the spines*, so that S2's uplink ingress counters (holding burst and fc
-/// packets stuck behind Rc's egress) hit the PFC threshold and pause the
-/// spine-side paths the measured flows share. We therefore place Hb on the
-/// sending leaf (see DESIGN.md, "Known deviations").
-pub fn motivation(mc: &MotivationConfig, scheme: Scheme, rlb: Option<RlbConfig>) -> Scenario {
-    let hosts_per_leaf = mc.n_background + 1 + mc.n_burst_senders.max(mc.n_burst_senders_dst);
-    let topo = TopoConfig {
-        n_leaves: 2,
-        n_spines: mc.n_paths,
-        hosts_per_leaf,
-        ..TopoConfig::default()
-    };
-    let mut cfg = SimConfig {
-        topo,
-        scheme,
-        rlb,
-        seed: mc.seed,
-        hard_stop: SimTime::ZERO + mc.horizon.as_duration().mul_u64(20),
-        ..SimConfig::default()
-    };
-    let mut flows = Vec::new();
-    let h = |leaf: u32, idx: u32| leaf * hosts_per_leaf + idx;
-
-    // Background: H_i on leaf 0 → R_i on leaf 1, Web Search arrivals.
-    let bg_pairs: Vec<(u32, u32)> = (0..mc.n_background).map(|i| (h(0, i), h(1, i))).collect();
-    let cdf = SizeCdf::web_search();
-    let mut rng = substream(mc.seed, b"motivation-bg", 0);
-    let core_bps = mc.n_paths as f64 * cfg.topo.link_rate_bps as f64;
-    let lambda = mc.background_load * core_bps / (8.0 * cdf.mean_bytes());
-    let mean_gap = 1e12 / lambda;
-    let mut t = 0u64;
-    loop {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        t += ((-u.ln()) * mean_gap).round().max(1.0) as u64;
-        if t >= mc.horizon.as_ps() {
-            break;
-        }
-        let &(src, dst) = bg_pairs.choose(&mut rng).expect("pairs");
-        flows.push(
-            FlowSpec::new(SimTime(t), src, dst, cdf.sample(&mut rng))
-                .with_group(BACKGROUND_GROUP),
-        );
-    }
-
-    // Victim receiver Rc and congested sender Hc.
-    let rc = h(1, mc.n_background);
-    let hc = h(0, mc.n_background);
-
-    // fc as `affected_paths` parallel subflows, all restricted to the first
-    // `affected_paths` spines — the paper's control knob: congested traffic
-    // may only choose (and therefore only pause) that many paths.
-    let limit = mc.affected_paths.max(1).min(mc.n_paths) as u8;
-    let sub = (mc.congested_flow_bytes / mc.affected_paths.max(1) as u64).max(1);
-    for _ in 0..mc.affected_paths {
-        flows.push(congested_flow(hc, rc, sub, SimTime::ZERO).with_path_limit(limit));
-    }
-
-    // Continuous bursts from the source-leaf Hb set across the core into
-    // Rc, restricted to the same affected paths.
-    let burst = BurstConfig {
-        senders: (0..mc.n_burst_senders)
-            .map(|i| h(0, mc.n_background + 1 + i))
-            .collect(),
-        dst_host: rc,
-        flows_per_burst: mc.flows_per_burst,
-        flow_bytes: 64_000,
-        bursts: mc.bursts,
-        start: SimTime::from_us(100),
-        burst_gap: SimDuration::from_us(400),
-    };
-    flows.extend(burst.generate().into_iter().map(|f| f.with_path_limit(limit)));
-
-    // Bursts from the destination-leaf Hb set (single hop into Rc): they
-    // keep the victim's egress queue and the S2 shared pool deep, so the
-    // core-crossing congested traffic stays stuck at S2's uplink ingress.
-    let local_burst = BurstConfig {
-        senders: (0..mc.n_burst_senders_dst)
-            .map(|i| h(1, mc.n_background + 1 + i))
-            .collect(),
-        dst_host: rc,
-        flows_per_burst: mc.flows_per_burst,
-        flow_bytes: 64_000,
-        bursts: mc.bursts,
-        start: SimTime::from_us(100),
-        burst_gap: SimDuration::from_us(400),
-    };
-    flows.extend(local_burst.generate());
-    flows.sort_by_key(|f| f.start);
-    cfg.seed = mc.seed;
-    Scenario { cfg, flows }
-}
-
 /// §4.1/§4.2 steady-state scenario: Poisson arrivals of a realistic
 /// workload between random inter-leaf host pairs at a target core load.
 #[derive(Debug, Clone, Serialize)]
@@ -268,30 +339,6 @@ impl Default for SteadyStateConfig {
         }
     }
 }
-
-pub fn steady_state(sc: &SteadyStateConfig, scheme: Scheme, rlb: Option<RlbConfig>) -> Scenario {
-    let cfg = SimConfig {
-        topo: sc.topo.clone(),
-        scheme,
-        rlb,
-        seed: sc.seed,
-        hard_stop: SimTime::ZERO + sc.horizon.as_duration().mul_u64(25),
-        ..SimConfig::default()
-    };
-    let traffic = PoissonTraffic::with_load(
-        sc.workload.cdf(),
-        sc.topo.n_hosts(),
-        PairPolicy::InterLeaf {
-            hosts_per_leaf: sc.topo.hosts_per_leaf,
-        },
-        sc.load,
-        sc.topo.core_bits_per_sec(),
-    );
-    let mut rng = substream(sc.seed, b"steady-state", 0);
-    let flows = traffic.generate(sc.horizon, &mut rng);
-    Scenario { cfg, flows }
-}
-
 /// §4.2's asymmetric topology: degrade 20% of randomly chosen leaf–spine
 /// links from 40 to 10 Gbps.
 pub fn asymmetric_topo(base: &TopoConfig, fraction: f64, seed: u64) -> TopoConfig {
@@ -332,52 +379,6 @@ impl Default for IncastScenarioConfig {
         }
     }
 }
-
-pub fn incast_scenario(
-    ic: &IncastScenarioConfig,
-    scheme: Scheme,
-    rlb: Option<RlbConfig>,
-) -> Scenario {
-    let cfg = SimConfig {
-        topo: ic.topo.clone(),
-        scheme,
-        rlb,
-        seed: ic.seed,
-        hard_stop: SimTime::ZERO
-            + ic.request_interval
-                .mul_u64(ic.requests as u64 + 1)
-                .mul_u64(30),
-        ..SimConfig::default()
-    };
-    let horizon = SimTime::ZERO + ic.request_interval.mul_u64(ic.requests as u64);
-    let mut rng = substream(ic.seed, b"incast", 0);
-    let mut flows = incast::generate(
-        &IncastConfig {
-            degree: ic.degree,
-            total_response_bytes: ic.total_response_bytes,
-            requests: ic.requests,
-            request_interval: ic.request_interval,
-            num_hosts: ic.topo.n_hosts(),
-            hosts_per_leaf: ic.topo.hosts_per_leaf,
-        },
-        &mut rng,
-    );
-    if ic.background_load > 0.0 {
-        let traffic = PoissonTraffic::with_load(
-            SizeCdf::web_search(),
-            ic.topo.n_hosts(),
-            PairPolicy::InterLeaf {
-                hosts_per_leaf: ic.topo.hosts_per_leaf,
-            },
-            ic.background_load,
-            ic.topo.core_bits_per_sec(),
-        );
-        flows.extend(traffic.generate(horizon, &mut rng));
-    }
-    flows.sort_by_key(|f| f.start);
-    Scenario { cfg, flows }
-}
-
 /// Failure sweep: steady-state Poisson traffic over a healthy fabric, then
 /// `n_failures` distinct leaf–spine links go down mid-run (staggered), each
 /// recovering after `fail_duration`. The links are chosen uniformly by seed
@@ -424,55 +425,18 @@ impl Default for FailSweepConfig {
         }
     }
 }
-
-pub fn fail_sweep(fc: &FailSweepConfig, scheme: Scheme, rlb: Option<RlbConfig>) -> Scenario {
-    let n_links = fc.topo.n_leaves * fc.topo.n_spines;
-    assert!(
-        fc.n_failures <= n_links,
-        "cannot fail {} of {} links",
-        fc.n_failures,
-        n_links
-    );
-    // Pick the victim links uniformly, deterministically per seed.
-    let mut all: Vec<(u32, u32)> = (0..fc.topo.n_leaves)
-        .flat_map(|l| (0..fc.topo.n_spines).map(move |s| (l, s)))
-        .collect();
-    let mut rng = substream(fc.seed, b"fail-sweep-links", 0);
-    all.shuffle(&mut rng);
-    let mut faults = Vec::with_capacity(fc.n_failures as usize * 2);
-    for (i, &(leaf, spine)) in all.iter().take(fc.n_failures as usize).enumerate() {
-        let down_at = fc.fail_at + fc.fail_stagger.mul_u64(i as u64);
-        faults.push(TimedFault::new(down_at, Fault::LinkDown { leaf, spine }));
-        if fc.fail_duration > SimDuration::ZERO {
-            faults.push(TimedFault::new(
-                down_at + fc.fail_duration,
-                Fault::LinkUp { leaf, spine },
-            ));
-        }
-    }
-    faults.sort_by_key(|tf| tf.at);
-
-    let cfg = SimConfig {
-        topo: fc.topo.clone(),
-        scheme,
-        rlb,
-        seed: fc.seed,
-        hard_stop: SimTime::ZERO + fc.horizon.as_duration().mul_u64(25),
-        faults,
-        ..SimConfig::default()
-    };
-    let traffic = PoissonTraffic::with_load(
-        fc.workload.cdf(),
-        fc.topo.n_hosts(),
+/// Poisson arrivals of `cdf`-sized flows between random inter-leaf host
+/// pairs, offered at `load` × the fabric's healthy core capacity.
+pub(crate) fn inter_leaf_poisson(topo: &TopoConfig, cdf: SizeCdf, load: f64) -> PoissonTraffic {
+    PoissonTraffic::with_load(
+        cdf,
+        topo.n_hosts(),
         PairPolicy::InterLeaf {
-            hosts_per_leaf: fc.topo.hosts_per_leaf,
+            hosts_per_leaf: topo.hosts_per_leaf,
         },
-        fc.load,
-        fc.topo.core_bits_per_sec(),
-    );
-    let mut rng = substream(fc.seed, b"fail-sweep-traffic", 0);
-    let flows = traffic.generate_modulated(fc.horizon, &fc.load_curve, &mut rng);
-    Scenario { cfg, flows }
+        load,
+        topo.core_bits_per_sec(),
+    )
 }
 
 #[cfg(test)]
@@ -492,7 +456,7 @@ mod tests {
             horizon: SimTime::from_us(500),
             ..MotivationConfig::default()
         };
-        let sc = motivation(&mc, Scheme::Drill, None);
+        let sc = Scenario::motivation(&mc, Scheme::Drill, None);
         assert_eq!(sc.cfg.topo.n_leaves, 2);
         assert_eq!(sc.cfg.topo.n_spines, 8);
         assert_eq!(sc.cfg.topo.hosts_per_leaf, 7);
@@ -548,7 +512,7 @@ mod tests {
 
     #[test]
     fn steady_state_generates_interleaf_poisson() {
-        let sc = steady_state(
+        let sc = Scenario::steady_state(
             &SteadyStateConfig {
                 horizon: SimTime::from_ms(5),
                 load: 0.4,
@@ -564,7 +528,7 @@ mod tests {
 
     #[test]
     fn incast_scenario_tags_groups() {
-        let sc = incast_scenario(
+        let sc = Scenario::incast(
             &IncastScenarioConfig {
                 requests: 3,
                 degree: 5,
@@ -624,15 +588,7 @@ mod tests {
     }
 
     #[test]
-    fn scenario_builders_match_free_functions() {
-        let mc = MotivationConfig {
-            horizon: SimTime::from_us(200),
-            ..MotivationConfig::default()
-        };
-        let a = Scenario::motivation(&mc, Scheme::Presto, None);
-        let b = motivation(&mc, Scheme::Presto, None);
-        assert_eq!(a.flows.len(), b.flows.len());
-        assert_eq!(a.cfg.label(), b.cfg.label());
+    fn with_faults_replaces_the_timeline() {
         let faulted = Scenario::steady_state(&SteadyStateConfig::default(), Scheme::Drill, None)
             .with_faults(vec![TimedFault::new(
                 SimTime::from_us(5),

@@ -529,7 +529,7 @@ impl Simulation {
             .collect();
         debug_assert_eq!(shard_map.len(), n_ranks);
 
-        let mut q = ShardEventQueue::new(shard_id);
+        let mut q = ShardEventQueue::new();
         let mut flows = Vec::with_capacity(specs.len());
         for (i, spec) in specs.into_iter().enumerate() {
             assert!(spec.src_host < n_hosts && spec.dst_host < n_hosts);

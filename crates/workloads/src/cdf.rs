@@ -28,21 +28,38 @@ pub enum Workload {
     DataMining,
 }
 
+/// One row per workload, in declaration order: the variant, the name tables
+/// print, and the key spec files and CLI flags spell.
+const WORKLOADS: [(Workload, &str, &str); 4] = [
+    (Workload::WebServer, "Web Server", "web_server"),
+    (Workload::CacheFollower, "Cache Follower", "cache_follower"),
+    (Workload::WebSearch, "Web Search", "web_search"),
+    (Workload::DataMining, "Data Mining", "data_mining"),
+];
+
 impl Workload {
-    pub const ALL: [Workload; 4] = [
-        Workload::WebServer,
-        Workload::CacheFollower,
-        Workload::WebSearch,
-        Workload::DataMining,
-    ];
+    /// Every workload, in declaration order: `ALL[w as usize] == w`.
+    pub const ALL: [Workload; 4] = {
+        let mut all = [Workload::WebServer; 4];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = WORKLOADS[i].0;
+            i += 1;
+        }
+        all
+    };
 
     pub fn name(self) -> &'static str {
-        match self {
-            Workload::WebServer => "Web Server",
-            Workload::CacheFollower => "Cache Follower",
-            Workload::WebSearch => "Web Search",
-            Workload::DataMining => "Data Mining",
-        }
+        WORKLOADS[self as usize].1
+    }
+
+    /// The name spec files and CLI flags use for this workload.
+    pub fn key(self) -> &'static str {
+        WORKLOADS[self as usize].2
+    }
+
+    pub fn from_key(key: &str) -> Option<Workload> {
+        Workload::ALL.into_iter().find(|w| w.key() == key)
     }
 
     pub fn cdf(self) -> SizeCdf {
@@ -219,6 +236,16 @@ mod tests {
         assert!((1.3e6..2.0e6).contains(&wsearch), "web search mean {wsearch}");
         let dm = SizeCdf::data_mining().mean_bytes();
         assert!((6e6..9e6).contains(&dm), "data mining mean {dm}");
+    }
+
+    #[test]
+    fn workload_table_is_in_declaration_order() {
+        for (i, w) in Workload::ALL.into_iter().enumerate() {
+            assert_eq!(w as usize, i, "{w:?} sits at row {i}");
+            assert_eq!(Workload::from_key(w.key()), Some(w));
+            assert_eq!(w.cdf().name(), w.name());
+        }
+        assert_eq!(Workload::from_key("websearch"), None);
     }
 
     #[test]

@@ -114,24 +114,9 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// Baseline verdict carried into the JSON report.
-pub struct BaselineSummary {
-    /// (file, rule, found, allowed) for counts above the baseline.
-    pub new: Vec<(String, String, u32, u32)>,
-    /// (file, rule, found, allowed) for baseline entries looser than
-    /// reality (stale — the ratchet must be re-tightened).
-    pub stale: Vec<(String, String, u32, u32)>,
-    /// Findings suppressed because a baseline entry covers them.
-    pub grandfathered: u32,
-}
-
 /// Render the full machine-readable report. Deterministic: findings are
 /// pre-sorted by the caller, keys are emitted in a fixed order.
-pub fn json_report(
-    files_scanned: usize,
-    findings: &[Finding],
-    baseline: Option<&BaselineSummary>,
-) -> String {
+pub fn json_report(files_scanned: usize, findings: &[Finding]) -> String {
     let errors = findings
         .iter()
         .filter(|f| f.rule.severity == Severity::Error)
@@ -160,42 +145,9 @@ pub fn json_report(
         ));
     }
     if findings.is_empty() {
-        out.push_str("],\n");
+        out.push_str("]\n");
     } else {
-        out.push_str("\n  ],\n");
-    }
-    match baseline {
-        None => out.push_str("  \"baseline\": null\n"),
-        Some(b) => {
-            out.push_str("  \"baseline\": {\n");
-            out.push_str(&format!(
-                "    \"grandfathered\": {},\n",
-                b.grandfathered
-            ));
-            for (key, list) in [("new", &b.new), ("stale", &b.stale)] {
-                out.push_str(&format!("    \"{key}\": ["));
-                for (i, (file, rule, found, allowed)) in list.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "\n      {{\"file\": \"{}\", \"rule\": \"{}\", \"found\": {}, \
-                         \"allowed\": {}}}",
-                        esc(file),
-                        esc(rule),
-                        found,
-                        allowed
-                    ));
-                }
-                if list.is_empty() {
-                    out.push(']');
-                } else {
-                    out.push_str("\n    ]");
-                }
-                out.push_str(if key == "new" { ",\n" } else { "\n" });
-            }
-            out.push_str("  }\n");
-        }
+        out.push_str("\n  ]\n");
     }
     out.push_str("}\n");
     out
@@ -248,26 +200,12 @@ mod tests {
         let src = "let s = \"x\";\tHashMap::new();\n";
         let start = src.find("HashMap").unwrap();
         let f = Finding::from_span("a\\b.rs", src, (start, start + 7), &HASH_CONTAINER);
-        let json = json_report(3, &[f], None);
+        let json = json_report(3, &[f]);
         assert!(json.contains("\"files_scanned\": 3"), "{json}");
         assert!(json.contains("\"a\\\\b.rs\""), "{json}");
         assert!(json.contains("\\\"x\\\""), "{json}");
-        assert!(json.contains("\"baseline\": null"), "{json}");
         // Empty-findings report stays valid.
-        let empty = json_report(0, &[], None);
+        let empty = json_report(0, &[]);
         assert!(empty.contains("\"findings\": []"), "{empty}");
-    }
-
-    #[test]
-    fn json_baseline_block() {
-        let b = BaselineSummary {
-            new: vec![("f.rs".into(), "lib-unwrap".into(), 3, 1)],
-            stale: vec![],
-            grandfathered: 7,
-        };
-        let json = json_report(1, &[], Some(&b));
-        assert!(json.contains("\"grandfathered\": 7"), "{json}");
-        assert!(json.contains("\"found\": 3"), "{json}");
-        assert!(json.contains("\"stale\": []"), "{json}");
     }
 }

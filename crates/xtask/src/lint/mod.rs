@@ -14,9 +14,6 @@
 //! * [`rules`] — the rule set; each rule is a visitor over the token
 //!   stream (`cargo xtask lint --list-rules` / `--explain <rule>`);
 //! * [`diag`] — span-accurate findings, code frames, `--json` output;
-//! * [`baseline`] — the `lint-baseline.toml` ratchet: existing findings
-//!   are grandfathered per-file-per-rule, CI fails on any new finding and
-//!   on a baseline looser than reality;
 //! * [`legacy`] — the original line scanner, kept only as the reference
 //!   half of `tests/differential.rs`.
 //!
@@ -29,7 +26,6 @@
 //! above, looking through further comments and attributes — suppresses a
 //! rule where the hazard is deliberate.
 
-pub mod baseline;
 pub mod diag;
 pub mod legacy;
 pub mod lexer;
@@ -264,125 +260,27 @@ pub fn scan_workspace(root: &Path) -> (usize, Vec<Finding>) {
 /// CLI-level options for a lint run.
 #[derive(Debug, Default)]
 pub struct Options {
-    /// Fail on any unsuppressed finding (CI mode).
+    /// Fail on any unsuppressed finding (CI mode). A finding is fixed or
+    /// carries a justified `lint:allow`; nothing is grandfathered.
     pub deny: bool,
     /// Write the JSON report: `Some(None)` → stdout, `Some(Some(p))` → file.
     pub json: Option<Option<PathBuf>>,
-    /// Baseline file to ratchet against.
-    pub baseline: Option<PathBuf>,
-    /// Regenerate the baseline from current findings and exit.
-    pub update_baseline: bool,
 }
 
 pub fn run(root: &Path, opts: &Options) -> ExitCode {
     let (files_scanned, findings) = scan_workspace(root);
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join("lint-baseline.toml"));
-
-    if opts.update_baseline {
-        let text = baseline::render(&findings);
-        let entries = baseline::count_by_file_rule(&findings).len();
-        if let Err(e) = std::fs::write(&baseline_path, &text) {
-            eprintln!("error: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "lint: wrote {} ({} grandfathered finding(s) across {} file/rule pair(s))",
-            baseline_path.display(),
-            findings.iter().filter(|f| f.rule.severity == Severity::Warning).count(),
-            entries,
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // Ratchet comparison (only when a baseline was requested).
-    let summary = match &opts.baseline {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read baseline {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            match baseline::parse(&text) {
-                Ok(b) => Some(baseline::compare(&findings, &b)),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => None,
-    };
-
-    // Findings to show: errors always; warnings unless their (file, rule)
-    // group is fully grandfathered by the baseline.
-    let over_budget: std::collections::BTreeSet<(String, String)> = summary
-        .as_ref()
-        .map(|s| {
-            s.new
-                .iter()
-                .map(|(f, r, _, _)| (f.clone(), r.clone()))
-                .collect()
-        })
-        .unwrap_or_default();
-    let shown: Vec<&Finding> = findings
-        .iter()
-        .filter(|f| {
-            f.rule.severity == Severity::Error
-                || summary.is_none()
-                || over_budget.contains(&(f.file.clone(), f.rule.name.to_string()))
-        })
-        .collect();
-    for f in &shown {
+    for f in &findings {
         println!("{f}\n");
     }
-
     let errors = findings
         .iter()
         .filter(|f| f.rule.severity == Severity::Error)
         .count();
     let warnings = findings.len() - errors;
-    let mut failed = errors > 0;
-    let mut shown_warnings = warnings;
-
-    if let Some(s) = &summary {
-        shown_warnings = shown.len() - errors;
-        for (file, rule, found, allowed) in &s.new {
-            println!(
-                "error: new `{rule}` finding(s) in {file}: found {found}, baseline allows \
-                 {allowed} — fix them (or justify with `// lint:allow({rule})`)"
-            );
-            failed = true;
-        }
-        for (file, rule, found, allowed) in &s.stale {
-            println!(
-                "error: stale baseline: {file} / {rule} allows {allowed} but only {found} \
-                 remain — run `cargo xtask lint --update-baseline` to tighten the ratchet"
-            );
-            failed = true;
-        }
-        println!(
-            "lint: scanned {files_scanned} files: {errors} error(s), {warnings} warning(s) \
-             ({} grandfathered by baseline, {} new, {} stale entr{})",
-            s.grandfathered,
-            s.new.len(),
-            s.stale.len(),
-            if s.stale.len() == 1 { "y" } else { "ies" },
-        );
-    } else {
-        println!("lint: scanned {files_scanned} files: {errors} error(s), {warnings} warning(s)");
-    }
-
-    if opts.deny && shown_warnings > 0 {
-        failed = true;
-    }
+    println!("lint: scanned {files_scanned} files: {errors} error(s), {warnings} warning(s)");
 
     if let Some(dest) = &opts.json {
-        let report = diag::json_report(files_scanned, &findings, summary.as_ref());
+        let report = diag::json_report(files_scanned, &findings);
         match dest {
             None => print!("{report}"),
             Some(path) => {
@@ -394,7 +292,7 @@ pub fn run(root: &Path, opts: &Options) -> ExitCode {
         }
     }
 
-    if failed {
+    if errors > 0 || (opts.deny && warnings > 0) {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

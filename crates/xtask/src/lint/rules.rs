@@ -434,10 +434,7 @@ item 1) will move time values across shard boundaries where a bare u64
 carries no meaning.
 
     bad:  let until = now.as_ps() + warn_lifetime_ps;
-    good: let until = now + SimDuration::from_ps(warn_lifetime_ps);
-
-Existing findings are grandfathered in lint-baseline.toml; don't add new
-ones.",
+    good: let until = now + SimDuration::from_ps(warn_lifetime_ps);",
 };
 
 /// Binary arithmetic operators of interest (single-token spellings; `+=`

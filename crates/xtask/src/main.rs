@@ -4,10 +4,6 @@
 //! ```text
 //! cargo xtask lint                         # advisory: only errors fail
 //! cargo xtask lint --deny                  # CI: any unsuppressed finding fails
-//! cargo xtask lint --baseline lint-baseline.toml
-//!                                          # ratchet: grandfathered findings
-//!                                          # pass, new or stale ones fail
-//! cargo xtask lint --update-baseline       # regenerate the ratchet file
 //! cargo xtask lint --json [report.json]    # machine-readable report
 //! cargo xtask lint --list-rules            # one line per rule
 //! cargo xtask lint --explain <rule>        # rationale + bad/good example
@@ -16,7 +12,7 @@
 //! cargo xtask spec-doc --check             # CI: fail if the doc drifted
 //! ```
 //!
-//! See [`lint`] for the framework (lexer, scope tree, rules, baseline)
+//! See [`lint`] for the framework (lexer, scope tree, rules)
 //! and [`xtask::specdoc`] for the doc generator.
 
 use xtask::{lint, specdoc};
@@ -31,9 +27,8 @@ fn main() -> ExitCode {
         Some("spec-doc") => specdoc::cli(&workspace_root(), &args[1..]),
         _ => {
             eprintln!(
-                "usage: cargo xtask lint [--deny] [--baseline <path>] [--update-baseline] \
-                 [--json [<path>]] [--list-rules] [--explain <rule>]\n       \
-                 cargo xtask spec-doc [--check]"
+                "usage: cargo xtask lint [--deny] [--json [<path>]] [--list-rules] \
+                 [--explain <rule>]\n       cargo xtask spec-doc [--check]"
             );
             ExitCode::from(2)
         }
@@ -46,15 +41,6 @@ fn lint_cli(args: &[String]) -> ExitCode {
     while i < args.len() {
         match args[i].as_str() {
             "--deny" => opts.deny = true,
-            "--update-baseline" => opts.update_baseline = true,
-            "--baseline" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("--baseline needs a path");
-                    return ExitCode::from(2);
-                };
-                opts.baseline = Some(PathBuf::from(path));
-            }
             "--json" => {
                 // Optional path operand: `--json report.json` or bare
                 // `--json` (stdout).

@@ -2,13 +2,13 @@
 //! grammar reference in EXPERIMENTS.md.
 //!
 //! The reference is rendered by `rlb_net::spec::render_spec_reference`
-//! from `SPEC_REFERENCE`, the same key tables the parser's unknown-key
-//! diagnostics quote — one source of truth for the grammar, its error
-//! messages and its documentation. This tool only owns the splicing:
-//! everything between the `spec-doc:begin` / `spec-doc:end` markers is
-//! replaced wholesale; hand edits inside the block are overwritten (CI
-//! runs `--check`, which fails when the committed block drifts from the
-//! code).
+//! from `SPEC_REFERENCE`, the table the spec reader and the canonical
+//! writer are loops over — one source of truth for the grammar, its
+//! defaults, its error messages and its documentation. This tool only
+//! owns the splicing: everything between the `spec-doc:begin` /
+//! `spec-doc:end` markers is replaced wholesale; hand edits inside the
+//! block are overwritten (CI runs `--check`, which fails when the
+//! committed block drifts from the code).
 
 use std::path::Path;
 use std::process::ExitCode;

@@ -10,7 +10,7 @@ use rlb::core::RlbConfig;
 use rlb::engine::SimTime;
 use rlb::lb::Scheme;
 use rlb::metrics::{ms, Table};
-use rlb::net::scenario::{asymmetric_topo, steady_state, SteadyStateConfig};
+use rlb::net::scenario::{asymmetric_topo, Scenario, SteadyStateConfig};
 use rlb::net::TopoConfig;
 use rlb::workloads::Workload;
 
@@ -32,7 +32,7 @@ fn main() {
                 horizon: SimTime::from_ms(5),
                 seed: 77,
             };
-            let res = steady_state(&cfg, Scheme::Hermes, rlb).run();
+            let res = Scenario::steady_state(&cfg, Scheme::Hermes, rlb).run();
             let s = res.summary();
             table.row(vec![
                 format!("{:.0}%", load * 100.0),

@@ -9,7 +9,7 @@
 use rlb::core::RlbConfig;
 use rlb::lb::Scheme;
 use rlb::metrics::{mean, ms, pct, Table};
-use rlb::net::scenario::{incast_scenario, IncastScenarioConfig};
+use rlb::net::{IncastScenarioConfig, Scenario};
 
 fn main() {
     let mut table = Table::new(vec![
@@ -28,7 +28,7 @@ fn main() {
                 seed: 3,
                 ..IncastScenarioConfig::default()
             };
-            let res = incast_scenario(&cfg, Scheme::Presto, rlb).run();
+            let res = Scenario::incast(&cfg, Scheme::Presto, rlb).run();
             let groups = res.group_completion_ms();
             let times: Vec<f64> = groups.iter().map(|(_, t)| *t).collect();
             let ict = mean(&times);

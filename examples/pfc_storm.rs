@@ -10,7 +10,7 @@ use rlb::core::RlbConfig;
 use rlb::engine::SimTime;
 use rlb::lb::Scheme;
 use rlb::metrics::{ms, FctSummary, Table};
-use rlb::net::scenario::{motivation, MotivationConfig, BACKGROUND_GROUP};
+use rlb::net::scenario::{MotivationConfig, Scenario, BACKGROUND_GROUP};
 
 fn main() {
     let mc = MotivationConfig {
@@ -40,7 +40,7 @@ fn main() {
         ("PFC, DRILL", true, None),
         ("PFC, DRILL+RLB", true, Some(RlbConfig::default())),
     ] {
-        let mut sc = motivation(&mc, Scheme::Drill, rlb);
+        let mut sc = Scenario::motivation(&mc, Scheme::Drill, rlb);
         sc.cfg.switch.pfc_enabled = pfc;
         let res = sc.run();
         // Measure the innocent background flows only, as the paper does.

@@ -11,7 +11,7 @@ use rlb::core::RlbConfig;
 use rlb::engine::SimTime;
 use rlb::lb::Scheme;
 use rlb::metrics::{ms, pct, FctSummary, Table};
-use rlb::net::scenario::{motivation, MotivationConfig, BACKGROUND_GROUP};
+use rlb::net::scenario::{MotivationConfig, Scenario, BACKGROUND_GROUP};
 
 fn main() {
     let scenario = MotivationConfig {
@@ -35,7 +35,7 @@ fn main() {
     ]);
 
     for (label, rlb) in [("DRILL", None), ("DRILL+RLB", Some(RlbConfig::default()))] {
-        let res = motivation(&scenario, Scheme::Drill, rlb).run();
+        let res = Scenario::motivation(&scenario, Scheme::Drill, rlb).run();
         // Measure the background flows f1..fn, as the paper does — the
         // traffic that is *not* responsible for the congestion.
         let bg: Vec<_> = res

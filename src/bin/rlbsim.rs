@@ -2,146 +2,222 @@
 //!
 //! ```sh
 //! cargo run --release --bin rlbsim -- \
-//!     --scheme drill --rlb --workload websearch --load 0.6 \
+//!     --scheme drill --rlb --workload web_search --load 0.6 \
 //!     --leaves 4 --spines 4 --hosts 8 --horizon-ms 10 --seed 1
 //! ```
 //!
-//! Flags (all optional):
-//!
-//! ```text
-//!   --scheme <ecmp|presto|letflow|hermes|drill|conga>   (default drill)
-//!   --rlb                       enable the RLB building block
-//!   --no-recirculation          RLB without packet recirculation (Fig. 9)
-//!   --no-pfc                    disable PFC (lossy fabric)
-//!   --workload <webserver|cachefollower|websearch|datamining>
-//!   --load <0..1>               offered core load        (default 0.6)
-//!   --leaves/--spines/--hosts   fabric shape             (default 4/4/8)
-//!   --asymmetric <frac>         degrade this fraction of links to 10G
-//!   --incast <degree>           run the incast scenario instead
-//!   --horizon-ms <ms>           traffic injection window (default 10)
-//!   --seed <n>                  RNG seed                 (default 1)
-//!   --monitor                   collect and print a fabric time series
-//!   --cdf                       print the FCT CDF
-//! ```
+//! `rlbsim --help` lists the flags (all optional) and the scheme and
+//! workload names, which are the ones spec files use. A flag, value or name
+//! it cannot use is one `rlbsim: …` line on stderr and exit status 2.
 
 use rlb::core::RlbConfig;
 use rlb::engine::{SimDuration, SimTime};
 use rlb::lb::Scheme;
 use rlb::metrics::{ms, pct, Table};
-use rlb::net::scenario::{
-    asymmetric_topo, incast_scenario, steady_state, IncastScenarioConfig, SteadyStateConfig,
-};
-use rlb::net::{MonitorConfig, TopoConfig};
+use rlb::net::scenario::{asymmetric_topo, IncastScenarioConfig, SteadyStateConfig};
+use rlb::net::{MonitorConfig, Scenario, TopoConfig};
 use rlb::workloads::Workload;
 
-struct Args(Vec<String>);
+struct Args {
+    scheme: Scheme,
+    rlb: bool,
+    no_recirculation: bool,
+    no_pfc: bool,
+    workload: Workload,
+    load: f64,
+    leaves: u32,
+    spines: u32,
+    hosts: u32,
+    asymmetric: Option<f64>,
+    incast: Option<u32>,
+    horizon_ms: u64,
+    seed: u64,
+    monitor: bool,
+    cdf: bool,
+}
 
-impl Args {
-    fn flag(&self, name: &str) -> bool {
-        self.0.iter().any(|a| a == name)
+fn usage() -> String {
+    format!(
+        "usage: rlbsim [FLAGS]
+  --scheme <{schemes}>   (default drill)
+  --rlb                       enable the RLB building block
+  --no-recirculation          RLB without packet recirculation (Fig. 9)
+  --no-pfc                    disable PFC (lossy fabric)
+  --workload <{workloads}>
+                              flow-size CDF            (default web_search)
+  --load <0..1>               offered core load        (default 0.6)
+  --leaves/--spines/--hosts   fabric shape             (default 4/4/8)
+  --asymmetric <frac>         degrade this fraction of links to 10G
+  --incast <degree>           run the incast scenario instead
+  --horizon-ms <ms>           traffic injection window (default 10)
+  --seed <n>                  RNG seed                 (default 1)
+  --monitor                   collect and print a fabric time series
+  --cdf                       print the FCT CDF
+  -h, --help                  this text",
+        schemes = Scheme::ALL.map(Scheme::key).join("|"),
+        workloads = Workload::ALL.map(Workload::key).join("|"),
+    )
+}
+
+/// `value` as a number, or the line that says it is not one.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: cannot read `{value}` as a number"))
+}
+
+/// The entry of `all` that `value` names. Case, `-` and `_` are not compared,
+/// so `WebSearch`, `web-search` and `websearch` all name `web_search`.
+fn named<T: Copy>(
+    flag: &str,
+    value: &str,
+    all: &[T],
+    key: fn(T) -> &'static str,
+) -> Result<T, String> {
+    let plain = |s: &str| s.to_ascii_lowercase().replace(['-', '_'], "");
+    all.iter()
+        .copied()
+        .find(|t| plain(key(*t)) == plain(value))
+        .ok_or_else(|| {
+            let known: Vec<&str> = all.iter().map(|t| key(*t)).collect();
+            format!(
+                "{flag}: unknown name `{value}` (known: {})",
+                known.join(", ")
+            )
+        })
+}
+
+/// `Ok(None)`: `--help` was asked for.
+fn parse(argv: &[String]) -> Result<Option<Args>, String> {
+    let mut a = Args {
+        scheme: Scheme::Drill,
+        rlb: false,
+        no_recirculation: false,
+        no_pfc: false,
+        workload: Workload::WebSearch,
+        load: 0.6,
+        leaves: 4,
+        spines: 4,
+        hosts: 8,
+        asymmetric: None,
+        incast: None,
+        horizon_ms: 10,
+        seed: 1,
+        monitor: false,
+        cdf: false,
+    };
+    let mut it = argv.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || {
+            let v = it.next().ok_or_else(|| format!("{flag} needs a value"));
+            v.map(String::as_str)
+        };
+        match flag.as_str() {
+            "-h" | "--help" => return Ok(None),
+            "--scheme" => a.scheme = named(flag, value()?, &Scheme::ALL, Scheme::key)?,
+            "--rlb" => a.rlb = true,
+            "--no-recirculation" => a.no_recirculation = true,
+            "--no-pfc" => a.no_pfc = true,
+            "--workload" => a.workload = named(flag, value()?, &Workload::ALL, Workload::key)?,
+            "--load" => a.load = number(flag, value()?)?,
+            "--leaves" => a.leaves = number(flag, value()?)?,
+            "--spines" => a.spines = number(flag, value()?)?,
+            "--hosts" => a.hosts = number(flag, value()?)?,
+            "--asymmetric" => a.asymmetric = Some(number(flag, value()?)?),
+            "--incast" => a.incast = Some(number(flag, value()?)?),
+            "--horizon-ms" => a.horizon_ms = number(flag, value()?)?,
+            "--seed" => a.seed = number(flag, value()?)?,
+            "--monitor" => a.monitor = true,
+            "--cdf" => a.cdf = true,
+            _ => return Err(format!("unknown flag `{flag}` (--help lists them)")),
+        }
     }
-
-    fn value(&self, name: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-            .map(|s| s.as_str())
+    if !(a.load > 0.0 && a.load <= 1.0) {
+        return Err(format!("--load: {} is outside (0, 1]", a.load));
     }
+    Ok(Some(a))
+}
 
-    fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> T
-    where
-        T::Err: std::fmt::Debug,
-    {
-        match self.value(name) {
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|e| panic!("bad value for {name}: {v} ({e:?})")),
-            None => default,
+/// Build the scenario the flags describe. The fabric is validated before any
+/// workload is generated for it, as `ScenarioSpec::build` does.
+fn scenario(a: &Args) -> Result<Scenario, String> {
+    let mut topo = TopoConfig {
+        n_leaves: a.leaves,
+        n_spines: a.spines,
+        hosts_per_leaf: a.hosts,
+        ..TopoConfig::default()
+    };
+    topo.validate()?;
+    if let Some(frac) = a.asymmetric {
+        topo = asymmetric_topo(&topo, frac, a.seed ^ 0xA5);
+    }
+    let rlb = a.rlb.then(|| RlbConfig {
+        enable_recirculation: !a.no_recirculation,
+        ..RlbConfig::default()
+    });
+    let mut scenario = if let Some(degree) = a.incast {
+        let off_leaf = topo.n_hosts() - topo.hosts_per_leaf;
+        if !(1..=off_leaf).contains(&degree) {
+            return Err(format!(
+                "--incast: degree {degree} is outside 1..={off_leaf}, the hosts off the client's leaf"
+            ));
+        }
+        Scenario::incast(
+            &IncastScenarioConfig {
+                topo,
+                degree,
+                requests: (a.horizon_ms as u32).max(1),
+                request_interval: SimDuration::from_ms(1),
+                background_load: a.load.min(0.4),
+                seed: a.seed,
+                ..IncastScenarioConfig::default()
+            },
+            a.scheme,
+            rlb,
+        )
+    } else {
+        Scenario::steady_state(
+            &SteadyStateConfig {
+                topo,
+                workload: a.workload,
+                load: a.load,
+                horizon: SimTime::from_ms(a.horizon_ms),
+                seed: a.seed,
+            },
+            a.scheme,
+            rlb,
+        )
+    };
+    if a.no_pfc {
+        scenario.cfg.switch.pfc_enabled = false;
+    }
+    if a.monitor {
+        scenario.cfg.monitor = Some(MonitorConfig::default());
+    }
+    scenario.cfg.validate()?;
+    Ok(scenario)
+}
+
+fn main() -> std::process::ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = parse(&argv).and_then(|args| match args {
+        Some(args) => scenario(&args).map(|scenario| run(&args, scenario)),
+        None => {
+            println!("{}", usage());
+            Ok(())
+        }
+    });
+    match outcome {
+        Ok(()) => std::process::ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("rlbsim: {msg}");
+            std::process::ExitCode::from(2)
         }
     }
 }
 
-fn parse_scheme(s: &str) -> Scheme {
-    match s.to_ascii_lowercase().as_str() {
-        "ecmp" => Scheme::Ecmp,
-        "presto" => Scheme::Presto,
-        "letflow" => Scheme::LetFlow,
-        "hermes" => Scheme::Hermes,
-        "drill" => Scheme::Drill,
-        "conga" => Scheme::Conga,
-        other => panic!("unknown scheme: {other}"),
-    }
-}
-
-fn parse_workload(s: &str) -> Workload {
-    match s.to_ascii_lowercase().as_str() {
-        "webserver" | "web-server" => Workload::WebServer,
-        "cachefollower" | "cache-follower" => Workload::CacheFollower,
-        "websearch" | "web-search" => Workload::WebSearch,
-        "datamining" | "data-mining" => Workload::DataMining,
-        other => panic!("unknown workload: {other}"),
-    }
-}
-
-fn main() {
-    let args = Args(std::env::args().skip(1).collect());
-    let scheme = parse_scheme(args.value("--scheme").unwrap_or("drill"));
-    let workload = parse_workload(args.value("--workload").unwrap_or("websearch"));
-    let load: f64 = args.parse("--load", 0.6);
-    let horizon_ms: u64 = args.parse("--horizon-ms", 10);
-    let seed: u64 = args.parse("--seed", 1);
-
-    let mut topo = TopoConfig {
-        n_leaves: args.parse("--leaves", 4),
-        n_spines: args.parse("--spines", 4),
-        hosts_per_leaf: args.parse("--hosts", 8),
-        ..TopoConfig::default()
-    };
-    if let Some(frac) = args.value("--asymmetric") {
-        let frac: f64 = frac.parse().expect("bad --asymmetric fraction");
-        topo = asymmetric_topo(&topo, frac, seed ^ 0xA5);
-    }
-
-    let rlb = args.flag("--rlb").then(|| RlbConfig {
-        enable_recirculation: !args.flag("--no-recirculation"),
-        ..RlbConfig::default()
-    });
-
-    let mut scenario = if let Some(degree) = args.value("--incast") {
-        incast_scenario(
-            &IncastScenarioConfig {
-                topo: topo.clone(),
-                degree: degree.parse().expect("bad --incast degree"),
-                requests: (horizon_ms as u32).max(1),
-                request_interval: SimDuration::from_ms(1),
-                background_load: load.min(0.4),
-                seed,
-                ..IncastScenarioConfig::default()
-            },
-            scheme,
-            rlb,
-        )
-    } else {
-        steady_state(
-            &SteadyStateConfig {
-                topo: topo.clone(),
-                workload,
-                load,
-                horizon: SimTime::from_ms(horizon_ms),
-                seed,
-            },
-            scheme,
-            rlb,
-        )
-    };
-    if args.flag("--no-pfc") {
-        scenario.cfg.switch.pfc_enabled = false;
-    }
-    if args.flag("--monitor") {
-        scenario.cfg.monitor = Some(MonitorConfig::default());
-    }
-
+fn run(args: &Args, scenario: Scenario) {
+    let topo = scenario.cfg.topo.clone();
     let label = scenario.cfg.label();
     println!(
         "fabric {}x{}x{} | {} | {} @ {:.0}% | seed {} | horizon {} ms | PFC {}",
@@ -149,11 +225,11 @@ fn main() {
         topo.n_spines,
         topo.hosts_per_leaf,
         label,
-        workload.name(),
-        load * 100.0,
-        seed,
-        horizon_ms,
-        if args.flag("--no-pfc") { "off" } else { "on" },
+        args.workload.name(),
+        args.load * 100.0,
+        args.seed,
+        args.horizon_ms,
+        if args.no_pfc { "off" } else { "on" },
     );
 
     // lint:allow(wall-clock) -- CLI progress timing only, never fed to the sim
@@ -196,13 +272,13 @@ fn main() {
         println!("incast completion time (avg over {} requests): {:.3} ms", icts.len(), avg);
     }
 
-    if args.flag("--cdf") {
+    if args.cdf {
         println!("\n# FCT CDF (ms, cumulative probability)");
         for (x, p) in rlb::metrics::downsample_cdf(&rlb::metrics::fct_cdf(&res.records), 20) {
             println!("{x:.4} {p:.3}");
         }
     }
-    if args.flag("--monitor") {
+    if args.monitor {
         println!("\n{}", res.timeseries.render());
     }
     eprintln!("wall time: {:?}", t0.elapsed());

@@ -20,7 +20,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use rlb::net::scenario::{steady_state, SteadyStateConfig};
+//! use rlb::net::{Scenario, SteadyStateConfig};
 //! use rlb::lb::Scheme;
 //! use rlb::core::RlbConfig;
 //! use rlb::engine::SimTime;
@@ -28,7 +28,7 @@
 //! // Web Search at 60% load on a 4x4 leaf-spine fabric, DRILL+RLB.
 //! let mut cfg = SteadyStateConfig::default();
 //! cfg.horizon = SimTime::from_us(300); // tiny horizon for the doctest
-//! let result = steady_state(&cfg, Scheme::Drill, Some(RlbConfig::default())).run();
+//! let result = Scenario::steady_state(&cfg, Scheme::Drill, Some(RlbConfig::default())).run();
 //! println!("avg FCT = {:.3} ms", result.summary().avg_fct_ms);
 //! assert_eq!(result.counters.buffer_drops, 0);
 //! ```

@@ -4,7 +4,7 @@
 use rlb::core::RlbConfig;
 use rlb::engine::SimTime;
 use rlb::lb::Scheme;
-use rlb::net::scenario::{steady_state, SteadyStateConfig};
+use rlb::net::scenario::{Scenario, SteadyStateConfig};
 use rlb::net::{SimConfig, Simulation, TopoConfig};
 use rlb::workloads::FlowSpec;
 
@@ -82,7 +82,7 @@ fn rlb_fabric_preserves_losslessness() {
 /// bytes are delivered and acknowledged exactly once, in order.
 #[test]
 fn go_back_n_delivers_under_heavy_reordering() {
-    let sc = steady_state(
+    let sc = Scenario::steady_state(
         &SteadyStateConfig {
             topo: TopoConfig {
                 n_leaves: 2,
@@ -117,7 +117,7 @@ fn go_back_n_delivers_under_heavy_reordering() {
 #[test]
 fn determinism_and_seed_sensitivity() {
     let run = |seed: u64| {
-        let sc = steady_state(
+        let sc = Scenario::steady_state(
             &SteadyStateConfig {
                 horizon: SimTime::from_us(800),
                 load: 0.5,

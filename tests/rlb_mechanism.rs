@@ -6,7 +6,7 @@ use rlb::core::RlbConfig;
 use rlb::engine::SimTime;
 use rlb::lb::Scheme;
 use rlb::metrics::FctSummary;
-use rlb::net::scenario::{motivation, MotivationConfig, BACKGROUND_GROUP};
+use rlb::net::scenario::{MotivationConfig, Scenario, BACKGROUND_GROUP};
 use rlb::net::RunResult;
 
 fn small_motivation(seed: u64) -> MotivationConfig {
@@ -42,7 +42,7 @@ fn background_summary(res: &RunResult) -> FctSummary {
 /// warnings and RLB changes decisions.
 #[test]
 fn warning_pipeline_fires_end_to_end() {
-    let res = motivation(&small_motivation(1), Scheme::Drill, Some(RlbConfig::default())).run();
+    let res = Scenario::motivation(&small_motivation(1), Scheme::Drill, Some(RlbConfig::default())).run();
     assert!(res.counters.pause_frames > 0, "bursts must trigger PFC");
     assert!(res.counters.cnm_generated > 0, "predictor must warn");
     assert!(res.counters.cnm_relayed > 0, "spines must relay CNMs");
@@ -64,9 +64,9 @@ fn rlb_reduces_background_ood_and_tail_fct() {
     let seeds = [1u64, 2, 3];
     for &seed in &seeds {
         let mc = small_motivation(seed);
-        let v = background_summary(&motivation(&mc, Scheme::Drill, None).run());
+        let v = background_summary(&Scenario::motivation(&mc, Scheme::Drill, None).run());
         let r = background_summary(
-            &motivation(&mc, Scheme::Drill, Some(RlbConfig::default())).run(),
+            &Scenario::motivation(&mc, Scheme::Drill, Some(RlbConfig::default())).run(),
         );
         vanilla_ood += v.p99_ood;
         rlb_ood += r.p99_ood;
@@ -94,9 +94,9 @@ fn rlb_reduces_background_ood_and_tail_fct() {
 fn pfc_inflates_out_of_order_degree() {
     for scheme in [Scheme::Presto, Scheme::Drill] {
         let mc = small_motivation(7);
-        let mut on = motivation(&mc, scheme, None);
+        let mut on = Scenario::motivation(&mc, scheme, None);
         on.cfg.switch.pfc_enabled = true;
-        let mut off = motivation(&mc, scheme, None);
+        let mut off = Scenario::motivation(&mc, scheme, None);
         off.cfg.switch.pfc_enabled = false;
         let s_on = background_summary(&on.run());
         let s_off = background_summary(&off.run());
@@ -115,7 +115,7 @@ fn reordering_grows_with_affected_paths() {
     let ooo_at = |k: u32| {
         let mut mc = small_motivation(11);
         mc.affected_paths = k;
-        background_summary(&motivation(&mc, Scheme::Drill, None).run()).ooo_ratio
+        background_summary(&Scenario::motivation(&mc, Scheme::Drill, None).run()).ooo_ratio
     };
     let few = ooo_at(2);
     let many = ooo_at(10);
@@ -134,10 +134,10 @@ fn recirculation_budget_and_ablation() {
         enable_recirculation: false,
         ..RlbConfig::default()
     };
-    let res = motivation(&mc, Scheme::Presto, Some(no_recirc)).run();
+    let res = Scenario::motivation(&mc, Scheme::Presto, Some(no_recirc)).run();
     assert_eq!(res.counters.recirculations, 0, "ablation must disable recirculation");
 
-    let res2 = motivation(&mc, Scheme::Presto, Some(RlbConfig::default())).run();
+    let res2 = Scenario::motivation(&mc, Scheme::Presto, Some(RlbConfig::default())).run();
     // Budget: total recirculations bounded by packets x max_recirculations.
     let sent: u64 = res2.records.iter().map(|r| r.packets_sent).sum();
     assert!(res2.counters.recirculations <= sent * RlbConfig::default().max_recirculations as u64);
