@@ -7,7 +7,7 @@
 //! ```
 
 use rlb_bench::cli::BenchCli;
-use rlb_bench::drive::drive;
+use rlb_bench::drive::{drive, DriveError};
 
 fn main() {
     let cli = BenchCli::parse_or_exit(
@@ -16,6 +16,9 @@ fn main() {
     );
     if let Err(e) = drive(&cli) {
         eprintln!("error: {e}");
-        std::process::exit(1);
+        std::process::exit(match e {
+            DriveError::Spec(_) => 2,
+            DriveError::Run(_) => 1,
+        });
     }
 }

@@ -37,10 +37,35 @@ pub fn resolve_figures(cli: &BenchCli) -> Result<Vec<&'static dyn Figure>, Strin
         .collect()
 }
 
+/// Why [`drive`] stopped short.
+#[derive(Debug)]
+pub enum DriveError {
+    /// The `--scenario` spec file cannot be run: unreadable, malformed, or
+    /// describing a run that cannot happen. Bad input, like a bad flag: the
+    /// `bench` binary exits 2.
+    Spec(String),
+    /// Anything else.
+    Run(String),
+}
+
+impl From<String> for DriveError {
+    fn from(e: String) -> DriveError {
+        DriveError::Run(e)
+    }
+}
+
+impl std::fmt::Display for DriveError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DriveError::Spec(e) | DriveError::Run(e) => f.write_str(e),
+        }
+    }
+}
+
 /// Run the figures selected by `cli` end to end. Returns the per-figure
 /// reports (in run order) alongside the batch summary, after printing
 /// tables and writing the JSON report if requested.
-pub fn drive(cli: &BenchCli) -> Result<Vec<(&'static dyn Figure, FigureReport)>, String> {
+pub fn drive(cli: &BenchCli) -> Result<Vec<(&'static dyn Figure, FigureReport)>, DriveError> {
     if let Some(path) = &cli.scenario {
         drive_scenario(cli, path)?;
         return Ok(Vec::new());
@@ -141,12 +166,13 @@ const SCENARIO_COLS: [Col; 7] = [
 /// `--scenario PATH`: parse + validate the spec file (span-quality errors
 /// verbatim from the parser), run it through the cached runner, print a
 /// summary table, and honor `--json`/`--stable-json` like any figure run.
-pub fn drive_scenario(cli: &BenchCli, path: &Path) -> Result<(), String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read scenario spec {}: {e}", path.display()))?;
-    let spec =
-        ScenarioSpec::parse(&text).map_err(|e| format!("in {}:\n{e}", path.display()))?;
-    let jobs = scenario_jobs(&spec, &cli.seed_offsets(), cli.shards)?;
+pub fn drive_scenario(cli: &BenchCli, path: &Path) -> Result<(), DriveError> {
+    let text = std::fs::read_to_string(path).map_err(|e| {
+        DriveError::Spec(format!("cannot read scenario spec {}: {e}", path.display()))
+    })?;
+    let spec = ScenarioSpec::parse(&text)
+        .map_err(|e| DriveError::Spec(format!("in {}:\n{e}", path.display())))?;
+    let jobs = scenario_jobs(&spec, &cli.seed_offsets(), cli.shards).map_err(DriveError::Spec)?;
     let summary = run_jobs(jobs, &cli.runner_config(true))?;
 
     // One row per seed: replicates of a spec are runs to look at, not a
@@ -158,7 +184,7 @@ pub fn drive_scenario(cli: &BenchCli, path: &Path) -> Result<(), String> {
         .collect();
     let t = table::render(&rows, &SCENARIO_COLS);
     println!("scenario {} ({})\n{t}", spec.label(), path.display());
-    finish(cli, &[], &summary)
+    Ok(finish(cli, &[], &summary)?)
 }
 
 fn point_json(o: &JobOutcome, stable: bool) -> Json {

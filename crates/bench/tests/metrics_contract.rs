@@ -57,7 +57,7 @@ const COUNTERS: [&str; 13] = [
     "faults_applied",
 ];
 
-const PERF: [&str; 16] = [
+const PERF: [&str; 30] = [
     "events_processed",
     "wall_ms",
     "events_per_sec",
@@ -74,6 +74,20 @@ const PERF: [&str; 16] = [
     "cross_shard_messages",
     "barrier_stalls",
     "aggregate_events_per_sec",
+    "completions_elided",
+    "events_flow_start",
+    "events_host_wake",
+    "events_link_arrive",
+    "events_egress_done",
+    "events_host_egress_done",
+    "events_pause_frame",
+    "events_predictor_tick",
+    "events_recirculate",
+    "events_alpha_tick",
+    "events_increase_tick",
+    "events_rto_check",
+    "events_monitor_tick",
+    "events_fault",
 ];
 
 #[test]
@@ -105,6 +119,15 @@ fn per_job_metrics_keys_and_their_order_are_frozen() {
         Some(&Json::U64(300))
     );
     assert_eq!(m.path(&["perf", "shards"]), Some(&Json::U64(1)));
+
+    // The per-variant counts split `events_processed` exactly; with the
+    // elided completions added back they give what scheduling every
+    // completion would have dispatched.
+    let count = |name: &str| m.path(&["perf", name]).and_then(Json::as_u64).expect(name);
+    let variants = PERF.iter().skip_while(|k| **k != "events_flow_start");
+    let by_variant: u64 = variants.map(|k| count(k)).sum();
+    assert_eq!(by_variant, count("events_processed"));
+    assert!(count("completions_elided") > 0);
     assert!(matches!(m.path(&["all", "avg_fct_ms"]), Some(Json::F64(_))));
     assert!(matches!(m.path(&["perf", "wall_ms"]), Some(Json::F64(_))));
 }

@@ -24,6 +24,7 @@
 use crate::config::TopoConfig;
 use rlb_engine::{SimDuration, SimTime};
 use serde::Serialize;
+use std::collections::BTreeMap;
 
 /// One fault kind. All variants are idempotent: downing a downed link or
 /// restoring a healthy one is a no-op (beyond counting as applied), so
@@ -89,9 +90,15 @@ pub fn flap(
 
 /// Validate a timeline against a topology: every index in range, every rate
 /// and scale non-zero, entries sorted by firing time (so the schedule reads
-/// top-to-bottom and replay order is obvious from the spec).
+/// top-to-bottom and replay order is obvious from the spec), and no link
+/// brought up or taken down again within one link delay of its last change
+/// — not even one frame could cross it in between, so such a flap (a zero
+/// one included) measures nothing.
 pub fn validate_timeline(faults: &[TimedFault], topo: &TopoConfig) -> Result<(), String> {
     let mut prev = SimTime::ZERO;
+    // Per link: the entry that last changed its state, and whether it took
+    // the link down.
+    let mut changed: BTreeMap<(u32, u32), (usize, bool)> = BTreeMap::new();
     for (i, tf) in faults.iter().enumerate() {
         if tf.at < prev {
             return Err(format!(
@@ -121,6 +128,29 @@ pub fn validate_timeline(faults: &[TimedFault], topo: &TopoConfig) -> Result<(),
         match tf.fault {
             Fault::LinkDown { leaf, spine } | Fault::LinkUp { leaf, spine } => {
                 check_link(leaf, spine)?;
+                let down = matches!(tf.fault, Fault::LinkDown { .. });
+                let last = changed.get(&(leaf, spine)).copied();
+                // The same state again changes nothing.
+                if last.is_none_or(|(_, was_down)| was_down != down) {
+                    if let Some((j, _)) = last {
+                        let gap = tf.at.saturating_since(faults[j].at).as_ps();
+                        if gap < topo.link_delay_ps {
+                            let (now, then, key) = if down {
+                                ("down", "up", "up_ps")
+                            } else {
+                                ("up", "down", "down_ps")
+                            };
+                            return Err(format!(
+                                "fault timeline entry {i}: link leaf {leaf}–spine {spine} \
+                                 goes {now} {gap} ps after entry {j} took it {then}, within \
+                                 one link delay (`link_delay_ps` = {}); a link stays {then} \
+                                 (a flap's `{key}`) at least that long",
+                                topo.link_delay_ps
+                            ));
+                        }
+                    }
+                    changed.insert((leaf, spine), (i, down));
+                }
             }
             Fault::LinkRate {
                 leaf,
@@ -208,6 +238,36 @@ mod tests {
         assert!(validate_timeline(&tl, &topo())
             .unwrap_err()
             .contains("must be sorted"));
+    }
+
+    /// A flap's down and up periods must each outlast one link delay
+    /// (2 µs here); zero ones included. Other links and repeats of the
+    /// same state do not count.
+    #[test]
+    fn flaps_within_a_link_delay_are_rejected() {
+        let t = topo();
+        let us = SimDuration::from_us;
+        let flap_of = |down, up| flap(1, 0, SimTime::from_us(100), down, up, 2);
+        for (down, up, key) in [
+            (SimDuration::ZERO, us(60), "`down_ps`"),
+            (SimDuration(1_000), us(60), "`down_ps`"),
+            (us(60), SimDuration(1_000), "`up_ps`"),
+            (us(60), SimDuration::ZERO, "`up_ps`"),
+        ] {
+            let e = validate_timeline(&flap_of(down, up), &t).expect_err("too fast");
+            assert!(
+                e.contains(key) && e.contains("within one link delay"),
+                "{e}"
+            );
+        }
+        validate_timeline(&flap_of(us(2), us(2)), &t).expect("one link delay is enough");
+        let elsewhere = [
+            TimedFault::new(SimTime::ZERO, Fault::LinkDown { leaf: 0, spine: 0 }),
+            TimedFault::new(SimTime::ZERO, Fault::LinkDown { leaf: 0, spine: 0 }),
+            TimedFault::new(SimTime::ZERO, Fault::LinkUp { leaf: 1, spine: 0 }),
+            TimedFault::new(SimTime::from_us(2), Fault::LinkUp { leaf: 0, spine: 0 }),
+        ];
+        validate_timeline(&elsewhere, &t).expect("no link flapped within a delay");
     }
 
     #[test]

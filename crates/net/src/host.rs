@@ -7,6 +7,7 @@
 //! flow whose DCQCN pacing clock allows. If no flow is eligible yet, the
 //! simulator schedules a wake-up at the earliest pacing deadline.
 
+use crate::switch::Reserved;
 use crate::topology::Node;
 use rlb_transport::{
     CnpGenerator, DcqcnConfig, DcqcnRate, GbnReceiver, GbnSender, IrnReceiver, IrnSender,
@@ -201,8 +202,12 @@ pub struct Host {
     /// with live flows rather than with the scenario (DESIGN §9.6).
     live_end: usize,
     rr_cursor: usize,
-    /// The single egress link toward the leaf.
+    /// A frame is serializing onto the link toward the leaf and its
+    /// `HostEgressDone` is in the event queue.
     pub busy: bool,
+    /// The last frame sent finishes at this reserved completion, which was
+    /// not scheduled because the NIC had nothing left to send.
+    pub reserved: Option<Reserved>,
     /// PFC-paused by the leaf's ingress MMU.
     pub paused: bool,
     pub paused_since_ps: u64,
@@ -218,10 +223,18 @@ impl Host {
             live_end: 0,
             rr_cursor: 0,
             busy: false,
+            reserved: None,
             paused: false,
             paused_since_ps: 0,
             wake_at: None,
         }
+    }
+
+    /// A frame is still serializing at `cursor` (see
+    /// `EgressPort::busy_at`).
+    #[inline]
+    pub fn busy_at(&self, cursor: (u64, u128)) -> bool {
+        self.busy || self.reserved.is_some_and(|r| r.pending_at(cursor))
     }
 
     /// Append flow `f` to the service list at construction; ids ascend.

@@ -313,12 +313,12 @@ fn worker(sim: &mut Simulation, me: usize, r: &Rounds) -> ShardOutcome {
                 r.barrier.wait();
             }
             Decision::Complete { k } => {
-                sim.fold_journal(Some(k));
+                sim.conclude(Some(k));
                 out.decision = decision;
                 break;
             }
             Decision::Drained { .. } | Decision::HardStop { .. } => {
-                sim.fold_journal(None);
+                sim.conclude(None);
                 out.decision = decision;
                 break;
             }

@@ -20,7 +20,7 @@ use crate::fault::Fault;
 use crate::host::{FlowState, Host, Reliability};
 use crate::monitor::{FabricSample, FabricTimeSeries};
 use crate::packet::{Packet, PacketKind, NO_PATH};
-use crate::switch::{LbInstance, LeafState, PfcAction, Switch};
+use crate::switch::{LbInstance, LeafState, PfcAction, Reserved, Switch};
 use crate::topology::{Node, Topology};
 use crate::trace::{FlowTraces, TraceEvent};
 use rlb_core::{conservative_qth, Decision, PfcPredictor, Prediction, Rlb};
@@ -196,6 +196,26 @@ record! {
         /// is what the shards would sustain if synchronization were free and
         /// each had a core — it cannot show whether sharding paid off.
         Max aggregate_events_per_sec: f64,
+        /// Completions whose event was never scheduled (DESIGN §9.7),
+        /// counted once their reserved time has passed. On one shard
+        /// `events_processed + completions_elided` is what dispatching every
+        /// completion would have counted.
+        Sum completions_elided: u64,
+        /// Events dispatched, one count per `Event` variant; they sum to
+        /// `events_processed`.
+        Sum events_flow_start: u64,
+        Sum events_host_wake: u64,
+        Sum events_link_arrive: u64,
+        Sum events_egress_done: u64,
+        Sum events_host_egress_done: u64,
+        Sum events_pause_frame: u64,
+        Sum events_predictor_tick: u64,
+        Sum events_recirculate: u64,
+        Sum events_alpha_tick: u64,
+        Sum events_increase_tick: u64,
+        Sum events_rto_check: u64,
+        Sum events_monitor_tick: u64,
+        Sum events_fault: u64,
     }
 }
 
@@ -319,6 +339,10 @@ pub struct Simulation {
     ent_cnt: Vec<u64>,
     /// Canonical key of the event currently being dispatched.
     cur_key: u128,
+    /// End (exclusive) of the window last dispatched: every reserved
+    /// completion before it has passed, every one at or after it is still
+    /// pending at the barrier.
+    window_end: u64,
     /// `(time, key)` of the latest flow completion seen on this shard.
     last_completion: Option<(u64, u128)>,
     /// Journaled output effects (sharded mode; folded at each barrier).
@@ -622,6 +646,7 @@ impl Simulation {
             shard_map,
             ent_cnt: vec![0; n_ranks],
             cur_key: 0,
+            window_end: 0,
             last_completion: None,
             journal: Vec::new(),
             outbox: (0..n_shards.max(1)).map(|_| Vec::new()).collect(),
@@ -737,11 +762,25 @@ impl Simulation {
         }
     }
 
-    /// Schedule a shard-local event under `rank`'s canonical key.
-    fn sched(&mut self, rank: u16, at: SimTime, ev: Event) {
+    /// Where dispatch stands: the time and canonical key of the event being
+    /// dispatched. Whatever sorts before it has happened.
+    #[inline]
+    fn cursor(&self) -> (u64, u128) {
+        (self.q.now().as_ps(), self.cur_key)
+    }
+
+    /// Take `rank`'s next canonical key. A schedule consumes it; so does a
+    /// completion that is reserved instead (DESIGN §9.7), which keeps every
+    /// later key exactly where scheduling it would have put it.
+    fn reserve_key(&mut self, rank: u16) -> u128 {
         let cnt = self.ent_cnt[rank as usize];
         self.ent_cnt[rank as usize] = cnt + 1;
-        let key = shard_key(self.q.now().as_ps(), rank, cnt);
+        shard_key(self.q.now().as_ps(), rank, cnt)
+    }
+
+    /// Schedule a shard-local event under `rank`'s canonical key.
+    fn sched(&mut self, rank: u16, at: SimTime, ev: Event) {
+        let key = self.reserve_key(rank);
         self.q.insert_message(at, key, ev);
     }
 
@@ -750,9 +789,7 @@ impl Simulation {
     /// barrier delivery. The key derivation is identical either way — the
     /// delivery route never affects the canonical merge order.
     fn sched_wire(&mut self, rank: u16, peer: Node, at: SimTime, ev: Event) {
-        let cnt = self.ent_cnt[rank as usize];
-        self.ent_cnt[rank as usize] = cnt + 1;
-        let key = shard_key(self.q.now().as_ps(), rank, cnt);
+        let key = self.reserve_key(rank);
         let dst = self.shard_of(peer);
         if dst == self.shard_id {
             self.q.insert_message(at, key, ev);
@@ -814,6 +851,21 @@ impl Simulation {
         self.journal = journal;
     }
 
+    /// Close the run at `shard::drive`'s terminal decision: fold the journal
+    /// up to `limit` like [`fold_journal`](Self::fold_journal), and count
+    /// the reserved completions still standing that the run passed — those
+    /// before the last window's end and, on completion, before `limit`.
+    /// The run stops there, so they would have been dispatched.
+    pub(crate) fn conclude(&mut self, limit: Option<(u64, u128)>) {
+        self.fold_journal(limit);
+        let end = self.window_end;
+        let passed = self
+            .reservations()
+            .filter(|r| r.done_ps < end && limit.is_none_or(|lim| (r.done_ps, r.key) <= lim))
+            .count();
+        self.perf.completions_elided += passed as u64;
+    }
+
     /// Run to completion: stops when all flows finished, the event queue
     /// drains, or the hard-stop horizon passes. A lone replica is the
     /// 1-shard instance of the bounded-window driver (`crate::shard`): one
@@ -844,6 +896,22 @@ impl Simulation {
     }
 
     fn dispatch(&mut self, ev: Event) {
+        let n = &mut self.perf;
+        *match &ev {
+            Event::FlowStart(_) => &mut n.events_flow_start,
+            Event::HostWake(_) => &mut n.events_host_wake,
+            Event::LinkArrive { .. } => &mut n.events_link_arrive,
+            Event::EgressDone { .. } => &mut n.events_egress_done,
+            Event::HostEgressDone(_) => &mut n.events_host_egress_done,
+            Event::PauseFrame { .. } => &mut n.events_pause_frame,
+            Event::PredictorTick(_) => &mut n.events_predictor_tick,
+            Event::Recirculate { .. } => &mut n.events_recirculate,
+            Event::AlphaTick => &mut n.events_alpha_tick,
+            Event::IncreaseTick => &mut n.events_increase_tick,
+            Event::RtoCheck(_) => &mut n.events_rto_check,
+            Event::MonitorTick => &mut n.events_monitor_tick,
+            Event::Fault(_) => &mut n.events_fault,
+        } += 1;
         match ev {
             Event::FlowStart(f) => self.on_flow_start(f),
             Event::HostWake(h) => self.on_host_wake(h),
@@ -863,10 +931,12 @@ impl Simulation {
 
     fn on_monitor_tick(&mut self) {
         let now = self.now();
+        let cursor = self.cursor();
         let mut buffered = 0u64;
         let mut paused_ports = 0u32;
         let mut max_q = 0u64;
-        for sw in self.leaves.iter().chain(self.spines.iter()) {
+        for sw in self.leaves.iter_mut().chain(self.spines.iter_mut()) {
+            sw.settle(cursor);
             buffered += sw.shared_used;
             for ep in &sw.egress {
                 if ep.paused {
@@ -933,7 +1003,16 @@ impl Simulation {
     /// from the round-robin-eligible flow, else a pacing wake-up.
     fn host_try_send(&mut self, h: u32) {
         let now = self.now();
-        if self.hosts[h as usize].busy {
+        let host = &self.hosts[h as usize];
+        if host.busy {
+            return;
+        }
+        if host.reserved.is_some_and(|r| r.pending_at(self.cursor())) {
+            // The NIC is mid-frame; once it has work, the completion that
+            // ends the frame must fire to pick it up.
+            if !self.host_ctrl[h as usize].is_empty() || !host.live().is_empty() {
+                self.materialize_host(h);
+            }
             return;
         }
         // Control frames first — they ride the lossless control class.
@@ -988,7 +1067,6 @@ impl Simulation {
         if matches!(pkt.kind, PacketKind::Data) {
             self.auditor.on_injected();
         }
-        self.hosts[h as usize].busy = true;
         // NIC line rate scaled by any live `Fault::LoadScale` (1000 = nominal).
         let rate = (self.cfg.topo.host_link_rate_bps * self.host_rate_scale_permille as u64
             / 1000)
@@ -997,7 +1075,26 @@ impl Simulation {
         let prop = SimDuration(self.cfg.topo.link_delay_ps);
         let (peer, peer_port) = self.topo.peer(Node::Host(h), 0);
         let rank = self.rank_host(h);
-        self.sched(rank, now + ser, Event::HostEgressDone(h));
+        let done = Reserved {
+            done_ps: (now + ser).as_ps(),
+            key: self.reserve_key(rank),
+        };
+        let host = &mut self.hosts[h as usize];
+        // The NIC was idle, so any earlier reserved completion has passed.
+        if host.reserved.take().is_some() {
+            self.perf.completions_elided += 1;
+        }
+        // Nothing left to send: only a new flow or a queued control frame
+        // gives the completion work, and both kick the NIC (`host_try_send`
+        // schedules it then). Live flows rule it out — an ACK can reopen a
+        // window without a kick.
+        if ser.as_ps() > 0 && self.host_ctrl[h as usize].is_empty() && host.live().is_empty() {
+            host.reserved = Some(done);
+        } else {
+            host.busy = true;
+            self.q
+                .insert_message(SimTime(done.done_ps), done.key, Event::HostEgressDone(h));
+        }
         // A host's peer is always its own leaf — same shard — but the wire
         // path keeps the key bookkeeping uniform.
         self.sched_wire(
@@ -1020,7 +1117,7 @@ impl Simulation {
         // frame right back out (control is pause-immune), so the arena
         // round trip is pure overhead. ACKs take this path once per
         // delivered data packet.
-        if !self.hosts[h as usize].busy && self.host_ctrl[h as usize].is_empty() {
+        if !self.hosts[h as usize].busy_at(self.cursor()) && self.host_ctrl[h as usize].is_empty() {
             self.host_transmit(h, pkt);
             return;
         }
@@ -1188,8 +1285,10 @@ impl Simulation {
             return;
         }
         // Data plane: buffer admission + PFC accounting.
+        let cursor = self.cursor();
         let (admitted, action) = {
             let sw = self.switch_mut(node);
+            sw.settle(cursor);
             match sw.admit_data(in_port, pkt.size_bytes) {
                 Ok(a) => (true, a),
                 Err(crate::switch::BufferOverflow) => (false, PfcAction::None),
@@ -1362,6 +1461,8 @@ impl Simulation {
     fn on_recirculate(&mut self, node: Node, pkt: Packet) {
         // The packet kept its buffer share while looping; it re-enters the
         // routing pipeline with its original ingress accounting.
+        let cursor = self.cursor();
+        self.switch_mut(node).settle(cursor);
         let in_port = pkt.ingress_port;
         self.route_data(node, in_port, pkt);
     }
@@ -1502,20 +1603,23 @@ impl Simulation {
     }
 
     fn try_transmit(&mut self, node: Node, port: u16) {
-        let (pkt, rate) = {
-            let (sw, arena) = self.switch_and_arena(node);
-            if sw.egress[port as usize].busy {
-                return;
+        let cursor = self.cursor();
+        let (sw, arena) = self.switch_and_arena(node);
+        let ep = &sw.egress[port as usize];
+        if ep.busy {
+            return;
+        }
+        if ep.reserved.is_some_and(|r| r.pending_at(cursor)) {
+            // A frame waits behind the one in flight: the completion that
+            // ends it must fire to launch the next.
+            if !ep.queues_empty() {
+                self.materialize_egress(node, port);
             }
-            match sw.next_to_transmit(arena, port) {
-                Some(p) => {
-                    sw.egress[port as usize].busy = true;
-                    (p, sw.egress[port as usize].rate_bps)
-                }
-                None => return,
-            }
-        };
-        self.launch(node, port, pkt, rate);
+            return;
+        }
+        if let Some(pkt) = sw.next_to_transmit(arena, port) {
+            self.launch(node, port, pkt);
+        }
     }
 
     /// Hand `pkt` to `node`'s egress `port`. When the port would transmit
@@ -1528,29 +1632,59 @@ impl Simulation {
     /// exactly when `enqueue` + `next_to_transmit` would hand the same
     /// packet straight back with every queue counter netting to zero.
     fn enqueue_or_launch(&mut self, node: Node, port: u16, pkt: Packet) {
-        let now_ps = self.now().as_ps();
+        let cursor = self.cursor();
         let control = pkt.kind.is_control();
         let (sw, arena) = self.switch_and_arena(node);
-        if sw.pass_through(port, control) {
-            sw.egress[port as usize].busy = true;
-            let rate = sw.egress[port as usize].rate_bps;
-            self.launch(node, port, pkt, rate);
+        if sw.pass_through(port, control, cursor) {
+            self.launch(node, port, pkt);
             return;
         }
-        sw.enqueue(arena, port, pkt, now_ps);
+        sw.enqueue(arena, port, pkt, cursor.0);
         self.try_transmit(node, port);
     }
 
-    /// Schedule serialization and wire arrival for `pkt` leaving `node` on
-    /// a `port` the caller already marked busy.
-    fn launch(&mut self, node: Node, port: u16, pkt: Packet, rate: u64) {
+    /// Start serializing `pkt` out of `node`'s idle egress `port`, and
+    /// schedule its wire arrival and — when it has anything to do — its
+    /// completion (DESIGN §9.7).
+    fn launch(&mut self, node: Node, port: u16, pkt: Packet) {
         let now = self.now();
-        let ser = tx_delay(pkt.size_bytes as u64, rate);
         let prop = SimDuration(self.cfg.topo.link_delay_ps);
         let release = (!pkt.kind.is_control()).then_some((pkt.ingress_port, pkt.size_bytes));
         let (peer, peer_port) = self.topo.peer(node, port);
         let rank = self.rank_node(node);
-        self.sched(rank, now + ser, Event::EgressDone { node, port, release });
+        let key = self.reserve_key(rank);
+        let sw = self.switch_mut(node);
+        let ep = &mut sw.egress[port as usize];
+        let ser = tx_delay(pkt.size_bytes as u64, ep.rate_bps);
+        let done = Reserved {
+            done_ps: (now + ser).as_ps(),
+            key,
+        };
+        // The port was idle, so any earlier reserved completion has passed.
+        let passed = ep.reserved.take().is_some();
+        // Nothing left to do at `done`: no frame waits to follow this one,
+        // and its buffer release cannot resume the ingress it is charged
+        // to. A frame queued later kicks `try_transmit`, and a PAUSE of
+        // that ingress goes through `apply_pfc_action`; both schedule the
+        // completion then.
+        let idle = ser.as_ps() > 0
+            && ep.queues_empty()
+            && release.is_none_or(|(ingress, _)| !sw.paused_upstream[ingress as usize]);
+        if idle {
+            ep.reserved = Some(done);
+            if let Some((ingress, bytes)) = release {
+                sw.defer_release(done, port, ingress, bytes);
+            }
+        } else {
+            ep.busy = true;
+            let ev = Event::EgressDone {
+                node,
+                port,
+                release,
+            };
+            self.q.insert_message(SimTime(done.done_ps), done.key, ev);
+        }
+        self.perf.completions_elided += passed as u64;
         self.sched_wire(
             rank,
             peer,
@@ -1564,9 +1698,11 @@ impl Simulation {
     }
 
     fn on_egress_done(&mut self, node: Node, port: u16, release: Option<(u16, u32)>) {
+        let cursor = self.cursor();
         let action = {
             let sw = self.switch_mut(node);
             sw.egress[port as usize].busy = false;
+            sw.settle(cursor);
             match release {
                 Some((ingress, bytes)) => sw.release_data(ingress, bytes),
                 None => PfcAction::None,
@@ -1574,6 +1710,31 @@ impl Simulation {
         };
         self.apply_pfc_action(node, action);
         self.try_transmit(node, port);
+    }
+
+    /// Schedule the completion `port` reserved, under the key it reserved
+    /// and with its deferred buffer release: something can now observe it.
+    fn materialize_egress(&mut self, node: Node, port: u16) {
+        let sw = self.switch_mut(node);
+        let ep = &mut sw.egress[port as usize];
+        let done = ep.reserved.take().expect("a reserved completion");
+        ep.busy = true;
+        let release = sw.reclaim_release(done.key);
+        let ev = Event::EgressDone {
+            node,
+            port,
+            release,
+        };
+        self.q.insert_message(SimTime(done.done_ps), done.key, ev);
+    }
+
+    /// [`materialize_egress`](Self::materialize_egress) for a host NIC.
+    fn materialize_host(&mut self, h: u32) {
+        let host = &mut self.hosts[h as usize];
+        let done = host.reserved.take().expect("a reserved completion");
+        host.busy = true;
+        let ev = Event::HostEgressDone(h);
+        self.q.insert_message(SimTime(done.done_ps), done.key, ev);
     }
 
     fn apply_pfc_action(&mut self, node: Node, action: PfcAction) {
@@ -1584,6 +1745,13 @@ impl Simulation {
             PfcAction::SendPause(p) => (p, true),
             PfcAction::SendResume(p) => (p, false),
         };
+        if pause {
+            // A release charged to this ingress may now send the RESUME,
+            // so every completion carrying one must really fire.
+            while let Some(out) = self.switch_mut(node).port_charged_to(port) {
+                self.materialize_egress(node, out);
+            }
+        }
         let id = match node {
             Node::Leaf(l) => (false, l),
             Node::Spine(s) => (true, s),
@@ -1780,10 +1948,12 @@ impl Simulation {
             None => return,
         };
         let now = self.now();
+        let cursor = self.cursor();
         let mut warns = std::mem::take(&mut self.warn_scratch);
         warns.clear();
         let keep_ticking = {
             let sw = self.switch_mut(node);
+            sw.settle(cursor);
             let mut any_active = false;
             for port in 0..sw.n_ports() {
                 if !sw.sampler_active[port] {
@@ -2018,6 +2188,7 @@ impl Simulation {
     /// during this window can land before `end`.
     pub(crate) fn dispatch_window(&mut self, end: SimTime) -> u64 {
         let n_flows = self.flows.len();
+        self.window_end = end.as_ps();
         let mut dispatched = 0;
         while let Some((_t, key, ev)) = self.q.pop_before(end) {
             self.cur_key = key;
@@ -2059,10 +2230,31 @@ impl Simulation {
         }
     }
 
+    /// Every reserved completion on this replica (only owned entities
+    /// launch frames, so only they hold any).
+    fn reservations(&self) -> impl Iterator<Item = Reserved> + '_ {
+        let ports = self
+            .leaves
+            .iter()
+            .chain(&self.spines)
+            .flat_map(|sw| &sw.egress);
+        let ports = ports.filter_map(|ep| ep.reserved);
+        ports.chain(self.hosts.iter().filter_map(|h| h.reserved))
+    }
+
     /// What this replica publishes at a round barrier.
     pub(crate) fn status(&mut self) -> ShardStatus {
+        // A completion reserved past the window is pending exactly as its
+        // event would be, so windows and the hard-stop end time come out
+        // as if it were queued. (`now` needs no such care: frames mean
+        // flows, flows keep the DCQCN ticks armed, and so a run that
+        // launched anything never drains.)
+        let reserved = self
+            .reservations()
+            .map(|r| SimTime(r.done_ps))
+            .filter(|&t| t.as_ps() >= self.window_end);
         ShardStatus {
-            next: self.q.peek_time(),
+            next: self.q.peek_time().into_iter().chain(reserved).min(),
             now: self.q.now(),
             completed: self.completed,
             last_completion: self.last_completion,
@@ -2118,6 +2310,11 @@ impl Simulation {
     /// (a shard alone sees only its side of each flow).
     #[cfg(feature = "audit")]
     pub(crate) fn audit_cut(&mut self, drain: bool) -> AuditReport {
+        // Releases not yet due stay charged, as their frames still are.
+        let cursor = self.cursor();
+        for sw in self.leaves.iter_mut().chain(self.spines.iter_mut()) {
+            sw.settle(cursor);
+        }
         let (mut in_flight, mut recirc) = (0u64, 0u64);
         for ev in self.q.iter_events() {
             match ev {
@@ -2389,5 +2586,224 @@ mod tests {
         assert_eq!(groups[0].0, 9);
         // 9 ms − 2 ms = 7 ms.
         assert!((groups[0].1 - 7.0).abs() < 1e-9);
+    }
+
+    /// Elided completions driven by hand (DESIGN §9.7): two leaves, one
+    /// spine, two hosts per leaf, and two flows that start only at 1 s, so
+    /// until then every event is one a test put in the queue. Frames are
+    /// 1 000 bytes, 200 ns on a 40 Gbps port; a link delay is 2 µs, so no
+    /// test window reaches a frame's next hop.
+    mod elided {
+        use super::*;
+        use crate::config::SwitchConfig;
+        use crate::fault::TimedFault;
+        use crate::packet::Packet;
+
+        const SER: u64 = 200_000;
+
+        fn sim(switch: SwitchConfig, faults: Vec<TimedFault>) -> Simulation {
+            let cfg = SimConfig {
+                topo: TopoConfig {
+                    n_leaves: 2,
+                    n_spines: 1,
+                    hosts_per_leaf: 2,
+                    ..TopoConfig::default()
+                },
+                switch,
+                faults,
+                ..SimConfig::default()
+            };
+            let late = SimTime::from_ms(1000);
+            let flows = vec![FlowSpec::new(late, 0, 1, 1), FlowSpec::new(late, 0, 2, 1)];
+            let s = Simulation::new(cfg, flows);
+            assert_eq!(tx_delay(1000, s.cfg.topo.link_rate_bps).as_ps(), SER);
+            s
+        }
+
+        /// A frame of `flow` (host 0 to host `flow + 1`) arriving at `node`
+        /// on `port`.
+        fn arrival(node: Node, port: u16, flow: u32, bytes: u32) -> Event {
+            let pkt = Packet::data(flow, 0, bytes, 0, flow + 1, 0);
+            Event::LinkArrive { node, port, pkt }
+        }
+
+        /// Queue `ev`, a frame no host sent, at `at` ps; the auditor counts
+        /// it injected, so the run's books balance.
+        fn inject(s: &mut Simulation, at: u64, ev: Event) {
+            #[cfg(feature = "audit")]
+            s.auditor.on_injected();
+            s.sched(RANK_GLOBAL, SimTime(at), ev);
+        }
+
+        /// Dispatch every event before `t` ps.
+        fn run_to(s: &mut Simulation, t: u64) {
+            s.dispatch_window(SimTime(t));
+            // The books balance with releases pending or not.
+            #[cfg(feature = "audit")]
+            s.audit_cut(false).assert_conserved();
+        }
+
+        /// Leaf 0: a frame from host 0 to host 1 finds the port idle and
+        /// nobody behind it, so its completion is only reserved; a second
+        /// one queued behind it schedules that completion, which then
+        /// launches the second frame at exactly the reserved instant.
+        #[test]
+        fn a_frame_queued_behind_launches_at_the_reserved_time() {
+            let mut s = sim(SwitchConfig::default(), Vec::new());
+            let (leaf, out) = (Node::Leaf(0), 1usize);
+            inject(&mut s, 0, arrival(leaf, 0, 0, 1000));
+            inject(&mut s, 10, arrival(leaf, 0, 0, 1000));
+            run_to(&mut s, 1);
+            let ep = &s.leaves[0].egress[out];
+            assert_eq!(ep.reserved.map(|r| r.done_ps), Some(SER));
+            assert!(!ep.busy);
+            run_to(&mut s, 11);
+            let ep = &s.leaves[0].egress[out];
+            assert!(
+                ep.busy && ep.reserved.is_none(),
+                "the queued frame scheduled it"
+            );
+            assert_eq!(s.leaves[0].ingress_bytes[0], 2000);
+            run_to(&mut s, SER);
+            assert_eq!(s.perf.events_egress_done, 0);
+            run_to(&mut s, SER + 1);
+            assert_eq!(s.perf.events_egress_done, 1);
+            let ep = &s.leaves[0].egress[out];
+            assert_eq!(
+                ep.reserved.map(|r| r.done_ps),
+                Some(2 * SER),
+                "launched at SER"
+            );
+            // The first frame released by its event; the second's release waits.
+            assert_eq!(s.leaves[0].ingress_bytes[0], 1000);
+            assert_eq!(s.perf.completions_elided, 0);
+        }
+
+        /// A PAUSE of the ingress a deferred release is charged to: that
+        /// release could now resume it, so its completion is scheduled, and
+        /// it does send the RESUME.
+        #[test]
+        fn a_pause_of_the_charged_ingress_schedules_the_completion() {
+            let pfc = SwitchConfig {
+                pfc_threshold_bytes: 1500,
+                pfc_hysteresis_bytes: 400,
+                ..SwitchConfig::default()
+            };
+            let mut s = sim(pfc, Vec::new());
+            let leaf = Node::Leaf(0);
+            // To host 1, then through the uplink to host 2: the second
+            // admission takes ingress 0 to 2 000 bytes, over the threshold.
+            inject(&mut s, 0, arrival(leaf, 0, 0, 1000));
+            inject(&mut s, 10, arrival(leaf, 0, 1, 1000));
+            run_to(&mut s, 1);
+            assert!(s.leaves[0].egress[1].reserved.is_some());
+            run_to(&mut s, 11);
+            assert_eq!(s.counters.pause_frames, 1);
+            let ep = &s.leaves[0].egress[1];
+            assert!(ep.busy && ep.reserved.is_none(), "the PAUSE scheduled it");
+            assert!(
+                s.leaves[0].egress[2].busy,
+                "a paused ingress's frame schedules"
+            );
+            run_to(&mut s, SER + 1);
+            // 2 000 − 1 000 bytes < 1 500 − 400: the release resumed host 0.
+            assert_eq!(s.counters.resume_frames, 1);
+            assert_eq!(s.perf.events_egress_done, 1);
+        }
+
+        /// Spine 0 toward leaf 1 while the link flaps, with 20 000-byte
+        /// frames (4 µs each, so a flap at least one link delay apart fits
+        /// inside one). A link-up kick during a reserved completion with
+        /// nothing queued schedules nothing; a frame frozen behind the
+        /// downed link after the completion passed launches at the next
+        /// kick, and the passed completion counts as elided.
+        #[test]
+        fn a_link_up_kick_launches_the_frozen_frame() {
+            const BIG: u64 = 20 * SER;
+            let flap = |t: u64, down: bool| {
+                let (leaf, spine) = (1, 0);
+                let fault = if down {
+                    Fault::LinkDown { leaf, spine }
+                } else {
+                    Fault::LinkUp { leaf, spine }
+                };
+                TimedFault::new(SimTime(t), fault)
+            };
+            const US: u64 = 1_000_000;
+            let faults = vec![
+                flap(US / 2, true),
+                flap(5 * US / 2, false),
+                flap(9 * US / 2, true),
+                flap(7 * US, false),
+            ];
+            let mut s = sim(SwitchConfig::default(), faults);
+            let spine = Node::Spine(0);
+            inject(&mut s, 0, arrival(spine, 0, 1, 20_000));
+            inject(&mut s, 5 * US, arrival(spine, 0, 1, 20_000));
+            run_to(&mut s, 5 * US / 2 + 1);
+            let ep = &s.spines[0].egress[1];
+            assert_eq!(ep.reserved.map(|r| r.done_ps), Some(BIG));
+            assert!(!ep.busy, "kicked, nothing to launch");
+            run_to(&mut s, 5 * US + 1);
+            assert_eq!(
+                s.spines[0].egress[1].data_q.len(),
+                1,
+                "frozen behind the link"
+            );
+            run_to(&mut s, 7 * US + 1);
+            let ep = &s.spines[0].egress[1];
+            assert_eq!(
+                ep.reserved.map(|r| r.done_ps),
+                Some(7 * US + BIG),
+                "launched at 7 µs"
+            );
+            assert_eq!(s.perf.events_egress_done, 0);
+            assert_eq!(s.perf.completions_elided, 1);
+            assert_eq!(s.counters.faults_applied, 4);
+        }
+
+        /// The hard stop: a reserved completion past it is the pending
+        /// event the run ends on, as its event would have been, and one
+        /// before it counts as elided when the run concludes.
+        #[test]
+        fn a_hard_stop_sees_reserved_completions() {
+            for (stop, end, elided) in [(SER / 2, SER, 0), (SER + 1, SER + 2_000_000, 1)] {
+                let mut s = sim(SwitchConfig::default(), Vec::new());
+                s.cfg.hard_stop = SimTime(stop);
+                inject(&mut s, 0, arrival(Node::Spine(0), 0, 1, 1000));
+                let res = s.run();
+                assert_eq!(res.end_time, SimTime(end), "hard stop at {stop}");
+                assert_eq!(res.events_processed, 1);
+                assert_eq!(res.perf.completions_elided, elided, "hard stop at {stop}");
+            }
+        }
+
+        /// A frame at exactly the reserved picosecond: keyed before the
+        /// reserved completion it finds the port busy and queues, which
+        /// schedules the completion; keyed after, it finds the port idle.
+        /// Either way it leaves at that picosecond.
+        #[test]
+        fn same_picosecond_arrivals_order_by_key_around_the_reservation() {
+            for before in [true, false] {
+                let mut s = sim(SwitchConfig::default(), Vec::new());
+                let spine = Node::Spine(0);
+                inject(&mut s, 0, arrival(spine, 0, 1, 1000));
+                run_to(&mut s, 1);
+                let r = s.spines[0].egress[1].reserved.expect("reserved");
+                let key = if before { r.key - 1 } else { r.key + 1 };
+                #[cfg(feature = "audit")]
+                s.auditor.on_injected();
+                s.q.insert_message(SimTime(r.done_ps), key, arrival(spine, 0, 1, 1000));
+                run_to(&mut s, r.done_ps + 1);
+                let ep = &s.spines[0].egress[1];
+                assert_eq!(
+                    ep.reserved.map(|r| r.done_ps),
+                    Some(2 * SER),
+                    "before: {before}"
+                );
+                assert_eq!(s.perf.events_egress_done, before as u64);
+                assert_eq!(s.perf.completions_elided, !before as u64);
+            }
+        }
     }
 }

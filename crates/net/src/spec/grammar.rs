@@ -343,8 +343,9 @@ pub const SPEC_REFERENCE: &[SectionDoc] = &[
             KeyDoc {
                 key: "horizon_ps",
                 example: "800_000_000",
-                doc: "Flow arrivals stop here (the run's hard stop is 25× \
-                      this, extended to outlast any incast burst train).",
+                doc: "Flow arrivals stop here, so it must be positive (the \
+                      run's hard stop is 25× this, extended to outlast any \
+                      incast burst train).",
                 field: field!(U64, spec.horizon.0),
             },
         ],
@@ -522,13 +523,15 @@ pub const SPEC_REFERENCE: &[SectionDoc] = &[
             KeyDoc {
                 key: "down_ps",
                 example: "50_000_000",
-                doc: "Outage length per `flap` cycle.",
+                doc: "Outage length per `flap` cycle; at least \
+                      `link_delay_ps`.",
                 field: field!(U64, open.fault.down.0),
             },
             KeyDoc {
                 key: "up_ps",
                 example: "50_000_000",
-                doc: "Recovery length per `flap` cycle.",
+                doc: "Recovery length per `flap` cycle; at least \
+                      `link_delay_ps` where another cycle follows.",
                 field: field!(U64, open.fault.up.0),
             },
             KeyDoc {

@@ -205,6 +205,9 @@ impl ScenarioSpec {
         // Before any workload is generated for it: an oversized fabric is a
         // diagnostic here, not minutes of flow generation first.
         topo.validate()?;
+        if self.horizon == SimTime::ZERO {
+            return Err("[scenario] `horizon_ps` is 0, so no flow can arrive".to_string());
+        }
         let curve = LoadCurve::new(self.load_points.clone())?;
         let mut flows = Vec::new();
         // Incast overlay first: same substream label as `Scenario::incast`,
@@ -478,6 +481,16 @@ permille = 1500
         )));
         let e = s.build().unwrap_err();
         assert!(e.contains("leaf 99 out of range"), "{e}");
+    }
+
+    #[test]
+    fn zero_horizon_is_a_build_error() {
+        let s = ScenarioSpec {
+            horizon: SimTime::ZERO,
+            ..ScenarioSpec::default()
+        };
+        let e = s.build().expect_err("a zero horizon generates no flows");
+        assert!(e.contains("`horizon_ps` is 0"), "{e}");
     }
 
     #[test]

@@ -19,6 +19,36 @@ use rlb_core::{ContributorTable, PfcPredictor, Rlb, WarningTable};
 use rlb_engine::{PacketArena, PacketHandle, SimRng};
 use std::collections::VecDeque;
 
+/// A serialization end whose completion event was never scheduled (DESIGN
+/// §9.7): the `EgressDone` / `HostEgressDone` it stands for would fire at
+/// `done_ps` under the canonical `key` the launch reserved for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reserved {
+    pub done_ps: u64,
+    pub key: u128,
+}
+
+impl Reserved {
+    /// Whether the completion still lies ahead of the event being
+    /// dispatched at `cursor = (now_ps, its key)`: the order in which the
+    /// wheel would have popped the two.
+    #[inline]
+    pub fn pending_at(self, cursor: (u64, u128)) -> bool {
+        (self.done_ps, self.key) > cursor
+    }
+}
+
+/// The buffer release of an elided data completion, applied by the first
+/// reader of the buffer counters after it falls due (`Switch::settle`).
+#[derive(Debug, Clone, Copy)]
+struct DeferredRelease {
+    at: Reserved,
+    ingress: u16,
+    bytes: u32,
+    /// The egress port whose completion carries it.
+    port: u16,
+}
+
 /// One egress port: data FIFO + strict-priority control FIFO.
 ///
 /// The FIFOs hold [`PacketHandle`]s into the simulation's [`PacketArena`];
@@ -37,8 +67,12 @@ pub struct EgressPort {
     /// uplink no longer invalidates its siblings (see
     /// `Simulation::assemble_paths`).
     pub q_gen: u64,
-    /// A frame is currently serializing out of this port.
+    /// A frame is serializing out of this port and its `EgressDone` is in
+    /// the event queue.
     pub busy: bool,
+    /// The last frame launched here finishes at this reserved completion,
+    /// which was not scheduled because nothing waited behind it.
+    pub reserved: Option<Reserved>,
     /// Data class paused by a downstream PFC PAUSE.
     pub paused: bool,
     /// When the current pause began (for paused-time accounting).
@@ -57,6 +91,19 @@ impl EgressPort {
     /// surfaced as `PathInfo::paused` in path snapshots.
     pub fn data_blocked(&self) -> bool {
         self.paused || self.link_down
+    }
+
+    /// A frame is still serializing at `cursor`: its completion is
+    /// scheduled, or reserved and not yet passed.
+    #[inline]
+    pub fn busy_at(&self, cursor: (u64, u128)) -> bool {
+        self.busy || self.reserved.is_some_and(|r| r.pending_at(cursor))
+    }
+
+    /// No frame waits in either class queue.
+    #[inline]
+    pub fn queues_empty(&self) -> bool {
+        self.ctrl_q.is_empty() && self.data_q.is_empty()
     }
 }
 
@@ -198,6 +245,13 @@ pub struct Switch {
     /// We have PAUSEd the upstream of this ingress port.
     pub paused_upstream: Vec<bool>,
     pub shared_used: u64,
+    /// Releases of elided data completions not yet applied to
+    /// `ingress_bytes` / `shared_used`; every reader of those two settles
+    /// first (`settle`).
+    deferred: Vec<DeferredRelease>,
+    /// No entry of `deferred` falls due before this instant (a lower
+    /// bound; `u64::MAX` when it is empty).
+    deferred_due_ps: u64,
     /// RLB predictor per ingress port (present iff RLB runs in this fabric).
     pub predictors: Vec<PfcPredictor>,
     /// This ingress port participates in the Δt sampling tick.
@@ -235,6 +289,8 @@ impl Switch {
             ingress_bytes: vec![0; n_ports],
             paused_upstream: vec![false; n_ports],
             shared_used: 0,
+            deferred: Vec::new(),
+            deferred_due_ps: u64::MAX,
             predictors: Vec::new(),
             sampler_active: vec![false; n_ports],
             sampler_tick_armed: false,
@@ -289,6 +345,65 @@ impl Switch {
         } else {
             PfcAction::None
         }
+    }
+
+    /// Defer the buffer release of a data frame leaving on `port` to its
+    /// unscheduled completion `at`. The caller guarantees the release
+    /// cannot send a RESUME: its ingress is not paused, and a PAUSE for it
+    /// reclaims the release before it falls due.
+    pub fn defer_release(&mut self, at: Reserved, port: u16, ingress: u16, bytes: u32) {
+        debug_assert!(!self.paused_upstream[ingress as usize]);
+        self.deferred_due_ps = self.deferred_due_ps.min(at.done_ps);
+        self.deferred.push(DeferredRelease {
+            at,
+            ingress,
+            bytes,
+            port,
+        });
+    }
+
+    /// Apply every deferred release whose completion precedes the event at
+    /// `cursor`, as that completion would have when it fired. One compare
+    /// while nothing is due.
+    #[inline]
+    pub fn settle(&mut self, cursor: (u64, u128)) {
+        if cursor.0 >= self.deferred_due_ps {
+            self.settle_due(cursor);
+        }
+    }
+
+    fn settle_due(&mut self, cursor: (u64, u128)) {
+        let mut due = u64::MAX;
+        let mut i = 0;
+        while i < self.deferred.len() {
+            let r = self.deferred[i];
+            if r.at.pending_at(cursor) {
+                due = due.min(r.at.done_ps);
+                i += 1;
+            } else {
+                // Releases commute, so the order within one settle is free.
+                self.deferred.swap_remove(i);
+                let action = self.release_data(r.ingress, r.bytes);
+                debug_assert_eq!(action, PfcAction::None, "a deferred release resumed");
+            }
+        }
+        self.deferred_due_ps = due;
+    }
+
+    /// Take back the deferred release of the completion keyed `key`, which
+    /// is being scheduled after all and will release for itself.
+    pub fn reclaim_release(&mut self, key: u128) -> Option<(u16, u32)> {
+        let i = self.deferred.iter().position(|r| r.at.key == key)?;
+        let r = self.deferred.swap_remove(i);
+        Some((r.ingress, r.bytes))
+    }
+
+    /// An egress port with a deferred release charged to `ingress`.
+    pub fn port_charged_to(&self, ingress: u16) -> Option<u16> {
+        self.deferred
+            .iter()
+            .find(|r| r.ingress == ingress)
+            .map(|r| r.port)
     }
 
     /// Dynamic-threshold egress admission: drop when this egress queue
@@ -358,17 +473,18 @@ impl Switch {
         Some(pkt)
     }
 
-    /// Whether a packet of the given class arriving at `port` *right now*
-    /// would be handed straight back by [`enqueue`](Self::enqueue) followed
-    /// by [`next_to_transmit`](Self::next_to_transmit): port idle, link up,
+    /// Whether a packet of the given class arriving at `port` during the
+    /// event at `cursor` would be handed straight back by
+    /// [`enqueue`](Self::enqueue) followed by
+    /// [`next_to_transmit`](Self::next_to_transmit): port idle, link up,
     /// no control frame queued ahead of it, and — for data — the class not
     /// paused and the data FIFO empty. The simulator's hot path uses this
     /// to skip the arena alloc/free round trip entirely on quiet ports,
     /// which is the dominant case at moderate load.
     #[inline]
-    pub fn pass_through(&self, port: u16, control: bool) -> bool {
+    pub fn pass_through(&self, port: u16, control: bool, cursor: (u64, u128)) -> bool {
         let ep = &self.egress[port as usize];
-        !ep.busy
+        !ep.busy_at(cursor)
             && !ep.link_down
             && ep.ctrl_q.is_empty()
             && (control || (!ep.paused && ep.data_q.is_empty()))

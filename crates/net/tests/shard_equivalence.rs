@@ -20,7 +20,11 @@
 //! NIC arbiter scanned every listed flow: ~180 listed flows per host, where
 //! the other goldens have a few dozen and would not notice a reordered
 //! service list. `LEAF_SPINE_FRAMES` was recorded at commit 865a6fb, the
-//! last one whose partition put every spine on shard 0.
+//! last one whose partition put every spine on shard 0. Every
+//! `events_processed` golden predates elided completions (DESIGN §9.7) and
+//! is held against `events_processed + completions_elided`, and
+//! `GOLDEN_PRESTO_STORM` was recorded at fb69e05, the last commit that
+//! scheduled every completion.
 //!
 //! Under `--features audit` the driver additionally asserts global packet
 //! conservation from the per-shard cuts at every window barrier, so
@@ -108,9 +112,15 @@ fn fingerprint<T: std::fmt::Debug>(v: &T) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
 }
 
-/// `(fingerprint(digest), events_processed)` of a 1-shard run.
+/// `(fingerprint(digest), events)` of a 1-shard run. `events` counts the
+/// completions that were never scheduled as if they had been dispatched
+/// (DESIGN §9.7): `events_processed + completions_elided` is exactly what
+/// the loop that scheduled every completion dispatched.
 fn golden(res: &RunResult) -> (u64, u64) {
-    (fingerprint(&digest(res)), res.events_processed)
+    (
+        fingerprint(&digest(res)),
+        res.events_processed + res.perf.completions_elided,
+    )
 }
 
 const GOLDEN_MOTIVATION: (u64, u64) = (873_330_274_369_411_462, 1_635_023);
@@ -118,6 +128,9 @@ const GOLDEN_FAULTED: (u64, u64) = (166_253_126_751_074_707, 256_380);
 const GOLDEN_HARD_STOP: (u64, u64) = (836_646_810_031_338_329, 11_753);
 const GOLDEN_MANY_MICE_ECMP: (u64, u64) = (5_781_914_321_385_179_750, 1_874_764);
 const GOLDEN_MANY_MICE_DRILL_RLB: (u64, u64) = (7_472_641_191_255_261_341, 3_650_816);
+/// Recorded at commit fb69e05, the last one that scheduled every egress
+/// completion.
+const GOLDEN_PRESTO_STORM: (u64, u64) = (703_359_014_315_700_477, 1_306_580);
 /// Frames that travel a leaf↔spine wire in the run of
 /// `column_partition_keeps_part_of_the_core_shard_local`: its
 /// `perf.cross_shard_messages` at commit 865a6fb, the last one where shard 0
@@ -174,6 +187,38 @@ fn motivation_scenario_matches_across_shard_counts() {
     for shards in [1u16, 2, 3, 5, 13] {
         let sharded = digest(&mk().run_with_shards(shards));
         assert_eq!(one, sharded, "--shards {shards} diverged from run()");
+    }
+}
+
+/// Presto+RLB in the PFC-storm dumbbell, with a shared pool small enough
+/// that it drops under PFC (the one scheme that does, benchmark/
+/// BASELINE.md) and no PFC hysteresis, so one release can resume an
+/// ingress. PAUSEs land on ingresses with deferred releases pending, whose
+/// completions must then be scheduled to send the RESUME, and
+/// dynamic-threshold drops release at once beside them.
+#[test]
+fn presto_storm_pauses_and_drops_alike_across_shard_counts() {
+    let mk = || {
+        let mut sc = Scenario::motivation(
+            &pfc_heavy_scenario(42),
+            Scheme::Presto,
+            Some(RlbConfig::default()),
+        );
+        sc.cfg.switch.buffer_bytes = 2_100_000;
+        sc.cfg.switch.pfc_hysteresis_bytes = 0;
+        sc
+    };
+    let one = mk().run();
+    assert_eq!(golden(&one), GOLDEN_PRESTO_STORM);
+    assert!(one.counters.pause_frames > 0 && one.counters.buffer_drops > 0);
+    assert!(one.perf.completions_elided > 0);
+    let one = digest(&one);
+    for shards in [2u16, 3] {
+        assert_eq!(
+            one,
+            digest(&mk().run_with_shards(shards)),
+            "--shards {shards} diverged"
+        );
     }
 }
 
