@@ -5,7 +5,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rlb_core::{algorithm1, PfcPredictor, Prediction, RlbConfig};
-use rlb_engine::{substream, EventQueue, FlowTable, HeapEventQueue, SimTime};
+use rlb_engine::{
+    shard_key, substream, EventQueue, FlowTable, HeapEventQueue, ShardEventQueue, SimTime,
+};
 use rlb_lb::{build, Ctx, PathInfo, Scheme};
 use rlb_workloads::SizeCdf;
 use std::collections::BTreeMap;
@@ -121,6 +123,52 @@ fn bench_queue_head_to_head(c: &mut Criterion) {
     group.bench_function("periodic/heap", |b| {
         b.iter(|| black_box(run_periodic(&mut HeapEventQueue::new(), POPS)))
     });
+    group.finish();
+}
+
+/// Stand-in for the simulator's 72-byte `Event` payload.
+#[derive(Clone, Copy)]
+struct SimEvent([u64; 9]);
+
+/// The simulator's queue as it runs: a `ShardEventQueue` holding `pending`
+/// events under `shard_key`s from 97 entities, each pop rescheduling
+/// either a link propagation (~1 µs), a serialization (~80 ns) or a
+/// same-instant control completion.
+fn run_sim_shaped(pending: u64, pops: u64) -> u64 {
+    const ENTITIES: u64 = 97;
+    let mut q: ShardEventQueue<SimEvent> = ShardEventQueue::new();
+    let mut s = 0x2545_f491_4f6c_dd1du64;
+    let mut seq = 0u64;
+    for i in 0..pending {
+        let key = shard_key(0, (i % ENTITIES) as u16, seq);
+        q.insert_message(SimTime(xorshift(&mut s) % 1_100_000), key, SimEvent([i; 9]));
+        seq += 1;
+    }
+    let mut acc = 0u64;
+    for _ in 0..pops {
+        let (t, _, ev) = q.pop().expect("hold model never drains");
+        acc = acc.wrapping_add(ev.0[0]);
+        let r = xorshift(&mut s);
+        let delay = match r % 16 {
+            0..=6 => 1_000_000 + r % 100_000,
+            7..=13 => 80_000 + r % 20_000,
+            _ => 0,
+        };
+        let key = shard_key(t.as_ps(), (ev.0[0] % ENTITIES) as u16, seq);
+        q.insert_message(SimTime(t.as_ps() + delay), key, ev);
+        seq += 1;
+    }
+    acc
+}
+
+fn bench_queue_sim_shaped(c: &mut Criterion) {
+    const POPS: u64 = 50_000;
+    let mut group = c.benchmark_group("engine/queue_sim_shaped");
+    for pending in [4_000u64, 15_000] {
+        group.bench_function(&format!("pending_{pending}"), |b| {
+            b.iter(|| black_box(run_sim_shaped(pending, POPS)))
+        });
+    }
     group.finish();
 }
 
@@ -630,7 +678,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_event_queue, bench_queue_head_to_head, bench_predictor,
+    targets = bench_event_queue, bench_queue_head_to_head, bench_queue_sim_shaped, bench_predictor,
               bench_algorithm1, bench_lb_selection, bench_decision_hot_path,
               bench_workload_sampling, bench_gbn, bench_host_plane,
               bench_shard_sync, bench_packet_plane, bench_percentile

@@ -57,7 +57,7 @@ const COUNTERS: [&str; 13] = [
     "faults_applied",
 ];
 
-const PERF: [&str; 30] = [
+const PERF: [&str; 32] = [
     "events_processed",
     "wall_ms",
     "events_per_sec",
@@ -69,6 +69,8 @@ const PERF: [&str; 30] = [
     "snapshot_dirty_sig_spines",
     "arena_high_water",
     "arena_capacity",
+    "queue_high_water",
+    "queue_capacity",
     "shards",
     "window_advances",
     "cross_shard_messages",
@@ -128,6 +130,8 @@ fn per_job_metrics_keys_and_their_order_are_frozen() {
     let by_variant: u64 = variants.map(|k| count(k)).sum();
     assert_eq!(by_variant, count("events_processed"));
     assert!(count("completions_elided") > 0);
+    assert!(count("queue_capacity") >= count("queue_high_water"));
+    assert!(count("queue_high_water") > 0);
     assert!(matches!(m.path(&["all", "avg_fct_ms"]), Some(Json::F64(_))));
     assert!(matches!(m.path(&["perf", "wall_ms"]), Some(Json::F64(_))));
 }

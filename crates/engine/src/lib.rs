@@ -309,11 +309,13 @@ mod proptests {
         /// pop exactly what its definition — `peek_time() < limit`, then
         /// `pop()` — pops, window after window, with messages landing at
         /// or after each closed window's edge (including inside the tick
-        /// the cursor stopped in).
+        /// the cursor stopped in). Bursts run past one storage chunk, so
+        /// chunk rollover and the per-slot minimum `peek_time` reads are
+        /// on this path too.
         #[test]
         fn pop_before_matches_peek_then_pop(
             ops in proptest::collection::vec(
-                (0u8..4, 0u64..200_000_000_000, 1u16..60), 1..120)
+                (0u8..4, 0u64..200_000_000_000, 1u16..200), 1..120)
         ) {
             let mut fast = ShardEventQueue::new();
             let mut slow = ShardEventQueue::new();

@@ -259,6 +259,17 @@ impl<E> ShardEventQueue<E> {
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
     }
+
+    /// Most events ever pending at once (diagnostic).
+    pub fn high_water(&self) -> usize {
+        self.wheel.high_water()
+    }
+
+    /// Events the queue's storage can hold without allocating, spare
+    /// storage included; it never shrinks (diagnostic).
+    pub fn capacity(&self) -> usize {
+        self.wheel.capacity()
+    }
 }
 
 /// The original `BinaryHeap`-backed future-event list.

@@ -20,9 +20,38 @@
 //!   *l* and has slot index *s* within it — the classic hashed hierarchical
 //!   wheel (`level = significant 6-bit group of cursor ⊕ tick`). Level 0
 //!   resolves single ticks; level *l* covers `64^l` ticks per slot.
-//! * Events more than `2^36` ticks (~70 s of simulated time) ahead spill
-//!   into a far-future binary heap ordered by `(time, seq)` and merge back
+//! * Events `2^36` ticks (~19 simulated minutes) or more ahead spill into
+//!   a far-future binary heap ordered by `(time, seq)` and merge back
 //!   tick-by-tick when the cursor approaches.
+//!
+//! ## Storage: what is retained tracks what is pending
+//!
+//! * **Level 0** keeps one growable `Vec` per tick, and the drain batch is
+//!   installed by `mem::swap` with the tick's bucket, so tick turnover
+//!   copies nothing. A level-0 bucket holds one tick's events, so what
+//!   these 65 vectors retain is bounded by the busiest tick.
+//! * **Levels 1 and up** store each slot as a list of fixed
+//!   [`CHUNK`]-entry chunks: the full ones in insertion order, then the
+//!   open **tail** chunk, kept inline in the slot so an insert is one
+//!   `push`. Every chunk comes from, and on a cascade goes back to, one
+//!   LIFO **spare pool** shared by all upper slots; an empty slot holds no
+//!   chunk at all, so a wheel that never schedules far ahead never
+//!   allocates upper-level storage. What levels 1+ retain is therefore
+//!   the peak number of chunks in use at once — the live upper-level
+//!   events rounded up per occupied slot — not a per-slot history.
+//! * Why not one `Vec` per upper slot: each `Vec` keeps its own
+//!   high-water capacity, and a cascade that recycles storage by swapping
+//!   the drained slot with a scratch `Vec` hands the largest capacity seen
+//!   so far to the slot it drains. Slot after slot, every one of the 384
+//!   upper buckets ends up holding the biggest burst any of them ever
+//!   held: on the paper-scale fabric, tens of MB of capacity for a few
+//!   thousand pending events.
+//! * Each upper slot keeps the **earliest `time`** among its entries, so
+//!   [`TimingWheel::peek_time`] (which the sharded driver calls at every
+//!   window barrier) never walks a chunk list: it reads the drain batch's
+//!   back, an upper slot's minimum, or at worst scans one tick's level-0
+//!   bucket. Only the time is kept: it is all `peek_time` reports, and the
+//!   drain order never reads it.
 //!
 //! ## Determinism
 //!
@@ -32,10 +61,12 @@
 //! reaches a tick its bucket is sorted **once** by `(time, seq)` into the
 //! drain batch; `seq` is a total order, so the sort has a unique result
 //! regardless of the (deterministic, append-only) bucket layout history.
-//! Cascades redistribute buckets in stored order and never reorder equal
-//! keys. No hashing, no pointer identity, no wall clock: replays are
-//! bit-exact, which the differential proptests in `queue.rs` pin against
-//! the reference heap implementation.
+//! Cascades redistribute slots in stored order (chunk by chunk, oldest
+//! first) and never reorder equal keys; chunk boundaries and pool reuse
+//! move storage, never entries relative to each other. No hashing, no
+//! pointer identity, no wall clock: replays are bit-exact, which the
+//! differential proptests in `lib.rs` pin against the reference heap
+//! implementation.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -56,6 +87,8 @@ const LEVELS: usize = 7;
 /// Deltas of at least this many ticks (~19 simulated minutes) go to the
 /// far-future heap.
 const SPAN_TICKS: u64 = 1 << 36;
+/// Entries per chunk of upper-level (level ≥ 1) slot storage.
+const CHUNK: usize = 64;
 
 /// Tie-break key for events sharing a timestamp. The sequential queue uses
 /// the plain insertion counter (`u64`, FIFO); the sharded queue packs
@@ -99,13 +132,46 @@ fn tick_of(t: SimTime) -> u64 {
     t.as_ps() >> TICK_BITS
 }
 
+/// One wheel slot: its entries in insertion order, as full chunks
+/// followed by the open tail, plus (above level 0) the earliest time
+/// among them.
+struct Slot<E, K: TieKey> {
+    /// The vector inserts push into. At level 0 the whole tick bucket,
+    /// grown as needed and swapped with the drain batch; above, the open
+    /// chunk: no allocation while the slot is empty, a `CHUNK`-capacity
+    /// chunk from the spare pool otherwise.
+    tail: Vec<Entry<E, K>>,
+    /// Earliest `time` among the slot's entries; `SimTime::MAX` when empty
+    /// and at level 0, where keeping it up to date cost more than the
+    /// one-tick scan it saves.
+    min: SimTime,
+    /// Full chunks, oldest first (always empty at level 0).
+    full: Vec<Vec<Entry<E, K>>>,
+}
+
+impl<E, K: TieKey> Slot<E, K> {
+    /// Replace the full (or, in an empty slot, unallocated) tail with a
+    /// chunk from `spare`. Kept out of line: inlined, it slows every
+    /// insert, and it runs once per `CHUNK` of them.
+    #[cold]
+    #[inline(never)]
+    fn open_chunk(&mut self, spare: &mut Vec<Vec<Entry<E, K>>>) {
+        let fresh = spare.pop().unwrap_or_else(|| Vec::with_capacity(CHUNK));
+        let closed = std::mem::replace(&mut self.tail, fresh);
+        if !closed.is_empty() {
+            self.full.push(closed);
+        }
+    }
+}
+
 /// The hierarchical wheel proper. Pure storage: the owning
 /// [`crate::queue::EventQueue`] supplies `seq` numbers, enforces the
 /// no-past-scheduling contract and owns the public clock.
 pub(crate) struct TimingWheel<E, K: TieKey = u64> {
-    /// `LEVELS × SLOTS` buckets, flattened; append-only between drains, so
-    /// every bucket is key-ascending.
-    slots: Vec<Vec<Entry<E, K>>>,
+    /// `LEVELS × SLOTS` slots, flattened; append-only between drains.
+    slots: Vec<Slot<E, K>>,
+    /// Empty chunks, reused last-in first-out by every upper slot.
+    spare: Vec<Vec<Entry<E, K>>>,
     /// One occupancy bit per slot, per level — `SLOTS == 64` makes a `u64`
     /// bitmap exact, and `trailing_zeros` finds the next bucket in O(1).
     occupied: [u64; LEVELS],
@@ -121,22 +187,28 @@ pub(crate) struct TimingWheel<E, K: TieKey = u64> {
     batch: Vec<Entry<E, K>>,
     /// Far-future spillover, min-ordered by `(time, key)`.
     overflow: BinaryHeap<Entry<E, K>>,
-    /// Recycled bucket storage for cascades, so redistributing a slot
-    /// allocates nothing in steady state.
-    cascade_scratch: Vec<Entry<E, K>>,
     len: usize,
+    /// Largest `len` ever reached.
+    high_water: usize,
 }
 
 impl<E, K: TieKey> TimingWheel<E, K> {
     pub fn new() -> Self {
         TimingWheel {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            slots: (0..LEVELS * SLOTS)
+                .map(|_| Slot {
+                    tail: Vec::new(),
+                    min: SimTime::MAX,
+                    full: Vec::new(),
+                })
+                .collect(),
+            spare: Vec::new(),
             occupied: [0; LEVELS],
             cursor: 0,
             batch: Vec::new(),
             overflow: BinaryHeap::new(),
-            cascade_scratch: Vec::new(),
             len: 0,
+            high_water: 0,
         }
     }
 
@@ -148,6 +220,23 @@ impl<E, K: TieKey> TimingWheel<E, K> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Most entries ever pending at once.
+    pub fn high_water(&self) -> usize {
+        self.high_water
+    }
+
+    /// Entries the wheel's storage can hold without allocating: every
+    /// bucket, chunk, spare chunk, the drain batch and the overflow heap.
+    /// Nothing is ever freed, so this is also its peak.
+    pub fn capacity(&self) -> usize {
+        let slots = self
+            .slots
+            .iter()
+            .flat_map(|s| s.full.iter().chain([&s.tail]));
+        let vecs = std::iter::once(&self.batch).chain(&self.spare).chain(slots);
+        vecs.map(Vec::capacity).sum::<usize>() + self.overflow.capacity()
     }
 
     /// Level for an event `tick` seen from the cursor: the index of the
@@ -172,6 +261,7 @@ impl<E, K: TieKey> TimingWheel<E, K> {
         let tick = tick_of(time);
         debug_assert!(tick >= self.cursor, "wheel insert behind cursor");
         self.len += 1;
+        self.high_water = self.high_water.max(self.len);
         let entry = Entry { time, key, event };
         // Scheduling into the tick currently being drained: merge into the
         // descending-sorted batch at the (time, key) position. Sequential
@@ -193,9 +283,22 @@ impl<E, K: TieKey> TimingWheel<E, K> {
             self.overflow.push(entry);
             return;
         }
+        self.place(level, tick, entry);
+    }
+
+    /// Append `entry` (at `tick`) to its bucket at `level < LEVELS`.
+    #[inline]
+    fn place(&mut self, level: usize, tick: u64, entry: Entry<E, K>) {
         let slot = Self::slot_index(level, tick);
-        self.slots[level * SLOTS + slot].push(entry);
         self.occupied[level] |= 1 << slot;
+        let s = &mut self.slots[level * SLOTS + slot];
+        if level > 0 {
+            if s.tail.len() == s.tail.capacity() {
+                s.open_chunk(&mut self.spare);
+            }
+            s.min = s.min.min(entry.time);
+        }
+        s.tail.push(entry);
     }
 
     /// Earliest occupied `(level, slot)` at or after the cursor, if any.
@@ -269,28 +372,12 @@ impl<E, K: TieKey> TimingWheel<E, K> {
                     if start > max_tick {
                         return false;
                     }
+                    self.cursor = start;
+                    self.occupied[level] &= !(1 << slot);
                     if level == 0 {
-                        self.cursor = start;
-                        self.occupied[0] &= !(1 << slot);
                         self.begin_batch(slot, overflow_tick == Some(start));
                     } else {
-                        // Cascade: advance to the slot's start and
-                        // redistribute its bucket into lower levels. The
-                        // bucket's storage is swapped through the scratch
-                        // vec, so steady-state cascades allocate nothing.
-                        self.cursor = start;
-                        self.occupied[level] &= !(1 << slot);
-                        let mut scratch = std::mem::take(&mut self.cascade_scratch);
-                        std::mem::swap(&mut scratch, &mut self.slots[level * SLOTS + slot]);
-                        for e in scratch.drain(..) {
-                            let tick = tick_of(e.time);
-                            let lv = self.level_for(tick);
-                            debug_assert!(lv < level, "cascade must descend");
-                            let s = Self::slot_index(lv, tick);
-                            self.slots[lv * SLOTS + s].push(e);
-                            self.occupied[lv] |= 1 << s;
-                        }
-                        self.cascade_scratch = scratch;
+                        self.cascade(level, slot);
                     }
                 }
                 None => {
@@ -302,6 +389,29 @@ impl<E, K: TieKey> TimingWheel<E, K> {
             }
         }
         true
+    }
+
+    /// Redistribute upper `slot` at `level`, whose start the cursor has
+    /// just reached, into lower levels in stored order, handing each
+    /// drained chunk back to the spare pool before the next is read.
+    fn cascade(&mut self, level: usize, slot: usize) {
+        let s = &mut self.slots[level * SLOTS + slot];
+        s.min = SimTime::MAX;
+        let mut full = std::mem::take(&mut s.full);
+        let tail = std::mem::take(&mut s.tail);
+        for mut chunk in full.drain(..).chain([tail]) {
+            for e in chunk.drain(..) {
+                let tick = tick_of(e.time);
+                // A level-1 slot, the common cascade, only feeds level 0.
+                let lv = if level == 1 { 0 } else { self.level_for(tick) };
+                debug_assert!(lv < level, "cascade must descend");
+                self.place(lv, tick, e);
+            }
+            self.spare.push(chunk);
+        }
+        // The emptied list keeps its (small) capacity for the slot's next
+        // burst.
+        self.slots[level * SLOTS + slot].full = full;
     }
 
     /// Move every overflow entry sharing the earliest overflow tick into
@@ -338,49 +448,46 @@ impl<E, K: TieKey> TimingWheel<E, K> {
                 .is_some_and(|e| tick_of(e.time) == self.cursor)
             {
                 let e = self.overflow.pop().expect("peeked");
-                self.slots[slot].push(e);
+                self.slots[slot].tail.push(e);
             }
         }
-        let (slots, batch) = (&mut self.slots, &mut self.batch);
-        let bucket = &mut slots[slot];
+        let bucket = &mut self.slots[slot].tail;
         if bucket.len() > 1 {
             bucket.sort_unstable_by(|a, b| {
                 b.time.cmp(&a.time).then_with(|| b.key.cmp(&a.key))
             });
         }
-        std::mem::swap(batch, bucket);
+        std::mem::swap(&mut self.batch, bucket);
     }
 
     /// Timestamp of the earliest pending entry without disturbing the
-    /// structure. O(bucket) for the imminent bucket, O(1) otherwise.
+    /// structure: O(1), except a scan of one tick's bucket when the
+    /// earliest event is already in level 0.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let mut best: Option<(SimTime, K)> = None;
-        let mut consider = |time: SimTime, key: K| {
-            if best.is_none_or(|(bt, bs)| (time, key) < (bt, bs)) {
-                best = Some((time, key));
-            }
-        };
-        if let Some(e) = self.batch.last() {
+        let wheel = match self.batch.last() {
             // The batch is sorted descending; its back is its minimum.
-            consider(e.time, e.key);
-        } else if let Some((level, slot)) = self.next_occupied() {
-            // The earliest wheel event lives in this bucket (buckets
-            // partition time); scan it for the (time, key) minimum.
-            for e in &self.slots[level * SLOTS + slot] {
-                consider(e.time, e.key);
-            }
-        }
-        if let Some(e) = self.overflow.peek() {
-            consider(e.time, e.key);
-        }
-        best.map(|(t, _)| t)
+            Some(e) => Some(e.time),
+            // The earliest wheel event lives in this slot (slots partition
+            // time); upper slots track their minimum.
+            None => match self.next_occupied() {
+                Some((0, slot)) => self.slots[slot].tail.iter().map(|e| e.time).min(),
+                Some((level, slot)) => Some(self.slots[level * SLOTS + slot].min),
+                None => None,
+            },
+        };
+        let overflow = self.overflow.peek().map(|e| e.time);
+        wheel.into_iter().chain(overflow).min()
     }
 
     /// Visit every pending event in unspecified order.
     pub fn iter_events(&self) -> impl Iterator<Item = &E> {
+        let slots = self
+            .slots
+            .iter()
+            .flat_map(|s| s.full.iter().flatten().chain(&s.tail));
         self.batch
             .iter()
-            .chain(self.slots.iter().flatten())
+            .chain(slots)
             .chain(self.overflow.iter())
             .map(|e| &e.event)
     }
@@ -399,5 +506,49 @@ mod tests {
         assert_eq!(w.level_for(64 * 64), 2);
         assert_eq!(TimingWheel::<u32>::slot_index(0, 37), 37);
         assert_eq!(TimingWheel::<u32>::slot_index(1, 64), 1);
+    }
+
+    /// Retained storage follows the pending set, not the history: a burst
+    /// walked through every level-1 slot, then through level-2 slots (which
+    /// cascade into level 1 before level 0), leaves the wheel holding about
+    /// one burst in the level-0 bucket, one in the drain batch and one in
+    /// spare chunks. Storage that kept each slot's own high water would
+    /// hold a burst in every slot the walk touched, about `64·N`.
+    #[test]
+    fn storage_tracks_the_live_set() {
+        const N: u64 = 1_000;
+        let tick_ps = 1u64 << TICK_BITS;
+        let bound = 2 * (N as usize + SLOTS * CHUNK);
+        let mut w: TimingWheel<u64> = TimingWheel::new();
+        let mut seq = 0u64;
+        let mut burst = |w: &mut TimingWheel<u64>, tick: u64| {
+            for i in 0..N {
+                w.insert(SimTime(tick * tick_ps + i % 7), seq, i);
+                seq += 1;
+            }
+            let mut last = (SimTime::ZERO, 0);
+            for _ in 0..N {
+                let e = w.pop().expect("burst pending");
+                assert!((e.time, e.key) > last, "pop order");
+                last = (e.time, e.key);
+            }
+            assert!(w.is_empty());
+            let cap = w.capacity();
+            assert!(cap <= bound, "tick {tick}: {cap} > {bound}");
+        };
+        // One level-1 slot, then every later one (the last step carries
+        // into level 2's next slot), then a walk over level-2 slots at an
+        // offset that lands in level 1 first.
+        burst(&mut w, SLOTS as u64);
+        for slot in 2..=SLOTS as u64 {
+            burst(&mut w, slot * SLOTS as u64);
+        }
+        let l2 = (SLOTS * SLOTS) as u64;
+        for slot in 2..SLOTS as u64 {
+            burst(&mut w, slot * l2 + SLOTS as u64 + 1);
+        }
+        assert_eq!(w.high_water(), N as usize);
+        // Only the chunks of one burst were ever needed at once.
+        assert!(w.spare.len() <= (N as usize).div_ceil(CHUNK) + 1);
     }
 }

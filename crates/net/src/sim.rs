@@ -178,6 +178,11 @@ record! {
         Max arena_high_water: u64,
         /// Arena slots ever allocated (its backing-store footprint).
         Max arena_capacity: u64,
+        /// Peak number of events pending in the event queue at once.
+        Max queue_high_water: u64,
+        /// Events the event queue's storage can hold, spare chunks
+        /// included (its backing-store footprint; it never shrinks).
+        Max queue_capacity: u64,
         /// Shards the run was partitioned into (1 = one replica owning the
         /// whole fabric, dispatched on the caller's thread).
         Max shards: u64,
@@ -2297,6 +2302,8 @@ impl Simulation {
             perf: PerfStats {
                 arena_high_water: self.arena.high_water() as u64,
                 arena_capacity: self.arena.capacity() as u64,
+                queue_high_water: self.q.high_water() as u64,
+                queue_capacity: self.q.capacity() as u64,
                 ..self.perf
             },
         }
