@@ -431,7 +431,7 @@ fn bench_host_plane(c: &mut Criterion) {
 
     // Flow `i` sends from host `i % n_hosts`; ids below `live` have started.
     let build = |n_hosts: u32, n_flows: u32, live: u32| {
-        let mut hosts: Vec<Host> = (0..n_hosts).map(Host::new).collect();
+        let mut hosts: Vec<Host> = (0..n_hosts).map(|_| Host::new(40_000_000_000)).collect();
         let mut flows = Vec::new();
         for i in 0..n_flows {
             let spec = rlb_workloads::FlowSpec::new(SimTime::ZERO, i % n_hosts, n_hosts, 1 << 30);

@@ -48,8 +48,9 @@ pub enum Fault {
     SpineDown { spine: u32 },
     /// Restore every link of the spine to up, at its configured rate.
     SpineUp { spine: u32 },
-    /// Scale every host NIC line rate to `permille`/1000 of its configured
-    /// value — time-varying load scaling (1000 restores nominal rate).
+    /// Set every host NIC's port rate to `permille`/1000 of the configured
+    /// `host_link_rate_bps` — time-varying load scaling (1000 restores
+    /// nominal rate). Frames already serializing finish at the old rate.
     LoadScale { permille: u32 },
 }
 

@@ -1,14 +1,17 @@
 //! Host / NIC model: per-flow sender+receiver transport state and the NIC
 //! egress arbitration bookkeeping.
 //!
-//! The NIC uses a *pull* model, like hardware RoCE NICs: whenever the
-//! egress link is free (and not PFC-paused by the leaf), it round-robins
-//! over the host's active flows and transmits one packet from the first
-//! flow whose DCQCN pacing clock allows. If no flow is eligible yet, the
-//! simulator schedules a wake-up at the earliest pacing deadline.
+//! The NIC's transmitter is an [`EgressPort`], the same one a switch port
+//! is: it launches and completes frames, honours PFC PAUSE on the data
+//! class and sends queued control frames first through the simulator's
+//! one egress path. Only its data source differs. The NIC uses a *pull*
+//! model, like hardware RoCE NICs: whenever the egress link is free (and
+//! not PFC-paused by the leaf), it round-robins over the host's active
+//! flows and transmits one packet from the first flow whose DCQCN pacing
+//! clock allows. If no flow is eligible yet, the simulator schedules a
+//! wake-up at the earliest pacing deadline.
 
-use crate::switch::Reserved;
-use crate::topology::Node;
+use crate::switch::EgressPort;
 use rlb_transport::{
     CnpGenerator, DcqcnConfig, DcqcnRate, GbnReceiver, GbnSender, IrnReceiver, IrnSender,
 };
@@ -193,7 +196,9 @@ impl FlowState {
 
 /// NIC-level state for one host.
 pub struct Host {
-    pub node: Node,
+    /// The transmitter toward the leaf. Its `data_q` stays empty: data is
+    /// pulled from the flows below when the port is free.
+    pub nic: EgressPort,
     /// Flows whose sender lives on this host, unfinished, ascending id
     /// (indices into the flow table).
     tx_flows: Vec<u32>,
@@ -202,39 +207,23 @@ pub struct Host {
     /// with live flows rather than with the scenario (DESIGN §9.6).
     live_end: usize,
     rr_cursor: usize,
-    /// A frame is serializing onto the link toward the leaf and its
-    /// `HostEgressDone` is in the event queue.
-    pub busy: bool,
-    /// The last frame sent finishes at this reserved completion, which was
-    /// not scheduled because the NIC had nothing left to send.
-    pub reserved: Option<Reserved>,
-    /// PFC-paused by the leaf's ingress MMU.
-    pub paused: bool,
-    pub paused_since_ps: u64,
     /// Earliest outstanding HostWake event time (dedup).
     pub wake_at: Option<u64>,
 }
 
 impl Host {
-    pub fn new(host_id: u32) -> Host {
+    /// A host whose NIC serializes at `nic_rate_bps`, with no flows listed.
+    pub fn new(nic_rate_bps: u64) -> Host {
         Host {
-            node: Node::Host(host_id),
+            nic: EgressPort {
+                rate_bps: nic_rate_bps,
+                ..EgressPort::default()
+            },
             tx_flows: Vec::new(),
             live_end: 0,
             rr_cursor: 0,
-            busy: false,
-            reserved: None,
-            paused: false,
-            paused_since_ps: 0,
             wake_at: None,
         }
-    }
-
-    /// A frame is still serializing at `cursor` (see
-    /// `EgressPort::busy_at`).
-    #[inline]
-    pub fn busy_at(&self, cursor: (u64, u128)) -> bool {
-        self.busy || self.reserved.is_some_and(|r| r.pending_at(cursor))
     }
 
     /// Append flow `f` to the service list at construction; ids ascend.
@@ -386,7 +375,7 @@ mod tests {
 
     #[test]
     fn pick_on_empty_flow_list() {
-        let mut h = Host::new(3);
+        let mut h = Host::new(0);
         assert_eq!(h.pick_eligible(&[], 0), None);
         assert_eq!(h.earliest_deadline(&[]), None);
         assert!(h.live().is_empty());

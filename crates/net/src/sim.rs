@@ -20,13 +20,12 @@ use crate::fault::Fault;
 use crate::host::{FlowState, Host, Reliability};
 use crate::monitor::{FabricSample, FabricTimeSeries};
 use crate::packet::{Packet, PacketKind, NO_PATH};
-use crate::switch::{LbInstance, LeafState, PfcAction, Reserved, Switch};
+use crate::switch::{EgressPort, LbInstance, LeafState, PfcAction, Reserved, Switch};
 use crate::topology::{Node, Topology};
 use crate::trace::{FlowTraces, TraceEvent};
 use rlb_core::{conservative_qth, Decision, PfcPredictor, Prediction, Rlb};
 use rlb_engine::{
-    shard_key, substream, tx_delay, PacketArena, PacketHandle, ShardEventQueue, SimDuration,
-    SimTime,
+    shard_key, substream, tx_delay, PacketArena, ShardEventQueue, SimDuration, SimTime,
 };
 use rlb_lb::{Ctx, PathInfo};
 use rlb_metrics::{record, FabricCounters, FctSummary, FlowRecord, LogHistogram};
@@ -44,15 +43,14 @@ pub(crate) enum Event {
     HostWake(u32),
     /// A frame finished propagating and arrives at (node, port).
     LinkArrive { node: Node, port: u16, pkt: Packet },
-    /// A switch egress finished serializing; `release` = (ingress_port,
-    /// bytes) to free from the shared buffer for data frames.
+    /// A switch egress or a host NIC (`Host(h)`, port 0) finished
+    /// serializing; `release` = (ingress_port, bytes) to free from the
+    /// shared buffer for a switch's data frames, `None` otherwise.
     EgressDone {
         node: Node,
         port: u16,
         release: Option<(u16, u32)>,
     },
-    /// The host NIC finished serializing a frame.
-    HostEgressDone(u32),
     /// PFC PAUSE (true) / RESUME (false) takes effect at (node, port).
     PauseFrame { node: Node, port: u16, pause: bool },
     /// RLB Δt sampling tick: one event per switch samples **all** of its
@@ -206,8 +204,10 @@ record! {
         /// `events_processed + completions_elided` is what dispatching every
         /// completion would have counted.
         Sum completions_elided: u64,
-        /// Events dispatched, one count per `Event` variant; they sum to
-        /// `events_processed`.
+        /// Events dispatched, one count per event class; they sum to
+        /// `events_processed`. A class is an `Event` variant, except that
+        /// `EgressDone` splits into switch ports (`events_egress_done`)
+        /// and host NICs (`events_host_egress_done`).
         Sum events_flow_start: u64,
         Sum events_host_wake: u64,
         Sum events_link_arrive: u64,
@@ -304,11 +304,8 @@ pub struct Simulation {
     hosts: Vec<Host>,
     /// Every packet parked in a queue anywhere in the fabric (switch egress
     /// classes, host NIC control queues) lives in this generational arena;
-    /// the queues themselves hold 4-byte [`PacketHandle`]s.
+    /// the queues themselves hold 4-byte `PacketHandle`s.
     arena: PacketArena<Packet>,
-    /// Control frames queued at each host NIC (ACK/NAK/CNP), strict
-    /// priority over data and immune to PFC pausing.
-    host_ctrl: Vec<std::collections::VecDeque<PacketHandle>>,
     flows: Vec<FlowState>,
     counters: FabricCounters,
     ood_histogram: LogHistogram,
@@ -357,9 +354,6 @@ pub struct Simulation {
     outbox: Vec<Vec<WireMsg>>,
     /// CNM relay TTL.
     cnm_ttl: u8,
-    /// Live host NIC rate scale in parts-per-thousand of the configured
-    /// `host_link_rate_bps` (the `Fault::LoadScale` knob); 1000 = nominal.
-    host_rate_scale_permille: u32,
     timeseries: FabricTimeSeries,
     traces: FlowTraces,
     pfc_pauses_by_port: std::collections::BTreeMap<((bool, u32), u16), u64>,
@@ -530,8 +524,9 @@ impl Simulation {
         }
 
         let n_hosts = topo.n_hosts();
-        let mut hosts: Vec<Host> = (0..n_hosts).map(Host::new).collect();
-        let host_ctrl = vec![std::collections::VecDeque::new(); n_hosts as usize];
+        let mut hosts: Vec<Host> = (0..n_hosts)
+            .map(|h| Host::new(topo.port_rate_bps(Node::Host(h), 0)))
+            .collect();
 
         // IRN window: one bandwidth-delay product of full-size packets
         // (IRN's "BDP-FC"), with a small floor.
@@ -592,7 +587,7 @@ impl Simulation {
         // The fault timeline rides the same wheel as everything else: one
         // event per entry, fired in deterministic (time, key) order, and
         // replicated on every shard (faults mutate fabric state that any
-        // shard may read — link rates, the NIC load scale).
+        // shard may read — link and NIC rates).
         for (i, tf) in cfg.faults.iter().enumerate() {
             q.insert_message(
                 tf.at,
@@ -631,7 +626,6 @@ impl Simulation {
             spines,
             hosts,
             arena: PacketArena::with_capacity(1024),
-            host_ctrl,
             flows,
             counters: FabricCounters::default(),
             ood_histogram: LogHistogram::new(),
@@ -656,7 +650,6 @@ impl Simulation {
             journal: Vec::new(),
             outbox: (0..n_shards.max(1)).map(|_| Vec::new()).collect(),
             cnm_ttl: 4,
-            host_rate_scale_permille: 1000,
             timeseries: FabricTimeSeries::default(),
             traces: FlowTraces::new(&cfg_trace_flows),
             pfc_pauses_by_port: std::collections::BTreeMap::new(),
@@ -696,25 +689,58 @@ impl Simulation {
         self.q.now()
     }
 
+    /// `node`'s switch; `None` for a host.
     #[inline]
-    fn switch_mut(&mut self, node: Node) -> &mut Switch {
+    fn switch_of(&mut self, node: Node) -> Option<&mut Switch> {
         match node {
-            Node::Leaf(l) => &mut self.leaves[l as usize],
-            Node::Spine(s) => &mut self.spines[s as usize],
-            Node::Host(_) => panic!("not a switch"),
+            Node::Leaf(l) => Some(&mut self.leaves[l as usize]),
+            Node::Spine(s) => Some(&mut self.spines[s as usize]),
+            Node::Host(_) => None,
         }
     }
 
-    /// Split-borrow a switch together with the packet arena (disjoint
-    /// fields), for enqueue/dequeue paths that park or reclaim packets.
     #[inline]
-    fn switch_and_arena(&mut self, node: Node) -> (&mut Switch, &mut PacketArena<Packet>) {
-        let sw = match node {
-            Node::Leaf(l) => &mut self.leaves[l as usize],
-            Node::Spine(s) => &mut self.spines[s as usize],
-            Node::Host(_) => panic!("not a switch"),
+    fn switch_mut(&mut self, node: Node) -> &mut Switch {
+        self.switch_of(node).expect("not a switch")
+    }
+
+    /// `node`'s egress `port` — a switch port, or a host's NIC (port 0) —
+    /// split-borrowed with the packet arena (disjoint fields), for the
+    /// paths that park or reclaim packets.
+    #[inline(always)]
+    fn port_and_arena(
+        &mut self,
+        node: Node,
+        port: u16,
+    ) -> (&mut EgressPort, &mut PacketArena<Packet>) {
+        let ep = match node {
+            Node::Host(h) => &mut self.hosts[h as usize].nic,
+            Node::Leaf(l) => &mut self.leaves[l as usize].egress[port as usize],
+            Node::Spine(s) => &mut self.spines[s as usize].egress[port as usize],
         };
-        (sw, &mut self.arena)
+        (ep, &mut self.arena)
+    }
+
+    #[inline]
+    fn port_mut(&mut self, node: Node, port: u16) -> &mut EgressPort {
+        self.port_and_arena(node, port).0
+    }
+
+    /// Every egress port of the fabric, host NICs included.
+    fn ports(&self) -> impl Iterator<Item = &EgressPort> + '_ {
+        let switches = self.leaves.iter().chain(&self.spines);
+        let nics = self.hosts.iter().map(|h| &h.nic);
+        switches.flat_map(|sw| &sw.egress).chain(nics)
+    }
+
+    /// `node` is a NIC with a live flow. A NIC's flows are its data source,
+    /// standing where a switch port's `data_q` stands, so something may
+    /// follow the frame it is sending even with its queues empty: an ACK
+    /// can reopen a flow's window without kicking the NIC, while a new
+    /// flow or a queued control frame kicks it.
+    #[inline(always)]
+    fn nic_has_live_flow(&self, node: Node) -> bool {
+        matches!(node, Node::Host(h) if !self.hosts[h as usize].live().is_empty())
     }
 
     // ------------------------------------------------------------------
@@ -906,8 +932,8 @@ impl Simulation {
             Event::FlowStart(_) => &mut n.events_flow_start,
             Event::HostWake(_) => &mut n.events_host_wake,
             Event::LinkArrive { .. } => &mut n.events_link_arrive,
+            Event::EgressDone { node: Node::Host(_), .. } => &mut n.events_host_egress_done,
             Event::EgressDone { .. } => &mut n.events_egress_done,
-            Event::HostEgressDone(_) => &mut n.events_host_egress_done,
             Event::PauseFrame { .. } => &mut n.events_pause_frame,
             Event::PredictorTick(_) => &mut n.events_predictor_tick,
             Event::Recirculate { .. } => &mut n.events_recirculate,
@@ -922,7 +948,6 @@ impl Simulation {
             Event::HostWake(h) => self.on_host_wake(h),
             Event::LinkArrive { node, port, pkt } => self.on_link_arrive(node, port, pkt),
             Event::EgressDone { node, port, release } => self.on_egress_done(node, port, release),
-            Event::HostEgressDone(h) => self.on_host_egress_done(h),
             Event::PauseFrame { node, port, pause } => self.on_pause_frame(node, port, pause),
             Event::PredictorTick(node) => self.on_predictor_tick(node),
             Event::Recirculate { node, pkt } => self.on_recirculate(node, pkt),
@@ -950,7 +975,7 @@ impl Simulation {
                 max_q = max_q.max(ep.data_q_bytes);
             }
         }
-        let paused_hosts = self.hosts.iter().filter(|h| h.paused).count() as u32;
+        let paused_hosts = self.hosts.iter().filter(|h| h.nic.paused).count() as u32;
         let active_flows = self
             .hosts
             .iter()
@@ -989,50 +1014,24 @@ impl Simulation {
         let rto = SimDuration(self.cfg.transport.rto_ps);
         let rank = self.rank_host(host);
         self.sched(rank, now + rto, Event::RtoCheck(f));
-        self.host_try_send(host);
+        self.try_transmit(Node::Host(host), 0);
     }
 
     fn on_host_wake(&mut self, h: u32) {
         if self.hosts[h as usize].wake_at == Some(self.now().as_ps()) {
             self.hosts[h as usize].wake_at = None;
         }
-        self.host_try_send(h);
+        self.try_transmit(Node::Host(h), 0);
     }
 
-    fn on_host_egress_done(&mut self, h: u32) {
-        self.hosts[h as usize].busy = false;
-        self.host_try_send(h);
-    }
-
-    /// NIC arbitration: control first (pause-immune), then one data packet
-    /// from the round-robin-eligible flow, else a pacing wake-up.
-    fn host_try_send(&mut self, h: u32) {
+    /// The data source of a free NIC whose data class may leave: one
+    /// packet from the round-robin-eligible flow, else a pacing wake-up.
+    /// Not inlined: it would triple `try_transmit`, the switch ports' hot
+    /// path.
+    #[inline(never)]
+    fn nic_pull(&mut self, h: u32) {
         let now = self.now();
-        let host = &self.hosts[h as usize];
-        if host.busy {
-            return;
-        }
-        if host.reserved.is_some_and(|r| r.pending_at(self.cursor())) {
-            // The NIC is mid-frame; once it has work, the completion that
-            // ends the frame must fire to pick it up.
-            if !self.host_ctrl[h as usize].is_empty() || !host.live().is_empty() {
-                self.materialize_host(h);
-            }
-            return;
-        }
-        // Control frames first — they ride the lossless control class.
-        if let Some(hdl) = self.host_ctrl[h as usize].pop_front() {
-            let pkt = self.arena.free(hdl);
-            self.host_transmit(h, pkt);
-            return;
-        }
-        if self.hosts[h as usize].paused {
-            return; // data class paused by the leaf's PFC
-        }
-        let picked = {
-            let host = &mut self.hosts[h as usize];
-            host.pick_eligible(&self.flows, now.as_ps())
-        };
+        let picked = self.hosts[h as usize].pick_eligible(&self.flows, now.as_ps());
         if let Some(f) = picked {
             let pkt = {
                 let mtu = self.cfg.transport.mtu_bytes;
@@ -1048,7 +1047,7 @@ impl Simulation {
             if self.traces.wants(f) {
                 self.traces.record(f, now.as_ps(), pkt.psn, TraceEvent::Sent);
             }
-            self.host_transmit(h, pkt);
+            self.launch(Node::Host(h), 0, pkt);
             return;
         }
         // Nothing eligible now: wake at the earliest pacing deadline.
@@ -1064,74 +1063,6 @@ impl Simulation {
                 self.sched(rank, SimTime(d), Event::HostWake(h));
             }
         }
-    }
-
-    fn host_transmit(&mut self, h: u32, pkt: Packet) {
-        let now = self.now();
-        #[cfg(feature = "audit")]
-        if matches!(pkt.kind, PacketKind::Data) {
-            self.auditor.on_injected();
-        }
-        // NIC line rate scaled by any live `Fault::LoadScale` (1000 = nominal).
-        let rate = (self.cfg.topo.host_link_rate_bps * self.host_rate_scale_permille as u64
-            / 1000)
-            .max(1);
-        let ser = tx_delay(pkt.size_bytes as u64, rate);
-        let prop = SimDuration(self.cfg.topo.link_delay_ps);
-        let (peer, peer_port) = self.topo.peer(Node::Host(h), 0);
-        let rank = self.rank_host(h);
-        let done = Reserved {
-            done_ps: (now + ser).as_ps(),
-            key: self.reserve_key(rank),
-        };
-        let host = &mut self.hosts[h as usize];
-        // The NIC was idle, so any earlier reserved completion has passed.
-        if host.reserved.take().is_some() {
-            self.perf.completions_elided += 1;
-        }
-        // Nothing left to send: only a new flow or a queued control frame
-        // gives the completion work, and both kick the NIC (`host_try_send`
-        // schedules it then). Live flows rule it out — an ACK can reopen a
-        // window without a kick.
-        if ser.as_ps() > 0 && self.host_ctrl[h as usize].is_empty() && host.live().is_empty() {
-            host.reserved = Some(done);
-        } else {
-            host.busy = true;
-            self.q
-                .insert_message(SimTime(done.done_ps), done.key, Event::HostEgressDone(h));
-        }
-        // A host's peer is always its own leaf — same shard — but the wire
-        // path keeps the key bookkeeping uniform.
-        self.sched_wire(
-            rank,
-            peer,
-            now + ser + prop,
-            Event::LinkArrive {
-                node: peer,
-                port: peer_port,
-                pkt,
-            },
-        );
-    }
-
-    /// Park a control frame in the arena, queue its handle at a host NIC
-    /// and kick the NIC.
-    fn host_send_control(&mut self, h: u32, pkt: Packet) {
-        debug_assert!(pkt.kind.is_control());
-        // Same bypass as `enqueue_or_launch`: a quiet NIC would pop this
-        // frame right back out (control is pause-immune), so the arena
-        // round trip is pure overhead. ACKs take this path once per
-        // delivered data packet.
-        if !self.hosts[h as usize].busy_at(self.cursor()) && self.host_ctrl[h as usize].is_empty() {
-            self.host_transmit(h, pkt);
-            return;
-        }
-        let now_ps = self.now().as_ps();
-        let hdl = self
-            .arena
-            .alloc(pkt.size_bytes, pkt.flow, true, now_ps, pkt);
-        self.host_ctrl[h as usize].push_back(hdl);
-        self.host_try_send(h);
     }
 
     fn on_host_rx(&mut self, h: u32, pkt: Packet) {
@@ -1203,7 +1134,7 @@ impl Simulation {
                     }
                 }
                 for r in responses.into_iter().flatten() {
-                    self.host_send_control(h, r);
+                    self.enqueue_or_launch(Node::Host(h), 0, r);
                 }
             }
             PacketKind::Ack => {
@@ -1244,7 +1175,7 @@ impl Simulation {
                 } else if irn_has_retx {
                     // A NACK opened retransmission work (or the window
                     // reopened): kick the NIC.
-                    self.host_try_send(h);
+                    self.try_transmit(Node::Host(h), 0);
                 }
             }
             PacketKind::Nak => {
@@ -1257,7 +1188,7 @@ impl Simulation {
                 {
                     tx.on_nak(pkt.psn);
                 }
-                self.host_try_send(h);
+                self.try_transmit(Node::Host(h), 0);
             }
             PacketKind::Cnp => {
                 self.flows[pkt.flow as usize].dcqcn.on_cnp();
@@ -1445,7 +1376,6 @@ impl Simulation {
         let mark = {
             let sw = self.switch_mut(node);
             if sw.dt_exceeded(out) {
-                sw.drops += 1;
                 let action = sw.release_data(pkt.ingress_port, pkt.size_bytes);
                 #[cfg(feature = "audit")]
                 self.auditor.on_dropped();
@@ -1607,44 +1537,54 @@ impl Simulation {
         snap_idx
     }
 
+    /// Start the next frame out of `node`'s egress `port` if the port is
+    /// free: a queued control frame first (pause-immune), then data unless
+    /// the class is paused — the head of a switch port's FIFO, or what a
+    /// NIC pulls from its flows (`nic_pull`).
     fn try_transmit(&mut self, node: Node, port: u16) {
         let cursor = self.cursor();
-        let (sw, arena) = self.switch_and_arena(node);
-        let ep = &sw.egress[port as usize];
+        let (ep, arena) = self.port_and_arena(node, port);
         if ep.busy {
             return;
         }
         if ep.reserved.is_some_and(|r| r.pending_at(cursor)) {
-            // A frame waits behind the one in flight: the completion that
-            // ends it must fire to launch the next.
-            if !ep.queues_empty() {
+            // The port is mid-frame; once work waits behind it, the
+            // completion that ends the frame must fire to pick it up.
+            if !ep.queues_empty() || self.nic_has_live_flow(node) {
                 self.materialize_egress(node, port);
             }
             return;
         }
-        if let Some(pkt) = sw.next_to_transmit(arena, port) {
+        if let Some(pkt) = ep.next_to_transmit(arena) {
             self.launch(node, port, pkt);
+        } else if let Node::Host(h) = node {
+            if !ep.paused {
+                self.nic_pull(h);
+            }
         }
     }
 
     /// Hand `pkt` to `node`'s egress `port`. When the port would transmit
-    /// it immediately ([`Switch::pass_through`]) the packet launches
+    /// it immediately ([`EgressPort::pass_through`]) the packet launches
     /// directly, skipping the arena alloc/free round trip a queue visit
-    /// would cost — the dominant case on quiet ports, and the bulk of the
-    /// per-hop indirection overhead the arena introduced. Otherwise it
-    /// parks on the class queue and the transmitter is kicked. Both paths
-    /// produce identical simulation state and events: the bypass fires
-    /// exactly when `enqueue` + `next_to_transmit` would hand the same
-    /// packet straight back with every queue counter netting to zero.
+    /// would cost — the dominant case on quiet ports, and for the ACK a
+    /// NIC sends per delivered data packet. Otherwise it parks on the class
+    /// queue and the transmitter is kicked. Both paths produce identical
+    /// simulation state and events: the bypass fires exactly when
+    /// `enqueue` + `next_to_transmit` would hand the same packet straight
+    /// back with every queue counter netting to zero.
     fn enqueue_or_launch(&mut self, node: Node, port: u16, pkt: Packet) {
+        debug_assert!(
+            pkt.kind.is_control() || !matches!(node, Node::Host(_)),
+            "a NIC pulls its data from its flows"
+        );
         let cursor = self.cursor();
-        let control = pkt.kind.is_control();
-        let (sw, arena) = self.switch_and_arena(node);
-        if sw.pass_through(port, control, cursor) {
+        let (ep, arena) = self.port_and_arena(node, port);
+        if ep.pass_through(pkt.kind.is_control(), cursor) {
             self.launch(node, port, pkt);
             return;
         }
-        sw.enqueue(arena, port, pkt, cursor.0);
+        ep.enqueue(arena, pkt, cursor.0);
         self.try_transmit(node, port);
     }
 
@@ -1654,12 +1594,32 @@ impl Simulation {
     fn launch(&mut self, node: Node, port: u16, pkt: Packet) {
         let now = self.now();
         let prop = SimDuration(self.cfg.topo.link_delay_ps);
-        let release = (!pkt.kind.is_control()).then_some((pkt.ingress_port, pkt.size_bytes));
         let (peer, peer_port) = self.topo.peer(node, port);
         let rank = self.rank_node(node);
         let key = self.reserve_key(rank);
-        let sw = self.switch_mut(node);
-        let ep = &mut sw.egress[port as usize];
+        // Nothing left to do at `done`: nothing follows this frame — no
+        // queued frame, no live flow at a NIC — and its buffer release
+        // cannot resume the ingress it is charged to. Work that arrives
+        // later kicks `try_transmit`, and a PAUSE of that ingress goes
+        // through `apply_pfc_action`; both schedule the completion then.
+        let mut idle = !self.nic_has_live_flow(node);
+        let data = !pkt.kind.is_control();
+        let (ep, release) = match node {
+            // A NIC frame holds no switch buffer; its data enters the fabric.
+            Node::Host(h) => {
+                #[cfg(feature = "audit")]
+                if data {
+                    self.auditor.on_injected();
+                }
+                (&mut self.hosts[h as usize].nic, None)
+            }
+            Node::Leaf(_) | Node::Spine(_) => {
+                let release = data.then_some((pkt.ingress_port, pkt.size_bytes));
+                let sw = self.switch_mut(node);
+                idle &= release.is_none_or(|(ingress, _)| !sw.paused_upstream[ingress as usize]);
+                (&mut sw.egress[port as usize], release)
+            }
+        };
         let ser = tx_delay(pkt.size_bytes as u64, ep.rate_bps);
         let done = Reserved {
             done_ps: (now + ser).as_ps(),
@@ -1667,18 +1627,10 @@ impl Simulation {
         };
         // The port was idle, so any earlier reserved completion has passed.
         let passed = ep.reserved.take().is_some();
-        // Nothing left to do at `done`: no frame waits to follow this one,
-        // and its buffer release cannot resume the ingress it is charged
-        // to. A frame queued later kicks `try_transmit`, and a PAUSE of
-        // that ingress goes through `apply_pfc_action`; both schedule the
-        // completion then.
-        let idle = ser.as_ps() > 0
-            && ep.queues_empty()
-            && release.is_none_or(|(ingress, _)| !sw.paused_upstream[ingress as usize]);
-        if idle {
+        if idle && ser.as_ps() > 0 && ep.queues_empty() {
             ep.reserved = Some(done);
             if let Some((ingress, bytes)) = release {
-                sw.defer_release(done, port, ingress, bytes);
+                self.switch_mut(node).defer_release(done, port, ingress, bytes);
             }
         } else {
             ep.busy = true;
@@ -1704,41 +1656,29 @@ impl Simulation {
 
     fn on_egress_done(&mut self, node: Node, port: u16, release: Option<(u16, u32)>) {
         let cursor = self.cursor();
-        let action = {
-            let sw = self.switch_mut(node);
-            sw.egress[port as usize].busy = false;
+        self.port_mut(node, port).busy = false;
+        if let Some(sw) = self.switch_of(node) {
             sw.settle(cursor);
-            match release {
-                Some((ingress, bytes)) => sw.release_data(ingress, bytes),
-                None => PfcAction::None,
+            if let Some((ingress, bytes)) = release {
+                let action = sw.release_data(ingress, bytes);
+                self.apply_pfc_action(node, action);
             }
-        };
-        self.apply_pfc_action(node, action);
+        }
         self.try_transmit(node, port);
     }
 
     /// Schedule the completion `port` reserved, under the key it reserved
     /// and with its deferred buffer release: something can now observe it.
     fn materialize_egress(&mut self, node: Node, port: u16) {
-        let sw = self.switch_mut(node);
-        let ep = &mut sw.egress[port as usize];
+        let ep = self.port_mut(node, port);
         let done = ep.reserved.take().expect("a reserved completion");
         ep.busy = true;
-        let release = sw.reclaim_release(done.key);
+        let release = self.switch_of(node).and_then(|sw| sw.reclaim_release(done.key));
         let ev = Event::EgressDone {
             node,
             port,
             release,
         };
-        self.q.insert_message(SimTime(done.done_ps), done.key, ev);
-    }
-
-    /// [`materialize_egress`](Self::materialize_egress) for a host NIC.
-    fn materialize_host(&mut self, h: u32) {
-        let host = &mut self.hosts[h as usize];
-        let done = host.reserved.take().expect("a reserved completion");
-        host.busy = true;
-        let ev = Event::HostEgressDone(h);
         self.q.insert_message(SimTime(done.done_ps), done.key, ev);
     }
 
@@ -1791,44 +1731,22 @@ impl Simulation {
         );
     }
 
+    /// PAUSE or RESUME of `node`'s egress `port` — a switch port or a NIC
+    /// alike: the data class stops, control keeps flowing.
     fn on_pause_frame(&mut self, node: Node, port: u16, pause: bool) {
         let now_ps = self.now().as_ps();
-        match node {
-            Node::Host(h) => {
-                let host = &mut self.hosts[h as usize];
-                if pause && !host.paused {
-                    host.paused = true;
-                    host.paused_since_ps = now_ps;
-                } else if !pause && host.paused {
-                    host.paused = false;
-                    let dwell =
-                        SimTime(now_ps).saturating_since(SimTime(host.paused_since_ps));
-                    self.jot(JEffect::PausedDwell(dwell));
-                    self.host_try_send(h);
-                }
-            }
-            _ => {
-                let was_paused = {
-                    let sw = self.switch_mut(node);
-                    let ep = &mut sw.egress[port as usize];
-                    let was = ep.paused;
-                    if pause && !was {
-                        ep.paused = true;
-                        ep.paused_since_ps = now_ps;
-                        ep.q_gen = ep.q_gen.wrapping_add(1);
-                    } else if !pause && was {
-                        ep.paused = false;
-                        ep.q_gen = ep.q_gen.wrapping_add(1);
-                    }
-                    was
-                };
-                if !pause && was_paused {
-                    let since = self.switch_mut(node).egress[port as usize].paused_since_ps;
-                    let dwell = SimTime(now_ps).saturating_since(SimTime(since));
-                    self.jot(JEffect::PausedDwell(dwell));
-                    self.try_transmit(node, port);
-                }
-            }
+        let ep = self.port_mut(node, port);
+        if ep.paused == pause {
+            return;
+        }
+        ep.paused = pause;
+        ep.q_gen = ep.q_gen.wrapping_add(1);
+        if pause {
+            ep.paused_since_ps = now_ps;
+        } else {
+            let dwell = SimTime(now_ps).saturating_since(SimTime(ep.paused_since_ps));
+            self.jot(JEffect::PausedDwell(dwell));
+            self.try_transmit(node, port);
         }
     }
 
@@ -1863,7 +1781,11 @@ impl Simulation {
                 }
             }
             Fault::LoadScale { permille } => {
-                self.host_rate_scale_permille = permille;
+                let nominal = self.cfg.topo.host_link_rate_bps;
+                let rate = (nominal * permille as u64 / 1000).max(1);
+                for host in &mut self.hosts {
+                    host.nic.rate_bps = rate;
+                }
             }
         }
         // Fault events are replicated on every shard; exactly one replica
@@ -2149,7 +2071,7 @@ impl Simulation {
                 }
             }
             if kick {
-                self.host_try_send(h as u32);
+                self.try_transmit(Node::Host(h as u32), 0);
             }
         }
     }
@@ -2171,7 +2093,7 @@ impl Simulation {
                 self.traces
                     .record(f, self.now().as_ps(), mark, TraceEvent::TimeoutRewind);
             }
-            self.host_try_send(host);
+            self.try_transmit(Node::Host(host), 0);
         }
         let dt = SimDuration(self.cfg.transport.rto_ps);
         let at = self.now() + dt;
@@ -2238,13 +2160,7 @@ impl Simulation {
     /// Every reserved completion on this replica (only owned entities
     /// launch frames, so only they hold any).
     fn reservations(&self) -> impl Iterator<Item = Reserved> + '_ {
-        let ports = self
-            .leaves
-            .iter()
-            .chain(&self.spines)
-            .flat_map(|sw| &sw.egress);
-        let ports = ports.filter_map(|ep| ep.reserved);
-        ports.chain(self.hosts.iter().filter_map(|h| h.reserved))
+        self.ports().filter_map(|ep| ep.reserved)
     }
 
     /// What this replica publishes at a round barrier.
@@ -2337,13 +2253,9 @@ impl Simulation {
         // mismatch means a handle leaked (slot never freed) or a queue
         // holds a dangling handle.
         let queued: usize = self
-            .leaves
-            .iter()
-            .chain(self.spines.iter())
-            .flat_map(|sw| sw.egress.iter())
+            .ports()
             .map(|ep| ep.data_q.len() + ep.ctrl_q.len())
-            .sum::<usize>()
-            + self.host_ctrl.iter().map(|q| q.len()).sum::<usize>();
+            .sum();
         assert_eq!(
             queued,
             self.arena.len(),
@@ -2811,6 +2723,66 @@ mod tests {
                 assert_eq!(s.perf.events_egress_done, before as u64);
                 assert_eq!(s.perf.completions_elided, !before as u64);
             }
+        }
+
+        /// Host 1 sends no flow, so its NIC has nothing to follow the ACK
+        /// for an arriving frame and only reserves that completion. A
+        /// second ACK queued behind it schedules the completion under the
+        /// reserved key, which launches the second ACK at the reserved
+        /// instant.
+        #[test]
+        fn a_nic_ack_queued_behind_launches_at_the_reserved_time() {
+            const ACK_SER: u64 = 12_800;
+            let mut s = sim(SwitchConfig::default(), Vec::new());
+            let host = Node::Host(1);
+            inject(&mut s, 0, arrival(host, 0, 0, 1000));
+            let second = Packet::data(0, 1, 1000, 0, 1, 0);
+            inject(&mut s, 10, Event::LinkArrive { node: host, port: 0, pkt: second });
+            run_to(&mut s, 1);
+            let nic = &s.hosts[1].nic;
+            let r = nic.reserved.expect("the ACK's completion is reserved");
+            assert_eq!(r.done_ps, ACK_SER);
+            assert_eq!(tx_delay(64, nic.rate_bps).as_ps(), ACK_SER);
+            assert!(!nic.busy);
+            run_to(&mut s, 11);
+            let nic = &s.hosts[1].nic;
+            assert!(nic.busy && nic.reserved.is_none(), "the queued ACK scheduled it");
+            assert_eq!(nic.ctrl_q.len(), 1);
+            let (at, key, ev) = s.q.pop_before(SimTime(ACK_SER + 1)).expect("scheduled");
+            assert_eq!((at.as_ps(), key), (r.done_ps, r.key), "under the reserved key");
+            assert!(matches!(ev, Event::EgressDone { node, port: 0, release: None } if node == host));
+            s.cur_key = key;
+            s.dispatch(ev);
+            let nic = &s.hosts[1].nic;
+            assert_eq!(nic.reserved.map(|r| r.done_ps), Some(2 * ACK_SER), "launched at done_ps");
+            assert!(nic.ctrl_q.is_empty());
+            assert_eq!(s.perf.events_host_egress_done, 1);
+            assert_eq!(s.perf.events_egress_done, 0);
+            assert_eq!(s.perf.completions_elided, 0);
+        }
+
+        /// A PAUSE at host 0's NIC holds its flows' data when they start;
+        /// the RESUME books the dwell as paused port time and kicks the
+        /// NIC, which sends at once.
+        #[test]
+        fn a_nic_holds_data_while_paused_and_resumes_on_resume() {
+            const LATE: u64 = 1_000_000_000_000;
+            let mut s = sim(SwitchConfig::default(), Vec::new());
+            let nic = Node::Host(0);
+            let pfc = |pause| Event::PauseFrame { node: nic, port: 0, pause };
+            s.sched(RANK_GLOBAL, SimTime(LATE - 10), pfc(true));
+            s.sched(RANK_GLOBAL, SimTime(LATE + 1_000), pfc(false));
+            run_to(&mut s, LATE + 1);
+            assert!(s.flows.iter().all(|f| f.started));
+            let ep = &s.hosts[0].nic;
+            assert!(ep.paused && !ep.busy && ep.reserved.is_none(), "data held");
+            assert!(s.flows.iter().all(|f| f.reliability.packets_sent() == 0));
+            run_to(&mut s, LATE + 1_001);
+            assert_eq!(s.paused_port_time, SimDuration(1_010));
+            let ep = &s.hosts[0].nic;
+            assert!(!ep.paused && ep.busy, "the RESUME kicked the NIC");
+            assert_eq!(s.flows[0].reliability.packets_sent(), 1);
+            assert_eq!(s.perf.events_pause_frame, 2);
         }
     }
 }

@@ -1,4 +1,5 @@
-//! The shared-memory PFC switch (Fig. 1).
+//! The shared-memory PFC switch (Fig. 1), and the one transmitter every
+//! node has.
 //!
 //! Each switch owns a shared buffer pool; every buffered data packet is
 //! charged against the counter of the ingress port it arrived on. When a
@@ -7,6 +8,11 @@
 //! RESUME. Egress is per-port FIFO with a strict-priority control queue on
 //! top (control frames are never paused, marked or counted — the standard
 //! lossless-fabric arrangement that keeps ACK/CNP/CNM flowing).
+//!
+//! [`EgressPort`] is that egress, and it is also the host NIC
+//! (`Host::nic`): the paper's one kind of PFC-paused sender, whose data
+//! class stops on PAUSE while control keeps flowing. A switch port takes
+//! its data from `data_q`; a NIC pulls it from its flows instead.
 //!
 //! This module holds the switch *state* and its local rules; the event
 //! orchestration (scheduling arrivals, transmissions, predictor samples)
@@ -20,8 +26,9 @@ use rlb_engine::{PacketArena, PacketHandle, SimRng};
 use std::collections::VecDeque;
 
 /// A serialization end whose completion event was never scheduled (DESIGN
-/// §9.7): the `EgressDone` / `HostEgressDone` it stands for would fire at
-/// `done_ps` under the canonical `key` the launch reserved for it.
+/// §9.7): the `EgressDone` it stands for — at a switch port or a NIC —
+/// would fire at `done_ps` under the canonical `key` the launch reserved
+/// for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reserved {
     pub done_ps: u64,
@@ -49,7 +56,8 @@ struct DeferredRelease {
     port: u16,
 }
 
-/// One egress port: data FIFO + strict-priority control FIFO.
+/// One egress port: data FIFO + strict-priority control FIFO. A host NIC
+/// is one too, with `data_q` always empty: its data comes from its flows.
 ///
 /// The FIFOs hold [`PacketHandle`]s into the simulation's [`PacketArena`];
 /// the packets themselves sit still in the arena from enqueue to dequeue.
@@ -104,6 +112,57 @@ impl EgressPort {
     #[inline]
     pub fn queues_empty(&self) -> bool {
         self.ctrl_q.is_empty() && self.data_q.is_empty()
+    }
+
+    /// Park the packet in the arena and enqueue its handle on the proper
+    /// class queue. `now_ps` stamps the arena's enqueue-time hot column.
+    pub fn enqueue(&mut self, arena: &mut PacketArena<Packet>, pkt: Packet, now_ps: u64) {
+        let control = pkt.kind.is_control();
+        let size = pkt.size_bytes;
+        let h = arena.alloc(size, pkt.flow, control, now_ps, pkt);
+        if control {
+            self.ctrl_q.push_back(h);
+        } else {
+            self.data_q_bytes += size as u64;
+            self.data_q.push_back(h);
+            self.q_gen = self.q_gen.wrapping_add(1);
+        }
+    }
+
+    /// Pick the next queued frame eligible for transmission, honouring
+    /// strict control priority and data-class pausing, and take it out of
+    /// the arena. Returns `None` when nothing queued may leave now.
+    pub fn next_to_transmit(&mut self, arena: &mut PacketArena<Packet>) -> Option<Packet> {
+        debug_assert!(!self.busy);
+        if self.link_down {
+            return None;
+        }
+        if let Some(h) = self.ctrl_q.pop_front() {
+            return Some(arena.free(h));
+        }
+        if self.paused {
+            return None;
+        }
+        let h = self.data_q.pop_front()?;
+        let (pkt, size) = arena.free_sized(h);
+        self.data_q_bytes -= size as u64;
+        self.q_gen = self.q_gen.wrapping_add(1);
+        Some(pkt)
+    }
+
+    /// Whether a packet of the given class arriving during the event at
+    /// `cursor` would be handed straight back by [`enqueue`](Self::enqueue)
+    /// followed by [`next_to_transmit`](Self::next_to_transmit): port idle,
+    /// link up, no control frame queued ahead of it, and — for data — the
+    /// class not paused and the data FIFO empty. The simulator's hot path
+    /// uses this to skip the arena alloc/free round trip entirely on quiet
+    /// ports, which is the dominant case at moderate load.
+    #[inline]
+    pub fn pass_through(&self, control: bool, cursor: (u64, u128)) -> bool {
+        !self.busy_at(cursor)
+            && !self.link_down
+            && self.ctrl_q.is_empty()
+            && (control || (!self.paused && self.data_q.is_empty()))
     }
 }
 
@@ -215,7 +274,7 @@ impl LeafState {
 }
 
 /// Shared-buffer admission failure: the pool is full, the packet is
-/// tail-dropped (the drop is already counted on the switch).
+/// tail-dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BufferOverflow;
 
@@ -265,8 +324,6 @@ pub struct Switch {
     pub leaf: Option<LeafState>,
     cfg: SwitchConfig,
     rng: SimRng,
-    pub drops: u64,
-    pub ecn_marks: u64,
 }
 
 impl Switch {
@@ -298,8 +355,6 @@ impl Switch {
             leaf: None,
             cfg,
             rng,
-            drops: 0,
-            ecn_marks: 0,
         }
     }
 
@@ -312,7 +367,6 @@ impl Switch {
     /// the PFC action the MMU demands.
     pub fn admit_data(&mut self, in_port: u16, bytes: u32) -> Result<PfcAction, BufferOverflow> {
         if self.shared_used + bytes as u64 > self.cfg.buffer_bytes {
-            self.drops += 1;
             return Err(BufferOverflow);
         }
         self.shared_used += bytes as u64;
@@ -424,70 +478,7 @@ impl Switch {
         } else {
             e.pmax * (q - e.kmin_bytes) as f64 / (e.kmax_bytes - e.kmin_bytes) as f64
         };
-        let mark = p > 0.0 && self.rng.gen_bool(p.min(1.0));
-        if mark {
-            self.ecn_marks += 1;
-        }
-        mark
-    }
-
-    /// Park the packet in the arena and enqueue its handle on the proper
-    /// class queue. `now_ps` stamps the arena's enqueue-time hot column.
-    pub fn enqueue(&mut self, arena: &mut PacketArena<Packet>, port: u16, pkt: Packet, now_ps: u64) {
-        let ep = &mut self.egress[port as usize];
-        let control = pkt.kind.is_control();
-        let size = pkt.size_bytes;
-        let h = arena.alloc(size, pkt.flow, control, now_ps, pkt);
-        if control {
-            ep.ctrl_q.push_back(h);
-        } else {
-            ep.data_q_bytes += size as u64;
-            ep.data_q.push_back(h);
-            ep.q_gen = ep.q_gen.wrapping_add(1);
-        }
-    }
-
-    /// Pick the next frame eligible for transmission on `port`, honouring
-    /// strict control priority and data-class pausing, and take it out of
-    /// the arena. Returns `None` when the port should go idle.
-    pub fn next_to_transmit(
-        &mut self,
-        arena: &mut PacketArena<Packet>,
-        port: u16,
-    ) -> Option<Packet> {
-        let ep = &mut self.egress[port as usize];
-        debug_assert!(!ep.busy);
-        if ep.link_down {
-            return None;
-        }
-        if let Some(h) = ep.ctrl_q.pop_front() {
-            return Some(arena.free(h));
-        }
-        if ep.paused {
-            return None;
-        }
-        let h = ep.data_q.pop_front()?;
-        let (pkt, size) = arena.free_sized(h);
-        ep.data_q_bytes -= size as u64;
-        ep.q_gen = ep.q_gen.wrapping_add(1);
-        Some(pkt)
-    }
-
-    /// Whether a packet of the given class arriving at `port` during the
-    /// event at `cursor` would be handed straight back by
-    /// [`enqueue`](Self::enqueue) followed by
-    /// [`next_to_transmit`](Self::next_to_transmit): port idle, link up,
-    /// no control frame queued ahead of it, and — for data — the class not
-    /// paused and the data FIFO empty. The simulator's hot path uses this
-    /// to skip the arena alloc/free round trip entirely on quiet ports,
-    /// which is the dominant case at moderate load.
-    #[inline]
-    pub fn pass_through(&self, port: u16, control: bool, cursor: (u64, u128)) -> bool {
-        let ep = &self.egress[port as usize];
-        !ep.busy_at(cursor)
-            && !ep.link_down
-            && ep.ctrl_q.is_empty()
-            && (control || (!ep.paused && ep.data_q.is_empty()))
+        p > 0.0 && self.rng.gen_bool(p.min(1.0))
     }
 
     pub fn config(&self) -> &SwitchConfig {
@@ -557,8 +548,7 @@ mod tests {
         let mut s = sw();
         s.cfg.pfc_enabled = false;
         assert!(s.admit_data(0, 9_000).is_ok());
-        assert!(s.admit_data(1, 2_000).is_err());
-        assert_eq!(s.drops, 1);
+        assert_eq!(s.admit_data(1, 2_000), Err(BufferOverflow));
         assert_eq!(s.shared_used, 9_000, "dropped packet not charged");
     }
 
@@ -566,22 +556,22 @@ mod tests {
     fn control_has_strict_priority_and_ignores_pause() {
         let mut s = sw();
         let mut arena: PacketArena<Packet> = PacketArena::new();
-        s.enqueue(&mut arena, 0, data(1_000), 0);
+        s.egress[0].enqueue(&mut arena, data(1_000), 0);
         let mut cnp = Packet::data(0, 0, 64, 1, 0, 0);
         cnp.kind = PacketKind::Cnp;
-        s.enqueue(&mut arena, 0, cnp, 0);
+        s.egress[0].enqueue(&mut arena, cnp, 0);
         assert_eq!(arena.len(), 2, "both frames parked in the arena");
         // Paused port: control still flows, data does not.
         s.egress[0].paused = true;
-        let first = s.next_to_transmit(&mut arena, 0).unwrap();
+        let first = s.egress[0].next_to_transmit(&mut arena).unwrap();
         assert_eq!(first.kind, PacketKind::Cnp);
         assert!(
-            s.next_to_transmit(&mut arena, 0).is_none(),
+            s.egress[0].next_to_transmit(&mut arena).is_none(),
             "data must wait out the pause"
         );
         s.egress[0].paused = false;
         assert_eq!(
-            s.next_to_transmit(&mut arena, 0).unwrap().kind,
+            s.egress[0].next_to_transmit(&mut arena).unwrap().kind,
             PacketKind::Data
         );
         assert_eq!(s.egress[0].data_q_bytes, 0);
@@ -595,15 +585,15 @@ mod tests {
         let g0 = s.egress[0].q_gen;
         let mut cnp = Packet::data(0, 0, 64, 1, 0, 0);
         cnp.kind = PacketKind::Cnp;
-        s.enqueue(&mut arena, 0, cnp, 0);
+        s.egress[0].enqueue(&mut arena, cnp, 0);
         assert_eq!(s.egress[0].q_gen, g0, "control traffic is invisible to snapshots");
-        s.enqueue(&mut arena, 0, data(1_000), 0);
+        s.egress[0].enqueue(&mut arena, data(1_000), 0);
         assert_eq!(s.egress[0].q_gen, g0 + 1);
-        s.enqueue(&mut arena, 1, data(1_000), 0);
+        s.egress[1].enqueue(&mut arena, data(1_000), 0);
         assert_eq!(s.egress[0].q_gen, g0 + 1, "sibling port activity stays per-port");
-        let _ = s.next_to_transmit(&mut arena, 0); // pops the CNP (control)
+        let _ = s.egress[0].next_to_transmit(&mut arena); // pops the CNP (control)
         assert_eq!(s.egress[0].q_gen, g0 + 1);
-        let _ = s.next_to_transmit(&mut arena, 0); // pops the data frame
+        let _ = s.egress[0].next_to_transmit(&mut arena); // pops the data frame
         assert_eq!(s.egress[0].q_gen, g0 + 2);
     }
 
@@ -642,7 +632,7 @@ mod tests {
     }
 
     /// Differential: the arena-backed egress plane vs inline-packet queues,
-    /// with the real `Packet` type and the real `Switch` transmit rules.
+    /// with the real `Packet` type and the real `EgressPort` transmit rules.
     /// Runs under `--features audit` alongside the other differential
     /// reference tests.
     #[cfg(feature = "audit")]
@@ -678,14 +668,14 @@ mod tests {
                         0..=2 => {
                             let pkt = Packet::data(seq, seq, size, 0, 1, seq as u64 * 13);
                             seq += 1;
-                            s.enqueue(&mut arena, port, pkt, pkt.sent_ps);
+                            s.egress[p].enqueue(&mut arena, pkt, pkt.sent_ps);
                             data[p].push_back(pkt);
                         }
                         3 => {
                             let d = Packet::data(seq, seq, size, 0, 1, seq as u64 * 13);
                             let pkt = Packet::response(PacketKind::Ack, &d, seq, 64);
                             seq += 1;
-                            s.enqueue(&mut arena, port, pkt, 0);
+                            s.egress[p].enqueue(&mut arena, pkt, 0);
                             ctrl[p].push_back(pkt);
                         }
                         4 => {
@@ -700,7 +690,7 @@ mod tests {
                             } else {
                                 data[p].pop_front()
                             };
-                            let got = s.next_to_transmit(&mut arena, port);
+                            let got = s.egress[p].next_to_transmit(&mut arena);
                             prop_assert_eq!(got.as_ref().map(sig), want.as_ref().map(sig));
                         }
                     }
@@ -719,7 +709,7 @@ mod tests {
                     s.egress[q].paused = false;
                     loop {
                         let want = ctrl[q].pop_front().or_else(|| data[q].pop_front());
-                        let got = s.next_to_transmit(&mut arena, q as u16);
+                        let got = s.egress[q].next_to_transmit(&mut arena);
                         prop_assert_eq!(got.as_ref().map(sig), want.as_ref().map(sig));
                         if got.is_none() {
                             break;

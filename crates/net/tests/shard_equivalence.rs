@@ -36,7 +36,7 @@ use rlb_engine::{SimDuration, SimTime};
 use rlb_lb::Scheme;
 use rlb_metrics::Num;
 use rlb_net::scenario::{FailSweepConfig, MotivationConfig, Scenario, SteadyStateConfig};
-use rlb_net::{Fault, MonitorConfig, RunResult, SimConfig, TimedFault, TopoConfig};
+use rlb_net::{Fault, MonitorConfig, RunResult, ScenarioSpec, SimConfig, TimedFault, TopoConfig};
 use rlb_workloads::{FlowSpec, Workload};
 
 type PortKey = ((bool, u32), u16);
@@ -137,6 +137,9 @@ const GOLDEN_PRESTO_STORM: (u64, u64) = (703_359_014_315_700_477, 1_306_580);
 /// owned every spine and so every such frame crossed (2, 3 and 5 shards
 /// agree on it).
 const LEAF_SPINE_FRAMES: u64 = 602_932;
+/// Recorded at commit 3ba3bcf, the last one that scaled the NIC rate on
+/// every transmit instead of rewriting the NIC port rates.
+const GOLDEN_FLAP_RAMP: (u64, u64) = (17_479_566_106_154_846_103, 724_626);
 /// `(fingerprint(timeseries samples), fingerprint(flow 0's trace))`.
 const GOLDEN_MONITORED_TRACED: (u64, u64) =
     (791_827_665_799_338_177, 14_562_405_892_184_352_000);
@@ -347,6 +350,28 @@ fn column_partition_keeps_part_of_the_core_shard_local() {
         );
         let share = crossed as f64 / LEAF_SPINE_FRAMES as f64;
         assert!((share - crossing).abs() < 0.05, "--shards {shards}: share {share}");
+    }
+}
+
+/// `specs/flap_ramp.toml`, the committed spec with `load_scale` faults:
+/// every NIC serializes at half rate from 200 µs to 400 µs while a link
+/// flaps and the offered load ramps, so frames launched on both sides of
+/// each rate change decide these bytes.
+#[test]
+fn load_scaled_spec_matches_across_shard_counts() {
+    let text = include_str!("../../../specs/flap_ramp.toml");
+    let spec = ScenarioSpec::parse(text).expect("flap_ramp parses");
+    let mk = || spec.build().expect("flap_ramp builds");
+    let one = mk().run();
+    assert_eq!(golden(&one), GOLDEN_FLAP_RAMP);
+    assert_eq!(one.counters.faults_applied, 6, "4 flap edges + 2 load scales");
+    let one = digest(&one);
+    for shards in [1u16, 2, 4] {
+        assert_eq!(
+            one,
+            digest(&mk().run_with_shards(shards)),
+            "flap_ramp --shards {shards} diverged"
+        );
     }
 }
 
