@@ -427,18 +427,26 @@ fn bench_gbn(c: &mut Criterion) {
 /// The host plane at `mice_ecmp`'s shape: each NIC lists hundreds of flows
 /// for the whole scenario and a handful are live (started, unfinished).
 fn bench_host_plane(c: &mut Criterion) {
-    use rlb_net::host::{FlowState, Host};
+    use rlb_net::host::{FlowState, FlowTransport, Host, Sender};
 
+    fn sender(fs: &mut FlowState) -> &mut Sender {
+        fs.tx.as_deref_mut().expect("started")
+    }
+    let transport = FlowTransport {
+        mode: rlb_net::TransportMode::GoBackN,
+        irn_window: 0,
+        dcqcn: rlb_transport::DcqcnConfig::default(),
+    };
     // Flow `i` sends from host `i % n_hosts`; ids below `live` have started.
     let build = |n_hosts: u32, n_flows: u32, live: u32| {
         let mut hosts: Vec<Host> = (0..n_hosts).map(|_| Host::new(40_000_000_000)).collect();
         let mut flows = Vec::new();
         for i in 0..n_flows {
             let spec = rlb_workloads::FlowSpec::new(SimTime::ZERO, i % n_hosts, n_hosts, 1 << 30);
-            let mut fs = FlowState::new(spec, 1_000, rlb_transport::DcqcnConfig::default());
+            let mut fs = FlowState::new(spec, 1_000);
             hosts[(i % n_hosts) as usize].list(i);
             if i < live {
-                fs.started = true;
+                fs.tx = Some(transport.sender(fs.total_packets, 0));
                 hosts[(i % n_hosts) as usize].start(i);
             }
             flows.push(fs);
@@ -452,7 +460,7 @@ fn bench_host_plane(c: &mut Criterion) {
         // before it reaches flow 0.
         let (mut hosts, mut flows) = build(1, 500, 4);
         for fs in &mut flows[1..4] {
-            fs.next_eligible_ps = u64::MAX;
+            sender(fs).next_eligible_ps = u64::MAX;
         }
         b.iter(|| black_box(hosts[0].pick_eligible(&flows, black_box(0))))
     });
@@ -465,9 +473,9 @@ fn bench_host_plane(c: &mut Criterion) {
         let (hosts, mut flows) = build(32, 15_000, 50);
         b.iter(|| {
             for &f in hosts.iter().flat_map(|h| h.live()) {
-                flows[f as usize].dcqcn.on_alpha_timer();
+                sender(&mut flows[f as usize]).dcqcn.on_alpha_timer();
             }
-            black_box(flows[0].dcqcn.alpha())
+            black_box(sender(&mut flows[0]).dcqcn.alpha())
         })
     });
     group.finish();

@@ -266,7 +266,8 @@ impl<E> ShardEventQueue<E> {
     }
 
     /// Events the queue's storage can hold without allocating, spare
-    /// storage included; it never shrinks (diagnostic).
+    /// storage included; only level-0 burst storage is ever given back
+    /// (diagnostic).
     pub fn capacity(&self) -> usize {
         self.wheel.capacity()
     }

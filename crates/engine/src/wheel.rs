@@ -28,8 +28,11 @@
 //!
 //! * **Level 0** keeps one growable `Vec` per tick, and the drain batch is
 //!   installed by `mem::swap` with the tick's bucket, so tick turnover
-//!   copies nothing. A level-0 bucket holds one tick's events, so what
-//!   these 65 vectors retain is bounded by the busiest tick.
+//!   copies nothing. The swap leaves the previous batch's storage in the
+//!   slot it drained; beyond one [`CHUNK`] that storage is a past burst's
+//!   and is freed. So the 64 buckets retain at most a chunk each between
+//!   bursts, and the drain batch one tick's events: a burst no longer
+//!   leaves its capacity behind in every slot it passes through.
 //! * **Levels 1 and up** store each slot as a list of fixed
 //!   [`CHUNK`]-entry chunks: the full ones in insertion order, then the
 //!   open **tail** chunk, kept inline in the slot so an insert is one
@@ -229,7 +232,8 @@ impl<E, K: TieKey> TimingWheel<E, K> {
 
     /// Entries the wheel's storage can hold without allocating: every
     /// bucket, chunk, spare chunk, the drain batch and the overflow heap.
-    /// Nothing is ever freed, so this is also its peak.
+    /// Only level 0 gives storage back (a past burst's, beyond a chunk per
+    /// bucket), so this is the peak of everything else.
     pub fn capacity(&self) -> usize {
         let slots = self
             .slots
@@ -438,7 +442,8 @@ impl<E, K: TieKey> TimingWheel<E, K> {
     /// the drain batch, merging any same-tick far-future entries, sorted
     /// descending by `(time, seq)`. The bucket and the (empty) previous
     /// batch swap storage, so the per-tick hot path copies no entries and
-    /// allocates nothing.
+    /// allocates nothing; storage the swap leaves in the slot beyond one
+    /// chunk is a past burst's, and is given back.
     fn begin_batch(&mut self, slot: usize, merge_overflow: bool) {
         debug_assert!(self.batch.is_empty());
         if merge_overflow {
@@ -458,6 +463,9 @@ impl<E, K: TieKey> TimingWheel<E, K> {
             });
         }
         std::mem::swap(&mut self.batch, bucket);
+        if bucket.capacity() > CHUNK {
+            *bucket = Vec::new();
+        }
     }
 
     /// Timestamp of the earliest pending entry without disturbing the
@@ -510,10 +518,11 @@ mod tests {
 
     /// Retained storage follows the pending set, not the history: a burst
     /// walked through every level-1 slot, then through level-2 slots (which
-    /// cascade into level 1 before level 0), leaves the wheel holding about
-    /// one burst in the level-0 bucket, one in the drain batch and one in
-    /// spare chunks. Storage that kept each slot's own high water would
-    /// hold a burst in every slot the walk touched, about `64·N`.
+    /// cascade into level 1 before level 0), then tick by tick through the
+    /// level-0 slots, leaves the wheel holding about one burst in the drain
+    /// batch and one in spare chunks, plus at most a chunk per level-0
+    /// slot. Storage that kept each slot's own high water would hold a
+    /// burst in every slot the walk touched, about `64·N`.
     #[test]
     fn storage_tracks_the_live_set() {
         const N: u64 = 1_000;
@@ -546,6 +555,15 @@ mod tests {
         let l2 = (SLOTS * SLOTS) as u64;
         for slot in 2..SLOTS as u64 {
             burst(&mut w, slot * l2 + SLOTS as u64 + 1);
+        }
+        // Same-tick bursts through every level-0 slot, one tick after
+        // another: each tick's bucket becomes the drain batch, and the
+        // batch's old storage, sized for the previous burst, moves into
+        // the slot just drained. Kept there, it would leave a burst's
+        // capacity in every level-0 slot.
+        let c = w.cursor;
+        for tick in c + 1..=c + 2 * SLOTS as u64 {
+            burst(&mut w, tick);
         }
         assert_eq!(w.high_water(), N as usize);
         // Only the chunks of one burst were ever needed at once.

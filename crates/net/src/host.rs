@@ -1,5 +1,13 @@
-//! Host / NIC model: per-flow sender+receiver transport state and the NIC
-//! egress arbitration bookkeeping.
+//! Host / NIC model: per-flow transport state and the NIC egress
+//! arbitration bookkeeping.
+//!
+//! A flow's resident record ([`FlowState`]) holds only what the report
+//! reads and what outlives the transfer; its transport state comes in two
+//! halves that live only while they work (DESIGN §9.6). The [`Sender`] is
+//! built at `FlowStart` and dropped at the final ACK; the receiver half
+//! ([`Rx`]) is built at the first data arrival and dropped once every
+//! packet is delivered. What a dropped half counted folds into the record,
+//! and the late frames it used to absorb are answered from the record.
 //!
 //! The NIC's transmitter is an [`EgressPort`], the same one a switch port
 //! is: it launches and completes frames, honours PFC PAUSE on the data
@@ -28,145 +36,247 @@ pub enum TransportMode {
     SelectiveRepeat,
 }
 
-/// Per-flow reliability state, one variant per transport mode.
-pub enum Reliability {
-    Gbn { tx: GbnSender, rx: GbnReceiver },
-    Irn { tx: IrnSender, rx: IrnReceiver },
+/// What every flow of a run builds its transport halves from.
+#[derive(Debug)]
+pub struct FlowTransport {
+    pub mode: TransportMode,
+    /// IRN's in-flight cap in packets (ignored by go-back-N).
+    pub irn_window: u32,
+    /// DCQCN parameters, line rate included, shared by every sender.
+    pub dcqcn: DcqcnConfig,
 }
 
-impl Reliability {
-    pub fn new(mode: TransportMode, total_packets: u32, irn_window: u32) -> Reliability {
-        match mode {
-            TransportMode::GoBackN => Reliability::Gbn {
-                tx: GbnSender::new(total_packets),
-                rx: GbnReceiver::new(total_packets),
-            },
-            TransportMode::SelectiveRepeat => Reliability::Irn {
-                tx: IrnSender::new(total_packets, irn_window.max(1)),
-                rx: IrnReceiver::new(total_packets),
-            },
-        }
+impl FlowTransport {
+    /// The sender half of a `total_packets` flow starting at `now_ps`.
+    pub fn sender(&self, total_packets: u32, now_ps: u64) -> Box<Sender> {
+        let tx = match self.mode {
+            TransportMode::GoBackN => Tx::Gbn(GbnSender::new(total_packets)),
+            TransportMode::SelectiveRepeat => {
+                Tx::Irn(IrnSender::new(total_packets, self.irn_window.max(1)))
+            }
+        };
+        Box::new(Sender {
+            tx,
+            dcqcn: DcqcnRate::new(self.dcqcn.clone()),
+            next_eligible_ps: now_ps,
+            last_una_at_rto: 0,
+        })
     }
 
+    /// The receiver half of a `total_packets` flow.
+    pub fn receiver(&self, total_packets: u32) -> Box<Rx> {
+        Box::new(match self.mode {
+            TransportMode::GoBackN => Rx::Gbn(GbnReceiver::new(total_packets)),
+            TransportMode::SelectiveRepeat => Rx::Irn(IrnReceiver::new(total_packets)),
+        })
+    }
+}
+
+/// Sender-side reliability, one variant per transport mode.
+pub enum Tx {
+    Gbn(GbnSender),
+    Irn(IrnSender),
+}
+
+impl Tx {
     pub fn peek_next(&self) -> Option<u32> {
         match self {
-            Reliability::Gbn { tx, .. } => tx.peek_next(),
-            Reliability::Irn { tx, .. } => tx.peek_next(),
+            Tx::Gbn(tx) => tx.peek_next(),
+            Tx::Irn(tx) => tx.peek_next(),
         }
     }
 
     pub fn take_next(&mut self) -> Option<u32> {
         match self {
-            Reliability::Gbn { tx, .. } => tx.take_next(),
-            Reliability::Irn { tx, .. } => tx.take_next(),
+            Tx::Gbn(tx) => tx.take_next(),
+            Tx::Irn(tx) => tx.take_next(),
         }
     }
 
-    pub fn sender_complete(&self) -> bool {
+    pub fn is_complete(&self) -> bool {
         match self {
-            Reliability::Gbn { tx, .. } => tx.is_complete(),
-            Reliability::Irn { tx, .. } => tx.is_complete(),
+            Tx::Gbn(tx) => tx.is_complete(),
+            Tx::Irn(tx) => tx.is_complete(),
         }
     }
 
     /// Cumulative progress marker (for RTO progress detection).
     pub fn progress_mark(&self) -> u32 {
         match self {
-            Reliability::Gbn { tx, .. } => tx.snd_una(),
-            Reliability::Irn { tx, .. } => tx.cumulative(),
+            Tx::Gbn(tx) => tx.snd_una(),
+            Tx::Irn(tx) => tx.cumulative(),
         }
     }
 
     pub fn has_outstanding(&self) -> bool {
         match self {
-            Reliability::Gbn { tx, .. } => tx.in_flight() > 0,
-            Reliability::Irn { tx, .. } => tx.in_flight() > 0,
+            Tx::Gbn(tx) => tx.in_flight() > 0,
+            Tx::Irn(tx) => tx.in_flight() > 0,
         }
     }
 
     pub fn on_timeout(&mut self) -> bool {
         match self {
-            Reliability::Gbn { tx, .. } => tx.on_timeout(),
-            Reliability::Irn { tx, .. } => tx.on_timeout(),
+            Tx::Gbn(tx) => tx.on_timeout(),
+            Tx::Irn(tx) => tx.on_timeout(),
         }
     }
 
     pub fn packets_sent(&self) -> u64 {
         match self {
-            Reliability::Gbn { tx, .. } => tx.packets_sent,
-            Reliability::Irn { tx, .. } => tx.packets_sent,
+            Tx::Gbn(tx) => tx.packets_sent,
+            Tx::Irn(tx) => tx.packets_sent,
         }
     }
 
     /// NAKs (go-back-N) / NACK-flagged ACKs (IRN) seen by the sender.
     pub fn naks(&self) -> u64 {
         match self {
-            Reliability::Gbn { tx, .. } => tx.naks_received,
-            Reliability::Irn { tx, .. } => tx.nacks,
+            Tx::Gbn(tx) => tx.naks_received,
+            Tx::Irn(tx) => tx.nacks,
+        }
+    }
+}
+
+/// The sender half of a flow: built at `FlowStart` on the replica that
+/// owns the source host, dropped at the final ACK.
+pub struct Sender {
+    pub tx: Tx,
+    pub dcqcn: DcqcnRate,
+    /// Pacing: earliest time the sender may emit its next packet.
+    pub next_eligible_ps: u64,
+    /// Progress marker observed at the previous RTO check.
+    pub last_una_at_rto: u32,
+}
+
+/// The receiver half of a flow, one variant per transport mode: built at
+/// the first data arrival on the replica that owns the destination host,
+/// dropped once every packet is delivered.
+pub enum Rx {
+    Gbn(GbnReceiver),
+    Irn(IrnReceiver),
+}
+
+impl Rx {
+    pub fn is_complete(&self) -> bool {
+        match self {
+            Rx::Gbn(rx) => rx.is_complete(),
+            Rx::Irn(rx) => rx.is_complete(),
         }
     }
 
     pub fn ooo_packets(&self) -> u64 {
         match self {
-            Reliability::Gbn { rx, .. } => rx.ooo_packets,
-            Reliability::Irn { rx, .. } => rx.ooo_arrivals,
+            Rx::Gbn(rx) => rx.ooo_packets,
+            Rx::Irn(rx) => rx.ooo_arrivals,
         }
     }
 
     pub fn max_ood(&self) -> u32 {
         match self {
-            Reliability::Gbn { rx, .. } => rx.max_ood,
-            Reliability::Irn { rx, .. } => rx.max_ood,
+            Rx::Gbn(rx) => rx.max_ood,
+            Rx::Irn(rx) => rx.max_ood,
         }
     }
 }
 
-/// Everything the simulation tracks for one flow.
+/// The resident record of one flow, from construction to the end of the
+/// run: the spec, the counters the report reads and the receiver's CNP
+/// pacing, plus the transport halves while they live.
 pub struct FlowState {
     pub spec: FlowSpec,
     pub total_packets: u32,
-    pub reliability: Reliability,
-    pub dcqcn: DcqcnRate,
-    pub cnp_gen: CnpGenerator,
-    /// Pacing: earliest time the sender may emit its next packet.
-    pub next_eligible_ps: u64,
-    pub started: bool,
+    /// Every packet reached the receiver in order; its half is gone.
+    pub delivered: bool,
     pub finish_ps: Option<u64>,
-    /// Progress marker observed at the previous RTO check.
-    pub last_una_at_rto: u32,
+    /// DCQCN notification point: outlives the receiver half, so an
+    /// ECN-marked duplicate still elicits its CNP.
+    pub cnp_gen: CnpGenerator,
+    /// Counts folded in from a dropped half, plus the NAKs that arrived
+    /// after the sender's; the accessors add a live half's own.
+    packets_sent: u64,
+    naks: u64,
+    ooo_packets: u64,
+    max_ood: u32,
     /// RLB recirculations suffered by this flow's packets.
     pub recirculations: u64,
+    pub tx: Option<Box<Sender>>,
+    pub rx: Option<Box<Rx>>,
 }
 
 impl FlowState {
-    pub fn new(spec: FlowSpec, mtu_bytes: u32, dcqcn_cfg: DcqcnConfig) -> FlowState {
-        FlowState::with_mode(spec, mtu_bytes, dcqcn_cfg, TransportMode::GoBackN, 0)
-    }
-
-    pub fn with_mode(
-        spec: FlowSpec,
-        mtu_bytes: u32,
-        dcqcn_cfg: DcqcnConfig,
-        mode: TransportMode,
-        irn_window: u32,
-    ) -> FlowState {
-        let total_packets = spec.size_bytes.div_ceil(mtu_bytes as u64).max(1) as u32;
+    pub fn new(spec: FlowSpec, mtu_bytes: u32) -> FlowState {
         FlowState {
             spec,
-            total_packets,
-            reliability: Reliability::new(mode, total_packets, irn_window),
-            dcqcn: DcqcnRate::new(dcqcn_cfg),
-            cnp_gen: CnpGenerator::default(),
-            next_eligible_ps: 0,
-            started: false,
+            total_packets: spec.size_bytes.div_ceil(mtu_bytes as u64).max(1) as u32,
+            delivered: false,
             finish_ps: None,
-            last_una_at_rto: 0,
+            cnp_gen: CnpGenerator::default(),
+            packets_sent: 0,
+            naks: 0,
+            ooo_packets: 0,
+            max_ood: 0,
             recirculations: 0,
+            tx: None,
+            rx: None,
         }
     }
 
     pub fn is_complete(&self) -> bool {
         self.finish_ps.is_some()
+    }
+
+    /// The final ACK arrived at `now_ps`: fold the sender's counts into
+    /// the record and drop it.
+    pub fn finish(&mut self, now_ps: u64) {
+        let s = self.tx.take().expect("a finishing flow is sending");
+        self.packets_sent += s.tx.packets_sent();
+        self.naks += s.tx.naks();
+        self.finish_ps = Some(now_ps);
+    }
+
+    /// A NAK or NACK for a sender that has already finished.
+    pub fn late_nak(&mut self) {
+        debug_assert!(self.tx.is_none());
+        self.naks += 1;
+    }
+
+    /// The receiver half, built on the first data arrival; `None` once
+    /// every packet is delivered.
+    pub fn receiver(&mut self, t: &FlowTransport) -> Option<&mut Rx> {
+        if self.delivered {
+            return None;
+        }
+        let total = self.total_packets;
+        Some(self.rx.get_or_insert_with(|| t.receiver(total)))
+    }
+
+    /// Drop the receiver half once it has delivered everything, folding
+    /// its counts into the record.
+    pub fn settle_receiver(&mut self) {
+        if self.rx.as_ref().is_some_and(|rx| rx.is_complete()) {
+            let rx = self.rx.take().expect("checked above");
+            self.ooo_packets += rx.ooo_packets();
+            self.max_ood = self.max_ood.max(rx.max_ood());
+            self.delivered = true;
+        }
+    }
+
+    pub fn packets_sent(&self) -> u64 {
+        self.packets_sent + self.tx.as_ref().map_or(0, |s| s.tx.packets_sent())
+    }
+
+    pub fn naks(&self) -> u64 {
+        self.naks + self.tx.as_ref().map_or(0, |s| s.tx.naks())
+    }
+
+    pub fn ooo_packets(&self) -> u64 {
+        self.ooo_packets + self.rx.as_ref().map_or(0, |rx| rx.ooo_packets())
+    }
+
+    pub fn max_ood(&self) -> u32 {
+        self.max_ood
+            .max(self.rx.as_ref().map_or(0, |rx| rx.max_ood()))
     }
 
     /// Payload bytes of packet `psn` (the last packet may be short).
@@ -180,17 +290,19 @@ impl FlowState {
         }
     }
 
-    /// Ready to transmit at `now`: pacing allows and the sender has a PSN.
+    /// Ready to transmit at `now`: sending, pacing allows, and the sender
+    /// has a PSN.
     pub fn eligible(&self, now_ps: u64) -> bool {
-        self.started
-            && !self.is_complete()
-            && self.next_eligible_ps <= now_ps
-            && self.reliability.peek_next().is_some()
+        self.tx
+            .as_ref()
+            .is_some_and(|s| s.next_eligible_ps <= now_ps && s.tx.peek_next().is_some())
     }
 
-    /// Has queued data but its pacing clock hasn't expired yet.
-    pub fn pending(&self) -> bool {
-        self.started && !self.is_complete() && self.reliability.peek_next().is_some()
+    /// The pacing deadline of a sender with a PSN to send, eligible yet or
+    /// not.
+    pub fn pending_deadline(&self) -> Option<u64> {
+        let s = self.tx.as_ref()?;
+        s.tx.peek_next().map(|_| s.next_eligible_ps)
     }
 }
 
@@ -284,8 +396,7 @@ impl Host {
     pub fn earliest_deadline(&self, flows: &[FlowState]) -> Option<u64> {
         self.live()
             .iter()
-            .filter(|&&f| flows[f as usize].pending())
-            .map(|&f| flows[f as usize].next_eligible_ps)
+            .filter_map(|&f| flows[f as usize].pending_deadline())
             .min()
     }
 }
@@ -296,14 +407,84 @@ mod tests {
     use proptest::prelude::*;
     use rlb_engine::SimTime;
 
+    fn gbn() -> FlowTransport {
+        FlowTransport {
+            mode: TransportMode::GoBackN,
+            irn_window: 0,
+            dcqcn: DcqcnConfig::default(),
+        }
+    }
+
+    /// The flow has started: it is sending or has finished.
+    fn started(f: &FlowState) -> bool {
+        f.tx.is_some() || f.is_complete()
+    }
+
+    /// A started flow of `size` bytes in 1 000-byte packets.
     fn flow(size: u64) -> FlowState {
-        let mut f = FlowState::new(
-            FlowSpec::new(SimTime::ZERO, 0, 9, size),
-            1000,
-            DcqcnConfig::default(),
-        );
-        f.started = true;
+        let mut f = FlowState::new(FlowSpec::new(SimTime::ZERO, 0, 9, size), 1000);
+        start(&mut f, 0);
         f
+    }
+
+    fn start(f: &mut FlowState, now_ps: u64) {
+        f.tx = Some(gbn().sender(f.total_packets, now_ps));
+    }
+
+    fn sender(f: &mut FlowState) -> &mut Sender {
+        f.tx.as_deref_mut().expect("started")
+    }
+
+    /// The resident record stays small: it is paid for every flow of the
+    /// scenario, live or not (DESIGN §9.6).
+    #[test]
+    fn flow_record_is_small() {
+        assert!(std::mem::size_of::<FlowState>() <= 144);
+    }
+
+    /// The sender half folds its counts into the record when it finishes;
+    /// NAKs after that count on the record.
+    #[test]
+    fn finishing_folds_the_sender_counts() {
+        let mut f = flow(2_000);
+        let Tx::Gbn(tx) = &mut sender(&mut f).tx else {
+            unreachable!("go-back-N")
+        };
+        tx.take_next();
+        tx.on_nak(0);
+        tx.take_next();
+        tx.take_next();
+        tx.on_ack(1);
+        assert_eq!((f.packets_sent(), f.naks()), (3, 1));
+        f.finish(7);
+        assert!(f.tx.is_none() && started(&f));
+        assert_eq!((f.packets_sent(), f.naks()), (3, 1));
+        f.late_nak();
+        assert_eq!(f.naks(), 2);
+    }
+
+    /// The receiver half is built by the first arrival and dropped once
+    /// everything is delivered; its counts stay on the record.
+    #[test]
+    fn the_receiver_lives_until_everything_is_delivered() {
+        let mut f = FlowState::new(FlowSpec::new(SimTime::ZERO, 0, 9, 2_000), 1000);
+        assert!(f.rx.is_none());
+        let Some(Rx::Gbn(rx)) = f.receiver(&gbn()) else {
+            unreachable!("go-back-N")
+        };
+        rx.on_packet(1);
+        rx.on_packet(0);
+        f.settle_receiver();
+        assert!(f.rx.is_some() && !f.delivered);
+        assert_eq!((f.ooo_packets(), f.max_ood()), (1, 1));
+        let Some(Rx::Gbn(rx)) = f.receiver(&gbn()) else {
+            unreachable!("go-back-N")
+        };
+        rx.on_packet(1);
+        f.settle_receiver();
+        assert!(f.rx.is_none() && f.delivered);
+        assert!(f.receiver(&gbn()).is_none(), "a late arrival finds no half");
+        assert_eq!((f.ooo_packets(), f.max_ood()), (1, 1));
     }
 
     #[test]
@@ -323,14 +504,15 @@ mod tests {
     fn eligibility_gates_on_pacing_and_data() {
         let mut f = flow(2_000);
         assert!(f.eligible(0));
-        f.next_eligible_ps = 500;
+        sender(&mut f).next_eligible_ps = 500;
         assert!(!f.eligible(499));
         assert!(f.eligible(500));
+        assert_eq!(f.pending_deadline(), Some(500));
         // Exhaust the send window.
-        f.reliability.take_next();
-        f.reliability.take_next();
+        sender(&mut f).tx.take_next();
+        sender(&mut f).tx.take_next();
         assert!(!f.eligible(1_000), "nothing left to send");
-        assert!(!f.pending());
+        assert_eq!(f.pending_deadline(), None);
     }
 
     /// A host listing `flows[0..n_listed]`, with the started ones started.
@@ -340,7 +522,7 @@ mod tests {
             h.list(f);
         }
         for (f, fs) in flows.iter().enumerate() {
-            if fs.started {
+            if started(fs) {
                 h.start(f as u32);
             }
         }
@@ -350,7 +532,7 @@ mod tests {
     #[test]
     fn round_robin_is_fair_and_skips_ineligible() {
         let mut flows = vec![flow(10_000), flow(10_000), flow(10_000)];
-        flows[1].next_eligible_ps = 1_000_000; // not eligible now
+        sender(&mut flows[1]).next_eligible_ps = 1_000_000; // not eligible now
         let mut h = host_listing(&flows, 3);
         assert_eq!(h.pick_eligible(&flows, 0), Some(0));
         assert_eq!(h.pick_eligible(&flows, 0), Some(2));
@@ -362,12 +544,12 @@ mod tests {
     #[test]
     fn earliest_deadline_for_wakeup() {
         let mut flows = vec![flow(10_000), flow(10_000)];
-        flows[0].next_eligible_ps = 700;
-        flows[1].next_eligible_ps = 300;
+        sender(&mut flows[0]).next_eligible_ps = 700;
+        sender(&mut flows[1]).next_eligible_ps = 300;
         let mut h = host_listing(&flows, 2);
         assert_eq!(h.earliest_deadline(&flows), Some(300));
         // Completed flows leave the service list.
-        flows[1].finish_ps = Some(1);
+        flows[1].finish(1);
         h.finish(1);
         assert_eq!(h.earliest_deadline(&flows), Some(700));
         assert_eq!(h.live(), [0]);
@@ -389,7 +571,7 @@ mod tests {
         let mut h = host_listing(&flows, 4);
         assert_eq!(h.pick_eligible(&flows, 0), Some(0));
         assert_eq!(h.pick_eligible(&flows, 0), Some(1));
-        flows[0].finish_ps = Some(1);
+        flows[0].finish(1);
         h.finish(0);
         // Flow 2 was next; the cursor index (2) now names flow 3.
         let picks: Vec<_> = (0..3).map(|_| h.pick_eligible(&flows, 0)).collect();
@@ -402,19 +584,19 @@ mod tests {
     #[test]
     fn cursor_wraps_over_the_full_listed_length() {
         let mut flows = vec![flow(10_000), flow(10_000), flow(10_000), flow(10_000)];
-        flows[2].started = false;
-        flows[3].started = false;
+        flows[2].tx = None;
+        flows[3].tx = None;
         let mut h = host_listing(&flows, 4);
         assert_eq!(h.pick_eligible(&flows, 0), Some(0));
         assert_eq!(h.pick_eligible(&flows, 0), Some(1));
-        flows[2].started = true;
+        start(&mut flows[2], 0);
         h.start(2);
         assert_eq!(
             h.pick_eligible(&flows, 0),
             Some(2),
             "cursor held position 2"
         );
-        flows[3].started = true;
+        start(&mut flows[3], 0);
         h.start(3);
         assert_eq!(h.pick_eligible(&flows, 0), Some(3));
         assert_eq!(h.pick_eligible(&flows, 0), Some(0), "wrapped at 4 listed");
@@ -433,11 +615,11 @@ mod tests {
             }
         }
         for fs in &mut flows {
-            fs.next_eligible_ps = 900;
+            sender(fs).next_eligible_ps = 900;
         }
         assert_eq!(h.pick_eligible(&flows, 0), None);
         assert_eq!(h.earliest_deadline(&flows), Some(900));
-        flows[1].finish_ps = Some(1);
+        flows[1].finish(1);
         h.finish(1);
         assert_eq!(h.pick_eligible(&flows[..1], 900), Some(0));
         assert_eq!(h.live(), [0, 2]);
@@ -466,11 +648,10 @@ mod tests {
         }
 
         fn earliest_deadline(&self, flows: &[FlowState]) -> Option<u64> {
-            let pending = self
-                .tx_flows
-                .iter()
-                .filter(|&&f| flows[f as usize].pending());
-            pending.map(|&f| flows[f as usize].next_eligible_ps).min()
+            let pending = self.tx_flows.iter();
+            pending
+                .filter_map(|&f| flows[f as usize].pending_deadline())
+                .min()
         }
 
         fn gc_flows(&mut self, flows: &[FlowState]) {
@@ -493,9 +674,8 @@ mod tests {
             ops in proptest::collection::vec((0u8..9, 0usize..64, 0u64..3_000), 1..400),
         ) {
             let mut flows: Vec<FlowState> = (0..listed.len()).map(|i| {
-                let mut f = flow(1_000 * (1 + i as u64 % 4));
-                f.started = false;
-                f
+                let spec = FlowSpec::new(SimTime::ZERO, 0, 9, 1_000 * (1 + i as u64 % 4));
+                FlowState::new(spec, 1000)
             }).collect();
             let mut h = Host::new(0);
             let mut r = FullScan::default();
@@ -507,31 +687,30 @@ mod tests {
             for (op, idx, val) in ops {
                 let nth = |want_started: bool, flows: &[FlowState]| {
                     let c: Vec<u32> = r.tx_flows.iter().copied()
-                        .filter(|&f| flows[f as usize].started == want_started).collect();
+                        .filter(|&f| started(&flows[f as usize]) == want_started).collect();
                     (!c.is_empty()).then(|| c[idx % c.len()])
                 };
                 match op {
                     0 | 1 => if let Some(f) = nth(false, &flows) {
                         let f = if ordered {
-                            *r.tx_flows.iter().find(|&&g| !flows[g as usize].started).unwrap()
+                            *r.tx_flows.iter().find(|&&g| !started(&flows[g as usize])).unwrap()
                         } else {
                             f
                         };
-                        flows[f as usize].started = true;
-                        flows[f as usize].next_eligible_ps = now;
+                        start(&mut flows[f as usize], now);
                         h.start(f);
                     },
                     2 => if let Some(f) = nth(true, &flows) {
-                        flows[f as usize].next_eligible_ps = now + val;
+                        sender(&mut flows[f as usize]).next_eligible_ps = now + val;
                     },
                     3 => if let Some(f) = nth(true, &flows) {
-                        flows[f as usize].reliability.take_next();
+                        sender(&mut flows[f as usize]).tx.take_next();
                     },
                     4 => if let Some(f) = nth(true, &flows) {
-                        flows[f as usize].reliability.on_timeout();
+                        sender(&mut flows[f as usize]).tx.on_timeout();
                     },
                     5 => if let Some(f) = nth(true, &flows) {
-                        flows[f as usize].finish_ps = Some(now);
+                        flows[f as usize].finish(now);
                         h.finish(f);
                         r.gc_flows(&flows);
                     },
@@ -540,8 +719,9 @@ mod tests {
                         let got = h.pick_eligible(&flows, now);
                         prop_assert_eq!(got, r.pick_eligible(&flows, now));
                         if let Some(f) = got {
-                            flows[f as usize].reliability.take_next();
-                            flows[f as usize].next_eligible_ps = now + val / 2;
+                            let s = sender(&mut flows[f as usize]);
+                            s.tx.take_next();
+                            s.next_eligible_ps = now + val / 2;
                         }
                     }
                     _ => prop_assert_eq!(
@@ -551,7 +731,7 @@ mod tests {
                 prop_assert_eq!(h.rr_cursor, r.rr_cursor);
                 prop_assert!(h.live_end <= h.tx_flows.len());
                 prop_assert!(h.tx_flows[h.live_end..].iter()
-                    .all(|&f| !flows[f as usize].started));
+                    .all(|&f| !started(&flows[f as usize])));
             }
         }
     }

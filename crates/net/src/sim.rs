@@ -17,7 +17,7 @@
 use crate::audit::{AuditReport, FabricAuditor};
 use crate::config::{SimConfig, TopoConfig};
 use crate::fault::Fault;
-use crate::host::{FlowState, Host, Reliability};
+use crate::host::{FlowState, FlowTransport, Host, Rx, TransportMode, Tx};
 use crate::monitor::{FabricSample, FabricTimeSeries};
 use crate::packet::{Packet, PacketKind, NO_PATH};
 use crate::switch::{EgressPort, LbInstance, LeafState, PfcAction, Reserved, Switch};
@@ -178,8 +178,9 @@ record! {
         Max arena_capacity: u64,
         /// Peak number of events pending in the event queue at once.
         Max queue_high_water: u64,
-        /// Events the event queue's storage can hold, spare chunks
-        /// included (its backing-store footprint; it never shrinks).
+        /// Events the event queue's storage can hold at the end of the
+        /// run, spare chunks included (its backing-store footprint; only
+        /// level-0 burst storage is given back).
         Max queue_capacity: u64,
         /// Shards the run was partitioned into (1 = one replica owning the
         /// whole fabric, dispatched on the caller's thread).
@@ -307,6 +308,12 @@ pub struct Simulation {
     /// the queues themselves hold 4-byte `PacketHandle`s.
     arena: PacketArena<Packet>,
     flows: Vec<FlowState>,
+    /// What each flow's transport halves are built from.
+    transport: FlowTransport,
+    /// This replica's unstarted flows (source host owned), latest
+    /// `(start, id)` first: each `FlowStart` pops itself and arms the new
+    /// last, so the queue holds one pending start, not all of them.
+    starts: Vec<u32>,
     counters: FabricCounters,
     ood_histogram: LogHistogram,
     completed: usize,
@@ -430,8 +437,8 @@ impl Simulation {
     ///
     /// Every shard constructs the **entire** fabric identically — same
     /// switches, hosts, flow table and RNG substreams — and differs only in
-    /// which construction events enter its queue: flow starts are scheduled
-    /// on the shard owning the source host; the fault timeline and the
+    /// which construction events enter its queue: flow starts are armed, one
+    /// at a time, on the shard owning the source host; the fault timeline and the
     /// global DCQCN ticks are replicated everywhere (faults mutate link
     /// state every shard may read, ticks drive per-shard flow clocks).
     /// Replication is what keeps per-entity RNG streams and tie keys
@@ -553,36 +560,32 @@ impl Simulation {
             .collect();
         debug_assert_eq!(shard_map.len(), n_ranks);
 
-        let mut q = ShardEventQueue::new();
+        let transport = FlowTransport {
+            mode: cfg.transport.mode,
+            irn_window,
+            dcqcn: rlb_transport::DcqcnConfig {
+                line_rate_bps: cfg.topo.host_link_rate_bps as f64,
+                ..cfg.transport.dcqcn.clone()
+            },
+        };
         let mut flows = Vec::with_capacity(specs.len());
+        let mut starts = Vec::new();
         for (i, spec) in specs.into_iter().enumerate() {
             assert!(spec.src_host < n_hosts && spec.dst_host < n_hosts);
             assert_ne!(spec.src_host, spec.dst_host, "flow to self");
-            let dcqcn = rlb_transport::DcqcnConfig {
-                line_rate_bps: cfg.topo.host_link_rate_bps as f64,
-                ..cfg.transport.dcqcn.clone()
-            };
-            let fs = FlowState::with_mode(
-                spec,
-                cfg.transport.mtu_bytes,
-                dcqcn,
-                cfg.transport.mode,
-                irn_window,
-            );
             hosts[spec.src_host as usize].list(i as u32);
-            // Construction events carry `(0, RANK_CONSTRUCT, global index)`
-            // keys: every shard derives the same key for the same entry, so
-            // ownership gaps in the index sequence are harmless.
             if shard_map[2 + spec.src_host as usize] == shard_id {
-                q.insert_message(
-                    spec.start,
-                    shard_key(0, RANK_CONSTRUCT, i as u64),
-                    Event::FlowStart(i as u32),
-                );
+                starts.push(i as u32);
             }
-            flows.push(fs);
+            flows.push(FlowState::new(spec, cfg.transport.mtu_bytes));
         }
+        starts.sort_unstable_by_key(|&f| std::cmp::Reverse((flows[f as usize].spec.start, f)));
         let n_flows = flows.len() as u64;
+
+        let mut q = ShardEventQueue::new();
+        if let Some(&f) = starts.last() {
+            Self::arm_start(&mut q, &flows, f);
+        }
 
         // The fault timeline rides the same wheel as everything else: one
         // event per entry, fired in deterministic (time, key) order, and
@@ -627,6 +630,8 @@ impl Simulation {
             hosts,
             arena: PacketArena::with_capacity(1024),
             flows,
+            transport,
+            starts,
             counters: FabricCounters::default(),
             ood_histogram: LogHistogram::new(),
             completed: 0,
@@ -664,6 +669,16 @@ impl Simulation {
             sim.sched(RANK_GLOBAL, at, Event::MonitorTick);
         }
         sim
+    }
+
+    /// Queue flow `f`'s start under its construction key
+    /// `(0, RANK_CONSTRUCT, f)`: every shard derives the same key for the
+    /// same flow, so ownership gaps in the id sequence are harmless, and a
+    /// start armed by its predecessor pops exactly where one queued at
+    /// construction would.
+    fn arm_start(q: &mut ShardEventQueue<Event>, flows: &[FlowState], f: u32) {
+        let at = flows[f as usize].spec.start;
+        q.insert_message(at, shard_key(0, RANK_CONSTRUCT, f as u64), Event::FlowStart(f));
     }
 
     fn make_predictor(cfg: &SimConfig, rcfg: &rlb_core::RlbConfig, d_ps: u64) -> PfcPredictor {
@@ -735,12 +750,32 @@ impl Simulation {
 
     /// `node` is a NIC with a live flow. A NIC's flows are its data source,
     /// standing where a switch port's `data_q` stands, so something may
-    /// follow the frame it is sending even with its queues empty: an ACK
-    /// can reopen a flow's window without kicking the NIC, while a new
-    /// flow or a queued control frame kicks it.
+    /// follow the frame it is sending even with its queues empty.
     #[inline(always)]
     fn nic_has_live_flow(&self, node: Node) -> bool {
         matches!(node, Node::Host(h) if !self.hosts[h as usize].live().is_empty())
+    }
+
+    /// No live flow of host `h`'s, as the flows stand, gives the
+    /// completion of a frame ending at `done_ps` anything to do: under
+    /// go-back-N, where only a kick or the clock makes a flow eligible, no
+    /// live flow has data left, or every pacing deadline is after
+    /// `done_ps` and a wake already armed at `w`, `done_ps ≤ w ≤` the
+    /// earliest, sends or re-arms for them. Whatever changes the flows
+    /// before `done_ps` kicks the NIC, which then schedules the
+    /// completion. Selective repeat keeps the live-flow rule: an ACK there
+    /// can hand a flow a PSN (DESIGN §9.7). Out of line: it scans the live
+    /// flows, and `launch` is every port's hot path.
+    #[inline(never)]
+    fn nic_quiet_until(&self, h: u32, done_ps: u64) -> bool {
+        if self.transport.mode != TransportMode::GoBackN {
+            return false;
+        }
+        let host = &self.hosts[h as usize];
+        match host.earliest_deadline(&self.flows) {
+            None => true,
+            Some(d) => d > done_ps && host.wake_at.is_some_and(|w| done_ps <= w && w <= d),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -917,10 +952,10 @@ impl Simulation {
                 total_packets: f.total_packets,
                 start_ps: f.spec.start.as_ps(),
                 finish_ps: f.finish_ps,
-                ooo_packets: f.reliability.ooo_packets(),
-                max_ood: f.reliability.max_ood() as u64,
-                packets_sent: f.reliability.packets_sent(),
-                naks: f.reliability.naks(),
+                ooo_packets: f.ooo_packets(),
+                max_ood: f.max_ood() as u64,
+                packets_sent: f.packets_sent(),
+                naks: f.naks(),
                 recirculations: f.recirculations,
             })
             .collect()
@@ -980,7 +1015,7 @@ impl Simulation {
             .hosts
             .iter()
             .flat_map(|h| h.live())
-            .filter(|&&f| self.flows[f as usize].started)
+            .filter(|&&f| self.flows[f as usize].tx.is_some())
             .count() as u32;
         self.timeseries.samples.push(FabricSample {
             t_ps: now.as_ps(),
@@ -1002,10 +1037,14 @@ impl Simulation {
 
     fn on_flow_start(&mut self, f: u32) {
         let now = self.now();
+        debug_assert_eq!(self.starts.last(), Some(&f));
+        self.starts.pop();
+        if let Some(&next) = self.starts.last() {
+            Self::arm_start(&mut self.q, &self.flows, next);
+        }
         let host = {
             let fs = &mut self.flows[f as usize];
-            fs.started = true;
-            fs.next_eligible_ps = now.as_ps();
+            fs.tx = Some(self.transport.sender(fs.total_packets, now.as_ps()));
             fs.spec.src_host
         };
         self.hosts[host as usize].start(f);
@@ -1037,11 +1076,13 @@ impl Simulation {
                 let mtu = self.cfg.transport.mtu_bytes;
                 let hdr = self.cfg.transport.hdr_bytes;
                 let fs = &mut self.flows[f as usize];
-                let psn = fs.reliability.take_next().expect("eligible flow has data");
+                let psn = fs.tx.as_deref_mut().and_then(|s| s.tx.take_next());
+                let psn = psn.expect("eligible flow has data");
                 let wire = fs.payload_bytes(psn, mtu) + hdr;
-                fs.dcqcn.on_bytes_sent(wire as u64);
-                let gap = fs.dcqcn.pacing_delay_ps(wire as u64);
-                fs.next_eligible_ps = fs.next_eligible_ps.max(now.as_ps()) + gap;
+                let s = fs.tx.as_deref_mut().expect("an eligible flow is sending");
+                s.dcqcn.on_bytes_sent(wire as u64);
+                let gap = s.dcqcn.pacing_delay_ps(wire as u64);
+                s.next_eligible_ps = s.next_eligible_ps.max(now.as_ps()) + gap;
                 Packet::data(f, psn, wire, fs.spec.src_host, fs.spec.dst_host, now.as_ps())
             };
             if self.traces.wants(f) {
@@ -1085,53 +1126,49 @@ impl Simulation {
                         0,
                         ctrl_bytes));
                 }
-                #[allow(unused_assignments)]
-                let mut trace_ev: Option<TraceEvent> = None;
-                match &mut fs.reliability {
-                    Reliability::Gbn { rx, .. } => match rx.on_packet(pkt.psn) {
+                // Once every packet is delivered the receiver half is gone
+                // and a late arrival is a duplicate that nothing answers.
+                let mut trace_ev = TraceEvent::Duplicate;
+                match fs.receiver(&self.transport) {
+                    None => {}
+                    Some(Rx::Gbn(rx)) => match rx.on_packet(pkt.psn) {
                         rlb_transport::RxAction::Deliver { ack_psn } => {
-                            trace_ev = Some(TraceEvent::Delivered);
+                            trace_ev = TraceEvent::Delivered;
                             responses[1] =
                                 Some(Packet::response(PacketKind::Ack, &pkt, ack_psn, ctrl_bytes));
                         }
                         rlb_transport::RxAction::OutOfOrder { nak_psn, ood } => {
-                            trace_ev = Some(TraceEvent::OutOfOrder { ood });
+                            trace_ev = TraceEvent::OutOfOrder { ood };
                             self.ood_histogram.record(ood as u64);
                             if let Some(nak) = nak_psn {
                                 responses[1] =
                                     Some(Packet::response(PacketKind::Nak, &pkt, nak, ctrl_bytes));
                             }
                         }
-                        rlb_transport::RxAction::Duplicate => {
-                            trace_ev = Some(TraceEvent::Duplicate);
-                        }
+                        rlb_transport::RxAction::Duplicate => {}
                     },
-                    Reliability::Irn { rx, .. } => {
+                    Some(Rx::Irn(rx)) => {
                         if pkt.psn > rx.cumulative() {
                             self.ood_histogram.record((pkt.psn - rx.cumulative()) as u64);
                         }
                         let ood = pkt.psn.saturating_sub(rx.cumulative());
-                        match rx.on_packet(pkt.psn) {
-                            Some(ack) => {
-                                trace_ev = Some(if ack.nack {
-                                    TraceEvent::OutOfOrder { ood }
-                                } else {
-                                    TraceEvent::Delivered
-                                });
-                                let mut resp =
-                                    Packet::response(PacketKind::Ack, &pkt, ack.sack, ctrl_bytes);
-                                resp.cum = ack.cumulative;
-                                resp.nack = ack.nack;
-                                responses[1] = Some(resp);
-                            }
-                            None => trace_ev = Some(TraceEvent::Duplicate),
+                        if let Some(ack) = rx.on_packet(pkt.psn) {
+                            trace_ev = if ack.nack {
+                                TraceEvent::OutOfOrder { ood }
+                            } else {
+                                TraceEvent::Delivered
+                            };
+                            let mut resp =
+                                Packet::response(PacketKind::Ack, &pkt, ack.sack, ctrl_bytes);
+                            resp.cum = ack.cumulative;
+                            resp.nack = ack.nack;
+                            responses[1] = Some(resp);
                         }
                     }
                 }
-                if let Some(ev) = trace_ev {
-                    if self.traces.wants(pkt.flow) {
-                        self.traces.record(pkt.flow, now.as_ps(), pkt.psn, ev);
-                    }
+                fs.settle_receiver();
+                if self.traces.wants(pkt.flow) {
+                    self.traces.record(pkt.flow, now.as_ps(), pkt.psn, trace_ev);
                 }
                 for r in responses.into_iter().flatten() {
                     self.enqueue_or_launch(Node::Host(h), 0, r);
@@ -1148,10 +1185,18 @@ impl Simulation {
                     }
                 }
                 let fs = &mut self.flows[pkt.flow as usize];
+                let Some(s) = fs.tx.as_deref_mut() else {
+                    // A late ACK for a finished flow: all it still counts
+                    // is IRN's NACK flag (a go-back-N ACK never carries it).
+                    if pkt.nack {
+                        fs.late_nak();
+                    }
+                    return;
+                };
                 let mut irn_has_retx = false;
-                match &mut fs.reliability {
-                    Reliability::Gbn { tx, .. } => tx.on_ack(pkt.psn),
-                    Reliability::Irn { tx, .. } => {
+                match &mut s.tx {
+                    Tx::Gbn(tx) => tx.on_ack(pkt.psn),
+                    Tx::Irn(tx) => {
                         tx.on_ack(rlb_transport::IrnAck {
                             cumulative: pkt.cum,
                             sack: pkt.psn,
@@ -1160,8 +1205,8 @@ impl Simulation {
                         irn_has_retx = tx.peek_next().is_some();
                     }
                 }
-                if fs.reliability.sender_complete() && fs.finish_ps.is_none() {
-                    fs.finish_ps = Some(now.as_ps());
+                if s.tx.is_complete() {
+                    fs.finish(now.as_ps());
                     self.completed += 1;
                     // Completions arrive in canonical order, so the last
                     // write is this shard's maximum completion point.
@@ -1183,15 +1228,23 @@ impl Simulation {
                     self.traces
                         .record(pkt.flow, now.as_ps(), pkt.psn, TraceEvent::NakReceived);
                 }
-                if let Reliability::Gbn { tx, .. } =
-                    &mut self.flows[pkt.flow as usize].reliability
-                {
-                    tx.on_nak(pkt.psn);
+                let fs = &mut self.flows[pkt.flow as usize];
+                match fs.tx.as_deref_mut() {
+                    Some(s) => {
+                        if let Tx::Gbn(tx) = &mut s.tx {
+                            tx.on_nak(pkt.psn);
+                        }
+                    }
+                    // A stale NAK after the final ACK still counts.
+                    None => fs.late_nak(),
                 }
                 self.try_transmit(Node::Host(h), 0);
             }
             PacketKind::Cnp => {
-                self.flows[pkt.flow as usize].dcqcn.on_cnp();
+                // A finished flow's rate no longer matters.
+                if let Some(s) = self.flows[pkt.flow as usize].tx.as_deref_mut() {
+                    s.dcqcn.on_cnp();
+                }
             }
             PacketKind::Cnm { .. } => {
                 // Hosts do not participate in rerouting; drop.
@@ -1598,29 +1651,34 @@ impl Simulation {
         let rank = self.rank_node(node);
         let key = self.reserve_key(rank);
         // Nothing left to do at `done`: nothing follows this frame — no
-        // queued frame, no live flow at a NIC — and its buffer release
-        // cannot resume the ingress it is charged to. Work that arrives
-        // later kicks `try_transmit`, and a PAUSE of that ingress goes
-        // through `apply_pfc_action`; both schedule the completion then.
-        let mut idle = !self.nic_has_live_flow(node);
+        // queued frame, and at a NIC no flow that could send at `done` —
+        // and its buffer release cannot resume the ingress it is charged
+        // to. Work that arrives later kicks `try_transmit`, and a PAUSE of
+        // that ingress goes through `apply_pfc_action`; both schedule the
+        // completion then.
         let data = !pkt.kind.is_control();
-        let (ep, release) = match node {
+        let (ep, release, ser, idle) = match node {
             // A NIC frame holds no switch buffer; its data enters the fabric.
             Node::Host(h) => {
                 #[cfg(feature = "audit")]
                 if data {
                     self.auditor.on_injected();
                 }
-                (&mut self.hosts[h as usize].nic, None)
+                let ser = tx_delay(pkt.size_bytes as u64, self.hosts[h as usize].nic.rate_bps);
+                let done_ps = (now + ser).as_ps();
+                let idle = !self.nic_has_live_flow(node) || self.nic_quiet_until(h, done_ps);
+                (&mut self.hosts[h as usize].nic, None, ser, idle)
             }
             Node::Leaf(_) | Node::Spine(_) => {
                 let release = data.then_some((pkt.ingress_port, pkt.size_bytes));
                 let sw = self.switch_mut(node);
-                idle &= release.is_none_or(|(ingress, _)| !sw.paused_upstream[ingress as usize]);
-                (&mut sw.egress[port as usize], release)
+                let idle =
+                    release.is_none_or(|(ingress, _)| !sw.paused_upstream[ingress as usize]);
+                let ep = &mut sw.egress[port as usize];
+                let ser = tx_delay(pkt.size_bytes as u64, ep.rate_bps);
+                (ep, release, ser, idle)
             }
         };
-        let ser = tx_delay(pkt.size_bytes as u64, ep.rate_bps);
         let done = Reserved {
             done_ps: (now + ser).as_ps(),
             key,
@@ -2043,9 +2101,8 @@ impl Simulation {
     /// queue drain.
     fn on_alpha_tick(&mut self) {
         for &f in self.hosts.iter().flat_map(|h| h.live()) {
-            let fs = &mut self.flows[f as usize];
-            if fs.started {
-                fs.dcqcn.on_alpha_timer();
+            if let Some(s) = self.flows[f as usize].tx.as_deref_mut() {
+                s.dcqcn.on_alpha_timer();
             }
         }
         let dt = SimDuration(self.cfg.transport.dcqcn.alpha_timer_ps);
@@ -2064,9 +2121,8 @@ impl Simulation {
         for h in 0..self.hosts.len() {
             let mut kick = false;
             for &f in self.hosts[h].live() {
-                let fs = &mut self.flows[f as usize];
-                if fs.started {
-                    fs.dcqcn.on_increase_timer();
+                if let Some(s) = self.flows[f as usize].tx.as_deref_mut() {
+                    s.dcqcn.on_increase_timer();
                     kick = true;
                 }
             }
@@ -2077,19 +2133,18 @@ impl Simulation {
     }
 
     fn on_rto_check(&mut self, f: u32) {
-        if self.flows[f as usize].is_complete() {
+        let fs = &mut self.flows[f as usize];
+        let host = fs.spec.src_host;
+        // A finished flow's probe stops here, unarmed.
+        let Some(s) = fs.tx.as_deref_mut() else {
             return;
-        }
-        let (stuck, host) = {
-            let fs = &mut self.flows[f as usize];
-            let mark = fs.reliability.progress_mark();
-            let stuck = mark == fs.last_una_at_rto && fs.reliability.has_outstanding();
-            fs.last_una_at_rto = mark;
-            (stuck, fs.spec.src_host)
         };
-        if stuck && self.flows[f as usize].reliability.on_timeout() {
+        let mark = s.tx.progress_mark();
+        let stuck = mark == s.last_una_at_rto && s.tx.has_outstanding();
+        s.last_una_at_rto = mark;
+        if stuck && s.tx.on_timeout() {
             if self.traces.wants(f) {
-                let mark = self.flows[f as usize].reliability.progress_mark();
+                let mark = s.tx.progress_mark();
                 self.traces
                     .record(f, self.now().as_ps(), mark, TraceEvent::TimeoutRewind);
             }
@@ -2414,6 +2469,118 @@ mod tests {
         }
     }
 
+    /// The shape of `shard_equivalence.rs`'s late-frame golden (pause-heavy
+    /// DRILL+RLB dumbbell, seed 3): the CNPs its receivers send, those for
+    /// ECN-marked duplicates after their sender finished included. Recorded
+    /// at commit 5962e2d, the last one that kept every flow's transport
+    /// state from construction to the end of the run.
+    #[test]
+    fn late_frame_run_sends_the_recorded_cnps() {
+        use crate::scenario::{MotivationConfig, Scenario};
+        let mc = MotivationConfig {
+            n_paths: 12,
+            n_background: 12,
+            n_burst_senders: 2,
+            n_burst_senders_dst: 2,
+            flows_per_burst: 40,
+            bursts: 3,
+            affected_paths: 4,
+            congested_flow_bytes: 20_000_000,
+            background_load: 0.25,
+            horizon: SimTime::from_ms(2),
+            seed: 3,
+        };
+        let rlb = Some(rlb_core::RlbConfig::default());
+        let sc = Scenario::motivation(&mc, rlb_lb::Scheme::Drill, rlb);
+        let mut s = Simulation::new(sc.cfg, sc.flows);
+        s.dispatch_window(SimTime(u64::MAX));
+        assert_eq!(s.completed, s.flows.len(), "every flow completes");
+        let cnps: u64 = s.flows.iter().map(|f| f.cnp_gen.cnps_sent).sum();
+        assert_eq!(cnps, 31_618);
+    }
+
+    /// Frames that reach a flow after its transport halves are gone are
+    /// answered from the resident record, as the halves answered them
+    /// (DESIGN §9.6).
+    mod late_frames {
+        use super::*;
+        use crate::packet::Packet;
+
+        /// Host 0's one-packet flow to host 1 run to its final ACK, under
+        /// `mode`: both halves are gone.
+        fn finished(mode: TransportMode) -> Simulation {
+            let mut cfg = SimConfig {
+                topo: TopoConfig {
+                    n_leaves: 2,
+                    n_spines: 1,
+                    hosts_per_leaf: 2,
+                    ..TopoConfig::default()
+                },
+                ..SimConfig::default()
+            };
+            cfg.transport.mode = mode;
+            let flows = vec![FlowSpec::new(SimTime::ZERO, 0, 1, 1000)];
+            let mut s = Simulation::new(cfg, flows);
+            s.dispatch_window(SimTime(u64::MAX));
+            let f = &s.flows[0];
+            assert!(f.is_complete() && f.delivered && f.tx.is_none() && f.rx.is_none());
+            assert_eq!((f.packets_sent(), f.naks(), f.ooo_packets()), (1, 0, 0));
+            s
+        }
+
+        fn data(ecn: bool) -> Packet {
+            let mut pkt = Packet::data(0, 0, 1048, 0, 1, 0);
+            pkt.ecn = ecn;
+            pkt
+        }
+
+        /// A stale NAK still counts, and still kicks the NIC.
+        #[test]
+        fn a_nak_after_the_final_ack_counts() {
+            let mut s = finished(TransportMode::GoBackN);
+            let nak = Packet::response(PacketKind::Nak, &data(false), 0, 64);
+            s.on_host_rx(0, nak);
+            assert_eq!(s.flows[0].naks(), 1);
+            assert_eq!(s.flows[0].packets_sent(), 1, "nothing to resend");
+        }
+
+        /// A duplicate after delivery is answered by nothing; an ECN-marked
+        /// one still elicits its CNP through the resident generator.
+        #[test]
+        fn a_duplicate_after_delivery_answers_only_its_ecn_mark() {
+            let mut s = finished(TransportMode::GoBackN);
+            let nic = |s: &Simulation| (s.hosts[1].nic.busy, s.hosts[1].nic.reserved.map(|r| r.key));
+            let before = nic(&s);
+            s.on_host_rx(1, data(false));
+            assert_eq!(nic(&s), before, "no response");
+            assert!(s.flows[0].rx.is_none());
+            let cnps = s.flows[0].cnp_gen.cnps_sent;
+            s.on_host_rx(1, data(true));
+            assert_eq!(s.flows[0].cnp_gen.cnps_sent, cnps + 1);
+            assert_ne!(nic(&s), before, "the CNP left");
+            assert_eq!(s.flows[0].ooo_packets(), 0);
+        }
+
+        /// A late IRN ACK counts its NACK flag; a CNP or an RTO probe for a
+        /// finished flow changes nothing and arms nothing.
+        #[test]
+        fn late_acks_cnps_and_rto_probes_change_nothing_else() {
+            let mut s = finished(TransportMode::SelectiveRepeat);
+            let mut ack = Packet::response(PacketKind::Ack, &data(false), 0, 64);
+            ack.cum = 1;
+            s.on_host_rx(0, ack);
+            assert_eq!(s.flows[0].naks(), 0);
+            ack.nack = true;
+            s.on_host_rx(0, ack);
+            assert_eq!(s.flows[0].naks(), 1);
+            s.on_host_rx(0, Packet::response(PacketKind::Cnp, &data(false), 0, 64));
+            let pending = s.q.len();
+            s.on_rto_check(0);
+            assert_eq!(s.q.len(), pending, "no RTO re-arm");
+            assert_eq!((s.flows[0].packets_sent(), s.flows[0].naks()), (1, 1));
+        }
+    }
+
     /// The `net/shard_sync` criterion group hands over a stand-in of this
     /// size (the real type is crate-private); keep the two in step.
     #[test]
@@ -2508,7 +2675,8 @@ mod tests {
     }
 
     /// Elided completions driven by hand (DESIGN §9.7): two leaves, one
-    /// spine, two hosts per leaf, and two flows that start only at 1 s, so
+    /// spine, two hosts per leaf, and two flows (two packets to host 1, one
+    /// to host 2) that start only at 1 s, so
     /// until then every event is one a test put in the queue. Frames are
     /// 1 000 bytes, 200 ns on a 40 Gbps port; a link delay is 2 µs, so no
     /// test window reaches a frame's next hop.
@@ -2533,7 +2701,7 @@ mod tests {
                 ..SimConfig::default()
             };
             let late = SimTime::from_ms(1000);
-            let flows = vec![FlowSpec::new(late, 0, 1, 1), FlowSpec::new(late, 0, 2, 1)];
+            let flows = vec![FlowSpec::new(late, 0, 1, 2_000), FlowSpec::new(late, 0, 2, 1)];
             let s = Simulation::new(cfg, flows);
             assert_eq!(tx_delay(1000, s.cfg.topo.link_rate_bps).as_ps(), SER);
             s
@@ -2773,16 +2941,155 @@ mod tests {
             s.sched(RANK_GLOBAL, SimTime(LATE - 10), pfc(true));
             s.sched(RANK_GLOBAL, SimTime(LATE + 1_000), pfc(false));
             run_to(&mut s, LATE + 1);
-            assert!(s.flows.iter().all(|f| f.started));
+            assert!(s.flows.iter().all(|f| f.tx.is_some()), "started");
             let ep = &s.hosts[0].nic;
             assert!(ep.paused && !ep.busy && ep.reserved.is_none(), "data held");
-            assert!(s.flows.iter().all(|f| f.reliability.packets_sent() == 0));
+            assert!(s.flows.iter().all(|f| f.packets_sent() == 0));
             run_to(&mut s, LATE + 1_001);
             assert_eq!(s.paused_port_time, SimDuration(1_010));
             let ep = &s.hosts[0].nic;
             assert!(!ep.paused && ep.busy, "the RESUME kicked the NIC");
-            assert_eq!(s.flows[0].reliability.packets_sent(), 1);
+            assert_eq!(s.flows[0].packets_sent(), 1);
             assert_eq!(s.perf.events_pause_frame, 2);
+        }
+
+        /// The `sim` fabric running `flows` under `mode`.
+        fn nic_sim(mode: TransportMode, flows: Vec<FlowSpec>) -> Simulation {
+            let mut s = sim(SwitchConfig::default(), Vec::new());
+            s.cfg.transport.mode = mode;
+            Simulation::new(s.cfg, flows)
+        }
+
+        const LATE: u64 = 1_000_000_000_000;
+
+        /// Bytes of a full data frame on the wire.
+        fn data_wire(s: &Simulation) -> u64 {
+            (s.cfg.transport.mtu_bytes + s.cfg.transport.hdr_bytes) as u64
+        }
+
+        /// Serialization of a full data frame on host 0's NIC.
+        fn data_ser(s: &Simulation) -> u64 {
+            tx_delay(data_wire(s), s.hosts[0].nic.rate_bps).as_ps()
+        }
+
+        /// A one-packet flow at a go-back-N NIC: once its packet is on the
+        /// wire it has nothing left to send, so the completion is only
+        /// reserved, though the flow is live until its ACK.
+        #[test]
+        fn a_nic_whose_flows_have_nothing_to_send_reserves() {
+            let flows = vec![FlowSpec::new(SimTime(LATE), 0, 1, 1000)];
+            let mut s = nic_sim(TransportMode::GoBackN, flows);
+            let ser = data_ser(&s);
+            run_to(&mut s, LATE + 1);
+            assert_eq!(s.hosts[0].live(), [0]);
+            let nic = &s.hosts[0].nic;
+            assert_eq!(nic.reserved.map(|r| r.done_ps), Some(LATE + ser));
+            assert!(!nic.busy);
+            run_to(&mut s, LATE + ser + 1);
+            assert_eq!(s.perf.events_host_egress_done, 0);
+            assert_eq!(s.flows[0].packets_sent(), 1);
+        }
+
+        /// A go-back-N NIC whose one flow with data is pacing-limited past
+        /// the frame's end, with the wake for that deadline already armed:
+        /// the completion would find nothing to send and arm nothing, so
+        /// it is reserved, and the wake sends at the deadline.
+        #[test]
+        fn a_nic_with_its_wake_armed_before_the_deadline_reserves() {
+            // Flow 0 (three packets) paces; flow 1 (one packet) starts
+            // once flow 0's second frame is done and its wake is armed.
+            let probe = nic_sim(TransportMode::GoBackN, Vec::new());
+            let ser = data_ser(&probe);
+            let flows = vec![
+                FlowSpec::new(SimTime(LATE), 0, 1, 3_000),
+                FlowSpec::new(SimTime(LATE + 2 * ser + 1), 0, 2, 1000),
+            ];
+            let mut s = nic_sim(TransportMode::GoBackN, flows);
+            run_to(&mut s, LATE + 1);
+            // Two CNPs quarter flow 0's rate: from its second packet on,
+            // it may send one frame per four frame times.
+            let wire = data_wire(&s);
+            let tx = s.flows[0].tx.as_deref_mut().expect("sending");
+            tx.dcqcn.on_cnp();
+            tx.dcqcn.on_cnp();
+            let wake = LATE + ser + tx.dcqcn.pacing_delay_ps(wire);
+            let done = LATE + 3 * ser + 1;
+            assert!(wake > done);
+            run_to(&mut s, LATE + 2 * ser + 1);
+            assert_eq!(s.hosts[0].wake_at, Some(wake), "armed by the second completion");
+            assert_eq!(s.perf.events_host_egress_done, 2);
+            run_to(&mut s, LATE + 2 * ser + 2);
+            let nic = &s.hosts[0].nic;
+            assert_eq!(nic.reserved.map(|r| r.done_ps), Some(done), "flow 1 sent");
+            assert!(!nic.busy, "deadline {wake} > {done}, wake armed between");
+            run_to(&mut s, wake + 1);
+            assert_eq!(s.perf.events_host_egress_done, 2);
+            assert_eq!(s.perf.completions_elided, 1, "passed before the wake sent");
+            assert_eq!(s.flows[0].packets_sent(), 3);
+        }
+
+        /// A frame queued behind a reserved NIC completion — the ACK for
+        /// data arriving at host 0 — schedules it under its key, and the
+        /// ACK leaves at the reserved instant.
+        #[test]
+        fn an_ack_queued_behind_a_quiet_nic_schedules_its_completion() {
+            let flows = vec![
+                FlowSpec::new(SimTime(LATE), 0, 1, 1000),
+                FlowSpec::new(SimTime(2 * LATE), 3, 0, 1000),
+            ];
+            let mut s = nic_sim(TransportMode::GoBackN, flows);
+            let ser = data_ser(&s);
+            let pkt = Packet::data(1, 0, 1000, 3, 0, 0);
+            inject(&mut s, LATE + 10, Event::LinkArrive { node: Node::Host(0), port: 0, pkt });
+            run_to(&mut s, LATE + 1);
+            let r = s.hosts[0].nic.reserved.expect("reserved");
+            run_to(&mut s, LATE + 11);
+            let nic = &s.hosts[0].nic;
+            assert!(nic.busy && nic.reserved.is_none(), "the queued ACK scheduled it");
+            assert_eq!(nic.ctrl_q.len(), 1);
+            let (at, key, ev) = s.q.pop_before(SimTime(LATE + ser + 1)).expect("scheduled");
+            assert_eq!((at.as_ps(), key), (r.done_ps, r.key), "under the reserved key");
+            s.cur_key = key;
+            s.dispatch(ev);
+            let nic = &s.hosts[0].nic;
+            assert_eq!(nic.reserved.map(|r| r.done_ps), Some(LATE + ser + 12_800), "ACK at done");
+            assert_eq!(s.perf.events_host_egress_done, 1);
+        }
+
+        /// A NAK before a reserved NIC completion rewinds the flow, which
+        /// then has data again: the kick schedules the completion, and the
+        /// retransmission leaves when it fires.
+        #[test]
+        fn a_nak_before_a_quiet_nic_completion_schedules_it() {
+            let flows = vec![FlowSpec::new(SimTime(LATE), 0, 1, 1000)];
+            let mut s = nic_sim(TransportMode::GoBackN, flows);
+            let ser = data_ser(&s);
+            let data = Packet::data(0, 0, data_wire(&s) as u32, 0, 1, 0);
+            let nak = Packet::response(PacketKind::Nak, &data, 0, 64);
+            // A control frame: the audit's books count data only.
+            let at = SimTime(LATE + 10);
+            s.sched(RANK_GLOBAL, at, Event::LinkArrive { node: Node::Host(0), port: 0, pkt: nak });
+            run_to(&mut s, LATE + 1);
+            assert!(s.hosts[0].nic.reserved.is_some());
+            run_to(&mut s, LATE + 11);
+            let nic = &s.hosts[0].nic;
+            assert!(nic.busy && nic.reserved.is_none(), "the NAK's kick scheduled it");
+            assert_eq!(s.flows[0].naks(), 1);
+            run_to(&mut s, LATE + ser + 1);
+            assert_eq!(s.perf.events_host_egress_done, 1);
+            assert_eq!(s.flows[0].packets_sent(), 2, "resent at done");
+        }
+
+        /// Selective repeat keeps the live-flow rule: an IRN flow's NIC
+        /// completion is scheduled whatever the flows hold.
+        #[test]
+        fn an_irn_nic_with_a_live_flow_schedules() {
+            let flows = vec![FlowSpec::new(SimTime(LATE), 0, 1, 1000)];
+            let mut s = nic_sim(TransportMode::SelectiveRepeat, flows);
+            run_to(&mut s, LATE + 1);
+            let nic = &s.hosts[0].nic;
+            assert!(nic.busy && nic.reserved.is_none());
+            assert_eq!(s.flows[0].packets_sent(), 1);
         }
     }
 }

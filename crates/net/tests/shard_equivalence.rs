@@ -36,7 +36,10 @@ use rlb_engine::{SimDuration, SimTime};
 use rlb_lb::Scheme;
 use rlb_metrics::Num;
 use rlb_net::scenario::{FailSweepConfig, MotivationConfig, Scenario, SteadyStateConfig};
-use rlb_net::{Fault, MonitorConfig, RunResult, ScenarioSpec, SimConfig, TimedFault, TopoConfig};
+use rlb_net::{
+    Fault, MonitorConfig, RunResult, ScenarioSpec, SimConfig, TimedFault, TopoConfig, TraceEvent,
+    TransportMode,
+};
 use rlb_workloads::{FlowSpec, Workload};
 
 type PortKey = ((bool, u32), u16);
@@ -140,6 +143,16 @@ const LEAF_SPINE_FRAMES: u64 = 602_932;
 /// Recorded at commit 3ba3bcf, the last one that scaled the NIC rate on
 /// every transmit instead of rewriting the NIC port rates.
 const GOLDEN_FLAP_RAMP: (u64, u64) = (17_479_566_106_154_846_103, 724_626);
+/// Recorded at commit 5962e2d, the last one that kept every flow's
+/// transport state from construction to the end of the run and queued
+/// every flow start at construction.
+const GOLDEN_SELECTIVE_REPEAT: (u64, u64) = (14_626_618_403_948_698_407, 323_151);
+/// Recorded at commit 5962e2d, like `GOLDEN_SELECTIVE_REPEAT`; with it,
+/// the sums of per-flow `(naks, ooo_packets, packets_sent)`.
+const GOLDEN_LATE_FRAMES: (u64, u64) = (14_934_226_262_599_721_196, 1_855_807);
+const LATE_FRAMES_NAKS_OOO_SENT: (u64, u64, u64) = (1_408, 40_939, 127_743);
+/// Recorded at commit 5962e2d, like `GOLDEN_SELECTIVE_REPEAT`.
+const GOLDEN_OUT_OF_START_ORDER: (u64, u64) = (5_911_249_939_115_965_857, 164_873);
 /// `(fingerprint(timeseries samples), fingerprint(flow 0's trace))`.
 const GOLDEN_MONITORED_TRACED: (u64, u64) =
     (791_827_665_799_338_177, 14_562_405_892_184_352_000);
@@ -371,6 +384,126 @@ fn load_scaled_spec_matches_across_shard_counts() {
             one,
             digest(&mk().run_with_shards(shards)),
             "flap_ramp --shards {shards} diverged"
+        );
+    }
+}
+
+/// Selective repeat (IRN) with PFC off, `irn_compare`'s design point:
+/// multi-packet Web Search flows sprayed by DRILL arrive out of order, so
+/// NACKs, selective retransmissions and buffered out-of-order arrivals
+/// decide these bytes.
+#[test]
+fn selective_repeat_runs_match_across_shard_counts() {
+    let sc = SteadyStateConfig {
+        topo: small_fabric().topo,
+        workload: Workload::WebSearch,
+        load: 0.6,
+        horizon: SimTime::from_ms(2),
+        seed: 11,
+    };
+    let mk = || {
+        let mut s = Scenario::steady_state(&sc, Scheme::Drill, None);
+        s.cfg.transport.mode = TransportMode::SelectiveRepeat;
+        s.cfg.switch.pfc_enabled = false;
+        s
+    };
+    let one = mk().run();
+    assert_eq!(golden(&one), GOLDEN_SELECTIVE_REPEAT);
+    assert!(one.records.iter().filter(|r| r.total_packets > 1).count() >= 10);
+    assert!(one.records.iter().all(|r| r.finish_ps.is_some()));
+    assert!(one.records.iter().map(|r| r.naks).sum::<u64>() > 0, "NACKs");
+    assert!(one.records.iter().map(|r| r.ooo_packets).sum::<u64>() > 0);
+    let one = digest(&one);
+    for shards in [1u16, 2, 4] {
+        assert_eq!(
+            one,
+            digest(&mk().run_with_shards(shards)),
+            "selective repeat --shards {shards} diverged"
+        );
+    }
+}
+
+/// Go-back-N in the pause-heavy DRILL+RLB dumbbell: retransmitted copies
+/// of data the receiver already holds are still on the wire when their
+/// sender takes its final ACK, so they arrive as duplicates after it
+/// finished — some ECN-marked. The per-flow counters those late frames
+/// touch are pinned on their own as well as in the digest.
+#[test]
+fn late_frames_after_the_sender_finished_match_across_shard_counts() {
+    let mk = || {
+        Scenario::motivation(
+            &pfc_heavy_scenario(3),
+            Scheme::Drill,
+            Some(RlbConfig::default()),
+        )
+    };
+    let one = mk().run();
+    assert_eq!(golden(&one), GOLDEN_LATE_FRAMES);
+    let sum = |f: fn(&rlb_metrics::FlowRecord) -> u64| one.records.iter().map(f).sum::<u64>();
+    let sums = (
+        sum(|r| r.naks),
+        sum(|r| r.ooo_packets),
+        sum(|r| r.packets_sent),
+    );
+    assert_eq!(sums, LATE_FRAMES_NAKS_OOO_SENT);
+    assert!(one.counters.pause_frames > 0 && one.counters.ecn_marks > 0);
+    // Traced (1 shard), the same run shows the duplicates that arrive
+    // after their sender finished.
+    let mut sc = mk();
+    sc.cfg.trace_flows = (0..sc.flows.len() as u32).collect();
+    let traced = sc.run();
+    let late_dups: usize = traced
+        .records
+        .iter()
+        .map(|r| {
+            let finish = r.finish_ps.expect("every flow completes");
+            let trace = traced.traces.get(r.flow_id as u32).unwrap_or_default();
+            trace
+                .iter()
+                .filter(|e| e.event == TraceEvent::Duplicate && e.t_ps > finish)
+                .count()
+        })
+        .sum();
+    assert!(
+        late_dups > 0,
+        "no duplicate arrived after its sender finished"
+    );
+    let one = digest(&one);
+    assert_eq!(one, digest(&traced));
+    for shards in [1u16, 2, 4] {
+        assert_eq!(
+            one,
+            digest(&mk().run_with_shards(shards)),
+            "late frames --shards {shards} diverged"
+        );
+    }
+}
+
+/// Flow ids out of start order, with ties: each host lists four flows
+/// whose starts do not ascend with their ids, and several flows share a
+/// start picosecond, so the start order is `(start, id)`, not id.
+#[test]
+fn flows_out_of_start_order_match_across_shard_counts() {
+    let mk = || {
+        let flows = (0..48u32)
+            .map(|i| {
+                let src = i % 12;
+                let dst = (src + 4 + i % 8) % 12;
+                let start = SimTime::from_us(((i * 37) % 11) as u64 * 5);
+                FlowSpec::new(start, src, dst, 20_000 + (i % 4) as u64 * 60_000)
+            })
+            .collect();
+        Scenario::new(small_fabric(), flows)
+    };
+    let one = mk().run();
+    assert_eq!(golden(&one), GOLDEN_OUT_OF_START_ORDER);
+    assert!(one.records.iter().all(|r| r.finish_ps.is_some()));
+    let one = digest(&one);
+    for shards in [1u16, 2, 4] {
+        assert_eq!(
+            one,
+            digest(&mk().run_with_shards(shards)),
+            "out-of-order starts --shards {shards} diverged"
         );
     }
 }
