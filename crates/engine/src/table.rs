@@ -4,7 +4,7 @@
 //! Every load-balancing scheme keeps some per-flow state (a flowlet entry,
 //! a round-robin base, a reroute override) that is read and written once
 //! per data packet. Simulator flow ids are dense indices assigned in
-//! arrival order (`crates/net/src/sim.rs` numbers flows `0..n`), so a
+//! arrival order (`crates/net/src/sim/` numbers flows `0..n`), so a
 //! `BTreeMap<u64, V>` there pays O(log n) pointer-chasing for what is
 //! morally an array access. `FlowTable<V>` is the array: a lazily-grown
 //! `Vec<Option<V>>` slab for keys below [`DENSE_KEY_LIMIT`], with O(1)

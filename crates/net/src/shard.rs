@@ -3,7 +3,7 @@
 //!
 //! The topology is partitioned into shards by *columns* — shard `i` owns
 //! leaf band `i` with its hosts and spine band `i` (see
-//! `Simulation::shard_for`), so every shard carries a like share of both
+//! `Sched::shard_for`), so every shard carries a like share of both
 //! switch tiers and the leaf↔spine wires inside a column never leave it —
 //! and each shard runs its own [`Simulation`] replica over the events of
 //! the entities it owns. Synchronization is a conservative bounded-window

@@ -150,6 +150,20 @@ impl EgressPort {
         Some(pkt)
     }
 
+    /// A PAUSE (`pause`) or RESUME frame takes effect at `now_ps`; `false`
+    /// when the data class already stood so.
+    pub(crate) fn set_paused(&mut self, pause: bool, now_ps: u64) -> bool {
+        if self.paused == pause {
+            return false;
+        }
+        self.paused = pause;
+        self.q_gen = self.q_gen.wrapping_add(1);
+        if pause {
+            self.paused_since_ps = now_ps;
+        }
+        true
+    }
+
     /// Whether a packet of the given class arriving during the event at
     /// `cursor` would be handed straight back by [`enqueue`](Self::enqueue)
     /// followed by [`next_to_transmit`](Self::next_to_transmit): port idle,
@@ -237,18 +251,17 @@ impl LeafState {
         self.path_sig_gens[i] = self.path_sig_gens[i].wrapping_add(1);
     }
 
-    /// Note a path-granularity warning insertion for (spine, dst_leaf) —
-    /// call after `warnings.warn_path` so cached snapshots of that one
-    /// path re-probe the warning table.
-    pub fn note_path_warn(&mut self, spine: usize, dst_leaf: usize) {
+    /// Warn the (spine, dst_leaf) path until `until_ps`; cached snapshots
+    /// of that one path re-probe the warning table.
+    pub(crate) fn warn_path(&mut self, spine: usize, dst_leaf: usize, until_ps: u64) {
+        self.warnings.warn_path(spine, dst_leaf, until_ps);
         let i = self.idx(spine, dst_leaf);
         self.path_sig_gens[i] = self.path_sig_gens[i].wrapping_add(1);
     }
 
-    /// Note an uplink-granularity warning insertion for `spine` — call
-    /// after `warnings.warn_uplink`; it endangers every destination
-    /// through that spine.
-    pub fn note_uplink_warn(&mut self, spine: usize) {
+    /// Warn every destination through `spine` until `until_ps`.
+    pub(crate) fn warn_uplink(&mut self, spine: usize, until_ps: u64) {
+        self.warnings.warn_uplink(spine, until_ps);
         self.uplink_sig_gens[spine] = self.uplink_sig_gens[spine].wrapping_add(1);
     }
 
@@ -320,8 +333,6 @@ pub struct Switch {
     pub sampler_tick_armed: bool,
     /// Who recently fed each egress port (CNM relay targeting).
     pub contributors: ContributorTable,
-    /// Leaf-only state.
-    pub leaf: Option<LeafState>,
     cfg: SwitchConfig,
     rng: SimRng,
 }
@@ -352,7 +363,6 @@ impl Switch {
             sampler_active: vec![false; n_ports],
             sampler_tick_armed: false,
             contributors: ContributorTable::new(n_ports, contributor_window_ps),
-            leaf: None,
             cfg,
             rng,
         }
@@ -598,6 +608,21 @@ mod tests {
     }
 
     #[test]
+    fn pause_toggles_bump_the_queue_generation() {
+        let mut s = sw();
+        let ep = &mut s.egress[0];
+        let g0 = ep.q_gen;
+        assert!(ep.set_paused(true, 7));
+        assert_eq!((ep.q_gen, ep.paused_since_ps), (g0 + 1, 7));
+        assert!(!ep.set_paused(true, 9), "a repeated PAUSE changes nothing");
+        assert_eq!((ep.q_gen, ep.paused_since_ps), (g0 + 1, 7));
+        assert!(ep.set_paused(false, 12));
+        assert_eq!((ep.q_gen, ep.paused_since_ps), (g0 + 2, 7));
+        assert!(!ep.paused && !ep.set_paused(false, 13));
+        assert_eq!(ep.q_gen, g0 + 2);
+    }
+
+    #[test]
     fn ecn_marking_ramps_with_queue_depth() {
         let mut s = sw();
         // Below kmin: never marks.
@@ -629,6 +654,35 @@ mod tests {
         // Other paths untouched.
         assert_eq!(ls.rtt(1, 3), 10_000.0);
         assert_eq!(ls.ecn(2, 2), 0.0);
+    }
+
+    /// A warning bumps the one generation its granularity names: the
+    /// path's, or the uplink's.
+    #[test]
+    fn leaf_warnings_bump_exactly_their_generation() {
+        let lb = LbInstance::Vanilla(rlb_lb::build(
+            rlb_lb::Scheme::Ecmp,
+            1000,
+            substream(0, b"t", 0),
+        ));
+        let mut ls = LeafState::new(lb, 3, 4, 10_000.0);
+        let gens = |ls: &LeafState| {
+            let paths: Vec<u64> = (0..3)
+                .flat_map(|s| (0..4).map(move |d| (s, d)))
+                .map(|(s, d)| ls.path_sig_gen(s, d))
+                .collect();
+            let uplinks: Vec<u64> = (0..3).map(|s| ls.uplink_sig_gen(s)).collect();
+            (paths, uplinks)
+        };
+        let (mut paths, mut uplinks) = gens(&ls);
+        ls.warn_path(1, 2, 500);
+        paths[4 + 2] += 1;
+        assert_eq!(gens(&ls), (paths.clone(), uplinks.clone()));
+        assert_eq!(ls.warnings.warned_until(1, 2), 500);
+        ls.warn_uplink(2, 800);
+        uplinks[2] += 1;
+        assert_eq!(gens(&ls), (paths, uplinks));
+        assert!((0..4).all(|d| ls.warnings.warned_until(2, d) == 800));
     }
 
     /// Differential: the arena-backed egress plane vs inline-packet queues,

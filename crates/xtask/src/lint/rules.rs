@@ -218,7 +218,7 @@ pub static HOT_CLONE: RuleMeta = RuleMeta {
     suggestion: "the dispatch loop runs once per event; move the payload \
                  instead of cloning it, or hoist the copy out of the hot path",
     explain: "\
-`net/src/sim.rs` is the per-event dispatch loop. Cloning a packet or event
+`net/src/sim/` is the per-event dispatch loop. Cloning a packet or event
 there allocates and copies once per event — exactly the cost the timing
 wheel and arena work removed. Scoped to receivers named `pkt`, `packet`,
 `ev`, `event`.
@@ -233,7 +233,7 @@ impl LintRule for HotClone {
     }
 
     fn enabled(&self, file: &str, class: FileClass) -> bool {
-        !matches!(class, FileClass::Bench) && file.ends_with("net/src/sim.rs")
+        !matches!(class, FileClass::Bench) && in_dispatch_loop(file)
     }
 
     fn check(&self, cx: &mut FileCx<'_>) {
@@ -510,7 +510,7 @@ pub static HOT_ALLOC: RuleMeta = RuleMeta {
                  packet arena (ROADMAP item 4), or hoist the allocation to \
                  setup",
     explain: "\
-The dispatch call graph in `net/src/sim.rs` (`dispatch` and the `on_*`/
+The dispatch call graph in `net/src/sim/` (`dispatch` and the `on_*`/
 `route_*`/`host_*`/… handlers it fans out to) executes once per simulated
 event — tens of millions of times per run. `Box::new`, `vec![…]` and
 `.to_vec()` there put an allocator round-trip on that path, undoing the
@@ -524,11 +524,18 @@ the topology is what setup is for.
 };
 
 /// Function-name prefixes that form the per-event dispatch call graph in
-/// `net/src/sim.rs` (see that file's impl block).
-const HOT_FN_PREFIXES: [&str; 12] = [
+/// `net/src/sim/` (see its `impl Simulation` blocks).
+const HOT_FN_PREFIXES: [&str; 17] = [
     "dispatch", "on_", "route_", "host_", "switch_", "try_", "apply_", "handle_", "send_",
-    "assemble_", "maybe_", "audit_",
+    "assemble_", "maybe_", "audit_", "nic_", "launch", "enqueue_", "materialize_", "fault_",
 ];
+
+/// The simulator's event loop: the files of `net/src/sim/`, and
+/// `net/src/sim.rs`, the one file it was before — the scope the frozen
+/// legacy scanner and its differential still name.
+fn in_dispatch_loop(file: &str) -> bool {
+    file.ends_with("net/src/sim.rs") || file.contains("net/src/sim/")
+}
 
 impl LintRule for HotAlloc {
     fn meta(&self) -> &'static RuleMeta {
@@ -536,7 +543,7 @@ impl LintRule for HotAlloc {
     }
 
     fn enabled(&self, file: &str, class: FileClass) -> bool {
-        !matches!(class, FileClass::Bench) && file.ends_with("net/src/sim.rs")
+        !matches!(class, FileClass::Bench) && in_dispatch_loop(file)
     }
 
     fn check(&self, cx: &mut FileCx<'_>) {
@@ -636,7 +643,7 @@ mod tests {
         ] {
             assert!(found(sim, ok, FileClass::CoreLib).is_empty(), "{ok}");
         }
-        // Same code outside sim.rs is not the hot path.
+        // Same code outside the event loop's files is not the hot path.
         let bad = "fn f() { g(pkt.clone()); }\n";
         assert!(found("crates/net/src/topology.rs", bad, FileClass::CoreLib).is_empty());
     }
@@ -729,5 +736,23 @@ mod tests {
         assert!(found(sim, ok, FileClass::CoreLib).is_empty());
         let elsewhere = "impl S { fn dispatch(&mut self) { let v = vec![0u8; 64]; } }\n";
         assert!(found("crates/net/src/topology.rs", elsewhere, FileClass::CoreLib).is_empty());
+    }
+
+    /// Both hot-path rules follow the event loop into its plane files, and
+    /// the transmit and fault handlers count as hot.
+    #[test]
+    fn hot_rules_cover_the_sim_planes() {
+        let hosts = "crates/net/src/sim/hosts.rs";
+        let bad = "impl S { fn on_host_rx(&mut self) { let v = vec![0u8; 64]; } }\n";
+        assert_eq!(found(hosts, bad, FileClass::CoreLib), ["hot-alloc"]);
+        let clone = "impl S { fn f(&mut self) { g(pkt.clone()); } }\n";
+        assert_eq!(found(hosts, clone, FileClass::CoreLib), ["hot-clone"]);
+        let fabric = "crates/net/src/sim/fabric.rs";
+        for f in ["nic_pull", "launch", "enqueue_or_launch", "materialize_egress", "fault_set_link_down"] {
+            let bad = format!("impl S {{ fn {f}(&mut self) {{ let b = Box::new(1); }} }}\n");
+            assert_eq!(found(fabric, &bad, FileClass::CoreLib), ["hot-alloc"], "{f}");
+        }
+        let setup = "impl S { fn new_shard() -> S { let v = vec![0u8; 64]; } }\n";
+        assert!(found("crates/net/src/sim/mod.rs", setup, FileClass::CoreLib).is_empty());
     }
 }
