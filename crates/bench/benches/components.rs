@@ -511,7 +511,8 @@ fn bench_shard_sync(c: &mut Criterion) {
     }
 
     // Sized like the crate-private `rlb_net::sim::WireMsg` (pinned there by
-    // `wire_msg_size_is_what_the_mailbox_bench_assumes`).
+    // `wire_msg_size_is_what_the_mailbox_bench_assumes`): time, key and a
+    // 64-byte payload — a frame crosses with its packet by value.
     #[derive(Clone, Copy)]
     struct Msg {
         at: u64,
@@ -635,22 +636,31 @@ fn bench_packet_plane(c: &mut Criterion) {
         })
     });
 
-    // The per-hop transit pattern on a quiet port: one packet enqueued and
-    // immediately dequeued, with the egress byte counter fed from the hot
-    // column (`free_sized`). The pass-through bypass elides exactly this
-    // round trip; the pair quantifies what each bypassed hop saves.
-    c.bench_function("net/packet_plane/transit_alloc_free_1k", |b| {
+    // The per-hop transit pattern on a quiet port. A packet lives in the
+    // arena from creation to consumption, so a hop moves only its handle:
+    // queued, the handle is pushed on the egress FIFO with the byte counter
+    // fed from the hot size column, then popped and the counter drained;
+    // on the pass-through bypass it goes straight to the launch. The pair
+    // quantifies the queue visit each bypassed hop saves — there is no
+    // arena round trip left to save.
+    let mut arena: PacketArena<FatPacket> = PacketArena::with_capacity(N);
+    let hops: Vec<PacketHandle> = (0..N as u64)
+        .map(|i| {
+            let p = pkt(i);
+            arena.alloc(p.size_bytes, p.flow, false, p.enqueued_at_ps, p)
+        })
+        .collect();
+    c.bench_function("net/packet_plane/transit_push_pop_1k", |b| {
+        let mut q: VecDeque<PacketHandle> = VecDeque::with_capacity(4);
         b.iter(|| {
-            let mut arena: PacketArena<FatPacket> = PacketArena::with_capacity(4);
             let mut bytes = 0u64;
             let mut acc = 0u64;
-            for i in 0..N as u64 {
-                let p = pkt(i);
-                let h = arena.alloc(p.size_bytes, p.flow, false, p.enqueued_at_ps, p);
-                bytes += p.size_bytes as u64;
-                let (out, size) = arena.free_sized(h);
-                bytes -= size as u64;
-                acc = acc.wrapping_add(out.flow as u64);
+            for &h in &hops {
+                bytes += arena.size_bytes(h) as u64;
+                q.push_back(h);
+                let out = q.pop_front().expect("just pushed");
+                bytes -= arena.size_bytes(out) as u64;
+                acc = acc.wrapping_add(arena.flow(black_box(out)) as u64);
             }
             black_box((acc, bytes))
         })
@@ -658,9 +668,8 @@ fn bench_packet_plane(c: &mut Criterion) {
     c.bench_function("net/packet_plane/transit_bypass_1k", |b| {
         b.iter(|| {
             let mut acc = 0u64;
-            for i in 0..N as u64 {
-                let p = pkt(i);
-                acc = acc.wrapping_add(black_box(p).flow as u64);
+            for &h in &hops {
+                acc = acc.wrapping_add(arena.flow(black_box(h)) as u64);
             }
             black_box(acc)
         })

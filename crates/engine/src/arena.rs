@@ -1,18 +1,26 @@
 //! `PacketArena` — a generational slab for the packet hot plane.
 //!
-//! Every queue in the simulator (switch egress FIFOs, host control queues)
-//! used to move full 64-byte packet structs between `VecDeque`s. The arena
-//! inverts that: queues hold 4-byte [`PacketHandle`]s and the packets
-//! themselves sit still in a dense slab, alongside **SoA hot columns** for
-//! the handful of fields the per-event loops actually touch — wire size,
-//! flow id, control-class flag and enqueue timestamp. Occupancy sweeps and
-//! egress byte accounting read those columns without ever loading the cold
-//! payload, and a queue entry is one quarter of a cache line instead of
-//! two lines.
+//! The simulator's packets live here for their whole life: a NIC, a
+//! receiver or a switch parks each frame it creates, the events that
+//! carry it across a wire or around a recirculation loop and the queues
+//! it waits in hold 4-byte [`PacketHandle`]s, and whoever consumes or
+//! drops it frees the slot. A queue entry or an event's packet is one
+//! handle instead of a 48-byte payload.
 //!
-//! Same idiom as [`crate::FlowTable`]: dense `Vec` storage, an explicit
-//! LIFO free list, and fully deterministic behavior — slot assignment is a
-//! pure function of the alloc/free history, never of pointer values.
+//! **Hot columns.** Next to the payloads sit columns for the handful of
+//! fields the transmit path and the occupancy sweeps read — wire size,
+//! flow id, control-class flag and the time given at allocation — so byte
+//! accounting and the audit sweeps never load a payload, and the
+//! generation check reads a dense `u32` column.
+//!
+//! **Chunks that never move.** Slots come in chunks of 1 024, each a set
+//! of fixed-size columns, allocated as the live population first needs
+//! them and never reallocated: growth copies nothing and leaves no freed
+//! block behind in the heap, so the arena's footprint is its high water
+//! rounded up to a chunk, and a slot offset masked to the chunk indexes
+//! every column without a bounds check. Freed slots are reused LIFO (most
+//! recently freed first — deterministic and cache-warm). Slot assignment
+//! is a pure function of the alloc/free history, never of pointer values.
 //!
 //! **Generational safety.** A handle packs a slot index with a generation
 //! stamp; freeing a slot bumps its generation, so any handle retained past
@@ -24,13 +32,14 @@
 //! `2^GEN_BITS` reuses of its slot, which the audit-feature sweeps would
 //! catch long before.)
 //!
-//! The arena is generic over the cold payload type: the engine stays
-//! ignorant of what a packet *is* (see the crate docs) while still owning
-//! the memory discipline. `rlb-net` instantiates it with its `Packet`.
+//! The arena is generic over the payload type: the engine stays ignorant
+//! of what a packet *is* (see the crate docs) while still owning the
+//! memory discipline. `rlb-net` instantiates it with its `Packet`.
 
 /// Bits of a handle devoted to the slot index. 2^20 simultaneously-live
-/// packets is far beyond any reachable queue population (the shared-buffer
-/// admission caps per-switch occupancy in the low thousands).
+/// packets is far beyond any reachable population (the shared-buffer
+/// admission caps per-switch occupancy in the low thousands, and a wire
+/// holds a few frames).
 pub const INDEX_BITS: u32 = 20;
 /// Bits devoted to the generation stamp.
 pub const GEN_BITS: u32 = 32 - INDEX_BITS;
@@ -61,25 +70,74 @@ impl PacketHandle {
     }
 }
 
-/// Generational slab owning every queued packet, with SoA hot columns.
+#[cold]
+#[inline(never)]
+fn stale(h: PacketHandle, slot_gen: Option<u32>) -> ! {
+    panic!(
+        "stale packet handle: slot {} is at generation {}, handle carries {} (use after free)",
+        h.index(),
+        slot_gen.unwrap_or(u32::MAX),
+        h.gen(),
+    )
+}
+
+/// Slots per chunk (a power of two: a slot index splits into chunk and
+/// offset by shift and mask).
+const CHUNK: usize = 1 << CHUNK_BITS;
+const CHUNK_BITS: u32 = 10;
+
+/// `CHUNK` slots, one fixed-size column per field: an offset masked to
+/// the chunk indexes every column without a bounds check, and the
+/// generation check reads a dense `u32` column.
+#[derive(Debug, Clone)]
+struct Chunk<T> {
+    /// Generation stamp per slot (low [`GEN_BITS`] bits used).
+    gens: Box<[u32; CHUNK]>,
+    // --- hot columns, valid only for live slots ---
+    /// Wire size in bytes.
+    sizes: Box<[u32; CHUNK]>,
+    /// Flow id.
+    flows: Box<[u32; CHUNK]>,
+    /// Control-class flag (strict-priority, PFC-immune).
+    ctrl: Box<[bool; CHUNK]>,
+    /// Simulation time given at allocation, ps.
+    enqueued_at: Box<[u64; CHUNK]>,
+    /// Payloads. `None` exactly for slots never allocated or on the free
+    /// list.
+    slots: Box<[Option<T>; CHUNK]>,
+}
+
+/// A fixed-size column of `CHUNK` values made by `f`.
+fn column<V>(f: impl FnMut() -> V) -> Box<[V; CHUNK]> {
+    let v: Vec<V> = std::iter::repeat_with(f).take(CHUNK).collect();
+    match v.into_boxed_slice().try_into() {
+        Ok(col) => col,
+        Err(_) => unreachable!("a column holds CHUNK values"),
+    }
+}
+
+impl<T> Chunk<T> {
+    fn new() -> Chunk<T> {
+        Chunk {
+            gens: column(|| 0),
+            sizes: column(|| 0),
+            flows: column(|| 0),
+            ctrl: column(|| false),
+            enqueued_at: column(|| 0),
+            slots: column(|| None),
+        }
+    }
+}
+
+/// Generational slab owning every live packet, with hot columns.
 #[derive(Debug, Clone)]
 pub struct PacketArena<T> {
-    /// Cold payloads, AoS. `None` exactly for slots on the free list.
-    slots: Vec<Option<T>>,
-    /// Generation stamp per slot (low [`GEN_BITS`] bits used).
-    gens: Vec<u32>,
-    /// Free slots, reused LIFO (most-recently-freed first — deterministic
-    /// and cache-warm).
+    /// Slot `i` is offset `i % CHUNK` of `chunks[i / CHUNK]`.
+    chunks: Vec<Chunk<T>>,
+    /// Slots ever allocated (live + free-listed).
+    n_slots: usize,
+    /// Free slots, reused LIFO.
     free: Vec<u32>,
-    // --- hot columns (SoA), valid only for live slots ---
-    /// Wire size in bytes.
-    sizes: Vec<u32>,
-    /// Flow id.
-    flows: Vec<u32>,
-    /// Control-class flag (strict-priority, PFC-immune).
-    ctrl: Vec<bool>,
-    /// Simulation time the packet entered its current queue, ps.
-    enqueued_at: Vec<u64>,
     /// Live packets.
     len: usize,
     /// Peak simultaneous occupancy over the arena's lifetime.
@@ -95,29 +153,20 @@ impl<T> Default for PacketArena<T> {
 impl<T> PacketArena<T> {
     pub fn new() -> PacketArena<T> {
         PacketArena {
-            slots: Vec::new(),
-            gens: Vec::new(),
+            chunks: Vec::new(),
+            n_slots: 0,
             free: Vec::new(),
-            sizes: Vec::new(),
-            flows: Vec::new(),
-            ctrl: Vec::new(),
-            enqueued_at: Vec::new(),
             len: 0,
             high_water: 0,
         }
     }
 
-    /// Pre-size every column for an expected live population (optional —
-    /// the slab grows lazily either way).
+    /// Pre-allocate the chunks an expected live population needs
+    /// (optional — the slab grows a chunk at a time either way).
     pub fn with_capacity(n: usize) -> PacketArena<T> {
         let mut a = PacketArena::new();
         let n = n.min(INDEX_MASK as usize + 1);
-        a.slots.reserve(n);
-        a.gens.reserve(n);
-        a.sizes.reserve(n);
-        a.flows.reserve(n);
-        a.ctrl.reserve(n);
-        a.enqueued_at.reserve(n);
+        a.chunks = (0..n.div_ceil(CHUNK)).map(|_| Chunk::new()).collect();
         a
     }
 
@@ -135,7 +184,7 @@ impl<T> PacketArena<T> {
     /// Slots ever allocated (live + free-listed).
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.n_slots
     }
 
     /// Peak simultaneous occupancy over the arena's lifetime.
@@ -145,8 +194,9 @@ impl<T> PacketArena<T> {
     }
 
     /// Park a packet in the arena. The hot-column values are snapshot at
-    /// allocation — queued packets are immutable, so the columns and the
-    /// cold payload can never disagree.
+    /// allocation: the caller keeps the payload fields they mirror fixed
+    /// for the packet's life (only the rest of the payload may change
+    /// through [`get_mut`](Self::get_mut)), so the two never disagree.
     #[inline]
     pub fn alloc(
         &mut self,
@@ -156,111 +206,110 @@ impl<T> PacketArena<T> {
         enqueued_at_ps: u64,
         value: T,
     ) -> PacketHandle {
-        let index = match self.free.pop() {
-            Some(i) => {
-                let i_us = i as usize;
-                debug_assert!(self.slots[i_us].is_none(), "free-listed slot is live");
-                self.slots[i_us] = Some(value);
-                self.sizes[i_us] = size_bytes;
-                self.flows[i_us] = flow;
-                self.ctrl[i_us] = control;
-                self.enqueued_at[i_us] = enqueued_at_ps;
-                i
-            }
+        let i = match self.free.pop() {
+            Some(i) => i as usize,
             None => {
-                let i = self.slots.len() as u32;
+                let i = self.n_slots;
                 assert!(
-                    i <= INDEX_MASK,
+                    i <= INDEX_MASK as usize,
                     "PacketArena overflow: more than 2^{INDEX_BITS} live packets"
                 );
-                self.slots.push(Some(value));
-                self.gens.push(0);
-                self.sizes.push(size_bytes);
-                self.flows.push(flow);
-                self.ctrl.push(control);
-                self.enqueued_at.push(enqueued_at_ps);
+                if i >> CHUNK_BITS == self.chunks.len() {
+                    self.chunks.push(Chunk::new());
+                }
+                self.n_slots += 1;
                 i
             }
         };
+        let (c, o) = (&mut self.chunks[i >> CHUNK_BITS], i & (CHUNK - 1));
+        debug_assert!(c.slots[o].is_none(), "free-listed slot is live");
+        c.slots[o] = Some(value);
+        c.sizes[o] = size_bytes;
+        c.flows[o] = flow;
+        c.ctrl[o] = control;
+        c.enqueued_at[o] = enqueued_at_ps;
         self.len += 1;
         self.high_water = self.high_water.max(self.len);
-        PacketHandle::new(index, self.gens[index as usize])
+        PacketHandle::new(i as u32, c.gens[o])
     }
 
-    /// Generation check shared by every accessor. Panics on stale handles:
-    /// the caller is holding a ticket for a packet that already left.
+    /// The chunk and offset `h` points at, generation-checked. Panics on
+    /// stale handles: the caller is holding a ticket for a packet that
+    /// already left.
     #[inline]
-    fn check(&self, h: PacketHandle) -> usize {
-        let i = h.index();
-        assert!(
-            i < self.gens.len() && self.gens[i] == h.gen(),
-            "stale packet handle: slot {i} is at generation {}, handle \
-             carries {} (use after free)",
-            self.gens.get(i).copied().unwrap_or(u32::MAX),
-            h.gen(),
-        );
-        i
+    fn check(&self, h: PacketHandle) -> (usize, usize) {
+        let (c, o) = (h.index() >> CHUNK_BITS, h.index() & (CHUNK - 1));
+        match self.chunks.get(c) {
+            Some(chunk) if chunk.gens[o] == h.gen() => (c, o),
+            chunk => stale(h, chunk.map(|chunk| chunk.gens[o])),
+        }
     }
 
     /// Take the packet out, retiring its slot. The handle (and any copy of
     /// it) is dead from here on.
     #[inline]
     pub fn free(&mut self, h: PacketHandle) -> T {
-        self.free_sized(h).0
-    }
-
-    /// [`free`](Self::free) fused with the hot-column wire size, under one
-    /// generation check. The transmit path's egress byte accounting reads
-    /// the SoA `sizes` column here instead of dereferencing the cold
-    /// payload it is about to hand off.
-    #[inline]
-    pub fn free_sized(&mut self, h: PacketHandle) -> (T, u32) {
-        let i = self.check(h);
-        let v = self.slots[i].take().expect("generation-checked slot is live");
-        self.gens[i] = self.gens[i].wrapping_add(1) & GEN_MASK;
-        self.free.push(i as u32);
+        let (c, o) = self.check(h);
+        let chunk = &mut self.chunks[c];
+        let v = chunk.slots[o].take().expect("generation-checked slot is live");
+        chunk.gens[o] = chunk.gens[o].wrapping_add(1) & GEN_MASK;
+        self.free.push(h.index() as u32);
         self.len -= 1;
-        (v, self.sizes[i])
+        v
     }
 
-    /// Cold payload access.
+    /// Payload access.
     #[inline]
     pub fn get(&self, h: PacketHandle) -> &T {
-        let i = self.check(h);
-        self.slots[i].as_ref().expect("generation-checked slot is live")
+        let (c, o) = self.check(h);
+        self.chunks[c].slots[o].as_ref().expect("generation-checked slot is live")
     }
 
-    // --- hot-column reads (no cold-payload touch) ---
+    /// Payload access for in-place updates of the fields no hot column
+    /// mirrors (see [`alloc`](Self::alloc)).
+    #[inline]
+    pub fn get_mut(&mut self, h: PacketHandle) -> &mut T {
+        let (c, o) = self.check(h);
+        self.chunks[c].slots[o].as_mut().expect("generation-checked slot is live")
+    }
+
+    // --- hot-column reads (no payload touch) ---
 
     /// Wire size in bytes.
     #[inline]
     pub fn size_bytes(&self, h: PacketHandle) -> u32 {
-        self.sizes[self.check(h)]
+        let (c, o) = self.check(h);
+        self.chunks[c].sizes[o]
     }
 
     /// Flow id.
     #[inline]
     pub fn flow(&self, h: PacketHandle) -> u32 {
-        self.flows[self.check(h)]
+        let (c, o) = self.check(h);
+        self.chunks[c].flows[o]
     }
 
     /// Control-class flag.
     #[inline]
     pub fn is_control(&self, h: PacketHandle) -> bool {
-        self.ctrl[self.check(h)]
+        let (c, o) = self.check(h);
+        self.chunks[c].ctrl[o]
     }
 
-    /// When the packet entered its current queue, ps.
+    /// The time given at allocation, ps.
     #[inline]
     pub fn enqueued_at_ps(&self, h: PacketHandle) -> u64 {
-        self.enqueued_at[self.check(h)]
+        let (c, o) = self.check(h);
+        self.chunks[c].enqueued_at[o]
     }
 
     /// Whether `h` still points at the packet it was issued for.
     #[inline]
     pub fn contains(&self, h: PacketHandle) -> bool {
-        let i = h.index();
-        i < self.gens.len() && self.gens[i] == h.gen() && self.slots[i].is_some()
+        let (c, o) = (h.index() >> CHUNK_BITS, h.index() & (CHUNK - 1));
+        self.chunks
+            .get(c)
+            .is_some_and(|chunk| chunk.gens[o] == h.gen() && chunk.slots[o].is_some())
     }
 }
 
@@ -332,14 +381,29 @@ mod tests {
     }
 
     #[test]
-    fn free_sized_returns_the_hot_column_size_and_retires_the_slot() {
-        let mut a: PacketArena<u64> = PacketArena::new();
-        let h = a.alloc(4_096, 3, false, 7, 0xBEEF);
-        let (v, size) = a.free_sized(h);
-        assert_eq!(v, 0xBEEF);
-        assert_eq!(size, 4_096);
-        assert!(a.is_empty());
+    fn get_mut_updates_the_payload_in_place() {
+        let mut a: PacketArena<(u32, u8)> = PacketArena::new();
+        let h = a.alloc(4_096, 3, false, 7, (9, 0));
+        a.get_mut(h).1 += 1;
+        assert_eq!(*a.get(h), (9, 1));
+        assert_eq!(a.size_bytes(h), 4_096, "hot columns untouched");
+        assert_eq!(a.free(h), (9, 1));
         assert!(!a.contains(h));
+    }
+
+    #[test]
+    fn slots_past_a_chunk_keep_their_handles_and_the_chunks_their_storage() {
+        let mut a: PacketArena<u64> = PacketArena::with_capacity(CHUNK);
+        let hs: Vec<_> = (0..2 * CHUNK as u64 + 1).map(|i| a.alloc(1, 0, false, 0, i)).collect();
+        assert_eq!(a.chunks.len(), 3);
+        for (i, &h) in hs.iter().enumerate() {
+            assert_eq!(h.index(), i);
+            assert_eq!(*a.get(h), i as u64);
+        }
+        assert_eq!(a.free(hs[CHUNK + 7]), CHUNK as u64 + 7);
+        let h = a.alloc(2, 0, false, 0, 99);
+        assert_eq!(h.index(), CHUNK + 7, "the freed slot comes back first");
+        assert_eq!(a.capacity(), 2 * CHUNK + 1);
     }
 
     #[test]

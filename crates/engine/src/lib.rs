@@ -11,10 +11,10 @@
 //! * [`FlowTable`] — dense O(1) per-flow state storage with
 //!   `BTreeMap`-compatible deterministic iteration, for the per-packet
 //!   decision hot path in the load balancers.
-//! * [`PacketArena`] — a generational slab owning every queued packet, with
-//!   SoA hot columns (size, flow, class, enqueue time) so occupancy sweeps
-//!   and byte accounting never touch the cold payload; queues move 4-byte
-//!   [`PacketHandle`]s instead of full packets.
+//! * [`PacketArena`] — a generational slab owning every live packet, with
+//!   SoA hot columns (size, flow, class, allocation time) so occupancy
+//!   sweeps and byte accounting never touch the cold payload; queues and
+//!   events move 4-byte [`PacketHandle`]s instead of full packets.
 //! * [`rng`] — seed-derived independent random substreams.
 //!
 //! The engine is deliberately ignorant of packets and switches; the network

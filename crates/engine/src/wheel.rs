@@ -505,6 +505,14 @@ impl<E, K: TieKey> TimingWheel<E, K> {
 mod tests {
     use super::*;
 
+    /// The simulator's entries: time, a `u128` canonical key and a 24-byte
+    /// event (its packets stay in the arena) fill 48 bytes, half what a
+    /// 64-byte event made them.
+    #[test]
+    fn a_sharded_entry_with_a_24_byte_event_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Entry<[u64; 3], u128>>(), 48);
+    }
+
     #[test]
     fn levels_and_slots_are_consistent() {
         let w: TimingWheel<u32> = TimingWheel::new();

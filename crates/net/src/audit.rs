@@ -11,6 +11,11 @@
 //!             + recirculating
 //! ```
 //!
+//! A second ledger balances the packet arenas: every live slot is held by
+//! exactly one queue or pending event (`LinkArrive`, `Recirculate`), so
+//! `handles == arena_live`. A frame crossing shards is in neither arena
+//! while it sits in a mailbox, and no cut is taken then.
+//!
 //! Additional invariants checked on the same cadence:
 //! * **PFC pairing** — per (switch, ingress port): `resumes <= pauses` and
 //!   `pauses - resumes <= 1`; at drain the imbalance must equal the port's
@@ -78,6 +83,10 @@ pub struct AuditReport {
     pub in_switch_buffers: u64,
     pub in_flight_events: u64,
     pub recirculating: u64,
+    /// Packet handles held by queues and pending events.
+    pub handles: u64,
+    /// Live packet-arena slots.
+    pub arena_live: u64,
 }
 
 impl AuditReport {
@@ -98,14 +107,24 @@ impl AuditReport {
         self.in_switch_buffers += other.in_switch_buffers;
         self.in_flight_events += other.in_flight_events;
         self.recirculating += other.recirculating;
+        self.handles += other.handles;
+        self.arena_live += other.arena_live;
     }
 
-    /// The conservation balance. Only meaningful on a cut that covers the
-    /// whole fabric (1 shard, or every shard's cuts absorbed).
+    /// The conservation balance and the arena balance. Only meaningful on
+    /// a cut that covers the whole fabric (1 shard, or every shard's cuts
+    /// absorbed): every thread of a sharded run asserts the same sum, so a
+    /// violation stops them all rather than one while its peers wait at
+    /// the barrier.
     pub fn assert_conserved(&self) {
         assert!(
             self.accounted() == self.injected,
             "audit violation [packet-conservation]:\n{self}"
+        );
+        assert!(
+            self.handles == self.arena_live,
+            "audit violation [handle-balance]: a packet-arena slot is leaked \
+             or a handle dangles:\n{self}"
         );
     }
 }
@@ -119,6 +138,8 @@ impl std::fmt::Display for AuditReport {
         writeln!(f, "  in switch buffers  = {}", self.in_switch_buffers)?;
         writeln!(f, "  in flight (events) = {}", self.in_flight_events)?;
         writeln!(f, "  recirculating      = {}", self.recirculating)?;
+        writeln!(f, "  handles held       = {}", self.handles)?;
+        writeln!(f, "  arena slots live   = {}", self.arena_live)?;
         write!(
             f,
             "  accounted          = {} ({})",
@@ -319,6 +340,21 @@ mod tests {
         sum.absorb(&rx.check(9_000, [((false, 1), &sw)].into_iter(), &PacketArena::new(), 0, 0, true));
         sum.assert_conserved();
         assert_eq!(sum.at_ps, 9_000);
+    }
+
+    #[test]
+    fn arena_cuts_balance_when_summed() {
+        // A frame sent across shards left the sender's arena and sits in
+        // the receiver's; a sender that kept the slot holds one live slot
+        // no handle refers to, and the summed cut refuses it.
+        let cut = |handles, arena_live| AuditReport { handles, arena_live, ..AuditReport::default() };
+        let mut sum = cut(3, 3);
+        sum.absorb(&cut(1, 1));
+        sum.assert_conserved();
+        sum.absorb(&cut(0, 1));
+        let err = std::panic::catch_unwind(|| sum.assert_conserved()).expect_err("leaked slot");
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("handle-balance"), "{msg}");
     }
 
     #[test]

@@ -1,8 +1,14 @@
-//! The packet — the unit moved by every queue in the simulator.
+//! The packet — the unit every queue and wire in the simulator carries.
 //!
-//! Packets are plain 'Copy'-able values moved between `VecDeque`s; nothing
-//! in the hot path allocates per packet.
+//! A packet is parked in the simulation's `PacketArena` by whoever creates
+//! it ([`Packet::park`]) and stays there until a host consumes it or a
+//! switch drops it: queues and events hold its 4-byte handle. Along the
+//! way only the fields no arena hot column mirrors change (`ingress_port`,
+//! `path`, `ecn`, `recircs`); `size_bytes`, `flow` and the kind's control
+//! class are fixed at creation. Nothing in the hot path allocates per
+//! packet: the arena reuses its slots.
 
+use rlb_engine::{PacketArena, PacketHandle};
 use serde::Serialize;
 
 /// What kind of frame this is.
@@ -68,6 +74,13 @@ pub struct Packet {
 pub const NO_PATH: u8 = u8::MAX;
 
 impl Packet {
+    /// Park the packet in `arena`, its hot columns filled from it, at
+    /// `now_ps`.
+    #[inline]
+    pub fn park(self, arena: &mut PacketArena<Packet>, now_ps: u64) -> PacketHandle {
+        arena.alloc(self.size_bytes, self.flow, self.kind.is_control(), now_ps, self)
+    }
+
     pub fn data(flow: u32, psn: u32, size_bytes: u32, src: u32, dst: u32, now_ps: u64) -> Packet {
         Packet {
             kind: PacketKind::Data,
@@ -140,7 +153,17 @@ mod tests {
 
     #[test]
     fn packet_is_small() {
-        // Keep the hot-path value type compact (two cache lines max).
-        assert!(std::mem::size_of::<Packet>() <= 64);
+        // The arena's cold payload and the cross-shard `WireMsg` both carry
+        // it whole; it fits in three quarters of a cache line.
+        assert!(std::mem::size_of::<Packet>() <= 48);
+    }
+
+    #[test]
+    fn park_fills_the_hot_columns_from_the_packet() {
+        let mut arena = PacketArena::new();
+        let ack = Packet::response(PacketKind::Ack, &Packet::data(7, 1, 1048, 3, 9, 0), 1, 64);
+        let h = ack.park(&mut arena, 5);
+        assert_eq!((arena.size_bytes(h), arena.flow(h), arena.is_control(h)), (64, 7, true));
+        assert_eq!(arena.enqueued_at_ps(h), 5);
     }
 }

@@ -398,6 +398,7 @@ impl Simulation {
         if matches!(peer, Node::Host(_)) {
             return;
         }
+        let now_ps = self.now().as_ps();
         let pkt = Packet {
             kind: PacketKind::Cnm {
                 origin_node,
@@ -410,13 +411,14 @@ impl Simulation {
             src_host: u32::MAX,
             dst_host: u32::MAX,
             ecn: false,
-            sent_ps: self.now().as_ps(),
+            sent_ps: now_ps,
             path: NO_PATH,
             recircs: 0,
             ingress_port: 0,
             cum: 0,
             nack: false,
         };
+        let pkt = pkt.park(&mut self.arena, now_ps);
         self.enqueue_or_launch(node, out_port, pkt);
     }
 

@@ -8,42 +8,47 @@ use crate::switch::{PfcAction, Reserved};
 use crate::topology::Node;
 use crate::trace::TraceEvent;
 use rlb_core::Decision;
-use rlb_engine::{tx_delay, SimDuration, SimTime};
+use rlb_engine::{tx_delay, PacketHandle, SimDuration, SimTime};
 use rlb_lb::Ctx;
 
 impl Simulation {
     /// A frame arrived at switch `node` on `in_port`.
-    pub(super) fn switch_rx(&mut self, node: Node, in_port: u16, mut pkt: Packet) {
+    pub(super) fn switch_rx(&mut self, node: Node, in_port: u16, h: PacketHandle) {
+        let pkt = self.arena.get_mut(h);
         if let PacketKind::Cnm { origin_node, origin_ingress_port, ttl } = pkt.kind {
+            self.arena.free(h);
             self.handle_cnm(node, in_port, origin_node, origin_ingress_port, ttl);
             return;
         }
         if pkt.kind.is_control() {
-            let out = self.route_control(node, &pkt);
-            self.enqueue_or_launch(node, out, pkt);
+            let out = self.route_control(node, self.arena.get(h));
+            self.enqueue_or_launch(node, out, h);
             return;
         }
-        // Data plane: buffer admission + PFC accounting.
+        // Data plane: buffer admission + PFC accounting against the
+        // ingress port, which the packet records for its release.
+        pkt.ingress_port = in_port;
+        let size = pkt.size_bytes;
         let cursor = self.sched.cursor();
         let (admitted, action) = {
             let sw = self.switch_mut(node);
             sw.settle(cursor);
-            match sw.admit_data(in_port, pkt.size_bytes) {
+            match sw.admit_data(in_port, size) {
                 Ok(a) => (true, a),
                 Err(crate::switch::BufferOverflow) => (false, PfcAction::None),
             }
         };
         if !admitted {
+            self.arena.free(h);
             #[cfg(feature = "audit")]
             self.auditor.on_dropped();
             self.jot(JEffect::BufferDrop);
             return; // tail-dropped; go-back-N will recover end-to-end
         }
         self.apply_pfc_action(node, action);
-        pkt.ingress_port = in_port;
         self.jot(JEffect::SwitchPkt);
         self.maybe_activate_sampler(node, in_port);
-        self.route_data(node, in_port, pkt);
+        self.route_data(node, in_port, h);
     }
 
     /// The fixed egress toward `pkt`'s destination host: down from a spine
@@ -68,26 +73,28 @@ impl Simulation {
         })
     }
 
-    /// Route a data packet: deterministic except at the source leaf's
+    /// Route data packet `h`: deterministic except at the source leaf's
     /// uplink choice, where the LB scheme (and RLB) decide.
-    fn route_data(&mut self, node: Node, in_port: u16, mut pkt: Packet) {
+    fn route_data(&mut self, node: Node, in_port: u16, h: PacketHandle) {
         let now = self.now();
-        let out = match (node, self.route_down(node, &pkt)) {
-            (_, Some(out)) => out,
+        let pkt = self.arena.get(h);
+        let (ingress, size) = (pkt.ingress_port, pkt.size_bytes);
+        let (out, path) = match (node, self.route_down(node, pkt)) {
+            (_, Some(out)) => (out, None),
             (Node::Leaf(l), None) => {
                 // --- the load-balancing decision point ---
-                let dst_leaf = self.topo.leaf_of_host(pkt.dst_host);
+                let (flow, psn) = (pkt.flow, pkt.psn);
                 let ctx = Ctx {
                     now_ps: now.as_ps(),
-                    flow_id: pkt.flow as u64,
-                    dst_leaf,
-                    seq: pkt.psn,
-                    pkt_bytes: pkt.size_bytes,
+                    flow_id: flow as u64,
+                    dst_leaf: self.topo.leaf_of_host(pkt.dst_host),
+                    seq: psn,
+                    pkt_bytes: size,
                     paths: &[],
                 };
                 let hpl = self.cfg.topo.hosts_per_leaf as usize;
                 let uplinks = &self.leaves[l as usize].egress[hpl..];
-                let limit = self.flows[pkt.flow as usize].spec.path_limit;
+                let limit = self.flows[flow as usize].spec.path_limit;
                 let (decision, stats) = self.control.decide(l, uplinks, ctx, limit, pkt.recircs);
                 if let Some(e) = stats {
                     self.jot(e);
@@ -96,19 +103,19 @@ impl Simulation {
                     Decision::Forward(s) => TraceEvent::Routed { path: s as u8 },
                     Decision::Recirculate => TraceEvent::Recirculated,
                 };
-                if self.traces.wants(pkt.flow) {
-                    self.traces.record(pkt.flow, now.as_ps(), pkt.psn, trace);
+                if self.traces.wants(flow) {
+                    self.traces.record(flow, now.as_ps(), psn, trace);
                 }
                 let Decision::Forward(s) = decision else {
-                    self.jot(JEffect::Recirc { flow: pkt.flow });
+                    self.jot(JEffect::Recirc { flow });
+                    let pkt = self.arena.get_mut(h);
                     pkt.recircs = pkt.recircs.saturating_add(1);
                     let rlb = self.cfg.rlb.as_ref().expect("recirculation without RLB");
                     let at = now + SimDuration(rlb.t_rc_ps);
-                    self.sched.schedule(node, at, Event::Recirculate { node, pkt });
+                    self.sched.schedule(node, at, Event::Recirculate { node, pkt: h });
                     return;
                 };
-                pkt.path = s as u8;
-                self.topo.leaf_uplink_port(s as u32)
+                (self.topo.leaf_uplink_port(s as u32), Some(s as u8))
             }
             _ => unreachable!(),
         };
@@ -117,7 +124,8 @@ impl Simulation {
         let mark = {
             let sw = self.switch_mut(node);
             if sw.dt_exceeded(out) {
-                let action = sw.release_data(pkt.ingress_port, pkt.size_bytes);
+                let action = sw.release_data(ingress, size);
+                self.arena.free(h);
                 #[cfg(feature = "audit")]
                 self.auditor.on_dropped();
                 self.jot(JEffect::BufferDrop);
@@ -127,22 +135,25 @@ impl Simulation {
             sw.contributors.record(out as usize, in_port as usize, now.as_ps());
             sw.ecn_mark(out)
         };
-        pkt.ecn |= mark;
+        if mark || path.is_some() {
+            let pkt = self.arena.get_mut(h);
+            pkt.path = path.unwrap_or(pkt.path);
+            pkt.ecn |= mark;
+        }
         if mark {
             self.jot(JEffect::EcnMark);
         }
-        self.enqueue_or_launch(node, out, pkt);
+        self.enqueue_or_launch(node, out, h);
     }
 
-    pub(super) fn on_recirculate(&mut self, node: Node, pkt: Packet) {
+    pub(super) fn on_recirculate(&mut self, node: Node, h: PacketHandle) {
         // The packet kept its buffer share while looping; it re-enters the
         // routing pipeline with its original ingress accounting.
         let cursor = self.sched.cursor();
         self.switch_mut(node).settle(cursor);
-        let in_port = pkt.ingress_port;
-        self.route_data(node, in_port, pkt);
+        let in_port = self.arena.get(h).ingress_port;
+        self.route_data(node, in_port, h);
     }
-
 
     /// Start the next frame out of `node`'s egress `port` if the port is
     /// free: a queued control frame first (pause-immune), then data unless
@@ -162,8 +173,8 @@ impl Simulation {
             }
             return;
         }
-        if let Some(pkt) = ep.next_to_transmit(arena) {
-            self.launch(node, port, pkt);
+        if let Some(h) = ep.next_to_transmit(arena) {
+            self.launch(node, port, h);
         } else if let Node::Host(h) = node {
             if !ep.paused {
                 self.nic_pull(h);
@@ -171,34 +182,35 @@ impl Simulation {
         }
     }
 
-    /// Hand `pkt` to `node`'s egress `port`. When the port would transmit
-    /// it immediately ([`EgressPort::pass_through`]) the packet launches
-    /// directly, skipping the arena alloc/free round trip a queue visit
-    /// would cost — the dominant case on quiet ports, and for the ACK a
-    /// NIC sends per delivered data packet. Otherwise it parks on the class
-    /// queue and the transmitter is kicked. Both paths produce identical
-    /// simulation state and events: the bypass fires exactly when
-    /// `enqueue` + `next_to_transmit` would hand the same packet straight
-    /// back with every queue counter netting to zero.
-    pub(super) fn enqueue_or_launch(&mut self, node: Node, port: u16, pkt: Packet) {
-        debug_assert!(
-            pkt.kind.is_control() || !matches!(node, Node::Host(_)),
-            "a NIC pulls its data from its flows"
-        );
+    /// Hand packet `h` to `node`'s egress `port`. When the port would
+    /// transmit it immediately ([`EgressPort::pass_through`]) the packet
+    /// launches directly, skipping the queue visit — the dominant case on
+    /// quiet ports, and for the ACK a NIC sends per delivered data packet.
+    /// Otherwise its handle queues on the class FIFO and the transmitter
+    /// is kicked. Both paths produce identical simulation state and
+    /// events: the bypass fires exactly when `enqueue` + `next_to_transmit`
+    /// would hand the same handle straight back with every queue counter
+    /// netting to zero.
+    pub(super) fn enqueue_or_launch(&mut self, node: Node, port: u16, h: PacketHandle) {
         let cursor = self.sched.cursor();
         let (ep, arena) = self.port_and_arena(node, port);
-        if ep.pass_through(pkt.kind.is_control(), cursor) {
-            self.launch(node, port, pkt);
+        let control = arena.get(h).kind.is_control();
+        debug_assert!(
+            control || !matches!(node, Node::Host(_)),
+            "a NIC pulls its data from its flows"
+        );
+        if ep.pass_through(control, cursor) {
+            self.launch(node, port, h);
             return;
         }
-        ep.enqueue(arena, pkt, cursor.0);
+        ep.enqueue(arena, h);
         self.try_transmit(node, port);
     }
 
-    /// Start serializing `pkt` out of `node`'s idle egress `port`, and
+    /// Start serializing packet `h` out of `node`'s idle egress `port`, and
     /// schedule its wire arrival and — when it has anything to do — its
     /// completion (DESIGN §9.7).
-    pub(super) fn launch(&mut self, node: Node, port: u16, pkt: Packet) {
+    pub(super) fn launch(&mut self, node: Node, port: u16, h: PacketHandle) {
         let now = self.now();
         let prop = SimDuration(self.cfg.topo.link_delay_ps);
         let (peer, peer_port) = self.topo.peer(node, port);
@@ -209,26 +221,27 @@ impl Simulation {
         // to. Work that arrives later kicks `try_transmit`, and a PAUSE of
         // that ingress goes through `apply_pfc_action`; both schedule the
         // completion then.
-        let data = !pkt.kind.is_control();
+        let pkt = self.arena.get(h);
+        let (size, data, ingress) = (pkt.size_bytes, !pkt.kind.is_control(), pkt.ingress_port);
         let (ep, release, ser, idle) = match node {
             // A NIC frame holds no switch buffer; its data enters the fabric.
-            Node::Host(h) => {
+            Node::Host(host) => {
                 #[cfg(feature = "audit")]
                 if data {
                     self.auditor.on_injected();
                 }
-                let ser = tx_delay(pkt.size_bytes as u64, self.hosts[h as usize].nic.rate_bps);
+                let ser = tx_delay(size as u64, self.hosts[host as usize].nic.rate_bps);
                 let done_ps = (now + ser).as_ps();
-                let idle = !self.nic_has_live_flow(node) || self.nic_quiet_until(h, done_ps);
-                (&mut self.hosts[h as usize].nic, None, ser, idle)
+                let idle = !self.nic_has_live_flow(node) || self.nic_quiet_until(host, done_ps);
+                (&mut self.hosts[host as usize].nic, None, ser, idle)
             }
             Node::Leaf(_) | Node::Spine(_) => {
-                let release = data.then_some((pkt.ingress_port, pkt.size_bytes));
+                let release = data.then_some((ingress, size));
                 let sw = self.switch_mut(node);
                 let idle =
                     release.is_none_or(|(ingress, _)| !sw.paused_upstream[ingress as usize]);
                 let ep = &mut sw.egress[port as usize];
-                let ser = tx_delay(pkt.size_bytes as u64, ep.rate_bps);
+                let ser = tx_delay(size as u64, ep.rate_bps);
                 (ep, release, ser, idle)
             }
         };
@@ -253,16 +266,8 @@ impl Simulation {
             self.sched.schedule_reserved(done, ev);
         }
         self.perf.completions_elided += passed as u64;
-        self.sched.send(
-            node,
-            peer,
-            now + ser + prop,
-            Event::LinkArrive {
-                node: peer,
-                port: peer_port,
-                pkt,
-            },
-        );
+        let at = now + ser + prop;
+        self.sched.send_frame(&mut self.arena, node, peer, peer_port, at, h);
     }
 
     pub(super) fn on_egress_done(&mut self, node: Node, port: u16, release: Option<(u16, u32)>) {
@@ -395,19 +400,21 @@ mod tests {
             s
         }
 
-        /// A frame of `flow` (host 0 to host `flow + 1`) arriving at `node`
-        /// on `port`.
-        fn arrival(node: Node, port: u16, flow: u32, bytes: u32) -> Event {
-            let pkt = Packet::data(flow, 0, bytes, 0, flow + 1, 0);
-            Event::LinkArrive { node, port, pkt }
+        /// A data frame of `flow`, host 0 to host `flow + 1`.
+        fn frame(flow: u32, bytes: u32) -> Packet {
+            Packet::data(flow, 0, bytes, 0, flow + 1, 0)
         }
 
-        /// Queue `ev`, a frame no host sent, at `at` ps; the auditor counts
-        /// it injected, so the run's books balance.
-        fn inject(s: &mut Simulation, at: u64, ev: Event) {
+        /// Queue the arrival of `pkt`, a frame no host sent, at `node`'s
+        /// `port` at `at` ps; the auditor counts data injected, so the
+        /// run's books balance.
+        fn inject(s: &mut Simulation, at: u64, node: Node, port: u16, pkt: Packet) {
             #[cfg(feature = "audit")]
-            s.auditor.on_injected();
-            s.sched.schedule_global(SimTime(at), ev);
+            if !pkt.kind.is_control() {
+                s.auditor.on_injected();
+            }
+            let pkt = pkt.park(&mut s.arena, 0);
+            s.sched.schedule_global(SimTime(at), Event::LinkArrive { node, port, pkt });
         }
 
         /// Dispatch every event before `t` ps.
@@ -426,8 +433,8 @@ mod tests {
         fn a_frame_queued_behind_launches_at_the_reserved_time() {
             let mut s = sim(SwitchConfig::default(), Vec::new());
             let (leaf, out) = (Node::Leaf(0), 1usize);
-            inject(&mut s, 0, arrival(leaf, 0, 0, 1000));
-            inject(&mut s, 10, arrival(leaf, 0, 0, 1000));
+            inject(&mut s, 0, leaf, 0, frame(0, 1000));
+            inject(&mut s, 10, leaf, 0, frame(0, 1000));
             run_to(&mut s, 1);
             let ep = &s.leaves[0].egress[out];
             assert_eq!(ep.reserved.map(|r| r.done_ps), Some(SER));
@@ -468,8 +475,8 @@ mod tests {
             let leaf = Node::Leaf(0);
             // To host 1, then through the uplink to host 2: the second
             // admission takes ingress 0 to 2 000 bytes, over the threshold.
-            inject(&mut s, 0, arrival(leaf, 0, 0, 1000));
-            inject(&mut s, 10, arrival(leaf, 0, 1, 1000));
+            inject(&mut s, 0, leaf, 0, frame(0, 1000));
+            inject(&mut s, 10, leaf, 0, frame(1, 1000));
             run_to(&mut s, 1);
             assert!(s.leaves[0].egress[1].reserved.is_some());
             run_to(&mut s, 11);
@@ -513,8 +520,8 @@ mod tests {
             ];
             let mut s = sim(SwitchConfig::default(), faults);
             let spine = Node::Spine(0);
-            inject(&mut s, 0, arrival(spine, 0, 1, 20_000));
-            inject(&mut s, 5 * US, arrival(spine, 0, 1, 20_000));
+            inject(&mut s, 0, spine, 0, frame(1, 20_000));
+            inject(&mut s, 5 * US, spine, 0, frame(1, 20_000));
             run_to(&mut s, 5 * US / 2 + 1);
             let ep = &s.spines[0].egress[1];
             assert_eq!(ep.reserved.map(|r| r.done_ps), Some(BIG));
@@ -545,7 +552,7 @@ mod tests {
             for (stop, end, elided) in [(SER / 2, SER, 0), (SER + 1, SER + 2_000_000, 1)] {
                 let mut s = sim(SwitchConfig::default(), Vec::new());
                 s.cfg.hard_stop = SimTime(stop);
-                inject(&mut s, 0, arrival(Node::Spine(0), 0, 1, 1000));
+                inject(&mut s, 0, Node::Spine(0), 0, frame(1, 1000));
                 let res = s.run();
                 assert_eq!(res.end_time, SimTime(end), "hard stop at {stop}");
                 assert_eq!(res.events_processed, 1);
@@ -562,14 +569,15 @@ mod tests {
             for before in [true, false] {
                 let mut s = sim(SwitchConfig::default(), Vec::new());
                 let spine = Node::Spine(0);
-                inject(&mut s, 0, arrival(spine, 0, 1, 1000));
+                inject(&mut s, 0, spine, 0, frame(1, 1000));
                 run_to(&mut s, 1);
                 let r = s.spines[0].egress[1].reserved.expect("reserved");
                 let key = if before { r.key - 1 } else { r.key + 1 };
                 #[cfg(feature = "audit")]
                 s.auditor.on_injected();
                 let at = Reserved { done_ps: r.done_ps, key };
-                s.sched.schedule_reserved(at, arrival(spine, 0, 1, 1000));
+                let pkt = frame(1, 1000).park(&mut s.arena, 0);
+                s.sched.schedule_reserved(at, Event::LinkArrive { node: spine, port: 0, pkt });
                 run_to(&mut s, r.done_ps + 1);
                 let ep = &s.spines[0].egress[1];
                 assert_eq!(
@@ -592,9 +600,9 @@ mod tests {
             const ACK_SER: u64 = 12_800;
             let mut s = sim(SwitchConfig::default(), Vec::new());
             let host = Node::Host(1);
-            inject(&mut s, 0, arrival(host, 0, 0, 1000));
+            inject(&mut s, 0, host, 0, frame(0, 1000));
             let second = Packet::data(0, 1, 1000, 0, 1, 0);
-            inject(&mut s, 10, Event::LinkArrive { node: host, port: 0, pkt: second });
+            inject(&mut s, 10, host, 0, second);
             run_to(&mut s, 1);
             let nic = &s.hosts[1].nic;
             let r = nic.reserved.expect("the ACK's completion is reserved");
@@ -728,7 +736,7 @@ mod tests {
             let mut s = nic_sim(TransportMode::GoBackN, flows);
             let ser = data_ser(&s);
             let pkt = Packet::data(1, 0, 1000, 3, 0, 0);
-            inject(&mut s, LATE + 10, Event::LinkArrive { node: Node::Host(0), port: 0, pkt });
+            inject(&mut s, LATE + 10, Node::Host(0), 0, pkt);
             run_to(&mut s, LATE + 1);
             let r = s.hosts[0].nic.reserved.expect("reserved");
             run_to(&mut s, LATE + 11);
@@ -754,8 +762,7 @@ mod tests {
             let data = Packet::data(0, 0, data_wire(&s) as u32, 0, 1, 0);
             let nak = Packet::response(PacketKind::Nak, &data, 0, 64);
             // A control frame: the audit's books count data only.
-            let at = SimTime(LATE + 10);
-            s.sched.schedule_global(at, Event::LinkArrive { node: Node::Host(0), port: 0, pkt: nak });
+            inject(&mut s, LATE + 10, Node::Host(0), 0, nak);
             run_to(&mut s, LATE + 1);
             assert!(s.hosts[0].nic.reserved.is_some());
             run_to(&mut s, LATE + 11);

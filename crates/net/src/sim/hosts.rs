@@ -7,7 +7,7 @@ use crate::host::{FlowState, Rx, TransportMode, Tx};
 use crate::packet::{Packet, PacketKind};
 use crate::topology::Node;
 use crate::trace::TraceEvent;
-use rlb_engine::{SimDuration, SimTime};
+use rlb_engine::{PacketHandle, SimDuration, SimTime};
 
 impl Simulation {
     /// Queue flow `f`'s start under its construction key: every shard
@@ -101,6 +101,7 @@ impl Simulation {
             if self.traces.wants(f) {
                 self.traces.record(f, now.as_ps(), pkt.psn, TraceEvent::Sent);
             }
+            let pkt = pkt.park(&mut self.arena, now.as_ps());
             self.launch(Node::Host(h), 0, pkt);
             return;
         }
@@ -118,8 +119,10 @@ impl Simulation {
         }
     }
 
-    pub(super) fn on_host_rx(&mut self, h: u32, pkt: Packet) {
+    /// Frame `frame` reached host `h`, which consumes it.
+    pub(super) fn on_host_rx(&mut self, h: u32, frame: PacketHandle) {
         let now = self.now();
+        let pkt = self.arena.free(frame);
         match pkt.kind {
             PacketKind::Data => {
                 debug_assert_eq!(pkt.dst_host, h);
@@ -183,6 +186,7 @@ impl Simulation {
                     self.traces.record(pkt.flow, now.as_ps(), pkt.psn, trace_ev);
                 }
                 for r in responses.into_iter().flatten() {
+                    let r = r.park(&mut self.arena, now.as_ps());
                     self.enqueue_or_launch(Node::Host(h), 0, r);
                 }
             }
@@ -390,12 +394,18 @@ mod tests {
             pkt
         }
 
+        /// `pkt` reaches host `h`.
+        fn rx(s: &mut Simulation, h: u32, pkt: Packet) {
+            let frame = pkt.park(&mut s.arena, 0);
+            s.on_host_rx(h, frame);
+        }
+
         /// A stale NAK still counts, and still kicks the NIC.
         #[test]
         fn a_nak_after_the_final_ack_counts() {
             let mut s = finished(TransportMode::GoBackN);
             let nak = Packet::response(PacketKind::Nak, &data(false), 0, 64);
-            s.on_host_rx(0, nak);
+            rx(&mut s, 0, nak);
             assert_eq!(s.flows[0].naks(), 1);
             assert_eq!(s.flows[0].packets_sent(), 1, "nothing to resend");
         }
@@ -407,11 +417,11 @@ mod tests {
             let mut s = finished(TransportMode::GoBackN);
             let nic = |s: &Simulation| (s.hosts[1].nic.busy, s.hosts[1].nic.reserved.map(|r| r.key));
             let before = nic(&s);
-            s.on_host_rx(1, data(false));
+            rx(&mut s, 1, data(false));
             assert_eq!(nic(&s), before, "no response");
             assert!(s.flows[0].rx.is_none());
             let cnps = s.flows[0].cnp_gen.cnps_sent;
-            s.on_host_rx(1, data(true));
+            rx(&mut s, 1, data(true));
             assert_eq!(s.flows[0].cnp_gen.cnps_sent, cnps + 1);
             assert_ne!(nic(&s), before, "the CNP left");
             assert_eq!(s.flows[0].ooo_packets(), 0);
@@ -424,12 +434,12 @@ mod tests {
             let mut s = finished(TransportMode::SelectiveRepeat);
             let mut ack = Packet::response(PacketKind::Ack, &data(false), 0, 64);
             ack.cum = 1;
-            s.on_host_rx(0, ack);
+            rx(&mut s, 0, ack);
             assert_eq!(s.flows[0].naks(), 0);
             ack.nack = true;
-            s.on_host_rx(0, ack);
+            rx(&mut s, 0, ack);
             assert_eq!(s.flows[0].naks(), 1);
-            s.on_host_rx(0, Packet::response(PacketKind::Cnp, &data(false), 0, 64));
+            rx(&mut s, 0, Packet::response(PacketKind::Cnp, &data(false), 0, 64));
             let pending = s.sched.len();
             s.on_rto_check(0);
             assert_eq!(s.sched.len(), pending, "no RTO re-arm");

@@ -45,7 +45,7 @@ use crate::topology::{Node, Topology};
 use crate::trace::FlowTraces;
 use control::Control;
 use rlb_core::{conservative_qth, PfcPredictor};
-use rlb_engine::{substream, PacketArena, SimDuration, SimTime};
+use rlb_engine::{substream, PacketArena, PacketHandle, SimDuration, SimTime};
 use rlb_metrics::{record, FabricCounters, FctSummary, FlowRecord, LogHistogram};
 use rlb_workloads::FlowSpec;
 use sched::Sched;
@@ -56,16 +56,23 @@ pub(crate) use window::{all_flows_done, ShardParts, ShardStatus};
 
 /// Simulation events.
 ///
-/// Deliberately not `Clone`: every event is dispatched exactly once and
-/// packets move by value through the fabric (`cargo xtask lint`'s
-/// hot-clone rule guards the dispatch arms).
+/// Deliberately not `Clone`: every event is dispatched exactly once
+/// (`cargo xtask lint`'s hot-clone rule guards the dispatch arms). The
+/// packet a `LinkArrive` or `Recirculate` carries stays in the replica's
+/// packet arena, so the event holds its 4-byte handle and a wheel entry is
+/// 48 bytes; a frame crossing to another shard leaves the arena for the
+/// wire message (`Sched::send_frame`).
 #[derive(Debug)]
 pub(crate) enum Event {
     FlowStart(u32),
     /// NIC pacing wake-up.
     HostWake(u32),
     /// A frame finished propagating and arrives at (node, port).
-    LinkArrive { node: Node, port: u16, pkt: Packet },
+    LinkArrive {
+        node: Node,
+        port: u16,
+        pkt: PacketHandle,
+    },
     /// A switch egress or a host NIC (`Host(h)`, port 0) finished
     /// serializing; `release` = (ingress_port, bytes) to free from the
     /// shared buffer for a switch's data frames, `None` otherwise.
@@ -81,7 +88,7 @@ pub(crate) enum Event {
     /// predictions), instead of one event per (node, port).
     PredictorTick(Node),
     /// A recirculated packet re-enters the routing pipeline.
-    Recirculate { node: Node, pkt: Packet },
+    Recirculate { node: Node, pkt: PacketHandle },
     /// Global DCQCN alpha-update tick over every active flow.
     AlphaTick,
     /// Global DCQCN rate-increase tick over every active flow.
@@ -264,9 +271,10 @@ pub struct Simulation {
     hosts: Vec<Host>,
     /// Every leaf's load-balancing and RLB state.
     control: Control,
-    /// Every packet parked in a queue anywhere in the fabric (switch egress
-    /// classes, host NIC control queues) lives in this generational arena;
-    /// the queues themselves hold 4-byte `PacketHandle`s.
+    /// Every packet of this replica, from its creation (a NIC's data, a
+    /// receiver's response, a switch's CNM) or its delivery from another
+    /// shard until a host consumes it or a switch drops it, lives in this
+    /// generational arena; queues and events hold 4-byte `PacketHandle`s.
     arena: PacketArena<Packet>,
     flows: Vec<FlowState>,
     /// What each flow's transport halves are built from.
@@ -431,7 +439,7 @@ impl Simulation {
             spines,
             hosts,
             control: Control::new(&cfg, base_rtt_ns),
-            arena: PacketArena::with_capacity(1024),
+            arena: PacketArena::new(),
             flows,
             transport,
             starts,
@@ -499,7 +507,7 @@ impl Simulation {
 
     /// `node`'s egress `port` — a switch port, or a host's NIC (port 0) —
     /// split-borrowed with the packet arena (disjoint fields), for the
-    /// paths that park or reclaim packets.
+    /// paths that queue or dequeue handles.
     #[inline(always)]
     fn port_and_arena(
         &mut self,
@@ -604,6 +612,13 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Packets ride in events as handles, so an event fits the 24 bytes
+    /// that make a wheel entry 48 (`rlb_engine`'s wheel pins that size).
+    #[test]
+    fn an_event_is_at_most_24_bytes() {
+        assert!(std::mem::size_of::<Event>() <= 24, "{}", std::mem::size_of::<Event>());
+    }
 
     fn rec(start: u64, finish: Option<u64>) -> rlb_metrics::FlowRecord {
         rlb_metrics::FlowRecord {

@@ -13,9 +13,10 @@
 
 use super::Event;
 use crate::config::TopoConfig;
+use crate::packet::Packet;
 use crate::switch::Reserved;
 use crate::topology::Node;
-use rlb_engine::{shard_key, ShardEventQueue, SimTime};
+use rlb_engine::{shard_key, PacketArena, PacketHandle, ShardEventQueue, SimTime};
 
 /// Keys construction-time schedules (flow starts, the fault timeline, the
 /// initial DCQCN ticks) under a single global index, and sorts before
@@ -27,16 +28,27 @@ const RANK_CONSTRUCT: u16 = 0;
 /// identically.
 const RANK_GLOBAL: u16 = 1;
 
-/// A timestamped cross-shard event: produced by [`Sched::send`] when the
-/// receiving entity lives on another shard, carried through the
-/// bounded-window driver's mailboxes, and applied at the receiver via
-/// [`Sched::deliver`]. The key is computed by the *sender* with exactly the
-/// derivation a local schedule uses, so merge order at the receiver is
-/// independent of delivery route and arrival order.
+/// A timestamped cross-shard event: produced by [`Sched::send`] or
+/// [`Sched::send_frame`] when the receiving entity lives on another shard,
+/// carried through the bounded-window driver's mailboxes, and applied at
+/// the receiver via [`Sched::deliver`]. The key is computed by the
+/// *sender* with exactly the derivation a local schedule uses, so merge
+/// order at the receiver is independent of delivery route and arrival
+/// order.
 pub(crate) struct WireMsg {
     pub at: SimTime,
     pub key: u128,
-    pub ev: Event,
+    pub ev: Wire,
+}
+
+/// What a [`WireMsg`] carries. Packet handles are replica-local, so a
+/// frame crosses by value: it leaves the sender's arena at `send_frame`
+/// and is parked in the receiver's at `deliver`.
+pub(crate) enum Wire {
+    /// An event that holds no packet (a PFC frame).
+    Event(Event),
+    /// A `LinkArrive` at (`node`, `port`) with its packet.
+    Frame { node: Node, port: u16, pkt: Packet },
 }
 
 /// One replica's scheduling state.
@@ -197,17 +209,51 @@ impl Sched {
         self.q.insert_message(SimTime(done.done_ps), done.key, ev);
     }
 
+    /// `from`'s next canonical key for a schedule toward `peer`, and the
+    /// shard that owns `peer`.
+    #[inline]
+    fn route(&mut self, from: Node, peer: Node) -> (u128, u16) {
+        (self.reserve(from), self.shard_of(peer))
+    }
+
     /// Schedule an event that crosses a wire from `from` toward `peer`:
     /// inserted locally if this shard owns the peer, else queued in the
     /// outbox for barrier delivery. The key derivation is identical either
     /// way — the delivery route never affects the canonical merge order.
+    /// Frames go through [`send_frame`](Self::send_frame).
     #[inline]
     pub(super) fn send(&mut self, from: Node, peer: Node, at: SimTime, ev: Event) {
-        let key = self.reserve(from);
-        let dst = self.shard_of(peer);
+        debug_assert!(
+            !matches!(ev, Event::LinkArrive { .. } | Event::Recirculate { .. }),
+            "a packet handle is replica-local"
+        );
+        let (key, dst) = self.route(from, peer);
         if dst == self.shard_id {
             self.q.insert_message(at, key, ev);
         } else {
+            self.outbox[dst as usize].push(WireMsg { at, key, ev: Wire::Event(ev) });
+        }
+    }
+
+    /// [`send`](Self::send) for packet `h`'s arrival at `peer`'s `port`:
+    /// the event carries the handle when this shard owns the peer; else
+    /// the packet leaves `arena` and crosses in the wire message.
+    #[inline]
+    pub(super) fn send_frame(
+        &mut self,
+        arena: &mut PacketArena<Packet>,
+        from: Node,
+        peer: Node,
+        port: u16,
+        at: SimTime,
+        h: PacketHandle,
+    ) {
+        let (key, dst) = self.route(from, peer);
+        if dst == self.shard_id {
+            self.q.insert_message(at, key, Event::LinkArrive { node: peer, port, pkt: h });
+        } else {
+            let pkt = arena.free(h);
+            let ev = Wire::Frame { node: peer, port, pkt };
             self.outbox[dst as usize].push(WireMsg { at, key, ev });
         }
     }
@@ -250,10 +296,18 @@ impl Sched {
         mailbox.len()
     }
 
-    /// Drain `mailbox` into the event queue, in place.
-    pub(super) fn deliver(&mut self, mailbox: &mut Vec<WireMsg>) {
+    /// Drain `mailbox` into the event queue, in place, parking each frame
+    /// it carries in `arena`.
+    pub(super) fn deliver(&mut self, mailbox: &mut Vec<WireMsg>, arena: &mut PacketArena<Packet>) {
+        let now_ps = self.q.now().as_ps();
         for m in mailbox.drain(..) {
-            self.q.insert_message(m.at, m.key, m.ev);
+            let ev = match m.ev {
+                Wire::Event(ev) => ev,
+                Wire::Frame { node, port, pkt } => {
+                    Event::LinkArrive { node, port, pkt: pkt.park(arena, now_ps) }
+                }
+            };
+            self.q.insert_message(m.at, m.key, ev);
         }
     }
 }
@@ -284,8 +338,8 @@ mod tests {
         std::iter::from_fn(|| s.pop_before(SimTime(u64::MAX)).map(|(_, key, _)| key)).collect()
     }
 
-    /// A frame from leaf 0 to spine 1 on two shards leaves through the
-    /// outbox under exactly the key a frame to a local peer would take.
+    /// A send from leaf 0 to spine 1 on two shards leaves through the
+    /// outbox under exactly the key a send to a local peer would take.
     #[test]
     fn a_send_to_another_shard_takes_the_local_key() {
         let (from, local, remote) = (Node::Leaf(0), Node::Spine(0), Node::Spine(1));
@@ -303,9 +357,38 @@ mod tests {
         assert_eq!(sent, keys(&mut twin));
         // Delivered, they pop in that order at the receiver.
         let mut peer = Sched::new(&topo(), 1, 2);
-        peer.deliver(&mut mailbox);
+        peer.deliver(&mut mailbox, &mut PacketArena::new());
         assert!(mailbox.is_empty());
         assert_eq!(keys(&mut peer), sent);
+    }
+
+    /// A frame to a peer on another shard leaves the sender's arena and is
+    /// parked in the receiver's at delivery; to a local peer it keeps its
+    /// handle. Both take the same key.
+    #[test]
+    fn a_frame_to_another_shard_crosses_by_value() {
+        let (from, local, remote) = (Node::Leaf(0), Node::Spine(0), Node::Spine(1));
+        let pkt = Packet::data(4, 9, 1_048, 0, 5, 0);
+        let (mut s, mut twin) = (Sched::new(&topo(), 0, 2), Sched::new(&topo(), 0, 2));
+        let (mut arena, mut twin_arena) = (PacketArena::new(), PacketArena::new());
+        let h = pkt.park(&mut arena, 0);
+        s.send_frame(&mut arena, from, remote, 3, SimTime(7), h);
+        assert!(arena.is_empty(), "the packet left the sender's arena");
+        let h = pkt.park(&mut twin_arena, 0);
+        twin.send_frame(&mut twin_arena, from, local, 3, SimTime(7), h);
+        assert_eq!(twin_arena.len(), 1, "a local frame keeps its slot");
+        let mut mailbox = Vec::new();
+        assert_eq!(s.swap_outbox(1, &mut mailbox), 1);
+        let mut peer = Sched::new(&topo(), 1, 2);
+        let mut peer_arena = PacketArena::new();
+        peer.deliver(&mut mailbox, &mut peer_arena);
+        let (_, key, ev) = peer.pop_before(SimTime(u64::MAX)).expect("delivered");
+        assert_eq!(key, keys(&mut twin)[0]);
+        let Event::LinkArrive { node, port: 3, pkt: h } = ev else { panic!("{ev:?}") };
+        assert_eq!(node, remote);
+        let got = peer_arena.free(h);
+        assert_eq!((got.flow, got.psn, got.size_bytes), (4, 9, 1_048));
+        assert!(peer_arena.is_empty());
     }
 
     /// A reserved key is the key the entity's schedule would have taken,
@@ -421,9 +504,12 @@ mod tests {
     }
 
     /// The `net/shard_sync` criterion group hands over a stand-in of this
-    /// size (the real type is crate-private); keep the two in step.
+    /// size (the real type is crate-private); keep the two in step. A
+    /// frame crosses with its 48-byte packet by value, so the message
+    /// stays 96 bytes while the event it becomes is 24.
     #[test]
     fn wire_msg_size_is_what_the_mailbox_bench_assumes() {
+        assert_eq!(std::mem::size_of::<Wire>(), 64);
         assert_eq!(std::mem::size_of::<WireMsg>(), 96);
     }
 }

@@ -174,7 +174,7 @@ impl Simulation {
 
     /// Drain `mailbox` into the event queue; see `Sched`.
     pub(crate) fn deliver(&mut self, mailbox: &mut Vec<WireMsg>) {
-        self.sched.deliver(mailbox);
+        self.sched.deliver(mailbox, &mut self.arena);
     }
 
     /// Every reserved completion on this replica (only owned entities
@@ -248,11 +248,11 @@ impl Simulation {
     }
 
     /// The audit sweep over this replica, run between events so every
-    /// structure is quiescent: arena/queue handle balance, buffer occupancy
-    /// (and PFC pairing when `drain`) for its switches, and its itemised
-    /// side of the packet-conservation ledger. The caller owns the balance:
-    /// a lone replica asserts its own cut, shards sum theirs at the barrier
-    /// (a shard alone sees only its side of each flow).
+    /// structure is quiescent: buffer occupancy (and PFC pairing when
+    /// `drain`) for its switches, and its itemised side of the
+    /// packet-conservation and arena-handle ledgers. The caller owns the
+    /// balance: a lone replica asserts its own cut, shards sum theirs at
+    /// the barrier (a shard alone sees only its side of each flow).
     #[cfg(feature = "audit")]
     pub(crate) fn audit_cut(&mut self, drain: bool) -> AuditReport {
         use super::Event;
@@ -261,30 +261,29 @@ impl Simulation {
         for sw in self.leaves.iter_mut().chain(self.spines.iter_mut()) {
             sw.settle(cursor);
         }
-        let (mut in_flight, mut recirc) = (0u64, 0u64);
+        // Data frames on a wire are counted by reading the arena.
+        let (mut in_flight, mut recirc, mut held) = (0u64, 0u64, 0usize);
         for ev in self.sched.events() {
             match ev {
-                Event::LinkArrive { pkt, .. } if !pkt.kind.is_control() => in_flight += 1,
-                Event::Recirculate { .. } => recirc += 1,
+                Event::LinkArrive { pkt, .. } => {
+                    held += 1;
+                    in_flight += !self.arena.is_control(*pkt) as u64;
+                }
+                Event::Recirculate { .. } => {
+                    held += 1;
+                    recirc += 1;
+                }
                 _ => {}
             }
         }
         // Handle conservation: every live arena slot is referenced by
-        // exactly one queue somewhere in the fabric, and vice versa. A
-        // mismatch means a handle leaked (slot never freed) or a queue
-        // holds a dangling handle.
+        // exactly one queue or pending event of this replica, and vice
+        // versa; the cut carries both counts for the caller's balance. A
+        // frame in an outbox left the arena when it was sent.
         let queued: usize = self
             .ports()
             .map(|ep| ep.data_q.len() + ep.ctrl_q.len())
             .sum();
-        assert_eq!(
-            queued,
-            self.arena.len(),
-            "packet arena out of balance on shard {}: {} handles queued, {} slots live",
-            self.sched.shard_id(),
-            queued,
-            self.arena.len(),
-        );
         let leaves = self
             .leaves
             .iter()
@@ -295,14 +294,17 @@ impl Simulation {
             .iter()
             .enumerate()
             .map(|(i, sw)| ((true, i as u32), sw));
-        self.auditor.check(
+        let mut cut = self.auditor.check(
             self.now().as_ps(),
             leaves.chain(spines),
             &self.arena,
             in_flight,
             recirc,
             drain,
-        )
+        );
+        cut.handles = (queued + held) as u64;
+        cut.arena_live = self.arena.len() as u64;
+        cut
     }
 }
 

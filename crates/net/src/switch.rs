@@ -59,10 +59,9 @@ struct DeferredRelease {
 /// One egress port: data FIFO + strict-priority control FIFO. A host NIC
 /// is one too, with `data_q` always empty: its data comes from its flows.
 ///
-/// The FIFOs hold [`PacketHandle`]s into the simulation's [`PacketArena`];
-/// the packets themselves sit still in the arena from enqueue to dequeue.
-/// Byte accounting reads the arena's SoA size column, never the cold
-/// payload.
+/// The FIFOs hold [`PacketHandle`]s into the simulation's [`PacketArena`],
+/// where every packet lives from creation to consumption. Byte accounting
+/// reads the arena's SoA size column, never the cold payload.
 #[derive(Debug, Default)]
 pub struct EgressPort {
     pub data_q: VecDeque<PacketHandle>,
@@ -114,40 +113,36 @@ impl EgressPort {
         self.ctrl_q.is_empty() && self.data_q.is_empty()
     }
 
-    /// Park the packet in the arena and enqueue its handle on the proper
-    /// class queue. `now_ps` stamps the arena's enqueue-time hot column.
-    pub fn enqueue(&mut self, arena: &mut PacketArena<Packet>, pkt: Packet, now_ps: u64) {
-        let control = pkt.kind.is_control();
-        let size = pkt.size_bytes;
-        let h = arena.alloc(size, pkt.flow, control, now_ps, pkt);
-        if control {
+    /// Enqueue the handle of a packet parked in `arena` on its class queue.
+    pub fn enqueue(&mut self, arena: &PacketArena<Packet>, h: PacketHandle) {
+        if arena.is_control(h) {
             self.ctrl_q.push_back(h);
         } else {
-            self.data_q_bytes += size as u64;
+            self.data_q_bytes += arena.size_bytes(h) as u64;
             self.data_q.push_back(h);
             self.q_gen = self.q_gen.wrapping_add(1);
         }
     }
 
     /// Pick the next queued frame eligible for transmission, honouring
-    /// strict control priority and data-class pausing, and take it out of
-    /// the arena. Returns `None` when nothing queued may leave now.
-    pub fn next_to_transmit(&mut self, arena: &mut PacketArena<Packet>) -> Option<Packet> {
+    /// strict control priority and data-class pausing, and dequeue its
+    /// handle; the packet stays in `arena`. Returns `None` when nothing
+    /// queued may leave now.
+    pub fn next_to_transmit(&mut self, arena: &PacketArena<Packet>) -> Option<PacketHandle> {
         debug_assert!(!self.busy);
         if self.link_down {
             return None;
         }
         if let Some(h) = self.ctrl_q.pop_front() {
-            return Some(arena.free(h));
+            return Some(h);
         }
         if self.paused {
             return None;
         }
         let h = self.data_q.pop_front()?;
-        let (pkt, size) = arena.free_sized(h);
-        self.data_q_bytes -= size as u64;
+        self.data_q_bytes -= arena.size_bytes(h) as u64;
         self.q_gen = self.q_gen.wrapping_add(1);
-        Some(pkt)
+        Some(h)
     }
 
     /// A PAUSE (`pause`) or RESUME frame takes effect at `now_ps`; `false`
@@ -169,8 +164,8 @@ impl EgressPort {
     /// followed by [`next_to_transmit`](Self::next_to_transmit): port idle,
     /// link up, no control frame queued ahead of it, and — for data — the
     /// class not paused and the data FIFO empty. The simulator's hot path
-    /// uses this to skip the arena alloc/free round trip entirely on quiet
-    /// ports, which is the dominant case at moderate load.
+    /// uses this to skip the queue visit on quiet ports, which is the
+    /// dominant case at moderate load.
     #[inline]
     pub fn pass_through(&self, control: bool, cursor: (u64, u128)) -> bool {
         !self.busy_at(cursor)
@@ -566,44 +561,48 @@ mod tests {
     fn control_has_strict_priority_and_ignores_pause() {
         let mut s = sw();
         let mut arena: PacketArena<Packet> = PacketArena::new();
-        s.egress[0].enqueue(&mut arena, data(1_000), 0);
         let mut cnp = Packet::data(0, 0, 64, 1, 0, 0);
         cnp.kind = PacketKind::Cnp;
-        s.egress[0].enqueue(&mut arena, cnp, 0);
-        assert_eq!(arena.len(), 2, "both frames parked in the arena");
+        for pkt in [data(1_000), cnp] {
+            let h = pkt.park(&mut arena, 0);
+            s.egress[0].enqueue(&arena, h);
+        }
+        assert_eq!(s.egress[0].data_q_bytes, 1_000);
         // Paused port: control still flows, data does not.
         s.egress[0].paused = true;
-        let first = s.egress[0].next_to_transmit(&mut arena).unwrap();
-        assert_eq!(first.kind, PacketKind::Cnp);
+        let first = s.egress[0].next_to_transmit(&arena).unwrap();
+        assert_eq!(arena.free(first).kind, PacketKind::Cnp);
         assert!(
-            s.egress[0].next_to_transmit(&mut arena).is_none(),
+            s.egress[0].next_to_transmit(&arena).is_none(),
             "data must wait out the pause"
         );
         s.egress[0].paused = false;
-        assert_eq!(
-            s.egress[0].next_to_transmit(&mut arena).unwrap().kind,
-            PacketKind::Data
-        );
+        let second = s.egress[0].next_to_transmit(&arena).unwrap();
+        assert_eq!(arena.get(second).kind, PacketKind::Data);
         assert_eq!(s.egress[0].data_q_bytes, 0);
-        assert!(arena.is_empty(), "dequeued frames leave the arena");
+        assert_eq!(arena.len(), 1, "a dequeued frame stays parked until consumed");
     }
 
     #[test]
     fn queue_generation_tracks_data_plane_only() {
         let mut s = sw();
         let mut arena: PacketArena<Packet> = PacketArena::new();
+        let mut enqueue = |s: &mut Switch, port: usize, pkt: Packet| {
+            let h = pkt.park(&mut arena, 0);
+            s.egress[port].enqueue(&arena, h);
+        };
         let g0 = s.egress[0].q_gen;
         let mut cnp = Packet::data(0, 0, 64, 1, 0, 0);
         cnp.kind = PacketKind::Cnp;
-        s.egress[0].enqueue(&mut arena, cnp, 0);
+        enqueue(&mut s, 0, cnp);
         assert_eq!(s.egress[0].q_gen, g0, "control traffic is invisible to snapshots");
-        s.egress[0].enqueue(&mut arena, data(1_000), 0);
+        enqueue(&mut s, 0, data(1_000));
         assert_eq!(s.egress[0].q_gen, g0 + 1);
-        s.egress[1].enqueue(&mut arena, data(1_000), 0);
+        enqueue(&mut s, 1, data(1_000));
         assert_eq!(s.egress[0].q_gen, g0 + 1, "sibling port activity stays per-port");
-        let _ = s.egress[0].next_to_transmit(&mut arena); // pops the CNP (control)
+        let _ = s.egress[0].next_to_transmit(&arena); // pops the CNP (control)
         assert_eq!(s.egress[0].q_gen, g0 + 1);
-        let _ = s.egress[0].next_to_transmit(&mut arena); // pops the data frame
+        let _ = s.egress[0].next_to_transmit(&arena); // pops the data frame
         assert_eq!(s.egress[0].q_gen, g0 + 2);
     }
 
@@ -686,7 +685,9 @@ mod tests {
     }
 
     /// Differential: the arena-backed egress plane vs inline-packet queues,
-    /// with the real `Packet` type and the real `EgressPort` transmit rules.
+    /// with the real `Packet` type and the real `EgressPort` transmit rules
+    /// (each transmitted frame is consumed, so the arena holds exactly the
+    /// queued ones).
     /// Runs under `--features audit` alongside the other differential
     /// reference tests.
     #[cfg(feature = "audit")]
@@ -722,14 +723,16 @@ mod tests {
                         0..=2 => {
                             let pkt = Packet::data(seq, seq, size, 0, 1, seq as u64 * 13);
                             seq += 1;
-                            s.egress[p].enqueue(&mut arena, pkt, pkt.sent_ps);
+                            let h = pkt.park(&mut arena, pkt.sent_ps);
+                            s.egress[p].enqueue(&arena, h);
                             data[p].push_back(pkt);
                         }
                         3 => {
                             let d = Packet::data(seq, seq, size, 0, 1, seq as u64 * 13);
                             let pkt = Packet::response(PacketKind::Ack, &d, seq, 64);
                             seq += 1;
-                            s.egress[p].enqueue(&mut arena, pkt, 0);
+                            let h = pkt.park(&mut arena, 0);
+                            s.egress[p].enqueue(&arena, h);
                             ctrl[p].push_back(pkt);
                         }
                         4 => {
@@ -744,8 +747,9 @@ mod tests {
                             } else {
                                 data[p].pop_front()
                             };
-                            let got = s.egress[p].next_to_transmit(&mut arena);
-                            prop_assert_eq!(got.as_ref().map(sig), want.as_ref().map(sig));
+                            let got = s.egress[p].next_to_transmit(&arena);
+                            let got = got.map(|h| sig(&arena.free(h)));
+                            prop_assert_eq!(got, want.as_ref().map(sig));
                         }
                     }
                     for (q, model_q) in data.iter().enumerate() {
@@ -763,8 +767,9 @@ mod tests {
                     s.egress[q].paused = false;
                     loop {
                         let want = ctrl[q].pop_front().or_else(|| data[q].pop_front());
-                        let got = s.egress[q].next_to_transmit(&mut arena);
-                        prop_assert_eq!(got.as_ref().map(sig), want.as_ref().map(sig));
+                        let got = s.egress[q].next_to_transmit(&arena);
+                        let got = got.map(|h| sig(&arena.free(h)));
+                        prop_assert_eq!(got, want.as_ref().map(sig));
                         if got.is_none() {
                             break;
                         }

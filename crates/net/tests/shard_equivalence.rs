@@ -206,6 +206,41 @@ fn motivation_scenario_matches_across_shard_counts() {
     }
 }
 
+/// A packet lives in its replica's arena and crosses a shard boundary by
+/// value: the sender frees it into the wire message, the receiver parks it
+/// at delivery. Each shard's audit cut counts the handles its queues and
+/// pending `LinkArrive`/`Recirculate` events hold and its live arena slots,
+/// and at every barrier the driver asserts that the sums over shards
+/// balance, so a frame whose sender kept its slot fails the first barrier
+/// after it crosses. DRILL+RLB in the PFC-heavy dumbbell sends frames both
+/// ways across the cut and recirculates packets under their handles; the
+/// 1-shard run is swept every 256 events.
+#[cfg(feature = "audit")]
+#[test]
+fn every_arena_balances_while_frames_cross_shards() {
+    let mk = || {
+        let mut sc = Scenario::motivation(
+            &MotivationConfig {
+                horizon: SimTime::from_ms(1),
+                ..pfc_heavy_scenario(7)
+            },
+            Scheme::Drill,
+            Some(RlbConfig::default()),
+        );
+        sc.cfg.audit_every_events = 256;
+        sc
+    };
+    let one = mk().run();
+    assert!(one.counters.recirculations > 0, "packets must loop under their handles");
+    let one = digest(&one);
+    for shards in [2u16, 3] {
+        let res = mk().run_with_shards(shards);
+        assert!(res.perf.cross_shard_messages > 0, "--shards {shards}: nothing crossed");
+        assert!(res.perf.arena_high_water > 0);
+        assert_eq!(one, digest(&res), "--shards {shards} diverged");
+    }
+}
+
 /// Presto+RLB in the PFC-storm dumbbell, with a shared pool small enough
 /// that it drops under PFC (the one scheme that does, benchmark/
 /// BASELINE.md) and no PFC hysteresis, so one release can resume an
