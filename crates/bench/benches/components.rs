@@ -260,8 +260,8 @@ fn bench_lb_selection(c: &mut Criterion) {
 /// The per-packet decision prologue, isolated: (a) the stateful schemes'
 /// flow-table access (lookup-or-insert, flowlet expiry removes, a periodic
 /// GC sweep) raced between the old `BTreeMap` and `rlb_engine::FlowTable`,
-/// and (b) the path-snapshot assembly raced between a cold full rebuild
-/// and the generation-stamped cache's in-place queue refresh.
+/// and (b) the path view every decision builds from the fabric, at the
+/// widest fabric the figures use.
 mod decision_hot_path {
     use super::*;
 
@@ -330,8 +330,8 @@ mod decision_hot_path {
 
     pub const SPINES: usize = 40; // fig3 fabric width at both scales
 
-    /// Per-uplink egress state the snapshot reads (sim's `EgressPort`
-    /// fields that feed `PathInfo`).
+    /// Per-uplink state the path view reads (the sim's `EgressPort` and
+    /// leaf-estimator fields that feed `PathInfo`).
     pub struct Egress {
         pub data_q_bytes: u64,
         pub paused: bool,
@@ -350,10 +350,9 @@ mod decision_hot_path {
             .collect()
     }
 
-    /// Cold path: clear and repopulate the scratch vector, recomputing
-    /// every `PathInfo` field — what every decision paid before the
-    /// generation-stamped cache.
-    pub fn snapshot_cold(eg: &[Egress], scratch: &mut Vec<PathInfo>) -> u64 {
+    /// Clear and repopulate the scratch vector, reading every `PathInfo`
+    /// field — what `Control::decide` does for every packet.
+    pub fn build_view(eg: &[Egress], scratch: &mut Vec<PathInfo>) -> u64 {
         scratch.clear();
         for (s, ep) in eg.iter().enumerate() {
             scratch.push(PathInfo {
@@ -364,16 +363,6 @@ mod decision_hot_path {
                 ecn_fraction: ep.ecn_fraction,
                 link_rate_bps: 40e9,
             });
-        }
-        scratch.iter().map(|p| p.queue_bytes).sum()
-    }
-
-    /// Cached path: the signal generation matched, so only the volatile
-    /// queue state is refreshed in place (sim's middle snapshot tier).
-    pub fn snapshot_refresh(eg: &[Egress], scratch: &mut [PathInfo]) -> u64 {
-        for (s, p) in scratch.iter_mut().enumerate() {
-            p.queue_bytes = eg[s].data_q_bytes;
-            p.paused = eg[s].paused;
         }
         scratch.iter().map(|p| p.queue_bytes).sum()
     }
@@ -389,14 +378,9 @@ fn bench_decision_hot_path(c: &mut Criterion) {
         b.iter(|| black_box(churn_btreemap(OPS)))
     });
     let eg = fabric();
-    group.bench_function("snapshot/cold_rebuild", |b| {
+    group.bench_function("path_view/build", |b| {
         let mut scratch = Vec::with_capacity(SPINES);
-        b.iter(|| black_box(snapshot_cold(&eg, &mut scratch)))
-    });
-    group.bench_function("snapshot/cached_refresh", |b| {
-        let mut scratch = Vec::with_capacity(SPINES);
-        snapshot_cold(&eg, &mut scratch); // prime, as a stamp match would
-        b.iter(|| black_box(snapshot_refresh(&eg, &mut scratch)))
+        b.iter(|| black_box(build_view(&eg, &mut scratch)))
     });
     group.finish();
 }
@@ -531,7 +515,7 @@ fn bench_shard_sync(c: &mut Criterion) {
     let mut group = c.benchmark_group("net/shard_sync");
     group.bench_function("two_meetings_2_threads/window_barrier", |b| {
         let barrier = rlb_net::WindowBarrier::new(2);
-        window_of_meetings(b, &|| barrier.wait());
+        window_of_meetings(b, &|| barrier.wait().expect("nobody breaks it"));
     });
     group.bench_function("two_meetings_2_threads/std_barrier", |b| {
         let barrier = std::sync::Barrier::new(2);

@@ -188,7 +188,7 @@ pub(crate) fn canned_result() -> RunResult {
         perf: PerfStats {
             wall_ms: 1.5,
             decisions: 10,
-            snapshot_reuses: 10,
+            snapshot_rebuilds: 10,
             arena_high_water: 7,
             shards: 1,
             ..PerfStats::default()

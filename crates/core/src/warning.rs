@@ -77,17 +77,6 @@ impl WarningTable {
         self.uplink_until[uplink] > now_ps || self.path_until[self.idx(uplink, dst_leaf)] > now_ps
     }
 
-    /// The instant at which the warning on (uplink, dst_leaf) expires —
-    /// `is_warned` is constant on `[now, warned_until)` and flips to false
-    /// exactly at the returned timestamp (0 if never warned). Lets callers
-    /// cache a warned/unwarned snapshot with a precise validity horizon:
-    /// becoming *warned* always goes through `warn_path`/`warn_uplink`,
-    /// but expiry is pure passage of time and fires at this boundary.
-    #[inline]
-    pub fn warned_until(&self, uplink: usize, dst_leaf: usize) -> u64 {
-        self.uplink_until[uplink].max(self.path_until[self.idx(uplink, dst_leaf)])
-    }
-
     /// Number of currently-warned uplinks toward `dst_leaf`.
     pub fn warned_count(&self, dst_leaf: usize, now_ps: u64) -> usize {
         (0..self.n_uplinks)

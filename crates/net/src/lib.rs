@@ -58,7 +58,7 @@ pub use scenario::{
     asymmetric_topo, FailSweepConfig, IncastScenarioConfig, MotivationConfig, Scenario,
     SteadyStateConfig,
 };
-pub use shard::WindowBarrier;
+pub use shard::{BarrierBroken, WindowBarrier};
 pub use spec::{ScenarioSpec, SpecError};
 pub use sim::{RunResult, Simulation};
 pub use trace::{FlowTraces, TraceEntry, TraceEvent};

@@ -34,6 +34,11 @@
 //! is not there, or at once when the box has fewer cores than shards and
 //! spinning would only keep the peer off the CPU.
 //!
+//! A shard that panics would leave its peers waiting for it forever, so
+//! each worker runs under `catch_unwind`: the panic breaks the barrier,
+//! every waiter returns [`BarrierBroken`] and winds down, and [`drive`]
+//! joins them all and panics once, naming the shard that failed.
+//!
 //! 1 shard is the degenerate instance, not a separate engine: a lone
 //! replica has no peer to hear from, so its window is the whole horizon,
 //! the mailbox grid is empty, shard 0 runs on the caller's thread (nothing
@@ -64,6 +69,8 @@ use crate::sim::{
 use rlb_engine::SimTime;
 use rlb_metrics::{FabricCounters, LogHistogram};
 use rlb_workloads::FlowSpec;
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Condvar, Mutex};
 
@@ -105,6 +112,10 @@ const YIELDS: u32 = 256;
 /// other's write — and the rest pair as release/acquire on `sense`, which
 /// `SeqCst` includes; at two meetings per window nothing is gained by
 /// weakening them.
+///
+/// A thread that will never arrive [`breaks`](Self::break_all) the
+/// barrier: every waiter, parked or polling, returns [`BarrierBroken`],
+/// and so does every later `wait`.
 pub struct WindowBarrier {
     n: usize,
     spin: u32,
@@ -112,6 +123,8 @@ pub struct WindowBarrier {
     arrived: AtomicUsize,
     /// Flipped by each round's last arrival.
     sense: AtomicBool,
+    /// A thread has left the rounds for good; nobody waits any more.
+    broken: AtomicBool,
     /// Waiters asleep (or committed to sleeping) on `turn`.
     parked: AtomicUsize,
     lock: Mutex<()>,
@@ -134,53 +147,80 @@ impl WindowBarrier {
             spin,
             arrived: AtomicUsize::new(0),
             sense: AtomicBool::new(false),
+            broken: AtomicBool::new(false),
             parked: AtomicUsize::new(0),
             lock: Mutex::new(()),
             turn: Condvar::new(),
         }
     }
 
-    /// Block until all `n` threads have called `wait` this round.
-    pub fn wait(&self) {
+    /// Block until all `n` threads have called `wait` this round, or until
+    /// the barrier is broken.
+    pub fn wait(&self) -> Result<(), BarrierBroken> {
         // Cannot flip under us: this round ends only after we arrive.
         let sense = self.sense.load(SeqCst);
+        let released = || self.sense.load(SeqCst) != sense || self.broken.load(SeqCst);
         if self.arrived.fetch_add(1, SeqCst) + 1 == self.n {
             // Reset before the flip: whoever sees the flip may arrive for
             // the next round at once.
             self.arrived.store(0, SeqCst);
             self.sense.store(!sense, SeqCst);
             if self.parked.load(SeqCst) > 0 {
-                // A sleeper holds the lock from announcing itself until
-                // the condvar releases it, so taking the lock orders this
-                // notify after it is really waiting.
-                drop(self.lock.lock().expect("barrier lock"));
-                self.turn.notify_all();
+                self.wake_all();
             }
-            return;
+            return self.check();
         }
         for _ in 0..self.spin {
-            if self.sense.load(SeqCst) != sense {
-                return;
+            if released() {
+                return self.check();
             }
             std::hint::spin_loop();
         }
         // No core to spare (`spin == 0`): nothing to wait out, sleep at once.
         if self.spin > 0 {
             for _ in 0..YIELDS {
-                if self.sense.load(SeqCst) != sense {
-                    return;
+                if released() {
+                    return self.check();
                 }
                 std::thread::yield_now();
             }
         }
         let mut guard = self.lock.lock().expect("barrier lock");
         self.parked.fetch_add(1, SeqCst);
-        while self.sense.load(SeqCst) == sense {
+        while !released() {
             guard = self.turn.wait(guard).expect("barrier lock");
         }
         self.parked.fetch_sub(1, SeqCst);
+        self.check()
+    }
+
+    /// Release every waiter for good: this round and every later one
+    /// return [`BarrierBroken`].
+    pub fn break_all(&self) {
+        self.broken.store(true, SeqCst);
+        self.wake_all();
+    }
+
+    fn wake_all(&self) {
+        // A sleeper holds the lock from its last look at `sense` and
+        // `broken` until the condvar releases it, so taking the lock
+        // orders this notify after it is really waiting.
+        drop(self.lock.lock().expect("barrier lock"));
+        self.turn.notify_all();
+    }
+
+    fn check(&self) -> Result<(), BarrierBroken> {
+        if self.broken.load(SeqCst) {
+            Err(BarrierBroken)
+        } else {
+            Ok(())
+        }
     }
 }
+
+/// A [`WindowBarrier`] wait ended because a peer left the rounds for good.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BarrierBroken;
 
 /// What each worker hands back for the merge.
 #[derive(Debug, Clone, Copy)]
@@ -245,9 +285,37 @@ struct Rounds {
     /// and the status barrier — so the locks are never contended.
     mailbox: Vec<Vec<Mutex<Vec<WireMsg>>>>,
     barrier: WindowBarrier,
+    /// The first worker to panic, and its panic payload.
+    panicked: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
+    /// Test seam: `(shard, window)` at which that shard's worker panics.
+    #[cfg(test)]
+    panic_at: Option<(usize, u64)>,
 }
 
 impl Rounds {
+    fn new(sims: &[Simulation]) -> Rounds {
+        let n = sims.len();
+        Rounds {
+            n_flows: sims[0].n_flows(),
+            hard_stop: sims[0].cfg().hard_stop,
+            // The lookahead: one link delay between shards; a lone shard has
+            // no peer to wait for, so its window is the whole horizon.
+            w_ps: if n > 1 {
+                sims[0].cfg().link_delay().as_ps()
+            } else {
+                u64::MAX
+            },
+            statuses: (0..n).map(|_| Mutex::new(ShardStatus::default())).collect(),
+            mailbox: (0..n)
+                .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect())
+                .collect(),
+            barrier: WindowBarrier::new(n),
+            panicked: Mutex::new(None),
+            #[cfg(test)]
+            panic_at: None,
+        }
+    }
+
     fn publish(&self, me: usize, sim: &mut Simulation) {
         *self.statuses[me].lock().expect("status lock") = sim.status();
     }
@@ -269,9 +337,23 @@ impl Rounds {
     }
 }
 
-fn worker(sim: &mut Simulation, me: usize, r: &Rounds) -> ShardOutcome {
+/// Shard `me`'s worker under `catch_unwind`: `None` when it or a peer
+/// panicked. A panic is recorded (the first one wins) and breaks the
+/// barrier, so no peer waits for this shard any more.
+fn run_worker(sim: &mut Simulation, me: usize, r: &Rounds) -> Option<ShardOutcome> {
+    match catch_unwind(AssertUnwindSafe(|| worker(sim, me, r))) {
+        Ok(out) => out.ok(),
+        Err(payload) => {
+            r.panicked.lock().expect("panic slot").get_or_insert((me, payload));
+            r.barrier.break_all();
+            None
+        }
+    }
+}
+
+fn worker(sim: &mut Simulation, me: usize, r: &Rounds) -> Result<ShardOutcome, BarrierBroken> {
     r.publish(me, sim);
-    r.barrier.wait();
+    r.barrier.wait()?;
 
     let mut out = ShardOutcome {
         busy_secs: 0.0,
@@ -290,6 +372,10 @@ fn worker(sim: &mut Simulation, me: usize, r: &Rounds) -> ShardOutcome {
         // on completion, trim to the globally-last completion key.
         match decision {
             Decision::Advance { end } => {
+                #[cfg(test)]
+                if r.panic_at == Some((me, out.windows)) {
+                    panic!("injected panic at window {}", out.windows);
+                }
                 sim.fold_journal(None);
                 let t0 = std::time::Instant::now(); // lint:allow(wall-clock)
                 let d = sim.dispatch_window(end);
@@ -305,12 +391,12 @@ fn worker(sim: &mut Simulation, me: usize, r: &Rounds) -> ShardOutcome {
                     let mut mailbox = dst_boxes[me].lock().expect("mailbox lock");
                     out.cross_msgs += sim.swap_outbox(dst as u16, &mut mailbox) as u64;
                 }
-                r.barrier.wait();
+                r.barrier.wait()?;
                 for src_box in &r.mailbox[me] {
                     sim.deliver(&mut src_box.lock().expect("mailbox lock"));
                 }
                 r.publish(me, sim);
-                r.barrier.wait();
+                r.barrier.wait()?;
             }
             Decision::Complete { k } => {
                 sim.conclude(Some(k));
@@ -329,12 +415,12 @@ fn worker(sim: &mut Simulation, me: usize, r: &Rounds) -> ShardOutcome {
     // plus one last global conservation balance over the final cuts.
     #[cfg(feature = "audit")]
     {
-        r.barrier.wait(); // everyone is past the terminal decision reads
+        r.barrier.wait()?; // everyone is past the terminal decision reads
         r.statuses[me].lock().expect("status lock").cut = sim.audit_cut(true);
-        r.barrier.wait();
+        r.barrier.wait()?;
         r.snapshot(&mut snap);
     }
-    out
+    Ok(out)
 }
 
 /// Shards a run is partitioned into — derived, never configured beyond the
@@ -363,47 +449,51 @@ pub(crate) fn run_sharded(cfg: SimConfig, specs: Vec<FlowSpec>, shards: u16) -> 
 
 /// Run the replicas of one partitioned simulation (`sims[i]` built as
 /// shard `i` of `sims.len()`) to the end and merge their results.
-pub(crate) fn drive(mut sims: Vec<Simulation>) -> RunResult {
-    let n = sims.len();
-    let n_flows = sims[0].n_flows();
-    let rounds = Rounds {
-        n_flows,
-        hard_stop: sims[0].cfg().hard_stop,
-        // The lookahead: one link delay between shards; a lone shard has
-        // no peer to wait for, so its window is the whole horizon.
-        w_ps: if n > 1 {
-            sims[0].cfg().link_delay().as_ps()
-        } else {
-            u64::MAX
-        },
-        statuses: (0..n).map(|_| Mutex::new(ShardStatus::default())).collect(),
-        mailbox: (0..n)
-            .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect())
-            .collect(),
-        barrier: WindowBarrier::new(n),
-    };
+///
+/// # Panics
+///
+/// If a shard panics: once every worker has stopped, with the first
+/// panic's message and the index of the shard that raised it.
+pub(crate) fn drive(sims: Vec<Simulation>) -> RunResult {
+    let rounds = Rounds::new(&sims);
+    drive_rounds(sims, rounds)
+}
 
+fn drive_rounds(mut sims: Vec<Simulation>, rounds: Rounds) -> RunResult {
+    let (n, n_flows) = (sims.len(), rounds.n_flows);
     // Wall-clock is recorded for the perf telemetry only; nothing in the
     // simulation reads it, so replays stay bit-exact.
     let wall_start = std::time::Instant::now(); // lint:allow(wall-clock)
-    let outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
+    let outcomes: Vec<Option<ShardOutcome>> = std::thread::scope(|scope| {
         let rounds = &rounds;
         let (first, rest) = sims.split_first_mut().expect("at least one shard");
         let handles: Vec<_> = rest
             .iter_mut()
             .enumerate()
-            .map(|(i, sim)| scope.spawn(move || worker(sim, i + 1, rounds)))
+            .map(|(i, sim)| scope.spawn(move || run_worker(sim, i + 1, rounds)))
             .collect();
         // Shard 0 runs here, so a 1-shard run spawns nothing.
-        let mut outcomes = vec![worker(first, 0, rounds)];
+        let mut outcomes = vec![run_worker(first, 0, rounds)];
         outcomes.extend(
             handles
                 .into_iter()
-                .map(|h| h.join().expect("shard worker panicked")),
+                .map(|h| h.join().expect("a shard worker catches its own panics")),
         );
         outcomes
     });
     let wall = wall_start.elapsed().as_secs_f64();
+    if let Some((shard, payload)) = rounds.panicked.into_inner().expect("panic slot") {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        panic!("shard {shard} of {n} panicked: {msg}");
+    }
+    let outcomes: Vec<ShardOutcome> = outcomes
+        .into_iter()
+        .map(|o| o.expect("a worker stops early only after a panic"))
+        .collect();
 
     let end_time = match outcomes[0].decision {
         Decision::Complete { k } => SimTime(k.0),
@@ -504,9 +594,9 @@ mod tests {
                 scope.spawn(|| {
                     for round in 1..=rounds {
                         bumps.fetch_add(1, SeqCst);
-                        barrier.wait();
+                        barrier.wait().expect("nobody breaks it");
                         assert_eq!(bumps.load(SeqCst), round * threads as u64, "spin {spin}");
-                        barrier.wait();
+                        barrier.wait().expect("nobody breaks it");
                     }
                 });
             }
@@ -535,7 +625,40 @@ mod tests {
     fn a_lone_thread_never_waits() {
         let barrier = WindowBarrier::new(1);
         for _ in 0..3 {
-            barrier.wait();
+            assert_eq!(barrier.wait(), Ok(()));
+        }
+    }
+
+    /// A shard that panics at window `k` fails the run once its peers
+    /// have stopped, naming the shard, where it used to leave them parked
+    /// at the barrier forever. The run happens on a helper thread, so a
+    /// hang fails this test instead of stalling the suite.
+    #[test]
+    fn a_panicking_shard_fails_the_run_and_names_itself() {
+        use crate::scenario::{Scenario, SteadyStateConfig};
+        for n in [2u16, 4] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let sc = SteadyStateConfig {
+                    horizon: SimTime::from_ms(1),
+                    seed: 3,
+                    ..SteadyStateConfig::default()
+                };
+                let s = Scenario::steady_state(&sc, rlb_lb::Scheme::Drill, None);
+                let sims: Vec<Simulation> = (0..n)
+                    .map(|i| Simulation::new_shard(s.cfg.clone(), s.flows.clone(), i, n))
+                    .collect();
+                let mut rounds = Rounds::new(&sims);
+                rounds.panic_at = Some((1, 3));
+                let out = catch_unwind(AssertUnwindSafe(|| drive_rounds(sims, rounds)));
+                let msg = out.err().map(|e| e.downcast_ref::<String>().cloned());
+                tx.send(msg).expect("the test waits for the message");
+            });
+            let msg = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("{n} shards: the run hung after shard 1 panicked"));
+            let want = format!("shard 1 of {n} panicked: injected panic at window 3");
+            assert_eq!(msg, Some(Some(want)), "{n} shards");
         }
     }
 

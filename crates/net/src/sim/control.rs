@@ -1,9 +1,14 @@
 //! The control plane: the source leaf's load-balancing decision with
-//! RLB's Algorithm 1 over cached path snapshots, the per-switch PFC
-//! predictor ticks (§3.2.1) and the hop-by-hop CNM warnings (§3.2.2).
-//! [`Control`] owns every leaf's LB state and estimators, the snapshots
-//! and the fault epoch, behind typed calls; the predictors and contributor
-//! tables are per-port state of every switch, and stay there.
+//! RLB's Algorithm 1 over a path view read from the fabric, the
+//! per-switch PFC predictor ticks (§3.2.1) and the hop-by-hop CNM warnings
+//! (§3.2.2). [`Control`] owns every leaf's LB state and estimators behind
+//! typed calls; the predictors and contributor tables are per-port state
+//! of every switch, and stay there.
+//!
+//! Algorithm 1 reads each path's state for every packet, and so does the
+//! simulator: `decide` builds the view afresh from the uplink ports and the
+//! leaf's estimators and warning table, so a decision never reads a stale
+//! input and a new input needs no invalidation rule.
 
 use super::{Event, JEffect, PerfStats, Simulation};
 use crate::config::SimConfig;
@@ -16,49 +21,6 @@ use rlb_lb::{Ctx, PathInfo};
 
 /// Hops a CNM may still be relayed when its origin emits it.
 const CNM_TTL: u8 = 4;
-
-/// One (leaf, dst_leaf) cached path snapshot plus the per-spine generation
-/// stamps it was built from. A stored `PathInfo` entry stays byte-identical
-/// while its spine's egress-queue generation (`EgressPort::q_gen`) and
-/// signal generations (`LeafState::{path_sig_gen, uplink_sig_gen}`) hold
-/// still, the fault epoch is unchanged, and no armed warning crosses its
-/// expiry boundary (`valid_until_ps` — warnings decay by pure passage of
-/// time, bumping no counter). Stale spines are rewritten individually, so a
-/// single busy uplink no longer invalidates its seven idle siblings.
-#[derive(Debug)]
-struct PathSnap {
-    paths: Vec<PathInfo>,
-    /// Per-spine `EgressPort::q_gen` at last (re)build of that entry.
-    q_gens: Vec<u64>,
-    /// Per-spine `LeafState::path_sig_gen(spine, dst_leaf)` stamp.
-    sig_gens: Vec<u64>,
-    /// Per-spine `LeafState::uplink_sig_gen(spine)` stamp.
-    uplink_gens: Vec<u64>,
-    /// Per-spine warning deadline observed at the last signal probe
-    /// (0 = no warning recorded then; may sit in the past once expired).
-    warned_until_ps: Vec<u64>,
-    /// Earliest instant at which any armed warning in `paths` lapses.
-    valid_until_ps: u64,
-    /// `Simulation::fault_epoch` the snapshot was built under.
-    fault_epoch: u64,
-    /// The snapshot has been built at least once.
-    init: bool,
-}
-
-impl PathSnap {
-    fn empty(n_spines: usize) -> PathSnap {
-        PathSnap {
-            paths: Vec::with_capacity(n_spines),
-            q_gens: vec![0; n_spines],
-            sig_gens: vec![0; n_spines],
-            uplink_gens: vec![0; n_spines],
-            warned_until_ps: vec![0; n_spines],
-            valid_until_ps: 0,
-            fault_epoch: 0,
-            init: false,
-        }
-    }
-}
 
 /// Encode a switch identity into the CNM origin field.
 fn encode_node(n: Node) -> u32 {
@@ -77,17 +39,14 @@ fn decode_node(v: u32) -> Node {
     }
 }
 
-/// Every leaf's load-balancing state and the snapshots its decisions read.
+/// Every leaf's load-balancing state, and the path view its decisions read.
 pub(super) struct Control {
     /// Leaf `l`'s scheme (optionally RLB-wrapped), warnings and estimators.
     leaves: Vec<LeafState>,
-    /// Per-(leaf, dst_leaf) cached path snapshots with per-spine generation
-    /// stamps (see `assemble_paths`), indexed `leaf * n_leaves + dst_leaf`.
-    path_snaps: Vec<PathSnap>,
-    /// Bumped by every fault application; snapshots built under an older
-    /// epoch rebuild from scratch (faults may change link state/rate).
-    fault_epoch: u64,
-    /// This replica's decision and snapshot-cache counts.
+    /// Scratch: the path view of the decision being taken, rebuilt from
+    /// the fabric for every decision.
+    paths: Vec<PathInfo>,
+    /// This replica's decision counts.
     pub(super) perf: PerfStats,
     /// Scratch: the ports one predictor tick warns, or one CNM relays to.
     ports_scratch: Vec<u16>,
@@ -108,16 +67,10 @@ impl Control {
         };
         Control {
             leaves: (0..n_leaves as u64).map(leaf).collect(),
-            path_snaps: (0..n_leaves * n_leaves).map(|_| PathSnap::empty(n_spines)).collect(),
-            fault_epoch: 0,
+            paths: Vec::with_capacity(n_spines),
             perf: PerfStats::default(),
             ports_scratch: Vec::new(),
         }
-    }
-
-    /// A fault was applied: every snapshot rebuilds at its next use.
-    pub(super) fn on_fault(&mut self) {
-        self.fault_epoch = self.fault_epoch.wrapping_add(1);
     }
 
     /// `ack` reached its flow's source under `leaf` at `now`, from leaf
@@ -149,14 +102,23 @@ impl Control {
         recircs: u8,
     ) -> (Decision, Option<JEffect>) {
         self.perf.decisions += 1;
-        let snap_idx = self.assemble_paths(leaf, uplinks, &ctx);
-        // The snapshot stays valid for later decisions until its stamps go
-        // stale. Path-restricted flows (Fig. 4a's experimental control)
-        // only see a prefix of the uplinks.
-        let paths = &self.path_snaps[snap_idx].paths;
-        let paths = &paths[..limit.map_or(paths.len(), |k| (k as usize).min(paths.len()))];
-        let ctx = Ctx { paths, ..ctx };
-        match &mut self.leaves[leaf as usize].lb {
+        self.perf.snapshot_rebuilds += 1;
+        // Path-restricted flows (Fig. 4a's experimental control) only see
+        // a prefix of the uplinks.
+        let uplinks = &uplinks[..limit.map_or(uplinks.len(), |k| (k as usize).min(uplinks.len()))];
+        let (now_ps, dst) = (ctx.now_ps, ctx.dst_leaf as usize);
+        let ls = &mut self.leaves[leaf as usize];
+        self.paths.clear();
+        self.paths.extend(uplinks.iter().enumerate().map(|(s, ep)| PathInfo {
+            queue_bytes: ep.data_q_bytes,
+            paused: ep.data_blocked(),
+            warned: ls.warnings.is_warned(s, dst, now_ps),
+            rtt_ns: ls.rtt(s, dst),
+            ecn_fraction: ls.ecn(s, dst),
+            link_rate_bps: ep.rate_bps as f64,
+        }));
+        let ctx = Ctx { paths: &self.paths, ..ctx };
+        match &mut ls.lb {
             LbInstance::Vanilla(lb) => (Decision::Forward(lb.select(&ctx)), None),
             LbInstance::Rlb(rlb) => {
                 let s = &rlb.stats;
@@ -168,135 +130,6 @@ impl Control {
                 (d, ((re, fw, fo) != (0, 0, 0)).then_some(JEffect::RlbStats { re, fw, fo }))
             }
         }
-    }
-
-    /// Snapshot every one of `leaf`'s `uplinks` for the decision `ctx`
-    /// describes; returns the index of the (leaf, dst_leaf) snapshot in
-    /// `path_snaps`.
-    ///
-    /// Incremental with per-spine dirty bits: the stored snapshot carries
-    /// one generation stamp per spine for each independent input, and three
-    /// tiers apply, cheapest first:
-    ///
-    /// 1. *Reuse* — every per-spine stamp current, fault epoch unchanged,
-    ///    no armed warning expired: the snapshot is byte-identical to a
-    ///    rebuild, return as-is.
-    /// 2. *Refresh* — some spines went stale: rewrite exactly those entries
-    ///    in place (`queue_bytes`/`paused` for a queue-generation bump,
-    ///    `rtt_ns`/`ecn_fraction`/`warned` for a signal-generation bump),
-    ///    leaving clean spines untouched.
-    /// 3. *Rebuild* — first touch of the pair, or the fault epoch moved:
-    ///    reconstruct from scratch.
-    ///
-    /// Every field source is covered by a stamp input — `data_q_bytes` and
-    /// PFC `paused` by the per-port `EgressPort::q_gen`; `rtt_ns` /
-    /// `ecn_fraction` and warning *insertions* by the per-(spine, dst_leaf)
-    /// `path_sig_gen` plus the per-spine `uplink_sig_gen`; warning *expiry*
-    /// (time-based, bumps nothing) by `valid_until_ps` against the stored
-    /// per-spine deadlines; and `link_rate_bps` / `link_down` change only
-    /// through fault events, which bump `fault_epoch` — so a reused or
-    /// refreshed entry equals what a rebuild would produce and replays stay
-    /// bit-exact (verified by the A/B `--stable-json` acceptance runs).
-    fn assemble_paths(&mut self, leaf: u32, uplinks: &[EgressPort], ctx: &Ctx) -> usize {
-        let (now_ps, n_spines, dst) = (ctx.now_ps, uplinks.len(), ctx.dst_leaf as usize);
-        let ls = &self.leaves[leaf as usize];
-        let rlb_on = matches!(ls.lb, LbInstance::Rlb(_));
-        let snap_idx = leaf as usize * self.leaves.len() + dst;
-        let snap = &mut self.path_snaps[snap_idx];
-
-        if !snap.init || snap.fault_epoch != self.fault_epoch || snap.paths.len() != n_spines {
-            // Tier 3: full rebuild.
-            snap.paths.clear();
-            // First instant at which a currently-armed warning lapses; the
-            // snapshot's warned bits go stale there. Unwarned paths can
-            // only *become* warned through warn_* calls, which bump the
-            // signal generations.
-            let mut valid_until = u64::MAX;
-            for (s, ep) in uplinks.iter().enumerate() {
-                let until = if rlb_on {
-                    ls.warnings.warned_until(s, dst)
-                } else {
-                    0
-                };
-                let warned = until > now_ps;
-                if warned {
-                    valid_until = valid_until.min(until);
-                }
-                snap.warned_until_ps[s] = until;
-                snap.q_gens[s] = ep.q_gen;
-                snap.sig_gens[s] = ls.path_sig_gen(s, dst);
-                snap.uplink_gens[s] = ls.uplink_sig_gen(s);
-                snap.paths.push(PathInfo {
-                    queue_bytes: ep.data_q_bytes,
-                    paused: ep.data_blocked(),
-                    warned,
-                    rtt_ns: ls.rtt(s, dst),
-                    ecn_fraction: ls.ecn(s, dst),
-                    link_rate_bps: ep.rate_bps as f64,
-                });
-            }
-            snap.valid_until_ps = valid_until;
-            snap.fault_epoch = self.fault_epoch;
-            snap.init = true;
-            self.perf.snapshot_rebuilds += 1;
-            return snap_idx;
-        }
-
-        // Tiers 1 and 2 in one pass: rewrite exactly the spines whose
-        // generation went stale (or whose warned bit the expiry boundary
-        // can have flipped), counting as we go. A clean, unexpired pass
-        // rewrites nothing and classifies as a reuse.
-        let expired = now_ps >= snap.valid_until_ps;
-        let mut q_dirty = 0u64;
-        let mut sig_dirty = 0u64;
-        for (s, ep) in uplinks.iter().enumerate() {
-            if snap.q_gens[s] != ep.q_gen {
-                q_dirty += 1;
-                let p = &mut snap.paths[s];
-                p.queue_bytes = ep.data_q_bytes;
-                p.paused = ep.data_blocked();
-                snap.q_gens[s] = ep.q_gen;
-            }
-            let sg = ls.path_sig_gen(s, dst);
-            let ug = ls.uplink_sig_gen(s);
-            if snap.sig_gens[s] != sg || snap.uplink_gens[s] != ug {
-                sig_dirty += 1;
-                let until = if rlb_on {
-                    ls.warnings.warned_until(s, dst)
-                } else {
-                    0
-                };
-                let p = &mut snap.paths[s];
-                snap.warned_until_ps[s] = until;
-                p.warned = until > now_ps;
-                p.rtt_ns = ls.rtt(s, dst);
-                p.ecn_fraction = ls.ecn(s, dst);
-                snap.sig_gens[s] = sg;
-                snap.uplink_gens[s] = ug;
-            } else if expired {
-                // No new signal, but time crossed the snapshot's earliest
-                // warning deadline: recompute the bit from the stored one.
-                snap.paths[s].warned = snap.warned_until_ps[s] > now_ps;
-            }
-        }
-        if !expired && q_dirty == 0 && sig_dirty == 0 {
-            // Tier 1: byte-identical reuse (nothing was rewritten above).
-            self.perf.snapshot_reuses += 1;
-            return snap_idx;
-        }
-        if expired || sig_dirty > 0 {
-            let mut valid_until = u64::MAX;
-            for &until in &snap.warned_until_ps {
-                if until > now_ps {
-                    valid_until = valid_until.min(until);
-                }
-            }
-            snap.valid_until_ps = valid_until;
-        }
-        self.perf.snapshot_refreshes += 1;
-        self.perf.snapshot_dirty_queue_spines += q_dirty;
-        self.perf.snapshot_dirty_sig_spines += sig_dirty;
-        snap_idx
     }
 }
 
@@ -452,7 +285,7 @@ impl Simulation {
                         // some spine: that (spine, dst_leaf) path is hot.
                         if let Some(s) = self.topo.spine_of_leaf_port(origin_port) {
                             if dst_leaf != l {
-                                ls.warn_path(s as usize, dst_leaf as usize, until);
+                                ls.warnings.warn_path(s as usize, dst_leaf as usize, until);
                             }
                         }
                     }
@@ -463,7 +296,7 @@ impl Simulation {
                     // destinations may still pause — a mild uplink warning
                     // too.
                     Node::Spine(s) if origin_port as u32 == l || s == via_spine => {
-                        ls.warn_uplink(s as usize, until);
+                        ls.warnings.warn_uplink(s as usize, until);
                     }
                     Node::Spine(_) | Node::Host(_) => {}
                 }

@@ -10,9 +10,8 @@ impl Simulation {
     ///
     /// Faults mutate link/NIC state and nothing else: no packet is dropped,
     /// no queue is cleared, so the audit ledger balances across every
-    /// failure and recovery. Whatever a fault touched, the cached path
-    /// snapshot is invalidated wholesale — `link_rate_bps` and link state
-    /// are otherwise only read at rebuild time.
+    /// failure and recovery. The next LB decision reads the new link state
+    /// and rate from the port.
     pub(super) fn on_fault(&mut self, i: u32) {
         match self.cfg.faults[i as usize].fault {
             Fault::LinkDown { leaf, spine } => self.fault_set_link_down(leaf, spine, true),
@@ -46,7 +45,6 @@ impl Simulation {
         if self.sched.shard_id() == 0 {
             self.jot(JEffect::Fault);
         }
-        self.control.on_fault();
     }
 
     /// Fail or restore the bidirectional `leaf <-> spine` link. Idempotent.
@@ -54,8 +52,6 @@ impl Simulation {
     /// directions are kicked on recovery so frozen queues resume draining.
     fn fault_set_link_down(&mut self, leaf: u32, spine: u32, down: bool) {
         let up_port = self.topo.leaf_uplink_port(spine) as usize;
-        // Link state is only read at snapshot-rebuild time; `on_fault`
-        // bumps the fault epoch, which forces exactly that.
         let lsw = &mut self.leaves[leaf as usize];
         lsw.egress[up_port].link_down = down;
         let ssw = &mut self.spines[spine as usize];

@@ -10,19 +10,19 @@
 //! `hosts` (flow starts, the NIC's data source, receive path, transport
 //! timers), `fabric` (switch ingress, routing, PFC, and the one transmitter
 //! switch ports and NICs share), `control` (the source leaf's LB decision
-//! with RLB's Algorithm 1 on cached path snapshots, the predictor ticks of
-//! §3.2.1 and the CNM warnings of §3.2.2), `faults` (the fault timeline)
-//! and `window` (what the run driver sees: window dispatch, the effect
-//! journal, the audit cut).
+//! with RLB's Algorithm 1 on a path view read from the fabric for each
+//! packet, the predictor ticks of §3.2.1 and the CNM warnings of §3.2.2),
+//! `faults` (the fault timeline) and `window` (what the run driver sees:
+//! window dispatch, the effect journal, the audit cut).
 //!
 //! Two seams keep the planes apart. `Sched` is the only way into the event
 //! queue: callers name the scheduling [`Node`] (or a construction index,
 //! or the global clock), and it derives the canonical key and routes the
 //! event to this shard's queue or another shard's outbox; ranks, counters
-//! and the shard map stay inside it. `Control` owns every leaf's LB state,
-//! the path snapshots and the fault epoch; the host plane reaches it with
-//! one typed call per ACK and per completed flow, the fabric plane with one
-//! decision call per packet.
+//! and the shard map stay inside it. `Control` owns every leaf's LB state
+//! and estimators; the host plane reaches it with one typed call per ACK
+//! and per completed flow, the fabric plane with one decision call per
+//! packet.
 //!
 //! A run split over N shards is N such replicas, each built whole and each
 //! dispatching only the entities of its column — a band of leaves with
@@ -123,19 +123,17 @@ record! {
         /// Source-leaf load-balancing decisions taken (one per data packet
         /// leaving a leaf via the fabric, including recirculation re-decides).
         Sum decisions: u64,
-        /// Decisions served from a byte-identical cached path snapshot.
+        /// The five `snapshot_*` fields are kept for the report's schema;
+        /// every decision reads the fabric directly, so this one reads 0.
         Sum snapshot_reuses: u64,
-        /// Decisions where only the dirty spines were rewritten in place;
-        /// everything else in the snapshot was reused.
+        /// Reads 0 (see `snapshot_reuses`).
         Sum snapshot_refreshes: u64,
-        /// Decisions that rebuilt the path snapshot from scratch (first touch
-        /// of a (leaf, dst_leaf) pair, or a fault-epoch change).
+        /// Decisions that built their path view: every one, so this equals
+        /// `decisions`.
         Sum snapshot_rebuilds: u64,
-        /// Spines whose egress-queue generation was stale across all refresh
-        /// decisions (the queue-side dirty-bit split of the refresh work).
+        /// Reads 0 (see `snapshot_reuses`).
         Sum snapshot_dirty_queue_spines: u64,
-        /// Spines whose warning/RTT/ECN signal generations were stale across
-        /// all refresh decisions (the signal-side dirty-bit split).
+        /// Reads 0 (see `snapshot_reuses`).
         Sum snapshot_dirty_sig_spines: u64,
         /// Peak number of packets simultaneously parked in the packet arena.
         Max arena_high_water: u64,

@@ -67,13 +67,6 @@ pub struct EgressPort {
     pub data_q: VecDeque<PacketHandle>,
     pub ctrl_q: VecDeque<PacketHandle>,
     pub data_q_bytes: u64,
-    /// Queue generation: bumped whenever a data packet enters or leaves
-    /// this port's FIFO or its pause state toggles — exactly the
-    /// port-local changes a cached `PathInfo` snapshot depends on. The
-    /// path-snapshot cache compares these per spine, so activity on one
-    /// uplink no longer invalidates its siblings (see
-    /// `Simulation::assemble_paths`).
-    pub q_gen: u64,
     /// A frame is serializing out of this port and its `EgressDone` is in
     /// the event queue.
     pub busy: bool,
@@ -95,7 +88,7 @@ pub struct EgressPort {
 impl EgressPort {
     /// True when the data class cannot leave this port right now, whether
     /// throttled (PFC) or physically dead (fault). This is the signal
-    /// surfaced as `PathInfo::paused` in path snapshots.
+    /// surfaced as `PathInfo::paused` to the LB decision.
     pub fn data_blocked(&self) -> bool {
         self.paused || self.link_down
     }
@@ -120,7 +113,6 @@ impl EgressPort {
         } else {
             self.data_q_bytes += arena.size_bytes(h) as u64;
             self.data_q.push_back(h);
-            self.q_gen = self.q_gen.wrapping_add(1);
         }
     }
 
@@ -141,7 +133,6 @@ impl EgressPort {
         }
         let h = self.data_q.pop_front()?;
         self.data_q_bytes -= arena.size_bytes(h) as u64;
-        self.q_gen = self.q_gen.wrapping_add(1);
         Some(h)
     }
 
@@ -152,7 +143,6 @@ impl EgressPort {
             return false;
         }
         self.paused = pause;
-        self.q_gen = self.q_gen.wrapping_add(1);
         if pause {
             self.paused_since_ps = now_ps;
         }
@@ -185,17 +175,6 @@ pub struct LeafState {
     pub rtt_ns: Vec<f64>,
     /// EWMA ECN-mark fraction, same indexing.
     pub ecn_frac: Vec<f64>,
-    /// Per-(spine, dst_leaf) signal generation: bumped whenever an
-    /// estimator sample or a path-granular warning could change that one
-    /// path's warned/rtt/ecn fields. Indexed `[spine * n_leaves +
-    /// dst_leaf]`. Read by the simulator's path-snapshot cache, which
-    /// compares these per spine so an ACK for one destination no longer
-    /// invalidates snapshots toward every other.
-    path_sig_gens: Vec<u64>,
-    /// Per-spine generation for uplink-granularity warnings (those
-    /// endanger every destination through the spine, so they get their own
-    /// axis instead of fanning out over all `path_sig_gens`).
-    uplink_sig_gens: Vec<u64>,
     n_leaves: usize,
 }
 
@@ -221,8 +200,6 @@ impl LeafState {
             warnings: WarningTable::new(n_spines, n_leaves),
             rtt_ns: vec![base_rtt_ns; n_spines * n_leaves],
             ecn_frac: vec![0.0; n_spines * n_leaves],
-            path_sig_gens: vec![0; n_spines * n_leaves],
-            uplink_sig_gens: vec![0; n_spines],
             n_leaves,
         }
     }
@@ -243,33 +220,6 @@ impl LeafState {
         let i = self.idx(spine, dst_leaf);
         self.rtt_ns[i] = (1.0 - A) * self.rtt_ns[i] + A * rtt_ns;
         self.ecn_frac[i] = (1.0 - A) * self.ecn_frac[i] + A * if ecn { 1.0 } else { 0.0 };
-        self.path_sig_gens[i] = self.path_sig_gens[i].wrapping_add(1);
-    }
-
-    /// Warn the (spine, dst_leaf) path until `until_ps`; cached snapshots
-    /// of that one path re-probe the warning table.
-    pub(crate) fn warn_path(&mut self, spine: usize, dst_leaf: usize, until_ps: u64) {
-        self.warnings.warn_path(spine, dst_leaf, until_ps);
-        let i = self.idx(spine, dst_leaf);
-        self.path_sig_gens[i] = self.path_sig_gens[i].wrapping_add(1);
-    }
-
-    /// Warn every destination through `spine` until `until_ps`.
-    pub(crate) fn warn_uplink(&mut self, spine: usize, until_ps: u64) {
-        self.warnings.warn_uplink(spine, until_ps);
-        self.uplink_sig_gens[spine] = self.uplink_sig_gens[spine].wrapping_add(1);
-    }
-
-    /// Current path-granular signal generation for (spine, dst_leaf).
-    #[inline]
-    pub fn path_sig_gen(&self, spine: usize, dst_leaf: usize) -> u64 {
-        self.path_sig_gens[self.idx(spine, dst_leaf)]
-    }
-
-    /// Current uplink-granular signal generation for `spine`.
-    #[inline]
-    pub fn uplink_sig_gen(&self, spine: usize) -> u64 {
-        self.uplink_sig_gens[spine]
     }
 
     pub fn rtt(&self, spine: usize, dst_leaf: usize) -> f64 {
@@ -584,44 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_generation_tracks_data_plane_only() {
-        let mut s = sw();
-        let mut arena: PacketArena<Packet> = PacketArena::new();
-        let mut enqueue = |s: &mut Switch, port: usize, pkt: Packet| {
-            let h = pkt.park(&mut arena, 0);
-            s.egress[port].enqueue(&arena, h);
-        };
-        let g0 = s.egress[0].q_gen;
-        let mut cnp = Packet::data(0, 0, 64, 1, 0, 0);
-        cnp.kind = PacketKind::Cnp;
-        enqueue(&mut s, 0, cnp);
-        assert_eq!(s.egress[0].q_gen, g0, "control traffic is invisible to snapshots");
-        enqueue(&mut s, 0, data(1_000));
-        assert_eq!(s.egress[0].q_gen, g0 + 1);
-        enqueue(&mut s, 1, data(1_000));
-        assert_eq!(s.egress[0].q_gen, g0 + 1, "sibling port activity stays per-port");
-        let _ = s.egress[0].next_to_transmit(&arena); // pops the CNP (control)
-        assert_eq!(s.egress[0].q_gen, g0 + 1);
-        let _ = s.egress[0].next_to_transmit(&arena); // pops the data frame
-        assert_eq!(s.egress[0].q_gen, g0 + 2);
-    }
-
-    #[test]
-    fn pause_toggles_bump_the_queue_generation() {
-        let mut s = sw();
-        let ep = &mut s.egress[0];
-        let g0 = ep.q_gen;
-        assert!(ep.set_paused(true, 7));
-        assert_eq!((ep.q_gen, ep.paused_since_ps), (g0 + 1, 7));
-        assert!(!ep.set_paused(true, 9), "a repeated PAUSE changes nothing");
-        assert_eq!((ep.q_gen, ep.paused_since_ps), (g0 + 1, 7));
-        assert!(ep.set_paused(false, 12));
-        assert_eq!((ep.q_gen, ep.paused_since_ps), (g0 + 2, 7));
-        assert!(!ep.paused && !ep.set_paused(false, 13));
-        assert_eq!(ep.q_gen, g0 + 2);
-    }
-
-    #[test]
     fn ecn_marking_ramps_with_queue_depth() {
         let mut s = sw();
         // Below kmin: never marks.
@@ -655,33 +567,29 @@ mod tests {
         assert_eq!(ls.ecn(2, 2), 0.0);
     }
 
-    /// A warning bumps the one generation its granularity names: the
-    /// path's, or the uplink's.
+    /// A warning covers the paths its granularity names, until it lapses:
+    /// one (spine, dst_leaf) path, or every destination through the uplink.
     #[test]
-    fn leaf_warnings_bump_exactly_their_generation() {
+    fn leaf_warnings_cover_exactly_their_granularity() {
         let lb = LbInstance::Vanilla(rlb_lb::build(
             rlb_lb::Scheme::Ecmp,
             1000,
             substream(0, b"t", 0),
         ));
         let mut ls = LeafState::new(lb, 3, 4, 10_000.0);
-        let gens = |ls: &LeafState| {
-            let paths: Vec<u64> = (0..3)
+        let warned = |ls: &LeafState, now_ps: u64| -> Vec<(usize, usize)> {
+            (0..3)
                 .flat_map(|s| (0..4).map(move |d| (s, d)))
-                .map(|(s, d)| ls.path_sig_gen(s, d))
-                .collect();
-            let uplinks: Vec<u64> = (0..3).map(|s| ls.uplink_sig_gen(s)).collect();
-            (paths, uplinks)
+                .filter(|&(s, d)| ls.warnings.is_warned(s, d, now_ps))
+                .collect()
         };
-        let (mut paths, mut uplinks) = gens(&ls);
-        ls.warn_path(1, 2, 500);
-        paths[4 + 2] += 1;
-        assert_eq!(gens(&ls), (paths.clone(), uplinks.clone()));
-        assert_eq!(ls.warnings.warned_until(1, 2), 500);
-        ls.warn_uplink(2, 800);
-        uplinks[2] += 1;
-        assert_eq!(gens(&ls), (paths, uplinks));
-        assert!((0..4).all(|d| ls.warnings.warned_until(2, d) == 800));
+        assert!(warned(&ls, 0).is_empty());
+        ls.warnings.warn_path(1, 2, 500);
+        assert_eq!(warned(&ls, 0), [(1, 2)]);
+        ls.warnings.warn_uplink(2, 800);
+        assert_eq!(warned(&ls, 499), [(1, 2), (2, 0), (2, 1), (2, 2), (2, 3)]);
+        assert_eq!(warned(&ls, 500), [(2, 0), (2, 1), (2, 2), (2, 3)]);
+        assert!(warned(&ls, 800).is_empty());
     }
 
     /// Differential: the arena-backed egress plane vs inline-packet queues,

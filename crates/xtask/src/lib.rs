@@ -1,9 +1,6 @@
 //! Library surface of the xtask crate: the lint framework.
 //!
-//! Exposed as a lib (next to the `cargo xtask` binary) so the integration
-//! tests — notably `tests/differential.rs`, which proves the lexer-backed
-//! engine against the legacy line scanner over the whole workspace — can
-//! drive the same code the binary runs.
+//! The `cargo xtask` binary is a thin CLI over this library.
 
 pub mod lint;
 pub mod specdoc;

@@ -13,9 +13,7 @@
 //!   enclosing-`fn` names, `lint:allow` resolution;
 //! * [`rules`] — the rule set; each rule is a visitor over the token
 //!   stream (`cargo xtask lint --list-rules` / `--explain <rule>`);
-//! * [`diag`] — span-accurate findings, code frames, `--json` output;
-//! * [`legacy`] — the original line scanner, kept only as the reference
-//!   half of `tests/differential.rs`.
+//! * [`diag`] — span-accurate findings, code frames, `--json` output.
 //!
 //! Scope policy (unchanged from the line-scanner era): `vendor/` and
 //! `target/` are never scanned; `crates/bench` and `crates/xtask` are
@@ -27,7 +25,6 @@
 //! rule where the hazard is deliberate.
 
 pub mod diag;
-pub mod legacy;
 pub mod lexer;
 pub mod rules;
 pub mod scope;
@@ -307,7 +304,7 @@ mod tests {
     fn classify_maps_workspace_layout() {
         let p = |s: &str| classify(Path::new(s));
         assert_eq!(p("crates/engine/src/queue.rs"), FileClass::CoreLib);
-        assert_eq!(p("crates/net/src/sim.rs"), FileClass::CoreLib);
+        assert_eq!(p("crates/net/src/sim/mod.rs"), FileClass::CoreLib);
         assert_eq!(p("crates/metrics/src/counters.rs"), FileClass::Sim);
         assert_eq!(p("crates/bench/src/bin/bench.rs"), FileClass::Bench);
         assert_eq!(p("crates/xtask/src/lint/mod.rs"), FileClass::Bench);

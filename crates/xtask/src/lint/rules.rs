@@ -527,14 +527,12 @@ the topology is what setup is for.
 /// `net/src/sim/` (see its `impl Simulation` blocks).
 const HOT_FN_PREFIXES: [&str; 17] = [
     "dispatch", "on_", "route_", "host_", "switch_", "try_", "apply_", "handle_", "send_",
-    "assemble_", "maybe_", "audit_", "nic_", "launch", "enqueue_", "materialize_", "fault_",
+    "decide", "maybe_", "audit_", "nic_", "launch", "enqueue_", "materialize_", "fault_",
 ];
 
-/// The simulator's event loop: the files of `net/src/sim/`, and
-/// `net/src/sim.rs`, the one file it was before — the scope the frozen
-/// legacy scanner and its differential still name.
+/// The simulator's event loop: the files of `net/src/sim/`.
 fn in_dispatch_loop(file: &str) -> bool {
-    file.ends_with("net/src/sim.rs") || file.contains("net/src/sim/")
+    file.contains("net/src/sim/")
 }
 
 impl LintRule for HotAlloc {
@@ -572,6 +570,7 @@ impl LintRule for HotAlloc {
 #[cfg(test)]
 mod tests {
     use super::super::{lint_source, FileClass};
+    use std::collections::BTreeSet;
 
     /// Rule names found in `src` when scanned as `file` / `class`.
     fn found(file: &str, src: &str, class: FileClass) -> Vec<&'static str> {
@@ -626,7 +625,7 @@ mod tests {
 
     #[test]
     fn hot_clone_fixture() {
-        let sim = "crates/net/src/sim.rs";
+        let sim = "crates/net/src/sim/fabric.rs";
         for bad in [
             "fn route_data(&mut self) { g(pkt.clone()); }\n",
             "fn f() { let dup = packet.clone(); }\n",
@@ -661,7 +660,7 @@ mod tests {
         );
         // net and engine legitimately use BTreeMap (cold paths, reference
         // models).
-        assert!(found("crates/net/src/sim.rs", bad, FileClass::CoreLib).is_empty());
+        assert!(found("crates/net/src/sim/fabric.rs", bad, FileClass::CoreLib).is_empty());
         assert!(found("crates/engine/src/table.rs", bad, FileClass::CoreLib).is_empty());
     }
 
@@ -705,17 +704,17 @@ mod tests {
             ["time-arith", "time-arith"]
         );
         let bad2 = "fn f(now: SimTime) -> u64 { now.as_ps() + self.cfg.warn_lifetime_ps }\n";
-        assert!(!found("crates/net/src/sim.rs", bad2, FileClass::CoreLib).is_empty());
+        assert!(!found("crates/net/src/sim/fabric.rs", bad2, FileClass::CoreLib).is_empty());
         let bad3 = "fn f(&mut self) { self.counters.paused_port_time_ps += 5; }\n";
         assert_eq!(
-            found("crates/net/src/sim.rs", bad3, FileClass::CoreLib),
+            found("crates/net/src/sim/fabric.rs", bad3, FileClass::CoreLib),
             ["time-arith"]
         );
         // Typed arithmetic, comparisons, and assignment are all fine.
         let ok = "fn f(now: SimTime, d: SimDuration) -> SimTime { now + d }\n\
                   fn g(a_ps: u64, b_ps: u64) -> bool { a_ps < b_ps }\n\
                   fn h(&mut self, v: u64) { self.t_ps = v; }\n";
-        assert!(found("crates/net/src/sim.rs", ok, FileClass::CoreLib).is_empty());
+        assert!(found("crates/net/src/sim/fabric.rs", ok, FileClass::CoreLib).is_empty());
         // engine::time owns raw ps math; other classes are out of scope.
         let raw = "fn f(a_ps: u64) -> u64 { a_ps * 2 }\n";
         assert!(found("crates/engine/src/time.rs", raw, FileClass::CoreLib).is_empty());
@@ -724,7 +723,7 @@ mod tests {
 
     #[test]
     fn hot_alloc_fixture() {
-        let sim = "crates/net/src/sim.rs";
+        let sim = "crates/net/src/sim/fabric.rs";
         let bad = "impl Simulation { fn route_data(&mut self) { let c = pkt.payload.to_vec(); } }\n";
         assert_eq!(found(sim, bad, FileClass::CoreLib), ["hot-alloc"]);
         let bad2 = "impl S { fn on_host_rx(&mut self) { let b = Box::new(frame); } }\n";
@@ -752,7 +751,101 @@ mod tests {
             let bad = format!("impl S {{ fn {f}(&mut self) {{ let b = Box::new(1); }} }}\n");
             assert_eq!(found(fabric, &bad, FileClass::CoreLib), ["hot-alloc"], "{f}");
         }
+        // The LB decision builds its path view once per packet.
+        let decide = "impl Control { fn decide(&mut self) { let v = vec![0u8; 64]; } }\n";
+        assert_eq!(found("crates/net/src/sim/control.rs", decide, FileClass::CoreLib), ["hot-alloc"]);
+        // The file the event loop once was is no longer in scope.
+        assert!(found("crates/net/src/sim.rs", bad, FileClass::CoreLib).is_empty());
         let setup = "impl S { fn new_shard() -> S { let v = vec![0u8; 64]; } }\n";
         assert!(found("crates/net/src/sim/mod.rs", setup, FileClass::CoreLib).is_empty());
+    }
+
+    /// One-line triggers for the six rules the first, line-based scanner
+    /// had, in the form that scanner could see.
+    #[test]
+    fn each_original_rule_fires_on_its_one_line_trigger() {
+        let core = "\
+use std::collections::HashMap;
+fn f(x: Option<u32>) -> u32 {
+    let t = std::time::Instant::now();
+    let mut rng = rand::thread_rng();
+    let s: HashSet<u8> = HashSet::new();
+    x.unwrap()
+}
+";
+        let rules: BTreeSet<_> = found("crates/engine/src/f.rs", core, FileClass::CoreLib)
+            .into_iter()
+            .collect();
+        assert_eq!(
+            rules,
+            BTreeSet::from(["hash-container", "wall-clock", "unseeded-rng", "lib-unwrap"])
+        );
+        for (src, rule) in [
+            ("struct S { m: HashMap<u64, u64> }\n", "hash-container"),
+            ("fn f() { let t = std::time::Instant::now(); }\n", "wall-clock"),
+            ("fn f() { let mut rng = rand::thread_rng(); }\n", "unseeded-rng"),
+        ] {
+            assert_eq!(found("t.rs", src, FileClass::Sim), [rule], "{src}");
+        }
+        let unwrap = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
+        assert_eq!(found("t.rs", unwrap, FileClass::CoreLib), ["lib-unwrap"]);
+        // Path-scoped: hot-clone in the event loop only, hot-btreemap in
+        // lb/ and core/ only.
+        let sim = "fn route(&mut self) { self.q.push(pkt.clone()); }\n";
+        let fabric = "crates/net/src/sim/fabric.rs";
+        assert_eq!(found(fabric, sim, FileClass::CoreLib), ["hot-clone"]);
+        assert!(found("crates/transport/src/rx.rs", sim, FileClass::CoreLib).is_empty());
+        let lb = "pub struct Flowlets { table: BTreeMap<u64, Entry> }\n";
+        assert_eq!(found("crates/lb/src/letflow.rs", lb, FileClass::CoreLib), ["hot-btreemap"]);
+    }
+
+    /// `#[cfg(test)]` and `tests/` silence warnings but not errors, and a
+    /// `lint:allow` covers its own line or the next code line only.
+    #[test]
+    fn test_gating_and_allows() {
+        let gated = "\
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+    fn t() { let w = std::time::Instant::now(); }
+}
+";
+        assert_eq!(found("crates/engine/src/g.rs", gated, FileClass::CoreLib), ["wall-clock"]);
+        let after = "\
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+    fn t() { let w = std::time::Instant::now(); }
+}
+fn after() { let m: std::collections::HashMap<u8, u8> = Default::default(); }
+";
+        assert_eq!(
+            found("t.rs", after, FileClass::CoreLib),
+            ["wall-clock", "hash-container"]
+        );
+        let test_file = "fn t() { let m: HashMap<u8, u8> = HashMap::new(); let w = Instant::now(); }\n";
+        assert_eq!(found("tests/props.rs", test_file, FileClass::Test), ["wall-clock"]);
+
+        let same = "let t = Instant::now(); // lint:allow(wall-clock) CLI timing\n";
+        assert!(found("src/main.rs", same, FileClass::Sim).is_empty());
+        let prev = "// lint:allow(wall-clock)\nlet t = Instant::now();\n";
+        assert!(found("t.rs", prev, FileClass::Sim).is_empty());
+        let stale = "// lint:allow(wall-clock)\nlet a = 1;\nlet t = Instant::now();\n";
+        assert_eq!(found("t.rs", stale, FileClass::Sim), ["wall-clock"]);
+    }
+
+    /// Three sources the line scanner got wrong, which the lexer and the
+    /// scope walker get right.
+    #[test]
+    fn lexer_sees_past_comments_raw_strings_and_attributes() {
+        // A `"` inside a block comment does not hide the code after it.
+        let src = "/* has a \" quote */ let m: HashMap<u8, u8> = HashMap::new();\n";
+        assert!(found("t.rs", src, FileClass::Sim).contains(&"hash-container"));
+        // A `"` inside `r#"…"#` does not end the raw string.
+        let raw = "let s = r#\"say \"HashMap\" here\"#;\n";
+        assert!(found("t.rs", raw, FileClass::Sim).is_empty());
+        // An attribute line between the allow and the code keeps the allow.
+        let attr = "// lint:allow(hash-container)\n#[derive(Debug)]\nstruct S { m: HashMap<u8, u8> }\n";
+        assert!(found("t.rs", attr, FileClass::Sim).is_empty());
     }
 }

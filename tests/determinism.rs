@@ -89,9 +89,8 @@ fn identical_seeds_produce_identical_runs() {
 /// Same property through RLB wrapping a *stateful flowlet* scheme: LetFlow
 /// keeps a per-flow table (now a `FlowTable`) and draws from its RNG only
 /// on flowlet boundaries, and the RLB override table rides on top — so this
-/// covers the dense flow-state tables and the generation-stamped snapshot
-/// cache on a path where flowlet timeouts, reroutes and per-flow overrides
-/// all churn the state that the cache stamps guard.
+/// covers the dense flow-state tables on a path where flowlet timeouts,
+/// reroutes and per-flow overrides all churn them.
 #[test]
 fn identical_seeds_identical_runs_rlb_letflow() {
     let mk = || Scenario::motivation(&pfc_heavy_scenario(7), Scheme::LetFlow, Some(RlbConfig::default()));
