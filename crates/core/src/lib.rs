@@ -9,12 +9,13 @@
 //!   `[⌊d·C⌋, ⌊Q_PFC − d·C·(n−1)⌋)` (§3.2.3);
 //! * [`Cnm`] / [`WarningTable`] / [`ContributorTable`] — the warning
 //!   message, its upstream bookkeeping, and hop-by-hop relay targeting;
-//! * [`algorithm1`] / [`Rlb`] — the rerouting module (§3.2.2): on a
-//!   warning, either reroute to a comparable-delay safe path or
-//!   recirculate and re-decide, so earlier-sent packets are never overtaken.
+//! * [`algorithm1`] — the rerouting rule (§3.2.2): on a warning, either
+//!   reroute to a comparable-delay safe path or recirculate and re-decide,
+//!   so earlier-sent packets are never overtaken.
 //!
-//! All logic here is pure (no clocks, no queues); `rlb-net` wires it into
-//! the simulated switches.
+//! All logic here is pure (no clocks, no queues, no per-flow state);
+//! `rlb-net` wires it into the simulated switches, and its control plane
+//! runs the per-packet decision under any load-balancing scheme.
 
 // Library code must justify every panic site: bare unwrap() is denied here
 // (tests are exempt). Enforced alongside `cargo xtask lint`'s lib-unwrap rule.
@@ -28,7 +29,7 @@ pub mod warning;
 
 pub use config::{RlbConfig, SuboptimalPolicy};
 pub use predictor::{PfcPredictor, Prediction};
-pub use reroute::{algorithm1, Decision, DecisionReason, Rlb, RlbStats};
+pub use reroute::{algorithm1, Decision, DecisionReason};
 pub use threshold::{conservative_qth, d_times_c_bytes, qth_range};
 pub use warning::{Cnm, ContributorTable, WarningTable};
 

@@ -1,9 +1,12 @@
 //! The rerouting module (§3.2.2, Algorithm 1): reroute or recirculate on a
 //! PFC warning, preserving packet order.
+//!
+//! [`algorithm1`] is pure. The per-packet decision around it (the inner
+//! scheme's `select`, the sticky reroute override, then this rule) is
+//! `LeafState::decide` in `rlb-net`'s control plane (`sim/control.rs`).
 
 use crate::config::RlbConfig;
-use rlb_engine::FlowTable;
-use rlb_lb::{Ctx, LoadBalancer, PathIdx};
+use rlb_lb::{Ctx, PathIdx};
 use serde::Serialize;
 
 /// RLB's verdict for one packet.
@@ -33,17 +36,6 @@ pub enum DecisionReason {
     ForcedOut,
 }
 
-/// Aggregate decision counters.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct RlbStats {
-    pub forwards_unwarned: u64,
-    pub reroutes: u64,
-    pub recirculations: u64,
-    pub forced_out: u64,
-    /// Packets that followed an existing per-flow reroute override.
-    pub sticky_forwards: u64,
-}
-
 /// Algorithm 1, "Rerouting without Packet Reordering".
 ///
 /// * `initial` — the path the inner load balancer picked (line 2);
@@ -51,13 +43,15 @@ pub struct RlbStats {
 ///
 /// Line-by-line correspondence:
 /// * l.3 `if receiving p.hPFC` — `ctx.paths[p].warned`;
-/// * l.4 select suboptimal `ps` — best unwarned alternative by RTT (queue
-///   length breaking ties);
+/// * l.4 select suboptimal `ps` — an unwarned alternative not faster than
+///   `p`, ranked by `cfg.suboptimal_policy`; failing that, the slowest
+///   faster one;
 /// * l.5 `(ps.tRTT − p.tRTT) > trc` → recirculate (l.6);
 /// * l.8 otherwise replace `p` with `ps` and re-check — `ps` is unwarned,
 ///   so the loop exits with `Forward(ps)`;
 /// * termination: when the recirculation budget is spent, the packet is
-///   forced out on the least-loaded path rather than looping forever.
+///   forced out on `ps` (on `p` when every path is warned) rather than
+///   looping forever.
 pub fn algorithm1(
     initial: PathIdx,
     ctx: &Ctx<'_>,
@@ -157,88 +151,6 @@ pub fn algorithm1(
                 (Decision::Forward(initial), DecisionReason::ForcedOut)
             }
         }
-    }
-}
-
-/// RLB as a building block: wraps any [`LoadBalancer`] (§1: "RLB is
-/// architecturally compatible with all existing load balancing schemes").
-///
-/// Beyond Algorithm 1, the wrapper keeps a small per-flow override cache:
-/// once a flow is rerouted away from a warned path, its subsequent packets
-/// follow the same safe path for the rest of the warning episode instead
-/// of re-deciding per packet. Without this, a flow's packets alternate
-/// between the original and the reroute path at every warning-refresh
-/// boundary — self-inflicted reordering that Algorithm 1's per-packet
-/// formulation does not guard against (see DESIGN.md, "Known deviations").
-pub struct Rlb<L: ?Sized> {
-    pub cfg: RlbConfig,
-    pub stats: RlbStats,
-    overrides: FlowTable<(PathIdx, u64)>,
-    inner: Box<L>,
-}
-
-impl Rlb<dyn LoadBalancer> {
-    pub fn new(inner: Box<dyn LoadBalancer>, cfg: RlbConfig) -> Self {
-        Rlb {
-            cfg,
-            stats: RlbStats::default(),
-            overrides: FlowTable::new(),
-            inner,
-        }
-    }
-
-    pub fn inner_name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    /// Full RLB decision for one packet: inner scheme first (line 2), then
-    /// Algorithm 1 on its choice, with per-flow reroute stickiness.
-    pub fn decide(&mut self, ctx: &Ctx<'_>, recircs_so_far: u32) -> Decision {
-        // Keep the inner scheme's state warm even when an override wins.
-        let initial = self.inner.select(ctx);
-
-        // Active override: stay on the rerouted path while it is itself
-        // safe and the episode hasn't expired.
-        if self.cfg.sticky_reroutes {
-            if let Some(&(path, until)) = self.overrides.get(ctx.flow_id) {
-                let valid = ctx.now_ps < until
-                    && path < ctx.paths.len()
-                    && !ctx.paths[path].warned
-                    && ctx.paths[initial].warned;
-                if valid {
-                    self.stats.sticky_forwards += 1;
-                    return Decision::Forward(path);
-                }
-                self.overrides.remove(ctx.flow_id);
-            }
-        }
-
-        let (decision, reason) = algorithm1(initial, ctx, &self.cfg, recircs_so_far);
-        match reason {
-            DecisionReason::UnwarnedInitial => self.stats.forwards_unwarned += 1,
-            DecisionReason::Rerouted => {
-                self.stats.reroutes += 1;
-                if let Decision::Forward(ps) = decision {
-                    let until = rlb_engine::SimTime(ctx.now_ps)
-                        + rlb_engine::SimDuration::from_ps(self.cfg.warn_lifetime_ps);
-                    self.overrides.insert(ctx.flow_id, (ps, until.as_ps()));
-                }
-            }
-            DecisionReason::RecirculatedGap | DecisionReason::RecirculatedAllWarned => {
-                self.stats.recirculations += 1
-            }
-            DecisionReason::ForcedOut => self.stats.forced_out += 1,
-        }
-        decision
-    }
-
-    pub fn observe_ack(&mut self, dst_leaf: u32, path: PathIdx, rtt_ns: f64, ecn: bool) {
-        self.inner.observe_ack(dst_leaf, path, rtt_ns, ecn);
-    }
-
-    pub fn on_flow_complete(&mut self, flow_id: u64) {
-        self.overrides.remove(flow_id);
-        self.inner.on_flow_complete(flow_id);
     }
 }
 
@@ -383,39 +295,5 @@ mod tests {
         let (d, r) = algorithm1(0, &ctx(&paths), &c, c.max_recirculations);
         assert_eq!(d, Decision::Forward(1));
         assert_eq!(r, DecisionReason::ForcedOut);
-    }
-
-    #[test]
-    fn wrapper_counts_decisions_and_delegates() {
-        let inner = rlb_lb::build(rlb_lb::Scheme::Ecmp, 1000, rlb_engine::substream(1, b"t", 0));
-        let mut rlb = Rlb::new(inner, cfg());
-        assert_eq!(rlb.inner_name(), "ECMP");
-        let clean = mk_paths(&[(false, 10_000.0, 0); 4]);
-        match rlb.decide(&ctx(&clean), 0) {
-            Decision::Forward(_) => {}
-            d => panic!("unexpected {d:?}"),
-        }
-        assert_eq!(rlb.stats.forwards_unwarned, 1);
-        // All-warned snapshot: forced out on the inner choice, counted.
-        let warned = mk_paths(&[(true, 10_000.0, 0); 4]);
-        assert!(matches!(rlb.decide(&ctx(&warned), 0), Decision::Forward(_)));
-        assert_eq!(rlb.stats.forced_out, 1);
-        // Selective warning with a large gap: recirculates. ECMP is
-        // deterministic per flow id, so probe for a flow that lands on the
-        // warned fast path.
-        let selective = mk_paths(&[(true, 10_000.0, 0), (false, 50_000.0, 0)]);
-        let mut hit = false;
-        for fid in 0..64u64 {
-            let c = Ctx {
-                flow_id: fid,
-                ..ctx(&selective)
-            };
-            if rlb.decide(&c, 0) == Decision::Recirculate {
-                hit = true;
-                break;
-            }
-        }
-        assert!(hit, "some flow must hash onto the warned fast path");
-        assert_eq!(rlb.stats.recirculations, 1);
     }
 }

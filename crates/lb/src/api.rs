@@ -8,9 +8,10 @@
 //!
 //! Vanilla schemes must only read the signals their papers use (local queue
 //! lengths for DRILL, flowlet gaps for LetFlow, ...). The `warned` flag is
-//! populated by the RLB predictor and is exclusively consumed by
-//! `rlb-core`'s rerouting module — that separation is the paper's whole
-//! point (§2.2: existing schemes cannot perceive PFC pausing).
+//! populated by the RLB predictor and is exclusively consumed by RLB's
+//! decision (`rlb-core`'s Algorithm 1 and the simulator's sticky reroute
+//! override) — that separation is the paper's whole point (§2.2: existing
+//! schemes cannot perceive PFC pausing).
 
 use serde::Serialize;
 
@@ -22,7 +23,7 @@ pub struct PathInfo {
     /// The uplink egress is currently paused by a *real* PFC PAUSE.
     pub paused: bool,
     /// RLB PFC-warning active for this (uplink, destination-leaf) path.
-    /// Only `rlb-core` may act on this.
+    /// Only RLB's decision may act on this.
     pub warned: bool,
     /// Estimated RTT of the path to the destination leaf, nanoseconds.
     pub rtt_ns: f64,
@@ -73,10 +74,6 @@ pub trait LoadBalancer: Send {
     /// Choose the uplink for this packet. Must return a valid index into
     /// `ctx.paths`.
     fn select(&mut self, ctx: &Ctx<'_>) -> PathIdx;
-
-    /// Feedback from returning ACKs traversing this leaf (per-path RTT
-    /// sample and ECN-echo), consumed by congestion-aware schemes (Hermes).
-    fn observe_ack(&mut self, _dst_leaf: u32, _path: PathIdx, _rtt_ns: f64, _ecn: bool) {}
 
     /// A flow finished; schemes may garbage-collect per-flow state.
     fn on_flow_complete(&mut self, _flow_id: u64) {}

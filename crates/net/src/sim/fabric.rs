@@ -95,9 +95,9 @@ impl Simulation {
                 let hpl = self.cfg.topo.hosts_per_leaf as usize;
                 let uplinks = &self.leaves[l as usize].egress[hpl..];
                 let limit = self.flows[flow as usize].spec.path_limit;
-                let (decision, stats) = self.control.decide(l, uplinks, ctx, limit, pkt.recircs);
-                if let Some(e) = stats {
-                    self.jot(e);
+                let (decision, reason) = self.control.decide(l, uplinks, ctx, limit, pkt.recircs);
+                if let Some(reason) = reason {
+                    self.jot(JEffect::Rlb(reason));
                 }
                 let trace = match decision {
                     Decision::Forward(s) => TraceEvent::Routed { path: s as u8 },

@@ -9,6 +9,7 @@ use crate::switch::Reserved;
 use crate::topology::Node;
 use crate::monitor::FabricTimeSeries;
 use crate::trace::FlowTraces;
+use rlb_core::DecisionReason;
 use rlb_engine::{SimDuration, SimTime};
 use rlb_metrics::{FabricCounters, FlowRecord, LogHistogram};
 
@@ -39,7 +40,8 @@ pub(super) enum JEffect {
     BufferDrop,
     EcnMark,
     PausedDwell(SimDuration),
-    RlbStats { re: u64, fw: u64, fo: u64 },
+    /// RLB's reason for one decision (`LeafState::decide`).
+    Rlb(DecisionReason),
     Fault,
 }
 
@@ -72,11 +74,13 @@ impl Simulation {
             JEffect::BufferDrop => self.counters.buffer_drops += 1,
             JEffect::EcnMark => self.counters.ecn_marks += 1,
             JEffect::PausedDwell(d) => self.paused_port_time += d,
-            JEffect::RlbStats { re, fw, fo } => {
-                self.counters.reroutes += re;
-                self.counters.forwards_unwarned += fw;
-                self.counters.recirculation_budget_exhausted += fo;
-            }
+            // A recirculation is counted by its own `Recirc`.
+            JEffect::Rlb(reason) => match reason {
+                DecisionReason::UnwarnedInitial => self.counters.forwards_unwarned += 1,
+                DecisionReason::Rerouted => self.counters.reroutes += 1,
+                DecisionReason::ForcedOut => self.counters.recirculation_budget_exhausted += 1,
+                DecisionReason::RecirculatedGap | DecisionReason::RecirculatedAllWarned => {}
+            },
             JEffect::Fault => self.counters.faults_applied += 1,
         }
     }

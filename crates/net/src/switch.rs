@@ -21,7 +21,7 @@
 use crate::config::SwitchConfig;
 use crate::packet::Packet;
 use rand::Rng;
-use rlb_core::{ContributorTable, PfcPredictor, Rlb, WarningTable};
+use rlb_core::{ContributorTable, PfcPredictor};
 use rlb_engine::{PacketArena, PacketHandle, SimRng};
 use std::collections::VecDeque;
 
@@ -162,72 +162,6 @@ impl EgressPort {
             && !self.link_down
             && self.ctrl_q.is_empty()
             && (control || (!self.paused && self.data_q.is_empty()))
-    }
-}
-
-/// Per-leaf load-balancing state: the deployed scheme (optionally wrapped
-/// in RLB), the warning table fed by CNMs, and the per-path RTT/ECN
-/// estimators the schemes and Algorithm 1 read.
-pub struct LeafState {
-    pub lb: LbInstance,
-    pub warnings: WarningTable,
-    /// EWMA RTT estimate, ns, indexed `[spine * n_leaves + dst_leaf]`.
-    pub rtt_ns: Vec<f64>,
-    /// EWMA ECN-mark fraction, same indexing.
-    pub ecn_frac: Vec<f64>,
-    n_leaves: usize,
-}
-
-/// A leaf either runs a vanilla scheme or the RLB-wrapped version.
-pub enum LbInstance {
-    Vanilla(Box<dyn rlb_lb::LoadBalancer>),
-    Rlb(Rlb<dyn rlb_lb::LoadBalancer>),
-}
-
-impl LbInstance {
-    pub fn on_flow_complete(&mut self, flow_id: u64) {
-        match self {
-            LbInstance::Vanilla(lb) => lb.on_flow_complete(flow_id),
-            LbInstance::Rlb(rlb) => rlb.on_flow_complete(flow_id),
-        }
-    }
-}
-
-impl LeafState {
-    pub fn new(lb: LbInstance, n_spines: usize, n_leaves: usize, base_rtt_ns: f64) -> LeafState {
-        LeafState {
-            lb,
-            warnings: WarningTable::new(n_spines, n_leaves),
-            rtt_ns: vec![base_rtt_ns; n_spines * n_leaves],
-            ecn_frac: vec![0.0; n_spines * n_leaves],
-            n_leaves,
-        }
-    }
-
-    #[inline]
-    fn idx(&self, spine: usize, dst_leaf: usize) -> usize {
-        spine * self.n_leaves + dst_leaf
-    }
-
-    /// Fold a returning ACK's RTT sample and CE echo into the estimators.
-    ///
-    /// The gain is deliberately small: Algorithm 1 compares path delays
-    /// against the recirculation cost, so the estimate must track the
-    /// *persistent* queueing difference between paths, not per-packet
-    /// jitter.
-    pub fn observe(&mut self, spine: usize, dst_leaf: usize, rtt_ns: f64, ecn: bool) {
-        const A: f64 = 0.1; // EWMA gain
-        let i = self.idx(spine, dst_leaf);
-        self.rtt_ns[i] = (1.0 - A) * self.rtt_ns[i] + A * rtt_ns;
-        self.ecn_frac[i] = (1.0 - A) * self.ecn_frac[i] + A * if ecn { 1.0 } else { 0.0 };
-    }
-
-    pub fn rtt(&self, spine: usize, dst_leaf: usize) -> f64 {
-        self.rtt_ns[self.idx(spine, dst_leaf)]
-    }
-
-    pub fn ecn(&self, spine: usize, dst_leaf: usize) -> f64 {
-        self.ecn_frac[self.idx(spine, dst_leaf)]
     }
 }
 
@@ -546,50 +480,6 @@ mod tests {
         s.egress[0].data_q_bytes = (s.cfg.ecn.kmin_bytes + s.cfg.ecn.kmax_bytes) / 2;
         let marks: usize = (0..100_000).filter(|_| s.ecn_mark(0)).count();
         assert!(marks > 200 && marks < 1_200, "marks={marks}");
-    }
-
-    #[test]
-    fn leaf_state_estimators_converge() {
-        let lb = LbInstance::Vanilla(rlb_lb::build(
-            rlb_lb::Scheme::Ecmp,
-            1000,
-            substream(0, b"t", 0),
-        ));
-        let mut ls = LeafState::new(lb, 4, 4, 10_000.0);
-        assert_eq!(ls.rtt(2, 3), 10_000.0);
-        for _ in 0..200 {
-            ls.observe(2, 3, 50_000.0, true);
-        }
-        assert!((ls.rtt(2, 3) - 50_000.0).abs() < 100.0);
-        assert!(ls.ecn(2, 3) > 0.95);
-        // Other paths untouched.
-        assert_eq!(ls.rtt(1, 3), 10_000.0);
-        assert_eq!(ls.ecn(2, 2), 0.0);
-    }
-
-    /// A warning covers the paths its granularity names, until it lapses:
-    /// one (spine, dst_leaf) path, or every destination through the uplink.
-    #[test]
-    fn leaf_warnings_cover_exactly_their_granularity() {
-        let lb = LbInstance::Vanilla(rlb_lb::build(
-            rlb_lb::Scheme::Ecmp,
-            1000,
-            substream(0, b"t", 0),
-        ));
-        let mut ls = LeafState::new(lb, 3, 4, 10_000.0);
-        let warned = |ls: &LeafState, now_ps: u64| -> Vec<(usize, usize)> {
-            (0..3)
-                .flat_map(|s| (0..4).map(move |d| (s, d)))
-                .filter(|&(s, d)| ls.warnings.is_warned(s, d, now_ps))
-                .collect()
-        };
-        assert!(warned(&ls, 0).is_empty());
-        ls.warnings.warn_path(1, 2, 500);
-        assert_eq!(warned(&ls, 0), [(1, 2)]);
-        ls.warnings.warn_uplink(2, 800);
-        assert_eq!(warned(&ls, 499), [(1, 2), (2, 0), (2, 1), (2, 2), (2, 3)]);
-        assert_eq!(warned(&ls, 500), [(2, 0), (2, 1), (2, 2), (2, 3)]);
-        assert!(warned(&ls, 800).is_empty());
     }
 
     /// Differential: the arena-backed egress plane vs inline-packet queues,
