@@ -5,12 +5,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rlb_core::{algorithm1, PfcPredictor, Prediction, RlbConfig};
-use rlb_engine::{
-    shard_key, substream, EventQueue, FlowTable, HeapEventQueue, ShardEventQueue, SimTime,
-};
+use rlb_engine::{shard_key, substream, EventQueue, FlowTable, ShardEventQueue, SimTime};
 use rlb_lb::{build, Ctx, PathInfo, Scheme};
 use rlb_workloads::SizeCdf;
-use std::collections::BTreeMap;
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("engine/event_queue_push_pop_1k", |b| {
@@ -28,31 +25,6 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
-/// Unified view over the wheel-backed queue and the heap reference so one
-/// workload driver races both implementations head-to-head.
-trait FutureList {
-    fn schedule(&mut self, at: SimTime, ev: u64);
-    fn pop(&mut self) -> Option<(SimTime, u64)>;
-}
-
-impl FutureList for EventQueue<u64> {
-    fn schedule(&mut self, at: SimTime, ev: u64) {
-        EventQueue::schedule(self, at, ev)
-    }
-    fn pop(&mut self) -> Option<(SimTime, u64)> {
-        EventQueue::pop(self)
-    }
-}
-
-impl FutureList for HeapEventQueue<u64> {
-    fn schedule(&mut self, at: SimTime, ev: u64) {
-        HeapEventQueue::schedule(self, at, ev)
-    }
-    fn pop(&mut self) -> Option<(SimTime, u64)> {
-        HeapEventQueue::pop(self)
-    }
-}
-
 fn xorshift(s: &mut u64) -> u64 {
     *s ^= *s << 13;
     *s ^= *s >> 7;
@@ -62,7 +34,8 @@ fn xorshift(s: &mut u64) -> u64 {
 
 /// Steady-state hold-model: 16k pending events with uniform-random future
 /// deltas (up to 50 µs); each pop reschedules the popped event.
-fn run_uniform<Q: FutureList>(q: &mut Q, pops: u64) -> u64 {
+fn run_uniform(pops: u64) -> u64 {
+    let mut q = EventQueue::new();
     let mut s = 0x9e37_79b9_7f4a_7c15u64;
     for i in 0..16_384u64 {
         q.schedule(SimTime(1 + xorshift(&mut s) % 50_000_000), i);
@@ -83,7 +56,8 @@ const TIE_BASE: u64 = 1 << 32;
 /// events with short serialization-scale deltas (≤ 3 µs) interleaved with
 /// a 2 µs periodic tick that lands a burst of 1000 same-timestamp events —
 /// the shape of the coalesced predictor/alpha/increase ticks.
-fn run_periodic<Q: FutureList>(q: &mut Q, pops: u64) -> u64 {
+fn run_periodic(pops: u64) -> u64 {
+    let mut q = EventQueue::new();
     let mut s = 0xd1b5_4a32_d192_ed03u64;
     q.schedule(SimTime(2_000_000), TICK);
     for i in 0..32_768u64 {
@@ -108,21 +82,11 @@ fn run_periodic<Q: FutureList>(q: &mut Q, pops: u64) -> u64 {
     acc
 }
 
-fn bench_queue_head_to_head(c: &mut Criterion) {
+fn bench_queue_hold(c: &mut Criterion) {
     const POPS: u64 = 50_000;
-    let mut group = c.benchmark_group("engine/queue_head_to_head");
-    group.bench_function("uniform/wheel", |b| {
-        b.iter(|| black_box(run_uniform(&mut EventQueue::new(), POPS)))
-    });
-    group.bench_function("uniform/heap", |b| {
-        b.iter(|| black_box(run_uniform(&mut HeapEventQueue::new(), POPS)))
-    });
-    group.bench_function("periodic/wheel", |b| {
-        b.iter(|| black_box(run_periodic(&mut EventQueue::new(), POPS)))
-    });
-    group.bench_function("periodic/heap", |b| {
-        b.iter(|| black_box(run_periodic(&mut HeapEventQueue::new(), POPS)))
-    });
+    let mut group = c.benchmark_group("engine/queue_hold");
+    group.bench_function("uniform", |b| b.iter(|| black_box(run_uniform(POPS))));
+    group.bench_function("periodic", |b| b.iter(|| black_box(run_periodic(POPS))));
     group.finish();
 }
 
@@ -236,7 +200,7 @@ fn bench_lb_selection(c: &mut Criterion) {
         })
         .collect();
     let mut group = c.benchmark_group("lb/select_12paths");
-    for scheme in [Scheme::Ecmp, Scheme::Presto, Scheme::LetFlow, Scheme::Hermes, Scheme::Drill] {
+    for scheme in Scheme::ALL {
         group.bench_function(scheme.name(), |b| {
             let mut lb = build(scheme, 1000, substream(1, b"bench", scheme as u64));
             let mut seq = 0u32;
@@ -259,9 +223,8 @@ fn bench_lb_selection(c: &mut Criterion) {
 
 /// The per-packet decision prologue, isolated: (a) the stateful schemes'
 /// flow-table access (lookup-or-insert, flowlet expiry removes, a periodic
-/// GC sweep) raced between the old `BTreeMap` and `rlb_engine::FlowTable`,
-/// and (b) the path view every decision builds from the fabric, at the
-/// widest fabric the figures use.
+/// GC sweep) on `rlb_engine::FlowTable`, and (b) the path view every
+/// decision builds from the fabric, at the widest fabric the figures use.
 mod decision_hot_path {
     use super::*;
 
@@ -298,31 +261,6 @@ mod decision_hot_path {
             }
             if n % 4096 == 0 {
                 t.retain(|_, v| *v % 7 != 0); // expiry sweep
-            }
-        }
-        acc.wrapping_add(t.len() as u64)
-    }
-
-    pub fn churn_btreemap(ops: u64) -> u64 {
-        let mut t: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut s = 0x5851_f42d_4c95_7f2du64;
-        let mut acc = 0u64;
-        for n in 0..ops {
-            let k = key(xorshift(&mut s) % FLOWS);
-            match t.get_mut(&k) {
-                Some(v) => {
-                    *v = v.wrapping_add(1);
-                    acc ^= *v;
-                }
-                None => {
-                    t.insert(k, n);
-                }
-            }
-            if n % 64 == 0 {
-                t.remove(&key(xorshift(&mut s) % FLOWS));
-            }
-            if n % 4096 == 0 {
-                t.retain(|_, v| *v % 7 != 0);
             }
         }
         acc.wrapping_add(t.len() as u64)
@@ -373,9 +311,6 @@ fn bench_decision_hot_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("lb/decision_hot_path");
     group.bench_function("flow_table/flowtable", |b| {
         b.iter(|| black_box(churn_flowtable(OPS)))
-    });
-    group.bench_function("flow_table/btreemap", |b| {
-        b.iter(|| black_box(churn_btreemap(OPS)))
     });
     let eg = fabric();
     group.bench_function("path_view/build", |b| {
@@ -470,30 +405,6 @@ fn bench_host_plane(c: &mut Criterion) {
 fn bench_shard_sync(c: &mut Criterion) {
     use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 
-    // One window's worth of meetings — two — against a peer thread that
-    // does nothing else, so the time is the barrier's own. The peer reads
-    // `stop` only after a second meeting and the bench sets it only between
-    // a first and a second, so the peer can never leave a meeting early.
-    fn window_of_meetings(b: &mut criterion::Bencher, meet: &(dyn Fn() + Sync)) {
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            scope.spawn(|| loop {
-                meet();
-                meet();
-                if stop.load(SeqCst) {
-                    break;
-                }
-            });
-            b.iter(|| {
-                meet();
-                meet();
-            });
-            meet();
-            stop.store(true, SeqCst);
-            meet();
-        });
-    }
-
     // Sized like the crate-private `rlb_net::sim::WireMsg` (pinned there by
     // `wire_msg_size_is_what_the_mailbox_bench_assumes`): time, key and a
     // 64-byte payload — a frame crosses with its packet by value.
@@ -513,14 +424,29 @@ fn bench_shard_sync(c: &mut Criterion) {
     };
 
     let mut group = c.benchmark_group("net/shard_sync");
+    // One window's worth of meetings — two — against a peer thread that
+    // does nothing else, so the time is the barrier's own. The peer reads
+    // `stop` only after a second meeting and the bench sets it only between
+    // a first and a second, so the peer can never leave a meeting early.
     group.bench_function("two_meetings_2_threads/window_barrier", |b| {
         let barrier = rlb_net::WindowBarrier::new(2);
-        window_of_meetings(b, &|| barrier.wait().expect("nobody breaks it"));
-    });
-    group.bench_function("two_meetings_2_threads/std_barrier", |b| {
-        let barrier = std::sync::Barrier::new(2);
-        window_of_meetings(b, &|| {
-            barrier.wait();
+        let meet = || barrier.wait().expect("nobody breaks it");
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| loop {
+                meet();
+                meet();
+                if stop.load(SeqCst) {
+                    break;
+                }
+            });
+            b.iter(|| {
+                meet();
+                meet();
+            });
+            meet();
+            stop.store(true, SeqCst);
+            meet();
         });
     });
     group.bench_function("mailbox_110_msgs/swap_drain_in_place", |b| {
@@ -531,20 +457,11 @@ fn bench_shard_sync(c: &mut Criterion) {
             black_box(mailbox.drain(..).map(|m| m.at).sum::<u64>())
         })
     });
-    group.bench_function("mailbox_110_msgs/take_extend_take", |b| {
-        let (mut outbox, mut mailbox) = (Vec::new(), Vec::new());
-        b.iter(|| {
-            fill(&mut outbox);
-            mailbox.extend(std::mem::take(&mut outbox));
-            black_box(std::mem::take(&mut mailbox).into_iter().map(|m| m.at).sum::<u64>())
-        })
-    });
     group.finish();
 }
 
-/// Stand-in for the cold packet payload the switch queues used to carry
-/// inline: roughly `rlb_net::Packet`-sized, so the VecDeque baseline pays
-/// a realistic per-element copy cost.
+/// Stand-in for the packet payload parked in the arena: roughly
+/// `rlb_net::Packet`-sized.
 #[derive(Clone, Copy)]
 struct FatPacket {
     size_bytes: u32,
@@ -565,8 +482,7 @@ fn bench_packet_plane(c: &mut Criterion) {
         _cold: [i; 6],
     };
 
-    // FIFO churn through the arena (handles in the queue, payload parked)
-    // vs the pre-arena baseline (whole packets moving through VecDeque).
+    // FIFO churn through the arena: handles in the queue, payload parked.
     c.bench_function("net/packet_plane/arena_push_pop_1k", |b| {
         b.iter(|| {
             let mut arena: PacketArena<FatPacket> = PacketArena::with_capacity(N);
@@ -582,23 +498,8 @@ fn bench_packet_plane(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    c.bench_function("net/packet_plane/vecdeque_push_pop_1k", |b| {
-        b.iter(|| {
-            let mut q: VecDeque<FatPacket> = VecDeque::with_capacity(N);
-            let mut acc = 0u64;
-            for i in 0..N as u64 {
-                q.push_back(pkt(i));
-            }
-            while let Some(p) = q.pop_front() {
-                acc = acc.wrapping_add(p.size_bytes as u64);
-            }
-            black_box(acc)
-        })
-    });
 
-    // The audit/egress byte sweep: SoA reads only the arena's size column;
-    // the AoS baseline drags the whole fat packet through the cache for
-    // one u32 of it.
+    // The audit/egress byte sweep, which reads only the arena's size column.
     let mut arena: PacketArena<FatPacket> = PacketArena::with_capacity(N);
     let handles: Vec<PacketHandle> = (0..N as u64)
         .map(|i| {
@@ -606,16 +507,9 @@ fn bench_packet_plane(c: &mut Criterion) {
             arena.alloc(p.size_bytes, p.flow, false, p.enqueued_at_ps, p)
         })
         .collect();
-    let packets: Vec<FatPacket> = (0..N as u64).map(pkt).collect();
     c.bench_function("net/packet_plane/scan_bytes_soa_1k", |b| {
         b.iter(|| {
             let sum: u64 = handles.iter().map(|&h| arena.size_bytes(h) as u64).sum();
-            black_box(sum)
-        })
-    });
-    c.bench_function("net/packet_plane/scan_bytes_aos_1k", |b| {
-        b.iter(|| {
-            let sum: u64 = packets.iter().map(|p| p.size_bytes as u64).sum();
             black_box(sum)
         })
     });
@@ -679,7 +573,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_event_queue, bench_queue_head_to_head, bench_queue_sim_shaped, bench_predictor,
+    targets = bench_event_queue, bench_queue_hold, bench_queue_sim_shaped, bench_predictor,
               bench_algorithm1, bench_lb_selection, bench_decision_hot_path,
               bench_workload_sampling, bench_gbn, bench_host_plane,
               bench_shard_sync, bench_packet_plane, bench_percentile

@@ -4,10 +4,12 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — an integer-picosecond clock in which
 //!   serialization delays at datacenter link rates are exact.
-//! * [`EventQueue`] — a future-event list with FIFO-stable tie-breaking, so
-//!   equal-seed runs replay bit-exactly. Backed by a hierarchical timing
-//!   wheel (see `wheel`); [`HeapEventQueue`] keeps the original binary-heap
-//!   implementation as the differential-test reference and bench baseline.
+//! * [`ShardEventQueue`] — the future-event list, ordered by `(time, key)`
+//!   with a caller-computed [`shard_key`], so equal-seed runs replay
+//!   bit-exactly on any shard count; [`EventQueue`] is the same list with
+//!   FIFO tie-breaking on an insertion counter. Both sit on one
+//!   hierarchical timing wheel (see `wheel`); the original binary-heap
+//!   queue survives only in the tests, as the differential reference.
 //! * [`FlowTable`] — dense O(1) per-flow state storage with
 //!   `BTreeMap`-compatible deterministic iteration, for the per-packet
 //!   decision hot path in the load balancers.
@@ -32,7 +34,7 @@ pub mod time;
 mod wheel;
 
 pub use arena::{PacketArena, PacketHandle};
-pub use queue::{shard_key, EventQueue, HeapEventQueue, ShardEventQueue};
+pub use queue::{shard_key, EventQueue, ShardEventQueue};
 pub use rng::{substream, SimRng};
 pub use table::FlowTable;
 pub use time::{bytes_in, tx_delay, SimDuration, SimTime};
@@ -40,6 +42,7 @@ pub use time::{bytes_in, tx_delay, SimDuration, SimTime};
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::queue::HeapEventQueue;
     use proptest::prelude::*;
 
     proptest! {

@@ -1,32 +1,29 @@
-//! Deterministic future-event queue.
+//! Deterministic future-event queues.
 //!
-//! [`EventQueue`] is the simulator's future-event list, keyed on
-//! `(SimTime, sequence)` where the sequence number is a monotonically
-//! increasing insertion counter. Two events scheduled for the same instant
-//! therefore pop in the order they were scheduled (FIFO), which makes
-//! whole-simulation replays bit-exact for a fixed seed — a prerequisite for
-//! the determinism tests and for debugging rare reordering interleavings.
+//! [`ShardEventQueue`] is the simulator's future-event list: every event
+//! carries a `u128` key its producer computed ([`shard_key`]), and events
+//! pop in `(SimTime, key)` order, so whole-simulation replays are bit-exact
+//! for a fixed seed on any shard count. [`EventQueue`] is the same list
+//! keyed by a plain insertion counter: two events scheduled for the same
+//! instant pop in the order they were scheduled (FIFO).
 //!
 //! Storage is a hierarchical timing wheel ([`crate::wheel`]): near-future
 //! scheduling — the overwhelmingly common case in a packet simulation — is
 //! an O(1) bucket append instead of a `BinaryHeap`'s O(log n) sift. The
-//! previous heap-backed queue survives as [`HeapEventQueue`], the reference
-//! implementation that the differential proptests and the criterion
-//! head-to-head benches compare against.
+//! heap-backed queue it replaced survives only in this module's tests, as
+//! the reference implementation the differential proptests compare against.
 
 use crate::time::SimTime;
 use crate::wheel::{Entry, TimingWheel};
-use std::collections::BinaryHeap;
 
-/// The future event list.
+/// A FIFO future-event list: a [`ShardEventQueue`] whose key is the
+/// insertion counter.
 ///
 /// Generic over the event payload so the engine stays ignorant of network
-/// semantics; the simulator's dispatch loop owns the interpretation.
+/// semantics; the caller's dispatch loop owns the interpretation.
 pub struct EventQueue<E> {
-    wheel: TimingWheel<E>,
+    q: ShardEventQueue<E>,
     next_seq: u64,
-    now: SimTime,
-    scheduled_total: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -38,10 +35,8 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
-            wheel: TimingWheel::new(),
+            q: ShardEventQueue::new(),
             next_seq: 0,
-            now: SimTime::ZERO,
-            scheduled_total: 0,
         }
     }
 
@@ -49,7 +44,7 @@ impl<E> EventQueue<E> {
     /// event (time never moves backwards).
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.q.now()
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -60,67 +55,42 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn schedule(&mut self, at: SimTime, event: E) {
         assert!(
-            at >= self.now,
+            at >= self.q.now,
             "event scheduled in the past: at={at}, now={now}",
             at = at.as_ps(),
-            now = self.now.as_ps()
+            now = self.q.now.as_ps()
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
-        self.wheel.insert(at, seq, event);
+        self.q.insert(at, seq as u128, event);
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
-    ///
-    /// Event-clock monotonicity is structurally guaranteed by the wheel's
-    /// pop order plus the `schedule` past-check; under `--features audit`
-    /// (or any debug build) it is re-verified on every pop so a future
-    /// bucketing or comparator bug cannot silently run time backwards.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.wheel.pop()?;
-        #[cfg(any(debug_assertions, feature = "audit"))]
-        assert!(
-            entry.time >= self.now,
-            "audit violation [event-clock monotonicity]: popped t={} ps \
-             behind clock now={} ps (key={:?})",
-            entry.time.as_ps(),
-            self.now.as_ps(),
-            entry.key
-        );
-        self.now = entry.time;
-        Some((entry.time, entry.event))
+        self.q.pop().map(|(t, _, e)| (t, e))
     }
 
-    /// Visit every pending event in unspecified order (diagnostic walker
-    /// used by the fabric conservation audit; see `rlb-net`'s `audit`
-    /// feature).
-    #[inline]
-    pub fn iter_events(&self) -> impl Iterator<Item = &E> {
-        self.wheel.iter_events()
-    }
-
-    /// Timestamp of the next event without popping it.
+    /// See [`ShardEventQueue::peek_time`].
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.wheel.peek_time()
+        self.q.peek_time()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
+        self.q.is_empty()
     }
 
     #[inline]
     pub fn len(&self) -> usize {
-        self.wheel.len()
+        self.q.len()
     }
 
     /// Total number of events ever scheduled (diagnostic).
     #[inline]
     pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
+        self.q.scheduled_total()
     }
 }
 
@@ -134,10 +104,9 @@ impl<E> EventQueue<E> {
 /// * bits 47..0 — that entity's own running schedule counter.
 ///
 /// One entity schedules in nondecreasing dispatch-time order, so
-/// `(sched_ps, seq)` sorts like the sequential engine's plain insertion
-/// counter; across entities the packed key gives every event a globally
-/// unique, replayable position independent of shard count and thread
-/// timing.
+/// `(sched_ps, seq)` sorts like [`EventQueue`]'s plain insertion counter;
+/// across entities the packed key gives every event a globally unique,
+/// replayable position independent of shard count and thread timing.
 #[inline]
 pub fn shard_key(sched_ps: u64, rank: u16, seq: u64) -> u128 {
     debug_assert!(seq < (1 << 48), "shard seq overflow");
@@ -146,8 +115,7 @@ pub fn shard_key(sched_ps: u64, rank: u16, seq: u64) -> u128 {
 
 /// A shard-local future-event list for the bounded-window parallel driver.
 ///
-/// Same storage engine as [`EventQueue`] but ordered by a key the caller
-/// computes ([`shard_key`]), so events produced locally and events received
+/// Ordered by a key the caller computes ([`shard_key`]), so events produced locally and events received
 /// as cross-shard messages interleave in one deterministic sequence that
 /// does not depend on which thread ran when. The owning driver (`rlb-net`'s
 /// shard module) is responsible for only delivering messages whose
@@ -155,7 +123,7 @@ pub fn shard_key(sched_ps: u64, rank: u16, seq: u64) -> u128 {
 /// lookahead guarantee that makes `insert_message` never schedule into the
 /// past.
 pub struct ShardEventQueue<E> {
-    wheel: TimingWheel<E, u128>,
+    wheel: TimingWheel<E>,
     now: SimTime,
     scheduled_total: u64,
 }
@@ -196,6 +164,12 @@ impl<E> ShardEventQueue<E> {
             at = at.as_ps(),
             now = self.now.as_ps()
         );
+        self.insert(at, key, event);
+    }
+
+    /// Insert without the past check, which the caller has made.
+    #[inline]
+    fn insert(&mut self, at: SimTime, key: u128, event: E) {
         self.scheduled_total += 1;
         self.wheel.insert(at, key, event);
     }
@@ -218,7 +192,7 @@ impl<E> ShardEventQueue<E> {
     }
 
     #[inline]
-    fn advance_to(&mut self, entry: Entry<E, u128>) -> (SimTime, u128, E) {
+    fn advance_to(&mut self, entry: Entry<E>) -> (SimTime, u128, E) {
         #[cfg(any(debug_assertions, feature = "audit"))]
         assert!(
             entry.time >= self.now,
@@ -232,13 +206,15 @@ impl<E> ShardEventQueue<E> {
         (entry.time, entry.key, entry.event)
     }
 
-    /// See [`EventQueue::iter_events`].
+    /// Visit every pending event in unspecified order (diagnostic walker
+    /// used by the fabric conservation audit; see `rlb-net`'s `audit`
+    /// feature).
     #[inline]
     pub fn iter_events(&self) -> impl Iterator<Item = &E> {
         self.wheel.iter_events()
     }
 
-    /// See [`EventQueue::peek_time`].
+    /// Timestamp of the next event without popping it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.wheel.peek_time()
@@ -273,90 +249,58 @@ impl<E> ShardEventQueue<E> {
     }
 }
 
-/// The original `BinaryHeap`-backed future-event list.
-///
-/// Kept as the **reference implementation** of the queue contract: the
-/// randomized differential tests below drive it and [`EventQueue`] with
-/// identical schedule/pop interleavings and demand identical output, and
-/// `crates/bench/benches/components.rs` races the two head-to-head. Not
-/// used by the simulator itself.
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
+/// The original `BinaryHeap`-backed future-event list, kept as the
+/// **reference implementation** of [`EventQueue`]'s pop order: the
+/// differential tests drive both with identical schedule/pop
+/// interleavings and demand identical output.
+#[cfg(test)]
+pub(crate) struct HeapEventQueue<E> {
+    heap: std::collections::BinaryHeap<Entry<E>>,
+    next_seq: u128,
     now: SimTime,
-    scheduled_total: u64,
 }
 
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
+#[cfg(test)]
 impl<E> HeapEventQueue<E> {
     pub fn new() -> Self {
         HeapEventQueue {
-            heap: BinaryHeap::with_capacity(1024),
+            heap: std::collections::BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            scheduled_total: 0,
         }
     }
 
-    /// See [`EventQueue::now`].
-    #[inline]
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    /// See [`EventQueue::schedule`].
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past.
-    #[inline]
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "event scheduled in the past: at={at}, now={now}",
-            at = at.as_ps(),
-            now = self.now.as_ps()
-        );
-        let seq = self.next_seq;
+        assert!(at >= self.now, "event scheduled in the past");
+        let key = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         self.heap.push(Entry {
             time: at,
-            key: seq,
+            key,
             event,
         });
     }
 
-    /// See [`EventQueue::pop`].
-    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = self.heap.pop()?;
         self.now = entry.time;
         Some((entry.time, entry.event))
     }
 
-    #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
     }
 
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    #[inline]
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    #[inline]
     pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
+        self.next_seq as u64
     }
 }
 

@@ -59,10 +59,6 @@ impl SimTime {
         self.0 as f64 / PS_PER_US as f64
     }
     #[inline]
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_MS as f64
-    }
-    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / PS_PER_SEC as f64
     }

@@ -13,7 +13,7 @@
 //!   serialization and link propagation, roughly 200 ns to 2 µs — land in
 //!   level 0 or 1 (≤ 64² ticks ahead): inserts then skip the cascade
 //!   machinery entirely or pay for at most one redistribution. Events
-//!   sharing a tick are ordered by one `(time, seq)` sort at drain time,
+//!   sharing a tick are ordered by one `(time, key)` sort at drain time,
 //!   and at realistic event rates a tick holds only a handful of them.
 //! * `LEVELS` wheels of `SLOTS = 64` slots each. Level *l* slot *s* holds
 //!   every pending event whose tick agrees with the cursor above bit group
@@ -21,7 +21,7 @@
 //!   wheel (`level = significant 6-bit group of cursor ⊕ tick`). Level 0
 //!   resolves single ticks; level *l* covers `64^l` ticks per slot.
 //! * Events `2^36` ticks (~19 simulated minutes) or more ahead spill into
-//!   a far-future binary heap ordered by `(time, seq)` and merge back
+//!   a far-future binary heap ordered by `(time, key)` and merge back
 //!   tick-by-tick when the cursor approaches.
 //!
 //! ## Storage: what is retained tracks what is pending
@@ -59,17 +59,18 @@
 //! ## Determinism
 //!
 //! The pop order contract is exactly the heap's: strictly nondecreasing
-//! `(SimTime, insertion-seq)`. Within one tick multiple distinct
-//! picosecond timestamps (and FIFO ties) can coexist, so when the cursor
-//! reaches a tick its bucket is sorted **once** by `(time, seq)` into the
-//! drain batch; `seq` is a total order, so the sort has a unique result
-//! regardless of the (deterministic, append-only) bucket layout history.
+//! `(SimTime, key)`, where no two pending entries share a key. Within one
+//! tick multiple distinct picosecond timestamps (and ties) can coexist, so
+//! when the cursor reaches a tick its bucket is sorted **once** by
+//! `(time, key)` into the drain batch; keys are unique, so the sort has a
+//! unique result regardless of the (deterministic, append-only) bucket
+//! layout history.
 //! Cascades redistribute slots in stored order (chunk by chunk, oldest
 //! first) and never reorder equal keys; chunk boundaries and pool reuse
 //! move storage, never entries relative to each other. No hashing, no
 //! pointer identity, no wall clock: replays are bit-exact, which the
 //! differential proptests in `lib.rs` pin against the reference heap
-//! implementation.
+//! implementation in `queue.rs`'s tests.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -93,34 +94,28 @@ const SPAN_TICKS: u64 = 1 << 36;
 /// Entries per chunk of upper-level (level ≥ 1) slot storage.
 const CHUNK: usize = 64;
 
-/// Tie-break key for events sharing a timestamp. The sequential queue uses
-/// the plain insertion counter (`u64`, FIFO); the sharded queue packs
-/// `(sched_ps, src_shard, seq)` into a `u128` so independently produced
-/// streams merge in one canonical order (see `crate::queue::ShardEventQueue`).
-pub trait TieKey: Copy + Ord + std::fmt::Debug {}
-impl TieKey for u64 {}
-impl TieKey for u128 {}
-
 /// One pending event. `key` is the within-timestamp tie-breaker: a total
-/// order, so equal-time events drain in a unique, replayable sequence.
-pub(crate) struct Entry<E, K: TieKey = u64> {
+/// order, so equal-time events drain in a unique, replayable sequence. The
+/// queues in `crate::queue` supply it: a `shard_key` packing
+/// `(sched_ps, rank, seq)`, or a plain insertion counter.
+pub(crate) struct Entry<E> {
     pub time: SimTime,
-    pub key: K,
+    pub key: u128,
     pub event: E,
 }
 
-impl<E, K: TieKey> PartialEq for Entry<E, K> {
+impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.key == other.key
     }
 }
-impl<E, K: TieKey> Eq for Entry<E, K> {}
-impl<E, K: TieKey> PartialOrd for Entry<E, K> {
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E, K: TieKey> Ord for Entry<E, K> {
+impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, key) wins.
         other
@@ -138,27 +133,27 @@ fn tick_of(t: SimTime) -> u64 {
 /// One wheel slot: its entries in insertion order, as full chunks
 /// followed by the open tail, plus (above level 0) the earliest time
 /// among them.
-struct Slot<E, K: TieKey> {
+struct Slot<E> {
     /// The vector inserts push into. At level 0 the whole tick bucket,
     /// grown as needed and swapped with the drain batch; above, the open
     /// chunk: no allocation while the slot is empty, a `CHUNK`-capacity
     /// chunk from the spare pool otherwise.
-    tail: Vec<Entry<E, K>>,
+    tail: Vec<Entry<E>>,
     /// Earliest `time` among the slot's entries; `SimTime::MAX` when empty
     /// and at level 0, where keeping it up to date cost more than the
     /// one-tick scan it saves.
     min: SimTime,
     /// Full chunks, oldest first (always empty at level 0).
-    full: Vec<Vec<Entry<E, K>>>,
+    full: Vec<Vec<Entry<E>>>,
 }
 
-impl<E, K: TieKey> Slot<E, K> {
+impl<E> Slot<E> {
     /// Replace the full (or, in an empty slot, unallocated) tail with a
     /// chunk from `spare`. Kept out of line: inlined, it slows every
     /// insert, and it runs once per `CHUNK` of them.
     #[cold]
     #[inline(never)]
-    fn open_chunk(&mut self, spare: &mut Vec<Vec<Entry<E, K>>>) {
+    fn open_chunk(&mut self, spare: &mut Vec<Vec<Entry<E>>>) {
         let fresh = spare.pop().unwrap_or_else(|| Vec::with_capacity(CHUNK));
         let closed = std::mem::replace(&mut self.tail, fresh);
         if !closed.is_empty() {
@@ -168,13 +163,13 @@ impl<E, K: TieKey> Slot<E, K> {
 }
 
 /// The hierarchical wheel proper. Pure storage: the owning
-/// [`crate::queue::EventQueue`] supplies `seq` numbers, enforces the
+/// [`crate::queue::ShardEventQueue`] supplies keys, enforces the
 /// no-past-scheduling contract and owns the public clock.
-pub(crate) struct TimingWheel<E, K: TieKey = u64> {
+pub(crate) struct TimingWheel<E> {
     /// `LEVELS × SLOTS` slots, flattened; append-only between drains.
-    slots: Vec<Slot<E, K>>,
+    slots: Vec<Slot<E>>,
     /// Empty chunks, reused last-in first-out by every upper slot.
-    spare: Vec<Vec<Entry<E, K>>>,
+    spare: Vec<Vec<Entry<E>>>,
     /// One occupancy bit per slot, per level — `SLOTS == 64` makes a `u64`
     /// bitmap exact, and `trailing_zeros` finds the next bucket in O(1).
     occupied: [u64; LEVELS],
@@ -183,19 +178,19 @@ pub(crate) struct TimingWheel<E, K: TieKey = u64> {
     /// at that level (strictly greater above level 0).
     cursor: u64,
     /// The drain batch for the cursor's tick, sorted **descending** by
-    /// `(time, seq)` so consuming from the back (`Vec::pop`, an O(1) move)
+    /// `(time, key)` so consuming from the back (`Vec::pop`, an O(1) move)
     /// yields ascending order; same-tick late arrivals merge in at their
-    /// `(time, seq)` slot. Installed by `mem::swap` with the tick's bucket,
+    /// `(time, key)` slot. Installed by `mem::swap` with the tick's bucket,
     /// so tick turnover copies nothing and recycles both allocations.
-    batch: Vec<Entry<E, K>>,
+    batch: Vec<Entry<E>>,
     /// Far-future spillover, min-ordered by `(time, key)`.
-    overflow: BinaryHeap<Entry<E, K>>,
+    overflow: BinaryHeap<Entry<E>>,
     len: usize,
     /// Largest `len` ever reached.
     high_water: usize,
 }
 
-impl<E, K: TieKey> TimingWheel<E, K> {
+impl<E> TimingWheel<E> {
     pub fn new() -> Self {
         TimingWheel {
             slots: (0..LEVELS * SLOTS)
@@ -261,7 +256,7 @@ impl<E, K: TieKey> TimingWheel<E, K> {
 
     /// Insert an event. The caller guarantees `time` is not in the past
     /// and that `(time, key)` exceeds every previously popped pair.
-    pub fn insert(&mut self, time: SimTime, key: K, event: E) {
+    pub fn insert(&mut self, time: SimTime, key: u128, event: E) {
         let tick = tick_of(time);
         debug_assert!(tick >= self.cursor, "wheel insert behind cursor");
         self.len += 1;
@@ -292,7 +287,7 @@ impl<E, K: TieKey> TimingWheel<E, K> {
 
     /// Append `entry` (at `tick`) to its bucket at `level < LEVELS`.
     #[inline]
-    fn place(&mut self, level: usize, tick: u64, entry: Entry<E, K>) {
+    fn place(&mut self, level: usize, tick: u64, entry: Entry<E>) {
         let slot = Self::slot_index(level, tick);
         self.occupied[level] |= 1 << slot;
         let s = &mut self.slots[level * SLOTS + slot];
@@ -330,7 +325,7 @@ impl<E, K: TieKey> TimingWheel<E, K> {
     }
 
     /// Pop the earliest `(time, key)` entry.
-    pub fn pop(&mut self) -> Option<Entry<E, K>> {
+    pub fn pop(&mut self) -> Option<Entry<E>> {
         if self.batch.is_empty() && !self.refill(u64::MAX) {
             return None;
         }
@@ -343,7 +338,7 @@ impl<E, K: TieKey> TimingWheel<E, K> {
     /// instead of scanning for the minimum — and it never moves the cursor
     /// past `limit`'s tick, so after a `None` the caller may still insert
     /// anything at or after `limit` (but nothing earlier).
-    pub fn pop_before(&mut self, limit: SimTime) -> Option<Entry<E, K>> {
+    pub fn pop_before(&mut self, limit: SimTime) -> Option<Entry<E>> {
         if self.batch.is_empty() && !self.refill(tick_of(limit)) {
             return None;
         }
@@ -419,7 +414,7 @@ impl<E, K: TieKey> TimingWheel<E, K> {
     }
 
     /// Move every overflow entry sharing the earliest overflow tick into
-    /// the drain batch (the heap yields them `(time, seq)`-ascending, so a
+    /// the drain batch (the heap yields them `(time, key)`-ascending, so a
     /// final reverse produces the batch's descending order).
     fn drain_overflow_tick(&mut self) {
         let first = self.overflow.pop().expect("overflow checked non-empty");
@@ -440,7 +435,7 @@ impl<E, K: TieKey> TimingWheel<E, K> {
 
     /// Install the level-0 bucket at `slot` (the cursor tick's events) as
     /// the drain batch, merging any same-tick far-future entries, sorted
-    /// descending by `(time, seq)`. The bucket and the (empty) previous
+    /// descending by `(time, key)`. The bucket and the (empty) previous
     /// batch swap storage, so the per-tick hot path copies no entries and
     /// allocates nothing; storage the swap leaves in the slot beyond one
     /// chunk is a past burst's, and is given back.
@@ -510,7 +505,7 @@ mod tests {
     /// 64-byte event made them.
     #[test]
     fn a_sharded_entry_with_a_24_byte_event_is_48_bytes() {
-        assert_eq!(std::mem::size_of::<Entry<[u64; 3], u128>>(), 48);
+        assert_eq!(std::mem::size_of::<Entry<[u64; 3]>>(), 48);
     }
 
     #[test]
@@ -537,7 +532,7 @@ mod tests {
         let tick_ps = 1u64 << TICK_BITS;
         let bound = 2 * (N as usize + SLOTS * CHUNK);
         let mut w: TimingWheel<u64> = TimingWheel::new();
-        let mut seq = 0u64;
+        let mut seq = 0u128;
         let mut burst = |w: &mut TimingWheel<u64>, tick: u64| {
             for i in 0..N {
                 w.insert(SimTime(tick * tick_ps + i % 7), seq, i);

@@ -87,27 +87,24 @@ pub enum Scheme {
     LetFlow,
     Hermes,
     Drill,
-    /// CONGA — not one of the paper's four integrations; an extra baseline.
-    Conga,
 }
 
 /// One row per scheme, in declaration order: the variant, the name tables
 /// print, and the lowercase key spec files and CLI flags spell.
-const SCHEMES: [(Scheme, &str, &str); 6] = [
+const SCHEMES: [(Scheme, &str, &str); 5] = [
     (Scheme::Ecmp, "ECMP", "ecmp"),
     (Scheme::Presto, "Presto", "presto"),
     (Scheme::LetFlow, "LetFlow", "letflow"),
     (Scheme::Hermes, "Hermes", "hermes"),
     (Scheme::Drill, "DRILL", "drill"),
-    (Scheme::Conga, "CONGA", "conga"),
 ];
 
 impl Scheme {
     pub const PAPER_SET: [Scheme; 4] = [Scheme::Presto, Scheme::LetFlow, Scheme::Hermes, Scheme::Drill];
 
     /// Every scheme, in declaration order: `ALL[s as usize] == s`.
-    pub const ALL: [Scheme; 6] = {
-        let mut all = [Scheme::Ecmp; 6];
+    pub const ALL: [Scheme; 5] = {
+        let mut all = [Scheme::Ecmp; 5];
         let mut i = 0;
         while i < all.len() {
             all[i] = SCHEMES[i].0;

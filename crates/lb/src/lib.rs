@@ -20,7 +20,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod api;
-pub mod conga;
 pub mod drill;
 pub mod ecmp;
 pub mod hermes;
@@ -28,7 +27,6 @@ pub mod letflow;
 pub mod presto;
 
 pub use api::{Ctx, LoadBalancer, PathIdx, PathInfo, Scheme};
-pub use conga::Conga;
 pub use drill::Drill;
 pub use ecmp::Ecmp;
 pub use hermes::{Hermes, HermesConfig};
@@ -40,7 +38,7 @@ pub use presto::Presto;
 /// every concrete scheme, and the [`build`] constructor.
 pub mod prelude {
     pub use crate::api::{Ctx, LoadBalancer, PathIdx, PathInfo, Scheme};
-    pub use crate::{build, Conga, Drill, Ecmp, Hermes, HermesConfig, LetFlow, Presto};
+    pub use crate::{build, Drill, Ecmp, Hermes, HermesConfig, LetFlow, Presto};
 }
 
 use rlb_engine::SimRng;
@@ -53,7 +51,6 @@ pub fn build(scheme: Scheme, mtu_bytes: u64, rng: SimRng) -> Box<dyn LoadBalance
         Scheme::LetFlow => Box::new(LetFlow::new(rng)),
         Scheme::Hermes => Box::new(Hermes::new(rng)),
         Scheme::Drill => Box::new(Drill::new(rng)),
-        Scheme::Conga => Box::new(Conga::new(rng)),
     }
 }
 

@@ -66,9 +66,6 @@ impl OnlineStats {
             self.m2 / self.n as f64
         }
     }
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
 
     /// Merge another accumulator into this one (parallel sweeps).
     pub fn merge(&mut self, other: &OnlineStats) {

@@ -24,7 +24,7 @@
 //!   `sum(ingress_bytes) == shared_used`, and every egress `data_q_bytes`
 //!   equals the byte sum of the packets actually queued there.
 //!
-//! (Event-clock monotonicity is checked inside `rlb_engine::EventQueue`
+//! (Event-clock monotonicity is checked inside `rlb_engine::ShardEventQueue`
 //! under the same feature.)
 //!
 //! A violation panics with the full [`AuditReport`] — an invariant break

@@ -288,14 +288,6 @@ impl Scenario {
         self
     }
 
-    /// Append extra flows, keeping the arrival order sorted.
-    #[must_use]
-    pub fn with_extra_flows(mut self, extra: impl IntoIterator<Item = FlowSpec>) -> Scenario {
-        self.flows.extend(extra);
-        self.flows.sort_by_key(|f| f.start);
-        self
-    }
-
     /// Run on 1 shard: `run_with_shards(1)`.
     pub fn run(self) -> crate::sim::RunResult {
         self.run_with_shards(1)

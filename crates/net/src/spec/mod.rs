@@ -609,6 +609,19 @@ load_permille = 200
     }
 
     #[test]
+    fn snapshot_unknown_scheme() {
+        let text = "[scenario]\nscheme = \"conga\"\n";
+        assert_eq!(
+            render_err(text),
+            "error: unknown scheme `conga`\n \
+             --> scenario spec, line 2\n  \
+             |\n\
+             2 | scheme = \"conga\"\n  \
+             |          ^^^^^^^ known schemes: ecmp, presto, letflow, hermes, drill"
+        );
+    }
+
+    #[test]
     fn snapshot_unknown_key() {
         let text = "[scenario]\nsede = 1\n";
         assert_eq!(
@@ -763,7 +776,6 @@ load_permille = 200
                 Just(Scheme::LetFlow),
                 Just(Scheme::Hermes),
                 Just(Scheme::Drill),
-                Just(Scheme::Conga),
             ]
             .boxed()
         }

@@ -56,7 +56,7 @@ fn main() {
     // Synchronized all-to-all: every host sends 500 KB to all 12 remote
     // hosts at t=0 — maximum fan-in everywhere.
     let shuffle = all_to_all(t.n_hosts(), t.hosts_per_leaf, 500_000, SimTime::ZERO, SimDuration::ZERO);
-    for scheme in [Scheme::Presto, Scheme::LetFlow, Scheme::Hermes, Scheme::Drill, Scheme::Conga] {
+    for scheme in Scheme::PAPER_SET {
         run(
             &format!("shuffle, {}", scheme.name()),
             shuffle.clone(),

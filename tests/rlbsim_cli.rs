@@ -31,6 +31,11 @@ fn unusable_flags_are_refused_with_one_line() {
     refused(&["--sceme", "ecmp"], "--sceme");
     // These two used to panic with a backtrace (exit 101) ...
     refused(&["--scheme", "foo"], "letflow");
+    // CONGA left the scheme table; the refusal lists exactly what is left.
+    refused(
+        &["--scheme", "conga"],
+        "(known: ecmp, presto, letflow, hermes, drill)",
+    );
     refused(&["--load", "abc"], "abc");
     // ... and this one inside the Poisson generator.
     refused(&["--leaves", "0"], "leaves");
