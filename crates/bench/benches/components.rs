@@ -419,7 +419,11 @@ fn bench_shard_sync(c: &mut Criterion) {
     const PER_WINDOW: u64 = 110;
     let fill = |outbox: &mut Vec<Msg>| {
         for i in 0..PER_WINDOW {
-            outbox.push(Msg { at: black_box(i), _key: i as u128, _ev: [i; 8] });
+            outbox.push(Msg {
+                at: black_box(i),
+                _key: i as u128,
+                _ev: [i; 8],
+            });
         }
     };
 

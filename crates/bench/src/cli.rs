@@ -75,7 +75,9 @@ impl BenchCli {
             (cores / self.shards as usize).max(1)
         };
         runner::RunnerConfig {
-            threads: self.jobs.or_else(|| (self.shards > 1).then(sharded_default)),
+            threads: self
+                .jobs
+                .or_else(|| (self.shards > 1).then(sharded_default)),
             cache_dir: if self.no_cache {
                 None
             } else {
@@ -106,22 +108,17 @@ impl BenchCli {
                 "--quick" => cli.scale = Scale::Quick,
                 "--seeds" => {
                     let v = value("--seeds", &mut it)?;
-                    cli.seeds = v
-                        .parse::<u32>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("--seeds expects a positive integer, got `{v}`"))?;
+                    cli.seeds =
+                        v.parse::<u32>().ok().filter(|&n| n >= 1).ok_or_else(|| {
+                            format!("--seeds expects a positive integer, got `{v}`")
+                        })?;
                 }
                 "--jobs" => {
                     let v = value("--jobs", &mut it)?;
-                    cli.jobs = Some(
-                        v.parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| {
-                                format!("--jobs expects a positive integer, got `{v}`")
-                            })?,
-                    );
+                    cli.jobs =
+                        Some(v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
+                            format!("--jobs expects a positive integer, got `{v}`")
+                        })?);
                 }
                 "--json" => cli.json = Some(PathBuf::from(value("--json", &mut it)?)),
                 "--no-cache" => cli.no_cache = true,
@@ -138,18 +135,13 @@ impl BenchCli {
                     }
                     cli.figs = Some(names);
                 }
-                "--scenario" => {
-                    cli.scenario = Some(PathBuf::from(value("--scenario", &mut it)?))
-                }
+                "--scenario" => cli.scenario = Some(PathBuf::from(value("--scenario", &mut it)?)),
                 "--cdf" => cli.cdf = true,
                 "--stable-json" => cli.stable_json = true,
                 "--shards" => {
                     let v = value("--shards", &mut it)?;
-                    cli.shards = v
-                        .parse::<u16>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| {
+                    cli.shards =
+                        v.parse::<u16>().ok().filter(|&n| n >= 1).ok_or_else(|| {
                             format!("--shards expects a positive integer, got `{v}`")
                         })?;
                 }
@@ -187,7 +179,10 @@ impl BenchCli {
 /// The help text: the about line over the flag reference.
 pub fn help_text(bin: &str, about: &str) -> String {
     // Seven names fill a line of the flag reference's text column.
-    let figs: Vec<&str> = crate::figures::registry().iter().map(|f| f.name()).collect();
+    let figs: Vec<&str> = crate::figures::registry()
+        .iter()
+        .map(|f| f.name())
+        .collect();
     let figs: Vec<String> = figs.chunks(7).map(|line| line.join(", ")).collect();
     let figs = figs.join(",\n                         ");
     format!(
@@ -288,10 +283,7 @@ mod tests {
         assert_eq!(cli.json.as_deref(), Some(std::path::Path::new("out.json")));
         assert!(cli.no_cache);
         assert_eq!(cli.cache_dir, PathBuf::from("/tmp/c"));
-        assert_eq!(
-            cli.figs,
-            Some(vec!["fig3".to_string(), "fig7".to_string()])
-        );
+        assert_eq!(cli.figs, Some(vec!["fig3".to_string(), "fig7".to_string()]));
         assert!(cli.cdf && cli.stable_json);
         assert_eq!(cli.shards, 4);
         // --no-cache wins over --cache-dir in the runner config.
@@ -325,17 +317,30 @@ mod tests {
 
     #[test]
     fn errors_are_descriptive() {
-        assert!(parse(&["--seeds"]).expect_err("missing").contains("--seeds"));
-        assert!(parse(&["--seeds", "0"]).expect_err("zero").contains("positive"));
+        assert!(parse(&["--seeds"])
+            .expect_err("missing")
+            .contains("--seeds"));
+        assert!(parse(&["--seeds", "0"])
+            .expect_err("zero")
+            .contains("positive"));
         assert!(parse(&["--jobs", "x"]).expect_err("nan").contains("--jobs"));
         assert!(parse(&["--scenario"])
             .expect_err("missing")
             .contains("--scenario"));
-        assert!(parse(&["--bogus"]).expect_err("unknown").contains("--bogus"));
-        assert!(parse(&["--figs", ","]).expect_err("empty").contains("--figs"));
-        assert!(parse(&["--shards", "0"]).expect_err("zero").contains("positive"));
+        assert!(parse(&["--bogus"])
+            .expect_err("unknown")
+            .contains("--bogus"));
+        assert!(parse(&["--figs", ","])
+            .expect_err("empty")
+            .contains("--figs"));
+        assert!(parse(&["--shards", "0"])
+            .expect_err("zero")
+            .contains("positive"));
         let both = parse(&["--figs", "fig3", "--scenario", "s.toml"]).expect_err("exclusive");
-        assert!(both.contains("--scenario") && both.contains("--figs"), "{both}");
+        assert!(
+            both.contains("--scenario") && both.contains("--figs"),
+            "{both}"
+        );
     }
 
     #[test]

@@ -160,7 +160,12 @@ const SCENARIO_COLS: [Col; 7] = [
     Col::mean("avg_fct_ms", "avg_fct_ms", &["all", "avg_fct_ms"], ms),
     Col::mean("p99_fct_ms", "p99_fct_ms", &["all", "p99_fct_ms"], ms),
     Col::mean("ooo_ratio", "ooo_ratio", &["all", "ooo_ratio"], pct),
-    Col::mean("faults_applied", "faults_applied", &["counters", "faults_applied"], f0),
+    Col::mean(
+        "faults_applied",
+        "faults_applied",
+        &["counters", "faults_applied"],
+        f0,
+    ),
 ];
 
 /// `--scenario PATH`: parse + validate the spec file (span-quality errors
@@ -225,8 +230,15 @@ fn perf_aggregate(summary: &RunSummary) -> Json {
     let mut sim_wall_ms: f64 = 0.0;
     // One accumulator per declared field, starting at its typed zero.
     let mut folded = PerfStats::default().fields();
-    for p in summary.outcomes.iter().filter_map(|o| o.metrics.get("perf")) {
-        events_total += p.get("events_processed").and_then(Json::as_u64).unwrap_or(0);
+    for p in summary
+        .outcomes
+        .iter()
+        .filter_map(|o| o.metrics.get("perf"))
+    {
+        events_total += p
+            .get("events_processed")
+            .and_then(Json::as_u64)
+            .unwrap_or(0);
         sim_wall_ms += p.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0);
         for ((name, acc), (_, how)) in folded.iter_mut().zip(PerfStats::FIELDS) {
             let v = p.get(name);

@@ -102,7 +102,9 @@ pub fn metrics_of(label: &str, res: &RunResult, extras: Vec<(&'static str, Json)
     let sim_seconds = res.end_time.as_secs_f64();
     let pause_rate = res.counters.pause_rate_per_sec((sim_seconds * 1e12) as u64);
     let cdf = rlb_metrics::downsample_cdf(&rlb_metrics::fct_cdf(&res.records), 25);
-    let cdf = cdf.iter().map(|&(x, p)| Json::Arr(vec![Json::F64(x), Json::F64(p)]));
+    let cdf = cdf
+        .iter()
+        .map(|&(x, p)| Json::Arr(vec![Json::F64(x), Json::F64(p)]));
     // Wall-clock telemetry: `drive::point_json` strips this whole block
     // under `--stable-json` (events_processed alone is deterministic, but
     // the block is removed as a unit to keep the stable schema minimal).
@@ -209,7 +211,10 @@ mod tests {
         let warm = crate::json::parse(&m.pretty()).expect("round-trips");
         assert!(metrics_complete(&warm, &coords));
 
-        assert!(!metrics_complete(&m, &[("y", Json::U64(3))]), "other coordinate");
+        assert!(
+            !metrics_complete(&m, &[("y", Json::U64(3))]),
+            "other coordinate"
+        );
         let mut cut = m.clone();
         cut.remove("fct_cdf");
         assert!(!metrics_complete(&cut, &coords), "top-level member gone");
@@ -226,11 +231,20 @@ mod tests {
             };
             let mut b = m.get(block).expect("block").clone();
             b.set(member, Json::Str("7".into()));
-            assert!(!metrics_complete(&with(b.clone()), &coords), "{block}: not a number");
+            assert!(
+                !metrics_complete(&with(b.clone()), &coords),
+                "{block}: not a number"
+            );
             b.remove(member);
-            assert!(!metrics_complete(&with(b.clone()), &coords), "{block}: member gone");
+            assert!(
+                !metrics_complete(&with(b.clone()), &coords),
+                "{block}: member gone"
+            );
             b.set(member, Json::U64(7));
-            assert!(!metrics_complete(&with(b), &coords), "{block}: out of order");
+            assert!(
+                !metrics_complete(&with(b), &coords),
+                "{block}: out of order"
+            );
         }
     }
 

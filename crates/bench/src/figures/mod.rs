@@ -104,8 +104,17 @@ mod tests {
         assert_eq!(
             names,
             vec![
-                "fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "fig_fail", "sanity",
-                "ablations", "irn_compare"
+                "fig3",
+                "fig4",
+                "fig6",
+                "fig7",
+                "fig8",
+                "fig9",
+                "fig10",
+                "fig_fail",
+                "sanity",
+                "ablations",
+                "irn_compare"
             ]
         );
     }
@@ -116,7 +125,12 @@ mod tests {
             let jobs = fig.jobs(Scale::Quick, &[0, 1], 1);
             assert!(!jobs.is_empty(), "{} has no jobs", fig.name());
             let single = fig.jobs(Scale::Quick, &[0], 1);
-            assert_eq!(jobs.len(), 2 * single.len(), "{}: seeds scale jobs", fig.name());
+            assert_eq!(
+                jobs.len(),
+                2 * single.len(),
+                "{}: seeds scale jobs",
+                fig.name()
+            );
             for j in &jobs {
                 assert_eq!(j.fig, fig.name());
                 assert!(!j.spec.is_empty(), "{}: empty spec", fig.name());
@@ -144,7 +158,11 @@ mod tests {
                 res.counters.pause_frames += j.seed;
                 res.records[0].finish_ps = Some(2_000_000_000 + j.seed * 1_000_000);
                 // The dumbbell tables measure this one after the run.
-                let extras = j.coords.iter().cloned().chain([("retx_pkts", Json::U64(j.seed))]);
+                let extras = j
+                    .coords
+                    .iter()
+                    .cloned()
+                    .chain([("retx_pkts", Json::U64(j.seed))]);
                 JobOutcome {
                     fig: j.fig,
                     key_hex: j.key_hex(),
@@ -170,8 +188,15 @@ mod tests {
             assert_eq!(rows.len(), labels, "{name}: one row per point label");
             let keys: Vec<&str> = fig.cols().iter().map(|c| c.key).collect();
             for row in rows {
-                assert_eq!(row.keys(), keys, "{name}: row members are the declared columns");
-                assert!(keys.iter().all(|k| row.get(k) != Some(&Json::Null)), "{name}: {row:?}");
+                assert_eq!(
+                    row.keys(),
+                    keys,
+                    "{name}: row members are the declared columns"
+                );
+                assert!(
+                    keys.iter().all(|k| row.get(k) != Some(&Json::Null)),
+                    "{name}: {row:?}"
+                );
             }
 
             let headed = fig.cols().iter().filter(|c| !c.head.is_empty()).count();
@@ -180,10 +205,17 @@ mod tests {
             for (title, table) in &report.sections {
                 let mut lines = table.lines();
                 let heads = lines.next().expect("header line").split("  ");
-                assert_eq!(heads.filter(|h| !h.is_empty()).count(), headed, "{name}: {title}");
+                assert_eq!(
+                    heads.filter(|h| !h.is_empty()).count(),
+                    headed,
+                    "{name}: {title}"
+                );
                 printed += lines.count() - 1; // the rule under the header
             }
-            assert_eq!(printed, labels, "{name}: every row is printed in one section");
+            assert_eq!(
+                printed, labels,
+                "{name}: every row is printed in one section"
+            );
 
             // Served from the cache, whole floats come back as `U64` and
             // NaN as `null`; the report must not notice.
@@ -206,8 +238,16 @@ mod tests {
         // `--shards` changes the perf telemetry, so cached metrics from a
         // different shard count must never be served.
         for fig in registry() {
-            let seq: Vec<u64> = fig.jobs(Scale::Quick, &[0], 1).iter().map(Job::key).collect();
-            let par: Vec<u64> = fig.jobs(Scale::Quick, &[0], 4).iter().map(Job::key).collect();
+            let seq: Vec<u64> = fig
+                .jobs(Scale::Quick, &[0], 1)
+                .iter()
+                .map(Job::key)
+                .collect();
+            let par: Vec<u64> = fig
+                .jobs(Scale::Quick, &[0], 4)
+                .iter()
+                .map(Job::key)
+                .collect();
             assert_eq!(seq.len(), par.len());
             for (a, b) in seq.iter().zip(&par) {
                 assert_ne!(a, b, "{}: shard count missing from a job spec", fig.name());

@@ -319,10 +319,7 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or("unterminated escape")?;
+                    let esc = self.bytes.get(self.pos).ok_or("unterminated escape")?;
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -354,8 +351,8 @@ impl<'a> Parser<'a> {
                 Some(_) => {
                     // Consume one UTF-8 scalar (input is a &str, so byte
                     // boundaries are guaranteed valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| e.to_string())?;
+                    let rest =
+                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
                     let c = rest.chars().next().ok_or("unterminated string")?;
                     out.push(c);
                     self.pos += c.len_utf8();
@@ -369,7 +366,10 @@ impl<'a> Parser<'a> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
@@ -452,10 +452,7 @@ mod tests {
                 "arr",
                 Json::Arr(vec![Json::U64(1), Json::F64(2.5), Json::Null]),
             ),
-            (
-                "nested",
-                Json::Arr(vec![Json::obj([("x", Json::U64(3))])]),
-            ),
+            ("nested", Json::Arr(vec![Json::obj([("x", Json::U64(3))])])),
         ]);
         let text = v.pretty();
         let back = parse(&text).expect("parse");
@@ -476,7 +473,11 @@ mod tests {
         assert_eq!(Json::F64(f64::NAN).pretty(), "null\n");
         assert_eq!(Json::F64(f64::INFINITY).pretty(), "null\n");
         // ...and null reads back as NaN through the numeric view.
-        assert!(parse("null").expect("parse").as_f64().expect("num").is_nan());
+        assert!(parse("null")
+            .expect("parse")
+            .as_f64()
+            .expect("num")
+            .is_nan());
     }
 
     #[test]
@@ -488,10 +489,7 @@ mod tests {
 
     #[test]
     fn lookup_helpers() {
-        let v = Json::obj([(
-            "background",
-            Json::obj([("p99_fct_ms", Json::F64(1.5))]),
-        )]);
+        let v = Json::obj([("background", Json::obj([("p99_fct_ms", Json::F64(1.5))]))]);
         assert_eq!(
             v.path(&["background", "p99_fct_ms"]).and_then(Json::as_f64),
             Some(1.5)

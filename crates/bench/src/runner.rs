@@ -158,7 +158,10 @@ pub fn run_jobs(jobs: Vec<Job>, cfg: &RunnerConfig) -> Result<RunSummary, String
         |_, job: &Job| format!("{} {} seed={}", job.fig, job.label, job.seed),
         |job: Job| {
             let key_hex = job.key_hex();
-            let cache_path = cfg.cache_dir.as_ref().map(|d| d.join(format!("{key_hex}.json")));
+            let cache_path = cfg
+                .cache_dir
+                .as_ref()
+                .map(|d| d.join(format!("{key_hex}.json")));
             let cached_metrics = cache_path.as_deref().and_then(|p| load_cached(p, &job));
             let (metrics, wall_ms, cached) = match cached_metrics {
                 Some(metrics) => (metrics, 0.0, true),
@@ -327,7 +330,10 @@ mod tests {
         assert_eq!(a.key(), b.key());
         // Any identity field change → different key.
         assert_ne!(a.key(), job("fig4", "DRILL pfc=on", 1, "cfg{x:1}", 1).key());
-        assert_ne!(a.key(), job("fig3", "DRILL pfc=off", 1, "cfg{x:1}", 1).key());
+        assert_ne!(
+            a.key(),
+            job("fig3", "DRILL pfc=off", 1, "cfg{x:1}", 1).key()
+        );
         assert_ne!(a.key(), job("fig3", "DRILL pfc=on", 2, "cfg{x:1}", 1).key());
         assert_ne!(a.key(), job("fig3", "DRILL pfc=on", 1, "cfg{x:2}", 1).key());
     }
@@ -360,7 +366,8 @@ mod tests {
 
     #[test]
     fn runner_caches_between_batches() {
-        let dir = std::env::temp_dir().join(format!("rlb-bench-runner-test-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("rlb-bench-runner-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = RunnerConfig {
             threads: Some(2),
@@ -372,7 +379,10 @@ mod tests {
         assert_eq!((cold.executed, cold.cache_hits), (2, 0));
         let warm = run_jobs(mk(), &cfg).expect("warm run");
         assert_eq!((warm.executed, warm.cache_hits), (0, 2));
-        assert_eq!(warm.outcomes[0].metrics.pretty(), cold.outcomes[0].metrics.pretty());
+        assert_eq!(
+            warm.outcomes[0].metrics.pretty(),
+            cold.outcomes[0].metrics.pretty()
+        );
         assert!(warm.outcomes.iter().all(|o| o.cached));
         // Outcomes stay in job order either way.
         assert_eq!(warm.outcomes[0].label, "a");
@@ -407,8 +417,14 @@ mod tests {
             assert_eq!(rerun.executed, 1, "{path_in_entry:?}: served as a hit");
             let restored = std::fs::read_to_string(&path).expect("entry rewritten");
             assert_eq!(
-                json::parse(&restored).expect("entry").get("metrics").map(Json::pretty),
-                json::parse(&valid).expect("entry").get("metrics").map(Json::pretty),
+                json::parse(&restored)
+                    .expect("entry")
+                    .get("metrics")
+                    .map(Json::pretty),
+                json::parse(&valid)
+                    .expect("entry")
+                    .get("metrics")
+                    .map(Json::pretty),
                 "{path_in_entry:?}: not overwritten"
             );
         }

@@ -208,10 +208,7 @@ mod tests {
         assert_eq!(err.failures[0].label, "point2=30");
         assert!(err.failures[0].panic.contains("bad config 30"));
         // Remaining results are intact and in input order.
-        assert_eq!(
-            err.completed,
-            vec![Some(20), Some(40), None, Some(80)]
-        );
+        assert_eq!(err.completed, vec![Some(20), Some(40), None, Some(80)]);
         let msg = err.to_string();
         assert!(msg.contains("job 2 (point2=30)"), "{msg}");
     }
@@ -238,8 +235,13 @@ mod tests {
 
     #[test]
     fn explicit_thread_cap_still_completes_everything() {
-        let out = try_parallel_map((0..40).collect(), Some(1), |i, _| format!("{i}"), |x: i32| x + 1)
-            .expect("no failures");
+        let out = try_parallel_map(
+            (0..40).collect(),
+            Some(1),
+            |i, _| format!("{i}"),
+            |x: i32| x + 1,
+        )
+        .expect("no failures");
         assert_eq!(out, (1..41).collect::<Vec<_>>());
     }
 }

@@ -20,7 +20,10 @@ use std::path::PathBuf;
 fn cache_keys_are_stable_and_config_sensitive() {
     let fig = by_name("fig3").expect("fig3 registered");
     let keys = |scale, offsets: &[u64]| -> Vec<u64> {
-        fig.jobs(scale, offsets, 1).iter().map(|j| j.key()).collect()
+        fig.jobs(scale, offsets, 1)
+            .iter()
+            .map(|j| j.key())
+            .collect()
     };
     // Same config → same hash, independent of when the jobs were expanded.
     assert_eq!(keys(Scale::Quick, &[0]), keys(Scale::Quick, &[0]));
@@ -68,7 +71,10 @@ fn fig3_quick_reports_are_deterministic_and_warm_runs_are_all_cached() {
 
     // Two *cold* runs against independent caches: byte-identical reports.
     let (report_a, cold_a) = run_fig3(tmp.join("a"), &cli);
-    assert!(cold_a.executed > 0 && cold_a.cache_hits == 0, "run A must be cold");
+    assert!(
+        cold_a.executed > 0 && cold_a.cache_hits == 0,
+        "run A must be cold"
+    );
     let (report_b, cold_b) = run_fig3(tmp.join("b"), &cli);
     assert_eq!(cold_b.cache_hits, 0, "run B must be cold");
     assert_eq!(

@@ -86,7 +86,10 @@ impl RlbConfig {
             return Err("dt_ps must be positive".into());
         }
         if !(self.qth_fraction > 0.0 && self.qth_fraction <= 1.0) {
-            return Err(format!("qth_fraction must be in (0,1]: {}", self.qth_fraction));
+            return Err(format!(
+                "qth_fraction must be in (0,1]: {}",
+                self.qth_fraction
+            ));
         }
         if self.horizon_ps == 0 {
             return Err("horizon_ps must be positive".into());

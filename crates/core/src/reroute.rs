@@ -218,11 +218,11 @@ mod tests {
     #[test]
     fn suboptimal_prefers_unwarned_not_faster_with_shortest_queue() {
         let paths = mk_paths(&[
-            (true, 10_000.0, 0),    // initial, warned
-            (false, 10_400.0, 50),  // slower-than-p, queue 50
-            (false, 10_400.0, 10),  // slower-than-p, queue 10
-            (false, 10_800.0, 0),   // empty queue → queue-first wins
-            (true, 10_100.0, 0),    // warned — excluded despite best rtt
+            (true, 10_000.0, 0),   // initial, warned
+            (false, 10_400.0, 50), // slower-than-p, queue 50
+            (false, 10_400.0, 10), // slower-than-p, queue 10
+            (false, 10_800.0, 0),  // empty queue → queue-first wins
+            (true, 10_100.0, 0),   // warned — excluded despite best rtt
         ]);
         let (d, _) = algorithm1(0, &ctx(&paths), &cfg(), 0);
         // Queue-first among rtt ≥ rtt_p: path 3 has the shortest queue,

@@ -40,13 +40,7 @@ pub fn d_times_c_bytes(d_ps: u64, c_bps: u64) -> u64 {
 /// admissible range are clamped, matching the paper's observation that an
 /// over-late threshold simply behaves like "prediction after PFC already
 /// fired".
-pub fn conservative_qth(
-    fraction: f64,
-    d_ps: u64,
-    c_bps: u64,
-    n: u32,
-    q_pfc_bytes: u64,
-) -> u64 {
+pub fn conservative_qth(fraction: f64, d_ps: u64, c_bps: u64, n: u32, q_pfc_bytes: u64) -> u64 {
     let requested = (fraction * q_pfc_bytes as f64).round() as u64;
     match qth_range(d_ps, c_bps, n, q_pfc_bytes) {
         Some((lo, hi)) => requested.clamp(lo, hi.saturating_sub(1)),

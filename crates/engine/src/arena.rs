@@ -251,7 +251,9 @@ impl<T> PacketArena<T> {
     pub fn free(&mut self, h: PacketHandle) -> T {
         let (c, o) = self.check(h);
         let chunk = &mut self.chunks[c];
-        let v = chunk.slots[o].take().expect("generation-checked slot is live");
+        let v = chunk.slots[o]
+            .take()
+            .expect("generation-checked slot is live");
         chunk.gens[o] = chunk.gens[o].wrapping_add(1) & GEN_MASK;
         self.free.push(h.index() as u32);
         self.len -= 1;
@@ -262,7 +264,9 @@ impl<T> PacketArena<T> {
     #[inline]
     pub fn get(&self, h: PacketHandle) -> &T {
         let (c, o) = self.check(h);
-        self.chunks[c].slots[o].as_ref().expect("generation-checked slot is live")
+        self.chunks[c].slots[o]
+            .as_ref()
+            .expect("generation-checked slot is live")
     }
 
     /// Payload access for in-place updates of the fields no hot column
@@ -270,7 +274,9 @@ impl<T> PacketArena<T> {
     #[inline]
     pub fn get_mut(&mut self, h: PacketHandle) -> &mut T {
         let (c, o) = self.check(h);
-        self.chunks[c].slots[o].as_mut().expect("generation-checked slot is live")
+        self.chunks[c].slots[o]
+            .as_mut()
+            .expect("generation-checked slot is live")
     }
 
     // --- hot-column reads (no payload touch) ---
@@ -359,8 +365,9 @@ mod tests {
         // Long-lived handles must survive arbitrary alloc/free churn of
         // *other* slots: the slab never moves a live entry.
         let mut a: PacketArena<u64> = PacketArena::new();
-        let keep: Vec<PacketHandle> =
-            (0..16).map(|i| a.alloc(i, i, false, 0, 1_000 + i as u64)).collect();
+        let keep: Vec<PacketHandle> = (0..16)
+            .map(|i| a.alloc(i, i, false, 0, 1_000 + i as u64))
+            .collect();
         let mut churn: Vec<PacketHandle> = Vec::new();
         for round in 0..1_000u64 {
             if round % 3 == 2 {
@@ -394,7 +401,9 @@ mod tests {
     #[test]
     fn slots_past_a_chunk_keep_their_handles_and_the_chunks_their_storage() {
         let mut a: PacketArena<u64> = PacketArena::with_capacity(CHUNK);
-        let hs: Vec<_> = (0..2 * CHUNK as u64 + 1).map(|i| a.alloc(1, 0, false, 0, i)).collect();
+        let hs: Vec<_> = (0..2 * CHUNK as u64 + 1)
+            .map(|i| a.alloc(1, 0, false, 0, i))
+            .collect();
         assert_eq!(a.chunks.len(), 3);
         for (i, &h) in hs.iter().enumerate() {
             assert_eq!(h.index(), i);

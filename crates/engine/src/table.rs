@@ -332,9 +332,9 @@ impl<V> FlowTable<V> {
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|v| (i as u64, v)));
         let sparse_keys = self.sparse.sorted_keys();
-        let sparse = sparse_keys.into_iter().map(move |k| {
-            (k, self.sparse.get(k).expect("key from live scan"))
-        });
+        let sparse = sparse_keys
+            .into_iter()
+            .map(move |k| (k, self.sparse.get(k).expect("key from live scan")));
         dense.chain(sparse)
     }
 

@@ -320,7 +320,11 @@ impl<E> TimingWheel<E> {
     fn slot_start_tick(&self, level: usize, slot: usize) -> u64 {
         let group = level as u32 * SLOT_BITS;
         let above = group + SLOT_BITS;
-        let high = if above >= 64 { 0 } else { (self.cursor >> above) << above };
+        let high = if above >= 64 {
+            0
+        } else {
+            (self.cursor >> above) << above
+        };
         high | ((slot as u64) << group)
     }
 
@@ -453,9 +457,7 @@ impl<E> TimingWheel<E> {
         }
         let bucket = &mut self.slots[slot].tail;
         if bucket.len() > 1 {
-            bucket.sort_unstable_by(|a, b| {
-                b.time.cmp(&a.time).then_with(|| b.key.cmp(&a.key))
-            });
+            bucket.sort_unstable_by(|a, b| b.time.cmp(&a.time).then_with(|| b.key.cmp(&a.key)));
         }
         std::mem::swap(&mut self.batch, bucket);
         if bucket.capacity() > CHUNK {

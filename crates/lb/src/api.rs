@@ -100,7 +100,12 @@ const SCHEMES: [(Scheme, &str, &str); 5] = [
 ];
 
 impl Scheme {
-    pub const PAPER_SET: [Scheme; 4] = [Scheme::Presto, Scheme::LetFlow, Scheme::Hermes, Scheme::Drill];
+    pub const PAPER_SET: [Scheme; 4] = [
+        Scheme::Presto,
+        Scheme::LetFlow,
+        Scheme::Hermes,
+        Scheme::Drill,
+    ];
 
     /// Every scheme, in declaration order: `ALL[s as usize] == s`.
     pub const ALL: [Scheme; 5] = {

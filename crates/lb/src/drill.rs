@@ -110,7 +110,10 @@ mod tests {
                 hits += 1;
             }
         }
-        assert!(hits > 150, "expected memory to lock onto port 3, hits={hits}");
+        assert!(
+            hits > 150,
+            "expected memory to lock onto port 3, hits={hits}"
+        );
     }
 
     #[test]

@@ -60,7 +60,10 @@ mod tests {
         for f in 0..200u64 {
             used.insert(lb.select(&ctx(&paths, f, 0)));
         }
-        assert!(used.len() >= 7, "hash should cover nearly all paths: {used:?}");
+        assert!(
+            used.len() >= 7,
+            "hash should cover nearly all paths: {used:?}"
+        );
     }
 
     #[test]

@@ -96,7 +96,11 @@ mod tests {
         // 64 KB cell at 1 KB MTU = 65 packets per cell (64*1024/1000 = 65.5).
         let p = lb.select(&ctx(&paths, 7, 0));
         for seq in 1..65 {
-            assert_eq!(lb.select(&ctx(&paths, 7, seq)), p, "seq {seq} left the cell");
+            assert_eq!(
+                lb.select(&ctx(&paths, 7, seq)),
+                p,
+                "seq {seq} left the cell"
+            );
         }
     }
 

@@ -50,7 +50,12 @@ impl FlowRecord {
     /// idle fabric (`size/line_rate + base RTT`, with `wire_overhead` the
     /// header inflation factor, e.g. 1.048 for 48 B headers on 1000 B
     /// payloads). 1.0 = ideal; `None` if the flow never finished.
-    pub fn slowdown(&self, line_rate_bps: f64, base_rtt_ps: u64, wire_overhead: f64) -> Option<f64> {
+    pub fn slowdown(
+        &self,
+        line_rate_bps: f64,
+        base_rtt_ps: u64,
+        wire_overhead: f64,
+    ) -> Option<f64> {
         let fct = self.fct_ps()? as f64;
         let ideal = (self.size_bytes as f64 * wire_overhead * 8.0 / line_rate_bps) * 1e12
             + base_rtt_ps as f64;
@@ -113,7 +118,11 @@ impl FctSummary {
             p95_fct_ms: percentile(&fcts, 0.95),
             p99_fct_ms: percentile(&fcts, 0.99),
             max_fct_ms: fcts.iter().cloned().fold(f64::NAN, f64::max),
-            ooo_ratio: if sent == 0 { 0.0 } else { ooo as f64 / sent as f64 },
+            ooo_ratio: if sent == 0 {
+                0.0
+            } else {
+                ooo as f64 / sent as f64
+            },
             p99_ood: percentile(&oods, 0.99),
             total_ooo_packets: ooo,
             total_packets_sent: sent,
@@ -211,7 +220,10 @@ mod tests {
 
     #[test]
     fn size_filtered_summary() {
-        let records = vec![rec(1, 5_000, Some(10), 0, 0), rec(2, 50_000, Some(90), 0, 0)];
+        let records = vec![
+            rec(1, 5_000, Some(10), 0, 0),
+            rec(2, 50_000, Some(90), 0, 0),
+        ];
         let small = FctSummary::for_sizes(&records, 0, 10_000);
         assert_eq!(small.flows_total, 1);
         assert!((small.avg_fct_ms - 0.01).abs() < 1e-12);
@@ -219,8 +231,9 @@ mod tests {
 
     #[test]
     fn cdf_is_monotone_and_complete() {
-        let records: Vec<FlowRecord> =
-            (0..50).map(|i| rec(i, 1000, Some(1 + (i * 13) % 97), 0, 0)).collect();
+        let records: Vec<FlowRecord> = (0..50)
+            .map(|i| rec(i, 1000, Some(1 + (i * 13) % 97), 0, 0))
+            .collect();
         let cdf = fct_cdf(&records);
         assert_eq!(cdf.len(), 50);
         assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);

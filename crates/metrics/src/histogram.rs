@@ -131,7 +131,10 @@ mod tests {
             let truth = sorted[rank - 1];
             let bound = h.quantile_upper_bound(q);
             assert!(bound >= truth, "q={q}: bound {bound} < truth {truth}");
-            assert!(bound <= truth.max(1) * 2, "q={q}: bound {bound} too loose for {truth}");
+            assert!(
+                bound <= truth.max(1) * 2,
+                "q={q}: bound {bound} too loose for {truth}"
+            );
         }
     }
 

@@ -308,8 +308,15 @@ mod tests {
         a.on_dropped();
         let sw = test_switch();
         // 5 = 3 arrived + 1 dropped + 1 in-flight.
-        a.check(1_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 1, 0, true)
-            .assert_conserved();
+        a.check(
+            1_000,
+            [((false, 0), &sw)].into_iter(),
+            &PacketArena::new(),
+            1,
+            0,
+            true,
+        )
+        .assert_conserved();
         assert_eq!(a.checks_run, 1);
     }
 
@@ -323,8 +330,15 @@ mod tests {
         let sw = test_switch();
         // Second packet is nowhere: not arrived, dropped, buffered or in
         // flight — the sweep must refuse to balance the books.
-        a.check(2_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, false)
-            .assert_conserved();
+        a.check(
+            2_000,
+            [((false, 0), &sw)].into_iter(),
+            &PacketArena::new(),
+            0,
+            0,
+            false,
+        )
+        .assert_conserved();
     }
 
     #[test]
@@ -335,9 +349,23 @@ mod tests {
         tx.on_injected();
         rx.on_arrived();
         let sw = test_switch();
-        let mut sum = tx.check(8_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, true);
+        let mut sum = tx.check(
+            8_000,
+            [((false, 0), &sw)].into_iter(),
+            &PacketArena::new(),
+            0,
+            0,
+            true,
+        );
         assert!(std::panic::catch_unwind(|| sum.assert_conserved()).is_err());
-        sum.absorb(&rx.check(9_000, [((false, 1), &sw)].into_iter(), &PacketArena::new(), 0, 0, true));
+        sum.absorb(&rx.check(
+            9_000,
+            [((false, 1), &sw)].into_iter(),
+            &PacketArena::new(),
+            0,
+            0,
+            true,
+        ));
         sum.assert_conserved();
         assert_eq!(sum.at_ps, 9_000);
     }
@@ -347,7 +375,11 @@ mod tests {
         // A frame sent across shards left the sender's arena and sits in
         // the receiver's; a sender that kept the slot holds one live slot
         // no handle refers to, and the summed cut refuses it.
-        let cut = |handles, arena_live| AuditReport { handles, arena_live, ..AuditReport::default() };
+        let cut = |handles, arena_live| AuditReport {
+            handles,
+            arena_live,
+            ..AuditReport::default()
+        };
         let mut sum = cut(3, 3);
         sum.absorb(&cut(1, 1));
         sum.assert_conserved();
@@ -379,7 +411,14 @@ mod tests {
         // PAUSE sent but the switch's live flag says unpaused: inconsistent.
         a.on_pause_sent((false, 0), 1);
         let sw = test_switch();
-        let _ = a.check(3_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, true);
+        let _ = a.check(
+            3_000,
+            [((false, 0), &sw)].into_iter(),
+            &PacketArena::new(),
+            0,
+            0,
+            true,
+        );
     }
 
     #[test]
@@ -388,7 +427,14 @@ mod tests {
         let mut a = FabricAuditor::default();
         let mut sw = test_switch();
         sw.shared_used = sw.config().buffer_bytes + 1;
-        let _ = a.check(4_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, false);
+        let _ = a.check(
+            4_000,
+            [((false, 0), &sw)].into_iter(),
+            &PacketArena::new(),
+            0,
+            0,
+            false,
+        );
     }
 
     #[test]
@@ -397,7 +443,14 @@ mod tests {
         let mut a = FabricAuditor::default();
         let mut sw = test_switch();
         sw.ingress_bytes[0] = 512; // shared_used still 0
-        let _ = a.check(5_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, false);
+        let _ = a.check(
+            5_000,
+            [((false, 0), &sw)].into_iter(),
+            &PacketArena::new(),
+            0,
+            0,
+            false,
+        );
     }
 
     #[test]
@@ -406,11 +459,25 @@ mod tests {
         a.on_pause_sent((false, 0), 1);
         let mut sw = test_switch();
         sw.paused_upstream[1] = true;
-        a.check(6_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, true)
-            .assert_conserved();
+        a.check(
+            6_000,
+            [((false, 0), &sw)].into_iter(),
+            &PacketArena::new(),
+            0,
+            0,
+            true,
+        )
+        .assert_conserved();
         a.on_resume_sent((false, 0), 1);
         sw.paused_upstream[1] = false;
-        a.check(7_000, [((false, 0), &sw)].into_iter(), &PacketArena::new(), 0, 0, true)
-            .assert_conserved();
+        a.check(
+            7_000,
+            [((false, 0), &sw)].into_iter(),
+            &PacketArena::new(),
+            0,
+            0,
+            true,
+        )
+        .assert_conserved();
     }
 }

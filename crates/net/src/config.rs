@@ -354,8 +354,12 @@ mod tests {
             n_spines,
             ..TopoConfig::default()
         };
-        with_spines(255).validate().expect("spine 254 is the last nameable one");
-        let e = with_spines(256).validate().expect_err("spine 255 is NO_PATH");
+        with_spines(255)
+            .validate()
+            .expect("spine 254 is the last nameable one");
+        let e = with_spines(256)
+            .validate()
+            .expect_err("spine 255 is NO_PATH");
         assert!(e.contains("limit of 255"), "{e}");
     }
 

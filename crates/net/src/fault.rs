@@ -283,7 +283,10 @@ mod tests {
             },
         )];
         assert!(validate_timeline(&z, &t).is_err());
-        let s = [TimedFault::new(SimTime::ZERO, Fault::LoadScale { permille: 0 })];
+        let s = [TimedFault::new(
+            SimTime::ZERO,
+            Fault::LoadScale { permille: 0 },
+        )];
         assert!(validate_timeline(&s, &t).is_err());
     }
 }

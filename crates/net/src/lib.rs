@@ -46,8 +46,8 @@ mod shard;
 pub mod sim;
 pub mod spec;
 pub mod switch;
-pub mod trace;
 pub mod topology;
+pub mod trace;
 
 pub use config::{EcnConfig, SimConfig, SwitchConfig, TopoConfig, TransportConfig};
 pub use fault::{flap, Fault, TimedFault};
@@ -59,10 +59,10 @@ pub use scenario::{
     SteadyStateConfig,
 };
 pub use shard::{BarrierBroken, WindowBarrier};
-pub use spec::{ScenarioSpec, SpecError};
 pub use sim::{RunResult, Simulation};
-pub use trace::{FlowTraces, TraceEntry, TraceEvent};
+pub use spec::{ScenarioSpec, SpecError};
 pub use topology::{Node, Topology};
+pub use trace::{FlowTraces, TraceEntry, TraceEvent};
 
 /// SplitMix64 — shared stable hash for flow→path decisions.
 #[inline]
@@ -170,7 +170,10 @@ mod smoke {
             .map(|&s| FlowSpec::new(SimTime::ZERO, s, victim, 600_000))
             .collect();
         let res = Simulation::new(cfg, flows).run();
-        assert!(res.records.iter().all(|r| r.completed()), "incast must finish");
+        assert!(
+            res.records.iter().all(|r| r.completed()),
+            "incast must finish"
+        );
         assert!(res.counters.pause_frames > 0, "incast must trigger PFC");
         assert!(res.counters.cnm_generated > 0, "predictor must warn");
         assert!(
@@ -197,7 +200,9 @@ mod smoke {
         let res = Simulation::new(cfg, flows).run();
         use trace::TraceEvent;
         let sent = res.traces.count(0, |e| matches!(e, TraceEvent::Sent));
-        let routed = res.traces.count(0, |e| matches!(e, TraceEvent::Routed { .. }));
+        let routed = res
+            .traces
+            .count(0, |e| matches!(e, TraceEvent::Routed { .. }));
         let delivered = res.traces.count(0, |e| matches!(e, TraceEvent::Delivered));
         assert_eq!(sent, 10, "10 packets sent");
         assert_eq!(routed, 10, "each routed once at the source leaf");
@@ -225,7 +230,11 @@ mod smoke {
         }
         // A single 100KB flow definitely buffers something at some point.
         assert!(res.timeseries.peak_buffered_bytes() > 0);
-        assert_eq!(res.timeseries.paused_fraction(), 0.0, "one flow never pauses");
+        assert_eq!(
+            res.timeseries.paused_fraction(),
+            0.0,
+            "one flow never pauses"
+        );
     }
 
     #[test]

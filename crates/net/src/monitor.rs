@@ -54,7 +54,11 @@ impl FabricTimeSeries {
 
     /// Peak total buffer occupancy over the run.
     pub fn peak_buffered_bytes(&self) -> u64 {
-        self.samples.iter().map(|s| s.buffered_bytes).max().unwrap_or(0)
+        self.samples
+            .iter()
+            .map(|s| s.buffered_bytes)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Peak single-queue depth.
@@ -77,8 +81,9 @@ impl FabricTimeSeries {
 
     /// Render as whitespace-separated columns (gnuplot friendly).
     pub fn render(&self) -> String {
-        let mut out =
-            String::from("# t_us buffered_bytes paused_ports paused_hosts active_flows max_queue\n");
+        let mut out = String::from(
+            "# t_us buffered_bytes paused_ports paused_hosts active_flows max_queue\n",
+        );
         for s in &self.samples {
             out.push_str(&format!(
                 "{:.3} {} {} {} {} {}\n",

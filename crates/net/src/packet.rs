@@ -78,7 +78,13 @@ impl Packet {
     /// `now_ps`.
     #[inline]
     pub fn park(self, arena: &mut PacketArena<Packet>, now_ps: u64) -> PacketHandle {
-        arena.alloc(self.size_bytes, self.flow, self.kind.is_control(), now_ps, self)
+        arena.alloc(
+            self.size_bytes,
+            self.flow,
+            self.kind.is_control(),
+            now_ps,
+            self,
+        )
     }
 
     pub fn data(flow: u32, psn: u32, size_bytes: u32, src: u32, dst: u32, now_ps: u64) -> Packet {
@@ -132,7 +138,11 @@ mod tests {
             PacketKind::Ack,
             PacketKind::Nak,
             PacketKind::Cnp,
-            PacketKind::Cnm { origin_node: 0, origin_ingress_port: 0, ttl: 3 },
+            PacketKind::Cnm {
+                origin_node: 0,
+                origin_ingress_port: 0,
+                ttl: 3,
+            },
         ] {
             assert!(k.is_control());
         }
@@ -163,7 +173,10 @@ mod tests {
         let mut arena = PacketArena::new();
         let ack = Packet::response(PacketKind::Ack, &Packet::data(7, 1, 1048, 3, 9, 0), 1, 64);
         let h = ack.park(&mut arena, 5);
-        assert_eq!((arena.size_bytes(h), arena.flow(h), arena.is_control(h)), (64, 7, true));
+        assert_eq!(
+            (arena.size_bytes(h), arena.flow(h), arena.is_control(h)),
+            (64, 7, true)
+        );
         assert_eq!(arena.enqueued_at_ps(h), 5);
     }
 }

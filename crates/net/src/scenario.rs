@@ -9,6 +9,8 @@
 
 use crate::config::{SimConfig, TopoConfig};
 use crate::fault::{Fault, TimedFault};
+use rand::seq::SliceRandom;
+use rand::Rng;
 use rlb_core::RlbConfig;
 use rlb_engine::{substream, SimDuration, SimTime};
 use rlb_lb::Scheme;
@@ -16,8 +18,6 @@ use rlb_workloads::{
     congested_flow, incast, BurstConfig, FlowSpec, IncastConfig, LoadCurve, PairPolicy,
     PoissonTraffic, SizeCdf, Workload,
 };
-use rand::seq::SliceRandom;
-use rand::Rng;
 use serde::Serialize;
 
 /// The Fig. 2 motivation scenario: a dumbbell of two leaves joined by many
@@ -164,7 +164,12 @@ impl Scenario {
             start: SimTime::from_us(100),
             burst_gap: SimDuration::from_us(400),
         };
-        flows.extend(burst.generate().into_iter().map(|f| f.with_path_limit(limit)));
+        flows.extend(
+            burst
+                .generate()
+                .into_iter()
+                .map(|f| f.with_path_limit(limit)),
+        );
 
         // Bursts from the destination-leaf Hb set (single hop into Rc): they
         // keep the victim's egress queue and the S2 shared pool deep, so the
@@ -188,7 +193,11 @@ impl Scenario {
 
     /// §4.1/§4.2 steady-state Poisson traffic between random inter-leaf host
     /// pairs at a target core load.
-    pub fn steady_state(sc: &SteadyStateConfig, scheme: Scheme, rlb: Option<RlbConfig>) -> Scenario {
+    pub fn steady_state(
+        sc: &SteadyStateConfig,
+        scheme: Scheme,
+        rlb: Option<RlbConfig>,
+    ) -> Scenario {
         let cfg = SimConfig {
             topo: sc.topo.clone(),
             scheme,
@@ -230,8 +239,7 @@ impl Scenario {
             &mut rng,
         );
         if ic.background_load > 0.0 {
-            let traffic =
-                inter_leaf_poisson(&ic.topo, SizeCdf::web_search(), ic.background_load);
+            let traffic = inter_leaf_poisson(&ic.topo, SizeCdf::web_search(), ic.background_load);
             flows.extend(traffic.generate(horizon, &mut rng));
         }
         flows.sort_by_key(|f| f.start);
@@ -464,17 +472,31 @@ mod tests {
             .filter(|f| f.size_bytes == 64_000 && f.dst_host == rc)
             .map(|f| f.src_host)
             .collect();
-        assert!(burst_srcs.iter().any(|&s| s < 7), "need Hb on leaf 0: {burst_srcs:?}");
-        assert!(burst_srcs.iter().any(|&s| s >= 7), "need Hb on leaf 1: {burst_srcs:?}");
+        assert!(
+            burst_srcs.iter().any(|&s| s < 7),
+            "need Hb on leaf 0: {burst_srcs:?}"
+        );
+        assert!(
+            burst_srcs.iter().any(|&s| s >= 7),
+            "need Hb on leaf 1: {burst_srcs:?}"
+        );
         // core-crossing bursts carry the path restriction; local ones don't
-        for f in sc.flows.iter().filter(|f| f.size_bytes == 64_000 && f.dst_host == rc) {
+        for f in sc
+            .flows
+            .iter()
+            .filter(|f| f.size_bytes == 64_000 && f.dst_host == rc)
+        {
             if f.src_host < 7 {
                 assert_eq!(f.path_limit, Some(3));
             } else {
                 assert_eq!(f.path_limit, None);
             }
         }
-        let fc: Vec<_> = sc.flows.iter().filter(|f| f.src_host == hc && f.dst_host == rc).collect();
+        let fc: Vec<_> = sc
+            .flows
+            .iter()
+            .filter(|f| f.src_host == hc && f.dst_host == rc)
+            .collect();
         assert_eq!(fc.len(), 3);
         // bursts: (2 src + 2 dst) senders × 5 flows × 2 bursts to Rc.
         let bursts = sc
@@ -515,7 +537,10 @@ mod tests {
         );
         assert!(!sc.flows.is_empty());
         let hpl = sc.cfg.topo.hosts_per_leaf;
-        assert!(sc.flows.iter().all(|f| f.src_host / hpl != f.dst_host / hpl));
+        assert!(sc
+            .flows
+            .iter()
+            .all(|f| f.src_host / hpl != f.dst_host / hpl));
     }
 
     #[test]
@@ -572,7 +597,10 @@ mod tests {
         let sc2 = Scenario::fail_sweep(&fc, Scheme::Drill, Some(RlbConfig::default()));
         assert_eq!(sc.cfg.faults, sc2.cfg.faults);
         let sc3 = Scenario::fail_sweep(
-            &FailSweepConfig { seed: 9, ..fc.clone() },
+            &FailSweepConfig {
+                seed: 9,
+                ..fc.clone()
+            },
             Scheme::Drill,
             None,
         );

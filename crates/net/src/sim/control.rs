@@ -218,15 +218,19 @@ impl Control {
         let (now_ps, dst) = (ctx.now_ps, ctx.dst_leaf as usize);
         let ls = &mut self.leaves[leaf as usize];
         self.paths.clear();
-        self.paths.extend(uplinks.iter().enumerate().map(|(s, ep)| PathInfo {
-            queue_bytes: ep.data_q_bytes,
-            paused: ep.data_blocked(),
-            warned: ls.warnings.is_warned(s, dst, now_ps),
-            rtt_ns: ls.rtt(s, dst),
-            ecn_fraction: ls.ecn(s, dst),
-            link_rate_bps: ep.rate_bps as f64,
-        }));
-        let ctx = Ctx { paths: &self.paths, ..ctx };
+        self.paths
+            .extend(uplinks.iter().enumerate().map(|(s, ep)| PathInfo {
+                queue_bytes: ep.data_q_bytes,
+                paused: ep.data_blocked(),
+                warned: ls.warnings.is_warned(s, dst, now_ps),
+                rtt_ns: ls.rtt(s, dst),
+                ecn_fraction: ls.ecn(s, dst),
+                link_rate_bps: ep.rate_bps as f64,
+            }));
+        let ctx = Ctx {
+            paths: &self.paths,
+            ..ctx
+        };
         ls.decide(&ctx, self.rlb.as_ref(), recircs as u32)
     }
 }
@@ -362,7 +366,14 @@ impl Simulation {
     /// * At a **spine**: relay toward the leaves that recently contributed
     ///   traffic to the endangered direction (the paper's flow-table
     ///   driven hop-by-hop propagation).
-    pub(super) fn handle_cnm(&mut self, node: Node, in_port: u16, origin_node: u32, origin_port: u16, ttl: u8) {
+    pub(super) fn handle_cnm(
+        &mut self,
+        node: Node,
+        in_port: u16,
+        origin_node: u32,
+        origin_port: u16,
+        ttl: u8,
+    ) {
         let now = self.now();
         // Copy the one field we need instead of cloning the whole RlbConfig
         // on every CNM (this runs per control frame under congestion).
@@ -433,7 +444,12 @@ mod tests {
 
     #[test]
     fn cnm_origin_encoding_round_trips() {
-        for node in [Node::Leaf(0), Node::Leaf(11), Node::Spine(0), Node::Spine(39)] {
+        for node in [
+            Node::Leaf(0),
+            Node::Leaf(11),
+            Node::Spine(0),
+            Node::Spine(39),
+        ] {
             assert_eq!(decode_node(encode_node(node)), node);
         }
         // Leaves and spines never collide.
@@ -532,14 +548,22 @@ mod tests {
     /// Path 0 (the inner choice) warned; path 1 unwarned, 0.5 µs slower:
     /// Algorithm 1 reroutes onto it.
     fn first_view() -> Vec<PathInfo> {
-        view(&[(true, 10_000.0, 0), (false, 10_500.0, 0), (false, 10_400.0, 100)])
+        view(&[
+            (true, 10_000.0, 0),
+            (false, 10_500.0, 0),
+            (false, 10_400.0, 100),
+        ])
     }
 
     /// The same, but path 2 is now the better suboptimal path: Algorithm 1
     /// alone would reroute onto path 2, so `Forward(1)` can only come from
     /// the override.
     fn later_view(warned: [bool; 3]) -> Vec<PathInfo> {
-        view(&[(warned[0], 10_000.0, 0), (warned[1], 10_500.0, 100), (warned[2], 10_400.0, 0)])
+        view(&[
+            (warned[0], 10_000.0, 0),
+            (warned[1], 10_500.0, 100),
+            (warned[2], 10_400.0, 0),
+        ])
     }
 
     /// A leaf whose flow `FLOW` was just rerouted from path 0 to path 1 at 0.
@@ -652,7 +676,10 @@ mod tests {
         let calls = Arc::new(AtomicU32::new(0));
         let mut ls = LeafState::new(Box::new(BySeq(calls)), 3, 2, 10_000.0);
         let paths = later_view([true, false, false]);
-        assert_eq!(ls.decide(&ctx(0, FLOW, 0, &paths), None, 0), (Decision::Forward(0), None));
+        assert_eq!(
+            ls.decide(&ctx(0, FLOW, 0, &paths), None, 0),
+            (Decision::Forward(0), None)
+        );
         assert!(ls.overrides.is_empty());
     }
 
@@ -664,11 +691,17 @@ mod tests {
         let mut ls = ecmp_leaf(4, 2);
         let clean = view(&[(false, 10_000.0, 0); 4]);
         let got = ls.decide(&ctx(0, 1, 0, &clean), Some(&cfg), 0);
-        assert!(matches!(got, (Decision::Forward(_), Some(UnwarnedInitial))), "{got:?}");
+        assert!(
+            matches!(got, (Decision::Forward(_), Some(UnwarnedInitial))),
+            "{got:?}"
+        );
         // All-warned view: forced out on the inner choice.
         let warned = view(&[(true, 10_000.0, 0); 4]);
         let got = ls.decide(&ctx(0, 1, 0, &warned), Some(&cfg), 0);
-        assert!(matches!(got, (Decision::Forward(_), Some(ForcedOut))), "{got:?}");
+        assert!(
+            matches!(got, (Decision::Forward(_), Some(ForcedOut))),
+            "{got:?}"
+        );
         // Selective warning with a large gap: recirculates. ECMP is
         // deterministic per flow id, so probe for a flow that lands on the
         // warned fast path.
@@ -677,6 +710,9 @@ mod tests {
             ls.decide(&ctx(0, fid, 0, &selective), Some(&cfg), 0)
                 == (Decision::Recirculate, Some(RecirculatedGap))
         });
-        assert!(hit.is_some(), "some flow must hash onto the warned fast path");
+        assert!(
+            hit.is_some(),
+            "some flow must hash onto the warned fast path"
+        );
     }
 }

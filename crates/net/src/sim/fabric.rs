@@ -15,7 +15,12 @@ impl Simulation {
     /// A frame arrived at switch `node` on `in_port`.
     pub(super) fn switch_rx(&mut self, node: Node, in_port: u16, h: PacketHandle) {
         let pkt = self.arena.get_mut(h);
-        if let PacketKind::Cnm { origin_node, origin_ingress_port, ttl } = pkt.kind {
+        if let PacketKind::Cnm {
+            origin_node,
+            origin_ingress_port,
+            ttl,
+        } = pkt.kind
+        {
             self.arena.free(h);
             self.handle_cnm(node, in_port, origin_node, origin_ingress_port, ttl);
             return;
@@ -67,8 +72,8 @@ impl Simulation {
     /// data-plane LB state.
     fn route_control(&self, node: Node, pkt: &Packet) -> u16 {
         self.route_down(node, pkt).unwrap_or_else(|| {
-            let s = (crate::hash_u64(pkt.flow as u64 ^ 0xC0FFEE)
-                % self.cfg.topo.n_spines as u64) as u32;
+            let s = (crate::hash_u64(pkt.flow as u64 ^ 0xC0FFEE) % self.cfg.topo.n_spines as u64)
+                as u32;
             self.topo.leaf_uplink_port(s)
         })
     }
@@ -112,7 +117,8 @@ impl Simulation {
                     pkt.recircs = pkt.recircs.saturating_add(1);
                     let rlb = self.cfg.rlb.as_ref().expect("recirculation without RLB");
                     let at = now + SimDuration(rlb.t_rc_ps);
-                    self.sched.schedule(node, at, Event::Recirculate { node, pkt: h });
+                    self.sched
+                        .schedule(node, at, Event::Recirculate { node, pkt: h });
                     return;
                 };
                 (self.topo.leaf_uplink_port(s as u32), Some(s as u8))
@@ -132,7 +138,8 @@ impl Simulation {
                 self.apply_pfc_action(node, action);
                 return;
             }
-            sw.contributors.record(out as usize, in_port as usize, now.as_ps());
+            sw.contributors
+                .record(out as usize, in_port as usize, now.as_ps());
             sw.ecn_mark(out)
         };
         if mark || path.is_some() {
@@ -238,8 +245,7 @@ impl Simulation {
             Node::Leaf(_) | Node::Spine(_) => {
                 let release = data.then_some((ingress, size));
                 let sw = self.switch_mut(node);
-                let idle =
-                    release.is_none_or(|(ingress, _)| !sw.paused_upstream[ingress as usize]);
+                let idle = release.is_none_or(|(ingress, _)| !sw.paused_upstream[ingress as usize]);
                 let ep = &mut sw.egress[port as usize];
                 let ser = tx_delay(size as u64, ep.rate_bps);
                 (ep, release, ser, idle)
@@ -254,7 +260,8 @@ impl Simulation {
         if idle && ser.as_ps() > 0 && ep.queues_empty() {
             ep.reserved = Some(done);
             if let Some((ingress, bytes)) = release {
-                self.switch_mut(node).defer_release(done, port, ingress, bytes);
+                self.switch_mut(node)
+                    .defer_release(done, port, ingress, bytes);
             }
         } else {
             ep.busy = true;
@@ -267,7 +274,8 @@ impl Simulation {
         }
         self.perf.completions_elided += passed as u64;
         let at = now + ser + prop;
-        self.sched.send_frame(&mut self.arena, node, peer, peer_port, at, h);
+        self.sched
+            .send_frame(&mut self.arena, node, peer, peer_port, at, h);
     }
 
     pub(super) fn on_egress_done(&mut self, node: Node, port: u16, release: Option<(u16, u32)>) {
@@ -289,7 +297,9 @@ impl Simulation {
         let (ep, _) = self.port_and_arena(node, port);
         let done = ep.reserved.take().expect("a reserved completion");
         ep.busy = true;
-        let release = self.switch_of(node).and_then(|sw| sw.reclaim_release(done.key));
+        let release = self
+            .switch_of(node)
+            .and_then(|sw| sw.reclaim_release(done.key));
         let ev = Event::EgressDone {
             node,
             port,
@@ -394,7 +404,10 @@ mod tests {
                 ..SimConfig::default()
             };
             let late = SimTime::from_ms(1000);
-            let flows = vec![FlowSpec::new(late, 0, 1, 2_000), FlowSpec::new(late, 0, 2, 1)];
+            let flows = vec![
+                FlowSpec::new(late, 0, 1, 2_000),
+                FlowSpec::new(late, 0, 2, 1),
+            ];
             let s = Simulation::new(cfg, flows);
             assert_eq!(tx_delay(1000, s.cfg.topo.link_rate_bps).as_ps(), SER);
             s
@@ -414,7 +427,8 @@ mod tests {
                 s.auditor.on_injected();
             }
             let pkt = pkt.park(&mut s.arena, 0);
-            s.sched.schedule_global(SimTime(at), Event::LinkArrive { node, port, pkt });
+            s.sched
+                .schedule_global(SimTime(at), Event::LinkArrive { node, port, pkt });
         }
 
         /// Dispatch every event before `t` ps.
@@ -575,9 +589,19 @@ mod tests {
                 let key = if before { r.key - 1 } else { r.key + 1 };
                 #[cfg(feature = "audit")]
                 s.auditor.on_injected();
-                let at = Reserved { done_ps: r.done_ps, key };
+                let at = Reserved {
+                    done_ps: r.done_ps,
+                    key,
+                };
                 let pkt = frame(1, 1000).park(&mut s.arena, 0);
-                s.sched.schedule_reserved(at, Event::LinkArrive { node: spine, port: 0, pkt });
+                s.sched.schedule_reserved(
+                    at,
+                    Event::LinkArrive {
+                        node: spine,
+                        port: 0,
+                        pkt,
+                    },
+                );
                 run_to(&mut s, r.done_ps + 1);
                 let ep = &s.spines[0].egress[1];
                 assert_eq!(
@@ -611,14 +635,27 @@ mod tests {
             assert!(!nic.busy);
             run_to(&mut s, 11);
             let nic = &s.hosts[1].nic;
-            assert!(nic.busy && nic.reserved.is_none(), "the queued ACK scheduled it");
+            assert!(
+                nic.busy && nic.reserved.is_none(),
+                "the queued ACK scheduled it"
+            );
             assert_eq!(nic.ctrl_q.len(), 1);
             let (at, key, ev) = s.sched.pop_before(SimTime(ACK_SER + 1)).expect("scheduled");
-            assert_eq!((at.as_ps(), key), (r.done_ps, r.key), "under the reserved key");
-            assert!(matches!(ev, Event::EgressDone { node, port: 0, release: None } if node == host));
+            assert_eq!(
+                (at.as_ps(), key),
+                (r.done_ps, r.key),
+                "under the reserved key"
+            );
+            assert!(
+                matches!(ev, Event::EgressDone { node, port: 0, release: None } if node == host)
+            );
             s.dispatch(ev);
             let nic = &s.hosts[1].nic;
-            assert_eq!(nic.reserved.map(|r| r.done_ps), Some(2 * ACK_SER), "launched at done_ps");
+            assert_eq!(
+                nic.reserved.map(|r| r.done_ps),
+                Some(2 * ACK_SER),
+                "launched at done_ps"
+            );
             assert!(nic.ctrl_q.is_empty());
             assert_eq!(s.perf.events_host_egress_done, 1);
             assert_eq!(s.perf.events_egress_done, 0);
@@ -633,7 +670,11 @@ mod tests {
             const LATE: u64 = 1_000_000_000_000;
             let mut s = sim(SwitchConfig::default(), Vec::new());
             let nic = Node::Host(0);
-            let pfc = |pause| Event::PauseFrame { node: nic, port: 0, pause };
+            let pfc = |pause| Event::PauseFrame {
+                node: nic,
+                port: 0,
+                pause,
+            };
             s.sched.schedule_global(SimTime(LATE - 10), pfc(true));
             s.sched.schedule_global(SimTime(LATE + 1_000), pfc(false));
             run_to(&mut s, LATE + 1);
@@ -712,7 +753,11 @@ mod tests {
             let done = LATE + 3 * ser + 1;
             assert!(wake > done);
             run_to(&mut s, LATE + 2 * ser + 1);
-            assert_eq!(s.hosts[0].wake_at, Some(wake), "armed by the second completion");
+            assert_eq!(
+                s.hosts[0].wake_at,
+                Some(wake),
+                "armed by the second completion"
+            );
             assert_eq!(s.perf.events_host_egress_done, 2);
             run_to(&mut s, LATE + 2 * ser + 2);
             let nic = &s.hosts[0].nic;
@@ -741,13 +786,27 @@ mod tests {
             let r = s.hosts[0].nic.reserved.expect("reserved");
             run_to(&mut s, LATE + 11);
             let nic = &s.hosts[0].nic;
-            assert!(nic.busy && nic.reserved.is_none(), "the queued ACK scheduled it");
+            assert!(
+                nic.busy && nic.reserved.is_none(),
+                "the queued ACK scheduled it"
+            );
             assert_eq!(nic.ctrl_q.len(), 1);
-            let (at, key, ev) = s.sched.pop_before(SimTime(LATE + ser + 1)).expect("scheduled");
-            assert_eq!((at.as_ps(), key), (r.done_ps, r.key), "under the reserved key");
+            let (at, key, ev) = s
+                .sched
+                .pop_before(SimTime(LATE + ser + 1))
+                .expect("scheduled");
+            assert_eq!(
+                (at.as_ps(), key),
+                (r.done_ps, r.key),
+                "under the reserved key"
+            );
             s.dispatch(ev);
             let nic = &s.hosts[0].nic;
-            assert_eq!(nic.reserved.map(|r| r.done_ps), Some(LATE + ser + 12_800), "ACK at done");
+            assert_eq!(
+                nic.reserved.map(|r| r.done_ps),
+                Some(LATE + ser + 12_800),
+                "ACK at done"
+            );
             assert_eq!(s.perf.events_host_egress_done, 1);
         }
 
@@ -767,7 +826,10 @@ mod tests {
             assert!(s.hosts[0].nic.reserved.is_some());
             run_to(&mut s, LATE + 11);
             let nic = &s.hosts[0].nic;
-            assert!(nic.busy && nic.reserved.is_none(), "the NAK's kick scheduled it");
+            assert!(
+                nic.busy && nic.reserved.is_none(),
+                "the NAK's kick scheduled it"
+            );
             assert_eq!(s.flows[0].naks(), 1);
             run_to(&mut s, LATE + ser + 1);
             assert_eq!(s.perf.events_host_egress_done, 1);

@@ -65,7 +65,8 @@ impl Simulation {
         // The global DCQCN ticks are construction-armed (see `new_shard`);
         // only the per-flow RTO probe starts here.
         let rto = SimDuration(self.cfg.transport.rto_ps);
-        self.sched.schedule(Node::Host(host), now + rto, Event::RtoCheck(f));
+        self.sched
+            .schedule(Node::Host(host), now + rto, Event::RtoCheck(f));
         self.try_transmit(Node::Host(host), 0);
     }
 
@@ -96,10 +97,18 @@ impl Simulation {
                 s.dcqcn.on_bytes_sent(wire as u64);
                 let gap = s.dcqcn.pacing_delay_ps(wire as u64);
                 s.next_eligible_ps = s.next_eligible_ps.max(now.as_ps()) + gap;
-                Packet::data(f, psn, wire, fs.spec.src_host, fs.spec.dst_host, now.as_ps())
+                Packet::data(
+                    f,
+                    psn,
+                    wire,
+                    fs.spec.src_host,
+                    fs.spec.dst_host,
+                    now.as_ps(),
+                )
             };
             if self.traces.wants(f) {
-                self.traces.record(f, now.as_ps(), pkt.psn, TraceEvent::Sent);
+                self.traces
+                    .record(f, now.as_ps(), pkt.psn, TraceEvent::Sent);
             }
             let pkt = pkt.park(&mut self.arena, now.as_ps());
             self.launch(Node::Host(h), 0, pkt);
@@ -114,7 +123,8 @@ impl Simulation {
                 .is_none_or(|w| d < w || w < now.as_ps());
             if sooner {
                 self.hosts[h as usize].wake_at = Some(d);
-                self.sched.schedule(Node::Host(h), SimTime(d), Event::HostWake(h));
+                self.sched
+                    .schedule(Node::Host(h), SimTime(d), Event::HostWake(h));
             }
         }
     }
@@ -135,11 +145,7 @@ impl Simulation {
                 // regardless of PSN order.
                 let mut responses: [Option<Packet>; 2] = [None, None];
                 if pkt.ecn && fs.cnp_gen.on_marked_packet(now.as_ps(), cnp_interval) {
-                    responses[0] = Some(Packet::response(
-                        PacketKind::Cnp,
-                        &pkt,
-                        0,
-                        ctrl_bytes));
+                    responses[0] = Some(Packet::response(PacketKind::Cnp, &pkt, 0, ctrl_bytes));
                 }
                 // Once every packet is delivered the receiver half is gone
                 // and a late arrival is a duplicate that nothing answers.
@@ -164,7 +170,8 @@ impl Simulation {
                     },
                     Some(Rx::Irn(rx)) => {
                         if pkt.psn > rx.cumulative() {
-                            self.ood_histogram.record((pkt.psn - rx.cumulative()) as u64);
+                            self.ood_histogram
+                                .record((pkt.psn - rx.cumulative()) as u64);
                         }
                         let ood = pkt.psn.saturating_sub(rx.cumulative());
                         if let Some(ack) = rx.on_packet(pkt.psn) {
@@ -319,7 +326,8 @@ impl Simulation {
         }
         let dt = SimDuration(self.cfg.transport.rto_ps);
         let at = self.now() + dt;
-        self.sched.schedule(Node::Host(host), at, Event::RtoCheck(f));
+        self.sched
+            .schedule(Node::Host(host), at, Event::RtoCheck(f));
     }
 }
 
@@ -415,7 +423,8 @@ mod tests {
         #[test]
         fn a_duplicate_after_delivery_answers_only_its_ecn_mark() {
             let mut s = finished(TransportMode::GoBackN);
-            let nic = |s: &Simulation| (s.hosts[1].nic.busy, s.hosts[1].nic.reserved.map(|r| r.key));
+            let nic =
+                |s: &Simulation| (s.hosts[1].nic.busy, s.hosts[1].nic.reserved.map(|r| r.key));
             let before = nic(&s);
             rx(&mut s, 1, data(false));
             assert_eq!(nic(&s), before, "no response");
@@ -439,7 +448,11 @@ mod tests {
             ack.nack = true;
             rx(&mut s, 0, ack);
             assert_eq!(s.flows[0].naks(), 1);
-            rx(&mut s, 0, Packet::response(PacketKind::Cnp, &data(false), 0, 64));
+            rx(
+                &mut s,
+                0,
+                Packet::response(PacketKind::Cnp, &data(false), 0, 64),
+            );
             let pending = s.sched.len();
             s.on_rto_check(0);
             assert_eq!(s.sched.len(), pending, "no RTO re-arm");

@@ -82,13 +82,20 @@ pub(crate) enum Event {
         release: Option<(u16, u32)>,
     },
     /// PFC PAUSE (true) / RESUME (false) takes effect at (node, port).
-    PauseFrame { node: Node, port: u16, pause: bool },
+    PauseFrame {
+        node: Node,
+        port: u16,
+        pause: bool,
+    },
     /// RLB Δt sampling tick: one event per switch samples **all** of its
     /// active ingress ports (identical sampling times ⇒ identical
     /// predictions), instead of one event per (node, port).
     PredictorTick(Node),
     /// A recirculated packet re-enters the routing pipeline.
-    Recirculate { node: Node, pkt: PacketHandle },
+    Recirculate {
+        node: Node,
+        pkt: PacketHandle,
+    },
     /// Global DCQCN alpha-update tick over every active flow.
     AlphaTick,
     /// Global DCQCN rate-increase tick over every active flow.
@@ -346,7 +353,9 @@ impl Simulation {
 
         // Switch `node`, its RNG substream `(tag, i)`.
         let switch = |node: Node, tag: &[u8], i: u32, n_ports: usize| {
-            let rates = (0..n_ports as u16).map(|p| topo.port_rate_bps(node, p)).collect();
+            let rates = (0..n_ports as u16)
+                .map(|p| topo.port_rate_bps(node, p))
+                .collect();
             let mut sw = Switch::new(
                 n_ports,
                 cfg.switch.clone(),
@@ -355,7 +364,9 @@ impl Simulation {
                 substream(cfg.seed, tag, i as u64),
             );
             if let Some(rcfg) = &cfg.rlb {
-                sw.predictors = (0..n_ports).map(|_| Self::make_predictor(&cfg, rcfg, d)).collect();
+                sw.predictors = (0..n_ports)
+                    .map(|_| Self::make_predictor(&cfg, rcfg, d))
+                    .collect();
             }
             sw
         };
@@ -541,7 +552,10 @@ impl Simulation {
             Event::FlowStart(_) => &mut n.events_flow_start,
             Event::HostWake(_) => &mut n.events_host_wake,
             Event::LinkArrive { .. } => &mut n.events_link_arrive,
-            Event::EgressDone { node: Node::Host(_), .. } => &mut n.events_host_egress_done,
+            Event::EgressDone {
+                node: Node::Host(_),
+                ..
+            } => &mut n.events_host_egress_done,
             Event::EgressDone { .. } => &mut n.events_egress_done,
             Event::PauseFrame { .. } => &mut n.events_pause_frame,
             Event::PredictorTick(_) => &mut n.events_predictor_tick,
@@ -555,9 +569,17 @@ impl Simulation {
         match ev {
             Event::FlowStart(f) => self.on_flow_start(f),
             Event::HostWake(h) => self.on_host_wake(h),
-            Event::LinkArrive { node: Node::Host(h), pkt, .. } => self.on_host_rx(h, pkt),
+            Event::LinkArrive {
+                node: Node::Host(h),
+                pkt,
+                ..
+            } => self.on_host_rx(h, pkt),
             Event::LinkArrive { node, port, pkt } => self.switch_rx(node, port, pkt),
-            Event::EgressDone { node, port, release } => self.on_egress_done(node, port, release),
+            Event::EgressDone {
+                node,
+                port,
+                release,
+            } => self.on_egress_done(node, port, release),
             Event::PauseFrame { node, port, pause } => self.on_pause_frame(node, port, pause),
             Event::PredictorTick(node) => self.on_predictor_tick(node),
             Event::Recirculate { node, pkt } => self.on_recirculate(node, pkt),
@@ -615,7 +637,11 @@ mod tests {
     /// that make a wheel entry 48 (`rlb_engine`'s wheel pins that size).
     #[test]
     fn an_event_is_at_most_24_bytes() {
-        assert!(std::mem::size_of::<Event>() <= 24, "{}", std::mem::size_of::<Event>());
+        assert!(
+            std::mem::size_of::<Event>() <= 24,
+            "{}",
+            std::mem::size_of::<Event>()
+        );
     }
 
     fn rec(start: u64, finish: Option<u64>) -> rlb_metrics::FlowRecord {

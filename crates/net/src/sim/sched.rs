@@ -200,7 +200,8 @@ impl Sched {
     /// `(0, RANK_CONSTRUCT, index)` whenever it is issued: every shard
     /// derives the same key for it.
     pub(super) fn schedule_construct(&mut self, at: SimTime, index: u64, ev: Event) {
-        self.q.insert_message(at, shard_key(0, RANK_CONSTRUCT, index), ev);
+        self.q
+            .insert_message(at, shard_key(0, RANK_CONSTRUCT, index), ev);
     }
 
     /// Schedule the completion `done` reserved, under its key.
@@ -231,7 +232,11 @@ impl Sched {
         if dst == self.shard_id {
             self.q.insert_message(at, key, ev);
         } else {
-            self.outbox[dst as usize].push(WireMsg { at, key, ev: Wire::Event(ev) });
+            self.outbox[dst as usize].push(WireMsg {
+                at,
+                key,
+                ev: Wire::Event(ev),
+            });
         }
     }
 
@@ -250,10 +255,22 @@ impl Sched {
     ) {
         let (key, dst) = self.route(from, peer);
         if dst == self.shard_id {
-            self.q.insert_message(at, key, Event::LinkArrive { node: peer, port, pkt: h });
+            self.q.insert_message(
+                at,
+                key,
+                Event::LinkArrive {
+                    node: peer,
+                    port,
+                    pkt: h,
+                },
+            );
         } else {
             let pkt = arena.free(h);
-            let ev = Wire::Frame { node: peer, port, pkt };
+            let ev = Wire::Frame {
+                node: peer,
+                port,
+                pkt,
+            };
             self.outbox[dst as usize].push(WireMsg { at, key, ev });
         }
     }
@@ -291,7 +308,10 @@ impl Sched {
     /// capacity kept) — so the next window pushes into storage that is
     /// already allocated and nothing is copied. Returns the number sent.
     pub(super) fn swap_outbox(&mut self, dst: u16, mailbox: &mut Vec<WireMsg>) -> usize {
-        debug_assert!(mailbox.is_empty(), "mailbox handed over before it was drained");
+        debug_assert!(
+            mailbox.is_empty(),
+            "mailbox handed over before it was drained"
+        );
         std::mem::swap(&mut self.outbox[dst as usize], mailbox);
         mailbox.len()
     }
@@ -303,9 +323,11 @@ impl Sched {
         for m in mailbox.drain(..) {
             let ev = match m.ev {
                 Wire::Event(ev) => ev,
-                Wire::Frame { node, port, pkt } => {
-                    Event::LinkArrive { node, port, pkt: pkt.park(arena, now_ps) }
-                }
+                Wire::Frame { node, port, pkt } => Event::LinkArrive {
+                    node,
+                    port,
+                    pkt: pkt.park(arena, now_ps),
+                },
             };
             self.q.insert_message(m.at, m.key, ev);
         }
@@ -384,7 +406,14 @@ mod tests {
         peer.deliver(&mut mailbox, &mut peer_arena);
         let (_, key, ev) = peer.pop_before(SimTime(u64::MAX)).expect("delivered");
         assert_eq!(key, keys(&mut twin)[0]);
-        let Event::LinkArrive { node, port: 3, pkt: h } = ev else { panic!("{ev:?}") };
+        let Event::LinkArrive {
+            node,
+            port: 3,
+            pkt: h,
+        } = ev
+        else {
+            panic!("{ev:?}")
+        };
         assert_eq!(node, remote);
         let got = peer_arena.free(h);
         assert_eq!((got.flow, got.psn, got.size_bytes), (4, 9, 1_048));
@@ -456,7 +485,11 @@ mod tests {
                     assert!(of(Node::Leaf(l)) < n);
                     leaf_band[of(Node::Leaf(l)) as usize] += 1;
                     for h in l * hpl..(l + 1) * hpl {
-                        assert_eq!(of(Node::Host(h)), of(Node::Leaf(l)), "host {h} left its leaf");
+                        assert_eq!(
+                            of(Node::Host(h)),
+                            of(Node::Leaf(l)),
+                            "host {h} left its leaf"
+                        );
                     }
                 }
                 for s in 0..spines {
@@ -464,7 +497,10 @@ mod tests {
                     spine_band[of(Node::Spine(s)) as usize] += 1;
                 }
                 let what = format!("{leaves}x{spines} on {n} shards");
-                assert!(leaf_band.iter().all(|&c| c >= 1), "{what}: a shard without a leaf");
+                assert!(
+                    leaf_band.iter().all(|&c| c >= 1),
+                    "{what}: a shard without a leaf"
+                );
                 for band in [&leaf_band, &spine_band] {
                     let (lo, hi) = (band.iter().min().unwrap(), band.iter().max().unwrap());
                     assert!(hi - lo <= 1, "{what}: bands {band:?}");

@@ -344,12 +344,18 @@ mod tests {
         fn grammar_tables_are_well_formed() {
             for (i, s) in SPEC_REFERENCE.iter().enumerate() {
                 assert!(
-                    SPEC_REFERENCE[..i].iter().all(|prev| prev.header != s.header),
+                    SPEC_REFERENCE[..i]
+                        .iter()
+                        .all(|prev| prev.header != s.header),
                     "{} is listed twice",
                     s.header
                 );
                 // The reader's "seen" table has one slot per key.
-                assert!(s.keys.len() <= text::MAX_KEYS, "{} has too many keys", s.header);
+                assert!(
+                    s.keys.len() <= text::MAX_KEYS,
+                    "{} has too many keys",
+                    s.header
+                );
                 for (j, k) in s.keys.iter().enumerate() {
                     assert!(
                         s.keys[..j].iter().all(|prev| prev.key != k.key),
@@ -591,7 +597,9 @@ load_permille = 200
     // --- snapshot tests: malformed specs must render exactly these frames ---
 
     fn render_err(text: &str) -> String {
-        ScenarioSpec::parse(text).expect_err("must fail").to_string()
+        ScenarioSpec::parse(text)
+            .expect_err("must fail")
+            .to_string()
     }
 
     #[test]
@@ -816,17 +824,25 @@ load_permille = 200
                     SimTime(t),
                     Fault::SpineUp { spine }
                 ))),
-                (at.clone(), 1u32..5000).prop_map(|(t, permille)| FaultEntry::At(
-                    TimedFault::new(SimTime(t), Fault::LoadScale { permille })
-                )),
-                (at, (0u32..16, 0u32..16), (1u64..1_000_000_000, 1u64..1_000_000_000), 1u32..6)
-                    .prop_map(|(t, (leaf, spine), (down, up), cycles)| FaultEntry::Flap {
-                        at: SimTime(t),
-                        leaf,
-                        spine,
-                        down: SimDuration(down),
-                        up: SimDuration(up),
-                        cycles,
+                (at.clone(), 1u32..5000).prop_map(|(t, permille)| FaultEntry::At(TimedFault::new(
+                    SimTime(t),
+                    Fault::LoadScale { permille }
+                ))),
+                (
+                    at,
+                    (0u32..16, 0u32..16),
+                    (1u64..1_000_000_000, 1u64..1_000_000_000),
+                    1u32..6
+                )
+                    .prop_map(|(t, (leaf, spine), (down, up), cycles)| {
+                        FaultEntry::Flap {
+                            at: SimTime(t),
+                            leaf,
+                            spine,
+                            down: SimDuration(down),
+                            up: SimDuration(up),
+                            cycles,
+                        }
                     }),
             ]
             .boxed()
@@ -835,21 +851,33 @@ load_permille = 200
         fn arb_incast() -> BoxedStrategy<Option<IncastSpec>> {
             prop_oneof![
                 Just(None),
-                (1u32..64, 1u64..100_000_000, 1u32..32, 1u64..10_000_000_000u64).prop_map(
-                    |(degree, total_response_bytes, requests, interval)| Some(IncastSpec {
-                        degree,
-                        total_response_bytes,
-                        requests,
-                        request_interval: SimDuration(interval),
-                    })
-                ),
+                (
+                    1u32..64,
+                    1u64..100_000_000,
+                    1u32..32,
+                    1u64..10_000_000_000u64
+                )
+                    .prop_map(
+                        |(degree, total_response_bytes, requests, interval)| Some(IncastSpec {
+                            degree,
+                            total_response_bytes,
+                            requests,
+                            request_interval: SimDuration(interval),
+                        })
+                    ),
             ]
             .boxed()
         }
 
         fn arb_spec() -> BoxedStrategy<ScenarioSpec> {
             (
-                (arb_name(), arb_scheme(), any::<bool>(), any::<u64>(), 1u64..10_000_000_000_000),
+                (
+                    arb_name(),
+                    arb_scheme(),
+                    any::<bool>(),
+                    any::<u64>(),
+                    1u64..10_000_000_000_000,
+                ),
                 (2u32..8, 2u32..8, 1u32..16),
                 arb_incast(),
                 proptest::collection::vec(arb_workload(), 0..3),
@@ -857,7 +885,14 @@ load_permille = 200
                 proptest::collection::vec((0u64..10_000_000_000_000u64, 1u32..4000), 0..4),
             )
                 .prop_map(
-                    |((name, scheme, rlb, seed, horizon), (nl, ns, hpl), incast, mut workloads, faults, loads)| {
+                    |(
+                        (name, scheme, rlb, seed, horizon),
+                        (nl, ns, hpl),
+                        incast,
+                        mut workloads,
+                        faults,
+                        loads,
+                    )| {
                         if workloads.is_empty() {
                             // parse() restores the default mix for empty
                             // spec files, so canonical equality needs ≥1.
@@ -878,10 +913,7 @@ load_permille = 200
                             incast,
                             workloads,
                             faults,
-                            load_points: loads
-                                .into_iter()
-                                .map(|(t, p)| (SimTime(t), p))
-                                .collect(),
+                            load_points: loads.into_iter().map(|(t, p)| (SimTime(t), p)).collect(),
                         }
                     },
                 )

@@ -392,7 +392,13 @@ mod tests {
             pfc_enabled: true,
             ..SwitchConfig::default()
         };
-        Switch::new(4, cfg, vec![40_000_000_000; 4], 10_000_000, substream(1, b"sw", 0))
+        Switch::new(
+            4,
+            cfg,
+            vec![40_000_000_000; 4],
+            10_000_000,
+            substream(1, b"sw", 0),
+        )
     }
 
     fn data(bytes: u32) -> Packet {
@@ -464,7 +470,11 @@ mod tests {
         let second = s.egress[0].next_to_transmit(&arena).unwrap();
         assert_eq!(arena.get(second).kind, PacketKind::Data);
         assert_eq!(s.egress[0].data_q_bytes, 0);
-        assert_eq!(arena.len(), 1, "a dequeued frame stays parked until consumed");
+        assert_eq!(
+            arena.len(),
+            1,
+            "a dequeued frame stays parked until consumed"
+        );
     }
 
     #[test]

@@ -143,7 +143,11 @@ mod tests {
             for port in 0..t.n_ports(node) as u16 {
                 let (pn, pp) = t.peer(node, port);
                 let (back_n, back_p) = t.peer(pn, pp);
-                assert_eq!((back_n, back_p), (node, port), "asymmetric peer at {node:?}:{port}");
+                assert_eq!(
+                    (back_n, back_p),
+                    (node, port),
+                    "asymmetric peer at {node:?}:{port}"
+                );
             }
         }
     }
@@ -177,9 +181,15 @@ mod tests {
         };
         cfg.degraded_links.push((1, 2));
         let t = Topology::new(cfg);
-        assert_eq!(t.port_rate_bps(Node::Leaf(1), t.leaf_uplink_port(2)), 10_000_000_000);
+        assert_eq!(
+            t.port_rate_bps(Node::Leaf(1), t.leaf_uplink_port(2)),
+            10_000_000_000
+        );
         assert_eq!(t.port_rate_bps(Node::Spine(2), 1), 10_000_000_000);
-        assert_eq!(t.port_rate_bps(Node::Leaf(1), t.leaf_uplink_port(1)), 40_000_000_000);
+        assert_eq!(
+            t.port_rate_bps(Node::Leaf(1), t.leaf_uplink_port(1)),
+            40_000_000_000
+        );
         assert_eq!(t.port_rate_bps(Node::Host(0), 0), 40_000_000_000);
     }
 }

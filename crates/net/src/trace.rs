@@ -126,7 +126,10 @@ mod tests {
         tr.record(1, 9_000_000, 5, TraceEvent::OutOfOrder { ood: 5 });
         tr.record(1, 9_500_000, 0, TraceEvent::Delivered);
         assert_eq!(tr.count(1, |e| matches!(e, TraceEvent::Sent)), 1);
-        assert_eq!(tr.count(1, |e| matches!(e, TraceEvent::OutOfOrder { .. })), 1);
+        assert_eq!(
+            tr.count(1, |e| matches!(e, TraceEvent::OutOfOrder { .. })),
+            1
+        );
         let text = tr.render(1);
         assert!(text.contains("1.000 0 Sent"));
         assert!(text.contains("9.000 5 OutOfOrder { ood: 5 }"));

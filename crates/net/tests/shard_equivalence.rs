@@ -46,7 +46,20 @@ type PortKey = ((bool, u32), u16);
 
 /// One flow record flattened for comparison: `(flow_id, src, dst, size,
 /// packets, start, finish, ooo, max_ood, sent, naks, recircs)`.
-type RecordRow = (u64, u32, u32, u64, u32, u64, Option<u64>, u64, u64, u64, u64, u64);
+type RecordRow = (
+    u64,
+    u32,
+    u32,
+    u64,
+    u32,
+    u64,
+    Option<u64>,
+    u64,
+    u64,
+    u64,
+    u64,
+    u64,
+);
 
 /// Everything observable except `events_processed` (see module docs).
 #[derive(Debug, PartialEq)]
@@ -112,7 +125,9 @@ fn digest(res: &RunResult) -> Digest {
 fn fingerprint<T: std::fmt::Debug>(v: &T) -> u64 {
     format!("{v:?}")
         .bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
 }
 
 /// `(fingerprint(digest), events)` of a 1-shard run. `events` counts the
@@ -154,8 +169,7 @@ const LATE_FRAMES_NAKS_OOO_SENT: (u64, u64, u64) = (1_408, 40_939, 127_743);
 /// Recorded at commit 5962e2d, like `GOLDEN_SELECTIVE_REPEAT`.
 const GOLDEN_OUT_OF_START_ORDER: (u64, u64) = (5_911_249_939_115_965_857, 164_873);
 /// `(fingerprint(timeseries samples), fingerprint(flow 0's trace))`.
-const GOLDEN_MONITORED_TRACED: (u64, u64) =
-    (791_827_665_799_338_177, 14_562_405_892_184_352_000);
+const GOLDEN_MONITORED_TRACED: (u64, u64) = (791_827_665_799_338_177, 14_562_405_892_184_352_000);
 
 fn small_fabric() -> SimConfig {
     SimConfig {
@@ -231,11 +245,17 @@ fn every_arena_balances_while_frames_cross_shards() {
         sc
     };
     let one = mk().run();
-    assert!(one.counters.recirculations > 0, "packets must loop under their handles");
+    assert!(
+        one.counters.recirculations > 0,
+        "packets must loop under their handles"
+    );
     let one = digest(&one);
     for shards in [2u16, 3] {
         let res = mk().run_with_shards(shards);
-        assert!(res.perf.cross_shard_messages > 0, "--shards {shards}: nothing crossed");
+        assert!(
+            res.perf.cross_shard_messages > 0,
+            "--shards {shards}: nothing crossed"
+        );
         assert!(res.perf.arena_high_water > 0);
         assert_eq!(one, digest(&res), "--shards {shards} diverged");
     }
@@ -320,7 +340,10 @@ fn hard_stop_truncated_runs_match_across_shard_counts() {
     };
     let one = mk().run();
     assert_eq!(golden(&one), GOLDEN_HARD_STOP);
-    assert!(one.records.iter().all(|r| r.finish_ps.is_none()), "must truncate");
+    assert!(
+        one.records.iter().all(|r| r.finish_ps.is_none()),
+        "must truncate"
+    );
     assert_eq!(one.end_time.as_ps(), 60_001_600);
     assert_eq!(one.counters.switch_packets, 2390);
     let one = digest(&one);
@@ -347,7 +370,11 @@ fn many_mice_match_the_full_scan_arbiter_across_shard_counts() {
     };
     for (scheme, rlb, want) in [
         (Scheme::Ecmp, None, GOLDEN_MANY_MICE_ECMP),
-        (Scheme::Drill, Some(RlbConfig::default()), GOLDEN_MANY_MICE_DRILL_RLB),
+        (
+            Scheme::Drill,
+            Some(RlbConfig::default()),
+            GOLDEN_MANY_MICE_DRILL_RLB,
+        ),
     ] {
         let mk = || Scenario::steady_state(&sc, scheme, rlb.clone());
         // `run()` is the 1-shard run, so the golden is the shards-1 check.
@@ -397,7 +424,10 @@ fn column_partition_keeps_part_of_the_core_shard_local() {
             "--shards {shards}: {crossed} of {LEAF_SPINE_FRAMES} leaf↔spine frames crossed"
         );
         let share = crossed as f64 / LEAF_SPINE_FRAMES as f64;
-        assert!((share - crossing).abs() < 0.05, "--shards {shards}: share {share}");
+        assert!(
+            (share - crossing).abs() < 0.05,
+            "--shards {shards}: share {share}"
+        );
     }
 }
 
@@ -412,7 +442,10 @@ fn load_scaled_spec_matches_across_shard_counts() {
     let mk = || spec.build().expect("flap_ramp builds");
     let one = mk().run();
     assert_eq!(golden(&one), GOLDEN_FLAP_RAMP);
-    assert_eq!(one.counters.faults_applied, 6, "4 flap edges + 2 load scales");
+    assert_eq!(
+        one.counters.faults_applied, 6,
+        "4 flap edges + 2 load scales"
+    );
     let one = digest(&one);
     for shards in [1u16, 2, 4] {
         assert_eq!(

@@ -245,7 +245,10 @@ mod tests {
         let before = r.rate_bps();
         r.on_cnp();
         let cut_fraction = r.rate_bps() / before;
-        assert!(cut_fraction > 0.75, "gentle cut expected, got {cut_fraction}");
+        assert!(
+            cut_fraction > 0.75,
+            "gentle cut expected, got {cut_fraction}"
+        );
         assert!(after_first <= 20e9 + 1e6);
     }
 

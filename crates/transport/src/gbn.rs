@@ -217,17 +217,29 @@ mod tests {
         // Packet 3 arrives while 1 is expected: OOD = 2, NAK(1).
         assert_eq!(
             rx.on_packet(3),
-            RxAction::OutOfOrder { nak_psn: Some(1), ood: 2 }
+            RxAction::OutOfOrder {
+                nak_psn: Some(1),
+                ood: 2
+            }
         );
         // Further OOO arrivals in the same gap are dropped without NAK.
-        assert_eq!(rx.on_packet(4), RxAction::OutOfOrder { nak_psn: None, ood: 3 });
+        assert_eq!(
+            rx.on_packet(4),
+            RxAction::OutOfOrder {
+                nak_psn: None,
+                ood: 3
+            }
+        );
         assert_eq!(rx.max_ood, 3);
         assert_eq!(rx.ooo_packets, 2);
         // Expected packet arrives: gap closes, NAK re-arms.
         assert_eq!(rx.on_packet(1), RxAction::Deliver { ack_psn: 1 });
         assert_eq!(
             rx.on_packet(5),
-            RxAction::OutOfOrder { nak_psn: Some(2), ood: 3 }
+            RxAction::OutOfOrder {
+                nak_psn: Some(2),
+                ood: 3
+            }
         );
     }
 
@@ -281,7 +293,9 @@ mod tests {
         for psn in [0u32, 2, 3, 1, 4] {
             match rx.on_packet(psn) {
                 RxAction::Deliver { ack_psn } => tx.on_ack(ack_psn),
-                RxAction::OutOfOrder { nak_psn: Some(n), .. } => naks.push(n),
+                RxAction::OutOfOrder {
+                    nak_psn: Some(n), ..
+                } => naks.push(n),
                 _ => {}
             }
         }

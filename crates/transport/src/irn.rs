@@ -267,9 +267,17 @@ mod tests {
         }
         // Receiver saw 0..3 and then 5 (4 lost): cum=4, sack=5, nack.
         for p in 0..4 {
-            tx.on_ack(IrnAck { cumulative: p + 1, sack: p, nack: false });
+            tx.on_ack(IrnAck {
+                cumulative: p + 1,
+                sack: p,
+                nack: false,
+            });
         }
-        tx.on_ack(IrnAck { cumulative: 4, sack: 5, nack: true });
+        tx.on_ack(IrnAck {
+            cumulative: 4,
+            sack: 5,
+            nack: true,
+        });
         // Only PSN 4 is queued for retransmission — selective, not go-back-N.
         assert_eq!(tx.peek_next(), Some(4));
         tx.take_next();
@@ -285,7 +293,11 @@ mod tests {
             assert!(tx.take_next().is_some());
         }
         assert_eq!(tx.peek_next(), None, "window full");
-        tx.on_ack(IrnAck { cumulative: 1, sack: 0, nack: false });
+        tx.on_ack(IrnAck {
+            cumulative: 1,
+            sack: 0,
+            nack: false,
+        });
         assert_eq!(tx.peek_next(), Some(4));
     }
 
@@ -295,7 +307,11 @@ mod tests {
         for _ in 0..6 {
             tx.take_next();
         }
-        tx.on_ack(IrnAck { cumulative: 2, sack: 1, nack: false });
+        tx.on_ack(IrnAck {
+            cumulative: 2,
+            sack: 1,
+            nack: false,
+        });
         assert!(tx.on_timeout());
         assert_eq!(tx.timeouts, 1);
         // 2..6 unacked → retransmit in order.
@@ -320,7 +336,11 @@ mod tests {
         }
         // A single late ACK with cum=4 (all delivered) finishes the flow
         // even though the per-packet SACKs were lost.
-        tx.on_ack(IrnAck { cumulative: 4, sack: 3, nack: false });
+        tx.on_ack(IrnAck {
+            cumulative: 4,
+            sack: 3,
+            nack: false,
+        });
         assert!(tx.is_complete());
         assert_eq!(tx.in_flight(), 0);
     }

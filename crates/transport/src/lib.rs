@@ -60,7 +60,9 @@ mod proptests {
                 let psn = in_flight.swap_remove(idx);
                 match rx.on_packet(psn) {
                     RxAction::Deliver { ack_psn } => tx.on_ack(ack_psn),
-                    RxAction::OutOfOrder { nak_psn: Some(n), .. } => tx.on_nak(n),
+                    RxAction::OutOfOrder {
+                        nak_psn: Some(n), ..
+                    } => tx.on_nak(n),
                     _ => {}
                 }
             }

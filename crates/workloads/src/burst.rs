@@ -29,8 +29,9 @@ pub struct BurstConfig {
 
 impl BurstConfig {
     pub fn generate(&self) -> Vec<FlowSpec> {
-        let mut flows =
-            Vec::with_capacity((self.senders.len() as u32 * self.flows_per_burst * self.bursts) as usize);
+        let mut flows = Vec::with_capacity(
+            (self.senders.len() as u32 * self.flows_per_burst * self.bursts) as usize,
+        );
         for b in 0..self.bursts {
             let t = self.start + self.burst_gap.mul_u64(b as u64);
             for &s in &self.senders {
@@ -74,10 +75,18 @@ mod tests {
         };
         let flows = cfg.generate();
         assert_eq!(flows.len(), 3 * 40 * 2);
-        assert!(flows.iter().all(|f| f.dst_host == 5 && f.size_bytes == 64_000));
-        let first_burst: Vec<_> = flows.iter().filter(|f| f.start == SimTime::from_us(100)).collect();
+        assert!(flows
+            .iter()
+            .all(|f| f.dst_host == 5 && f.size_bytes == 64_000));
+        let first_burst: Vec<_> = flows
+            .iter()
+            .filter(|f| f.start == SimTime::from_us(100))
+            .collect();
         assert_eq!(first_burst.len(), 120);
-        let second_burst: Vec<_> = flows.iter().filter(|f| f.start == SimTime::from_us(600)).collect();
+        let second_burst: Vec<_> = flows
+            .iter()
+            .filter(|f| f.start == SimTime::from_us(600))
+            .collect();
         assert_eq!(second_burst.len(), 120);
         assert_eq!(cfg.bytes_per_burst(), 3 * 40 * 64_000);
     }

@@ -81,11 +81,17 @@ impl SizeCdf {
         assert!(points.len() >= 2, "{name}: need at least 2 points");
         for w in points.windows(2) {
             assert!(w[0].0 < w[1].0, "{name}: sizes must strictly increase");
-            assert!(w[0].1 < w[1].1, "{name}: probabilities must strictly increase");
+            assert!(
+                w[0].1 < w[1].1,
+                "{name}: probabilities must strictly increase"
+            );
         }
         let first = points.first().unwrap();
         let last = points.last().unwrap();
-        assert!(first.1 >= 0.0 && (last.1 - 1.0).abs() < 1e-9, "{name}: CDF must end at 1");
+        assert!(
+            first.1 >= 0.0 && (last.1 - 1.0).abs() < 1e-9,
+            "{name}: CDF must end at 1"
+        );
         assert!(first.0 >= 0.0);
         SizeCdf { name, points }
     }
@@ -233,7 +239,10 @@ mod tests {
         let cf = SizeCdf::cache_follower().mean_bytes();
         assert!((400e3..900e3).contains(&cf), "cache follower mean {cf}");
         let wsearch = SizeCdf::web_search().mean_bytes();
-        assert!((1.3e6..2.0e6).contains(&wsearch), "web search mean {wsearch}");
+        assert!(
+            (1.3e6..2.0e6).contains(&wsearch),
+            "web search mean {wsearch}"
+        );
         let dm = SizeCdf::data_mining().mean_bytes();
         assert!((6e6..9e6).contains(&dm), "data mining mean {dm}");
     }
@@ -277,7 +286,11 @@ mod tests {
             let sample_mean = total / n as f64;
             let analytic = cdf.mean_bytes();
             let rel = (sample_mean - analytic).abs() / analytic;
-            assert!(rel < 0.05, "{}: sample {sample_mean} vs analytic {analytic}", wl.name());
+            assert!(
+                rel < 0.05,
+                "{}: sample {sample_mean} vs analytic {analytic}",
+                wl.name()
+            );
         }
     }
 

@@ -34,7 +34,10 @@ pub struct IncastConfig {
 /// completion time.
 pub fn generate<R: Rng>(cfg: &IncastConfig, rng: &mut R) -> Vec<FlowSpec> {
     assert!(cfg.degree >= 1);
-    assert!(cfg.num_hosts >= cfg.hosts_per_leaf * 2, "need at least two leaves");
+    assert!(
+        cfg.num_hosts >= cfg.hosts_per_leaf * 2,
+        "need at least two leaves"
+    );
     let per_responder = (cfg.total_response_bytes / cfg.degree as u64).max(1);
     let mut flows = Vec::with_capacity((cfg.requests * cfg.degree) as usize);
     for r in 0..cfg.requests {

@@ -23,8 +23,8 @@ pub mod spec;
 pub use burst::{congested_flow, BurstConfig};
 pub use cdf::{SizeCdf, Workload};
 pub use curve::LoadCurve;
-pub use patterns::{all_to_all, permutation};
 pub use incast::IncastConfig;
+pub use patterns::{all_to_all, permutation};
 pub use poisson::{PairPolicy, PoissonTraffic};
 pub use spec::FlowSpec;
 

@@ -134,7 +134,10 @@ mod tests {
         let offered_bps = bytes as f64 * 8.0 / 0.2;
         let target = 0.5 * 4.0 * 40e9;
         let rel = (offered_bps - target).abs() / target;
-        assert!(rel < 0.15, "offered {offered_bps:.3e} vs target {target:.3e}");
+        assert!(
+            rel < 0.15,
+            "offered {offered_bps:.3e} vs target {target:.3e}"
+        );
     }
 
     #[test]
@@ -165,11 +168,8 @@ mod tests {
             4.0 * 40e9,
         );
         // Half load for the first 100 ms, triple load after.
-        let curve = LoadCurve::new(vec![
-            (SimTime::ZERO, 500),
-            (SimTime::from_ms(100), 3000),
-        ])
-        .unwrap();
+        let curve =
+            LoadCurve::new(vec![(SimTime::ZERO, 500), (SimTime::from_ms(100), 3000)]).unwrap();
         let mut rng = SmallRng::seed_from_u64(21);
         let flows = tr.generate_modulated(SimTime::from_ms(200), &curve, &mut rng);
         let early = flows
@@ -194,7 +194,8 @@ mod tests {
 
     #[test]
     fn any_pair_policy_allows_same_leaf_but_not_self() {
-        let tr = PoissonTraffic::with_load(SizeCdf::web_server(), 4, PairPolicy::AnyPair, 0.3, 40e9);
+        let tr =
+            PoissonTraffic::with_load(SizeCdf::web_server(), 4, PairPolicy::AnyPair, 0.3, 40e9);
         let mut rng = SmallRng::seed_from_u64(1);
         let flows = tr.generate(SimTime::from_ms(20), &mut rng);
         assert!(flows.iter().all(|f| f.src_host != f.dst_host));

@@ -59,7 +59,10 @@ mod tests {
     fn builder() {
         let f = FlowSpec::new(SimTime::from_us(3), 1, 2, 64_000).with_group(9);
         assert_eq!(f.start, SimTime::from_us(3));
-        assert_eq!((f.src_host, f.dst_host, f.size_bytes, f.group), (1, 2, 64_000, 9));
+        assert_eq!(
+            (f.src_host, f.dst_host, f.size_bytes, f.group),
+            (1, 2, 64_000, 9)
+        );
         assert_eq!(FlowSpec::new(SimTime::ZERO, 0, 1, 1).group, u64::MAX);
         assert_eq!(f.path_limit, None);
         assert_eq!(f.with_path_limit(5).path_limit, Some(5));

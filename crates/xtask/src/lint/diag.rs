@@ -183,7 +183,10 @@ mod tests {
         let start = src.find("HashMap").unwrap();
         let f = Finding::from_span("crates/x.rs", src, (start, start + 7), &HASH_CONTAINER);
         let rendered = f.to_string();
-        assert!(rendered.starts_with("warning[hash-container]:"), "{rendered}");
+        assert!(
+            rendered.starts_with("warning[hash-container]:"),
+            "{rendered}"
+        );
         assert!(rendered.contains("--> crates/x.rs:1:13"), "{rendered}");
         assert!(rendered.contains("^^^^^^^"), "{rendered}");
         assert!(rendered.contains("= help:"), "{rendered}");
@@ -192,7 +195,10 @@ mod tests {
             .lines()
             .find(|l| l.contains('^'))
             .expect("caret line");
-        assert_eq!(caret_line.find('^').unwrap() - caret_line.find('|').unwrap(), 14);
+        assert_eq!(
+            caret_line.find('^').unwrap() - caret_line.find('|').unwrap(),
+            14
+        );
     }
 
     #[test]

@@ -71,9 +71,10 @@ pub struct Lexed {
 impl Lexed {
     /// Tokens that participate in code: everything except comments.
     pub fn code_tokens(&self) -> impl Iterator<Item = (usize, &Token)> {
-        self.tokens.iter().enumerate().filter(|(_, t)| {
-            !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment)
-        })
+        self.tokens
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
     }
 }
 
@@ -81,7 +82,13 @@ impl Lexed {
 /// comments extend to end of input (the lint must degrade gracefully on
 /// code that does not compile yet).
 pub fn lex(src: &str) -> Lexed {
-    Lexer { src: src.as_bytes(), pos: 0, line: 1, tokens: Vec::new() }.run(src)
+    Lexer {
+        src: src.as_bytes(),
+        pos: 0,
+        line: 1,
+        tokens: Vec::new(),
+    }
+    .run(src)
 }
 
 struct Lexer<'s> {
@@ -119,7 +126,12 @@ impl<'s> Lexer<'s> {
     }
 
     fn push(&mut self, kind: TokenKind, start: usize, line: u32) {
-        self.tokens.push(Token { kind, start, end: self.pos, line });
+        self.tokens.push(Token {
+            kind,
+            start,
+            end: self.pos,
+            line,
+        });
     }
 
     fn run(mut self, src_str: &str) -> Lexed {
@@ -170,7 +182,9 @@ impl<'s> Lexer<'s> {
                 b'\'' => self.quote(start, line),
                 b if is_ident_start(b) => {
                     // r#ident raw identifiers: consume the r# then the name.
-                    if (b == b'r' || b == b'b') && self.peek(1) == b'#' && is_ident_start(self.peek(2))
+                    if (b == b'r' || b == b'b')
+                        && self.peek(1) == b'#'
+                        && is_ident_start(self.peek(2))
                     {
                         self.bump_n(2);
                     }
@@ -186,9 +200,13 @@ impl<'s> Lexer<'s> {
                 }
             }
         }
-        debug_assert!(self.tokens.iter().all(|t| src_str.is_char_boundary(t.start)
-            && src_str.is_char_boundary(t.end)));
-        Lexed { tokens: self.tokens }
+        debug_assert!(self
+            .tokens
+            .iter()
+            .all(|t| src_str.is_char_boundary(t.start) && src_str.is_char_boundary(t.end)));
+        Lexed {
+            tokens: self.tokens,
+        }
     }
 
     /// After an opening `"`, consume through the closing quote, honouring
@@ -262,8 +280,8 @@ impl<'s> Lexer<'s> {
             }
             debug_assert_eq!(self.peek(0), b'"');
             self.bump(); // opening quote
-            // Scan for `"` followed by `hashes` hashes. No escapes in raw
-            // strings — that is their point.
+                         // Scan for `"` followed by `hashes` hashes. No escapes in raw
+                         // strings — that is their point.
             'scan: while self.pos < self.src.len() {
                 if self.peek(0) == b'"' {
                     for h in 0..hashes {
@@ -339,10 +357,7 @@ impl<'s> Lexer<'s> {
             while self.peek(0).is_ascii_digit() || self.peek(0) == b'_' {
                 self.bump();
             }
-        } else if self.peek(0) == b'.'
-            && self.peek(1) != b'.'
-            && !is_ident_start(self.peek(1))
-        {
+        } else if self.peek(0) == b'.' && self.peek(1) != b'.' && !is_ident_start(self.peek(1)) {
             // Trailing-dot float `1.` (rare, but legal).
             float = true;
             self.bump();
@@ -372,7 +387,15 @@ impl<'s> Lexer<'s> {
                 float = true;
             }
         }
-        self.push(if float { TokenKind::Float } else { TokenKind::Int }, start, line);
+        self.push(
+            if float {
+                TokenKind::Float
+            } else {
+                TokenKind::Int
+            },
+            start,
+            line,
+        );
     }
 }
 
@@ -390,7 +413,10 @@ mod tests {
 
     fn code_texts(src: &str) -> Vec<String> {
         let lexed = lex(src);
-        lexed.code_tokens().map(|(_, t)| t.text(src).to_string()).collect()
+        lexed
+            .code_tokens()
+            .map(|(_, t)| t.text(src).to_string())
+            .collect()
     }
 
     #[test]
@@ -399,8 +425,10 @@ mod tests {
         let texts: Vec<&str> = got.iter().map(|(_, s)| s.as_str()).collect();
         assert_eq!(
             texts,
-            ["fn", "f", "(", "x", ":", "u64", ")", "-", ">", "f64", "{", "x", "as",
-             "f64", "*", "2.5", "}"]
+            [
+                "fn", "f", "(", "x", ":", "u64", ")", "-", ">", "f64", "{", "x", "as", "f64", "*",
+                "2.5", "}"
+            ]
         );
         assert_eq!(got[15].0, TokenKind::Float);
     }
@@ -562,7 +590,9 @@ mod tests {
     fn non_ascii_in_strings_and_idents() {
         let src = "let s = \"π ≈ 3.14159\"; done";
         let got = kinds(src);
-        assert!(got.iter().any(|(k, t)| *k == TokenKind::Str && t.contains('π')));
+        assert!(got
+            .iter()
+            .any(|(k, t)| *k == TokenKind::Str && t.contains('π')));
         assert!(got.iter().any(|(_, t)| t == "done"));
     }
 }

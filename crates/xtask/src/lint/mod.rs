@@ -159,8 +159,7 @@ pub fn lint_source(file: &str, src: &str, class: FileClass) -> Vec<Finding> {
     }
     let lexed = lexer::lex(src);
     let scope_map = scope::analyze(src, &lexed);
-    let (code, orig): (Vec<Token>, Vec<usize>) =
-        lexed.code_tokens().map(|(i, t)| (*t, i)).unzip();
+    let (code, orig): (Vec<Token>, Vec<usize>) = lexed.code_tokens().map(|(i, t)| (*t, i)).unzip();
     let mut cx = FileCx {
         file,
         class,
@@ -178,7 +177,9 @@ pub fn lint_source(file: &str, src: &str, class: FileClass) -> Vec<Finding> {
 
     let mut findings = Vec::new();
     for (first, last, rule) in cx.emitted {
-        let Some(tok) = cx.code.get(first) else { continue };
+        let Some(tok) = cx.code.get(first) else {
+            continue;
+        };
         let anchor = cx.orig[first];
         // Warning-severity rules are exempt in test code (a test-local
         // HashSet or unwrap cannot hurt replay); errors always apply.

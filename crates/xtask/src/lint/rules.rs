@@ -93,9 +93,7 @@ impl LintRule for HashContainer {
 
     fn check(&self, cx: &mut FileCx<'_>) {
         for i in 0..cx.code.len() {
-            if cx.kind(i) == Some(TokenKind::Ident)
-                && matches!(cx.text(i), "HashMap" | "HashSet")
-            {
+            if cx.kind(i) == Some(TokenKind::Ident) && matches!(cx.text(i), "HashMap" | "HashSet") {
                 cx.emit(i, i, &HASH_CONTAINER);
             }
         }
@@ -331,9 +329,7 @@ impl LintRule for FloatAccum {
             }
             // `.fold(0.0, …)` — a float-literal seed means a float
             // accumulator; `f64::NAN` seeds (max/min folds) don't match.
-            if cx.is(i + 1, "fold")
-                && cx.is(i + 2, "(")
-                && cx.kind(i + 3) == Some(TokenKind::Float)
+            if cx.is(i + 1, "fold") && cx.is(i + 2, "(") && cx.kind(i + 3) == Some(TokenKind::Float)
             {
                 cx.emit(i, i + 3, &FLOAT_ACCUM);
             }
@@ -482,8 +478,7 @@ impl LintRule for TimeArith {
             // chain, then require a binary-position operator (an expression
             // ends just before it).
             let mut left = i;
-            while left >= 2 && cx.is(left - 1, ".") && cx.kind(left - 2) == Some(TokenKind::Ident)
-            {
+            while left >= 2 && cx.is(left - 1, ".") && cx.kind(left - 2) == Some(TokenKind::Ident) {
                 left -= 2;
             }
             if left >= 2 && ARITH.contains(&cx.text(left - 1)) {
@@ -526,8 +521,23 @@ the topology is what setup is for.
 /// Function-name prefixes that form the per-event dispatch call graph in
 /// `net/src/sim/` (see its `impl Simulation` blocks).
 const HOT_FN_PREFIXES: [&str; 17] = [
-    "dispatch", "on_", "route_", "host_", "switch_", "try_", "apply_", "handle_", "send_",
-    "decide", "maybe_", "audit_", "nic_", "launch", "enqueue_", "materialize_", "fault_",
+    "dispatch",
+    "on_",
+    "route_",
+    "host_",
+    "switch_",
+    "try_",
+    "apply_",
+    "handle_",
+    "send_",
+    "decide",
+    "maybe_",
+    "audit_",
+    "nic_",
+    "launch",
+    "enqueue_",
+    "materialize_",
+    "fault_",
 ];
 
 /// The simulator's event loop: the files of `net/src/sim/`.
@@ -724,7 +734,8 @@ mod tests {
     #[test]
     fn hot_alloc_fixture() {
         let sim = "crates/net/src/sim/fabric.rs";
-        let bad = "impl Simulation { fn route_data(&mut self) { let c = pkt.payload.to_vec(); } }\n";
+        let bad =
+            "impl Simulation { fn route_data(&mut self) { let c = pkt.payload.to_vec(); } }\n";
         assert_eq!(found(sim, bad, FileClass::CoreLib), ["hot-alloc"]);
         let bad2 = "impl S { fn on_host_rx(&mut self) { let b = Box::new(frame); } }\n";
         assert_eq!(found(sim, bad2, FileClass::CoreLib), ["hot-alloc"]);
@@ -747,13 +758,26 @@ mod tests {
         let clone = "impl S { fn f(&mut self) { g(pkt.clone()); } }\n";
         assert_eq!(found(hosts, clone, FileClass::CoreLib), ["hot-clone"]);
         let fabric = "crates/net/src/sim/fabric.rs";
-        for f in ["nic_pull", "launch", "enqueue_or_launch", "materialize_egress", "fault_set_link_down"] {
+        for f in [
+            "nic_pull",
+            "launch",
+            "enqueue_or_launch",
+            "materialize_egress",
+            "fault_set_link_down",
+        ] {
             let bad = format!("impl S {{ fn {f}(&mut self) {{ let b = Box::new(1); }} }}\n");
-            assert_eq!(found(fabric, &bad, FileClass::CoreLib), ["hot-alloc"], "{f}");
+            assert_eq!(
+                found(fabric, &bad, FileClass::CoreLib),
+                ["hot-alloc"],
+                "{f}"
+            );
         }
         // The LB decision builds its path view once per packet.
         let decide = "impl Control { fn decide(&mut self) { let v = vec![0u8; 64]; } }\n";
-        assert_eq!(found("crates/net/src/sim/control.rs", decide, FileClass::CoreLib), ["hot-alloc"]);
+        assert_eq!(
+            found("crates/net/src/sim/control.rs", decide, FileClass::CoreLib),
+            ["hot-alloc"]
+        );
         // The file the event loop once was is no longer in scope.
         assert!(found("crates/net/src/sim.rs", bad, FileClass::CoreLib).is_empty());
         let setup = "impl S { fn new_shard() -> S { let v = vec![0u8; 64]; } }\n";
@@ -782,8 +806,14 @@ fn f(x: Option<u32>) -> u32 {
         );
         for (src, rule) in [
             ("struct S { m: HashMap<u64, u64> }\n", "hash-container"),
-            ("fn f() { let t = std::time::Instant::now(); }\n", "wall-clock"),
-            ("fn f() { let mut rng = rand::thread_rng(); }\n", "unseeded-rng"),
+            (
+                "fn f() { let t = std::time::Instant::now(); }\n",
+                "wall-clock",
+            ),
+            (
+                "fn f() { let mut rng = rand::thread_rng(); }\n",
+                "unseeded-rng",
+            ),
         ] {
             assert_eq!(found("t.rs", src, FileClass::Sim), [rule], "{src}");
         }
@@ -796,7 +826,10 @@ fn f(x: Option<u32>) -> u32 {
         assert_eq!(found(fabric, sim, FileClass::CoreLib), ["hot-clone"]);
         assert!(found("crates/transport/src/rx.rs", sim, FileClass::CoreLib).is_empty());
         let lb = "pub struct Flowlets { table: BTreeMap<u64, Entry> }\n";
-        assert_eq!(found("crates/lb/src/letflow.rs", lb, FileClass::CoreLib), ["hot-btreemap"]);
+        assert_eq!(
+            found("crates/lb/src/letflow.rs", lb, FileClass::CoreLib),
+            ["hot-btreemap"]
+        );
     }
 
     /// `#[cfg(test)]` and `tests/` silence warnings but not errors, and a
@@ -810,7 +843,10 @@ mod tests {
     fn t() { let w = std::time::Instant::now(); }
 }
 ";
-        assert_eq!(found("crates/engine/src/g.rs", gated, FileClass::CoreLib), ["wall-clock"]);
+        assert_eq!(
+            found("crates/engine/src/g.rs", gated, FileClass::CoreLib),
+            ["wall-clock"]
+        );
         let after = "\
 #[cfg(test)]
 mod tests {
@@ -823,8 +859,12 @@ fn after() { let m: std::collections::HashMap<u8, u8> = Default::default(); }
             found("t.rs", after, FileClass::CoreLib),
             ["wall-clock", "hash-container"]
         );
-        let test_file = "fn t() { let m: HashMap<u8, u8> = HashMap::new(); let w = Instant::now(); }\n";
-        assert_eq!(found("tests/props.rs", test_file, FileClass::Test), ["wall-clock"]);
+        let test_file =
+            "fn t() { let m: HashMap<u8, u8> = HashMap::new(); let w = Instant::now(); }\n";
+        assert_eq!(
+            found("tests/props.rs", test_file, FileClass::Test),
+            ["wall-clock"]
+        );
 
         let same = "let t = Instant::now(); // lint:allow(wall-clock) CLI timing\n";
         assert!(found("src/main.rs", same, FileClass::Sim).is_empty());
@@ -845,7 +885,8 @@ fn after() { let m: std::collections::HashMap<u8, u8> = Default::default(); }
         let raw = "let s = r#\"say \"HashMap\" here\"#;\n";
         assert!(found("t.rs", raw, FileClass::Sim).is_empty());
         // An attribute line between the allow and the code keeps the allow.
-        let attr = "// lint:allow(hash-container)\n#[derive(Debug)]\nstruct S { m: HashMap<u8, u8> }\n";
+        let attr =
+            "// lint:allow(hash-container)\n#[derive(Debug)]\nstruct S { m: HashMap<u8, u8> }\n";
         assert!(found("t.rs", attr, FileClass::Sim).is_empty());
     }
 }

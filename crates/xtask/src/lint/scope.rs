@@ -119,7 +119,10 @@ pub fn analyze(src: &str, lexed: &Lexed) -> ScopeMap {
                 pending_fn = None;
             }
             "{" => {
-                stack.push(Scope { test: pending_test, fn_idx: pending_fn.take() });
+                stack.push(Scope {
+                    test: pending_test,
+                    fn_idx: pending_fn.take(),
+                });
                 pending_test = false;
                 pending_depth = 0;
             }
@@ -132,7 +135,12 @@ pub fn analyze(src: &str, lexed: &Lexed) -> ScopeMap {
     }
 
     let allows = resolve_allows(src, toks, &is_attr);
-    ScopeMap { in_test, fn_of, fn_names, allows }
+    ScopeMap {
+        in_test,
+        fn_of,
+        fn_names,
+        allows,
+    }
 }
 
 /// Is the next code (non-comment) token exactly `text`?
@@ -195,8 +203,7 @@ fn attr_gates_test(inner: &[&str]) -> bool {
     match inner.first() {
         Some(&"test") => inner.len() == 1,
         Some(&"cfg") => {
-            inner.contains(&"test")
-                && !inner.windows(2).any(|w| w[0] == "not" && w[1] == "(")
+            inner.contains(&"test") && !inner.windows(2).any(|w| w[0] == "not" && w[1] == "(")
         }
         _ => false,
     }
@@ -204,11 +211,7 @@ fn attr_gates_test(inner: &[&str]) -> bool {
 
 /// Collect `lint:allow(rule)` markers from comment tokens and resolve each
 /// to the code line it suppresses.
-fn resolve_allows(
-    src: &str,
-    toks: &[Token],
-    is_attr: &[bool],
-) -> BTreeMap<u32, BTreeSet<String>> {
+fn resolve_allows(src: &str, toks: &[Token], is_attr: &[bool]) -> BTreeMap<u32, BTreeSet<String>> {
     // Per-line classification. A token's text can span lines (block
     // comments, raw strings); charge every spanned line so a multi-line
     // string still counts as code on its continuation lines.
@@ -301,7 +304,11 @@ mod tests {
     }
 
     fn idx(idents: &[(String, usize)], name: &str) -> usize {
-        idents.iter().find(|(t, _)| t == name).unwrap_or_else(|| panic!("no {name}")).1
+        idents
+            .iter()
+            .find(|(t, _)| t == name)
+            .unwrap_or_else(|| panic!("no {name}"))
+            .1
     }
 
     #[test]

@@ -79,7 +79,12 @@ fn list_rules() -> ExitCode {
         .unwrap_or(0);
     for rule in lint::rules::ALL_RULES {
         let m = rule.meta();
-        println!("{:width$}  {:7}  {}", m.name, m.severity.to_string(), m.summary);
+        println!(
+            "{:width$}  {:7}  {}",
+            m.name,
+            m.severity.to_string(),
+            m.summary
+        );
     }
     println!("\nrun `cargo xtask lint --explain <rule>` for rationale and examples");
     ExitCode::SUCCESS

@@ -46,7 +46,10 @@ fn main() {
             .map(|(r, _)| r.clone())
             .collect();
         let s = FctSummary::from_records(&bg);
-        assert_eq!(res.counters.buffer_drops, 0, "lossless fabric must not drop");
+        assert_eq!(
+            res.counters.buffer_drops, 0,
+            "lossless fabric must not drop"
+        );
         table.row(vec![
             label.to_string(),
             format!("{}/{}", s.flows_completed, s.flows_total),

@@ -8,12 +8,12 @@
 //! ```
 
 use rlb::core::RlbConfig;
+use rlb::engine::substream;
 use rlb::engine::{SimDuration, SimTime};
 use rlb::lb::Scheme;
 use rlb::metrics::{ms, pct, Table};
 use rlb::net::{SimConfig, Simulation, TopoConfig};
 use rlb::workloads::{all_to_all, permutation};
-use rlb::engine::substream;
 
 fn topo() -> TopoConfig {
     TopoConfig {
@@ -24,7 +24,13 @@ fn topo() -> TopoConfig {
     }
 }
 
-fn run(label: &str, flows: Vec<rlb::workloads::FlowSpec>, scheme: Scheme, rlb: Option<RlbConfig>, table: &mut Table) {
+fn run(
+    label: &str,
+    flows: Vec<rlb::workloads::FlowSpec>,
+    scheme: Scheme,
+    rlb: Option<RlbConfig>,
+    table: &mut Table,
+) {
     let cfg = SimConfig {
         topo: topo(),
         scheme,
@@ -50,12 +56,30 @@ fn main() {
 
     // Contention-free permutation: the fabric's best case.
     let mut rng = substream(11, b"shuffle-example", 0);
-    let perm = permutation(t.n_hosts(), t.hosts_per_leaf, 2_000_000, SimTime::ZERO, &mut rng);
-    run("permutation, DRILL", perm.clone(), Scheme::Drill, None, &mut table);
+    let perm = permutation(
+        t.n_hosts(),
+        t.hosts_per_leaf,
+        2_000_000,
+        SimTime::ZERO,
+        &mut rng,
+    );
+    run(
+        "permutation, DRILL",
+        perm.clone(),
+        Scheme::Drill,
+        None,
+        &mut table,
+    );
 
     // Synchronized all-to-all: every host sends 500 KB to all 12 remote
     // hosts at t=0 — maximum fan-in everywhere.
-    let shuffle = all_to_all(t.n_hosts(), t.hosts_per_leaf, 500_000, SimTime::ZERO, SimDuration::ZERO);
+    let shuffle = all_to_all(
+        t.n_hosts(),
+        t.hosts_per_leaf,
+        500_000,
+        SimTime::ZERO,
+        SimDuration::ZERO,
+    );
     for scheme in Scheme::PAPER_SET {
         run(
             &format!("shuffle, {}", scheme.name()),

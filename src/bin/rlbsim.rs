@@ -238,7 +238,10 @@ fn run(args: &Args, scenario: Scenario) {
     let s = res.summary();
 
     let mut t = Table::new(vec!["metric", "value"]);
-    t.row(vec!["flows completed".to_string(), format!("{}/{}", s.flows_completed, s.flows_total)]);
+    t.row(vec![
+        "flows completed".to_string(),
+        format!("{}/{}", s.flows_completed, s.flows_total),
+    ]);
     t.row(vec!["avg FCT (ms)".to_string(), ms(s.avg_fct_ms)]);
     t.row(vec!["p50 FCT (ms)".to_string(), ms(s.p50_fct_ms)]);
     t.row(vec!["p99 FCT (ms)".to_string(), ms(s.p99_fct_ms)]);
@@ -252,24 +255,55 @@ fn run(args: &Args, scenario: Scenario) {
             base_rtt_ps,
             overhead,
         );
-        t.row(vec!["avg FCT slowdown".to_string(), format!("{sd_avg:.2}x")]);
-        t.row(vec!["p99 FCT slowdown".to_string(), format!("{sd_p99:.2}x")]);
+        t.row(vec![
+            "avg FCT slowdown".to_string(),
+            format!("{sd_avg:.2}x"),
+        ]);
+        t.row(vec![
+            "p99 FCT slowdown".to_string(),
+            format!("{sd_p99:.2}x"),
+        ]);
     }
-    t.row(vec!["p99 OOD (pkts)".to_string(), format!("{:.0}", s.p99_ood)]);
+    t.row(vec![
+        "p99 OOD (pkts)".to_string(),
+        format!("{:.0}", s.p99_ood),
+    ]);
     t.row(vec!["NAKs".to_string(), s.total_naks.to_string()]);
-    t.row(vec!["PFC PAUSE frames".to_string(), res.counters.pause_frames.to_string()]);
-    t.row(vec!["CNM warnings".to_string(), res.counters.cnm_generated.to_string()]);
-    t.row(vec!["RLB reroutes".to_string(), res.counters.reroutes.to_string()]);
-    t.row(vec!["RLB recirculations".to_string(), res.counters.recirculations.to_string()]);
-    t.row(vec!["buffer drops".to_string(), res.counters.buffer_drops.to_string()]);
-    t.row(vec!["events processed".to_string(), res.events_processed.to_string()]);
+    t.row(vec![
+        "PFC PAUSE frames".to_string(),
+        res.counters.pause_frames.to_string(),
+    ]);
+    t.row(vec![
+        "CNM warnings".to_string(),
+        res.counters.cnm_generated.to_string(),
+    ]);
+    t.row(vec![
+        "RLB reroutes".to_string(),
+        res.counters.reroutes.to_string(),
+    ]);
+    t.row(vec![
+        "RLB recirculations".to_string(),
+        res.counters.recirculations.to_string(),
+    ]);
+    t.row(vec![
+        "buffer drops".to_string(),
+        res.counters.buffer_drops.to_string(),
+    ]);
+    t.row(vec![
+        "events processed".to_string(),
+        res.events_processed.to_string(),
+    ]);
     println!("\n{}", t.render());
 
     let icts = res.group_completion_ms();
     if !icts.is_empty() {
         let times: Vec<f64> = icts.iter().map(|(_, v)| *v).collect();
         let avg = rlb::metrics::mean(&times);
-        println!("incast completion time (avg over {} requests): {:.3} ms", icts.len(), avg);
+        println!(
+            "incast completion time (avg over {} requests): {:.3} ms",
+            icts.len(),
+            avg
+        );
     }
 
     if args.cdf {

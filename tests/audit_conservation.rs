@@ -13,9 +13,7 @@ use proptest::prelude::*;
 use rlb::core::RlbConfig;
 use rlb::engine::{SimDuration, SimTime};
 use rlb::lb::Scheme;
-use rlb::net::scenario::{
-    FailSweepConfig, IncastScenarioConfig, MotivationConfig, Scenario,
-};
+use rlb::net::scenario::{FailSweepConfig, IncastScenarioConfig, MotivationConfig, Scenario};
 
 fn any_scheme() -> impl Strategy<Value = Scheme> {
     prop_oneof![

@@ -75,7 +75,13 @@ fn pfc_heavy_scenario(seed: u64) -> MotivationConfig {
 /// storms, CNM relaying, reroutes and recirculation all active).
 #[test]
 fn identical_seeds_produce_identical_runs() {
-    let mk = || Scenario::motivation(&pfc_heavy_scenario(42), Scheme::Drill, Some(RlbConfig::default()));
+    let mk = || {
+        Scenario::motivation(
+            &pfc_heavy_scenario(42),
+            Scheme::Drill,
+            Some(RlbConfig::default()),
+        )
+    };
     let a = digest(&mk().run());
     let b = digest(&mk().run());
     assert!(a.counter("pause_frames") > 0, "scenario must exercise PFC");
@@ -93,7 +99,13 @@ fn identical_seeds_produce_identical_runs() {
 /// reroutes and per-flow overrides all churn them.
 #[test]
 fn identical_seeds_identical_runs_rlb_letflow() {
-    let mk = || Scenario::motivation(&pfc_heavy_scenario(7), Scheme::LetFlow, Some(RlbConfig::default()));
+    let mk = || {
+        Scenario::motivation(
+            &pfc_heavy_scenario(7),
+            Scheme::LetFlow,
+            Some(RlbConfig::default()),
+        )
+    };
     let a = digest(&mk().run());
     let b = digest(&mk().run());
     assert!(a.counter("pause_frames") > 0, "scenario must exercise PFC");
@@ -108,7 +120,12 @@ fn identical_seeds_identical_runs_rlb_letflow() {
 /// events and must always agree.
 #[test]
 fn per_port_pauses_sum_to_aggregate_counter() {
-    let res = Scenario::motivation(&pfc_heavy_scenario(5), Scheme::Drill, Some(RlbConfig::default())).run();
+    let res = Scenario::motivation(
+        &pfc_heavy_scenario(5),
+        Scheme::Drill,
+        Some(RlbConfig::default()),
+    )
+    .run();
     let sum: u64 = res.pfc_pauses_by_port.values().sum();
     assert_eq!(sum, res.counters.pause_frames);
 }
@@ -156,6 +173,10 @@ fn faulted_runs_reproduce_bit_for_bit() {
     };
     let a = digest(&mk().run());
     let b = digest(&mk().run());
-    assert_eq!(a.counter("faults_applied"), 6, "3 downs + 3 recoveries must fire");
+    assert_eq!(
+        a.counter("faults_applied"),
+        6,
+        "3 downs + 3 recoveries must fire"
+    );
     assert_eq!(a, b, "faulted run must reproduce bit-for-bit");
 }

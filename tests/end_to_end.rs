@@ -27,7 +27,12 @@ fn small_cfg(scheme: Scheme, rlb: Option<RlbConfig>) -> SimConfig {
 /// flow completes, and every byte is accounted for.
 #[test]
 fn pfc_fabric_is_lossless_under_incast_pressure() {
-    for scheme in [Scheme::Presto, Scheme::LetFlow, Scheme::Hermes, Scheme::Drill] {
+    for scheme in [
+        Scheme::Presto,
+        Scheme::LetFlow,
+        Scheme::Hermes,
+        Scheme::Drill,
+    ] {
         let victim = 4u32;
         let flows: Vec<FlowSpec> = [0u32, 1, 2, 3, 8, 9, 10, 11]
             .iter()
@@ -42,7 +47,10 @@ fn pfc_fabric_is_lossless_under_incast_pressure() {
             res.records.iter().all(|r| r.completed()),
             "{scheme:?}: all flows must complete"
         );
-        assert!(res.counters.pause_frames > 0, "{scheme:?}: incast must pause");
+        assert!(
+            res.counters.pause_frames > 0,
+            "{scheme:?}: incast must pause"
+        );
         // PAUSE/RESUME pairing: every pause eventually resumed (or at most
         // the in-flight tail at simulation end).
         assert!(
@@ -101,7 +109,10 @@ fn go_back_n_delivers_under_heavy_reordering() {
     let res = sc.run();
     let s = res.summary();
     assert_eq!(s.flows_completed, s.flows_total, "all flows complete");
-    assert!(s.total_ooo_packets > 0, "the scenario must actually reorder");
+    assert!(
+        s.total_ooo_packets > 0,
+        "the scenario must actually reorder"
+    );
     // Retransmissions happened (go-back-N rewinds) yet everything landed.
     assert!(s.total_naks > 0, "NAKs must flow under reordering");
     for r in &res.records {
@@ -185,7 +196,10 @@ fn lossy_mode_drops_but_recovers() {
     cfg.switch.buffer_bytes = 300_000; // tiny buffer to force drops
     let res = Simulation::new(cfg, flows).run();
     assert!(res.counters.pause_frames == 0, "no PFC in lossy mode");
-    assert!(res.records.iter().all(|r| r.completed()), "GBN must recover");
+    assert!(
+        res.records.iter().all(|r| r.completed()),
+        "GBN must recover"
+    );
 }
 
 /// ECN marking reaches receivers and produces CNPs that slow senders:
@@ -197,13 +211,27 @@ fn dcqcn_reacts_to_congestion() {
         FlowSpec::new(SimTime::ZERO, 1, 4, 3_000_000),
     ];
     let res = Simulation::new(small_cfg(Scheme::Ecmp, None), flows).run();
-    assert!(res.counters.ecn_marks > 0, "persistent 2:1 overload must mark");
+    assert!(
+        res.counters.ecn_marks > 0,
+        "persistent 2:1 overload must mark"
+    );
     assert!(res.records.iter().all(|r| r.completed()));
     // Perfect fair sharing would finish both 3MB flows over a 40G link in
     // ~1.25ms; require completion in the right ballpark (not line-rate 0.6ms,
     // not pathological).
-    let worst = res.records.iter().map(|r| r.fct_ps().unwrap()).max().unwrap();
+    let worst = res
+        .records
+        .iter()
+        .map(|r| r.fct_ps().unwrap())
+        .max()
+        .unwrap();
     let worst_ms = worst as f64 / 1e9;
-    assert!(worst_ms > 1.0, "two 3MB flows through one 40G link can't beat 1.2ms: {worst_ms}");
-    assert!(worst_ms < 20.0, "DCQCN shouldn't strand the incast: {worst_ms}");
+    assert!(
+        worst_ms > 1.0,
+        "two 3MB flows through one 40G link can't beat 1.2ms: {worst_ms}"
+    );
+    assert!(
+        worst_ms < 20.0,
+        "DCQCN shouldn't strand the incast: {worst_ms}"
+    );
 }

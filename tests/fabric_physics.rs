@@ -50,8 +50,14 @@ fn solo_flow_achieves_line_rate() {
     let fct_s = res.records[0].fct_ps().unwrap() as f64 / 1e12;
     // 4 MB + 5% header overhead at 40 Gbps ≈ 0.84 ms.
     let ideal = (4_000_000.0 * 1.048 * 8.0) / 40e9;
-    assert!(fct_s > ideal * 0.98, "faster than line rate? {fct_s} vs {ideal}");
-    assert!(fct_s < ideal * 1.15, "too slow for a solo flow: {fct_s} vs {ideal}");
+    assert!(
+        fct_s > ideal * 0.98,
+        "faster than line rate? {fct_s} vs {ideal}"
+    );
+    assert!(
+        fct_s < ideal * 1.15,
+        "too slow for a solo flow: {fct_s} vs {ideal}"
+    );
 }
 
 /// The same flow over a degraded (10G) path takes ≈ 4× longer.
@@ -68,8 +74,14 @@ fn degraded_link_quarters_throughput() {
     // the bottleneck keeps cutting the rate, recovery is slow), so demand
     // only that the 10G link binds: slower than 10G line rate, far slower
     // than 40G, but within 3x of the 10G ideal.
-    assert!(fct_s > ideal_10g * 0.98, "beat the 10G bottleneck?! {fct_s} vs {ideal_10g}");
-    assert!(fct_s < ideal_10g * 3.0, "pathologically slow on 10G: {fct_s} vs {ideal_10g}");
+    assert!(
+        fct_s > ideal_10g * 0.98,
+        "beat the 10G bottleneck?! {fct_s} vs {ideal_10g}"
+    );
+    assert!(
+        fct_s < ideal_10g * 3.0,
+        "pathologically slow on 10G: {fct_s} vs {ideal_10g}"
+    );
 }
 
 /// Two equal flows into one host share its 40G link ≈ fairly under DCQCN:
@@ -147,6 +159,9 @@ fn ecmp_never_reorders() {
         .collect();
     let res = Simulation::new(cfg_2x2(), flows).run();
     let s = res.summary();
-    assert_eq!(s.total_ooo_packets, 0, "per-flow single path cannot reorder");
+    assert_eq!(
+        s.total_ooo_packets, 0,
+        "per-flow single path cannot reorder"
+    );
     assert_eq!(s.total_naks, 0);
 }

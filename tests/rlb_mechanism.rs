@@ -42,7 +42,12 @@ fn background_summary(res: &RunResult) -> FctSummary {
 /// warnings and RLB changes decisions.
 #[test]
 fn warning_pipeline_fires_end_to_end() {
-    let res = Scenario::motivation(&small_motivation(1), Scheme::Drill, Some(RlbConfig::default())).run();
+    let res = Scenario::motivation(
+        &small_motivation(1),
+        Scheme::Drill,
+        Some(RlbConfig::default()),
+    )
+    .run();
     assert!(res.counters.pause_frames > 0, "bursts must trigger PFC");
     assert!(res.counters.cnm_generated > 0, "predictor must warn");
     assert!(res.counters.cnm_relayed > 0, "spines must relay CNMs");
@@ -135,7 +140,10 @@ fn recirculation_budget_and_ablation() {
         ..RlbConfig::default()
     };
     let res = Scenario::motivation(&mc, Scheme::Presto, Some(no_recirc)).run();
-    assert_eq!(res.counters.recirculations, 0, "ablation must disable recirculation");
+    assert_eq!(
+        res.counters.recirculations, 0,
+        "ablation must disable recirculation"
+    );
 
     let res2 = Scenario::motivation(&mc, Scheme::Presto, Some(RlbConfig::default())).run();
     // Budget: total recirculations bounded by packets x max_recirculations.

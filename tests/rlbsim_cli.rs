@@ -45,7 +45,14 @@ fn unusable_flags_are_refused_with_one_line() {
 #[test]
 fn a_short_run_exits_zero() {
     // The spellings `rlbsim` has always taken still name the workload.
-    let out = rlbsim(&["--scheme", "ecmp", "--workload", "websearch", "--horizon-ms", "1"]);
+    let out = rlbsim(&[
+        "--scheme",
+        "ecmp",
+        "--workload",
+        "websearch",
+        "--horizon-ms",
+        "1",
+    ]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
     assert!(stdout.contains("ECMP | Web Search @ 60%"), "{stdout}");

@@ -64,7 +64,9 @@ fn incast_spec_generates_the_burst_train() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("specs/incast_storm.toml");
     let text = std::fs::read_to_string(path).expect("specs/incast_storm.toml exists");
     let spec = ScenarioSpec::parse(&text).expect("incast_storm parses");
-    let ic = spec.incast.expect("incast_storm declares an [incast] section");
+    let ic = spec
+        .incast
+        .expect("incast_storm declares an [incast] section");
     assert_eq!((ic.degree, ic.requests), (15, 8));
     let scenario = spec.build().expect("incast_storm builds");
     // 8 requests × 15 responders land on top of the background mix.
