@@ -182,14 +182,23 @@ impl fmt::Display for SimDuration {
 
 /// Transmission (serialization) delay of `bytes` on a link of `bits_per_sec`.
 ///
-/// Computed in u128 to avoid overflow, exact for the standard datacenter
-/// rates (10/25/40/100 Gbps all divide 10^12 evenly for byte-granular sizes).
+/// Exact (rounded down) at every rate. Below about 2.3 MB the product
+/// `bytes · 8 · 10^12` fits a `u64` and one 64-bit division does it: that
+/// is every frame a launch serializes. Larger sizes take the `u128` path. The standard datacenter rates (10/25/40/100 Gbps) divide
+/// 10^12 evenly, so byte-granular sizes come out without rounding.
 #[inline]
 pub fn tx_delay(bytes: u64, bits_per_sec: u64) -> SimDuration {
     debug_assert!(bits_per_sec > 0);
-    let ps = (bytes as u128 * 8 * PS_PER_SEC as u128) / bits_per_sec as u128;
-    SimDuration(ps as u64)
+    let ps = if bytes < TX_DELAY_U64_BYTES {
+        bytes * 8 * PS_PER_SEC / bits_per_sec
+    } else {
+        ((bytes as u128 * 8 * PS_PER_SEC as u128) / bits_per_sec as u128) as u64
+    };
+    SimDuration(ps)
 }
+
+/// Sizes below this take [`tx_delay`]'s `u64` path.
+const TX_DELAY_U64_BYTES: u64 = u64::MAX / (8 * PS_PER_SEC);
 
 /// Bytes that a link of `bits_per_sec` can carry in `dur` (rounded down).
 #[inline]
@@ -258,6 +267,49 @@ mod tests {
         assert_eq!(bytes_in(SimDuration(100), 40_000_000_000), 0);
         assert_eq!(bytes_in(SimDuration(200), 40_000_000_000), 1);
         assert_eq!(bytes_in(SimDuration::ZERO, 40_000_000_000), 0);
+    }
+
+    /// The `u64` path is the `u128` division it replaced, at every size up
+    /// to 64 KiB, at the standard rates and at odd ones, and on both sides
+    /// of the switch-over.
+    #[test]
+    fn tx_delay_u64_path_matches_u128() {
+        let wide =
+            |bytes: u64, bps: u64| (bytes as u128 * 8 * PS_PER_SEC as u128 / bps as u128) as u64;
+        let rates = [
+            10_000_000_000u64,
+            25_000_000_000,
+            40_000_000_000,
+            100_000_000_000,
+            1,
+            7,
+            999_999_937,
+            12_345_678_901,
+            33_333_333_333,
+            u64::MAX,
+        ];
+        for bps in rates {
+            for bytes in 0..=65_536u64 {
+                assert_eq!(
+                    tx_delay(bytes, bps).as_ps(),
+                    wide(bytes, bps),
+                    "{bytes} B at {bps} b/s"
+                );
+            }
+            for bytes in [
+                TX_DELAY_U64_BYTES - 1,
+                TX_DELAY_U64_BYTES,
+                TX_DELAY_U64_BYTES + 1,
+            ] {
+                assert_eq!(
+                    tx_delay(bytes, bps).as_ps(),
+                    wide(bytes, bps),
+                    "{bytes} B at {bps} b/s"
+                );
+            }
+        }
+        // The switch-over is the largest size whose product fits.
+        assert!((TX_DELAY_U64_BYTES as u128 + 1) * 8 * PS_PER_SEC as u128 > u64::MAX as u128);
     }
 
     #[test]

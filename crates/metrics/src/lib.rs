@@ -9,7 +9,8 @@
 //!   recirculation and reroute counts, buffer drops.
 //! * [`record!`] — the one field list behind each result record: the
 //!   struct, its `(name, value)` listing and its field-wise merge.
-//! * [`OnlineStats`], [`percentile`], [`LogHistogram`] — scalar statistics.
+//! * [`percentile`], [`mean`], [`kahan_sum`], [`LogHistogram`] — scalar
+//!   statistics.
 //! * [`Table`] — aligned ASCII output for the `figN` experiment harnesses.
 
 pub mod counters;
@@ -23,7 +24,7 @@ pub use counters::FabricCounters;
 pub use flows::{downsample_cdf, fct_cdf, slowdown_summary, FctSummary, FlowRecord};
 pub use histogram::LogHistogram;
 pub use record::{Merge, Num};
-pub use stats::{kahan_sum, mean, percentile, percentile_of_sorted, OnlineStats};
+pub use stats::{kahan_sum, mean, percentile, percentile_of_sorted};
 pub use table::{ms, pct, Table};
 
 #[cfg(test)]
@@ -53,16 +54,6 @@ mod proptests {
             prop_assert_eq!(percentile_of_sorted(&xs, 1.0), *xs.last().unwrap());
         }
 
-        /// Online mean matches the naive mean to floating-point tolerance.
-        #[test]
-        fn online_mean_matches_naive(xs in proptest::collection::vec(-1e9f64..1e9, 1..200)) {
-            let mut s = OnlineStats::new();
-            for &x in &xs { s.push(x); }
-            let naive = xs.iter().sum::<f64>() / xs.len() as f64;
-            prop_assert!((s.mean() - naive).abs() <= 1e-6 * (1.0 + naive.abs()));
-            prop_assert_eq!(s.count() as usize, xs.len());
-        }
-
         /// Histogram quantile upper bound dominates the true quantile and
         /// count/max/mean stay exact.
         #[test]
@@ -77,21 +68,6 @@ mod proptests {
                 let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
                 prop_assert!(h.quantile_upper_bound(q) >= sorted[rank - 1]);
             }
-        }
-
-        /// Merging OnlineStats in any split equals pushing the whole slice.
-        #[test]
-        fn merge_any_split(xs in proptest::collection::vec(-1e6f64..1e6, 2..100), split in 1usize..99) {
-            let k = split.min(xs.len() - 1);
-            let mut whole = OnlineStats::new();
-            for &x in &xs { whole.push(x); }
-            let mut a = OnlineStats::new();
-            let mut b = OnlineStats::new();
-            for &x in &xs[..k] { a.push(x); }
-            for &x in &xs[k..] { b.push(x); }
-            a.merge(&b);
-            prop_assert_eq!(a.count(), whole.count());
-            prop_assert!((a.mean() - whole.mean()).abs() <= 1e-6 * (1.0 + whole.mean().abs()));
         }
     }
 }

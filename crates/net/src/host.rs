@@ -20,6 +20,7 @@
 //! wake-up at the earliest pacing deadline.
 
 use crate::switch::EgressPort;
+use rlb_metrics::FlowRecord;
 use rlb_transport::{
     CnpGenerator, DcqcnConfig, DcqcnRate, GbnReceiver, GbnSender, IrnReceiver, IrnSender,
 };
@@ -182,7 +183,12 @@ impl Rx {
 
 /// The resident record of one flow, from construction to the end of the
 /// run: the spec, the counters the report reads and the receiver's CNP
-/// pacing, plus the transport halves while they live.
+/// pacing, plus the transport halves while they live. At the end of the
+/// run it becomes its [`FlowRecord`] in place ([`into_record`](Self::into_record)).
+///
+/// The four counters are `u32`, widened when the record is made: a 120 MB
+/// flow in 1 000-byte packets is 120 k packets, so a count reaches
+/// `u32::MAX` only after some 35 000 go-back-N resends of the whole flow.
 pub struct FlowState {
     pub spec: FlowSpec,
     pub total_packets: u32,
@@ -194,14 +200,30 @@ pub struct FlowState {
     pub cnp_gen: CnpGenerator,
     /// Counts folded in from a dropped half, plus the NAKs that arrived
     /// after the sender's; the accessors add a live half's own.
-    packets_sent: u64,
-    naks: u64,
-    ooo_packets: u64,
+    packets_sent: u32,
+    naks: u32,
+    ooo_packets: u32,
     max_ood: u32,
     /// RLB recirculations suffered by this flow's packets.
-    pub recirculations: u64,
+    pub recirculations: u32,
     pub tx: Option<Box<Sender>>,
     pub rx: Option<Box<Rx>>,
+}
+
+/// The record has to fit in the state's slot, at the state's alignment,
+/// for [`FlowState::into_record`] to reuse the flow vector's buffer
+/// (std collects `vec::IntoIter` → `Map` → `Vec` in place then).
+const _: () = assert!(
+    size_of::<FlowRecord>() <= size_of::<FlowState>()
+        && align_of::<FlowRecord>() == align_of::<FlowState>()
+);
+
+/// `acc += n` for a count folded in from a dropped half; the bound on
+/// [`FlowState`] keeps it from overflowing, which debug builds check.
+fn add(acc: &mut u32, n: u64) {
+    let sum = *acc as u64 + n;
+    debug_assert!(sum <= u32::MAX as u64, "per-flow counter overflows u32");
+    *acc = sum as u32;
 }
 
 impl FlowState {
@@ -230,8 +252,8 @@ impl FlowState {
     /// the record and drop it.
     pub fn finish(&mut self, now_ps: u64) {
         let s = self.tx.take().expect("a finishing flow is sending");
-        self.packets_sent += s.tx.packets_sent();
-        self.naks += s.tx.naks();
+        add(&mut self.packets_sent, s.tx.packets_sent());
+        add(&mut self.naks, s.tx.naks());
         self.finish_ps = Some(now_ps);
     }
 
@@ -256,27 +278,45 @@ impl FlowState {
     pub fn settle_receiver(&mut self) {
         if self.rx.as_ref().is_some_and(|rx| rx.is_complete()) {
             let rx = self.rx.take().expect("checked above");
-            self.ooo_packets += rx.ooo_packets();
+            add(&mut self.ooo_packets, rx.ooo_packets());
             self.max_ood = self.max_ood.max(rx.max_ood());
             self.delivered = true;
         }
     }
 
     pub fn packets_sent(&self) -> u64 {
-        self.packets_sent + self.tx.as_ref().map_or(0, |s| s.tx.packets_sent())
+        self.packets_sent as u64 + self.tx.as_ref().map_or(0, |s| s.tx.packets_sent())
     }
 
     pub fn naks(&self) -> u64 {
-        self.naks + self.tx.as_ref().map_or(0, |s| s.tx.naks())
+        self.naks as u64 + self.tx.as_ref().map_or(0, |s| s.tx.naks())
     }
 
     pub fn ooo_packets(&self) -> u64 {
-        self.ooo_packets + self.rx.as_ref().map_or(0, |rx| rx.ooo_packets())
+        self.ooo_packets as u64 + self.rx.as_ref().map_or(0, |rx| rx.ooo_packets())
     }
 
     pub fn max_ood(&self) -> u32 {
         self.max_ood
             .max(self.rx.as_ref().map_or(0, |rx| rx.max_ood()))
+    }
+
+    /// What the report keeps of flow `flow_id`, live halves included.
+    pub fn into_record(self, flow_id: u64) -> FlowRecord {
+        FlowRecord {
+            flow_id,
+            src_host: self.spec.src_host,
+            dst_host: self.spec.dst_host,
+            size_bytes: self.spec.size_bytes,
+            total_packets: self.total_packets,
+            start_ps: self.spec.start.as_ps(),
+            finish_ps: self.finish_ps,
+            ooo_packets: self.ooo_packets(),
+            max_ood: self.max_ood() as u64,
+            packets_sent: self.packets_sent(),
+            naks: self.naks(),
+            recirculations: self.recirculations as u64,
+        }
     }
 
     /// Payload bytes of packet `psn` (the last packet may be short).
@@ -439,7 +479,7 @@ mod tests {
     /// scenario, live or not (DESIGN §9.6).
     #[test]
     fn flow_record_is_small() {
-        assert!(std::mem::size_of::<FlowState>() <= 144);
+        assert!(std::mem::size_of::<FlowState>() <= 128);
     }
 
     /// The sender half folds its counts into the record when it finishes;
