@@ -407,14 +407,14 @@ fn bench_shard_sync(c: &mut Criterion) {
 
     // Sized like the crate-private `rlb_net::sim::WireMsg` (pinned there by
     // `wire_msg_size_is_what_the_mailbox_bench_assumes`): time, key and a
-    // 64-byte payload — a frame crosses with its packet by value.
+    // 40-byte payload — a frame crosses with its 32-byte packet by value.
     #[derive(Clone, Copy)]
     struct Msg {
         at: u64,
         _key: u128,
-        _ev: [u64; 8],
+        _ev: [u64; 5],
     }
-    assert_eq!(std::mem::size_of::<Msg>(), 96);
+    assert_eq!(std::mem::size_of::<Msg>(), 64);
     // Leaf↔spine frames per window and direction on `steady_websearch`.
     const PER_WINDOW: u64 = 110;
     let fill = |outbox: &mut Vec<Msg>| {
@@ -422,7 +422,7 @@ fn bench_shard_sync(c: &mut Criterion) {
             outbox.push(Msg {
                 at: black_box(i),
                 _key: i as u128,
-                _ev: [i; 8],
+                _ev: [i; 5],
             });
         }
     };
@@ -464,14 +464,14 @@ fn bench_shard_sync(c: &mut Criterion) {
     group.finish();
 }
 
-/// Stand-in for the packet payload parked in the arena: roughly
-/// `rlb_net::Packet`-sized.
+/// Stand-in for the packet payload parked in the arena:
+/// `rlb_net::Packet`-sized (32 bytes).
 #[derive(Clone, Copy)]
 struct FatPacket {
     size_bytes: u32,
     flow: u32,
     enqueued_at_ps: u64,
-    _cold: [u64; 6],
+    _cold: [u64; 2],
 }
 
 fn bench_packet_plane(c: &mut Criterion) {
@@ -483,7 +483,7 @@ fn bench_packet_plane(c: &mut Criterion) {
         size_bytes: 1_000 + (i % 512) as u32,
         flow: i as u32,
         enqueued_at_ps: i * 37,
-        _cold: [i; 6],
+        _cold: [i; 2],
     };
 
     // FIFO churn through the arena: handles in the queue, payload parked.

@@ -5,7 +5,7 @@
 //! carry it across a wire or around a recirculation loop and the queues
 //! it waits in hold 4-byte [`PacketHandle`]s, and whoever consumes or
 //! drops it frees the slot. A queue entry or an event's packet is one
-//! handle instead of a 48-byte payload.
+//! handle instead of a 32-byte payload.
 //!
 //! **Hot columns.** Next to the payloads sit columns for the handful of
 //! fields the transmit path and the occupancy sweeps read — wire size,

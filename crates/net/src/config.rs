@@ -47,6 +47,11 @@ const MAX_SPINES: u32 = crate::packet::NO_PATH as u32;
 /// Most hosts + leaves + spines a fabric may have: every entity needs a
 /// 16-bit rank after the two reserved ones.
 const MAX_ENTITIES: u64 = u16::MAX as u64 - 2;
+/// Most ports (host NICs, leaf and spine ports) a fabric may have: events
+/// name a port by its 16-bit `PortId`.
+const MAX_PORTS: u64 = u16::MAX as u64;
+/// Largest frame a packet can describe: `Packet::size_bytes` is 16 bits.
+const MAX_FRAME_BYTES: u64 = u16::MAX as u64;
 
 impl TopoConfig {
     /// The paper's evaluation fabric: 12 leaves × 12 spines, 24 hosts/leaf.
@@ -61,6 +66,18 @@ impl TopoConfig {
 
     pub fn n_hosts(&self) -> u32 {
         self.n_leaves * self.hosts_per_leaf
+    }
+
+    /// Every directed port of the fabric: one NIC per host, a leaf port per
+    /// host and per spine, a spine port per leaf (`2·H + 2·L·S`). In `u64`,
+    /// so it is exact for any shape `validate` has to reject.
+    pub fn n_ports(&self) -> u64 {
+        let (l, s, hpl) = (
+            self.n_leaves as u64,
+            self.n_spines as u64,
+            self.hosts_per_leaf as u64,
+        );
+        2 * l * hpl + 2 * l * s
     }
 
     /// Aggregate leaf→spine capacity, the "network core" loads are
@@ -119,6 +136,12 @@ impl TopoConfig {
             return Err(format!(
                 "{entities} hosts + leaves + spines exceed the limit of {MAX_ENTITIES} \
                  (event keys rank entities in 16 bits)"
+            ));
+        }
+        if self.n_ports() > MAX_PORTS {
+            return Err(format!(
+                "{} ports exceed the limit of {MAX_PORTS} (events name a port in 16 bits)",
+                self.n_ports()
             ));
         }
         for &(l, s) in &self.degraded_links {
@@ -276,6 +299,19 @@ impl SimConfig {
         if self.switch.ecn.kmin_bytes > self.switch.ecn.kmax_bytes {
             return Err("ECN kmin above kmax".into());
         }
+        let t = &self.transport;
+        let frames = [
+            ("MTU plus header", t.mtu_bytes as u64 + t.hdr_bytes as u64),
+            ("control frame", t.ctrl_bytes as u64),
+        ];
+        for (what, bytes) in frames {
+            if bytes > MAX_FRAME_BYTES {
+                return Err(format!(
+                    "{what} of {bytes} bytes exceeds the limit of {MAX_FRAME_BYTES} \
+                     (packets carry their size in 16 bits)"
+                ));
+            }
+        }
         crate::fault::validate_timeline(&self.faults, &self.topo)?;
         Ok(())
     }
@@ -301,6 +337,7 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::Topology;
 
     #[test]
     fn defaults_validate() {
@@ -373,12 +410,53 @@ mod tests {
             n_spines: 1,
             ..TopoConfig::default()
         };
-        // 2 + 254·256 + 254 + 1 = 65 281 fits, one more leaf does not.
-        fabric(254, 256).validate().expect("inside the rank space");
+        // 2 + 255·256 + 255 + 1 = 65 538 entities: the rank space is the
+        // first limit named.
         let e = fabric(255, 256).validate().expect_err("65 536 entities");
         assert!(e.contains("65536") && e.contains("limit of 65533"), "{e}");
         // The product alone overflows `u32`: still a diagnostic.
         assert!(fabric(1 << 20, 1 << 20).validate().is_err());
+    }
+
+    /// Every port needs a 16-bit `PortId`: `2·H + 2·L·S` ports. A
+    /// 65 536-port fabric is a message, not a panic; 65 534 (ports come in
+    /// pairs) fits.
+    #[test]
+    fn validation_rejects_fabrics_beyond_the_port_space() {
+        let fabric = |n_leaves, hosts_per_leaf| TopoConfig {
+            n_leaves,
+            hosts_per_leaf,
+            n_spines: 1,
+            ..TopoConfig::default()
+        };
+        let fits = fabric(7, 4_680);
+        assert_eq!(fits.n_ports(), 65_534);
+        fits.validate().expect("inside the port space");
+        let over = fabric(2, 16_383);
+        assert_eq!(over.n_ports(), 65_536);
+        let e = over.validate().expect_err("65 536 ports");
+        assert!(e.contains("65536 ports exceed the limit of 65535"), "{e}");
+        Topology::new(fits);
+    }
+
+    /// A packet carries its size in 16 bits: a 65 536-byte data or control
+    /// frame is a message, not a panic.
+    #[test]
+    fn validation_rejects_frames_beyond_16_bits() {
+        let mut c = SimConfig::default();
+        c.transport.mtu_bytes = 65_535 - c.transport.hdr_bytes;
+        c.validate().expect("the largest frame fits");
+        c.transport.mtu_bytes += 1;
+        let e = c.validate().expect_err("65 536-byte data frame");
+        assert!(e.contains("MTU plus header of 65536 bytes"), "{e}");
+        let mut c = SimConfig::default();
+        c.transport.ctrl_bytes = 65_536;
+        let e = c.validate().expect_err("65 536-byte control frame");
+        assert!(e.contains("control frame of 65536 bytes"), "{e}");
+        // The sum is taken wide: it cannot wrap back under the limit.
+        c.transport.ctrl_bytes = 64;
+        c.transport.mtu_bytes = u32::MAX;
+        assert!(c.validate().is_err());
     }
 
     #[test]

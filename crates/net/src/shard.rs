@@ -511,6 +511,7 @@ fn drive_rounds(mut sims: Vec<Simulation>, rounds: Rounds) -> RunResult {
     let endpoints: Vec<(u16, u16)> = (0..n_flows)
         .map(|i| sims[0].flow_endpoint_shards(i))
         .collect();
+    let groups = sims[0].groups();
     let mut parts: Vec<ShardParts> = sims.into_iter().map(Simulation::into_parts).collect();
     let mut shard_records: Vec<Vec<FlowRecord>> = parts
         .iter_mut()
@@ -559,13 +560,10 @@ fn drive_rounds(mut sims: Vec<Simulation>, rounds: Rounds) -> RunResult {
         ..perf
     };
 
-    // Groups are replicated on every shard; monitoring and tracing pin a
-    // run to one shard, so shard 0 holds whatever was observed.
+    // Monitoring and tracing pin a run to one shard, so shard 0 holds
+    // whatever was observed.
     let ShardParts {
-        groups,
-        timeseries,
-        traces,
-        ..
+        timeseries, traces, ..
     } = parts.swap_remove(0);
     RunResult {
         records,

@@ -14,7 +14,7 @@
 
 use super::{Event, JEffect, PerfStats, Simulation};
 use crate::config::SimConfig;
-use crate::packet::{Packet, PacketKind, NO_PATH};
+use crate::packet::{Packet, NO_PATH};
 use crate::switch::EgressPort;
 use crate::topology::Node;
 use rlb_core::{algorithm1, Decision, DecisionReason, Prediction, RlbConfig, WarningTable};
@@ -23,23 +23,6 @@ use rlb_lb::{Ctx, LoadBalancer, PathIdx, PathInfo};
 
 /// Hops a CNM may still be relayed when its origin emits it.
 const CNM_TTL: u8 = 4;
-
-/// Encode a switch identity into the CNM origin field.
-fn encode_node(n: Node) -> u32 {
-    match n {
-        Node::Leaf(l) => l,
-        Node::Spine(s) => 0x8000_0000 | s,
-        Node::Host(_) => unreachable!("hosts never originate CNMs"),
-    }
-}
-
-fn decode_node(v: u32) -> Node {
-    if v & 0x8000_0000 != 0 {
-        Node::Spine(v & 0x7FFF_FFFF)
-    } else {
-        Node::Leaf(v)
-    }
-}
 
 /// One leaf's load-balancing state: the deployed scheme, the warning table
 /// fed by CNMs, the per-path RTT/ECN estimators the schemes and Algorithm 1
@@ -189,7 +172,7 @@ impl Control {
     pub(super) fn on_ack(&mut self, leaf: u32, dst: u32, ack: &Packet, now: SimTime) {
         if ack.path != NO_PATH {
             let rtt_ns = (now.as_ps().saturating_sub(ack.sent_ps)) as f64 / 1e3;
-            self.leaves[leaf as usize].observe(ack.path as usize, dst as usize, rtt_ns, ack.ecn);
+            self.leaves[leaf as usize].observe(ack.path as usize, dst as usize, rtt_ns, ack.ecn());
         }
     }
 
@@ -264,7 +247,8 @@ impl Simulation {
         };
         if arm {
             let at = now + SimDuration(dt);
-            self.sched.schedule(node, at, Event::PredictorTick(node));
+            let ev = Event::PredictorTick(self.topo.node_index(node));
+            self.sched.schedule(node, at, ev);
         }
     }
 
@@ -309,12 +293,14 @@ impl Simulation {
             self.jot(JEffect::CnmGen(warns.len() as u64));
         }
         for &port in &warns {
-            self.send_cnm_upstream(node, port, encode_node(node), port, CNM_TTL);
+            let origin = self.topo.node_index(node);
+            self.send_cnm_upstream(node, port, origin, port, CNM_TTL);
         }
         self.control.ports_scratch = warns;
         if keep_ticking {
             let at = now + SimDuration(dt);
-            self.sched.schedule(node, at, Event::PredictorTick(node));
+            let ev = Event::PredictorTick(self.topo.node_index(node));
+            self.sched.schedule(node, at, ev);
         }
     }
 
@@ -325,7 +311,7 @@ impl Simulation {
         &mut self,
         node: Node,
         out_port: u16,
-        origin_node: u32,
+        origin_node: u16,
         origin_port: u16,
         ttl: u8,
     ) {
@@ -334,25 +320,9 @@ impl Simulation {
             return;
         }
         let now_ps = self.now().as_ps();
-        let pkt = Packet {
-            kind: PacketKind::Cnm {
-                origin_node,
-                origin_ingress_port: origin_port,
-                ttl,
-            },
-            flow: u32::MAX,
-            psn: 0,
-            size_bytes: self.cfg.transport.ctrl_bytes,
-            src_host: u32::MAX,
-            dst_host: u32::MAX,
-            ecn: false,
-            sent_ps: now_ps,
-            path: NO_PATH,
-            recircs: 0,
-            ingress_port: 0,
-            cum: 0,
-            nack: false,
-        };
+        // Validated to fit 16 bits (`SimConfig::validate`).
+        let size = self.cfg.transport.ctrl_bytes as u16;
+        let pkt = Packet::cnm(origin_node, origin_port, ttl, size, now_ps);
         let pkt = pkt.park(&mut self.arena, now_ps);
         self.enqueue_or_launch(node, out_port, pkt);
     }
@@ -370,7 +340,7 @@ impl Simulation {
         &mut self,
         node: Node,
         in_port: u16,
-        origin_node: u32,
+        origin_node: u16,
         origin_port: u16,
         ttl: u8,
     ) {
@@ -388,7 +358,7 @@ impl Simulation {
                 };
                 let until = (now + SimDuration(warn_lifetime_ps)).as_ps();
                 let ls = &mut self.control.leaves[l as usize];
-                match decode_node(origin_node) {
+                match self.topo.node_at(origin_node) {
                     Node::Leaf(dst_leaf) => {
                         // Congestion predicted at dst_leaf's ingress from
                         // some spine: that (spine, dst_leaf) path is hot.
@@ -441,26 +411,6 @@ mod tests {
     use rlb_core::DecisionReason::*;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
-
-    #[test]
-    fn cnm_origin_encoding_round_trips() {
-        for node in [
-            Node::Leaf(0),
-            Node::Leaf(11),
-            Node::Spine(0),
-            Node::Spine(39),
-        ] {
-            assert_eq!(decode_node(encode_node(node)), node);
-        }
-        // Leaves and spines never collide.
-        assert_ne!(encode_node(Node::Leaf(3)), encode_node(Node::Spine(3)));
-    }
-
-    #[test]
-    #[should_panic]
-    fn host_origin_is_rejected() {
-        encode_node(Node::Host(0));
-    }
 
     fn ecmp_leaf(n_spines: usize, n_leaves: usize) -> LeafState {
         let lb = rlb_lb::build(rlb_lb::Scheme::Ecmp, 1000, substream(0, b"t", 0));

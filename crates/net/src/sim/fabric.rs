@@ -3,26 +3,22 @@
 //! → `launch` → `EgressDone`, idle completions only reserved, DESIGN §9.7).
 
 use super::{Event, JEffect, Simulation};
-use crate::packet::{Packet, PacketKind};
-use crate::switch::{PfcAction, Reserved};
+use crate::packet::Packet;
+use crate::switch::{PfcAction, Release, Reserved};
 use crate::topology::Node;
 use crate::trace::TraceEvent;
 use rlb_core::Decision;
 use rlb_engine::{tx_delay, PacketHandle, SimDuration, SimTime};
 use rlb_lb::Ctx;
+use std::num::NonZeroU16;
 
 impl Simulation {
     /// A frame arrived at switch `node` on `in_port`.
     pub(super) fn switch_rx(&mut self, node: Node, in_port: u16, h: PacketHandle) {
         let pkt = self.arena.get_mut(h);
-        if let PacketKind::Cnm {
-            origin_node,
-            origin_ingress_port,
-            ttl,
-        } = pkt.kind
-        {
+        if let Some((origin_node, origin_port, ttl)) = pkt.cnm_origin() {
             self.arena.free(h);
-            self.handle_cnm(node, in_port, origin_node, origin_ingress_port, ttl);
+            self.handle_cnm(node, in_port, origin_node, origin_port, ttl);
             return;
         }
         if pkt.kind.is_control() {
@@ -33,7 +29,7 @@ impl Simulation {
         // Data plane: buffer admission + PFC accounting against the
         // ingress port, which the packet records for its release.
         pkt.ingress_port = in_port;
-        let size = pkt.size_bytes;
+        let size = pkt.size_bytes as u32;
         let cursor = self.sched.cursor();
         let (admitted, action) = {
             let sw = self.switch_mut(node);
@@ -83,7 +79,7 @@ impl Simulation {
     fn route_data(&mut self, node: Node, in_port: u16, h: PacketHandle) {
         let now = self.now();
         let pkt = self.arena.get(h);
-        let (ingress, size) = (pkt.ingress_port, pkt.size_bytes);
+        let (ingress, size) = (pkt.ingress_port, pkt.size_bytes as u32);
         let (out, path) = match (node, self.route_down(node, pkt)) {
             (_, Some(out)) => (out, None),
             (Node::Leaf(l), None) => {
@@ -117,8 +113,11 @@ impl Simulation {
                     pkt.recircs = pkt.recircs.saturating_add(1);
                     let rlb = self.cfg.rlb.as_ref().expect("recirculation without RLB");
                     let at = now + SimDuration(rlb.t_rc_ps);
-                    self.sched
-                        .schedule(node, at, Event::Recirculate { node, pkt: h });
+                    let ev = Event::Recirculate {
+                        node: self.topo.node_index(node),
+                        pkt: h,
+                    };
+                    self.sched.schedule(node, at, ev);
                     return;
                 };
                 (self.topo.leaf_uplink_port(s as u32), Some(s as u8))
@@ -145,7 +144,9 @@ impl Simulation {
         if mark || path.is_some() {
             let pkt = self.arena.get_mut(h);
             pkt.path = path.unwrap_or(pkt.path);
-            pkt.ecn |= mark;
+            if mark {
+                pkt.set_ecn(true);
+            }
         }
         if mark {
             self.jot(JEffect::EcnMark);
@@ -243,7 +244,10 @@ impl Simulation {
                 (&mut self.hosts[host as usize].nic, None, ser, idle)
             }
             Node::Leaf(_) | Node::Spine(_) => {
-                let release = data.then_some((ingress, size));
+                let release = data.then(|| {
+                    let bytes = NonZeroU16::new(size).expect("a data frame has bytes");
+                    (ingress, bytes)
+                });
                 let sw = self.switch_mut(node);
                 let idle = release.is_none_or(|(ingress, _)| !sw.paused_upstream[ingress as usize]);
                 let ep = &mut sw.egress[port as usize];
@@ -259,32 +263,31 @@ impl Simulation {
         let passed = ep.reserved.take().is_some();
         if idle && ser.as_ps() > 0 && ep.queues_empty() {
             ep.reserved = Some(done);
-            if let Some((ingress, bytes)) = release {
-                self.switch_mut(node)
-                    .defer_release(done, port, ingress, bytes);
+            if let Some(release) = release {
+                self.switch_mut(node).defer_release(done, port, release);
             }
         } else {
             ep.busy = true;
             let ev = Event::EgressDone {
-                node,
-                port,
+                port: self.topo.port_id(node, port),
                 release,
             };
             self.sched.schedule_reserved(done, ev);
         }
         self.perf.completions_elided += passed as u64;
         let at = now + ser + prop;
+        let to = self.topo.port_id(peer, peer_port);
         self.sched
-            .send_frame(&mut self.arena, node, peer, peer_port, at, h);
+            .send_frame(&mut self.arena, node, peer, to, at, h);
     }
 
-    pub(super) fn on_egress_done(&mut self, node: Node, port: u16, release: Option<(u16, u32)>) {
+    pub(super) fn on_egress_done(&mut self, node: Node, port: u16, release: Option<Release>) {
         let cursor = self.sched.cursor();
         self.port_and_arena(node, port).0.busy = false;
         if let Some(sw) = self.switch_of(node) {
             sw.settle(cursor);
             if let Some((ingress, bytes)) = release {
-                let action = sw.release_data(ingress, bytes);
+                let action = sw.release_data(ingress, bytes.get() as u32);
                 self.apply_pfc_action(node, action);
             }
         }
@@ -301,8 +304,7 @@ impl Simulation {
             .switch_of(node)
             .and_then(|sw| sw.reclaim_release(done.key));
         let ev = Event::EgressDone {
-            node,
-            port,
+            port: self.topo.port_id(node, port),
             release,
         };
         self.sched.schedule_reserved(done, ev);
@@ -349,8 +351,7 @@ impl Simulation {
             peer,
             now + prop,
             Event::PauseFrame {
-                node: peer,
-                port: peer_port,
+                port: self.topo.port_id(peer, peer_port),
                 pause,
             },
         );
@@ -387,7 +388,7 @@ mod tests {
         use super::*;
         use crate::config::SwitchConfig;
         use crate::fault::TimedFault;
-        use crate::packet::Packet;
+        use crate::packet::{Packet, PacketKind};
 
         const SER: u64 = 200_000;
 
@@ -414,8 +415,8 @@ mod tests {
         }
 
         /// A data frame of `flow`, host 0 to host `flow + 1`.
-        fn frame(flow: u32, bytes: u32) -> Packet {
-            Packet::data(flow, 0, bytes, 0, flow + 1, 0)
+        fn frame(flow: u32, bytes: u16) -> Packet {
+            Packet::data(flow, 0, bytes, flow + 1, 0)
         }
 
         /// Queue the arrival of `pkt`, a frame no host sent, at `node`'s
@@ -427,8 +428,9 @@ mod tests {
                 s.auditor.on_injected();
             }
             let pkt = pkt.park(&mut s.arena, 0);
+            let port = s.topo.port_id(node, port);
             s.sched
-                .schedule_global(SimTime(at), Event::LinkArrive { node, port, pkt });
+                .schedule_global(SimTime(at), Event::LinkArrive { port, pkt });
         }
 
         /// Dispatch every event before `t` ps.
@@ -594,14 +596,9 @@ mod tests {
                     key,
                 };
                 let pkt = frame(1, 1000).park(&mut s.arena, 0);
-                s.sched.schedule_reserved(
-                    at,
-                    Event::LinkArrive {
-                        node: spine,
-                        port: 0,
-                        pkt,
-                    },
-                );
+                let port = s.topo.port_id(spine, 0);
+                s.sched
+                    .schedule_reserved(at, Event::LinkArrive { port, pkt });
                 run_to(&mut s, r.done_ps + 1);
                 let ep = &s.spines[0].egress[1];
                 assert_eq!(
@@ -625,7 +622,7 @@ mod tests {
             let mut s = sim(SwitchConfig::default(), Vec::new());
             let host = Node::Host(1);
             inject(&mut s, 0, host, 0, frame(0, 1000));
-            let second = Packet::data(0, 1, 1000, 0, 1, 0);
+            let second = Packet::data(0, 1, 1000, 1, 0);
             inject(&mut s, 10, host, 0, second);
             run_to(&mut s, 1);
             let nic = &s.hosts[1].nic;
@@ -646,9 +643,8 @@ mod tests {
                 (r.done_ps, r.key),
                 "under the reserved key"
             );
-            assert!(
-                matches!(ev, Event::EgressDone { node, port: 0, release: None } if node == host)
-            );
+            let nic = s.topo.port_id(host, 0);
+            assert!(matches!(ev, Event::EgressDone { port, release: None } if port == nic));
             s.dispatch(ev);
             let nic = &s.hosts[1].nic;
             assert_eq!(
@@ -669,12 +665,8 @@ mod tests {
         fn a_nic_holds_data_while_paused_and_resumes_on_resume() {
             const LATE: u64 = 1_000_000_000_000;
             let mut s = sim(SwitchConfig::default(), Vec::new());
-            let nic = Node::Host(0);
-            let pfc = |pause| Event::PauseFrame {
-                node: nic,
-                port: 0,
-                pause,
-            };
+            let nic = s.topo.port_id(Node::Host(0), 0);
+            let pfc = |pause| Event::PauseFrame { port: nic, pause };
             s.sched.schedule_global(SimTime(LATE - 10), pfc(true));
             s.sched.schedule_global(SimTime(LATE + 1_000), pfc(false));
             run_to(&mut s, LATE + 1);
@@ -780,7 +772,7 @@ mod tests {
             ];
             let mut s = nic_sim(TransportMode::GoBackN, flows);
             let ser = data_ser(&s);
-            let pkt = Packet::data(1, 0, 1000, 3, 0, 0);
+            let pkt = Packet::data(1, 0, 1000, 0, 0);
             inject(&mut s, LATE + 10, Node::Host(0), 0, pkt);
             run_to(&mut s, LATE + 1);
             let r = s.hosts[0].nic.reserved.expect("reserved");
@@ -818,8 +810,8 @@ mod tests {
             let flows = vec![FlowSpec::new(SimTime(LATE), 0, 1, 1000)];
             let mut s = nic_sim(TransportMode::GoBackN, flows);
             let ser = data_ser(&s);
-            let data = Packet::data(0, 0, data_wire(&s) as u32, 0, 1, 0);
-            let nak = Packet::response(PacketKind::Nak, &data, 0, 64);
+            let data = Packet::data(0, 0, data_wire(&s) as u16, 1, 0);
+            let nak = Packet::response(PacketKind::Nak, &data, 0, 0, 64);
             // A control frame: the audit's books count data only.
             inject(&mut s, LATE + 10, Node::Host(0), 0, nak);
             run_to(&mut s, LATE + 1);

@@ -92,19 +92,13 @@ impl Simulation {
                 let fs = &mut self.flows[f as usize];
                 let psn = fs.tx.as_deref_mut().and_then(|s| s.tx.take_next());
                 let psn = psn.expect("eligible flow has data");
-                let wire = fs.payload_bytes(psn, mtu) + hdr;
+                // `SimConfig::validate` keeps MTU plus header within 16 bits.
+                let wire = (fs.payload_bytes(psn, mtu) + hdr) as u16;
                 let s = fs.tx.as_deref_mut().expect("an eligible flow is sending");
                 s.dcqcn.on_bytes_sent(wire as u64);
                 let gap = s.dcqcn.pacing_delay_ps(wire as u64);
                 s.next_eligible_ps = s.next_eligible_ps.max(now.as_ps()) + gap;
-                Packet::data(
-                    f,
-                    psn,
-                    wire,
-                    fs.spec.src_host,
-                    fs.spec.dst_host,
-                    now.as_ps(),
-                )
+                Packet::data(f, psn, wire, fs.spec.dst_host, now.as_ps())
             };
             if self.traces.wants(f) {
                 self.traces
@@ -138,14 +132,18 @@ impl Simulation {
                 debug_assert_eq!(pkt.dst_host, h);
                 #[cfg(feature = "audit")]
                 self.auditor.on_arrived();
-                let ctrl_bytes = self.cfg.transport.ctrl_bytes;
+                // Validated to fit 16 bits (`SimConfig::validate`).
+                let ctrl_bytes = self.cfg.transport.ctrl_bytes as u16;
                 let cnp_interval = self.cfg.transport.dcqcn.cnp_interval_ps;
                 let fs = &mut self.flows[pkt.flow as usize];
+                // Responses go back to the flow's source.
+                let src = fs.spec.src_host;
+                let response = |kind, psn| Packet::response(kind, &pkt, src, psn, ctrl_bytes);
                 // DCQCN NP: CE-marked arrivals elicit CNPs (rate-limited),
                 // regardless of PSN order.
                 let mut responses: [Option<Packet>; 2] = [None, None];
-                if pkt.ecn && fs.cnp_gen.on_marked_packet(now.as_ps(), cnp_interval) {
-                    responses[0] = Some(Packet::response(PacketKind::Cnp, &pkt, 0, ctrl_bytes));
+                if pkt.ecn() && fs.cnp_gen.on_marked_packet(now.as_ps(), cnp_interval) {
+                    responses[0] = Some(response(PacketKind::Cnp, 0));
                 }
                 // Once every packet is delivered the receiver half is gone
                 // and a late arrival is a duplicate that nothing answers.
@@ -155,15 +153,13 @@ impl Simulation {
                     Some(Rx::Gbn(rx)) => match rx.on_packet(pkt.psn) {
                         rlb_transport::RxAction::Deliver { ack_psn } => {
                             trace_ev = TraceEvent::Delivered;
-                            responses[1] =
-                                Some(Packet::response(PacketKind::Ack, &pkt, ack_psn, ctrl_bytes));
+                            responses[1] = Some(response(PacketKind::Ack, ack_psn));
                         }
                         rlb_transport::RxAction::OutOfOrder { nak_psn, ood } => {
                             trace_ev = TraceEvent::OutOfOrder { ood };
                             self.ood_histogram.record(ood as u64);
                             if let Some(nak) = nak_psn {
-                                responses[1] =
-                                    Some(Packet::response(PacketKind::Nak, &pkt, nak, ctrl_bytes));
+                                responses[1] = Some(response(PacketKind::Nak, nak));
                             }
                         }
                         rlb_transport::RxAction::Duplicate => {}
@@ -180,10 +176,9 @@ impl Simulation {
                             } else {
                                 TraceEvent::Delivered
                             };
-                            let mut resp =
-                                Packet::response(PacketKind::Ack, &pkt, ack.sack, ctrl_bytes);
+                            let mut resp = response(PacketKind::Ack, ack.sack);
                             resp.cum = ack.cumulative;
-                            resp.nack = ack.nack;
+                            resp.set_nack(ack.nack);
                             responses[1] = Some(resp);
                         }
                     }
@@ -199,14 +194,15 @@ impl Simulation {
             }
             PacketKind::Ack => {
                 // RTT sample + CE echo → the source leaf's estimators.
-                let src_leaf = self.topo.leaf_of_host(h);
-                let dst_leaf = self.topo.leaf_of_host(pkt.src_host);
-                self.control.on_ack(src_leaf, dst_leaf, &pkt, now);
+                // The ACK came from the flow's destination.
                 let fs = &mut self.flows[pkt.flow as usize];
+                let src_leaf = self.topo.leaf_of_host(h);
+                let dst_leaf = self.topo.leaf_of_host(fs.spec.dst_host);
+                self.control.on_ack(src_leaf, dst_leaf, &pkt, now);
                 let Some(s) = fs.tx.as_deref_mut() else {
                     // A late ACK for a finished flow: all it still counts
                     // is IRN's NACK flag (a go-back-N ACK never carries it).
-                    if pkt.nack {
+                    if pkt.nack() {
                         fs.late_nak();
                     }
                     return;
@@ -218,7 +214,7 @@ impl Simulation {
                         tx.on_ack(rlb_transport::IrnAck {
                             cumulative: pkt.cum,
                             sack: pkt.psn,
-                            nack: pkt.nack,
+                            nack: pkt.nack(),
                         });
                         irn_has_retx = tx.peek_next().is_some();
                     }
@@ -260,7 +256,7 @@ impl Simulation {
                     s.dcqcn.on_cnp();
                 }
             }
-            PacketKind::Cnm { .. } => {
+            PacketKind::Cnm => {
                 // Hosts do not participate in rerouting; drop.
             }
         }
@@ -397,8 +393,8 @@ mod tests {
         }
 
         fn data(ecn: bool) -> Packet {
-            let mut pkt = Packet::data(0, 0, 1048, 0, 1, 0);
-            pkt.ecn = ecn;
+            let mut pkt = Packet::data(0, 0, 1048, 1, 0);
+            pkt.set_ecn(ecn);
             pkt
         }
 
@@ -412,7 +408,7 @@ mod tests {
         #[test]
         fn a_nak_after_the_final_ack_counts() {
             let mut s = finished(TransportMode::GoBackN);
-            let nak = Packet::response(PacketKind::Nak, &data(false), 0, 64);
+            let nak = Packet::response(PacketKind::Nak, &data(false), 0, 0, 64);
             rx(&mut s, 0, nak);
             assert_eq!(s.flows[0].naks(), 1);
             assert_eq!(s.flows[0].packets_sent(), 1, "nothing to resend");
@@ -441,17 +437,17 @@ mod tests {
         #[test]
         fn late_acks_cnps_and_rto_probes_change_nothing_else() {
             let mut s = finished(TransportMode::SelectiveRepeat);
-            let mut ack = Packet::response(PacketKind::Ack, &data(false), 0, 64);
+            let mut ack = Packet::response(PacketKind::Ack, &data(false), 0, 0, 64);
             ack.cum = 1;
             rx(&mut s, 0, ack);
             assert_eq!(s.flows[0].naks(), 0);
-            ack.nack = true;
+            ack.set_nack(true);
             rx(&mut s, 0, ack);
             assert_eq!(s.flows[0].naks(), 1);
             rx(
                 &mut s,
                 0,
-                Packet::response(PacketKind::Cnp, &data(false), 0, 64),
+                Packet::response(PacketKind::Cnp, &data(false), 0, 0, 64),
             );
             let pending = s.sched.len();
             s.on_rto_check(0);

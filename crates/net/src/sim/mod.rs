@@ -40,8 +40,8 @@ use crate::config::SimConfig;
 use crate::host::{FlowState, FlowTransport, Host};
 use crate::monitor::{FabricSample, FabricTimeSeries};
 use crate::packet::Packet;
-use crate::switch::{EgressPort, Switch};
-use crate::topology::{Node, Topology};
+use crate::switch::{EgressPort, Release, Switch};
+use crate::topology::{Node, PortId, Topology};
 use crate::trace::FlowTraces;
 use control::Control;
 use rlb_core::{conservative_qth, PfcPredictor};
@@ -57,43 +57,43 @@ pub(crate) use window::{all_flows_done, ShardParts, ShardStatus};
 /// Simulation events.
 ///
 /// Deliberately not `Clone`: every event is dispatched exactly once
-/// (`cargo xtask lint`'s hot-clone rule guards the dispatch arms). The
-/// packet a `LinkArrive` or `Recirculate` carries stays in the replica's
-/// packet arena, so the event holds its 4-byte handle and a wheel entry is
-/// 48 bytes; a frame crossing to another shard leaves the arena for the
-/// wire message (`Sched::send_frame`).
+/// (`cargo xtask lint`'s hot-clone rule guards the dispatch arms). An
+/// event is 8 bytes, so a wheel entry (time, `u128` key, event) is 32: a
+/// port is its 16-bit [`PortId`], a switch its 16-bit node index
+/// (`Topology::node_index`), and the packet a `LinkArrive` or
+/// `Recirculate` carries stays in the replica's packet arena behind its
+/// 4-byte handle; a frame crossing to another shard leaves the arena for
+/// the wire message (`Sched::send_frame`).
 #[derive(Debug)]
 pub(crate) enum Event {
     FlowStart(u32),
     /// NIC pacing wake-up.
     HostWake(u32),
-    /// A frame finished propagating and arrives at (node, port).
+    /// A frame finished propagating and arrives at `port`.
     LinkArrive {
-        node: Node,
-        port: u16,
+        port: PortId,
         pkt: PacketHandle,
     },
-    /// A switch egress or a host NIC (`Host(h)`, port 0) finished
-    /// serializing; `release` = (ingress_port, bytes) to free from the
-    /// shared buffer for a switch's data frames, `None` otherwise.
+    /// A switch egress or a host NIC finished serializing `port`;
+    /// `release` = (ingress port, frame bytes) to free from the shared
+    /// buffer for a switch's data frames, `None` otherwise.
     EgressDone {
-        node: Node,
-        port: u16,
-        release: Option<(u16, u32)>,
+        port: PortId,
+        release: Option<Release>,
     },
-    /// PFC PAUSE (true) / RESUME (false) takes effect at (node, port).
+    /// PFC PAUSE (true) / RESUME (false) takes effect at `port`.
     PauseFrame {
-        node: Node,
-        port: u16,
+        port: PortId,
         pause: bool,
     },
-    /// RLB Δt sampling tick: one event per switch samples **all** of its
-    /// active ingress ports (identical sampling times ⇒ identical
-    /// predictions), instead of one event per (node, port).
-    PredictorTick(Node),
-    /// A recirculated packet re-enters the routing pipeline.
+    /// RLB Δt sampling tick: one event per switch (by node index) samples
+    /// **all** of its active ingress ports (identical sampling times ⇒
+    /// identical predictions), instead of one event per (node, port).
+    PredictorTick(u16),
+    /// A recirculated packet re-enters the routing pipeline of switch
+    /// `node` (a node index).
     Recirculate {
-        node: Node,
+        node: u16,
         pkt: PacketHandle,
     },
     /// Global DCQCN alpha-update tick over every active flow.
@@ -552,10 +552,9 @@ impl Simulation {
             Event::FlowStart(_) => &mut n.events_flow_start,
             Event::HostWake(_) => &mut n.events_host_wake,
             Event::LinkArrive { .. } => &mut n.events_link_arrive,
-            Event::EgressDone {
-                node: Node::Host(_),
-                ..
-            } => &mut n.events_host_egress_done,
+            Event::EgressDone { port, .. } if self.topo.is_nic(*port) => {
+                &mut n.events_host_egress_done
+            }
             Event::EgressDone { .. } => &mut n.events_egress_done,
             Event::PauseFrame { .. } => &mut n.events_pause_frame,
             Event::PredictorTick(_) => &mut n.events_predictor_tick,
@@ -569,20 +568,20 @@ impl Simulation {
         match ev {
             Event::FlowStart(f) => self.on_flow_start(f),
             Event::HostWake(h) => self.on_host_wake(h),
-            Event::LinkArrive {
-                node: Node::Host(h),
-                pkt,
-                ..
-            } => self.on_host_rx(h, pkt),
-            Event::LinkArrive { node, port, pkt } => self.switch_rx(node, port, pkt),
-            Event::EgressDone {
-                node,
-                port,
-                release,
-            } => self.on_egress_done(node, port, release),
-            Event::PauseFrame { node, port, pause } => self.on_pause_frame(node, port, pause),
-            Event::PredictorTick(node) => self.on_predictor_tick(node),
-            Event::Recirculate { node, pkt } => self.on_recirculate(node, pkt),
+            Event::LinkArrive { port, pkt } => match self.topo.port_at(port) {
+                (Node::Host(h), _) => self.on_host_rx(h, pkt),
+                (node, port) => self.switch_rx(node, port, pkt),
+            },
+            Event::EgressDone { port, release } => {
+                let (node, port) = self.topo.port_at(port);
+                self.on_egress_done(node, port, release)
+            }
+            Event::PauseFrame { port, pause } => {
+                let (node, port) = self.topo.port_at(port);
+                self.on_pause_frame(node, port, pause)
+            }
+            Event::PredictorTick(node) => self.on_predictor_tick(self.topo.node_at(node)),
+            Event::Recirculate { node, pkt } => self.on_recirculate(self.topo.node_at(node), pkt),
             Event::AlphaTick => self.on_alpha_tick(),
             Event::IncreaseTick => self.on_increase_tick(),
             Event::RtoCheck(f) => self.on_rto_check(f),
@@ -633,12 +632,13 @@ impl Simulation {
 mod tests {
     use super::*;
 
-    /// Packets ride in events as handles, so an event fits the 24 bytes
-    /// that make a wheel entry 48 (`rlb_engine`'s wheel pins that size).
+    /// Packets ride in events as handles and ports as 16-bit ids, so an
+    /// event fits the 8 bytes that make a wheel entry 32 (`rlb_engine`'s
+    /// wheel pins that size).
     #[test]
-    fn an_event_is_at_most_24_bytes() {
+    fn an_event_is_at_most_8_bytes() {
         assert!(
-            std::mem::size_of::<Event>() <= 24,
+            std::mem::size_of::<Event>() <= 8,
             "{}",
             std::mem::size_of::<Event>()
         );

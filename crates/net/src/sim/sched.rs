@@ -15,7 +15,7 @@ use super::Event;
 use crate::config::TopoConfig;
 use crate::packet::Packet;
 use crate::switch::Reserved;
-use crate::topology::Node;
+use crate::topology::{Node, PortId};
 use rlb_engine::{shard_key, PacketArena, PacketHandle, ShardEventQueue, SimTime};
 
 /// Keys construction-time schedules (flow starts, the fault timeline, the
@@ -47,8 +47,8 @@ pub(crate) struct WireMsg {
 pub(crate) enum Wire {
     /// An event that holds no packet (a PFC frame).
     Event(Event),
-    /// A `LinkArrive` at (`node`, `port`) with its packet.
-    Frame { node: Node, port: u16, pkt: Packet },
+    /// A `LinkArrive` at `port` with its packet.
+    Frame { port: PortId, pkt: Packet },
 }
 
 /// One replica's scheduling state.
@@ -240,37 +240,27 @@ impl Sched {
         }
     }
 
-    /// [`send`](Self::send) for packet `h`'s arrival at `peer`'s `port`:
-    /// the event carries the handle when this shard owns the peer; else
-    /// the packet leaves `arena` and crosses in the wire message.
+    /// [`send`](Self::send) for packet `h`'s arrival at `port`, one of
+    /// `peer`'s: the event carries the handle when this shard owns the
+    /// peer; else the packet leaves `arena` and crosses in the wire
+    /// message.
     #[inline]
     pub(super) fn send_frame(
         &mut self,
         arena: &mut PacketArena<Packet>,
         from: Node,
         peer: Node,
-        port: u16,
+        port: PortId,
         at: SimTime,
         h: PacketHandle,
     ) {
         let (key, dst) = self.route(from, peer);
         if dst == self.shard_id {
-            self.q.insert_message(
-                at,
-                key,
-                Event::LinkArrive {
-                    node: peer,
-                    port,
-                    pkt: h,
-                },
-            );
+            self.q
+                .insert_message(at, key, Event::LinkArrive { port, pkt: h });
         } else {
             let pkt = arena.free(h);
-            let ev = Wire::Frame {
-                node: peer,
-                port,
-                pkt,
-            };
+            let ev = Wire::Frame { port, pkt };
             self.outbox[dst as usize].push(WireMsg { at, key, ev });
         }
     }
@@ -323,8 +313,7 @@ impl Sched {
         for m in mailbox.drain(..) {
             let ev = match m.ev {
                 Wire::Event(ev) => ev,
-                Wire::Frame { node, port, pkt } => Event::LinkArrive {
-                    node,
+                Wire::Frame { port, pkt } => Event::LinkArrive {
                     port,
                     pkt: pkt.park(arena, now_ps),
                 },
@@ -390,14 +379,14 @@ mod tests {
     #[test]
     fn a_frame_to_another_shard_crosses_by_value() {
         let (from, local, remote) = (Node::Leaf(0), Node::Spine(0), Node::Spine(1));
-        let pkt = Packet::data(4, 9, 1_048, 0, 5, 0);
+        let pkt = Packet::data(4, 9, 1_048, 5, 0);
         let (mut s, mut twin) = (Sched::new(&topo(), 0, 2), Sched::new(&topo(), 0, 2));
         let (mut arena, mut twin_arena) = (PacketArena::new(), PacketArena::new());
         let h = pkt.park(&mut arena, 0);
-        s.send_frame(&mut arena, from, remote, 3, SimTime(7), h);
+        s.send_frame(&mut arena, from, remote, PortId(3), SimTime(7), h);
         assert!(arena.is_empty(), "the packet left the sender's arena");
         let h = pkt.park(&mut twin_arena, 0);
-        twin.send_frame(&mut twin_arena, from, local, 3, SimTime(7), h);
+        twin.send_frame(&mut twin_arena, from, local, PortId(3), SimTime(7), h);
         assert_eq!(twin_arena.len(), 1, "a local frame keeps its slot");
         let mut mailbox = Vec::new();
         assert_eq!(s.swap_outbox(1, &mut mailbox), 1);
@@ -407,14 +396,12 @@ mod tests {
         let (_, key, ev) = peer.pop_before(SimTime(u64::MAX)).expect("delivered");
         assert_eq!(key, keys(&mut twin)[0]);
         let Event::LinkArrive {
-            node,
-            port: 3,
+            port: PortId(3),
             pkt: h,
         } = ev
         else {
             panic!("{ev:?}")
         };
-        assert_eq!(node, remote);
         let got = peer_arena.free(h);
         assert_eq!((got.flow, got.psn, got.size_bytes), (4, 9, 1_048));
         assert!(peer_arena.is_empty());
@@ -541,11 +528,11 @@ mod tests {
 
     /// The `net/shard_sync` criterion group hands over a stand-in of this
     /// size (the real type is crate-private); keep the two in step. A
-    /// frame crosses with its 48-byte packet by value, so the message
-    /// stays 96 bytes while the event it becomes is 24.
+    /// frame crosses with its 32-byte packet by value, so the message is
+    /// 64 bytes while the event it becomes is 8.
     #[test]
     fn wire_msg_size_is_what_the_mailbox_bench_assumes() {
-        assert_eq!(std::mem::size_of::<Wire>(), 64);
-        assert_eq!(std::mem::size_of::<WireMsg>(), 96);
+        assert_eq!(std::mem::size_of::<Wire>(), 40);
+        assert_eq!(std::mem::size_of::<WireMsg>(), 64);
     }
 }

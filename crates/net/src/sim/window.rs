@@ -210,10 +210,15 @@ impl Simulation {
         )
     }
 
+    /// Group tag per flow (incast harness). Every replica holds them all,
+    /// so `shard::drive_rounds` takes them from one.
+    pub(crate) fn groups(&self) -> Vec<u64> {
+        self.flows.iter().map(|f| f.spec.group).collect()
+    }
+
     /// Tear one shard replica down into the pieces the driver merges.
     pub(crate) fn into_parts(mut self) -> ShardParts {
         self.counters.paused_port_time_ps = self.paused_port_time.as_ps();
-        let groups = self.flows.iter().map(|f| f.spec.group).collect();
         // In place: each record takes its flow's slot in the same buffer,
         // so the run never holds a flow as state and as record at once.
         let records = std::mem::take(&mut self.flows)
@@ -227,7 +232,6 @@ impl Simulation {
             records,
             counters: self.counters,
             ood_histogram: self.ood_histogram,
-            groups,
             timeseries: self.timeseries,
             traces: self.traces,
             pfc_pauses_by_port: self.pfc_pauses_by_port,
@@ -333,7 +337,6 @@ pub(crate) struct ShardParts {
     pub records: Vec<FlowRecord>,
     pub counters: FabricCounters,
     pub ood_histogram: LogHistogram,
-    pub groups: Vec<u64>,
     pub timeseries: FabricTimeSeries,
     pub traces: FlowTraces,
     pub pfc_pauses_by_port: std::collections::BTreeMap<((bool, u32), u16), u64>,

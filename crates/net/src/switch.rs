@@ -24,6 +24,7 @@ use rand::Rng;
 use rlb_core::{ContributorTable, PfcPredictor};
 use rlb_engine::{PacketArena, PacketHandle, SimRng};
 use std::collections::VecDeque;
+use std::num::NonZeroU16;
 
 /// A serialization end whose completion event was never scheduled (DESIGN
 /// §9.7): the `EgressDone` it stands for — at a switch port or a NIC —
@@ -45,13 +46,17 @@ impl Reserved {
     }
 }
 
+/// A data frame's share of the shared buffer, freed when it leaves: its
+/// ingress port and its bytes (`SimConfig::validate` keeps every frame
+/// within 16 bits).
+pub type Release = (u16, NonZeroU16);
+
 /// The buffer release of an elided data completion, applied by the first
 /// reader of the buffer counters after it falls due (`Switch::settle`).
 #[derive(Debug, Clone, Copy)]
 struct DeferredRelease {
     at: Reserved,
-    ingress: u16,
-    bytes: u32,
+    release: Release,
     /// The egress port whose completion carries it.
     port: u16,
 }
@@ -294,15 +299,10 @@ impl Switch {
     /// unscheduled completion `at`. The caller guarantees the release
     /// cannot send a RESUME: its ingress is not paused, and a PAUSE for it
     /// reclaims the release before it falls due.
-    pub fn defer_release(&mut self, at: Reserved, port: u16, ingress: u16, bytes: u32) {
-        debug_assert!(!self.paused_upstream[ingress as usize]);
+    pub fn defer_release(&mut self, at: Reserved, port: u16, release: Release) {
+        debug_assert!(!self.paused_upstream[release.0 as usize]);
         self.deferred_due_ps = self.deferred_due_ps.min(at.done_ps);
-        self.deferred.push(DeferredRelease {
-            at,
-            ingress,
-            bytes,
-            port,
-        });
+        self.deferred.push(DeferredRelease { at, release, port });
     }
 
     /// Apply every deferred release whose completion precedes the event at
@@ -326,7 +326,8 @@ impl Switch {
             } else {
                 // Releases commute, so the order within one settle is free.
                 self.deferred.swap_remove(i);
-                let action = self.release_data(r.ingress, r.bytes);
+                let (ingress, bytes) = r.release;
+                let action = self.release_data(ingress, bytes.get() as u32);
                 debug_assert_eq!(action, PfcAction::None, "a deferred release resumed");
             }
         }
@@ -335,17 +336,16 @@ impl Switch {
 
     /// Take back the deferred release of the completion keyed `key`, which
     /// is being scheduled after all and will release for itself.
-    pub fn reclaim_release(&mut self, key: u128) -> Option<(u16, u32)> {
+    pub fn reclaim_release(&mut self, key: u128) -> Option<Release> {
         let i = self.deferred.iter().position(|r| r.at.key == key)?;
-        let r = self.deferred.swap_remove(i);
-        Some((r.ingress, r.bytes))
+        Some(self.deferred.swap_remove(i).release)
     }
 
     /// An egress port with a deferred release charged to `ingress`.
     pub fn port_charged_to(&self, ingress: u16) -> Option<u16> {
         self.deferred
             .iter()
-            .find(|r| r.ingress == ingress)
+            .find(|r| r.release.0 == ingress)
             .map(|r| r.port)
     }
 
@@ -401,8 +401,8 @@ mod tests {
         )
     }
 
-    fn data(bytes: u32) -> Packet {
-        Packet::data(0, 0, bytes, 0, 1, 0)
+    fn data(bytes: u16) -> Packet {
+        Packet::data(0, 0, bytes, 1, 0)
     }
 
     #[test]
@@ -451,7 +451,7 @@ mod tests {
     fn control_has_strict_priority_and_ignores_pause() {
         let mut s = sw();
         let mut arena: PacketArena<Packet> = PacketArena::new();
-        let mut cnp = Packet::data(0, 0, 64, 1, 0, 0);
+        let mut cnp = Packet::data(0, 0, 64, 0, 0);
         cnp.kind = PacketKind::Cnp;
         for pkt in [data(1_000), cnp] {
             let h = pkt.park(&mut arena, 0);
@@ -506,7 +506,7 @@ mod tests {
         use std::collections::VecDeque;
 
         /// Observable identity of a packet (it doesn't derive `PartialEq`).
-        fn sig(p: &Packet) -> (PacketKind, u32, u32, u32, u64) {
+        fn sig(p: &Packet) -> (PacketKind, u32, u32, u16, u64) {
             (p.kind, p.flow, p.psn, p.size_bytes, p.sent_ps)
         }
 
@@ -517,7 +517,7 @@ mod tests {
             /// payloads, same `data_q_bytes`, same arena occupancy.
             #[test]
             fn switch_egress_matches_vecdeque_reference(
-                ops in proptest::collection::vec((0u8..8, 0u16..4, 1u32..9_000), 1..300)
+                ops in proptest::collection::vec((0u8..8, 0u16..4, 1u16..9_000), 1..300)
             ) {
                 let mut s = sw();
                 let mut arena: PacketArena<Packet> = PacketArena::new();
@@ -529,15 +529,15 @@ mod tests {
                     let p = port as usize;
                     match kind {
                         0..=2 => {
-                            let pkt = Packet::data(seq, seq, size, 0, 1, seq as u64 * 13);
+                            let pkt = Packet::data(seq, seq, size, 1, seq as u64 * 13);
                             seq += 1;
                             let h = pkt.park(&mut arena, pkt.sent_ps);
                             s.egress[p].enqueue(&arena, h);
                             data[p].push_back(pkt);
                         }
                         3 => {
-                            let d = Packet::data(seq, seq, size, 0, 1, seq as u64 * 13);
-                            let pkt = Packet::response(PacketKind::Ack, &d, seq, 64);
+                            let d = Packet::data(seq, seq, size, 1, seq as u64 * 13);
+                            let pkt = Packet::response(PacketKind::Ack, &d, 0, seq, 64);
                             seq += 1;
                             let h = pkt.park(&mut arena, 0);
                             s.egress[p].enqueue(&arena, h);

@@ -13,6 +13,11 @@
 //!   `H..H+S` are uplinks (`port H+s` ↔ spine `s`).
 //! * **Spine s**: port `l` ↔ leaf `l`.
 //! * **Host h**: a single port 0 ↔ its leaf.
+//!
+//! Events name a directed port by one 16-bit [`PortId`], its index in the
+//! fabric's port table (host NICs first, then every leaf's ports, then
+//! every spine's), and a node by its index in the node order (hosts, then
+//! leaves, then spines). `TopoConfig::validate` keeps both within 16 bits.
 
 use crate::config::TopoConfig;
 use serde::Serialize;
@@ -25,16 +30,89 @@ pub enum Node {
     Spine(u32),
 }
 
+/// One directed port of the fabric: its index in the port table. Host
+/// `h`'s NIC is `PortId(h)`; leaf `l`'s port `p` and spine `s`'s port `p`
+/// follow, in that order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PortId(pub u16);
+
 /// Static topology with O(1) peer lookup.
 #[derive(Debug, Clone)]
 pub struct Topology {
     pub cfg: TopoConfig,
+    /// `(node, port)` of every [`PortId`], by id.
+    ports: Vec<(Node, u16)>,
 }
 
 impl Topology {
     pub fn new(cfg: TopoConfig) -> Topology {
         cfg.validate().expect("invalid topology");
-        Topology { cfg }
+        let mut ports = Vec::with_capacity(cfg.n_ports() as usize);
+        let mut t = Topology {
+            cfg,
+            ports: Vec::new(),
+        };
+        for i in 0..t.node_count() {
+            let node = t.node_at(i as u16);
+            ports.extend((0..t.n_ports(node) as u16).map(|p| (node, p)));
+        }
+        t.ports = ports;
+        t
+    }
+
+    /// Hosts, leaves and spines.
+    fn node_count(&self) -> u32 {
+        self.n_hosts() + self.cfg.n_leaves + self.cfg.n_spines
+    }
+
+    /// `node`'s index in the node order: hosts, then leaves, then spines.
+    #[inline]
+    pub fn node_index(&self, node: Node) -> u16 {
+        let (hosts, leaves) = (self.n_hosts(), self.cfg.n_leaves);
+        (match node {
+            Node::Host(h) => h,
+            Node::Leaf(l) => hosts + l,
+            Node::Spine(s) => hosts + leaves + s,
+        }) as u16
+    }
+
+    /// Inverse of [`node_index`](Self::node_index).
+    #[inline]
+    pub fn node_at(&self, index: u16) -> Node {
+        let (i, hosts, leaves) = (index as u32, self.n_hosts(), self.cfg.n_leaves);
+        if i < hosts {
+            Node::Host(i)
+        } else if i < hosts + leaves {
+            Node::Leaf(i - hosts)
+        } else {
+            Node::Spine(i - hosts - leaves)
+        }
+    }
+
+    /// The id of `node`'s `port`.
+    #[inline]
+    pub fn port_id(&self, node: Node, port: u16) -> PortId {
+        debug_assert!((port as usize) < self.n_ports(node), "{node:?}:{port}");
+        let hosts = self.n_hosts();
+        let leaf_ports = self.cfg.hosts_per_leaf + self.cfg.n_spines;
+        let first = match node {
+            Node::Host(h) => h,
+            Node::Leaf(l) => hosts + l * leaf_ports,
+            Node::Spine(s) => hosts + self.cfg.n_leaves * leaf_ports + s * self.cfg.n_leaves,
+        };
+        PortId((first + port as u32) as u16)
+    }
+
+    /// Inverse of [`port_id`](Self::port_id): one load from the table.
+    #[inline]
+    pub fn port_at(&self, id: PortId) -> (Node, u16) {
+        self.ports[id.0 as usize]
+    }
+
+    /// Whether `id` is a host's NIC.
+    #[inline]
+    pub fn is_nic(&self, id: PortId) -> bool {
+        (id.0 as u32) < self.n_hosts()
     }
 
     #[inline]
@@ -106,6 +184,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn topo() -> Topology {
         Topology::new(TopoConfig {
@@ -191,5 +270,34 @@ mod tests {
             40_000_000_000
         );
         assert_eq!(t.port_rate_bps(Node::Host(0), 0), 40_000_000_000);
+    }
+
+    proptest! {
+        /// Over random fabric shapes, `PortId` ↔ `(node, port)` and the node
+        /// index round-trip, and the ids number every port once, in table
+        /// order.
+        #[test]
+        fn port_ids_round_trip(leaves in 2u32..20, spines in 1u32..20, hpl in 1u32..40) {
+            let t = Topology::new(TopoConfig {
+                n_leaves: leaves,
+                n_spines: spines,
+                hosts_per_leaf: hpl,
+                ..TopoConfig::default()
+            });
+            let mut next = 0u16;
+            for i in 0..t.node_count() as u16 {
+                let node = t.node_at(i);
+                prop_assert_eq!(t.node_index(node), i);
+                for port in 0..t.n_ports(node) as u16 {
+                    let id = t.port_id(node, port);
+                    prop_assert_eq!(id, PortId(next));
+                    prop_assert_eq!(t.port_at(id), (node, port));
+                    prop_assert_eq!(t.is_nic(id), matches!(node, Node::Host(_)));
+                    next += 1;
+                }
+            }
+            prop_assert_eq!(next as usize, t.ports.len());
+            prop_assert_eq!(next as u64, t.cfg.n_ports());
+        }
     }
 }
