@@ -17,9 +17,9 @@
 //! while it sits in a mailbox, and no cut is taken then.
 //!
 //! Additional invariants checked on the same cadence:
-//! * **PFC pairing** — per (switch, ingress port): `resumes <= pauses` and
-//!   `pauses - resumes <= 1`; at drain the imbalance must equal the port's
-//!   live `paused_upstream` flag.
+//! * **PFC pairing** — per switch ingress port, by its `PortId`:
+//!   `resumes <= pauses` and `pauses - resumes <= 1`; at drain the
+//!   imbalance must equal the port's live `paused_upstream` flag.
 //! * **Buffer occupancy** — per switch: `shared_used <= buffer_bytes`,
 //!   `sum(ingress_bytes) == shared_used`, and every egress `data_q_bytes`
 //!   equals the byte sum of the packets actually queued there.
@@ -44,11 +44,9 @@
 
 use crate::packet::Packet;
 use crate::switch::Switch;
+use crate::topology::{Node, PortId, Topology};
 use rlb_engine::PacketArena;
 use std::collections::BTreeMap;
-
-/// Stable identity of a switch for audit bookkeeping: `(is_spine, index)`.
-pub type SwitchId = (bool, u32);
 
 /// Running edge-counters plus per-port PFC ledgers.
 #[derive(Debug, Default)]
@@ -61,7 +59,7 @@ pub struct FabricAuditor {
     pub dropped: u64,
     /// PAUSE / RESUME frames sent, keyed by the emitting switch's ingress
     /// port (the port whose upstream the frame throttles).
-    pfc: BTreeMap<(SwitchId, u16), PfcLedger>,
+    pfc: BTreeMap<PortId, PfcLedger>,
     /// Number of audit sweeps performed (diagnostic).
     pub checks_run: u64,
 }
@@ -166,24 +164,24 @@ impl FabricAuditor {
         self.dropped += 1;
     }
 
-    pub fn on_pause_sent(&mut self, sw: SwitchId, port: u16) {
-        let l = self.pfc.entry((sw, port)).or_default();
+    pub fn on_pause_sent(&mut self, port: PortId) {
+        let l = self.pfc.entry(port).or_default();
         l.pauses += 1;
         assert!(
             l.pauses - l.resumes <= 1,
-            "audit violation [pfc-pairing]: switch {sw:?} port {port} sent \
+            "audit violation [pfc-pairing]: ingress {port:?} sent \
              PAUSE while already paused ({} pauses vs {} resumes)",
             l.pauses,
             l.resumes
         );
     }
 
-    pub fn on_resume_sent(&mut self, sw: SwitchId, port: u16) {
-        let l = self.pfc.entry((sw, port)).or_default();
+    pub fn on_resume_sent(&mut self, port: PortId) {
+        let l = self.pfc.entry(port).or_default();
         l.resumes += 1;
         assert!(
             l.resumes <= l.pauses,
-            "audit violation [pfc-pairing]: switch {sw:?} port {port} sent \
+            "audit violation [pfc-pairing]: ingress {port:?} sent \
              RESUME without a matching PAUSE ({} pauses vs {} resumes)",
             l.pauses,
             l.resumes
@@ -191,21 +189,21 @@ impl FabricAuditor {
     }
 
     /// The invariant sweep over one replica. `switches` yields every switch
-    /// with its id; `arena` is the packet arena the queued handles point
-    /// into (any stale handle panics right here, inside the sweep);
-    /// `in_flight_events` / `recirculating` are the packet counts the
-    /// caller tallied from the pending event set; `drain` additionally
-    /// requires each PFC ledger to match the live pause flags. Asserts
-    /// buffer occupancy (and PFC pairing) and returns the replica's cut of
-    /// the conservation ledger for the caller to balance.
+    /// with its node, whose ports `topo` numbers; `arena` is the packet
+    /// arena the queued handles point into (any stale handle panics right
+    /// here, inside the sweep); `drain` additionally requires each PFC
+    /// ledger to match the live pause flags. Asserts buffer occupancy (and
+    /// PFC pairing) and returns the replica's cut of the conservation
+    /// ledger, for the caller to add what it tallies from the pending
+    /// event set (in-flight and recirculating packets, handles held) and
+    /// to balance.
     #[must_use = "the cut must be balanced: alone with 1 shard, summed otherwise"]
     pub fn check<'a>(
         &mut self,
         at_ps: u64,
-        switches: impl Iterator<Item = (SwitchId, &'a Switch)>,
+        topo: &Topology,
+        switches: impl Iterator<Item = (Node, &'a Switch)>,
         arena: &PacketArena<Packet>,
-        in_flight_events: u64,
-        recirculating: u64,
         drain: bool,
     ) -> AuditReport {
         self.checks_run += 1;
@@ -214,14 +212,12 @@ impl FabricAuditor {
             injected: self.injected,
             arrived: self.arrived,
             dropped: self.dropped,
-            in_flight_events,
-            recirculating,
             ..AuditReport::default()
         };
-        for (id, sw) in switches {
-            self.check_buffers(id, sw, arena, at_ps);
+        for (node, sw) in switches {
+            self.check_buffers(node, sw, arena, at_ps);
             if drain {
-                self.check_pfc_drained(id, sw, at_ps);
+                self.check_pfc_drained(topo, node, sw, at_ps);
             }
             for ep in &sw.egress {
                 report.in_switch_buffers += ep.data_q.len() as u64;
@@ -230,18 +226,18 @@ impl FabricAuditor {
         report
     }
 
-    fn check_buffers(&self, id: SwitchId, sw: &Switch, arena: &PacketArena<Packet>, at_ps: u64) {
+    fn check_buffers(&self, node: Node, sw: &Switch, arena: &PacketArena<Packet>, at_ps: u64) {
         let cap = sw.config().buffer_bytes;
         assert!(
             sw.shared_used <= cap,
-            "audit violation [buffer-occupancy]: switch {id:?} holds \
+            "audit violation [buffer-occupancy]: switch {node:?} holds \
              {} bytes > capacity {cap} at t={at_ps} ps",
             sw.shared_used
         );
         let ingress_sum: u64 = sw.ingress_bytes.iter().sum();
         assert!(
             ingress_sum == sw.shared_used,
-            "audit violation [buffer-occupancy]: switch {id:?} ingress \
+            "audit violation [buffer-occupancy]: switch {node:?} ingress \
              counters sum to {ingress_sum} but shared_used={} at t={at_ps} ps",
             sw.shared_used
         );
@@ -251,7 +247,7 @@ impl FabricAuditor {
             let q_sum: u64 = ep.data_q.iter().map(|&h| arena.size_bytes(h) as u64).sum();
             assert!(
                 q_sum == ep.data_q_bytes,
-                "audit violation [buffer-occupancy]: switch {id:?} egress \
+                "audit violation [buffer-occupancy]: switch {node:?} egress \
                  port {p} queue holds {q_sum} bytes but data_q_bytes={} \
                  at t={at_ps} ps",
                 ep.data_q_bytes
@@ -259,17 +255,14 @@ impl FabricAuditor {
         }
     }
 
-    fn check_pfc_drained(&self, id: SwitchId, sw: &Switch, at_ps: u64) {
+    fn check_pfc_drained(&self, topo: &Topology, node: Node, sw: &Switch, at_ps: u64) {
         for (port, &paused) in sw.paused_upstream.iter().enumerate() {
-            let l = self
-                .pfc
-                .get(&(id, port as u16))
-                .copied()
-                .unwrap_or_default();
+            let key = topo.port_id(node, port as u16);
+            let l = self.pfc.get(&key).copied().unwrap_or_default();
             let open = l.pauses - l.resumes; // ledger methods keep this in {0, 1}
             assert!(
                 open == paused as u64,
-                "audit violation [pfc-pairing]: switch {id:?} port {port} \
+                "audit violation [pfc-pairing]: switch {node:?} port {port} \
                  ends with {} pauses vs {} resumes but paused_upstream={} \
                  at t={at_ps} ps",
                 l.pauses,
@@ -283,8 +276,18 @@ impl FabricAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SwitchConfig;
+    use crate::config::{SwitchConfig, TopoConfig};
     use rlb_engine::substream;
+
+    /// Two leaves of one host, one spine: every switch has two ports.
+    fn topo() -> Topology {
+        Topology::new(TopoConfig {
+            n_leaves: 2,
+            n_spines: 1,
+            hosts_per_leaf: 1,
+            ..TopoConfig::default()
+        })
+    }
 
     fn test_switch() -> Switch {
         Switch::new(
@@ -308,15 +311,15 @@ mod tests {
         a.on_dropped();
         let sw = test_switch();
         // 5 = 3 arrived + 1 dropped + 1 in-flight.
-        a.check(
+        let mut cut = a.check(
             1_000,
-            [((false, 0), &sw)].into_iter(),
+            &topo(),
+            [(Node::Leaf(0), &sw)].into_iter(),
             &PacketArena::new(),
-            1,
-            0,
             true,
-        )
-        .assert_conserved();
+        );
+        cut.in_flight_events = 1;
+        cut.assert_conserved();
         assert_eq!(a.checks_run, 1);
     }
 
@@ -332,10 +335,9 @@ mod tests {
         // flight — the sweep must refuse to balance the books.
         a.check(
             2_000,
-            [((false, 0), &sw)].into_iter(),
+            &topo(),
+            [(Node::Leaf(0), &sw)].into_iter(),
             &PacketArena::new(),
-            0,
-            0,
             false,
         )
         .assert_conserved();
@@ -351,19 +353,17 @@ mod tests {
         let sw = test_switch();
         let mut sum = tx.check(
             8_000,
-            [((false, 0), &sw)].into_iter(),
+            &topo(),
+            [(Node::Leaf(0), &sw)].into_iter(),
             &PacketArena::new(),
-            0,
-            0,
             true,
         );
         assert!(std::panic::catch_unwind(|| sum.assert_conserved()).is_err());
         sum.absorb(&rx.check(
             9_000,
-            [((false, 1), &sw)].into_iter(),
+            &topo(),
+            [(Node::Leaf(1), &sw)].into_iter(),
             &PacketArena::new(),
-            0,
-            0,
             true,
         ));
         sum.assert_conserved();
@@ -393,15 +393,15 @@ mod tests {
     #[should_panic(expected = "pfc-pairing")]
     fn double_pause_is_caught() {
         let mut a = FabricAuditor::default();
-        a.on_pause_sent((false, 0), 3);
-        a.on_pause_sent((false, 0), 3);
+        a.on_pause_sent(PortId(3));
+        a.on_pause_sent(PortId(3));
     }
 
     #[test]
     #[should_panic(expected = "pfc-pairing")]
     fn resume_without_pause_is_caught() {
         let mut a = FabricAuditor::default();
-        a.on_resume_sent((true, 1), 0);
+        a.on_resume_sent(PortId(6));
     }
 
     #[test]
@@ -409,14 +409,13 @@ mod tests {
     fn unmatched_pause_at_drain_is_caught() {
         let mut a = FabricAuditor::default();
         // PAUSE sent but the switch's live flag says unpaused: inconsistent.
-        a.on_pause_sent((false, 0), 1);
+        a.on_pause_sent(topo().port_id(Node::Leaf(0), 1));
         let sw = test_switch();
         let _ = a.check(
             3_000,
-            [((false, 0), &sw)].into_iter(),
+            &topo(),
+            [(Node::Leaf(0), &sw)].into_iter(),
             &PacketArena::new(),
-            0,
-            0,
             true,
         );
     }
@@ -429,10 +428,9 @@ mod tests {
         sw.shared_used = sw.config().buffer_bytes + 1;
         let _ = a.check(
             4_000,
-            [((false, 0), &sw)].into_iter(),
+            &topo(),
+            [(Node::Leaf(0), &sw)].into_iter(),
             &PacketArena::new(),
-            0,
-            0,
             false,
         );
     }
@@ -445,10 +443,9 @@ mod tests {
         sw.ingress_bytes[0] = 512; // shared_used still 0
         let _ = a.check(
             5_000,
-            [((false, 0), &sw)].into_iter(),
+            &topo(),
+            [(Node::Leaf(0), &sw)].into_iter(),
             &PacketArena::new(),
-            0,
-            0,
             false,
         );
     }
@@ -456,26 +453,24 @@ mod tests {
     #[test]
     fn paused_port_balances_at_drain() {
         let mut a = FabricAuditor::default();
-        a.on_pause_sent((false, 0), 1);
+        a.on_pause_sent(topo().port_id(Node::Leaf(0), 1));
         let mut sw = test_switch();
         sw.paused_upstream[1] = true;
         a.check(
             6_000,
-            [((false, 0), &sw)].into_iter(),
+            &topo(),
+            [(Node::Leaf(0), &sw)].into_iter(),
             &PacketArena::new(),
-            0,
-            0,
             true,
         )
         .assert_conserved();
-        a.on_resume_sent((false, 0), 1);
+        a.on_resume_sent(topo().port_id(Node::Leaf(0), 1));
         sw.paused_upstream[1] = false;
         a.check(
             7_000,
-            [((false, 0), &sw)].into_iter(),
+            &topo(),
+            [(Node::Leaf(0), &sw)].into_iter(),
             &PacketArena::new(),
-            0,
-            0,
             true,
         )
         .assert_conserved();

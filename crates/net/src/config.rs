@@ -44,11 +44,9 @@ impl Default for TopoConfig {
 /// Most spines a fabric may have: spine indices must stay below
 /// [`crate::packet::NO_PATH`].
 const MAX_SPINES: u32 = crate::packet::NO_PATH as u32;
-/// Most hosts + leaves + spines a fabric may have: every entity needs a
-/// 16-bit rank after the two reserved ones.
-const MAX_ENTITIES: u64 = u16::MAX as u64 - 2;
 /// Most ports (host NICs, leaf and spine ports) a fabric may have: events
-/// name a port by its 16-bit `PortId`.
+/// name a port by its 16-bit `PortId`. A fabric has at least 3 ports per
+/// spine more than it has nodes, so every rank (2 + node index) fits too.
 const MAX_PORTS: u64 = u16::MAX as u64;
 /// Largest frame a packet can describe: `Packet::size_bytes` is 16 bits.
 const MAX_FRAME_BYTES: u64 = u16::MAX as u64;
@@ -127,17 +125,6 @@ impl TopoConfig {
                 self.n_spines
             ));
         }
-        // Event tie keys give the entity rank 16 bits: 2 reserved ranks
-        // plus one per host, leaf and spine.
-        let entities = self.n_leaves as u64 * self.hosts_per_leaf as u64
-            + self.n_leaves as u64
-            + self.n_spines as u64;
-        if entities > MAX_ENTITIES {
-            return Err(format!(
-                "{entities} hosts + leaves + spines exceed the limit of {MAX_ENTITIES} \
-                 (event keys rank entities in 16 bits)"
-            ));
-        }
         if self.n_ports() > MAX_PORTS {
             return Err(format!(
                 "{} ports exceed the limit of {MAX_PORTS} (events name a port in 16 bits)",
@@ -199,6 +186,8 @@ impl Default for SwitchConfig {
         SwitchConfig {
             buffer_bytes: 9_000_000,
             pfc_threshold_bytes: 256 * 1024,
+            // Two full data frames on the wire at the default MTU (1 000
+            // bytes of payload plus a 48-byte header), not a misspelt 2 KiB.
             pfc_hysteresis_bytes: 2 * 1048,
             pfc_enabled: true,
             ecn: EcnConfig::default(),
@@ -401,7 +390,8 @@ mod tests {
     }
 
     /// 2 + hosts + leaves + spines must fit the 16-bit rank of the event
-    /// key; past it `Simulation::new` used to die on an `assert!`.
+    /// key; past it `Simulation::new` used to die on an `assert!`. The
+    /// port limit is what rejects such a fabric: it has more ports still.
     #[test]
     fn validation_rejects_fabrics_beyond_the_rank_space() {
         let fabric = |n_leaves, hosts_per_leaf| TopoConfig {
@@ -410,12 +400,33 @@ mod tests {
             n_spines: 1,
             ..TopoConfig::default()
         };
-        // 2 + 255·256 + 255 + 1 = 65 538 entities: the rank space is the
-        // first limit named.
-        let e = fabric(255, 256).validate().expect_err("65 536 entities");
-        assert!(e.contains("65536") && e.contains("limit of 65533"), "{e}");
+        // 2 + 255·256 + 255 + 1 = 65 538 ranks, on 131 070 ports.
+        let e = fabric(255, 256).validate().expect_err("65 538 ranks");
+        assert!(e.contains("131070 ports exceed the limit of 65535"), "{e}");
         // The product alone overflows `u32`: still a diagnostic.
         assert!(fabric(1 << 20, 1 << 20).validate().is_err());
+    }
+
+    proptest::proptest! {
+        /// The port limit is the only limit on fabric size: every shape it
+        /// accepts ranks its nodes within 16 bits.
+        #[test]
+        fn every_accepted_shape_fits_the_rank_space(
+            leaves in 2u32..64,
+            spines in 1u32..256,
+            hpl in 1u32..4096,
+        ) {
+            let t = TopoConfig {
+                n_leaves: leaves,
+                n_spines: spines,
+                hosts_per_leaf: hpl,
+                ..TopoConfig::default()
+            };
+            if t.validate().is_ok() {
+                let ranks = 2 + t.n_hosts() as u64 + (leaves + spines) as u64;
+                proptest::prop_assert!(ranks <= u16::MAX as u64, "{ranks} ranks");
+            }
+        }
     }
 
     /// Every port needs a 16-bit `PortId`: `2·H + 2·L·S` ports. A

@@ -8,6 +8,7 @@
 //! class are fixed at creation. Nothing in the hot path allocates per
 //! packet: the arena reuses its slots.
 
+use crate::topology::PortId;
 use rlb_engine::{PacketArena, PacketHandle};
 use serde::Serialize;
 
@@ -66,11 +67,10 @@ pub struct Packet {
     /// Flow index into the simulation's flow table (`u32::MAX` for a CNM).
     pub flow: u32,
     /// Data: PSN. Ack: cumulative PSN. Nak: expected PSN. A CNM: its
-    /// origin switch.
+    /// origin ingress port's `PortId`.
     pub psn: u32,
     pub dst_host: u32,
-    /// IRN selective-repeat ACKs: the receiver's cumulative PSN. A CNM:
-    /// its origin ingress port.
+    /// IRN selective-repeat ACKs: the receiver's cumulative PSN.
     pub cum: u32,
     /// Departure time from the source NIC; echoed in ACKs for RTT samples.
     pub sent_ps: u64,
@@ -128,19 +128,11 @@ impl Packet {
         }
     }
 
-    /// A PFC-warning CNM about switch `origin_node`'s (its node index,
-    /// `Topology::node_index`) ingress `origin_port`, with `ttl` relays
-    /// left.
-    /// It is never routed by destination nor tied to a flow, so the
-    /// origin rides in `psn` and `cum` and the TTL in `recircs`; read it
-    /// back with [`cnm_origin`](Self::cnm_origin).
-    pub fn cnm(
-        origin_node: u16,
-        origin_port: u16,
-        ttl: u8,
-        size_bytes: u16,
-        now_ps: u64,
-    ) -> Packet {
+    /// A PFC-warning CNM about the congested ingress port `origin`, with
+    /// `ttl` relays left. It is never routed by destination nor tied to a
+    /// flow, so the origin rides in `psn` and the TTL in `recircs`; read
+    /// them back with [`cnm_origin`](Self::cnm_origin).
+    pub fn cnm(origin: PortId, ttl: u8, size_bytes: u16, now_ps: u64) -> Packet {
         Packet {
             kind: PacketKind::Cnm,
             flags: 0,
@@ -149,18 +141,17 @@ impl Packet {
             ingress_port: 0,
             size_bytes,
             flow: u32::MAX,
-            psn: origin_node as u32,
+            psn: origin.0 as u32,
             dst_host: u32::MAX,
-            cum: origin_port as u32,
+            cum: 0,
             sent_ps: now_ps,
         }
     }
 
-    /// A CNM's `(origin node, origin ingress port, ttl)`; `None` for any
-    /// other kind.
+    /// A CNM's `(origin ingress port, ttl)`; `None` for any other kind.
     #[inline]
-    pub fn cnm_origin(&self) -> Option<(u16, u16, u8)> {
-        let origin = (self.psn as u16, self.cum as u16, self.recircs);
+    pub fn cnm_origin(&self) -> Option<(PortId, u8)> {
+        let origin = (PortId(self.psn as u16), self.recircs);
         (self.kind == PacketKind::Cnm).then_some(origin)
     }
 
@@ -251,8 +242,8 @@ mod tests {
 
     #[test]
     fn a_cnm_carries_its_origin() {
-        let cnm = Packet::cnm(700, 517, 4, 64, 9);
-        assert_eq!(cnm.cnm_origin(), Some((700, 517, 4)));
+        let cnm = Packet::cnm(PortId(65_535), 4, 64, 9);
+        assert_eq!(cnm.cnm_origin(), Some((PortId(65_535), 4)));
         assert!(cnm.kind.is_control());
         assert_eq!((cnm.flow, cnm.size_bytes, cnm.sent_ps), (u32::MAX, 64, 9));
         assert_eq!(Packet::data(0, 0, 1, 1, 0).cnm_origin(), None);

@@ -16,7 +16,7 @@ use super::{Event, JEffect, PerfStats, Simulation};
 use crate::config::SimConfig;
 use crate::packet::{Packet, NO_PATH};
 use crate::switch::EgressPort;
-use crate::topology::Node;
+use crate::topology::{Node, PortId};
 use rlb_core::{algorithm1, Decision, DecisionReason, Prediction, RlbConfig, WarningTable};
 use rlb_engine::{substream, FlowTable, SimDuration, SimTime};
 use rlb_lb::{Ctx, LoadBalancer, PathIdx, PathInfo};
@@ -293,8 +293,8 @@ impl Simulation {
             self.jot(JEffect::CnmGen(warns.len() as u64));
         }
         for &port in &warns {
-            let origin = self.topo.node_index(node);
-            self.send_cnm_upstream(node, port, origin, port, CNM_TTL);
+            let origin = self.topo.port_id(node, port);
+            self.send_cnm_upstream(node, port, origin, CNM_TTL);
         }
         self.control.ports_scratch = warns;
         if keep_ticking {
@@ -304,17 +304,10 @@ impl Simulation {
         }
     }
 
-    /// Emit a CNM out of `out_port`'s reverse link (toward the upstream
-    /// neighbour feeding that ingress). Skips host neighbours — servers
-    /// cannot reroute.
-    fn send_cnm_upstream(
-        &mut self,
-        node: Node,
-        out_port: u16,
-        origin_node: u16,
-        origin_port: u16,
-        ttl: u8,
-    ) {
+    /// Emit a CNM about ingress `origin` out of `out_port`'s reverse link
+    /// (toward the upstream neighbour feeding that ingress). Skips host
+    /// neighbours — servers cannot reroute.
+    fn send_cnm_upstream(&mut self, node: Node, out_port: u16, origin: PortId, ttl: u8) {
         let (peer, _) = self.topo.peer(node, out_port);
         if matches!(peer, Node::Host(_)) {
             return;
@@ -322,12 +315,12 @@ impl Simulation {
         let now_ps = self.now().as_ps();
         // Validated to fit 16 bits (`SimConfig::validate`).
         let size = self.cfg.transport.ctrl_bytes as u16;
-        let pkt = Packet::cnm(origin_node, origin_port, ttl, size, now_ps);
+        let pkt = Packet::cnm(origin, ttl, size, now_ps);
         let pkt = pkt.park(&mut self.arena, now_ps);
         self.enqueue_or_launch(node, out_port, pkt);
     }
 
-    /// CNM arrived at `node` on `in_port`.
+    /// CNM about ingress `origin` arrived at `node` on `in_port`.
     ///
     /// * At a **leaf**, arriving from a spine: record the warning —
     ///   path-granular if the origin is a (destination) leaf's uplink
@@ -336,14 +329,7 @@ impl Simulation {
     /// * At a **spine**: relay toward the leaves that recently contributed
     ///   traffic to the endangered direction (the paper's flow-table
     ///   driven hop-by-hop propagation).
-    pub(super) fn handle_cnm(
-        &mut self,
-        node: Node,
-        in_port: u16,
-        origin_node: u16,
-        origin_port: u16,
-        ttl: u8,
-    ) {
+    pub(super) fn handle_cnm(&mut self, node: Node, in_port: u16, origin: PortId, ttl: u8) {
         let now = self.now();
         // Copy the one field we need instead of cloning the whole RlbConfig
         // on every CNM (this runs per control frame under congestion).
@@ -358,7 +344,8 @@ impl Simulation {
                 };
                 let until = (now + SimDuration(warn_lifetime_ps)).as_ps();
                 let ls = &mut self.control.leaves[l as usize];
-                match self.topo.node_at(origin_node) {
+                let (origin_node, origin_port) = self.topo.port_at(origin);
+                match origin_node {
                     Node::Leaf(dst_leaf) => {
                         // Congestion predicted at dst_leaf's ingress from
                         // some spine: that (spine, dst_leaf) path is hot.
@@ -380,7 +367,7 @@ impl Simulation {
                     Node::Spine(_) | Node::Host(_) => {}
                 }
             }
-            Node::Spine(s) => {
+            Node::Spine(_) => {
                 if ttl == 0 {
                     return;
                 }
@@ -388,12 +375,12 @@ impl Simulation {
                 // at the CNM's arrival direction (the endangered path).
                 let mut targets = std::mem::take(&mut self.control.ports_scratch);
                 targets.clear();
-                let table = &self.spines[s as usize].contributors;
+                let table = &self.switches[self.topo.switch_index(node)].contributors;
                 let recent = table.contributors(in_port as usize, now.as_ps());
                 targets.extend(recent.filter(|&p| p != in_port as usize).map(|p| p as u16));
                 for &p in &targets {
                     self.jot(JEffect::CnmRelay);
-                    self.send_cnm_upstream(node, p, origin_node, origin_port, ttl - 1);
+                    self.send_cnm_upstream(node, p, origin, ttl - 1);
                 }
                 self.control.ports_scratch = targets;
             }

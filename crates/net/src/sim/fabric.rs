@@ -16,9 +16,9 @@ impl Simulation {
     /// A frame arrived at switch `node` on `in_port`.
     pub(super) fn switch_rx(&mut self, node: Node, in_port: u16, h: PacketHandle) {
         let pkt = self.arena.get_mut(h);
-        if let Some((origin_node, origin_port, ttl)) = pkt.cnm_origin() {
+        if let Some((origin, ttl)) = pkt.cnm_origin() {
             self.arena.free(h);
-            self.handle_cnm(node, in_port, origin_node, origin_port, ttl);
+            self.handle_cnm(node, in_port, origin, ttl);
             return;
         }
         if pkt.kind.is_control() {
@@ -94,7 +94,7 @@ impl Simulation {
                     paths: &[],
                 };
                 let hpl = self.cfg.topo.hosts_per_leaf as usize;
-                let uplinks = &self.leaves[l as usize].egress[hpl..];
+                let uplinks = &self.switches[self.topo.switch_index(node)].egress[hpl..];
                 let limit = self.flows[flow as usize].spec.path_limit;
                 let (decision, reason) = self.control.decide(l, uplinks, ctx, limit, pkt.recircs);
                 if let Some(reason) = reason {
@@ -325,13 +325,9 @@ impl Simulation {
                 self.materialize_egress(node, out);
             }
         }
-        let id = match node {
-            Node::Leaf(l) => (false, l),
-            Node::Spine(s) => (true, s),
-            Node::Host(_) => unreachable!("hosts do not emit PFC"),
-        };
+        let ingress = self.topo.port_id(node, port);
         if pause {
-            self.jot(JEffect::Pause { id, port });
+            self.jot(JEffect::Pause(ingress));
         } else {
             self.jot(JEffect::Resume);
         }
@@ -340,9 +336,9 @@ impl Simulation {
             // The auditor ledger tracks *physical* frames, paired against
             // live pause flags — it stays immediate even in sharded mode.
             if pause {
-                self.auditor.on_pause_sent(id, port);
+                self.auditor.on_pause_sent(ingress);
             } else {
-                self.auditor.on_resume_sent(id, port);
+                self.auditor.on_resume_sent(ingress);
             }
         }
         let (peer, peer_port) = self.topo.peer(node, port);
@@ -419,6 +415,11 @@ mod tests {
             Packet::data(flow, 0, bytes, flow + 1, 0)
         }
 
+        /// Switch `node` of `s`.
+        fn sw(s: &Simulation, node: Node) -> &crate::switch::Switch {
+            &s.switches[s.topo.switch_index(node)]
+        }
+
         /// Queue the arrival of `pkt`, a frame no host sent, at `node`'s
         /// `port` at `at` ps; the auditor counts data injected, so the
         /// run's books balance.
@@ -452,28 +453,28 @@ mod tests {
             inject(&mut s, 0, leaf, 0, frame(0, 1000));
             inject(&mut s, 10, leaf, 0, frame(0, 1000));
             run_to(&mut s, 1);
-            let ep = &s.leaves[0].egress[out];
+            let ep = &sw(&s, leaf).egress[out];
             assert_eq!(ep.reserved.map(|r| r.done_ps), Some(SER));
             assert!(!ep.busy);
             run_to(&mut s, 11);
-            let ep = &s.leaves[0].egress[out];
+            let ep = &sw(&s, leaf).egress[out];
             assert!(
                 ep.busy && ep.reserved.is_none(),
                 "the queued frame scheduled it"
             );
-            assert_eq!(s.leaves[0].ingress_bytes[0], 2000);
+            assert_eq!(sw(&s, leaf).ingress_bytes[0], 2000);
             run_to(&mut s, SER);
             assert_eq!(s.perf.events_egress_done, 0);
             run_to(&mut s, SER + 1);
             assert_eq!(s.perf.events_egress_done, 1);
-            let ep = &s.leaves[0].egress[out];
+            let ep = &sw(&s, leaf).egress[out];
             assert_eq!(
                 ep.reserved.map(|r| r.done_ps),
                 Some(2 * SER),
                 "launched at SER"
             );
             // The first frame released by its event; the second's release waits.
-            assert_eq!(s.leaves[0].ingress_bytes[0], 1000);
+            assert_eq!(sw(&s, leaf).ingress_bytes[0], 1000);
             assert_eq!(s.perf.completions_elided, 0);
         }
 
@@ -494,13 +495,13 @@ mod tests {
             inject(&mut s, 0, leaf, 0, frame(0, 1000));
             inject(&mut s, 10, leaf, 0, frame(1, 1000));
             run_to(&mut s, 1);
-            assert!(s.leaves[0].egress[1].reserved.is_some());
+            assert!(sw(&s, leaf).egress[1].reserved.is_some());
             run_to(&mut s, 11);
             assert_eq!(s.counters.pause_frames, 1);
-            let ep = &s.leaves[0].egress[1];
+            let ep = &sw(&s, leaf).egress[1];
             assert!(ep.busy && ep.reserved.is_none(), "the PAUSE scheduled it");
             assert!(
-                s.leaves[0].egress[2].busy,
+                sw(&s, leaf).egress[2].busy,
                 "a paused ingress's frame schedules"
             );
             run_to(&mut s, SER + 1);
@@ -539,17 +540,17 @@ mod tests {
             inject(&mut s, 0, spine, 0, frame(1, 20_000));
             inject(&mut s, 5 * US, spine, 0, frame(1, 20_000));
             run_to(&mut s, 5 * US / 2 + 1);
-            let ep = &s.spines[0].egress[1];
+            let ep = &sw(&s, spine).egress[1];
             assert_eq!(ep.reserved.map(|r| r.done_ps), Some(BIG));
             assert!(!ep.busy, "kicked, nothing to launch");
             run_to(&mut s, 5 * US + 1);
             assert_eq!(
-                s.spines[0].egress[1].data_q.len(),
+                sw(&s, spine).egress[1].data_q.len(),
                 1,
                 "frozen behind the link"
             );
             run_to(&mut s, 7 * US + 1);
-            let ep = &s.spines[0].egress[1];
+            let ep = &sw(&s, spine).egress[1];
             assert_eq!(
                 ep.reserved.map(|r| r.done_ps),
                 Some(7 * US + BIG),
@@ -587,7 +588,7 @@ mod tests {
                 let spine = Node::Spine(0);
                 inject(&mut s, 0, spine, 0, frame(1, 1000));
                 run_to(&mut s, 1);
-                let r = s.spines[0].egress[1].reserved.expect("reserved");
+                let r = sw(&s, spine).egress[1].reserved.expect("reserved");
                 let key = if before { r.key - 1 } else { r.key + 1 };
                 #[cfg(feature = "audit")]
                 s.auditor.on_injected();
@@ -600,7 +601,7 @@ mod tests {
                 s.sched
                     .schedule_reserved(at, Event::LinkArrive { port, pkt });
                 run_to(&mut s, r.done_ps + 1);
-                let ep = &s.spines[0].egress[1];
+                let ep = &sw(&s, spine).egress[1];
                 assert_eq!(
                     ep.reserved.map(|r| r.done_ps),
                     Some(2 * SER),

@@ -52,10 +52,8 @@ impl Simulation {
     /// directions are kicked on recovery so frozen queues resume draining.
     fn fault_set_link_down(&mut self, leaf: u32, spine: u32, down: bool) {
         let up_port = self.topo.leaf_uplink_port(spine) as usize;
-        let lsw = &mut self.leaves[leaf as usize];
-        lsw.egress[up_port].link_down = down;
-        let ssw = &mut self.spines[spine as usize];
-        ssw.egress[leaf as usize].link_down = down;
+        self.switch_mut(Node::Leaf(leaf)).egress[up_port].link_down = down;
+        self.switch_mut(Node::Spine(spine)).egress[leaf as usize].link_down = down;
         if !down {
             // The state flip above is replicated everywhere; the transmit
             // kicks schedule real events, so only the owner issues them.
@@ -72,9 +70,7 @@ impl Simulation {
     /// degradation). Frames already serializing finish at the old rate.
     fn fault_set_link_rate(&mut self, leaf: u32, spine: u32, rate_bps: u64) {
         let up_port = self.topo.leaf_uplink_port(spine) as usize;
-        let lsw = &mut self.leaves[leaf as usize];
-        lsw.egress[up_port].rate_bps = rate_bps;
-        let ssw = &mut self.spines[spine as usize];
-        ssw.egress[leaf as usize].rate_bps = rate_bps;
+        self.switch_mut(Node::Leaf(leaf)).egress[up_port].rate_bps = rate_bps;
+        self.switch_mut(Node::Spine(spine)).egress[leaf as usize].rate_bps = rate_bps;
     }
 }

@@ -271,8 +271,9 @@ pub struct Simulation {
     topo: Topology,
     /// The scheduling handle: clock, event queue, canonical keys, outboxes.
     sched: Sched,
-    leaves: Vec<Switch>,
-    spines: Vec<Switch>,
+    /// Every switch in node order: the leaves, then the spines
+    /// (`Topology::switch_index`).
+    switches: Vec<Switch>,
     hosts: Vec<Host>,
     /// Every leaf's load-balancing and RLB state.
     control: Control,
@@ -306,7 +307,8 @@ pub struct Simulation {
     journal: Vec<((u64, u128), JEffect)>,
     timeseries: FabricTimeSeries,
     traces: FlowTraces,
-    pfc_pauses_by_port: std::collections::BTreeMap<((bool, u32), u16), u64>,
+    /// PAUSE frames sent, by the pausing ingress port.
+    pfc_pauses_by_port: std::collections::BTreeMap<PortId, u64>,
     #[cfg(feature = "audit")]
     auditor: crate::audit::FabricAuditor,
 }
@@ -334,10 +336,8 @@ impl Simulation {
         n_shards: u16,
     ) -> Simulation {
         cfg.validate().expect("invalid SimConfig");
-        assert!(shard_id < n_shards.max(1), "shard id out of range");
         let topo = Topology::new(cfg.topo.clone());
-        let (n_leaves, n_spines) = (cfg.topo.n_leaves, cfg.topo.n_spines);
-        let (hpl, d) = (cfg.topo.hosts_per_leaf, cfg.topo.link_delay_ps);
+        let d = cfg.topo.link_delay_ps;
 
         // Base RTT estimate seeding the per-path estimators: 8 link hops
         // (4 out, 4 back) of propagation + serialization.
@@ -351,8 +351,14 @@ impl Simulation {
             .map(|r| SimDuration::from_ps(r.warn_lifetime_ps).mul_u64(4).as_ps())
             .unwrap_or(10_000_000);
 
-        // Switch `node`, its RNG substream `(tag, i)`.
-        let switch = |node: Node, tag: &[u8], i: u32, n_ports: usize| {
+        // Switch `node`, its RNG substream named by its kind and index.
+        let switch = |node: Node| {
+            let (tag, i): (&[u8], u32) = match node {
+                Node::Leaf(l) => (b"switch-leaf", l),
+                Node::Spine(s) => (b"switch-spine", s),
+                Node::Host(_) => unreachable!("a host is not a switch"),
+            };
+            let n_ports = topo.n_ports(node);
             let rates = (0..n_ports as u16)
                 .map(|p| topo.port_rate_bps(node, p))
                 .collect();
@@ -370,12 +376,7 @@ impl Simulation {
             }
             sw
         };
-        let leaves: Vec<Switch> = (0..n_leaves)
-            .map(|l| switch(Node::Leaf(l), b"switch-leaf", l, (hpl + n_spines) as usize))
-            .collect();
-        let spines: Vec<Switch> = (0..n_spines)
-            .map(|s| switch(Node::Spine(s), b"switch-spine", s, n_leaves as usize))
-            .collect();
+        let switches: Vec<Switch> = topo.switches().map(switch).collect();
 
         let n_hosts = topo.n_hosts();
         let mut hosts: Vec<Host> = (0..n_hosts)
@@ -390,7 +391,7 @@ impl Simulation {
             .ceil()
             .max(4.0) as u32;
 
-        let mut sched = Sched::new(&cfg.topo, shard_id, n_shards);
+        let mut sched = Sched::new(&topo, shard_id, n_shards);
         let transport = FlowTransport {
             mode: cfg.transport.mode,
             irn_window,
@@ -444,8 +445,7 @@ impl Simulation {
         let mut sim = Simulation {
             topo,
             sched,
-            leaves,
-            spines,
+            switches,
             hosts,
             control: Control::new(&cfg, base_rtt_ns),
             arena: PacketArena::new(),
@@ -503,9 +503,8 @@ impl Simulation {
     #[inline]
     fn switch_of(&mut self, node: Node) -> Option<&mut Switch> {
         match node {
-            Node::Leaf(l) => Some(&mut self.leaves[l as usize]),
-            Node::Spine(s) => Some(&mut self.spines[s as usize]),
             Node::Host(_) => None,
+            _ => Some(&mut self.switches[self.topo.switch_index(node)]),
         }
     }
 
@@ -525,17 +524,15 @@ impl Simulation {
     ) -> (&mut EgressPort, &mut PacketArena<Packet>) {
         let ep = match node {
             Node::Host(h) => &mut self.hosts[h as usize].nic,
-            Node::Leaf(l) => &mut self.leaves[l as usize].egress[port as usize],
-            Node::Spine(s) => &mut self.spines[s as usize].egress[port as usize],
+            _ => &mut self.switches[self.topo.switch_index(node)].egress[port as usize],
         };
         (ep, &mut self.arena)
     }
 
     /// Every egress port of the fabric, host NICs included.
     fn ports(&self) -> impl Iterator<Item = &EgressPort> + '_ {
-        let switches = self.leaves.iter().chain(&self.spines);
         let nics = self.hosts.iter().map(|h| &h.nic);
-        switches.flat_map(|sw| &sw.egress).chain(nics)
+        self.switches.iter().flat_map(|sw| &sw.egress).chain(nics)
     }
 
     /// Run to completion: stops when all flows finished, the event queue
@@ -596,7 +593,7 @@ impl Simulation {
         let mut buffered = 0u64;
         let mut paused_ports = 0u32;
         let mut max_q = 0u64;
-        for sw in self.leaves.iter_mut().chain(self.spines.iter_mut()) {
+        for sw in &mut self.switches {
             sw.settle(cursor);
             buffered += sw.shared_used;
             for ep in &sw.egress {

@@ -5,17 +5,18 @@
 //! was *issued*, the rank of the scheduling entity, and that entity's own
 //! running schedule counter (`shard_key`). Ranks are a fixed property of
 //! the **topology**, never of the shard layout — two reserved ranks, then
-//! hosts, leaves and spines — so a causal event chain takes the same keys
-//! on one shard or many. (Keying by *shard id* instead would reorder
-//! same-picosecond ties from different leaves whenever the leaf→shard map
-//! changes.) Callers name a [`Node`], a construction index or the global
-//! clock; ranks, counters and the shard map never leave this file.
+//! `2 + node index` (`Topology`'s node order: hosts, leaves, spines) — so
+//! a causal event chain takes the same keys on one shard or many. (Keying
+//! by *shard id* instead would reorder same-picosecond ties from different
+//! leaves whenever the leaf→shard map changes.) Callers name a [`Node`], a
+//! construction index or the global clock; ranks, counters and the shard
+//! map never leave this file.
 
 use super::Event;
 use crate::config::TopoConfig;
 use crate::packet::Packet;
 use crate::switch::Reserved;
-use crate::topology::{Node, PortId};
+use crate::topology::{Node, Numbering, PortId, Topology};
 use rlb_engine::{shard_key, PacketArena, PacketHandle, ShardEventQueue, SimTime};
 
 /// Keys construction-time schedules (flow starts, the fault timeline, the
@@ -27,6 +28,10 @@ const RANK_CONSTRUCT: u16 = 0;
 /// replicated on every shard and therefore advance each replica's counter
 /// identically.
 const RANK_GLOBAL: u16 = 1;
+/// Rank of node index 0; a fabric entity's rank is this plus its node
+/// index. `TopoConfig::validate`'s port limit keeps it within 16 bits
+/// (a fabric has at least three ports per spine more than it has nodes).
+const RANK_NODE0: u16 = 2;
 
 /// A timestamped cross-shard event: produced by [`Sched::send`] or
 /// [`Sched::send_frame`] when the receiving entity lives on another shard,
@@ -57,10 +62,9 @@ pub(super) struct Sched {
     /// This replica's shard id / total shard count (0 of 1 = the whole fabric).
     shard_id: u16,
     n_shards: u16,
-    /// Ranks of leaf 0 and spine 0 (`rank` runs once per frame sent).
-    rank_leaf0: u16,
-    rank_spine0: u16,
-    /// Owning shard of every entity, indexed by rank — `shard_for`
+    /// The topology's node order (`rank` runs once per frame sent).
+    numbering: Numbering,
+    /// Owning shard of every entity, indexed by node index — `shard_for`
     /// tabulated once, so `send` pays one load per frame instead of the
     /// host→leaf and band divisions.
     shard_map: Vec<u16>,
@@ -79,30 +83,21 @@ pub(super) struct Sched {
 
 impl Sched {
     /// Shard `shard_id` of an `n_shards`-way partition of `topo`.
-    pub(super) fn new(topo: &TopoConfig, shard_id: u16, n_shards: u16) -> Sched {
-        let (n_hosts, n_leaves, n_spines) = (topo.n_hosts(), topo.n_leaves, topo.n_spines);
-        // Two reserved ranks, then one per host, leaf and spine. The tie
-        // key gives ranks 16 bits (`shard_key`), which bounds the fabric at
-        // ~65k entities — far above the paper-scale 12×12×288 topology;
-        // `TopoConfig::validate` rejects anything larger. The reserved ranks
-        // own nothing.
-        let nodes = (0..n_hosts)
-            .map(Node::Host)
-            .chain((0..n_leaves).map(Node::Leaf))
-            .chain((0..n_spines).map(Node::Spine));
-        let shard_map: Vec<u16> = [0, 0]
-            .into_iter()
-            .chain(nodes.map(|node| Self::shard_for(topo, n_shards, node)))
+    pub(super) fn new(topo: &Topology, shard_id: u16, n_shards: u16) -> Sched {
+        assert!(shard_id < n_shards, "shard {shard_id} of {n_shards}");
+        let numbering = topo.numbering;
+        let n_nodes = numbering.node_count();
+        let shard_map: Vec<u16> = (0..n_nodes)
+            .map(|i| Self::shard_for(&topo.cfg, n_shards, numbering.node_at(i as u16)))
             .collect();
         Sched {
             q: ShardEventQueue::new(),
             shard_id,
-            n_shards: n_shards.max(1),
-            rank_leaf0: 2 + n_hosts as u16,
-            rank_spine0: 2 + n_hosts as u16 + n_leaves as u16,
-            ent_cnt: vec![0; shard_map.len()],
+            n_shards,
+            numbering,
             shard_map,
-            outbox: (0..n_shards.max(1)).map(|_| Vec::new()).collect(),
+            ent_cnt: vec![0; RANK_NODE0 as usize + n_nodes as usize],
+            outbox: (0..n_shards).map(|_| Vec::new()).collect(),
             cur_key: 0,
             window_end: 0,
         }
@@ -119,7 +114,7 @@ impl Sched {
     /// one; `shard::shard_count` keeps `n ≤ n_leaves`, so no shard is
     /// empty (one may own no spine when `n > n_spines`).
     fn shard_for(topo: &TopoConfig, n_shards: u16, node: Node) -> u16 {
-        let n = n_shards.max(1) as u64;
+        let n = n_shards as u64;
         let band = |i: u32, of: u32| (i as u64 * n / of as u64) as u16;
         match node {
             Node::Spine(s) => band(s, topo.n_spines),
@@ -131,11 +126,7 @@ impl Sched {
     /// Canonical rank of any fabric entity.
     #[inline]
     fn rank(&self, node: Node) -> u16 {
-        match node {
-            Node::Host(h) => 2 + h as u16,
-            Node::Leaf(l) => self.rank_leaf0 + l as u16,
-            Node::Spine(s) => self.rank_spine0 + s as u16,
-        }
+        RANK_NODE0 + self.numbering.node_index(node)
     }
 
     pub(super) fn shard_id(&self) -> u16 {
@@ -149,7 +140,7 @@ impl Sched {
 
     #[inline]
     pub(super) fn shard_of(&self, node: Node) -> u16 {
-        self.shard_map[self.rank(node) as usize]
+        self.shard_map[self.numbering.node_index(node) as usize]
     }
 
     pub(super) fn owns(&self, node: Node) -> bool {
@@ -336,13 +327,13 @@ mod tests {
     use super::*;
 
     /// 4 leaves × 2 spines × 2 hosts per leaf.
-    fn topo() -> TopoConfig {
-        TopoConfig {
+    fn topo() -> Topology {
+        Topology::new(TopoConfig {
             n_leaves: 4,
             n_spines: 2,
             hosts_per_leaf: 2,
             ..TopoConfig::default()
-        }
+        })
     }
 
     fn keys(s: &mut Sched) -> Vec<u128> {
@@ -504,23 +495,25 @@ mod tests {
     }
 
     /// One shard owns everything, and the map the hot path reads is
-    /// `shard_for` tabulated by rank.
+    /// `shard_for` tabulated by node index.
     #[test]
-    fn shard_map_tabulates_shard_for_by_rank() {
-        let topo = TopoConfig {
+    fn shard_map_tabulates_shard_for_by_node_index() {
+        let topo = Topology::new(TopoConfig {
             n_leaves: 5,
             n_spines: 3,
             hosts_per_leaf: 2,
             ..TopoConfig::default()
-        };
+        });
         for n in [1u16, 2, 5] {
             let s = Sched::new(&topo, n - 1, n);
             let nodes = (0..10)
                 .map(Node::Host)
                 .chain((0..5).map(Node::Leaf))
                 .chain((0..3).map(Node::Spine));
-            for node in nodes {
-                assert_eq!(s.shard_of(node), Sched::shard_for(&topo, n, node));
+            for (i, node) in nodes.enumerate() {
+                assert_eq!(s.shard_map[i], Sched::shard_for(&topo.cfg, n, node));
+                assert_eq!(s.shard_of(node), s.shard_map[i]);
+                assert_eq!(s.rank(node), 2 + i as u16);
                 assert!(n > 1 || s.owns(node));
             }
         }

@@ -7,7 +7,7 @@ use crate::audit::AuditReport;
 use crate::config::SimConfig;
 use crate::monitor::FabricTimeSeries;
 use crate::switch::Reserved;
-use crate::topology::Node;
+use crate::topology::{Node, PortId};
 use crate::trace::FlowTraces;
 use rlb_core::DecisionReason;
 use rlb_engine::{SimDuration, SimTime};
@@ -31,10 +31,8 @@ use rlb_metrics::{FabricCounters, FlowRecord, LogHistogram};
 /// duplicates below the cumulative ACK and bump no histogram.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum JEffect {
-    Pause {
-        id: (bool, u32),
-        port: u16,
-    },
+    /// A PAUSE sent upstream of this ingress port.
+    Pause(PortId),
     Resume,
     CnmGen(u64),
     CnmRelay,
@@ -64,9 +62,9 @@ impl Simulation {
 
     fn apply_effect(&mut self, e: JEffect) {
         match e {
-            JEffect::Pause { id, port } => {
+            JEffect::Pause(port) => {
                 self.counters.pause_frames += 1;
-                *self.pfc_pauses_by_port.entry((id, port)).or_insert(0) += 1;
+                *self.pfc_pauses_by_port.entry(port).or_insert(0) += 1;
             }
             JEffect::Resume => self.counters.resume_frames += 1,
             JEffect::CnmGen(n) => self.counters.cnm_generated += n,
@@ -228,13 +226,21 @@ impl Simulation {
             .collect();
         self.perf.absorb(&self.control.perf);
         let (queue_high_water, queue_capacity) = self.sched.storage();
+        // The report names a switch port `((is_spine, index), port)`: the
+        // one place the pause counts leave `PortId`s. A switch port's id
+        // sorts as that key does, so the map iterates in the same order.
+        let pfc_pauses_by_port = self.pfc_pauses_by_port.iter().map(|(&id, &n)| {
+            let (node, port) = self.topo.port_at(id);
+            let (Node::Leaf(i) | Node::Spine(i) | Node::Host(i)) = node;
+            (((matches!(node, Node::Spine(_)), i), port), n)
+        });
         ShardParts {
             records,
             counters: self.counters,
             ood_histogram: self.ood_histogram,
             timeseries: self.timeseries,
             traces: self.traces,
-            pfc_pauses_by_port: self.pfc_pauses_by_port,
+            pfc_pauses_by_port: pfc_pauses_by_port.collect(),
             events: self.events,
             perf: PerfStats {
                 arena_high_water: self.arena.high_water() as u64,
@@ -257,51 +263,38 @@ impl Simulation {
         use super::Event;
         // Releases not yet due stay charged, as their frames still are.
         let cursor = self.sched.cursor();
-        for sw in self.leaves.iter_mut().chain(self.spines.iter_mut()) {
+        for sw in &mut self.switches {
             sw.settle(cursor);
         }
-        // Data frames on a wire are counted by reading the arena.
-        let (mut in_flight, mut recirc, mut held) = (0u64, 0u64, 0usize);
-        for ev in self.sched.events() {
-            match ev {
-                Event::LinkArrive { pkt, .. } => {
-                    held += 1;
-                    in_flight += !self.arena.is_control(*pkt) as u64;
-                }
-                Event::Recirculate { .. } => {
-                    held += 1;
-                    recirc += 1;
-                }
-                _ => {}
-            }
-        }
+        let mut cut = self.auditor.check(
+            self.now().as_ps(),
+            &self.topo,
+            self.topo.switches().zip(&self.switches),
+            &self.arena,
+            drain,
+        );
         // Handle conservation: every live arena slot is referenced by
         // exactly one queue or pending event of this replica, and vice
         // versa; the cut carries both counts for the caller's balance. A
         // frame in an outbox left the arena when it was sent.
-        let queued: usize = self
+        cut.handles = self
             .ports()
-            .map(|ep| ep.data_q.len() + ep.ctrl_q.len())
+            .map(|ep| (ep.data_q.len() + ep.ctrl_q.len()) as u64)
             .sum();
-        let leaves = self
-            .leaves
-            .iter()
-            .enumerate()
-            .map(|(i, sw)| ((false, i as u32), sw));
-        let spines = self
-            .spines
-            .iter()
-            .enumerate()
-            .map(|(i, sw)| ((true, i as u32), sw));
-        let mut cut = self.auditor.check(
-            self.now().as_ps(),
-            leaves.chain(spines),
-            &self.arena,
-            in_flight,
-            recirc,
-            drain,
-        );
-        cut.handles = (queued + held) as u64;
+        // Data frames on a wire are counted by reading the arena.
+        for ev in self.sched.events() {
+            match ev {
+                Event::LinkArrive { pkt, .. } => {
+                    cut.handles += 1;
+                    cut.in_flight_events += !self.arena.is_control(*pkt) as u64;
+                }
+                Event::Recirculate { .. } => {
+                    cut.handles += 1;
+                    cut.recirculating += 1;
+                }
+                _ => {}
+            }
+        }
         cut.arena_live = self.arena.len() as u64;
         cut
     }

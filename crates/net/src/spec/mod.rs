@@ -507,8 +507,8 @@ permille = 1500
         assert!(e.contains("300 spines exceed the limit of 255"), "{e}");
         let mut s = ScenarioSpec::default();
         (s.topo.n_leaves, s.topo.hosts_per_leaf) = (70_000, 70_000);
-        let e = s.build().expect_err("beyond the rank space");
-        assert!(e.contains("exceed the limit of 65533"), "{e}");
+        let e = s.build().expect_err("beyond the port space");
+        assert!(e.contains("ports exceed the limit of 65535"), "{e}");
     }
 
     const INCAST_EXAMPLE: &str = r#"

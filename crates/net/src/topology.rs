@@ -14,10 +14,13 @@
 //! * **Spine s**: port `l` ↔ leaf `l`.
 //! * **Host h**: a single port 0 ↔ its leaf.
 //!
-//! Events name a directed port by one 16-bit [`PortId`], its index in the
-//! fabric's port table (host NICs first, then every leaf's ports, then
-//! every spine's), and a node by its index in the node order (hosts, then
-//! leaves, then spines). `TopoConfig::validate` keeps both within 16 bits.
+//! This module is the one place that numbers the fabric. A node's index
+//! runs over hosts, then leaves, then spines ([`Numbering`]); a directed
+//! port's 16-bit [`PortId`] numbers the ports in the same node order.
+//! Events name ports and switches by them, the scheduler ranks an entity
+//! `2 + node index`, the simulation keeps its switches in node order, a
+//! CNM names its origin ingress by `PortId`, and PAUSEs are counted and
+//! audited by it. `TopoConfig::validate` keeps them all within 16 bits.
 
 use crate::config::TopoConfig;
 use serde::Serialize;
@@ -33,13 +36,63 @@ pub enum Node {
 /// One directed port of the fabric: its index in the port table. Host
 /// `h`'s NIC is `PortId(h)`; leaf `l`'s port `p` and spine `s`'s port `p`
 /// follow, in that order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortId(pub u16);
+
+/// The node order — hosts, then leaves, then spines — as a `Copy` value
+/// ([`Topology::numbering`]): an index is one add to a cached offset.
+#[derive(Debug, Clone, Copy)]
+pub struct Numbering {
+    /// Index of leaf 0 (the host count), of spine 0, and nodes in all.
+    leaf0: u32,
+    spine0: u32,
+    count: u32,
+}
+
+impl Numbering {
+    #[inline]
+    fn index(self, node: Node) -> u32 {
+        match node {
+            Node::Host(h) => h,
+            Node::Leaf(l) => self.leaf0 + l,
+            Node::Spine(s) => self.spine0 + s,
+        }
+    }
+
+    /// `node`'s index in the node order.
+    #[inline]
+    pub fn node_index(self, node: Node) -> u16 {
+        self.index(node) as u16
+    }
+
+    /// Inverse of [`node_index`](Self::node_index).
+    #[inline]
+    pub fn node_at(self, index: u16) -> Node {
+        let i = index as u32;
+        if i < self.leaf0 {
+            Node::Host(i)
+        } else if i < self.spine0 {
+            Node::Leaf(i - self.leaf0)
+        } else {
+            Node::Spine(i - self.spine0)
+        }
+    }
+
+    /// Hosts, leaves and spines.
+    #[inline]
+    pub fn node_count(self) -> u32 {
+        self.count
+    }
+}
 
 /// Static topology with O(1) peer lookup.
 #[derive(Debug, Clone)]
 pub struct Topology {
     pub cfg: TopoConfig,
+    /// The node order, for holders that keep a copy.
+    pub numbering: Numbering,
+    /// The [`PortId`] of every node's port 0, by node index.
+    first_port: Vec<u16>,
     /// `(node, port)` of every [`PortId`], by id.
     ports: Vec<(Node, u16)>,
 }
@@ -47,60 +100,57 @@ pub struct Topology {
 impl Topology {
     pub fn new(cfg: TopoConfig) -> Topology {
         cfg.validate().expect("invalid topology");
-        let mut ports = Vec::with_capacity(cfg.n_ports() as usize);
+        let (leaf0, spine0) = (cfg.n_hosts(), cfg.n_hosts() + cfg.n_leaves);
+        let count = spine0 + cfg.n_spines;
         let mut t = Topology {
+            numbering: Numbering {
+                leaf0,
+                spine0,
+                count,
+            },
+            first_port: Vec::with_capacity(count as usize),
+            ports: Vec::with_capacity(cfg.n_ports() as usize),
             cfg,
-            ports: Vec::new(),
         };
-        for i in 0..t.node_count() {
+        for i in 0..count {
             let node = t.node_at(i as u16);
-            ports.extend((0..t.n_ports(node) as u16).map(|p| (node, p)));
+            t.first_port.push(t.ports.len() as u16);
+            let ports = (0..t.n_ports(node) as u16).map(|p| (node, p));
+            t.ports.extend(ports);
         }
-        t.ports = ports;
         t
-    }
-
-    /// Hosts, leaves and spines.
-    fn node_count(&self) -> u32 {
-        self.n_hosts() + self.cfg.n_leaves + self.cfg.n_spines
     }
 
     /// `node`'s index in the node order: hosts, then leaves, then spines.
     #[inline]
     pub fn node_index(&self, node: Node) -> u16 {
-        let (hosts, leaves) = (self.n_hosts(), self.cfg.n_leaves);
-        (match node {
-            Node::Host(h) => h,
-            Node::Leaf(l) => hosts + l,
-            Node::Spine(s) => hosts + leaves + s,
-        }) as u16
+        self.numbering.node_index(node)
     }
 
     /// Inverse of [`node_index`](Self::node_index).
     #[inline]
     pub fn node_at(&self, index: u16) -> Node {
-        let (i, hosts, leaves) = (index as u32, self.n_hosts(), self.cfg.n_leaves);
-        if i < hosts {
-            Node::Host(i)
-        } else if i < hosts + leaves {
-            Node::Leaf(i - hosts)
-        } else {
-            Node::Spine(i - hosts - leaves)
-        }
+        self.numbering.node_at(index)
+    }
+
+    /// Every switch in node order: the leaves, then the spines.
+    pub fn switches(&self) -> impl Iterator<Item = Node> + '_ {
+        let n = self.numbering;
+        (n.leaf0..n.count).map(move |i| n.node_at(i as u16))
+    }
+
+    /// A switch's place in [`switches`](Self::switches).
+    #[inline]
+    pub fn switch_index(&self, node: Node) -> usize {
+        debug_assert!(!matches!(node, Node::Host(_)), "{node:?} is not a switch");
+        (self.numbering.index(node) - self.numbering.leaf0) as usize
     }
 
     /// The id of `node`'s `port`.
     #[inline]
     pub fn port_id(&self, node: Node, port: u16) -> PortId {
         debug_assert!((port as usize) < self.n_ports(node), "{node:?}:{port}");
-        let hosts = self.n_hosts();
-        let leaf_ports = self.cfg.hosts_per_leaf + self.cfg.n_spines;
-        let first = match node {
-            Node::Host(h) => h,
-            Node::Leaf(l) => hosts + l * leaf_ports,
-            Node::Spine(s) => hosts + self.cfg.n_leaves * leaf_ports + s * self.cfg.n_leaves,
-        };
-        PortId((first + port as u32) as u16)
+        PortId(self.first_port[self.node_index(node) as usize] + port)
     }
 
     /// Inverse of [`port_id`](Self::port_id): one load from the table.
@@ -112,7 +162,7 @@ impl Topology {
     /// Whether `id` is a host's NIC.
     #[inline]
     pub fn is_nic(&self, id: PortId) -> bool {
-        (id.0 as u32) < self.n_hosts()
+        (id.0 as u32) < self.numbering.leaf0
     }
 
     #[inline]
@@ -285,7 +335,7 @@ mod tests {
                 ..TopoConfig::default()
             });
             let mut next = 0u16;
-            for i in 0..t.node_count() as u16 {
+            for i in 0..t.numbering.node_count() as u16 {
                 let node = t.node_at(i);
                 prop_assert_eq!(t.node_index(node), i);
                 for port in 0..t.n_ports(node) as u16 {
@@ -298,6 +348,42 @@ mod tests {
             }
             prop_assert_eq!(next as usize, t.ports.len());
             prop_assert_eq!(next as u64, t.cfg.n_ports());
+            let switches: Vec<Node> = t.switches().collect();
+            prop_assert_eq!(switches.len() as u32, leaves + spines);
+            for (i, &node) in switches.iter().enumerate() {
+                prop_assert_eq!(t.switch_index(node), i);
+            }
+        }
+
+        /// `RunResult::pfc_pauses_by_port` names a switch port
+        /// `((is_spine, index), port)`; sorting the switch ports by that key
+        /// and by `PortId` gives one order, so the map built from ids at
+        /// the end of a run iterates as it did when ports were counted by
+        /// that key.
+        #[test]
+        fn switch_port_ids_sort_as_the_public_pause_key(
+            leaves in 2u32..20,
+            spines in 1u32..20,
+            hpl in 1u32..40,
+        ) {
+            let t = Topology::new(TopoConfig {
+                n_leaves: leaves,
+                n_spines: spines,
+                hosts_per_leaf: hpl,
+                ..TopoConfig::default()
+            });
+            let key = |id: PortId| match t.port_at(id) {
+                (Node::Leaf(l), p) => ((false, l), p),
+                (Node::Spine(s), p) => ((true, s), p),
+                (Node::Host(_), _) => unreachable!("a NIC is not a switch port"),
+            };
+            // Every switch port, in id order.
+            let by_id: Vec<PortId> = (t.n_hosts()..t.cfg.n_ports() as u32)
+                .map(|i| PortId(i as u16))
+                .collect();
+            let mut by_key = by_id.clone();
+            by_key.sort_by_key(|&id| key(id));
+            prop_assert_eq!(by_id, by_key);
         }
     }
 }

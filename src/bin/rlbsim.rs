@@ -219,6 +219,11 @@ fn main() -> std::process::ExitCode {
 fn run(args: &Args, scenario: Scenario) {
     let topo = scenario.cfg.topo.clone();
     let label = scenario.cfg.label();
+    // A full data frame on the wire, and the payload it carries.
+    let (wire_bytes, mtu_bytes) = (
+        scenario.cfg.mtu_wire_bytes(),
+        scenario.cfg.transport.mtu_bytes,
+    );
     println!(
         "fabric {}x{}x{} | {} | {} @ {:.0}% | seed {} | horizon {} ms | PFC {}",
         topo.n_leaves,
@@ -247,8 +252,8 @@ fn run(args: &Args, scenario: Scenario) {
     t.row(vec!["p99 FCT (ms)".to_string(), ms(s.p99_fct_ms)]);
     t.row(vec!["out-of-order packets".to_string(), pct(s.ooo_ratio)]);
     {
-        let base_rtt_ps = 2 * topo.base_one_way_ps(1048);
-        let overhead = 1048.0 / 1000.0;
+        let base_rtt_ps = 2 * topo.base_one_way_ps(wire_bytes as u64);
+        let overhead = wire_bytes as f64 / mtu_bytes as f64;
         let (sd_avg, sd_p99) = rlb::metrics::slowdown_summary(
             &res.records,
             topo.host_link_rate_bps as f64,
